@@ -8,7 +8,10 @@ A model bundles the four coefficient functions of the system
 together with every first- and second-order partial derivative that the
 tangent (sensitivity) equations downstream need.  Models are defined as
 symbolic expressions in ``x`` and ``y``; partials are produced by symbolic
-differentiation, so the supplied derivatives are exact.
+differentiation, so the supplied derivatives are exact.  All 24 expressions
+sit in one :class:`CoefficientTable`; :meth:`CoefficientSet.evaluate`
+computes any subset of them in one fused, common-subexpression-eliminated
+kernel call.
 
 Two built-in models ship with the package:
 
@@ -43,6 +46,8 @@ from sympy.parsing.sympy_parser import (
 
 __all__ = [
     "CoefficientSet",
+    "CoefficientTable",
+    "COEFFICIENT_KEYS",
     "AssumptionReport",
     "ModelEvaluationError",
     "ExpressionError",
@@ -60,6 +65,11 @@ TAU_MIN = 1e-6
 
 _FUNC_NAMES = ("c", "sigma", "f", "tau")
 _PARTIAL_PREFIXES = ("d1_", "d2_", "d11_", "d12_", "d22_")
+
+#: The 24 coefficient keys ``c, d1_c, ..., d22_tau`` in table order.
+COEFFICIENT_KEYS = tuple(
+    prefix + func for func in _FUNC_NAMES for prefix in ("",) + _PARTIAL_PREFIXES
+)
 
 _X, _Y = sp.symbols("x y", real=True)
 _PARSE_LOCALS = {
@@ -86,15 +96,84 @@ class ModelEvaluationError(ValueError):
     """A coefficient function produced a non-finite or degenerate value."""
 
 
+class CoefficientTable:
+    """The symbolic table of a model's 24 coefficient expressions.
+
+    :meth:`evaluate` runs one ``lambdify(..., cse=True)`` kernel per
+    requested key tuple, compiled on first use and cached, so a hot loop
+    that asks for the same keys every step pays one Python call per step
+    and shares every common subexpression between the keys.  Concurrent
+    first uses of one key tuple may both compile; the kernels are equal,
+    so the cache stays safe to share across worker threads.
+    """
+
+    def __init__(self, expressions: Mapping[str, sp.Expr]):
+        self.expressions = dict(expressions)
+        self._kernels: dict[tuple[str, ...], Callable] = {}
+
+    def _kernel(self, keys: tuple[str, ...]) -> Callable:
+        kernel = self._kernels.get(keys)
+        if kernel is None:
+            unknown = [k for k in keys if k not in self.expressions]
+            if unknown:
+                raise KeyError(f"unknown coefficient key(s): {', '.join(unknown)}")
+            kernel = sp.lambdify(
+                (_X, _Y),
+                [self.expressions[k] for k in keys],
+                modules="numpy",
+                cse=True,
+            )
+            self._kernels[keys] = kernel
+        return kernel
+
+    def evaluate(self, x, y, keys: tuple[str, ...]) -> tuple:
+        """Values of ``keys`` at (x, y), in the order of ``keys``.
+
+        Array values broadcast against the inputs; a value that does not
+        depend on the inputs (a constant, or any value at scalar inputs)
+        is returned as a ``float`` and never broadcast.
+        """
+        values = self._kernel(tuple(keys))(
+            np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        )
+        return tuple(v if isinstance(v, np.ndarray) else float(v) for v in values)
+
+
+def _view(table: CoefficientTable, key: str) -> Callable:
+    """One-key callable over ``table`` with full scalar/array broadcasting.
+
+    Scalar inputs give a ``float``; a constant is broadcast (and copied)
+    to the broadcast input shape.
+    """
+    keys = (key,)
+
+    def view(x, y):
+        x_arr = np.asarray(x, dtype=float)
+        y_arr = np.asarray(y, dtype=float)
+        shape = np.broadcast_shapes(x_arr.shape, y_arr.shape)
+        out = np.asarray(table.evaluate(x_arr, y_arr, keys)[0], dtype=float)
+        if out.shape != shape:
+            out = np.broadcast_to(out, shape).copy()
+        if out.ndim == 0 and np.isscalar(x) and np.isscalar(y):
+            return float(out)
+        return out
+
+    view.__name__ = view.__qualname__ = key
+    return view
+
+
 @dataclass(frozen=True)
 class CoefficientSet:
     """The four coefficients c, sigma, f, tau and all their partials.
 
     ``d1_*`` / ``d2_*`` are the first partials in x and y, ``d11_*`` /
     ``d12_*`` / ``d22_*`` the second partials (the mixed partial is
-    stored once; all models are C^2).  Every callable accepts scalars or
-    numpy arrays and broadcasts.  Instances are immutable and safe to
-    share across worker threads.
+    stored once; all models are C^2).  Every named callable accepts
+    scalars or numpy arrays and broadcasts; it is a one-key view of
+    ``table``.  Hot loops call :meth:`evaluate` instead, which reads
+    ``table`` directly, so replacing a named field changes that view
+    only.  Instances are immutable and safe to share across worker
+    threads.
     """
 
     name: str
@@ -122,14 +201,17 @@ class CoefficientSet:
     d11_tau: Callable
     d12_tau: Callable
     d22_tau: Callable
+    table: CoefficientTable = field(compare=False, repr=False)
     expressions: Mapping[str, str] | None = None
     reference_solution: Mapping[str, object] | None = field(
         default=None, compare=False, repr=False
     )
 
-    def partial(self, prefix: str, func: str) -> Callable:
-        """Return the callable for e.g. ``partial("d12_", "sigma")``."""
-        return getattr(self, prefix + func)
+    def evaluate(self, x, y, keys: tuple[str, ...]) -> tuple:
+        """Values of the coefficient ``keys`` (e.g. ``("c", "d1_c")``) at
+        (x, y), from one fused kernel; see :meth:`CoefficientTable.evaluate`.
+        """
+        return self.table.evaluate(x, y, keys)
 
 
 @dataclass(frozen=True)
@@ -190,29 +272,6 @@ def _parse_expression(text: str) -> sp.Expr:
     return expr
 
 
-def _numpify(expr: sp.Expr) -> Callable:
-    """Lambdify ``expr(x, y)`` with full scalar/array broadcasting.
-
-    sympy collapses constant expressions to scalars; the wrapper
-    re-broadcasts so the output shape always matches the broadcast
-    input shape.
-    """
-    fn = sp.lambdify((_X, _Y), expr, modules="numpy")
-
-    def wrapped(x, y):
-        x_arr = np.asarray(x, dtype=float)
-        y_arr = np.asarray(y, dtype=float)
-        shape = np.broadcast_shapes(x_arr.shape, y_arr.shape)
-        out = np.asarray(fn(x_arr, y_arr), dtype=float)
-        if out.shape != shape:
-            out = np.broadcast_to(out, shape).copy()
-        if out.ndim == 0 and np.isscalar(x) and np.isscalar(y):
-            return float(out)
-        return out
-
-    return wrapped
-
-
 def model_from_expressions(
     name: str,
     c: str,
@@ -236,26 +295,29 @@ def model_from_expressions(
     Returns
     -------
     CoefficientSet
-        With all 20 partials generated by symbolic differentiation.
+        With all 20 partials generated by symbolic differentiation and
+        held, with the four coefficients, in one :class:`CoefficientTable`.
     """
     texts = {"c": c, "sigma": sigma, "f": f, "tau": tau}
-    fields: dict[str, Callable] = {}
+    exprs: dict[str, sp.Expr] = {}
     for func, text in texts.items():
         try:
             expr = _parse_expression(text)
         except ExpressionError as exc:
             raise ExpressionError(f"coefficient {func!r}: {exc}") from exc
-        fields[func] = _numpify(expr)
-        fields["d1_" + func] = _numpify(sp.diff(expr, _X))
-        fields["d2_" + func] = _numpify(sp.diff(expr, _Y))
-        fields["d11_" + func] = _numpify(sp.diff(expr, _X, 2))
-        fields["d12_" + func] = _numpify(sp.diff(expr, _X, _Y))
-        fields["d22_" + func] = _numpify(sp.diff(expr, _Y, 2))
+        exprs[func] = expr
+        exprs["d1_" + func] = sp.diff(expr, _X)
+        exprs["d2_" + func] = sp.diff(expr, _Y)
+        exprs["d11_" + func] = sp.diff(expr, _X, 2)
+        exprs["d12_" + func] = sp.diff(expr, _X, _Y)
+        exprs["d22_" + func] = sp.diff(expr, _Y, 2)
+    table = CoefficientTable(exprs)
     return CoefficientSet(
         name=name,
         expressions=dict(texts),
         reference_solution=reference_solution,
-        **fields,
+        table=table,
+        **{key: _view(table, key) for key in COEFFICIENT_KEYS},
     )
 
 
@@ -352,18 +414,13 @@ def eval_all(model: CoefficientSet, x: float, y: float) -> dict[str, float]:
     """
     if not (np.isfinite(x) and np.isfinite(y)):
         raise ModelEvaluationError(f"evaluation point ({x}, {y}) is not finite")
-    out: dict[str, float] = {}
-    for func in _FUNC_NAMES:
-        for prefix in ("",) + _PARTIAL_PREFIXES:
-            key = prefix + func
-            val = float(model.partial(prefix, func)(x, y)) if prefix else float(
-                getattr(model, func)(x, y)
+    values = model.evaluate(float(x), float(y), COEFFICIENT_KEYS)
+    out = dict(zip(COEFFICIENT_KEYS, values))
+    for key, val in out.items():
+        if not np.isfinite(val):
+            raise ModelEvaluationError(
+                f"model {model.name!r}: {key} is not finite at ({x}, {y})"
             )
-            if not np.isfinite(val):
-                raise ModelEvaluationError(
-                    f"model {model.name!r}: {key} is not finite at ({x}, {y})"
-                )
-            out[key] = val
     if abs(out["tau"]) < TAU_MIN:
         raise ModelEvaluationError(
             f"model {model.name!r}: tau degenerates at ({x}, {y}): "
@@ -408,17 +465,16 @@ def check_assumptions(
     xs = np.linspace(x_range[0], x_range[1], nx)
     ys = np.linspace(y_range[0], y_range[1], ny)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
-    d1f = np.abs(model.d1_f(X, Y))
-    d1t = np.abs(model.d1_tau(X, Y))
-    d2t = np.abs(model.d2_tau(X, Y))
-    d2f = model.d2_f(X, Y)
+    d1f, d1t, d2t, d2f = model.evaluate(X, Y, ("d1_f", "d1_tau", "d2_tau", "d2_f"))
+    d1f, d1t, d2t = np.abs(d1f), np.abs(d1t), np.abs(d2t)
 
     m_expr = d1f + 2 * (2 * p - 1) * d1t**2 + d2t**2
-    k_expr = (
+    k_expr = np.broadcast_to(
         (2 * p - 1) * d1f
         + (2 * p - 1) * (2 * p - 2) * d1t**2
         + 2 * p * (2 * p - 1) * d2t**2
-        + 2 * p * d2f
+        + 2 * p * d2f,
+        X.shape,
     )
     worst = np.unravel_index(int(np.argmax(k_expr)), k_expr.shape)
     k_hat = -float(np.max(k_expr))
@@ -456,15 +512,15 @@ def validate_partials(
     pairs = []
     for g in _FUNC_NAMES:
         base = getattr(model, g)
-        d1 = model.partial("d1_", g)
-        d2 = model.partial("d2_", g)
+        d1 = getattr(model, "d1_" + g)
+        d2 = getattr(model, "d2_" + g)
         pairs.extend(
             [
                 (d1, base, "x"),
                 (d2, base, "y"),
-                (model.partial("d11_", g), d1, "x"),
-                (model.partial("d12_", g), d1, "y"),
-                (model.partial("d22_", g), d2, "y"),
+                (getattr(model, "d11_" + g), d1, "x"),
+                (getattr(model, "d12_" + g), d1, "y"),
+                (getattr(model, "d22_" + g), d2, "y"),
             ]
         )
     for x, y in sample_points:

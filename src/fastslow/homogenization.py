@@ -192,11 +192,6 @@ class HomogenizedModel:
         """Corrector derivative d_y phi(x, y)."""
         return self._rows_at(self._dy_phi_rows, x, y)
 
-    def interior_mask(self, i: int) -> np.ndarray:
-        """Nodes of row i where the density is above the interior floor."""
-        row = self.density[i]
-        return row >= INTERIOR_FRACTION * row.max()
-
     def y_window(self, i: int) -> tuple[float, float]:
         return float(self.y_grid[i][0]), float(self.y_grid[i][-1])
 

@@ -48,8 +48,14 @@ from typing import Sequence
 
 import numpy as np
 
-from fastslow.coefficients import CoefficientSet, check_assumptions
-from fastslow.sde_engine import PathBundle, ScaleRegime, effective_dt, simulate_paths
+from fastslow.coefficients import COEFFICIENT_KEYS, CoefficientSet, check_assumptions
+from fastslow.sde_engine import (
+    PathBundle,
+    ScaleRegime,
+    effective_dt,
+    simulate_paths,
+    time_grid,
+)
 
 __all__ = [
     "FirstOrderTangents",
@@ -90,6 +96,15 @@ BOUND_IDS = (
 
 #: Soft cap on tangent series allocations (bytes).
 _SERIES_BYTE_CAP = 2 * 1024**3
+
+#: Partials one first-order tangent step needs, in one kernel call.
+_FIRST_KEYS = (
+    "d1_c", "d2_c", "d1_sigma", "d2_sigma", "d1_f", "d2_f", "d1_tau", "d2_tau"
+)
+#: All 20 partials, in table order: what one second-order step needs.
+_PARTIAL_KEYS = tuple(k for k in COEFFICIENT_KEYS if k.startswith("d"))
+#: Partials the second-order initial data reads at the perturbation times.
+_ALPHA_KEYS = ("d1_sigma", "d2_sigma", "d1_tau", "d2_tau")
 
 
 class TangentBlowUpError(FloatingPointError):
@@ -229,16 +244,20 @@ def first_order_tangents(
     dy = np.zeros((2, n_r, n_paths))
     sup_dx = np.zeros((2, n_r, n_paths))
     sup_dy = np.zeros((2, n_r, n_paths))
+    sigma_r, tau_r = (
+        np.broadcast_to(v, (n_r, n_paths))
+        for v in model.evaluate(bundle.X[r_idx], bundle.Y[r_idx], ("sigma", "tau"))
+    )
 
     for k in range(n_t):
         xk, yk = bundle.X[k], bundle.Y[k]
         hit = np.nonzero(r_idx == k)[0]
         if len(hit):
             i = int(hit[0])
-            dx[0, i] = eps_root * model.sigma(xk, yk)
+            dx[0, i] = eps_root * sigma_r[i]
             dy[0, i] = 0.0
             dx[1, i] = 0.0
-            dy[1, i] = model.tau(xk, yk) / eta_root
+            dy[1, i] = tau_r[i] / eta_root
         if store_series:
             DX[:, :, k, :] = dx
             DY[:, :, k, :] = dy
@@ -246,14 +265,7 @@ def first_order_tangents(
         np.maximum(sup_dy, np.abs(dy), out=sup_dy)
         if k == bundle.n_steps:
             break
-        d1c = model.d1_c(xk, yk)
-        d2c = model.d2_c(xk, yk)
-        d1s = model.d1_sigma(xk, yk)
-        d2s = model.d2_sigma(xk, yk)
-        d1f = model.d1_f(xk, yk)
-        d2f = model.d2_f(xk, yk)
-        d1t = model.d1_tau(xk, yk)
-        d2t = model.d2_tau(xk, yk)
+        d1c, d2c, d1s, d2s, d1f, d2f, d1t, d2t = model.evaluate(xk, yk, _FIRST_KEYS)
         w1 = bundle.dW1[k]
         w2 = bundle.dW2[k]
         dx_new = dx + (d1c * dx + d2c * dy) * dt + eps_root * (
@@ -341,14 +353,19 @@ def second_order_tangents(
     d2y = np.zeros((n_c, n_pairs, n_paths))
     sup_x = np.zeros((n_c, n_pairs, n_paths))
     sup_y = np.zeros((n_c, n_pairs, n_paths))
+    r_rows = np.unique(pair_arr)
+    row_of = {int(r): i for i, r in enumerate(r_rows)}
+    d1s_r, d2s_r, d1t_r, d2t_r = (
+        np.broadcast_to(v, (len(r_rows), n_paths))
+        for v in model.evaluate(bundle.X[r_rows], bundle.Y[r_rows], _ALPHA_KEYS)
+    )
 
     for k in range(n_t):
         xk, yk = bundle.X[k], bundle.Y[k]
         hits = np.nonzero(inject_at == k)[0]
         for q in hits:
             r1, r2 = int(pair_arr[q, 0]), int(pair_arr[q, 1])
-            x1, y1 = bundle.X[r1], bundle.Y[r1]
-            x2, y2 = bundle.X[r2], bundle.Y[r2]
+            i1, i2 = row_of[r1], row_of[r2]
             # First-order values: of the (j2, r2) tangent at time r1 and
             # of the (j1, r1) tangent at time r2 (zero when the time
             # precedes the perturbation).
@@ -357,19 +374,11 @@ def second_order_tangents(
             dx_1_at_2 = first.DX[j1[:, 0], pos1[q], r2, :]
             dy_1_at_2 = first.DY[j1[:, 0], pos1[q], r2, :]
             alpha1 = (j1 == 0) * (
-                model.d1_sigma(x1, y1) * dx_2_at_1
-                + model.d2_sigma(x1, y1) * dy_2_at_1
-            ) + (j2 == 0) * (
-                model.d1_sigma(x2, y2) * dx_1_at_2
-                + model.d2_sigma(x2, y2) * dy_1_at_2
-            )
+                d1s_r[i1] * dx_2_at_1 + d2s_r[i1] * dy_2_at_1
+            ) + (j2 == 0) * (d1s_r[i2] * dx_1_at_2 + d2s_r[i2] * dy_1_at_2)
             alpha2 = (j1 == 1) * (
-                model.d1_tau(x1, y1) * dx_2_at_1
-                + model.d2_tau(x1, y1) * dy_2_at_1
-            ) + (j2 == 1) * (
-                model.d1_tau(x2, y2) * dx_1_at_2
-                + model.d2_tau(x2, y2) * dy_1_at_2
-            )
+                d1t_r[i1] * dx_2_at_1 + d2t_r[i1] * dy_2_at_1
+            ) + (j2 == 1) * (d1t_r[i2] * dx_1_at_2 + d2t_r[i2] * dy_1_at_2)
             d2x[:, q, :] = eps_root * alpha1
             d2y[:, q, :] = alpha2 / eta_root
         if store_series:
@@ -387,38 +396,22 @@ def second_order_tangents(
         cross = DX1 * DY2 + DY1 * DX2
         both_x = DX1 * DX2
         both_y = DY1 * DY2
-        b1c = (
-            model.d11_c(xk, yk) * both_x
-            + model.d12_c(xk, yk) * cross
-            + model.d22_c(xk, yk) * both_y
-            + model.d2_c(xk, yk) * d2y
-        )
-        b1s = (
-            model.d11_sigma(xk, yk) * both_x
-            + model.d12_sigma(xk, yk) * cross
-            + model.d22_sigma(xk, yk) * both_y
-            + model.d2_sigma(xk, yk) * d2y
-        )
-        b2f = (
-            model.d11_f(xk, yk) * both_x
-            + model.d12_f(xk, yk) * cross
-            + model.d22_f(xk, yk) * both_y
-            + model.d1_f(xk, yk) * d2x
-        )
-        b2t = (
-            model.d11_tau(xk, yk) * both_x
-            + model.d12_tau(xk, yk) * cross
-            + model.d22_tau(xk, yk) * both_y
-            + model.d1_tau(xk, yk) * d2x
-        )
+        (
+            d1c, d2c, d11c, d12c, d22c,
+            d1s, d2s, d11s, d12s, d22s,
+            d1f, d2f, d11f, d12f, d22f,
+            d1t, d2t, d11t, d12t, d22t,
+        ) = model.evaluate(xk, yk, _PARTIAL_KEYS)
+        b1c = d11c * both_x + d12c * cross + d22c * both_y + d2c * d2y
+        b1s = d11s * both_x + d12s * cross + d22s * both_y + d2s * d2y
+        b2f = d11f * both_x + d12f * cross + d22f * both_y + d1f * d2x
+        b2t = d11t * both_x + d12t * cross + d22t * both_y + d1t * d2x
         w1 = bundle.dW1[k]
         w2 = bundle.dW2[k]
-        d2x_new = d2x + (model.d1_c(xk, yk) * d2x + b1c) * dt + eps_root * (
-            model.d1_sigma(xk, yk) * d2x + b1s
-        ) * w1
-        d2y_new = d2y + (model.d2_f(xk, yk) * d2y + b2f) * (dt / eta) + (
-            model.d2_tau(xk, yk) * d2y + b2t
-        ) * (w2 / eta_root)
+        d2x_new = d2x + (d1c * d2x + b1c) * dt + eps_root * (d1s * d2x + b1s) * w1
+        d2y_new = d2y + (d2f * d2y + b2f) * (dt / eta) + (d2t * d2y + b2t) * (
+            w2 / eta_root
+        )
         d2x, d2y = d2x_new, d2y_new
         if not (np.all(np.isfinite(d2x)) and np.all(np.isfinite(d2y))):
             bad = np.argwhere(~(np.isfinite(d2x) & np.isfinite(d2y)))
@@ -463,9 +456,7 @@ def z_process(model: CoefficientSet, bundle: PathBundle, r_index: int) -> np.nda
     out = np.ones((n_t, bundle.n_paths))
     if r == bundle.n_steps:
         return out
-    xs, ys = bundle.X[r:-1], bundle.Y[r:-1]
-    d2f = np.asarray(model.d2_f(xs, ys), float)
-    d2t = np.asarray(model.d2_tau(xs, ys), float)
+    d2f, d2t = model.evaluate(bundle.X[r:-1], bundle.Y[r:-1], ("d2_f", "d2_tau"))
     incr = (
         d2f * (bundle.dt / eta)
         + d2t * (bundle.dW2[r:] / math.sqrt(eta))
@@ -503,20 +494,16 @@ def q_decomposition(
     n_t = bundle.n_steps + 1
     q1 = np.zeros((n_t, bundle.n_paths))
     q2 = np.zeros((n_t, bundle.n_paths))
-    tau_r = np.asarray(model.tau(bundle.X[r], bundle.Y[r]), float)
+    (tau_r,) = model.evaluate(bundle.X[r], bundle.Y[r], ("tau",))
     q1[r] = tau_r / eta_root
     zm = np.ones(bundle.n_paths)
     q2_state = np.zeros(bundle.n_paths)
     for k in range(r, bundle.n_steps):
-        xk, yk = bundle.X[k], bundle.Y[k]
-        a = (
-            1.0
-            + model.d2_f(xk, yk) * (dt / eta)
-            + model.d2_tau(xk, yk) * (bundle.dW2[k] / eta_root)
+        d1f, d2f, d1t, d2t = model.evaluate(
+            bundle.X[k], bundle.Y[k], ("d1_f", "d2_f", "d1_tau", "d2_tau")
         )
-        g = model.d1_f(xk, yk) * dxw2[k] * (dt / eta) + model.d1_tau(
-            xk, yk
-        ) * dxw2[k] * (bundle.dW2[k] / eta_root)
+        a = 1.0 + d2f * (dt / eta) + d2t * (bundle.dW2[k] / eta_root)
+        g = d1f * dxw2[k] * (dt / eta) + d1t * dxw2[k] * (bundle.dW2[k] / eta_root)
         zm = a * zm
         q2_state = a * q2_state + g
         q1[k + 1] = zm * (tau_r / eta_root)
@@ -771,15 +758,12 @@ def moment_sweep(
     for i_reg, regime in enumerate(regimes):
         T = regime.T
         step = effective_dt(dt if dt is not None else regime.eta / 20.0, regime.eta)
-        probe = simulate_paths(
-            model, regime, x0, y0, step, 1, (_seed_tuple(seed) + (i_reg, 0))
-        )
-        n_steps = probe.n_steps
+        n_steps, dt_eff = time_grid(T, step)
         r_sel = sorted(
             {min(n_steps, max(0, int(round(f * n_steps)))) for f in r_selection}
         )
         r_mid = min(n_steps, max(0, int(round(0.5 * n_steps))))
-        sep_steps = int(round(pair_sep_etas * regime.eta / probe.dt))
+        sep_steps = int(round(pair_sep_etas * regime.eta / dt_eff))
         r_lo = max(0, r_mid - sep_steps)
         pairs = np.array([[r_mid, r_mid], [r_mid, r_lo]])
         r_union = sorted(set(r_sel) | {r_mid, r_lo})
@@ -835,8 +819,8 @@ def moment_sweep(
             regime.eta,
             k_hat,
             T,
-            r_mid * probe.dt,
-            (r_mid - r_lo) * probe.dt,
+            r_mid * dt_eff,
+            (r_mid - r_lo) * dt_eff,
         )
         per_regime.append(
             {
@@ -914,10 +898,9 @@ def decay_check(
     if bound_id not in ("d2x_w1w2", "d2x_w2w2", "dw2_y_final"):
         raise ValueError(f"no separation structure for bound {bound_id!r}")
     step = effective_dt(dt if dt is not None else regime.eta / 20.0, regime.eta)
-    probe = simulate_paths(model, regime, x0, y0, step, 1, (_seed_tuple(seed) + (0,)))
-    n_steps = probe.n_steps
+    n_steps, dt_eff = time_grid(regime.T, step)
     seps = [float(s) for s in separations_eta]
-    sep_steps = [int(round(s * regime.eta / probe.dt)) for s in seps]
+    sep_steps = [int(round(s * regime.eta / dt_eff)) for s in seps]
     if bound_id == "dw2_y_final":
         r_list = [n_steps - s for s in sep_steps]
         if min(r_list) < 0:

@@ -41,6 +41,7 @@ from fastslow.sde_engine import (
     effective_dt,
     fluctuation_samples,
     simulate_paths,
+    time_grid,
 )
 
 __all__ = [
@@ -281,9 +282,7 @@ def clt_verify(
     hom = _cached_homogenized(model, x_range, nx, ny, regime.gamma)
     trajectory = attach_variance(hom, limit_ode(hom, x0, T, ode_dt))
 
-    step = effective_dt(dt, regime.eta)
-    n_steps = max(1, int(math.ceil(T / step - 1e-9)))
-    dt_eff = T / n_steps
+    n_steps, dt_eff = time_grid(T, effective_dt(dt, regime.eta))
     capture = [_grid_index(t, dt_eff, n_steps, "path") for t in times]
     bundle = simulate_paths(
         model,

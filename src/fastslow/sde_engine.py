@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from fastslow.coefficients import CoefficientSet
+from fastslow.coefficients import TAU_MIN, CoefficientSet, ModelEvaluationError
 from fastslow.homogenization import LimitTrajectory
 
 __all__ = [
@@ -45,6 +45,7 @@ __all__ = [
     "load_bundle",
     "export_paths_csv",
     "effective_dt",
+    "time_grid",
 ]
 
 #: Stream channel tags for the per-(seed, id, channel) generators.
@@ -56,6 +57,9 @@ CHANNEL_BOOTSTRAP = 3
 #: Stability guard: at most this fraction of the fast relaxation time
 #: per step.
 STABILITY_FRACTION = 1.0 / 20.0
+
+#: Coefficients the Euler-Maruyama step evaluates, in one kernel call.
+_EM_KEYS = ("c", "sigma", "f", "tau")
 
 
 class StabilityError(ValueError):
@@ -187,6 +191,16 @@ def effective_dt(dt_user: float, eta: float) -> float:
     return min(dt_user, eta * STABILITY_FRACTION)
 
 
+def time_grid(T: float, dt: float) -> tuple[int, float]:
+    """Number of steps and realized step of the uniform grid on [0, T].
+
+    n_steps = ceil(T / dt) (at least 1, with a 1e-9 slack so a dt that
+    divides T exactly is not rounded up) and dt_eff = T / n_steps <= dt.
+    """
+    n_steps = max(1, math.ceil(T / dt - 1e-9))
+    return n_steps, T / n_steps
+
+
 def _stream(master_seed, path_id: int, channel: int) -> np.random.Generator:
     """Counter-based generator keyed by (master_seed, path_id, channel)."""
     if isinstance(master_seed, (tuple, list)):
@@ -242,7 +256,10 @@ def simulate_with_increments(
 
     Returns (X, Y, captures): full (n_steps+1, n_paths) arrays when
     ``store_paths`` (else None) and a dict of requested snapshots.
-    Raises :class:`BlowUpError` (naming the step) on non-finite states.
+    Raises :class:`BlowUpError` (naming the step) on non-finite states
+    and :class:`~fastslow.coefficients.ModelEvaluationError` (naming the
+    step, the path column and |tau|) where |tau| < TAU_MIN; a constant
+    tau is checked once.
     """
     n_steps, n_paths = dW1.shape
     eps_root = math.sqrt(regime.epsilon)
@@ -263,8 +280,11 @@ def simulate_with_increments(
     if 0 in wanted:
         captures[0] = (x.copy(), y.copy())
     for k in range(n_steps):
-        x_new = x + model.c(x, y) * dt + eps_root * model.sigma(x, y) * dW1[k]
-        y_new = y + model.f(x, y) * (dt / eta) + model.tau(x, y) * (dW2[k] / eta_root)
+        c, sigma, f, tau = model.evaluate(x, y, _EM_KEYS)
+        if k == 0 or np.ndim(tau):
+            _check_tau(model, tau, k)
+        x_new = x + c * dt + eps_root * sigma * dW1[k]
+        y_new = y + f * (dt / eta) + tau * (dW2[k] / eta_root)
         x, y = x_new, y_new
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             bad = int(np.argmax(~(np.isfinite(x) & np.isfinite(y))))
@@ -278,6 +298,17 @@ def simulate_with_increments(
         if (k + 1) in wanted:
             captures[k + 1] = (x.copy(), y.copy())
     return X, Y, captures
+
+
+def _check_tau(model: CoefficientSet, tau, k: int) -> None:
+    """Raise if |tau| of any path column falls below TAU_MIN at step k."""
+    abs_tau = np.ravel(np.abs(tau))
+    j = int(np.argmin(abs_tau))
+    if abs_tau[j] < TAU_MIN:
+        raise ModelEvaluationError(
+            f"model {model.name!r}: tau degenerates at step {k} (path column "
+            f"{j}): |tau|={abs_tau[j]:.3e} < {TAU_MIN:g}"
+        )
 
 
 def simulate_paths(
@@ -300,8 +331,8 @@ def simulate_paths(
     ----------
     dt : float
         Requested step; must satisfy dt <= eta/20 (StabilityError
-        otherwise).  The realized step divides T exactly:
-        dt_eff = T / ceil(T / dt).
+        otherwise).  The realized step divides T exactly; see
+        :func:`time_grid`.
     n_paths : int
         Number of Monte Carlo paths (>= 1).
     master_seed : int or tuple of int
@@ -324,8 +355,7 @@ def simulate_paths(
             f"dt={dt:g} exceeds the stability guard eta/20={guard:g}; "
             "reduce dt or increase eta"
         )
-    n_steps = max(1, math.ceil(regime.T / dt - 1e-9))
-    dt_eff = regime.T / n_steps
+    n_steps, dt_eff = time_grid(regime.T, dt)
     wanted = sorted(set(int(k) for k in capture_indices))
     chunk = n_paths if not path_chunk else max(1, int(path_chunk))
 

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastslow.coefficients import (
+    COEFFICIENT_KEYS,
+    CoefficientTable,
     ExpressionError,
     ModelEvaluationError,
     builtin_model_names,
@@ -17,6 +20,8 @@ from fastslow.coefficients import (
     model_from_expressions,
     validate_partials,
 )
+from fastslow.malliavin import first_order_tangents, second_order_tangents
+from fastslow.sde_engine import ScaleRegime, simulate_paths
 
 
 def test_builtin_names():
@@ -65,6 +70,70 @@ def test_constant_coefficient_broadcasts(affine):
     out = affine.sigma(np.zeros((3, 4)), np.ones((3, 4)))
     assert out.shape == (3, 4)
     assert np.all(out == 1.0)
+    assert affine.d1_c(np.zeros(3), 0.5).shape == (3,)
+    for key in COEFFICIENT_KEYS:
+        assert type(getattr(affine, key)(0.3, -0.2)) is float
+
+
+def _trig_model():
+    return model_from_expressions(
+        "trig",
+        "sin(x)*cos(y) - 0.3*x*y",
+        "1 + 0.5*cos(x)*sin(y)",
+        "tanh(x) - y - 0.1*y^3",
+        "sqrt(2) + 0.2*sin(x*y)",
+    )
+
+
+@pytest.mark.parametrize("name", ["affine-oracle", "bounded-coupled", "trig"])
+def test_evaluate_matches_each_expression(name):
+    """Every fused-kernel value equals its own expression, lambdified
+    alone, to 1e-14 relative error."""
+    model = _trig_model() if name == "trig" else get_model(name)
+    X, Y = np.meshgrid(np.linspace(-1.37, 1.61, 5), np.linspace(-1.23, 1.89, 4))
+    x, y = sp.symbols("x y", real=True)
+    values = model.evaluate(X, Y, COEFFICIENT_KEYS)
+    for key, value in zip(COEFFICIENT_KEYS, values):
+        single = sp.lambdify((x, y), model.table.expressions[key], modules="numpy")
+        ref = np.broadcast_to(single(X, Y), X.shape)
+        np.testing.assert_allclose(
+            np.broadcast_to(value, X.shape), ref, rtol=1e-14, atol=0, err_msg=key
+        )
+
+
+def test_evaluate_broadcasts_mixed_shapes_and_keeps_constants_scalar(bounded):
+    x = np.linspace(-1.0, 1.0, 3)[:, None]
+    y = np.linspace(-2.0, 2.0, 4)
+    c, d1_c, tau = bounded.evaluate(x, y, ("c", "d1_c", "tau"))
+    assert c.shape == (3, 4)
+    np.testing.assert_array_equal(c, bounded.c(x, y))
+    np.testing.assert_array_equal(np.broadcast_to(d1_c, (3, 4)), bounded.d1_c(x, y))
+    assert type(tau) is float and tau == math.sqrt(2.0)
+    assert all(type(v) is float for v in bounded.evaluate(0.3, 0.2, COEFFICIENT_KEYS))
+    with pytest.raises(KeyError, match="d3_c"):
+        bounded.evaluate(0.3, 0.2, ("c", "d3_c"))
+
+
+def test_tangents_evaluate_once_per_step(bounded, monkeypatch):
+    """One fused call per step, plus one for the perturbation-time rows,
+    and no call through the one-key views."""
+    regime = ScaleRegime(epsilon=0.05, eta=0.05, gamma=1.0, T=0.2)
+    bundle = simulate_paths(bounded, regime, 0.4, 0.3, regime.eta / 20, 3, 5)
+    calls = []
+    evaluate = CoefficientTable.evaluate
+
+    def counting(self, x, y, keys):
+        calls.append(tuple(keys))
+        return evaluate(self, x, y, keys)
+
+    monkeypatch.setattr(CoefficientTable, "evaluate", counting)
+    first = first_order_tangents(bounded, bundle, [0, 10, 20, 40])
+    assert len(calls) == bundle.n_steps + 1
+    assert calls[0] == ("sigma", "tau") and len(set(calls[1:])) == 1
+    calls.clear()
+    second_order_tangents(bounded, bundle, first, [(10, 10), (20, 10), (40, 40)])
+    assert len(calls) == bundle.n_steps + 1
+    assert len(set(calls[1:])) == 1 and len(calls[1]) == 20
 
 
 def test_eval_all_rejects_nonfinite_point(affine):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fastslow.coefficients import model_from_expressions
+from fastslow.coefficients import ModelEvaluationError, model_from_expressions
 from fastslow.homogenization import attach_variance, build_homogenized, limit_ode
 from fastslow.sde_engine import (
     AlignmentError,
@@ -22,6 +22,7 @@ from fastslow.sde_engine import (
     save_bundle,
     simulate_paths,
     simulate_with_increments,
+    time_grid,
 )
 
 
@@ -198,6 +199,18 @@ def test_blow_up_error_names_the_step():
             simulate_paths(stiff, regime, 2.0, 0.0, 0.005, 2, 1)
 
 
+def test_degenerate_tau_names_step_column_and_value():
+    regime = ScaleRegime(epsilon=0.01, eta=0.1, gamma=math.inf, T=1.0)
+    flat = model_from_expressions("flat-tau", "y", "1", "-y", "x")
+    with pytest.raises(
+        ModelEvaluationError, match=r"step 0 \(path column 0\): \|tau\|=0\.000e\+00"
+    ):
+        simulate_paths(flat, regime, 0.0, 0.0, 0.005, 2, 1)
+    tiny = model_from_expressions("tiny-tau", "y", "1", "-y", "1e-9")
+    with pytest.raises(ModelEvaluationError, match=r"step 0 .*\|tau\|=1\.000e-09"):
+        simulate_paths(tiny, regime, 0.0, 0.0, 0.005, 2, 1)
+
+
 # -- captures and memory-light mode ------------------------------------
 
 
@@ -343,3 +356,14 @@ def test_bundle_time_grid(affine_bundle):
     assert t[0] == 0.0
     assert t[-1] == pytest.approx(affine_bundle.regime.T)
     assert len(t) == affine_bundle.n_steps + 1
+    regime = affine_bundle.regime
+    assert time_grid(regime.T, regime.eta / 20.0) == (
+        affine_bundle.n_steps,
+        affine_bundle.dt,
+    )
+
+
+def test_time_grid_rounds_up_and_tolerates_exact_divisors():
+    assert time_grid(1.0, 0.003) == (334, 1.0 / 334)
+    assert time_grid(0.25, 0.001) == (250, 0.001)
+    assert time_grid(1.0, 5.0) == (1, 1.0)
