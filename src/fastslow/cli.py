@@ -2,7 +2,7 @@
 
 Usage::
 
-    fastslow <command> --config <path> [--threads N] [--seed S]
+    fastslow <command> --config <path> [--seed S]
 
 with command one of ``check-assumptions``, ``homogenize``,
 ``clt-verify``, ``malliavin-sweep``, ``rate-sweep``, ``bound-eval``.
@@ -47,8 +47,19 @@ from fastslow.homogenization import (
     write_summary_csv,
 )
 from fastslow.malliavin import decay_check, moment_sweep
-from fastslow.metrics import clt_verify, rate_sweep, theoretical_bound, theoretical_bound_terms
-from fastslow.sde_engine import ScaleRegime
+from fastslow.metrics import (
+    HOM_GRID,
+    clt_verify,
+    rate_sweep,
+    theoretical_bound,
+    theoretical_bound_terms,
+)
+from fastslow.sde_engine import (
+    STABILITY_FRACTION,
+    ScaleRegime,
+    StabilityError,
+    _check_stability,
+)
 
 __all__ = ["ExperimentConfig", "ConfigError", "main"]
 
@@ -66,9 +77,6 @@ _COMMANDS = (
     "rate-sweep",
     "bound-eval",
 )
-
-#: Hard ceiling on dt relative to eta, enforced at config load.
-DT_ETA_LIMIT = 1.0 / 20.0
 
 
 class ConfigError(ValueError):
@@ -139,10 +147,10 @@ class ExperimentConfig:
             if dt is not None:
                 if not dt > 0:
                     raise ConfigError(f"grid.dt must be positive (got {dt})")
-                if dt > self.regime["eta"] * DT_ETA_LIMIT * (1.0 + 1e-12):
-                    raise ConfigError(
-                        f"grid.dt={dt} exceeds eta/20={self.regime['eta'] * DT_ETA_LIMIT}"
-                    )
+                try:
+                    _check_stability(dt, self.regime["eta"])
+                except StabilityError as exc:
+                    raise ConfigError(f"grid.{exc}") from None
         if self.sweep is not None:
             eps = self.sweep.get("epsilons")
             if not eps or len(eps) < 1:
@@ -275,7 +283,7 @@ def _write_manifest(out_dir, command, config, seed, t0, exit_code) -> None:
 # -- commands ---------------------------------------------------------
 
 
-def cmd_check_assumptions(config: ExperimentConfig, out_dir, seed, threads) -> int:
+def cmd_check_assumptions(config: ExperimentConfig, out_dir, seed) -> int:
     model = config.coefficient_set()
     x_range = tuple(config.grid.get("x_range", (-6.0, 6.0)))
     y_range = tuple(config.grid.get("y_range", x_range))
@@ -289,7 +297,7 @@ def cmd_check_assumptions(config: ExperimentConfig, out_dir, seed, threads) -> i
     return EXIT_PASS if all_pass else EXIT_ASSERTION
 
 
-def cmd_homogenize(config: ExperimentConfig, out_dir, seed, threads) -> int:
+def cmd_homogenize(config: ExperimentConfig, out_dir, seed) -> int:
     model = config.coefficient_set()
     regime = config.scale_regime() if config.regime is not None else None
     gamma = regime.gamma if regime is not None else math.inf
@@ -319,7 +327,20 @@ def cmd_homogenize(config: ExperimentConfig, out_dir, seed, threads) -> int:
     return EXIT_WARNINGS if hom.warnings else EXIT_PASS
 
 
-def cmd_clt_verify(config: ExperimentConfig, out_dir, seed, threads) -> int:
+def _clt_homogenized(config: ExperimentConfig, model: CoefficientSet, gamma):
+    """Homogenized model on the config's ``grid.x_range/nx/ny``."""
+    x_range, nx, ny = HOM_GRID
+    grid = config.grid
+    return build_homogenized(
+        model,
+        tuple(grid.get("x_range", x_range)),
+        int(grid.get("nx", nx)),
+        int(grid.get("ny", ny)),
+        gamma,
+    )
+
+
+def cmd_clt_verify(config: ExperimentConfig, out_dir, seed) -> int:
     model = config.coefficient_set()
     regime = config.scale_regime()
     grid = config.grid
@@ -328,15 +349,12 @@ def cmd_clt_verify(config: ExperimentConfig, out_dir, seed, threads) -> int:
         regime,
         x0=float(grid.get("x0", 0.0)),
         y0=float(grid.get("y0", 0.0)),
-        dt=float(grid.get("dt", regime.eta * DT_ETA_LIMIT)),
+        dt=float(grid.get("dt", regime.eta * STABILITY_FRACTION)),
         n_paths=int(grid.get("n_paths", 10_000)),
         checkpoints=grid.get("checkpoints"),
         seed=seed,
         n_boot=int(config.analysis.get("bootstrap", 400)),
-        x_range=tuple(grid.get("x_range", (-3.0, 3.0))),
-        nx=int(grid.get("nx", 33)),
-        ny=int(grid.get("ny", 4096)),
-        threads=threads,
+        hom=_clt_homogenized(config, model, regime.gamma),
     )
     payload = {
         "model": model.name,
@@ -367,7 +385,7 @@ def cmd_clt_verify(config: ExperimentConfig, out_dir, seed, threads) -> int:
     return EXIT_PASS
 
 
-def cmd_malliavin_sweep(config: ExperimentConfig, out_dir, seed, threads) -> int:
+def cmd_malliavin_sweep(config: ExperimentConfig, out_dir, seed) -> int:
     model = config.coefficient_set()
     regimes = config.sweep_regimes()
     n_paths = int(config.grid.get("n_paths", 2000))
@@ -404,11 +422,12 @@ def cmd_malliavin_sweep(config: ExperimentConfig, out_dir, seed, threads) -> int
     return EXIT_WARNINGS if any_warn else EXIT_PASS
 
 
-def cmd_rate_sweep(config: ExperimentConfig, out_dir, seed, threads) -> int:
+def cmd_rate_sweep(config: ExperimentConfig, out_dir, seed) -> int:
     model = config.coefficient_set()
     if config.sweep is None:
         raise ConfigError("rate-sweep needs a 'sweep' section")
     grid = config.grid
+    gamma = config.sweep.get("gamma", 1.0)
     fit = rate_sweep(
         model,
         config.sweep["epsilons"],
@@ -417,13 +436,11 @@ def cmd_rate_sweep(config: ExperimentConfig, out_dir, seed, threads) -> int:
             "x0": grid.get("x0", 0.0),
             "y0": grid.get("y0", 0.0),
             "n_paths": grid.get("n_paths", 10_000),
-            "dt_eta_fraction": grid.get("dt_eta_fraction", DT_ETA_LIMIT),
-            "x_range": tuple(grid.get("x_range", (-3.0, 3.0))),
-            "nx": int(grid.get("nx", 33)),
-            "ny": int(grid.get("ny", 4096)),
+            "dt_eta_fraction": grid.get("dt_eta_fraction", STABILITY_FRACTION),
             "n_boot": int(config.analysis.get("bootstrap", 400)),
+            "hom": _clt_homogenized(config, model, gamma),
         },
-        gamma=config.sweep.get("gamma", 1.0),
+        gamma=gamma,
         T=config.sweep.get("T", 1.0),
         K=float(config.analysis.get("K", 1.0)),
         zeta=float(config.analysis.get("zeta", 0.1)),
@@ -454,7 +471,7 @@ def cmd_rate_sweep(config: ExperimentConfig, out_dir, seed, threads) -> int:
     return EXIT_WARNINGS if fit.noisy_points else EXIT_PASS
 
 
-def cmd_bound_eval(config: ExperimentConfig, out_dir, seed, threads) -> int:
+def cmd_bound_eval(config: ExperimentConfig, out_dir, seed) -> int:
     model_name = config.model if config.model is not None else "custom"
     K = float(config.analysis.get("K", 1.0))
     zeta = float(config.analysis.get("zeta", 0.1))
@@ -512,7 +529,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", required=True, help="path to a JSON experiment config")
-    parser.add_argument("--threads", type=int, default=None, help="worker thread cap")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     return parser
 
@@ -552,7 +568,7 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("always", BoundaryQualityWarning)
-            code = _DISPATCH[args.command](config, out_dir, seed, args.threads)
+            code = _DISPATCH[args.command](config, out_dir, seed)
     except ConfigError as exc:
         print(f"fastslow: invalid config: {exc}", file=sys.stderr)
         return EXIT_USAGE

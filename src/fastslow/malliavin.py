@@ -52,7 +52,7 @@ from fastslow.coefficients import COEFFICIENT_KEYS, CoefficientSet, check_assump
 from fastslow.sde_engine import (
     PathBundle,
     ScaleRegime,
-    effective_dt,
+    _check_stability,
     simulate_paths,
     time_grid,
 )
@@ -734,7 +734,9 @@ def moment_sweep(
 
     The envelope constant ``C_fit`` is anchored at the first regime; a
     Monte Carlo standard error above 30% of the mean attaches an
-    under-sampled warning (never a failure).
+    under-sampled warning (never a failure).  ``dt`` defaults to eta/20
+    per regime; a larger step raises
+    :class:`~fastslow.sde_engine.StabilityError` before any work.
     """
     if len(regimes) < 1:
         raise ValueError("need at least one regime")
@@ -743,6 +745,9 @@ def moment_sweep(
         raise ValueError("regimes must be ordered by strictly decreasing epsilon")
     if p not in (1, 2):
         raise ValueError(f"moment order p must be 1 or 2 (got {p})")
+    steps = [dt if dt is not None else r.eta / 20.0 for r in regimes]
+    for step, regime in zip(steps, regimes):
+        _check_stability(step, regime.eta)
     if k_hat is None:
         rep = check_assumptions(
             model, assumption_box, assumption_box, 201, 201, p
@@ -755,9 +760,8 @@ def moment_sweep(
         k_hat = rep.K_hat
 
     per_regime: list[dict] = []
-    for i_reg, regime in enumerate(regimes):
+    for i_reg, (regime, step) in enumerate(zip(regimes, steps)):
         T = regime.T
-        step = effective_dt(dt if dt is not None else regime.eta / 20.0, regime.eta)
         n_steps, dt_eff = time_grid(T, step)
         r_sel = sorted(
             {min(n_steps, max(0, int(round(f * n_steps)))) for f in r_selection}
@@ -894,10 +898,13 @@ def decay_check(
     units of eta.  All separations share the same simulated paths, so
     the comparison is low-noise; monotone_within_noise allows each
     consecutive increase up to twice the summed standard errors.
+    ``dt`` defaults to eta/20; a larger step raises
+    :class:`~fastslow.sde_engine.StabilityError`.
     """
     if bound_id not in ("d2x_w1w2", "d2x_w2w2", "dw2_y_final"):
         raise ValueError(f"no separation structure for bound {bound_id!r}")
-    step = effective_dt(dt if dt is not None else regime.eta / 20.0, regime.eta)
+    step = dt if dt is not None else regime.eta / 20.0
+    _check_stability(step, regime.eta)
     n_steps, dt_eff = time_grid(regime.T, step)
     seps = [float(s) for s in separations_eta]
     sep_steps = [int(round(s * regime.eta / dt_eff)) for s in seps]

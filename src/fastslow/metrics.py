@@ -36,9 +36,9 @@ from fastslow.homogenization import (
 from fastslow.sde_engine import (
     CHANNEL_BOOTSTRAP,
     ScaleRegime,
+    _check_stability,
     _grid_index,
     _stream,
-    effective_dt,
     fluctuation_samples,
     simulate_paths,
     time_grid,
@@ -60,6 +60,13 @@ __all__ = [
 #: Bootstrap defaults: resample count and CI level.
 N_BOOTSTRAP = 400
 CI_LEVEL = 0.95
+
+#: Homogenization grid (x_range, nx, ny) used when no homogenized model
+#: is passed to :func:`clt_verify` or :func:`rate_sweep`.
+HOM_GRID = ((-3.0, 3.0), 33, 4096)
+
+#: Step of the limit-ODE integration behind the variance profile.
+LIMIT_ODE_DT = 5e-4
 
 
 @dataclass(frozen=True)
@@ -221,30 +228,6 @@ def default_checkpoints(T: float) -> tuple[float, float, float]:
     return (T / 4.0, T / 2.0, T)
 
 
-# Cache of homogenized models keyed by coefficient expressions and grid.
-_HOM_CACHE: dict[tuple, HomogenizedModel] = {}
-
-
-def _cached_homogenized(
-    model: CoefficientSet,
-    x_range: tuple[float, float],
-    nx: int,
-    ny: int,
-    gamma: float,
-) -> HomogenizedModel:
-    key = (
-        model.name,
-        tuple(sorted(model.expressions.items())),
-        tuple(x_range),
-        nx,
-        ny,
-        gamma,
-    )
-    if key not in _HOM_CACHE:
-        _HOM_CACHE[key] = build_homogenized(model, x_range, nx, ny, gamma)
-    return _HOM_CACHE[key]
-
-
 def clt_verify(
     model: CoefficientSet,
     regime: ScaleRegime,
@@ -255,21 +238,21 @@ def clt_verify(
     checkpoints: Sequence[float] | None = None,
     seed=0,
     n_boot: int = N_BOOTSTRAP,
-    x_range: tuple[float, float] = (-3.0, 3.0),
-    nx: int = 33,
-    ny: int = 4096,
-    ode_dt: float = 5e-4,
-    threads: int | None = None,
+    hom: HomogenizedModel | None = None,
 ) -> list[WassersteinReport]:
     """End-to-end fluctuation check at each checkpoint time.
 
-    Builds (and caches) the homogenized model, integrates the limit ODE
-    with its variance profile, simulates the coupled system keeping
-    only checkpoint snapshots, and reports the exact W1 distance of the
+    Integrates the limit ODE of the homogenized model ``hom`` with its
+    variance profile, simulates the coupled system keeping only
+    checkpoint snapshots, and reports the exact W1 distance of the
     rescaled fluctuations from N(0, sigma_t^2) with a bootstrap CI.
 
-    Checkpoints must sit on the simulation grid (after the stability
-    clamp) and default to {T/4, T/2, T}.
+    ``hom`` must be built for ``model`` at ``regime.gamma`` (ValueError
+    otherwise); when omitted, one is built on :data:`HOM_GRID`.  A
+    ``dt`` above eta/20 raises
+    :class:`~fastslow.sde_engine.StabilityError` before any
+    homogenization work.  Checkpoints must sit on the simulation grid
+    and default to {T/4, T/2, T}.
     """
     T = regime.T
     if checkpoints is None:
@@ -278,12 +261,19 @@ def clt_verify(
     for t in times:
         if not 0.0 < t <= T + 1e-12:
             raise ValueError(f"checkpoint {t} outside (0, {T}]")
-
-    hom = _cached_homogenized(model, x_range, nx, ny, regime.gamma)
-    trajectory = attach_variance(hom, limit_ode(hom, x0, T, ode_dt))
-
-    n_steps, dt_eff = time_grid(T, effective_dt(dt, regime.eta))
+    _check_stability(dt, regime.eta)
+    n_steps, dt_eff = time_grid(T, dt)
     capture = [_grid_index(t, dt_eff, n_steps, "path") for t in times]
+
+    if hom is None:
+        hom = build_homogenized(model, *HOM_GRID, regime.gamma)
+    elif hom.model_name != model.name or hom.gamma != regime.gamma:
+        raise ValueError(
+            f"hom was built for model {hom.model_name!r} at gamma={hom.gamma:g}, "
+            f"not for {model.name!r} at gamma={regime.gamma:g}"
+        )
+    trajectory = attach_variance(hom, limit_ode(hom, x0, T, LIMIT_ODE_DT))
+
     bundle = simulate_paths(
         model,
         regime,
@@ -292,7 +282,6 @@ def clt_verify(
         dt,
         n_paths,
         seed,
-        threads=threads,
         store_paths=False,
         store_increments=False,
         capture_indices=capture,
@@ -387,7 +376,9 @@ def rate_sweep(
     squares, and evaluates the theoretical envelope with C1 = C2
     anchored so it meets the coarsest point.  ``clt_config`` supplies
     the per-point keyword arguments of :func:`clt_verify` (x0, y0, dt
-    as a rule ``dt_eta_fraction`` of eta, n_paths, ...).
+    as a rule ``dt_eta_fraction`` of eta, n_paths, n_boot, hom).  One
+    homogenized model serves every point; it is built on
+    :data:`HOM_GRID` unless ``clt_config`` carries ``hom``.
 
     A point whose bootstrap CI extends outside [w1/3, 3 w1] is flagged
     as noisy, not failed.
@@ -409,6 +400,9 @@ def rate_sweep(
     y0 = float(cfg.pop("y0", 0.0))
     n_paths = int(cfg.pop("n_paths", 10_000))
     dt_eta_fraction = float(cfg.pop("dt_eta_fraction", 1.0 / 20.0))
+    hom = cfg.pop("hom", None)
+    if hom is None:
+        hom = build_homogenized(model, *HOM_GRID, gamma)
 
     points: list[tuple[float, float, float]] = []
     reports: list[WassersteinReport] = []
@@ -427,6 +421,7 @@ def rate_sweep(
             n_paths,
             checkpoints=(T,),
             seed=_point_seed(seed, i),
+            hom=hom,
             **cfg,
         )[0]
         reports.append(rep)

@@ -13,14 +13,13 @@ are advanced with the explicit scheme
 under the stability guard dt <= eta/20 (twenty steps per fast
 relaxation time).  Brownian increments come from counter-based
 per-path streams keyed by (master_seed, path_id, channel), so results
-are independent of execution order and worker count, and the stored
-increments can be replayed exactly by the tangent-process module.
+are independent of path chunking, and the stored increments can be
+replayed exactly by the tangent-process module.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -41,10 +40,6 @@ __all__ = [
     "draw_increments",
     "fluctuation_samples",
     "limit_gaussian_samples",
-    "save_bundle",
-    "load_bundle",
-    "export_paths_csv",
-    "effective_dt",
     "time_grid",
 ]
 
@@ -186,9 +181,14 @@ class FluctuationSample:
     limit_var: float
 
 
-def effective_dt(dt_user: float, eta: float) -> float:
-    """Clamp a requested step to the eta/20 stability guard."""
-    return min(dt_user, eta * STABILITY_FRACTION)
+def _check_stability(dt: float, eta: float) -> None:
+    """Raise :class:`StabilityError` when dt exceeds the eta/20 guard."""
+    guard = eta * STABILITY_FRACTION
+    if dt > guard * (1.0 + 1e-12):
+        raise StabilityError(
+            f"dt={dt:g} exceeds the stability guard eta/20={guard:g} "
+            f"(eta={eta:g}); reduce dt or increase eta"
+        )
 
 
 def time_grid(T: float, dt: float) -> tuple[int, float]:
@@ -215,29 +215,19 @@ def draw_increments(
     path_ids: Sequence[int],
     n_steps: int,
     dt: float,
-    threads: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Brownian increments (n_steps, n_paths) for both channels.
 
     Each (path, channel) stream is drawn independently of every other,
-    so the result does not depend on scheduling order.
+    so a path's noise does not depend on which paths are drawn with it.
     """
     n_paths = len(path_ids)
     dW1 = np.empty((n_steps, n_paths))
     dW2 = np.empty((n_steps, n_paths))
     scale = math.sqrt(dt)
-
-    def fill(j: int) -> None:
-        pid = path_ids[j]
+    for j, pid in enumerate(path_ids):
         dW1[:, j] = _stream(master_seed, pid, CHANNEL_W1).normal(0.0, scale, n_steps)
         dW2[:, j] = _stream(master_seed, pid, CHANNEL_W2).normal(0.0, scale, n_steps)
-
-    if threads and threads > 1 and n_paths > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(n_paths)))
-    else:
-        for j in range(n_paths):
-            fill(j)
     return dW1, dW2
 
 
@@ -319,7 +309,6 @@ def simulate_paths(
     dt: float,
     n_paths: int,
     master_seed,
-    threads: int | None = None,
     store_paths: bool = True,
     store_increments: bool = True,
     capture_indices: Iterable[int] = (),
@@ -349,12 +338,7 @@ def simulate_paths(
     """
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1 (got {n_paths})")
-    guard = regime.eta * STABILITY_FRACTION
-    if dt > guard * (1.0 + 1e-12):
-        raise StabilityError(
-            f"dt={dt:g} exceeds the stability guard eta/20={guard:g}; "
-            "reduce dt or increase eta"
-        )
+    _check_stability(dt, regime.eta)
     n_steps, dt_eff = time_grid(regime.T, dt)
     wanted = sorted(set(int(k) for k in capture_indices))
     chunk = n_paths if not path_chunk else max(1, int(path_chunk))
@@ -370,7 +354,7 @@ def simulate_paths(
     for start in range(0, n_paths, chunk):
         stop = min(start + chunk, n_paths)
         ids = range(start, stop)
-        w1, w2 = draw_increments(master_seed, list(ids), n_steps, dt_eff, threads)
+        w1, w2 = draw_increments(master_seed, list(ids), n_steps, dt_eff)
         cx, cy, caps = simulate_with_increments(
             model, regime, x0, y0, dt_eff, w1, w2,
             store_paths=store_paths, capture_indices=wanted,
@@ -446,79 +430,3 @@ def limit_gaussian_samples(sigma2_t: float, n: int, seed) -> np.ndarray:
     rng = _stream(seed, 0, CHANNEL_GAUSS_LIMIT)
     return rng.normal(0.0, math.sqrt(sigma2_t), int(n))
 
-
-# -- bundle serialization ---------------------------------------------
-
-
-def save_bundle(bundle: PathBundle, path) -> None:
-    """Binary dump: little-endian float64 header then per-path blocks.
-
-    Header: n_paths, n_steps, dt, x0, y0, epsilon, eta, master_seed.
-    Per path: X (n_steps+1), Y (n_steps+1), dW1 (n_steps), dW2 (n_steps).
-    Requires full path and increment storage.
-    """
-    if bundle.X is None or bundle.dW1 is None:
-        raise ValueError("bundle must store paths and increments to be saved")
-    seed = bundle.master_seed
-    seed_val = float(seed if not isinstance(seed, (tuple, list)) else seed[0])
-    header = np.array(
-        [
-            bundle.n_paths,
-            bundle.n_steps,
-            bundle.dt,
-            bundle.x0,
-            bundle.y0,
-            bundle.regime.epsilon,
-            bundle.regime.eta,
-            seed_val,
-        ],
-        dtype="<f8",
-    )
-    blocks = np.concatenate(
-        [bundle.X.T, bundle.Y.T, bundle.dW1.T, bundle.dW2.T], axis=1
-    ).astype("<f8")
-    with open(path, "wb") as fh:
-        fh.write(header.tobytes())
-        fh.write(blocks.tobytes())
-
-
-def load_bundle(path, gamma: float = math.inf) -> PathBundle:
-    """Load a bundle saved by :func:`save_bundle`.
-
-    ``gamma`` is not part of the binary layout and must be re-supplied
-    (defaults to inf); T is reconstructed as n_steps * dt.
-    """
-    raw = np.fromfile(path, dtype="<f8")
-    n_paths, n_steps = int(raw[0]), int(raw[1])
-    dt, x0, y0, eps, eta, seed = (float(v) for v in raw[2:8])
-    per_path = 2 * (n_steps + 1) + 2 * n_steps
-    body = raw[8:].reshape(n_paths, per_path)
-    n1 = n_steps + 1
-    return PathBundle(
-        regime=ScaleRegime(epsilon=eps, eta=eta, gamma=gamma, T=n_steps * dt),
-        x0=x0,
-        y0=y0,
-        dt=dt,
-        master_seed=int(seed),
-        n_paths=n_paths,
-        n_steps=n_steps,
-        X=np.ascontiguousarray(body[:, :n1].T),
-        Y=np.ascontiguousarray(body[:, n1 : 2 * n1].T),
-        dW1=np.ascontiguousarray(body[:, 2 * n1 : 2 * n1 + n_steps].T),
-        dW2=np.ascontiguousarray(body[:, 2 * n1 + n_steps :].T),
-    )
-
-
-def export_paths_csv(bundle: PathBundle, path) -> None:
-    """CSV dump (path_id, t, X, Y) for small runs."""
-    if bundle.X is None:
-        raise ValueError("bundle must store full paths for CSV export")
-    t = bundle.t_grid
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("path_id,t,X,Y\n")
-        for j in range(bundle.n_paths):
-            for k in range(bundle.n_steps + 1):
-                fh.write(
-                    f"{j},{float(t[k])!r},"
-                    f"{float(bundle.X[k, j])!r},{float(bundle.Y[k, j])!r}\n"
-                )

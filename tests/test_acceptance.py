@@ -327,8 +327,6 @@ def test_criterion_12_cli_runs_byte_identical(tmp_path):
     }
     first = data_bytes(run("clt-verify", clt_payload, "clt-1"))
     assert data_bytes(run("clt-verify", clt_payload, "clt-2")) == first
-    assert data_bytes(run("clt-verify", clt_payload, "clt-3", ("--threads", "1"))) == first
-    assert data_bytes(run("clt-verify", clt_payload, "clt-4", ("--threads", "4"))) == first
 
     hom_payload = {
         "model": "bounded-coupled",

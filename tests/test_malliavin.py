@@ -1,12 +1,14 @@
 """Tests for tangent (Malliavin-derivative) integration and moment checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
+import fastslow.malliavin as malliavin_mod
 from fastslow.coefficients import model_from_expressions
 from fastslow.malliavin import (
     BOUND_IDS,
@@ -29,7 +31,7 @@ from fastslow.malliavin import (
     second_order_tangents,
     z_process,
 )
-from fastslow.sde_engine import ScaleRegime, simulate_paths
+from fastslow.sde_engine import ScaleRegime, StabilityError, simulate_paths
 
 ALL_COMBOS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -443,6 +445,22 @@ def test_moment_sweep_validation(affine):
     antidissipative = model_from_expressions("runup", "y", "1", "y", "sqrt(2)")
     with pytest.raises(ValueError, match="dissipativity"):
         moment_sweep(antidissipative, good, 1, 10)
+
+
+def test_sweeps_reject_step_above_stability_guard(affine, monkeypatch):
+    """A step above eta/20 raises, naming both values, before any work."""
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("work started before the step was checked")
+
+    monkeypatch.setattr(malliavin_mod, "check_assumptions", not_reached)
+    monkeypatch.setattr(malliavin_mod, "simulate_paths", not_reached)
+    regime = ScaleRegime(0.05, 0.05, 1.0, 0.1)
+    message = re.escape("dt=0.05 exceeds the stability guard eta/20=0.0025")
+    with pytest.raises(StabilityError, match=message):
+        moment_sweep(affine, [regime], 1, 10, dt=0.05)
+    with pytest.raises(StabilityError, match=message):
+        decay_check(affine, regime, "dw2_y_final", 1, 10, 0, dt=0.05)
 
 
 # -- separation decay --------------------------------------------------

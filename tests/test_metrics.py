@@ -1,6 +1,7 @@
 """Tests for the exact W1 estimator, envelopes, and sweep regression."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from fastslow.metrics import (
     w1_between_gaussians,
     w1_vs_gaussian,
 )
-from fastslow.sde_engine import ScaleRegime
+from fastslow.homogenization import build_homogenized
+from fastslow.sde_engine import ScaleRegime, StabilityError
 
 # -- exact W1 against a Gaussian ---------------------------------------
 
@@ -241,6 +243,34 @@ def test_clt_verify_rejects_bad_checkpoints(affine):
         clt_verify(affine, regime, 0.0, 0.0, 0.002, 10, checkpoints=(0.9,))
 
 
+def test_clt_verify_checks_step_before_homogenizing(affine, monkeypatch):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("homogenization ran before the step was checked")
+
+    monkeypatch.setattr(metrics_mod, "build_homogenized", not_reached)
+    regime = ScaleRegime(0.05, 0.05, 1.0, 0.1)
+    message = re.escape("dt=0.05 exceeds the stability guard eta/20=0.0025")
+    with pytest.raises(StabilityError, match=message):
+        clt_verify(affine, regime, 0.0, 0.0, 0.05, 10)
+
+
+@pytest.fixture(scope="module")
+def affine_hom(affine):
+    return build_homogenized(affine, (-3.0, 3.0), 9, 512, gamma=1.0)
+
+
+def test_clt_verify_rejects_hom_of_another_gamma(affine, affine_hom):
+    regime = ScaleRegime(0.04, 0.04, 2.0, 0.4)
+    with pytest.raises(ValueError, match="gamma=1"):
+        clt_verify(affine, regime, 0.0, 0.0, 0.002, 10, hom=affine_hom)
+
+
+def test_clt_verify_rejects_hom_of_another_model(bounded, affine_hom):
+    regime = ScaleRegime(0.04, 0.04, 1.0, 0.4)
+    with pytest.raises(ValueError, match="affine-oracle"):
+        clt_verify(bounded, regime, 0.0, 0.0, 0.002, 10, hom=affine_hom)
+
+
 def test_default_checkpoints():
     assert default_checkpoints(1.0) == (0.25, 0.5, 1.0)
 
@@ -319,3 +349,18 @@ def test_rate_sweep_affine_end_to_end(affine):
     assert all(b > 0 for b in fit.bound_values)
     assert fit.bound_values[0] == pytest.approx(fit.points[0][2], rel=1e-12)
     assert set(fit.to_dict()["rate"]) == {"slope", "intercept", "r2"}
+
+
+def test_rate_sweep_homogenizes_once_per_sweep(affine, affine_hom, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build_homogenized(*args, **kwargs)
+
+    monkeypatch.setattr(metrics_mod, "build_homogenized", counting)
+    config = {"n_paths": 50, "n_boot": 10}
+    rate_sweep(affine, (0.16, 0.08, 0.04), "equal", config, T=0.2)
+    assert len(calls) == 1
+    rate_sweep(affine, (0.16, 0.08, 0.04), "equal", dict(config, hom=affine_hom), T=0.2)
+    assert len(calls) == 1

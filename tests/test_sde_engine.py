@@ -14,12 +14,8 @@ from fastslow.sde_engine import (
     ScaleRegime,
     StabilityError,
     draw_increments,
-    effective_dt,
-    export_paths_csv,
     fluctuation_samples,
     limit_gaussian_samples,
-    load_bundle,
-    save_bundle,
     simulate_paths,
     simulate_with_increments,
     time_grid,
@@ -58,11 +54,6 @@ def test_scaling_quotient_branches():
     assert off.scaling_quotient() == pytest.approx(0.3 / 1.0)
 
 
-def test_effective_dt_clamps_to_stability_guard():
-    assert effective_dt(0.01, 0.1) == pytest.approx(0.005)
-    assert effective_dt(0.001, 0.1) == pytest.approx(0.001)
-
-
 def test_simulate_rejects_unstable_dt(affine, affine_regime):
     with pytest.raises(StabilityError):
         simulate_paths(
@@ -73,7 +64,7 @@ def test_simulate_rejects_unstable_dt(affine, affine_regime):
 # -- determinism -------------------------------------------------------
 
 
-def _small_bundle(model, seed=7, threads=None, path_chunk=None):
+def _small_bundle(model, seed=7, path_chunk=None):
     regime = ScaleRegime(epsilon=0.04, eta=0.02, gamma=math.sqrt(2.0), T=0.25)
     return simulate_paths(
         model,
@@ -83,7 +74,6 @@ def _small_bundle(model, seed=7, threads=None, path_chunk=None):
         regime.eta / 20,
         6,
         seed,
-        threads=threads,
         path_chunk=path_chunk,
     )
 
@@ -100,13 +90,6 @@ def test_chunking_does_not_change_results(affine):
     chunked = _small_bundle(affine, path_chunk=2)
     assert np.array_equal(whole.X, chunked.X)
     assert np.array_equal(whole.dW2, chunked.dW2)
-
-
-def test_thread_count_does_not_change_results(affine):
-    serial = _small_bundle(affine, threads=1)
-    parallel = _small_bundle(affine, threads=4)
-    for name in ("X", "Y", "dW1", "dW2"):
-        assert np.array_equal(getattr(serial, name), getattr(parallel, name))
 
 
 def test_different_seeds_differ(affine):
@@ -253,50 +236,6 @@ def test_capture_index_out_of_range(affine, affine_regime):
             0,
             capture_indices=(10**6,),
         )
-
-
-# -- serialization -----------------------------------------------------
-
-
-def test_save_load_roundtrip_is_bitwise(affine, tmp_path):
-    bundle = _small_bundle(affine)
-    target = tmp_path / "bundle.bin"
-    save_bundle(bundle, target)
-    back = load_bundle(target, gamma=bundle.regime.gamma)
-    for name in ("X", "Y", "dW1", "dW2"):
-        assert np.array_equal(getattr(back, name), getattr(bundle, name))
-    assert back.n_paths == bundle.n_paths
-    assert back.n_steps == bundle.n_steps
-    assert back.dt == bundle.dt
-    assert back.x0 == bundle.x0 and back.y0 == bundle.y0
-    assert back.regime.epsilon == bundle.regime.epsilon
-    assert back.regime.eta == bundle.regime.eta
-    assert back.regime.T == pytest.approx(bundle.regime.T)
-
-
-def test_save_requires_full_storage(affine, tmp_path):
-    regime = ScaleRegime(0.01, 0.05, math.inf, 0.1)
-    light = simulate_paths(
-        affine, regime, 0.0, 0.0, 0.0025, 2, 0, store_paths=False
-    )
-    with pytest.raises(ValueError):
-        save_bundle(light, tmp_path / "nope.bin")
-
-
-def test_export_paths_csv(affine, tmp_path):
-    regime = ScaleRegime(0.01, 0.05, math.inf, 0.05)
-    bundle = simulate_paths(affine, regime, 0.1, 0.2, 0.0025, 3, 4)
-    target = tmp_path / "paths.csv"
-    export_paths_csv(bundle, target)
-    lines = target.read_text().splitlines()
-    assert lines[0] == "path_id,t,X,Y"
-    assert len(lines) == 1 + bundle.n_paths * (bundle.n_steps + 1)
-    pid, t, x, y = lines[1].split(",")
-    assert pid == "0" and float(t) == 0.0
-    assert float(x) == bundle.X[0, 0] and float(y) == bundle.Y[0, 0]
-    # repr round-trip keeps every bit of the last row too
-    last = lines[-1].split(",")
-    assert float(last[2]) == bundle.X[-1, -1]
 
 
 # -- fluctuation sampling ----------------------------------------------
