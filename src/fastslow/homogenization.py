@@ -114,8 +114,9 @@ class HomogenizedModel:
 
     ``y_grid``, ``density``, ``phi``, ``dy_phi`` are (nx, ny) matrices;
     row i lives on the per-x window ``y_grid[i]``.  ``c_bar`` and
-    ``q_bar`` are per-x arrays.  Instances are immutable; evaluation
-    methods are pure and thread-safe.
+    ``q_bar`` are per-x arrays.  ``model_name`` and ``model_expressions``
+    identify the model the tables were built for.  Instances are
+    immutable; evaluation methods are pure and thread-safe.
     """
 
     x_grid: np.ndarray
@@ -129,6 +130,7 @@ class HomogenizedModel:
     model_name: str
     interpolation: str = "cubic-x/cubic-y"
     warnings: tuple[str, ...] = ()
+    model_expressions: Mapping[str, str] | None = None
     _c_bar_spline: CubicSpline = field(init=False, repr=False, compare=False)
     _c_bar_prime: CubicSpline = field(init=False, repr=False, compare=False)
     _q_bar_spline: CubicSpline = field(init=False, repr=False, compare=False)
@@ -446,6 +448,7 @@ def build_homogenized(
         gamma=float(gamma),
         model_name=model.name,
         warnings=tuple(notes),
+        model_expressions=model.expressions,
     )
 
 

@@ -35,9 +35,10 @@ D^{W2}Y splits as Q1 + Q2 with Q1 = Z * tau(X_r, Y_r)/sqrt(eta) and Q2
 the response to the D^{W2}X feedback.
 
 The module also evaluates the Monte Carlo moment-inequality suite
-(scaling of tangent moments in eps and eta), the H-norm and contraction
-norm of the final-time derivative kernels, and a quadruple
-time-decay integral with an exact closed form.
+(scaling of tangent moments in eps and eta, in one forward pass over
+each path chunk's noise for the base path and its tangents), the
+H-norm and contraction norm of the final-time derivative kernels, and
+a quadruple time-decay integral with an exact closed form.
 """
 
 from __future__ import annotations
@@ -53,7 +54,10 @@ from fastslow.sde_engine import (
     PathBundle,
     ScaleRegime,
     _check_stability,
-    simulate_paths,
+    _em_step,
+    _StepScales,
+    draw_increments,
+    simulate_paths,  # noqa: F401  (perfbench's tracer wraps it here)
     time_grid,
 )
 
@@ -193,6 +197,116 @@ def _check_bytes(*shape: int) -> None:
         )
 
 
+def _inject_first(dx, dy, i: int, sigma, tau, s: _StepScales) -> None:
+    """Start row i of both channels: (sqrt(eps) sigma, 0) on W1 and
+    (0, tau/sqrt(eta)) on W2, with sigma, tau at the perturbation time."""
+    dx[0, i] = s.eps_root * sigma
+    dy[0, i] = 0.0
+    dx[1, i] = 0.0
+    dy[1, i] = tau / s.eta_root
+
+
+def _first_step(d, dx, dy, w1, w2, s: _StepScales, k: int, r_idx):
+    """Advance the (2, n_r, n_paths) first-order state over step k.
+
+    ``d`` holds the :data:`_FIRST_KEYS` partials on the base state at k.
+    """
+    d1c, d2c, d1s, d2s, d1f, d2f, d1t, d2t = d
+    dx_new = dx + (d1c * dx + d2c * dy) * s.dt + s.eps_root * (
+        d1s * dx + d2s * dy
+    ) * w1
+    dy_new = dy + (d1f * dx + d2f * dy) * (s.dt / s.eta) + (
+        d1t * dx + d2t * dy
+    ) * (w2 / s.eta_root)
+    if not (np.all(np.isfinite(dx_new)) and np.all(np.isfinite(dy_new))):
+        bad = np.argwhere(~(np.isfinite(dx_new) & np.isfinite(dy_new)))
+        j, i = int(bad[0][0]), int(bad[0][1])
+        raise TangentBlowUpError(
+            f"first-order tangent blew up at step {k + 1} "
+            f"(channel W{j + 1}, r-index {int(r_idx[i])})"
+        )
+    return dx_new, dy_new
+
+
+def _second_start(j1, j2, alpha_1, alpha_2, at_1, at_2, s: _StepScales):
+    """Initial (D2X, D2Y), each (n_c, n_paths), of one pair at max(r1, r2).
+
+    ``alpha_i`` holds the :data:`_ALPHA_KEYS` partials at r_i; ``at_1``
+    is (DX, DY) of the (j2, r2) tangent at time r1 and ``at_2`` that of
+    the (j1, r1) tangent at time r2 (zero when the time precedes the
+    perturbation).
+    """
+    d1s_1, d2s_1, d1t_1, d2t_1 = alpha_1
+    d1s_2, d2s_2, d1t_2, d2t_2 = alpha_2
+    dx_2_at_1, dy_2_at_1 = at_1
+    dx_1_at_2, dy_1_at_2 = at_2
+    alpha1 = (j1 == 0) * (d1s_1 * dx_2_at_1 + d2s_1 * dy_2_at_1) + (j2 == 0) * (
+        d1s_2 * dx_1_at_2 + d2s_2 * dy_1_at_2
+    )
+    alpha2 = (j1 == 1) * (d1t_1 * dx_2_at_1 + d2t_1 * dy_2_at_1) + (j2 == 1) * (
+        d1t_2 * dx_1_at_2 + d2t_2 * dy_1_at_2
+    )
+    return s.eps_root * alpha1, alpha2 / s.eta_root
+
+
+def _factors(dx, dy, j1, pos1, j2, pos2):
+    """First-order factors (DX1, DY1, DX2, DY2) of every (combo, pair),
+    each (n_c, n_pairs, n_paths), from a (2, n_r, n_paths) state."""
+    at1 = (j1, pos1[None, :])
+    at2 = (j2, pos2[None, :])
+    return dx[at1], dy[at1], dx[at2], dy[at2]
+
+
+def _second_step(p, d2x, d2y, factors, w1, w2, s: _StepScales, k, combos, pair_arr):
+    """Advance the (n_c, n_pairs, n_paths) second-order state over step k.
+
+    ``p`` holds the :data:`_PARTIAL_KEYS` values on the base state at k
+    and ``factors`` the first-order factors at k (see :func:`_factors`).
+    """
+    DX1, DY1, DX2, DY2 = factors
+    cross = DX1 * DY2 + DY1 * DX2
+    both_x = DX1 * DX2
+    both_y = DY1 * DY2
+    (
+        d1c, d2c, d11c, d12c, d22c,
+        d1s, d2s, d11s, d12s, d22s,
+        d1f, d2f, d11f, d12f, d22f,
+        d1t, d2t, d11t, d12t, d22t,
+    ) = p
+    b1c = d11c * both_x + d12c * cross + d22c * both_y + d2c * d2y
+    b1s = d11s * both_x + d12s * cross + d22s * both_y + d2s * d2y
+    b2f = d11f * both_x + d12f * cross + d22f * both_y + d1f * d2x
+    b2t = d11t * both_x + d12t * cross + d22t * both_y + d1t * d2x
+    d2x_new = d2x + (d1c * d2x + b1c) * s.dt + s.eps_root * (d1s * d2x + b1s) * w1
+    d2y_new = d2y + (d2f * d2y + b2f) * (s.dt / s.eta) + (d2t * d2y + b2t) * (
+        w2 / s.eta_root
+    )
+    if not (np.all(np.isfinite(d2x_new)) and np.all(np.isfinite(d2y_new))):
+        bad = np.argwhere(~(np.isfinite(d2x_new) & np.isfinite(d2y_new)))
+        c, q = int(bad[0][0]), int(bad[0][1])
+        raise TangentBlowUpError(
+            f"second-order tangent blew up at step {k + 1} "
+            f"(combo {combos[c]}, pair {tuple(pair_arr[q])})"
+        )
+    return d2x_new, d2y_new
+
+
+def _pair_layout(pairs, combos, position):
+    """Pair array, combos, channel columns j1/j2 (n_c, 1), r-rows pos1/pos2
+    of the first-order state, and {step: pairs injected there}."""
+    pair_arr = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    combos = tuple((int(a), int(b)) for a, b in combos)
+    pos = {int(r): position(int(r)) for r in np.unique(pair_arr)}
+    pos1 = np.array([pos[int(a)] for a in pair_arr[:, 0]], dtype=int)
+    pos2 = np.array([pos[int(b)] for b in pair_arr[:, 1]], dtype=int)
+    j1 = np.array([c[0] for c in combos])[:, None]
+    j2 = np.array([c[1] for c in combos])[:, None]
+    starts: dict[int, list[int]] = {}
+    for q, k in enumerate(pair_arr.max(axis=1)):
+        starts.setdefault(int(k), []).append(q)
+    return pair_arr, combos, j1, j2, pos1, pos2, starts
+
+
 def first_order_tangents(
     model: CoefficientSet,
     bundle: PathBundle,
@@ -205,7 +319,9 @@ def first_order_tangents(
     and the same stored increments as the base path.  The perturbation
     at step index r injects the initial data (sqrt(eps) sigma, 0) on
     channel W1 and (0, tau/sqrt(eta)) on channel W2; states are zero
-    before r.
+    before r, and the loop starts at the first perturbation step.  The
+    moment sweeps compute the same values in one pass over the noise,
+    without a bundle or a series.
 
     Parameters
     ----------
@@ -229,10 +345,7 @@ def first_order_tangents(
     n_r = len(r_idx)
     n_t = bundle.n_steps + 1
     n_paths = bundle.n_paths
-    eps_root = math.sqrt(bundle.regime.epsilon)
-    eta = bundle.regime.eta
-    eta_root = math.sqrt(eta)
-    dt = bundle.dt
+    s = _StepScales.of(bundle.regime, bundle.dt)
 
     if store_series:
         _check_bytes(2, 2, n_r, n_t, n_paths)
@@ -248,16 +361,12 @@ def first_order_tangents(
         np.broadcast_to(v, (n_r, n_paths))
         for v in model.evaluate(bundle.X[r_idx], bundle.Y[r_idx], ("sigma", "tau"))
     )
+    row = {int(r): i for i, r in enumerate(r_idx)}
 
-    for k in range(n_t):
-        xk, yk = bundle.X[k], bundle.Y[k]
-        hit = np.nonzero(r_idx == k)[0]
-        if len(hit):
-            i = int(hit[0])
-            dx[0, i] = eps_root * sigma_r[i]
-            dy[0, i] = 0.0
-            dx[1, i] = 0.0
-            dy[1, i] = tau_r[i] / eta_root
+    for k in range(int(r_idx[0]), n_t):
+        if k in row:
+            i = row[k]
+            _inject_first(dx, dy, i, sigma_r[i], tau_r[i], s)
         if store_series:
             DX[:, :, k, :] = dx
             DY[:, :, k, :] = dy
@@ -265,29 +374,14 @@ def first_order_tangents(
         np.maximum(sup_dy, np.abs(dy), out=sup_dy)
         if k == bundle.n_steps:
             break
-        d1c, d2c, d1s, d2s, d1f, d2f, d1t, d2t = model.evaluate(xk, yk, _FIRST_KEYS)
-        w1 = bundle.dW1[k]
-        w2 = bundle.dW2[k]
-        dx_new = dx + (d1c * dx + d2c * dy) * dt + eps_root * (
-            d1s * dx + d2s * dy
-        ) * w1
-        dy_new = dy + (d1f * dx + d2f * dy) * (dt / eta) + (
-            d1t * dx + d2t * dy
-        ) * (w2 / eta_root)
-        dx, dy = dx_new, dy_new
-        if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dy))):
-            bad = np.argwhere(~(np.isfinite(dx) & np.isfinite(dy)))
-            j, i = int(bad[0][0]), int(bad[0][1])
-            raise TangentBlowUpError(
-                f"first-order tangent blew up at step {k + 1} "
-                f"(channel W{j + 1}, r-index {int(r_idx[i])})"
-            )
+        d = model.evaluate(bundle.X[k], bundle.Y[k], _FIRST_KEYS)
+        dx, dy = _first_step(d, dx, dy, bundle.dW1[k], bundle.dW2[k], s, k, r_idx)
 
     return FirstOrderTangents(
         r_indices=r_idx,
-        r_values=r_idx * dt,
+        r_values=r_idx * bundle.dt,
         regime=bundle.regime,
-        dt=dt,
+        dt=bundle.dt,
         final_dx=dx.copy(),
         final_dy=dy.copy(),
         sup_abs_dx=sup_dx,
@@ -313,7 +407,8 @@ def second_order_tangents(
     Requires ``first`` with a stored series covering every r that
     appears in ``pairs``.  Each channel combo (j1, j2) is integrated
     independently (so swap symmetry is a real check, not imposed).  The
-    state starts at t = max(r1, r2) from the alpha initial data and is
+    state is zero before t = max(r1, r2), starts there from the alpha
+    initial data (the loop starts at the first such step) and is
     forced by the second-partial source terms
 
         b1[g] = d11_g DX1 DX2 + d12_g (DX1 DY2 + DY1 DX2)
@@ -321,27 +416,20 @@ def second_order_tangents(
         b2[g] = d11_g DX1 DX2 + d12_g (DX1 DY2 + DY1 DX2)
                 + d22_g DY1 DY2 + d1_g D2X          (g in {f, tau})
 
-    with DXi, DYi the stored first-order tangents for (j_i, r_i).
+    with DXi, DYi the stored first-order tangents for (j_i, r_i).  The
+    moment sweeps compute the same values in one pass over the noise,
+    without a bundle or a series.
     """
     _require_storage(bundle)
     if first.DX is None:
         raise ValueError("first-order tangents must be built with store_series")
-    pair_arr = np.asarray(pairs, dtype=int).reshape(-1, 2)
-    combos = tuple((int(a), int(b)) for a, b in combos)
+    pair_arr, combos, j1, j2, pos1, pos2, starts = _pair_layout(
+        pairs, combos, first.position
+    )
     n_c, n_pairs = len(combos), len(pair_arr)
     n_t = bundle.n_steps + 1
     n_paths = bundle.n_paths
-    eps_root = math.sqrt(bundle.regime.epsilon)
-    eta = bundle.regime.eta
-    eta_root = math.sqrt(eta)
-    dt = bundle.dt
-
-    pos = {int(r): first.position(int(r)) for r in np.unique(pair_arr)}
-    pos1 = np.array([pos[int(a)] for a, _ in pair_arr])
-    pos2 = np.array([pos[int(b)] for _, b in pair_arr])
-    j1 = np.array([c[0] for c in combos])[:, None]  # (n_c, 1)
-    j2 = np.array([c[1] for c in combos])[:, None]
-    inject_at = pair_arr.max(axis=1)
+    s = _StepScales.of(bundle.regime, bundle.dt)
 
     if store_series:
         _check_bytes(2, n_c, n_pairs, n_t, n_paths)
@@ -354,33 +442,22 @@ def second_order_tangents(
     sup_x = np.zeros((n_c, n_pairs, n_paths))
     sup_y = np.zeros((n_c, n_pairs, n_paths))
     r_rows = np.unique(pair_arr)
-    row_of = {int(r): i for i, r in enumerate(r_rows)}
-    d1s_r, d2s_r, d1t_r, d2t_r = (
+    alpha_rows = tuple(
         np.broadcast_to(v, (len(r_rows), n_paths))
         for v in model.evaluate(bundle.X[r_rows], bundle.Y[r_rows], _ALPHA_KEYS)
     )
+    alpha = {int(r): tuple(v[i] for v in alpha_rows) for i, r in enumerate(r_rows)}
 
-    for k in range(n_t):
-        xk, yk = bundle.X[k], bundle.Y[k]
-        hits = np.nonzero(inject_at == k)[0]
-        for q in hits:
+    for k in range(min(starts, default=bundle.n_steps), n_t):
+        for q in starts.get(k, ()):
             r1, r2 = int(pair_arr[q, 0]), int(pair_arr[q, 1])
-            i1, i2 = row_of[r1], row_of[r2]
             # First-order values: of the (j2, r2) tangent at time r1 and
-            # of the (j1, r1) tangent at time r2 (zero when the time
-            # precedes the perturbation).
-            dx_2_at_1 = first.DX[j2[:, 0], pos2[q], r1, :]  # (n_c, n_paths)
-            dy_2_at_1 = first.DY[j2[:, 0], pos2[q], r1, :]
-            dx_1_at_2 = first.DX[j1[:, 0], pos1[q], r2, :]
-            dy_1_at_2 = first.DY[j1[:, 0], pos1[q], r2, :]
-            alpha1 = (j1 == 0) * (
-                d1s_r[i1] * dx_2_at_1 + d2s_r[i1] * dy_2_at_1
-            ) + (j2 == 0) * (d1s_r[i2] * dx_1_at_2 + d2s_r[i2] * dy_1_at_2)
-            alpha2 = (j1 == 1) * (
-                d1t_r[i1] * dx_2_at_1 + d2t_r[i1] * dy_2_at_1
-            ) + (j2 == 1) * (d1t_r[i2] * dx_1_at_2 + d2t_r[i2] * dy_1_at_2)
-            d2x[:, q, :] = eps_root * alpha1
-            d2y[:, q, :] = alpha2 / eta_root
+            # of the (j1, r1) tangent at time r2, read from the series.
+            at_1 = (first.DX[j2[:, 0], pos2[q], r1], first.DY[j2[:, 0], pos2[q], r1])
+            at_2 = (first.DX[j1[:, 0], pos1[q], r2], first.DY[j1[:, 0], pos1[q], r2])
+            d2x[:, q], d2y[:, q] = _second_start(
+                j1, j2, alpha[r1], alpha[r2], at_1, at_2, s
+            )
         if store_series:
             D2X[:, :, k, :] = d2x
             D2Y[:, :, k, :] = d2y
@@ -388,51 +465,139 @@ def second_order_tangents(
         np.maximum(sup_y, np.abs(d2y), out=sup_y)
         if k == bundle.n_steps:
             break
-        # First-order factors at the current time for every (combo, pair).
-        DX1 = first.DX[j1, pos1[None, :], k, :]
-        DY1 = first.DY[j1, pos1[None, :], k, :]
-        DX2 = first.DX[j2, pos2[None, :], k, :]
-        DY2 = first.DY[j2, pos2[None, :], k, :]
-        cross = DX1 * DY2 + DY1 * DX2
-        both_x = DX1 * DX2
-        both_y = DY1 * DY2
-        (
-            d1c, d2c, d11c, d12c, d22c,
-            d1s, d2s, d11s, d12s, d22s,
-            d1f, d2f, d11f, d12f, d22f,
-            d1t, d2t, d11t, d12t, d22t,
-        ) = model.evaluate(xk, yk, _PARTIAL_KEYS)
-        b1c = d11c * both_x + d12c * cross + d22c * both_y + d2c * d2y
-        b1s = d11s * both_x + d12s * cross + d22s * both_y + d2s * d2y
-        b2f = d11f * both_x + d12f * cross + d22f * both_y + d1f * d2x
-        b2t = d11t * both_x + d12t * cross + d22t * both_y + d1t * d2x
-        w1 = bundle.dW1[k]
-        w2 = bundle.dW2[k]
-        d2x_new = d2x + (d1c * d2x + b1c) * dt + eps_root * (d1s * d2x + b1s) * w1
-        d2y_new = d2y + (d2f * d2y + b2f) * (dt / eta) + (d2t * d2y + b2t) * (
-            w2 / eta_root
+        factors = _factors(first.DX[:, :, k], first.DY[:, :, k], j1, pos1, j2, pos2)
+        p = model.evaluate(bundle.X[k], bundle.Y[k], _PARTIAL_KEYS)
+        d2x, d2y = _second_step(
+            p, d2x, d2y, factors, bundle.dW1[k], bundle.dW2[k], s, k, combos, pair_arr
         )
-        d2x, d2y = d2x_new, d2y_new
-        if not (np.all(np.isfinite(d2x)) and np.all(np.isfinite(d2y))):
-            bad = np.argwhere(~(np.isfinite(d2x) & np.isfinite(d2y)))
-            c, q = int(bad[0][0]), int(bad[0][1])
-            raise TangentBlowUpError(
-                f"second-order tangent blew up at step {k + 1} "
-                f"(combo {combos[c]}, pair {tuple(pair_arr[q])})"
-            )
 
     return SecondOrderTangents(
         combos=combos,
         pair_indices=pair_arr,
-        pair_values=pair_arr * dt,
+        pair_values=pair_arr * bundle.dt,
         regime=bundle.regime,
-        dt=dt,
+        dt=bundle.dt,
         final_d2x=d2x.copy(),
         final_d2y=d2y.copy(),
         sup_abs_d2x=sup_x,
         sup_abs_d2y=sup_y,
         D2X=D2X,
         D2Y=D2Y,
+    )
+
+
+def _tangent_pass(
+    model: CoefficientSet,
+    regime: ScaleRegime,
+    x0: float,
+    y0: float,
+    dt: float,
+    n_steps: int,
+    master_seed,
+    n_paths: int,
+    r_indices: Sequence[int],
+    pairs: Sequence[tuple[int, int]] | None = None,
+    combos: Sequence[tuple[int, int]] = _ALL_COMBOS,
+) -> tuple[FirstOrderTangents, SecondOrderTangents | None]:
+    """Base path, first- and second-order tangents in one step loop.
+
+    Draws the noise of paths 0..n_paths-1 under ``master_seed`` as
+    :func:`~fastslow.sde_engine.simulate_paths` does and advances, step
+    by step on it, the Euler-Maruyama state, the first-order state from
+    the first r and the second-order state from the first max(r1, r2).
+    Returns what :func:`first_order_tangents` and
+    :func:`second_order_tangents` return on the same paths, without
+    series (``second`` is None without ``pairs``); every r in ``pairs``
+    must be in ``r_indices``.  Beyond the noise it keeps
+    O((n_r + n_pairs) n_paths) state and no path, increment or tangent
+    series.
+    """
+    s = _StepScales.of(regime, dt)
+    dW1, dW2 = draw_increments(master_seed, list(range(n_paths)), n_steps, dt)
+    r_idx = np.unique(np.asarray(r_indices, dtype=int))
+    row = {int(r): i for i, r in enumerate(r_idx)}
+    dx = np.zeros((2, len(r_idx), n_paths))
+    dy = np.zeros((2, len(r_idx), n_paths))
+    sup_dx = np.zeros((2, len(r_idx), n_paths))
+    sup_dy = np.zeros((2, len(r_idx), n_paths))
+    pair_arr, combos, j1, j2, pos1, pos2, starts = _pair_layout(
+        () if pairs is None else pairs, combos, row.__getitem__
+    )
+    n_c, n_pairs = len(combos), len(pair_arr)
+    d2x = np.zeros((n_c, n_pairs, n_paths))
+    d2y = np.zeros((n_c, n_pairs, n_paths))
+    sup_x = np.zeros((n_c, n_pairs, n_paths))
+    sup_y = np.zeros((n_c, n_pairs, n_paths))
+    pair_rows = {int(r) for r in np.unique(pair_arr)}
+    alpha: dict[int, tuple] = {}
+    first_at = int(r_idx[0])
+    second_at = min(starts, default=n_steps + 1)
+
+    x = np.full(n_paths, float(x0))
+    y = np.full(n_paths, float(y0))
+    for k in range(n_steps + 1):
+        if k in row:
+            sigma, tau = model.evaluate(x, y, ("sigma", "tau"))
+            _inject_first(dx, dy, row[k], sigma, tau, s)
+        if k in pair_rows:
+            alpha[k] = model.evaluate(x, y, _ALPHA_KEYS)
+        for q in starts.get(k, ()):
+            r1, r2 = int(pair_arr[q, 0]), int(pair_arr[q, 1])
+            # The tangent of the earlier r is the current state; that of
+            # the later r is zero at the earlier time (current if equal).
+            now_2 = (dx[j2[:, 0], pos2[q]], dy[j2[:, 0], pos2[q]])
+            now_1 = (dx[j1[:, 0], pos1[q]], dy[j1[:, 0], pos1[q]])
+            zero = (np.zeros((n_c, n_paths)),) * 2
+            d2x[:, q], d2y[:, q] = _second_start(
+                j1,
+                j2,
+                alpha[r1],
+                alpha[r2],
+                now_2 if r2 <= r1 else zero,
+                now_1 if r1 <= r2 else zero,
+                s,
+            )
+        if k >= first_at:
+            np.maximum(sup_dx, np.abs(dx), out=sup_dx)
+            np.maximum(sup_dy, np.abs(dy), out=sup_dy)
+        if k >= second_at:
+            np.maximum(sup_x, np.abs(d2x), out=sup_x)
+            np.maximum(sup_y, np.abs(d2y), out=sup_y)
+        if k == n_steps:
+            break
+        if k >= second_at:
+            factors = _factors(dx, dy, j1, pos1, j2, pos2)
+            p = model.evaluate(x, y, _PARTIAL_KEYS)
+            d2x, d2y = _second_step(
+                p, d2x, d2y, factors, dW1[k], dW2[k], s, k, combos, pair_arr
+            )
+        if k >= first_at:
+            d = model.evaluate(x, y, _FIRST_KEYS)
+            dx, dy = _first_step(d, dx, dy, dW1[k], dW2[k], s, k, r_idx)
+        x, y = _em_step(model, x, y, dW1[k], dW2[k], k, s)
+
+    first = FirstOrderTangents(
+        r_indices=r_idx,
+        r_values=r_idx * dt,
+        regime=regime,
+        dt=dt,
+        final_dx=dx,
+        final_dy=dy,
+        sup_abs_dx=sup_dx,
+        sup_abs_dy=sup_dy,
+    )
+    if pairs is None:
+        return first, None
+    return first, SecondOrderTangents(
+        combos=combos,
+        pair_indices=pair_arr,
+        pair_values=pair_arr * dt,
+        regime=regime,
+        dt=dt,
+        final_d2x=d2x,
+        final_d2y=d2y,
+        sup_abs_d2x=sup_x,
+        sup_abs_d2y=sup_y,
     )
 
 
@@ -737,6 +902,13 @@ def moment_sweep(
     under-sampled warning (never a failure).  ``dt`` defaults to eta/20
     per regime; a larger step raises
     :class:`~fastslow.sde_engine.StabilityError` before any work.
+
+    Each chunk of ``path_chunk`` paths runs one step loop over its noise
+    that advances the base path, the first-order tangents from the
+    first perturbation step and the second-order tangents from the
+    first max(r1, r2); no path, increment or tangent series is kept.
+    The values are those :func:`first_order_tangents` and
+    :func:`second_order_tangents` record on the same paths.
     """
     if len(regimes) < 1:
         raise ValueError("need at least one regime")
@@ -774,16 +946,18 @@ def moment_sweep(
         acc: dict[str, list] = {}
         for start in range(0, n_paths, path_chunk):
             m = min(path_chunk, n_paths - start)
-            bundle = simulate_paths(
+            first, second = _tangent_pass(
                 model,
                 regime,
                 x0,
                 y0,
-                step,
+                dt_eff,
+                n_steps,
+                _seed_tuple(seed) + (i_reg, start),
                 m,
-                (_seed_tuple(seed) + (i_reg, start)),
+                r_union,
+                pairs,
             )
-            first = first_order_tangents(model, bundle, r_union, store_series=True)
             sel_rows = [first.position(r) for r in r_sel]
             _accumulate(
                 acc,
@@ -800,7 +974,6 @@ def moment_sweep(
                 "dw2_y_final",
                 np.abs(first.final_dy[1, first.position(r_mid)]) ** (2 * p),
             )
-            second = second_order_tangents(model, bundle, first, pairs)
             combo_row = {c: i for i, c in enumerate(second.combos)}
             _accumulate(
                 acc,
@@ -899,7 +1072,9 @@ def decay_check(
     the comparison is low-noise; monotone_within_noise allows each
     consecutive increase up to twice the summed standard errors.
     ``dt`` defaults to eta/20; a larger step raises
-    :class:`~fastslow.sde_engine.StabilityError`.
+    :class:`~fastslow.sde_engine.StabilityError`.  Like
+    :func:`moment_sweep`, each path chunk runs one step loop in which
+    every tangent starts at its perturbation step, and keeps no series.
     """
     if bound_id not in ("d2x_w1w2", "d2x_w2w2", "dw2_y_final"):
         raise ValueError(f"no separation structure for bound {bound_id!r}")
@@ -913,7 +1088,7 @@ def decay_check(
         if min(r_list) < 0:
             raise ValueError("separation exceeds the horizon")
         r_union = sorted(set(r_list))
-        pairs = None
+        pairs, combos = None, ()
     else:
         r_hi = int(round(0.5 * n_steps))
         r_list = [r_hi - s for s in sep_steps]
@@ -921,16 +1096,25 @@ def decay_check(
             raise ValueError("separation exceeds r1 = T/2")
         r_union = sorted({r_hi, *r_list})
         pairs = np.array([[r_hi, r2] for r2 in r_list])
-        combo = (0, 1) if bound_id == "d2x_w1w2" else (1, 1)
+        combos = ((0, 1),) if bound_id == "d2x_w1w2" else ((1, 1),)
 
     acc: dict[str, list] = {}
     for start in range(0, n_paths, path_chunk):
         m = min(path_chunk, n_paths - start)
-        bundle = simulate_paths(
-            model, regime, x0, y0, step, m, (_seed_tuple(seed) + (start,))
+        first, second = _tangent_pass(
+            model,
+            regime,
+            x0,
+            y0,
+            dt_eff,
+            n_steps,
+            _seed_tuple(seed) + (start,),
+            m,
+            r_union,
+            pairs,
+            combos,
         )
-        first = first_order_tangents(model, bundle, r_union, store_series=True)
-        if bound_id == "dw2_y_final":
+        if second is None:
             for i, r in enumerate(r_list):
                 _accumulate(
                     acc,
@@ -938,9 +1122,6 @@ def decay_check(
                     np.abs(first.final_dy[1, first.position(r)]) ** (2 * p),
                 )
         else:
-            second = second_order_tangents(
-                model, bundle, first, pairs, combos=(combo,)
-            )
             for i in range(len(r_list)):
                 _accumulate(
                     acc, f"s{i}", np.abs(second.final_d2x[0, i]) ** (2 * p)

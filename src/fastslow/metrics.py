@@ -247,9 +247,9 @@ def clt_verify(
     checkpoint snapshots, and reports the exact W1 distance of the
     rescaled fluctuations from N(0, sigma_t^2) with a bootstrap CI.
 
-    ``hom`` must be built for ``model`` at ``regime.gamma`` (ValueError
-    otherwise); when omitted, one is built on :data:`HOM_GRID`.  A
-    ``dt`` above eta/20 raises
+    ``hom`` must be built for ``model`` (same name and expressions) at
+    ``regime.gamma`` (ValueError otherwise); when omitted, one is built
+    on :data:`HOM_GRID`.  A ``dt`` above eta/20 raises
     :class:`~fastslow.sde_engine.StabilityError` before any
     homogenization work.  Checkpoints must sit on the simulation grid
     and default to {T/4, T/2, T}.
@@ -267,10 +267,16 @@ def clt_verify(
 
     if hom is None:
         hom = build_homogenized(model, *HOM_GRID, regime.gamma)
-    elif hom.model_name != model.name or hom.gamma != regime.gamma:
+    elif (
+        hom.model_name != model.name
+        or hom.model_expressions != model.expressions
+        or hom.gamma != regime.gamma
+    ):
         raise ValueError(
-            f"hom was built for model {hom.model_name!r} at gamma={hom.gamma:g}, "
-            f"not for {model.name!r} at gamma={regime.gamma:g}"
+            f"hom was built for model {hom.model_name!r} "
+            f"{dict(hom.model_expressions or {})} at gamma={hom.gamma:g}, not "
+            f"for {model.name!r} {dict(model.expressions or {})} at "
+            f"gamma={regime.gamma:g}"
         )
     trajectory = attach_variance(hom, limit_ode(hom, x0, T, LIMIT_ODE_DT))
 
@@ -378,7 +384,9 @@ def rate_sweep(
     the per-point keyword arguments of :func:`clt_verify` (x0, y0, dt
     as a rule ``dt_eta_fraction`` of eta, n_paths, n_boot, hom).  One
     homogenized model serves every point; it is built on
-    :data:`HOM_GRID` unless ``clt_config`` carries ``hom``.
+    :data:`HOM_GRID` unless ``clt_config`` carries ``hom``, after every
+    point's step has passed the eta/20 guard
+    (:class:`~fastslow.sde_engine.StabilityError` otherwise).
 
     A point whose bootstrap CI extends outside [w1/3, 3 w1] is flagged
     as noisy, not failed.
@@ -400,6 +408,12 @@ def rate_sweep(
     y0 = float(cfg.pop("y0", 0.0))
     n_paths = int(cfg.pop("n_paths", 10_000))
     dt_eta_fraction = float(cfg.pop("dt_eta_fraction", 1.0 / 20.0))
+    regimes = [
+        ScaleRegime(epsilon=eps, eta=float(eta_of(eps)), gamma=gamma, T=T)
+        for eps in eps_list
+    ]
+    for regime in regimes:
+        _check_stability(dt_eta_fraction * regime.eta, regime.eta)
     hom = cfg.pop("hom", None)
     if hom is None:
         hom = build_homogenized(model, *HOM_GRID, gamma)
@@ -407,11 +421,8 @@ def rate_sweep(
     points: list[tuple[float, float, float]] = []
     reports: list[WassersteinReport] = []
     noisy: list[int] = []
-    regimes: list[ScaleRegime] = []
-    for i, eps in enumerate(eps_list):
-        eta = float(eta_of(eps))
-        regime = ScaleRegime(epsilon=eps, eta=eta, gamma=gamma, T=T)
-        regimes.append(regime)
+    for i, regime in enumerate(regimes):
+        eps, eta = regime.epsilon, regime.eta
         rep = clt_verify(
             model,
             regime,

@@ -172,6 +172,20 @@ class PathBundle:
 
 
 @dataclass(frozen=True)
+class _StepScales:
+    """The step and the noise scales one explicit step of the system uses."""
+
+    dt: float
+    eta: float
+    eps_root: float
+    eta_root: float
+
+    @classmethod
+    def of(cls, regime: ScaleRegime, dt: float) -> _StepScales:
+        return cls(dt, regime.eta, math.sqrt(regime.epsilon), math.sqrt(regime.eta))
+
+
+@dataclass(frozen=True)
 class FluctuationSample:
     """Rescaled deviation theta = (X_t - Xbar_t)/sqrt(eps) across paths."""
 
@@ -252,9 +266,7 @@ def simulate_with_increments(
     tau is checked once.
     """
     n_steps, n_paths = dW1.shape
-    eps_root = math.sqrt(regime.epsilon)
-    eta = regime.eta
-    eta_root = math.sqrt(eta)
+    scales = _StepScales.of(regime, dt)
     wanted = sorted(set(int(k) for k in capture_indices))
     for k in wanted:
         if not 0 <= k <= n_steps:
@@ -270,24 +282,42 @@ def simulate_with_increments(
     if 0 in wanted:
         captures[0] = (x.copy(), y.copy())
     for k in range(n_steps):
-        c, sigma, f, tau = model.evaluate(x, y, _EM_KEYS)
-        if k == 0 or np.ndim(tau):
-            _check_tau(model, tau, k)
-        x_new = x + c * dt + eps_root * sigma * dW1[k]
-        y_new = y + f * (dt / eta) + tau * (dW2[k] / eta_root)
-        x, y = x_new, y_new
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            bad = int(np.argmax(~(np.isfinite(x) & np.isfinite(y))))
-            raise BlowUpError(
-                f"non-finite state at step {k + 1} (path column {bad}); "
-                "check coefficients and the step size"
-            )
+        x, y = _em_step(model, x, y, dW1[k], dW2[k], k, scales)
         if store_paths:
             X[k + 1] = x
             Y[k + 1] = y
         if (k + 1) in wanted:
             captures[k + 1] = (x.copy(), y.copy())
     return X, Y, captures
+
+
+def _em_step(
+    model: CoefficientSet,
+    x: np.ndarray,
+    y: np.ndarray,
+    dw1: np.ndarray,
+    dw2: np.ndarray,
+    k: int,
+    scales: _StepScales,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One Euler-Maruyama step from the state (x, y) at step index k.
+
+    Checks |tau| against TAU_MIN (at k = 0 only for a constant tau) and
+    raises :class:`BlowUpError` naming step k + 1 on a non-finite state.
+    """
+    c, sigma, f, tau = model.evaluate(x, y, _EM_KEYS)
+    if k == 0 or np.ndim(tau):
+        _check_tau(model, tau, k)
+    dt, eta = scales.dt, scales.eta
+    x_new = x + c * dt + scales.eps_root * sigma * dw1
+    y_new = y + f * (dt / eta) + tau * (dw2 / scales.eta_root)
+    if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(y_new))):
+        bad = int(np.argmax(~(np.isfinite(x_new) & np.isfinite(y_new))))
+        raise BlowUpError(
+            f"non-finite state at step {k + 1} (path column {bad}); "
+            "check coefficients and the step size"
+        )
+    return x_new, y_new
 
 
 def _check_tau(model: CoefficientSet, tau, k: int) -> None:

@@ -20,8 +20,15 @@ from fastslow.coefficients import (
     model_from_expressions,
     validate_partials,
 )
-from fastslow.malliavin import first_order_tangents, second_order_tangents
-from fastslow.sde_engine import ScaleRegime, simulate_paths
+from fastslow.malliavin import (
+    _ALPHA_KEYS,
+    _FIRST_KEYS,
+    _PARTIAL_KEYS,
+    _tangent_pass,
+    first_order_tangents,
+    second_order_tangents,
+)
+from fastslow.sde_engine import _EM_KEYS, ScaleRegime, simulate_paths
 
 
 def test_builtin_names():
@@ -115,25 +122,52 @@ def test_evaluate_broadcasts_mixed_shapes_and_keeps_constants_scalar(bounded):
 
 
 def test_tangents_evaluate_once_per_step(bounded, monkeypatch):
-    """One fused call per step, plus one for the perturbation-time rows,
-    and no call through the one-key views."""
+    """From the first perturbation step on, one fused call per step, plus
+    one for the perturbation-time rows; no call before that step and
+    none through the one-key views."""
     regime = ScaleRegime(epsilon=0.05, eta=0.05, gamma=1.0, T=0.2)
     bundle = simulate_paths(bounded, regime, 0.4, 0.3, regime.eta / 20, 3, 5)
+    n = bundle.n_steps
     calls = []
     evaluate = CoefficientTable.evaluate
 
     def counting(self, x, y, keys):
-        calls.append(tuple(keys))
+        calls.append((tuple(keys), np.array(x)))
         return evaluate(self, x, y, keys)
+
+    def assert_loop_from(first_step, keys):
+        # one call per stored row first_step..n-1, in order
+        assert len(calls) == 1 + n - first_step
+        assert {k for k, _ in calls[1:]} == {keys}
+        assert all(
+            np.array_equal(x, bundle.X[k])
+            for (_, x), k in zip(calls[1:], range(first_step, n))
+        )
 
     monkeypatch.setattr(CoefficientTable, "evaluate", counting)
     first = first_order_tangents(bounded, bundle, [0, 10, 20, 40])
-    assert len(calls) == bundle.n_steps + 1
-    assert calls[0] == ("sigma", "tau") and len(set(calls[1:])) == 1
+    assert calls[0][0] == ("sigma", "tau")
+    assert_loop_from(0, _FIRST_KEYS)
+    calls.clear()
+    first_order_tangents(bounded, bundle, [10, 20, 40])
+    assert_loop_from(10, _FIRST_KEYS)
     calls.clear()
     second_order_tangents(bounded, bundle, first, [(10, 10), (20, 10), (40, 40)])
-    assert len(calls) == bundle.n_steps + 1
-    assert len(set(calls[1:])) == 1 and len(calls[1]) == 20
+    assert calls[0][0] == _ALPHA_KEYS
+    assert_loop_from(10, _PARTIAL_KEYS)  # 71 calls
+
+    # The fused pass: one EM call per step; the tangent kernels start at
+    # the first r (10) and the first max(r1, r2) (20).
+    calls.clear()
+    _tangent_pass(
+        bounded, regime, 0.4, 0.3, bundle.dt, n, 5, 3, [10, 20, 40], [(20, 10), (40, 40)]
+    )
+    keys = [k for k, _ in calls]
+    assert keys.count(_EM_KEYS) == n
+    assert keys.count(_FIRST_KEYS) == n - 10
+    assert keys.count(_PARTIAL_KEYS) == n - 20
+    assert keys[: keys.index(_FIRST_KEYS)].count(_EM_KEYS) == 10
+    assert keys[: keys.index(_PARTIAL_KEYS)].count(_EM_KEYS) == 20
 
 
 def test_eval_all_rejects_nonfinite_point(affine):

@@ -31,7 +31,7 @@ from fastslow.malliavin import (
     second_order_tangents,
     z_process,
 )
-from fastslow.sde_engine import ScaleRegime, StabilityError, simulate_paths
+from fastslow.sde_engine import ScaleRegime, StabilityError, simulate_paths, time_grid
 
 ALL_COMBOS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -429,6 +429,79 @@ def test_moment_sweep_affine_structure(affine):
     )
 
 
+# -- one forward pass against the recorders ----------------------------
+
+
+def _recorded(
+    model, regime, x0, y0, dt, n_steps, seed, n_paths, r_indices, pairs=None,
+    combos=ALL_COMBOS,
+):
+    """The fused pass rebuilt from a stored bundle and the two recorders."""
+    bundle = simulate_paths(model, regime, x0, y0, dt, n_paths, seed)
+    assert (bundle.n_steps, bundle.dt) == (n_steps, dt)
+    first = first_order_tangents(model, bundle, r_indices)
+    if pairs is None:
+        return first, None
+    return first, second_order_tangents(model, bundle, first, pairs, combos)
+
+
+@pytest.mark.parametrize(
+    "r_indices, pairs, combos",
+    [
+        # r1 > r2, r1 < r2 and r1 == r2, on a grid without 0
+        ([12, 30, 45], [(30, 12), (12, 30), (30, 30)], ALL_COMBOS),
+        # a grid containing 0 and the horizon; one channel combo
+        ([0, 12, 30, 60], [(0, 0), (0, 60), (60, 0), (12, 30)], ((1, 1),)),
+        # first order only (the dw2_y_final branch of decay_check)
+        ([0, 30, 45], None, ALL_COMBOS),
+    ],
+)
+def test_tangent_pass_matches_recorders_bitwise(bounded, r_indices, pairs, combos):
+    regime = ScaleRegime(0.05, 0.05, 1.0, 0.15)
+    n_steps, dt = time_grid(regime.T, regime.eta / 20)
+    assert n_steps == 60
+    args = (bounded, regime, 0.4, 0.3, dt, n_steps, (4, 1), 6, r_indices, pairs, combos)
+    first, second = malliavin_mod._tangent_pass(*args)
+    ref_first, ref_second = _recorded(*args)
+    assert first.DX is None and first.DY is None
+    for name in ("r_indices", "final_dx", "final_dy", "sup_abs_dx", "sup_abs_dy"):
+        assert np.array_equal(getattr(first, name), getattr(ref_first, name)), name
+    if pairs is None:
+        assert second is None
+        return
+    assert second.combos == ref_second.combos and second.D2X is None
+    assert np.any(second.final_d2x != 0.0)
+    for name in ("pair_indices", "final_d2x", "final_d2y", "sup_abs_d2x", "sup_abs_d2y"):
+        assert np.array_equal(getattr(second, name), getattr(ref_second, name)), name
+
+
+def test_sweeps_match_recorders_bitwise(bounded, monkeypatch):
+    """moment_sweep and decay_check (all three bounds) report the same
+    floats when the fused pass is replaced by a bundle and the recorders.
+
+    The moment pairs are (r_mid, r_mid) and (r_mid, r_lo) with r_lo = 0 on
+    the first regime and r_lo > 0 on the second."""
+    regimes = [ScaleRegime(0.1, 0.1, 1.0, 0.3), ScaleRegime(0.05, 0.05, 1.0, 0.3)]
+
+    def run():
+        reports = moment_sweep(
+            bounded, regimes, 1, 40, seed=5, x0=0.4, y0=0.3,
+            pair_sep_etas=2.0, path_chunk=25, k_hat=1.0,
+        )
+        decays = [
+            decay_check(
+                bounded, regimes[-1], bound_id, 1, 40, 6,
+                separations_eta=(0.5, 1.0, 2.0), x0=0.4, y0=0.3, path_chunk=25,
+            )
+            for bound_id in ("d2x_w1w2", "d2x_w2w2", "dw2_y_final")
+        ]
+        return [r.to_dict() for r in reports.values()], [d.to_dict() for d in decays]
+
+    fused = run()
+    monkeypatch.setattr(malliavin_mod, "_tangent_pass", _recorded)
+    assert run() == fused
+
+
 def test_moment_sweep_validation(affine):
     good = [ScaleRegime(0.1, 0.1, 1.0, 0.1)]
     with pytest.raises(ValueError):
@@ -454,7 +527,7 @@ def test_sweeps_reject_step_above_stability_guard(affine, monkeypatch):
         raise AssertionError("work started before the step was checked")
 
     monkeypatch.setattr(malliavin_mod, "check_assumptions", not_reached)
-    monkeypatch.setattr(malliavin_mod, "simulate_paths", not_reached)
+    monkeypatch.setattr(malliavin_mod, "draw_increments", not_reached)
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.1)
     message = re.escape("dt=0.05 exceeds the stability guard eta/20=0.0025")
     with pytest.raises(StabilityError, match=message):

@@ -22,6 +22,7 @@ from fastslow.metrics import (
     w1_between_gaussians,
     w1_vs_gaussian,
 )
+from fastslow.coefficients import model_from_expressions
 from fastslow.homogenization import build_homogenized
 from fastslow.sde_engine import ScaleRegime, StabilityError
 
@@ -271,6 +272,22 @@ def test_clt_verify_rejects_hom_of_another_model(bounded, affine_hom):
         clt_verify(bounded, regime, 0.0, 0.0, 0.002, 10, hom=affine_hom)
 
 
+def test_clt_verify_rejects_hom_of_other_expressions_under_one_name():
+    """CLI expression models are all named "custom"; the check compares
+    the expressions too."""
+    built_for = model_from_expressions("custom", "-2*x", "1", "-y", "sqrt(2)")
+    other = model_from_expressions("custom", "-x + 0.5*sin(y)", "1", "x - y", "sqrt(2)")
+    hom = build_homogenized(built_for, (-3.0, 3.0), 9, 512, gamma=1.0)
+    regime = ScaleRegime(0.04, 0.04, 1.0, 0.4)
+    with pytest.raises(ValueError, match=re.escape("-x + 0.5*sin(y)")):
+        clt_verify(other, regime, 0.0, 0.0, 0.002, 10, hom=hom)
+    same = model_from_expressions("custom", "-2*x", "1", "-y", "sqrt(2)")
+    (report,) = clt_verify(
+        same, regime, 0.0, 0.0, 0.002, 20, checkpoints=(0.4,), n_boot=10, hom=hom
+    )
+    assert math.isfinite(report.w1)
+
+
 def test_default_checkpoints():
     assert default_checkpoints(1.0) == (0.25, 0.5, 1.0)
 
@@ -364,3 +381,18 @@ def test_rate_sweep_homogenizes_once_per_sweep(affine, affine_hom, monkeypatch):
     assert len(calls) == 1
     rate_sweep(affine, (0.16, 0.08, 0.04), "equal", dict(config, hom=affine_hom), T=0.2)
     assert len(calls) == 1
+
+
+def test_rate_sweep_checks_every_step_before_homogenizing(affine, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build_homogenized(*args, **kwargs)
+
+    monkeypatch.setattr(metrics_mod, "build_homogenized", counting)
+    with pytest.raises(StabilityError, match="eta/20"):
+        rate_sweep(
+            affine, (0.16, 0.08, 0.04), "equal", {"dt_eta_fraction": 0.1}, T=0.2
+        )
+    assert calls == []
