@@ -344,6 +344,7 @@ def cmd_clt_verify(config: ExperimentConfig, out_dir, seed) -> int:
     model = config.coefficient_set()
     regime = config.scale_regime()
     grid = config.grid
+    hom = _clt_homogenized(config, model, regime.gamma)
     reports = clt_verify(
         model,
         regime,
@@ -354,7 +355,7 @@ def cmd_clt_verify(config: ExperimentConfig, out_dir, seed) -> int:
         checkpoints=grid.get("checkpoints"),
         seed=seed,
         n_boot=int(config.analysis.get("bootstrap", 400)),
-        hom=_clt_homogenized(config, model, regime.gamma),
+        hom=hom,
     )
     payload = {
         "model": model.name,
@@ -367,6 +368,7 @@ def cmd_clt_verify(config: ExperimentConfig, out_dir, seed) -> int:
         "checkpoints": [r.to_dict() for r in reports],
         "rate": None,
         "bound": [],
+        "warnings": list(hom.warnings),
     }
     _write_json(os.path.join(out_dir, "clt_verify.json"), payload)
     _write_csv_rows(
@@ -382,7 +384,7 @@ def cmd_clt_verify(config: ExperimentConfig, out_dir, seed) -> int:
         half = (r.bootstrap_ci[1] - r.bootstrap_ci[0]) / 2.0
         if r.w1 < r.mean_gap - half:
             return EXIT_ASSERTION
-    return EXIT_PASS
+    return EXIT_WARNINGS if hom.warnings else EXIT_PASS
 
 
 def cmd_malliavin_sweep(config: ExperimentConfig, out_dir, seed) -> int:
@@ -428,6 +430,7 @@ def cmd_rate_sweep(config: ExperimentConfig, out_dir, seed) -> int:
         raise ConfigError("rate-sweep needs a 'sweep' section")
     grid = config.grid
     gamma = config.sweep.get("gamma", 1.0)
+    hom = _clt_homogenized(config, model, gamma)
     fit = rate_sweep(
         model,
         config.sweep["epsilons"],
@@ -438,7 +441,7 @@ def cmd_rate_sweep(config: ExperimentConfig, out_dir, seed) -> int:
             "n_paths": grid.get("n_paths", 10_000),
             "dt_eta_fraction": grid.get("dt_eta_fraction", STABILITY_FRACTION),
             "n_boot": int(config.analysis.get("bootstrap", 400)),
-            "hom": _clt_homogenized(config, model, gamma),
+            "hom": hom,
         },
         gamma=gamma,
         T=config.sweep.get("T", 1.0),
@@ -455,6 +458,7 @@ def cmd_rate_sweep(config: ExperimentConfig, out_dir, seed) -> int:
         },
         "checkpoints": [r.to_dict() for r in fit.reports],
         **fit.to_dict(),
+        "warnings": list(hom.warnings),
     }
     _write_json(os.path.join(out_dir, "rate_sweep.json"), payload)
     _write_csv_rows(
@@ -468,7 +472,7 @@ def cmd_rate_sweep(config: ExperimentConfig, out_dir, seed) -> int:
     for (_, _, w1), bound in zip(fit.points, fit.bound_values):
         if w1 > bound * (1.0 + 1e-9):
             return EXIT_ASSERTION
-    return EXIT_WARNINGS if fit.noisy_points else EXIT_PASS
+    return EXIT_WARNINGS if fit.noisy_points or hom.warnings else EXIT_PASS
 
 
 def cmd_bound_eval(config: ExperimentConfig, out_dir, seed) -> int:

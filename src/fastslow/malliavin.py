@@ -55,8 +55,9 @@ from fastslow.sde_engine import (
     ScaleRegime,
     _check_stability,
     _em_step,
+    _noise_blocks,
+    _require_positive,
     _StepScales,
-    draw_increments,
     simulate_paths,  # noqa: F401  (perfbench's tracer wraps it here)
     time_grid,
 )
@@ -502,18 +503,23 @@ def _tangent_pass(
     """Base path, first- and second-order tangents in one step loop.
 
     Draws the noise of paths 0..n_paths-1 under ``master_seed`` as
-    :func:`~fastslow.sde_engine.simulate_paths` does and advances, step
-    by step on it, the Euler-Maruyama state, the first-order state from
-    the first r and the second-order state from the first max(r1, r2).
+    :func:`~fastslow.sde_engine.simulate_paths` does, in time blocks,
+    and advances, step by step on it, the Euler-Maruyama state, the
+    first-order state from the first r and the second-order state from
+    the first max(r1, r2).
     Returns what :func:`first_order_tangents` and
     :func:`second_order_tangents` return on the same paths, without
     series (``second`` is None without ``pairs``); every r in ``pairs``
-    must be in ``r_indices``.  Beyond the noise it keeps
+    must be in ``r_indices``.  Beyond one noise block it keeps
     O((n_r + n_pairs) n_paths) state and no path, increment or tangent
-    series.
+    series, so its memory does not grow with n_steps.
     """
     s = _StepScales.of(regime, dt)
-    dW1, dW2 = draw_increments(master_seed, list(range(n_paths)), n_steps, dt)
+    noise = (
+        step
+        for blocks in _noise_blocks(master_seed, range(n_paths), n_steps, dt)
+        for step in zip(*blocks)
+    )
     r_idx = np.unique(np.asarray(r_indices, dtype=int))
     row = {int(r): i for i, r in enumerate(r_idx)}
     dx = np.zeros((2, len(r_idx), n_paths))
@@ -565,16 +571,17 @@ def _tangent_pass(
             np.maximum(sup_y, np.abs(d2y), out=sup_y)
         if k == n_steps:
             break
+        w1, w2 = next(noise)
         if k >= second_at:
             factors = _factors(dx, dy, j1, pos1, j2, pos2)
             p = model.evaluate(x, y, _PARTIAL_KEYS)
             d2x, d2y = _second_step(
-                p, d2x, d2y, factors, dW1[k], dW2[k], s, k, combos, pair_arr
+                p, d2x, d2y, factors, w1, w2, s, k, combos, pair_arr
             )
         if k >= first_at:
             d = model.evaluate(x, y, _FIRST_KEYS)
-            dx, dy = _first_step(d, dx, dy, dW1[k], dW2[k], s, k, r_idx)
-        x, y = _em_step(model, x, y, dW1[k], dW2[k], k, s)
+            dx, dy = _first_step(d, dx, dy, w1, w2, s, k, r_idx)
+        x, y = _em_step(model, x, y, w1, w2, k, s)
 
     first = FirstOrderTangents(
         r_indices=r_idx,
@@ -910,6 +917,7 @@ def moment_sweep(
     The values are those :func:`first_order_tangents` and
     :func:`second_order_tangents` record on the same paths.
     """
+    _require_positive(n_paths=n_paths, path_chunk=path_chunk)
     if len(regimes) < 1:
         raise ValueError("need at least one regime")
     eps_list = [r.epsilon for r in regimes]
@@ -1076,6 +1084,7 @@ def decay_check(
     :func:`moment_sweep`, each path chunk runs one step loop in which
     every tangent starts at its perturbation step, and keeps no series.
     """
+    _require_positive(n_paths=n_paths, path_chunk=path_chunk)
     if bound_id not in ("d2x_w1w2", "d2x_w2w2", "dw2_y_final"):
         raise ValueError(f"no separation structure for bound {bound_id!r}")
     step = dt if dt is not None else regime.eta / 20.0

@@ -13,8 +13,13 @@ are advanced with the explicit scheme
 under the stability guard dt <= eta/20 (twenty steps per fast
 relaxation time).  Brownian increments come from counter-based
 per-path streams keyed by (master_seed, path_id, channel), so results
-are independent of path chunking, and the stored increments can be
-replayed exactly by the tangent-process module.
+are independent of path chunking.  Each path chunk draws its noise in
+time blocks of a fixed byte budget, continuing every stream from block
+to block, and the step loop consumes one block at a time: a stream
+drawn in blocks gives the same numbers as one draw of the same length,
+so the block length changes no result, and peak memory grows with the
+block, not with n_steps.  Paths and increments are stored only when
+asked for.
 """
 
 from __future__ import annotations
@@ -55,6 +60,13 @@ STABILITY_FRACTION = 1.0 / 20.0
 
 #: Coefficients the Euler-Maruyama step evaluates, in one kernel call.
 _EM_KEYS = ("c", "sigma", "f", "tau")
+
+#: Bytes of one noise block of both channels (16 bytes per path-step):
+#: a chunk of m paths draws max(1, _NOISE_BLOCK_BYTES // (16 m)) steps
+#: at a time.  The block length changes no result, only peak memory
+#: (the block plus a path-major draw buffer of half its size) and the
+#: number of draw calls.
+_NOISE_BLOCK_BYTES = 32 * 1024**2
 
 
 class StabilityError(ValueError):
@@ -205,6 +217,13 @@ def _check_stability(dt: float, eta: float) -> None:
         )
 
 
+def _require_positive(**sizes) -> None:
+    """Raise ValueError naming the first size below 1 (None is skipped)."""
+    for name, value in sizes.items():
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be >= 1 (got {value})")
+
+
 def time_grid(T: float, dt: float) -> tuple[int, float]:
     """Number of steps and realized step of the uniform grid on [0, T].
 
@@ -224,6 +243,56 @@ def _stream(master_seed, path_id: int, channel: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
+def _noise_blocks(
+    master_seed,
+    path_ids: Sequence[int],
+    n_steps: int,
+    dt: float,
+    block_steps: int | None = None,
+):
+    """Brownian increments of a path chunk, drawn in blocks of whole steps.
+
+    Opens each of the 2 m per-path streams of ``path_ids`` once and
+    yields (dW1, dW2) blocks of shape (b, m) that cover steps
+    0..n_steps-1 in order.  A block holds ``block_steps`` steps (default:
+    as many as fit in :data:`_NOISE_BLOCK_BYTES`, at least one) or the
+    remainder.  Philox streams are counter-based, so a stream drawn in
+    blocks gives the numbers of one draw of n_steps: every block length
+    yields the same increments.  Each stream fills a row of a
+    path-major buffer, which one transposing copy scales by sqrt(dt).
+    The yielded arrays are reused: a block is valid until the next one
+    is drawn.
+    """
+    m = len(path_ids)
+    if block_steps is None:
+        block_steps = _NOISE_BLOCK_BYTES // (16 * max(1, m))
+    size = max(1, min(block_steps, n_steps))
+    def open_streams(channel):
+        return (_stream(master_seed, pid, channel) for pid in path_ids)
+
+    streams = [open_streams(CHANNEL_W1), open_streams(CHANNEL_W2)]
+    if size < n_steps:
+        # Later blocks continue the streams, so they stay open.  A single
+        # block opens each stream, draws it whole and drops it: an open
+        # stream is 4 objects the cycle collector tracks, and 20k of them
+        # alive through a step loop cost full collections.
+        streams = [list(gens) for gens in streams]
+    raw = np.empty((m, size))
+    # One array per channel rather than one (2, size, m) array: freeing a
+    # large block raises the allocator's threshold for keeping freed
+    # memory, so the largest block sets what a run retains afterwards.
+    out = (np.empty((size, m)), np.empty((size, m)))
+    scale = math.sqrt(dt)
+    for k in range(0, n_steps, size):
+        b = min(size, n_steps - k)
+        rows = raw[:, :b]
+        for gens, dw in zip(streams, out):
+            for gen, row in zip(gens, rows):
+                gen.standard_normal(out=row)
+            np.multiply(rows.T, scale, out=dw[:b])
+        yield out[0][:b], out[1][:b]
+
+
 def draw_increments(
     master_seed,
     path_ids: Sequence[int],
@@ -234,15 +303,64 @@ def draw_increments(
 
     Each (path, channel) stream is drawn independently of every other,
     so a path's noise does not depend on which paths are drawn with it.
+    This is the noise :func:`simulate_paths` runs on, drawn as a single
+    block.
     """
-    n_paths = len(path_ids)
-    dW1 = np.empty((n_steps, n_paths))
-    dW2 = np.empty((n_steps, n_paths))
-    scale = math.sqrt(dt)
-    for j, pid in enumerate(path_ids):
-        dW1[:, j] = _stream(master_seed, pid, CHANNEL_W1).normal(0.0, scale, n_steps)
-        dW2[:, j] = _stream(master_seed, pid, CHANNEL_W2).normal(0.0, scale, n_steps)
-    return dW1, dW2
+    blocks = _noise_blocks(master_seed, path_ids, n_steps, dt, n_steps)
+    empty = np.empty((0, len(path_ids)))
+    return next(blocks, (empty, empty))
+
+
+def _capture_set(capture_indices: Iterable[int], n_steps: int) -> set[int]:
+    """Requested snapshot steps; raises :class:`AlignmentError` off [0, n_steps]."""
+    wanted = {int(k) for k in capture_indices}
+    for k in sorted(wanted):
+        if not 0 <= k <= n_steps:
+            raise AlignmentError(f"capture index {k} outside [0, {n_steps}]")
+    return wanted
+
+
+def _em_loop(
+    model: CoefficientSet,
+    scales: _StepScales,
+    x0: float,
+    y0: float,
+    n_paths: int,
+    blocks,
+    wanted: set[int],
+    X=None,
+    Y=None,
+    dW1=None,
+    dW2=None,
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """The Euler-Maruyama recursion of n_paths paths over noise blocks.
+
+    ``blocks`` yields (dW1, dW2) arrays of shape (b, n_paths) covering
+    the steps in order.  State rows go into ``X``/``Y`` and the noise
+    into ``dW1``/``dW2`` where given (arrays with one row per grid time
+    and per step).  Returns {k: (x, y)} copies of the state at the steps
+    in ``wanted``.
+    """
+    x = np.full(n_paths, float(x0))
+    y = np.full(n_paths, float(y0))
+    if X is not None:
+        X[0] = x
+        Y[0] = y
+    captures = {0: (x.copy(), y.copy())} if 0 in wanted else {}
+    k = 0
+    for w1, w2 in blocks:
+        if dW1 is not None:
+            dW1[k : k + len(w1)] = w1
+            dW2[k : k + len(w2)] = w2
+        for dw1, dw2 in zip(w1, w2):
+            x, y = _em_step(model, x, y, dw1, dw2, k, scales)
+            k += 1
+            if X is not None:
+                X[k] = x
+                Y[k] = y
+            if k in wanted:
+                captures[k] = (x.copy(), y.copy())
+    return captures
 
 
 def simulate_with_increments(
@@ -263,31 +381,16 @@ def simulate_with_increments(
     Raises :class:`BlowUpError` (naming the step) on non-finite states
     and :class:`~fastslow.coefficients.ModelEvaluationError` (naming the
     step, the path column and |tau|) where |tau| < TAU_MIN; a constant
-    tau is checked once.
+    tau is checked once.  The noise runs through the step loop of
+    :func:`simulate_paths` as one block.
     """
     n_steps, n_paths = dW1.shape
-    scales = _StepScales.of(regime, dt)
-    wanted = sorted(set(int(k) for k in capture_indices))
-    for k in wanted:
-        if not 0 <= k <= n_steps:
-            raise AlignmentError(f"capture index {k} outside [0, {n_steps}]")
-    captures: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    wanted = _capture_set(capture_indices, n_steps)
     X = np.empty((n_steps + 1, n_paths)) if store_paths else None
     Y = np.empty((n_steps + 1, n_paths)) if store_paths else None
-    x = np.full(n_paths, float(x0))
-    y = np.full(n_paths, float(y0))
-    if store_paths:
-        X[0] = x
-        Y[0] = y
-    if 0 in wanted:
-        captures[0] = (x.copy(), y.copy())
-    for k in range(n_steps):
-        x, y = _em_step(model, x, y, dW1[k], dW2[k], k, scales)
-        if store_paths:
-            X[k + 1] = x
-            Y[k + 1] = y
-        if (k + 1) in wanted:
-            captures[k + 1] = (x.copy(), y.copy())
+    captures = _em_loop(
+        model, _StepScales.of(regime, dt), x0, y0, n_paths, [(dW1, dW2)], wanted, X, Y
+    )
     return X, Y, captures
 
 
@@ -364,40 +467,40 @@ def simulate_paths(
         Step indices whose state rows are snapshotted regardless of
         ``store_paths``.
     path_chunk : int, optional
-        Simulate in chunks of this many paths to bound peak memory.
+        Simulate in chunks of this many paths (>= 1; None: one chunk).
+        Results do not depend on it.  Each chunk draws its noise in time
+        blocks, so without stored paths or increments peak memory is
+        O(chunk * block) plus the chunk's open streams, whatever n_steps.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1 (got {n_paths})")
+    _require_positive(n_paths=n_paths, path_chunk=path_chunk)
     _check_stability(dt, regime.eta)
     n_steps, dt_eff = time_grid(regime.T, dt)
-    wanted = sorted(set(int(k) for k in capture_indices))
-    chunk = n_paths if not path_chunk else max(1, int(path_chunk))
+    wanted = _capture_set(capture_indices, n_steps)
+    chunk = n_paths if path_chunk is None else int(path_chunk)
+    scales = _StepScales.of(regime, dt_eff)
 
     X = np.empty((n_steps + 1, n_paths)) if store_paths else None
     Y = np.empty((n_steps + 1, n_paths)) if store_paths else None
     dW1 = np.empty((n_steps, n_paths)) if store_increments else None
     dW2 = np.empty((n_steps, n_paths)) if store_increments else None
-    captures: dict[int, np.ndarray] = {
-        k: (np.empty(n_paths), np.empty(n_paths)) for k in wanted
-    }
+    captures = {k: (np.empty(n_paths), np.empty(n_paths)) for k in sorted(wanted)}
 
     for start in range(0, n_paths, chunk):
-        stop = min(start + chunk, n_paths)
-        ids = range(start, stop)
-        w1, w2 = draw_increments(master_seed, list(ids), n_steps, dt_eff)
-        cx, cy, caps = simulate_with_increments(
-            model, regime, x0, y0, dt_eff, w1, w2,
-            store_paths=store_paths, capture_indices=wanted,
+        cols = slice(start, min(start + chunk, n_paths))
+        ids = range(cols.start, cols.stop)
+        caps = _em_loop(
+            model,
+            scales,
+            x0,
+            y0,
+            len(ids),
+            _noise_blocks(master_seed, ids, n_steps, dt_eff),
+            wanted,
+            *(None if a is None else a[:, cols] for a in (X, Y, dW1, dW2)),
         )
-        if store_paths:
-            X[:, start:stop] = cx
-            Y[:, start:stop] = cy
-        if store_increments:
-            dW1[:, start:stop] = w1
-            dW2[:, start:stop] = w2
         for k, (rx, ry) in caps.items():
-            captures[k][0][start:stop] = rx
-            captures[k][1][start:stop] = ry
+            captures[k][0][cols] = rx
+            captures[k][1][cols] = ry
 
     return PathBundle(
         regime=regime,
@@ -411,7 +514,7 @@ def simulate_paths(
         Y=Y,
         dW1=dW1,
         dW2=dW2,
-        captures={k: (v[0], v[1]) for k, v in captures.items()} or None,
+        captures=captures or None,
     )
 
 

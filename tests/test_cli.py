@@ -423,6 +423,7 @@ def test_clt_verify_artifacts(tmp_path):
 
     payload = _read_json(out, "clt_verify.json")
     assert payload["model"] == "affine-oracle"
+    assert payload["warnings"] == []
     assert payload["regime"] == {"epsilon": 0.05, "eta": 0.05, "gamma": 1.0, "T": 0.2}
     assert payload["rate"] is None and payload["bound"] == []
     checkpoints = payload["checkpoints"]
@@ -461,6 +462,59 @@ def test_clt_verify_seed_changes_data(tmp_path):
         out_b, "clt_checkpoints.csv"
     )
     assert _read_json(out_b, "run_manifest.json")["seed"] == 4
+
+
+def _underflow_config(tmp_path, out_name, section):
+    """A model whose fast density underflows on the left of its y-window
+    (f = exp(-y) - 1 has a double-exponential left tail), so every
+    homogenization x-node records a boundary warning."""
+    out = tmp_path / out_name
+    return out, _write_config(
+        tmp_path,
+        {
+            "expressions": {
+                "c": "-x + 0.5*sin(y)",
+                "sigma": "1",
+                "f": "exp(-y) - 1",
+                "tau": "1",
+            },
+            **section,
+            "grid": {"n_paths": 200, "x_range": [-1.0, 1.0], "nx": 9, "ny": 1024},
+            "analysis": {"bootstrap": 50},
+            "io": {"output_dir": str(out), "master_seed": 6},
+        },
+        name=f"{out_name}.json",
+    )
+
+
+@pytest.mark.parametrize(
+    "command, section, artifact",
+    [
+        (
+            "clt-verify",
+            {"regime": {"epsilon": 0.05, "eta": 0.05, "gamma": 1.0, "T": 0.2}},
+            "clt_verify.json",
+        ),
+        (
+            "rate-sweep",
+            {"sweep": {"epsilons": [0.16, 0.08, 0.04], "gamma": 1.0, "T": 0.3}},
+            "rate_sweep.json",
+        ),
+    ],
+)
+def test_homogenization_warnings_are_reported(tmp_path, command, section, artifact):
+    out, cfg = _underflow_config(tmp_path, command, section)
+    code = main([command, "--config", cfg])
+    payload = _read_json(out, artifact)
+    assert len(payload["warnings"]) == 9
+    assert all("density underflow" in w for w in payload["warnings"])
+    # A point above its envelope still fails the run; clt-verify has none.
+    over = [
+        pt["w1"] > bound * (1.0 + 1e-9)
+        for pt, bound in zip(payload.get("points", []), payload["bound"])
+    ]
+    assert code == (EXIT_ASSERTION if any(over) else EXIT_WARNINGS)
+    assert _read_json(out, "run_manifest.json")["exit_code"] == code
 
 
 # -- malliavin-sweep --------------------------------------------------
@@ -542,6 +596,7 @@ def test_rate_sweep_artifacts(tmp_path):
 
     payload = _read_json(out, "rate_sweep.json")
     assert payload["model"] == "affine-oracle"
+    assert payload["warnings"] == []
     assert payload["regime"] == {"gamma": 1.0, "T": 0.3, "eta_rule": "equal"}
     assert len(payload["checkpoints"]) == 3
     assert len(payload["points"]) == 3

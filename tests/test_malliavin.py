@@ -527,13 +527,35 @@ def test_sweeps_reject_step_above_stability_guard(affine, monkeypatch):
         raise AssertionError("work started before the step was checked")
 
     monkeypatch.setattr(malliavin_mod, "check_assumptions", not_reached)
-    monkeypatch.setattr(malliavin_mod, "draw_increments", not_reached)
+    monkeypatch.setattr(malliavin_mod, "_noise_blocks", not_reached)
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.1)
     message = re.escape("dt=0.05 exceeds the stability guard eta/20=0.0025")
     with pytest.raises(StabilityError, match=message):
         moment_sweep(affine, [regime], 1, 10, dt=0.05)
     with pytest.raises(StabilityError, match=message):
         decay_check(affine, regime, "dw2_y_final", 1, 10, 0, dt=0.05)
+
+
+@pytest.mark.parametrize(
+    "sizes, message",
+    [
+        (dict(n_paths=0), "n_paths must be >= 1 (got 0)"),
+        (dict(path_chunk=0), "path_chunk must be >= 1 (got 0)"),
+        (dict(path_chunk=-5), "path_chunk must be >= 1 (got -5)"),
+    ],
+)
+def test_sweeps_reject_nonpositive_sizes_first(affine, monkeypatch, sizes, message):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("work started before the sizes were checked")
+
+    monkeypatch.setattr(malliavin_mod, "check_assumptions", not_reached)
+    monkeypatch.setattr(malliavin_mod, "_noise_blocks", not_reached)
+    regime = ScaleRegime(0.05, 0.05, 1.0, 0.1)
+    args = dict(n_paths=10, path_chunk=500) | sizes
+    with pytest.raises(ValueError, match=re.escape(message)):
+        moment_sweep(affine, [regime], 1, **args)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        decay_check(affine, regime, "dw2_y_final", 1, seed=0, **args)
 
 
 # -- separation decay --------------------------------------------------

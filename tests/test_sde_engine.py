@@ -1,13 +1,19 @@
 """Tests for the slow-fast Euler-Maruyama engine and its noise plumbing."""
 
+import gc
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import fastslow.sde_engine as sde_engine
 from fastslow.coefficients import ModelEvaluationError, model_from_expressions
 from fastslow.homogenization import attach_variance, build_homogenized, limit_ode
 from fastslow.sde_engine import (
+    CHANNEL_W1,
+    CHANNEL_W2,
     AlignmentError,
     BlowUpError,
     PathBundle,
@@ -20,6 +26,7 @@ from fastslow.sde_engine import (
     simulate_with_increments,
     time_grid,
 )
+from fastslow.sde_engine import _stream
 
 
 # -- regime bookkeeping ------------------------------------------------
@@ -128,6 +135,126 @@ def test_increment_variance_matches_dt(affine):
     )
     with pytest.raises(ValueError):
         bare.increment_variance_z()
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(n_paths=0), "n_paths must be >= 1 (got 0)"),
+        (dict(path_chunk=0), "path_chunk must be >= 1 (got 0)"),
+        (dict(path_chunk=-5), "path_chunk must be >= 1 (got -5)"),
+    ],
+)
+def test_simulate_rejects_nonpositive_sizes(affine, affine_regime, kwargs, message):
+    args = dict(n_paths=4, master_seed=0, path_chunk=None) | kwargs
+    with pytest.raises(ValueError, match=re.escape(message)):
+        simulate_paths(affine, affine_regime, 0.0, 0.0, affine_regime.eta / 20, **args)
+
+
+# -- noise blocks --------------------------------------------------------
+
+
+def test_draw_increments_match_one_normal_draw_per_stream():
+    ids, n_steps, dt = [4, 0, 9], 37, 0.001
+    dW1, dW2 = draw_increments((8, 2), ids, n_steps, dt)
+    assert dW1.shape == dW2.shape == (n_steps, len(ids))
+    for j, pid in enumerate(ids):
+        for dw, channel in ((dW1, CHANNEL_W1), (dW2, CHANNEL_W2)):
+            ref = _stream((8, 2), pid, channel).normal(0.0, math.sqrt(dt), n_steps)
+            assert np.array_equal(dw[:, j], ref)
+
+
+@pytest.mark.parametrize("path_chunk", [None, 3, 6])
+@pytest.mark.parametrize(
+    "block",
+    [
+        40,  # n_steps below the block length: one short block
+        24,  # n_steps equal to the block length
+        5,  # n_steps not a multiple of the block length
+        1,
+    ],
+)
+def test_blocked_noise_matches_one_block(bounded, monkeypatch, path_chunk, block):
+    """simulate_paths, drawing its noise in blocks of ``block`` steps,
+    stores and captures exactly what draw_increments +
+    simulate_with_increments give on the same noise in one block."""
+    n_paths, seed, marks = 6, (3, 1), (0, 5, 23, 24)
+    chunk = n_paths if path_chunk is None else path_chunk
+    monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * chunk * block)
+    regime = ScaleRegime(0.05, 0.05, 1.0, 0.06)
+    n_steps, dt = time_grid(regime.T, regime.eta / 20)
+    assert n_steps == 24
+    blocks = sde_engine._noise_blocks(seed, range(chunk), n_steps, dt)
+    assert sum(1 for _ in blocks) == math.ceil(n_steps / min(block, n_steps))
+
+    kwargs = dict(capture_indices=marks, path_chunk=path_chunk)
+    full = simulate_paths(bounded, regime, 0.4, 0.3, dt, n_paths, seed, **kwargs)
+    light = simulate_paths(
+        bounded, regime, 0.4, 0.3, dt, n_paths, seed,
+        store_paths=False, store_increments=False, **kwargs,
+    )
+    dW1, dW2 = draw_increments(seed, range(n_paths), n_steps, dt)
+    X, Y, caps = simulate_with_increments(
+        bounded, regime, 0.4, 0.3, dt, dW1, dW2, capture_indices=marks
+    )
+    for name, ref in (("X", X), ("Y", Y), ("dW1", dW1), ("dW2", dW2)):
+        assert np.array_equal(getattr(full, name), ref), name
+    assert light.X is None and light.dW1 is None
+    for k in marks:
+        for bundle in (full, light):
+            assert np.array_equal(bundle.captures[k][0], caps[k][0])
+            assert np.array_equal(bundle.captures[k][1], caps[k][1])
+
+
+def _traced_peak(run) -> int:
+    """Peak traced memory, in bytes, of one call of ``run``, with the cycle
+    collector off: cyclic garbage of ``run`` then counts, and no
+    collection empties the interpreter's free lists mid-measurement."""
+    gc.disable()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+
+
+def test_memory_does_not_grow_with_steps(affine, monkeypatch):
+    """Peak memory of a light simulation and of the fused tangent pass
+    stays flat when n_steps grows 8x at a fixed path count.
+
+    A tuple freed after a resize enters the interpreter's free list, which
+    keeps up to 2000 per size and which tracemalloc counts as live, so
+    the first 2000-odd steps of a process grow the traced memory whatever
+    the code does: an untraced 4096-step pass fills those lists first."""
+    from fastslow.malliavin import _tangent_pass
+
+    block, dt = 32, 1.0 / 4096
+
+    def regime(n_steps):
+        out = ScaleRegime(0.005, 0.005, 1.0, n_steps * dt)
+        assert time_grid(out.T, dt) == (n_steps, dt)
+        return out
+
+    def light_simulation(n_steps):
+        monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * 2000 * block)
+        simulate_paths(
+            affine, regime(n_steps), 0.0, 0.0, dt, 2000, 1,
+            store_paths=False, store_increments=False, capture_indices=[n_steps],
+        )
+
+    def tangent_pass(n_steps):
+        monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * 200 * block)
+        r = [n_steps // 4, n_steps // 2]
+        _tangent_pass(
+            affine, regime(n_steps), 0.0, 0.0, dt, n_steps, 1, 200, r, [(r[1], r[0])]
+        )
+
+    tangent_pass(4096)
+    for run in (light_simulation, tangent_pass):
+        long, short = (_traced_peak(lambda: run(n)) for n in (512, 64))
+        assert long <= 1.1 * short, (run.__name__, short, long)
 
 
 # -- scheme correctness ------------------------------------------------
