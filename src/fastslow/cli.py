@@ -340,6 +340,18 @@ def _clt_homogenized(config: ExperimentConfig, model: CoefficientSet, gamma):
     )
 
 
+def _regime_diagnostics(regime: ScaleRegime) -> dict:
+    """Regime drift and scaling quotient, with None where a value is inf or None."""
+    values = {
+        "regime_drift": regime.regime_drift(),
+        "scaling_quotient": regime.scaling_quotient(),
+    }
+    return {
+        key: v if v is not None and math.isfinite(v) else None
+        for key, v in values.items()
+    }
+
+
 def cmd_clt_verify(config: ExperimentConfig, out_dir, seed) -> int:
     model = config.coefficient_set()
     regime = config.scale_regime()
@@ -364,6 +376,7 @@ def cmd_clt_verify(config: ExperimentConfig, out_dir, seed) -> int:
             "eta": regime.eta,
             "gamma": None if math.isinf(regime.gamma) else regime.gamma,
             "T": regime.T,
+            **_regime_diagnostics(regime),
         },
         "checkpoints": [r.to_dict() for r in reports],
         "rate": None,
@@ -430,6 +443,7 @@ def cmd_rate_sweep(config: ExperimentConfig, out_dir, seed) -> int:
         raise ConfigError("rate-sweep needs a 'sweep' section")
     grid = config.grid
     gamma = config.sweep.get("gamma", 1.0)
+    T = config.sweep.get("T", 1.0)
     hom = _clt_homogenized(config, model, gamma)
     fit = rate_sweep(
         model,
@@ -444,7 +458,7 @@ def cmd_rate_sweep(config: ExperimentConfig, out_dir, seed) -> int:
             "hom": hom,
         },
         gamma=gamma,
-        T=config.sweep.get("T", 1.0),
+        T=T,
         K=float(config.analysis.get("K", 1.0)),
         zeta=float(config.analysis.get("zeta", 0.1)),
         seed=seed,
@@ -452,14 +466,18 @@ def cmd_rate_sweep(config: ExperimentConfig, out_dir, seed) -> int:
     payload = {
         "model": model.name,
         "regime": {
-            "gamma": config.sweep.get("gamma", 1.0),
-            "T": config.sweep.get("T", 1.0),
+            "gamma": gamma,
+            "T": T,
             "eta_rule": config.sweep.get("eta_rule", "equal"),
         },
         "checkpoints": [r.to_dict() for r in fit.reports],
         **fit.to_dict(),
         "warnings": list(hom.warnings),
     }
+    for point in payload["points"]:
+        point.update(
+            _regime_diagnostics(ScaleRegime(point["epsilon"], point["eta"], gamma, T))
+        )
     _write_json(os.path.join(out_dir, "rate_sweep.json"), payload)
     _write_csv_rows(
         os.path.join(out_dir, "rate_points.csv"),

@@ -51,6 +51,7 @@ __all__ = [
     "LimitTrajectory",
     "TruncationError",
     "DomainEscapeError",
+    "NonFiniteCorrectorError",
     "BoundaryQualityWarning",
     "default_y_window",
     "invariant_density",
@@ -88,6 +89,10 @@ class DomainEscapeError(ValueError):
     def __init__(self, message: str, t_exit: float):
         super().__init__(message)
         self.t_exit = t_exit
+
+
+class NonFiniteCorrectorError(ValueError):
+    """d_y phi or q_bar at an x-node is not finite."""
 
 
 class BoundaryQualityWarning(UserWarning):
@@ -435,6 +440,8 @@ def build_homogenized(
             dy_phi[i] = dph
             c_bar[i] = cb
             q_bar[i] = float(np.trapezoid(q_row * row, y))
+            if not (np.all(np.isfinite(dph)) and np.isfinite(q_bar[i])):
+                raise NonFiniteCorrectorError(_corrector_failure(y, row, dph, q_bar[i]))
         except Exception as exc:
             raise type(exc)(f"x-node {i} (x={x:.6g}): {exc}") from exc
     return HomogenizedModel(
@@ -450,6 +457,28 @@ def build_homogenized(
         warnings=tuple(notes),
         model_expressions=model.expressions,
     )
+
+
+def _corrector_failure(
+    y: np.ndarray, density: np.ndarray, dy_phi: np.ndarray, q_bar: float
+) -> str:
+    """Why a row's corrector is not finite: where |d_y phi| peaks, and the
+    underflowed density on that side of the mode, if any."""
+    mode = int(np.argmax(density))
+    peak = int(np.argmax(np.nan_to_num(np.abs(dy_phi), nan=np.inf)))
+    under = density <= DENSITY_FLOOR * density.max()
+    side, tail = ("right", under[mode:]) if peak > mode else ("left", under[:mode])
+    msg = (
+        f"the corrector is not finite: |d_y phi| peaks at {abs(dy_phi[peak]):.3g} "
+        f"(y={y[peak]:.4g}) and q_bar = {q_bar:.3g}"
+    )
+    if tail.any():
+        msg += (
+            f"; the density underflows on {int(tail.sum())} nodes of the {side} "
+            "tail of the y-window, where d_y phi = 2 flux / (tau^2 m) divides a "
+            "round-off flux by a vanishing density"
+        )
+    return msg
 
 
 def limit_ode(

@@ -29,6 +29,7 @@ from scipy.special import ndtr, ndtri
 from fastslow.coefficients import CoefficientSet
 from fastslow.homogenization import (
     HomogenizedModel,
+    LimitTrajectory,
     attach_variance,
     build_homogenized,
     limit_ode,
@@ -254,32 +255,70 @@ def clt_verify(
     homogenization work.  Checkpoints must sit on the simulation grid
     and default to {T/4, T/2, T}.
     """
-    T = regime.T
     if checkpoints is None:
-        checkpoints = default_checkpoints(T)
+        checkpoints = default_checkpoints(regime.T)
+    times, capture = _checkpoint_steps(regime, dt, checkpoints)
+    hom = _matching_hom(model, regime.gamma, hom)
+    trajectory = attach_variance(hom, limit_ode(hom, x0, regime.T, LIMIT_ODE_DT))
+    return _clt_reports(
+        model, regime, x0, y0, dt, n_paths, times, capture, seed, trajectory, n_boot
+    )
+
+
+def _checkpoint_steps(
+    regime: ScaleRegime, dt: float, checkpoints: Sequence[float]
+) -> tuple[list[float], list[int]]:
+    """Checkpoint times and their step indices on the simulation grid.
+
+    Raises ValueError for a time outside (0, T],
+    :class:`~fastslow.sde_engine.StabilityError` for a step above eta/20
+    and :class:`~fastslow.sde_engine.AlignmentError` for a time off the
+    grid.
+    """
+    T = regime.T
     times = [float(t) for t in checkpoints]
     for t in times:
         if not 0.0 < t <= T + 1e-12:
             raise ValueError(f"checkpoint {t} outside (0, {T}]")
     _check_stability(dt, regime.eta)
     n_steps, dt_eff = time_grid(T, dt)
-    capture = [_grid_index(t, dt_eff, n_steps, "path") for t in times]
+    return times, [_grid_index(t, dt_eff, n_steps, "path") for t in times]
 
+
+def _matching_hom(
+    model: CoefficientSet, gamma: float, hom: HomogenizedModel | None
+) -> HomogenizedModel:
+    """``hom`` checked against ``model`` and ``gamma``, or one built on HOM_GRID."""
     if hom is None:
-        hom = build_homogenized(model, *HOM_GRID, regime.gamma)
-    elif (
+        return build_homogenized(model, *HOM_GRID, gamma)
+    if (
         hom.model_name != model.name
         or hom.model_expressions != model.expressions
-        or hom.gamma != regime.gamma
+        or hom.gamma != gamma
     ):
         raise ValueError(
             f"hom was built for model {hom.model_name!r} "
             f"{dict(hom.model_expressions or {})} at gamma={hom.gamma:g}, not "
             f"for {model.name!r} {dict(model.expressions or {})} at "
-            f"gamma={regime.gamma:g}"
+            f"gamma={gamma:g}"
         )
-    trajectory = attach_variance(hom, limit_ode(hom, x0, T, LIMIT_ODE_DT))
+    return hom
 
+
+def _clt_reports(
+    model: CoefficientSet,
+    regime: ScaleRegime,
+    x0: float,
+    y0: float,
+    dt: float,
+    n_paths: int,
+    times: Sequence[float],
+    capture: Sequence[int],
+    seed,
+    trajectory: LimitTrajectory,
+    n_boot: int = N_BOOTSTRAP,
+) -> list[WassersteinReport]:
+    """Simulate, then report W1 against the limit ``trajectory`` at each time."""
     bundle = simulate_paths(
         model,
         regime,
@@ -383,9 +422,10 @@ def rate_sweep(
     anchored so it meets the coarsest point.  ``clt_config`` supplies
     the per-point keyword arguments of :func:`clt_verify` (x0, y0, dt
     as a rule ``dt_eta_fraction`` of eta, n_paths, n_boot, hom).  One
-    homogenized model serves every point; it is built on
-    :data:`HOM_GRID` unless ``clt_config`` carries ``hom``, after every
-    point's step has passed the eta/20 guard
+    homogenized model and one limit trajectory serve every point; the
+    model is built on :data:`HOM_GRID` unless ``clt_config`` carries
+    ``hom`` (checked as in :func:`clt_verify`), after every point's step
+    has passed the eta/20 guard
     (:class:`~fastslow.sde_engine.StabilityError` otherwise).
 
     A point whose bootstrap CI extends outside [w1/3, 3 w1] is flagged
@@ -414,25 +454,28 @@ def rate_sweep(
     ]
     for regime in regimes:
         _check_stability(dt_eta_fraction * regime.eta, regime.eta)
-    hom = cfg.pop("hom", None)
-    if hom is None:
-        hom = build_homogenized(model, *HOM_GRID, gamma)
+    hom = _matching_hom(model, gamma, cfg.pop("hom", None))
+    # Every point shares x0, T and hom, so one limit trajectory serves all.
+    trajectory = attach_variance(hom, limit_ode(hom, x0, T, LIMIT_ODE_DT))
 
     points: list[tuple[float, float, float]] = []
     reports: list[WassersteinReport] = []
     noisy: list[int] = []
     for i, regime in enumerate(regimes):
         eps, eta = regime.epsilon, regime.eta
-        rep = clt_verify(
+        dt = dt_eta_fraction * eta
+        times, capture = _checkpoint_steps(regime, dt, (T,))
+        rep = _clt_reports(
             model,
             regime,
             x0,
             y0,
-            dt_eta_fraction * eta,
+            dt,
             n_paths,
-            checkpoints=(T,),
-            seed=_point_seed(seed, i),
-            hom=hom,
+            times,
+            capture,
+            _point_seed(seed, i),
+            trajectory,
             **cfg,
         )[0]
         reports.append(rep)

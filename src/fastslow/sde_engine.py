@@ -12,14 +12,18 @@ are advanced with the explicit scheme
 
 under the stability guard dt <= eta/20 (twenty steps per fast
 relaxation time).  Brownian increments come from counter-based
-per-path streams keyed by (master_seed, path_id, channel), so results
-are independent of path chunking.  Each path chunk draws its noise in
-time blocks of a fixed byte budget, continuing every stream from block
-to block, and the step loop consumes one block at a time: a stream
-drawn in blocks gives the same numbers as one draw of the same length,
-so the block length changes no result, and peak memory grows with the
-block, not with n_steps.  Paths and increments are stored only when
-asked for.
+per-path Philox streams keyed by (master_seed, path_id, channel), so
+results are independent of path chunking.  A stream is defined by its
+key alone: the keys of a whole chunk are derived in one vectorized pass
+of numpy's SeedSequence hash (bit-equal to seeding each stream with
+``SeedSequence(seed words + (path_id, channel))``), and each stream is
+a ``Generator(Philox(...))`` handed its precomputed key.  Each path
+chunk draws its noise in time blocks of a fixed byte budget, continuing
+every stream from block to block, and the step loop consumes one block
+at a time: a stream drawn in blocks gives the same numbers as one draw
+of the same length, so the block length changes no result, and peak
+memory grows with the block, not with n_steps.  Paths and increments
+are stored only when asked for.
 """
 
 from __future__ import annotations
@@ -234,13 +238,116 @@ def time_grid(T: float, dt: float) -> tuple[int, float]:
     return n_steps, T / n_steps
 
 
+#: Constants of numpy's SeedSequence hash (a pool of 4 uint32 words),
+#: which :func:`_philox_keys` reproduces.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = np.uint32(16)
+
+
+def _seed_words(master_seed) -> list[int]:
+    """The uint32 entropy words of an int or tuple-of-int seed.
+
+    Each int contributes its little-endian 32-bit words (0 gives one
+    word), as numpy's SeedSequence reads it; a negative word raises
+    ValueError naming it.
+    """
+    values = master_seed if isinstance(master_seed, (tuple, list)) else (master_seed,)
+    words = []
+    for v in values:
+        v = int(v)
+        if v < 0:
+            raise ValueError(f"seed words must be non-negative (got {v} in {master_seed!r})")
+        words.append(v & _MASK32)
+        while v > _MASK32:
+            v >>= 32
+            words.append(v & _MASK32)
+    return words
+
+
+def _philox_keys(master_seed, path_ids: Sequence[int], channel: int) -> np.ndarray:
+    """Philox keys of the streams (master_seed, path_id, channel), shape (m, 2).
+
+    Row j equals ``SeedSequence(seed words + (path_ids[j], channel))
+    .generate_state(2, np.uint64)`` bit for bit: it is numpy's
+    SeedSequence mix run as wrapping uint32 arithmetic on columns, one
+    row per path.  The hash constants depend only on the number of
+    entropy words, which is the same for every row, so one pass serves
+    the chunk.  Path ids must lie in [0, 2**32), so each is one word
+    (ValueError otherwise).
+    """
+    ids = np.asarray(path_ids).reshape(-1)
+    m = len(ids)
+    if m and (ids.min() < 0 or ids.max() > _MASK32):
+        bad = [int(i) for i in ids if not 0 <= i <= _MASK32][:3]
+        raise ValueError(f"path ids must lie in [0, 2**32) (got {bad})")
+    words = [np.full(m, w, np.uint32) for w in _seed_words(master_seed)]
+    words += [ids.astype(np.uint32), np.full(m, int(channel), np.uint32)]
+
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> _XSHIFT)
+
+    zeros = np.zeros(m, np.uint32)
+    pool = [hashmix(words[i] if i < len(words) else zeros) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    state = []
+    for word in pool:
+        value = word ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = value * np.uint32(hash_const)
+        state.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    keys = np.empty((m, 2), np.uint64)
+    keys[:, 0] = state[0] | (state[1] << np.uint64(32))
+    keys[:, 1] = state[2] | (state[3] << np.uint64(32))
+    return keys
+
+
+class _Key(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands Philox one precomputed key."""
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a Philox key is 2 uint64 words (asked for {n_words} {dtype})")
+        return self.key
+
+
+def _streams(master_seed, path_ids: Sequence[int], channel: int):
+    """Counter-based generators keyed by (master_seed, path_id, channel).
+
+    All keys are derived up front (invalid ids or seeds raise before any
+    stream exists); the generators are built lazily, in path order.
+    """
+    keys = _philox_keys(master_seed, path_ids, channel)
+    return (np.random.Generator(np.random.Philox(_Key(k))) for k in keys)
+
+
 def _stream(master_seed, path_id: int, channel: int) -> np.random.Generator:
-    """Counter-based generator keyed by (master_seed, path_id, channel)."""
-    if isinstance(master_seed, (tuple, list)):
-        entropy = tuple(int(v) for v in master_seed) + (int(path_id), int(channel))
-    else:
-        entropy = (int(master_seed), int(path_id), int(channel))
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    """The generator of one (master_seed, path_id, channel) stream."""
+    return next(_streams(master_seed, (path_id,), channel))
 
 
 def _noise_blocks(
@@ -252,9 +359,11 @@ def _noise_blocks(
 ):
     """Brownian increments of a path chunk, drawn in blocks of whole steps.
 
-    Opens each of the 2 m per-path streams of ``path_ids`` once and
-    yields (dW1, dW2) blocks of shape (b, m) that cover steps
-    0..n_steps-1 in order.  A block holds ``block_steps`` steps (default:
+    Derives the keys of the 2 m per-path streams of ``path_ids`` in one
+    pass per channel, opens each stream once and yields (dW1, dW2)
+    blocks of shape (b, m) that cover steps 0..n_steps-1 in order.  Path
+    ids outside [0, 2**32) and negative seed words raise ValueError
+    before any draw.  A block holds ``block_steps`` steps (default:
     as many as fit in :data:`_NOISE_BLOCK_BYTES`, at least one) or the
     remainder.  Philox streams are counter-based, so a stream drawn in
     blocks gives the numbers of one draw of n_steps: every block length
@@ -267,10 +376,7 @@ def _noise_blocks(
     if block_steps is None:
         block_steps = _NOISE_BLOCK_BYTES // (16 * max(1, m))
     size = max(1, min(block_steps, n_steps))
-    def open_streams(channel):
-        return (_stream(master_seed, pid, channel) for pid in path_ids)
-
-    streams = [open_streams(CHANNEL_W1), open_streams(CHANNEL_W2)]
+    streams = [_streams(master_seed, path_ids, ch) for ch in (CHANNEL_W1, CHANNEL_W2)]
     if size < n_steps:
         # Later blocks continue the streams, so they stay open.  A single
         # block opens each stream, draws it whole and drops it: an open

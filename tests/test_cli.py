@@ -19,9 +19,11 @@ from fastslow.cli import (
     EXIT_WARNINGS,
     ConfigError,
     ExperimentConfig,
+    _regime_diagnostics,
     main,
 )
 from fastslow.malliavin import BOUND_IDS
+from fastslow.sde_engine import ScaleRegime
 
 
 def _write_config(tmp_path, payload, name="config.json"):
@@ -424,7 +426,15 @@ def test_clt_verify_artifacts(tmp_path):
     payload = _read_json(out, "clt_verify.json")
     assert payload["model"] == "affine-oracle"
     assert payload["warnings"] == []
-    assert payload["regime"] == {"epsilon": 0.05, "eta": 0.05, "gamma": 1.0, "T": 0.2}
+    # On gamma = 1 the drift is 0 and the scaling quotient is inf, written null.
+    assert payload["regime"] == {
+        "epsilon": 0.05,
+        "eta": 0.05,
+        "gamma": 1.0,
+        "T": 0.2,
+        "regime_drift": 0.0,
+        "scaling_quotient": None,
+    }
     assert payload["rate"] is None and payload["bound"] == []
     checkpoints = payload["checkpoints"]
     assert [c["t"] for c in checkpoints] == pytest.approx([0.05, 0.1, 0.2])
@@ -605,6 +615,8 @@ def test_rate_sweep_artifacts(tmp_path):
     # The envelope constant is anchored at the coarsest point.
     assert payload["bound"][0] == pytest.approx(payload["points"][0]["w1"], rel=1e-12)
     assert [pt["epsilon"] for pt in payload["points"]] == [0.16, 0.08, 0.04]
+    for pt in payload["points"]:
+        assert pt["regime_drift"] == 0.0 and pt["scaling_quotient"] is None
 
     header, rows = _csv_rows(out, "rate_points.csv")
     assert header == "epsilon,eta,w1,bound"
@@ -615,6 +627,13 @@ def test_rate_sweep_artifacts(tmp_path):
     manifest = _read_json(out, "run_manifest.json")
     assert manifest["command"] == "rate-sweep"
     assert manifest["exit_code"] == code
+
+
+def test_regime_diagnostics_write_null_for_inf_or_none():
+    off = _regime_diagnostics(ScaleRegime(epsilon=0.04, eta=0.01, gamma=1.0, T=1.0))
+    assert off == {"regime_drift": 1.0, "scaling_quotient": pytest.approx(0.2)}
+    inf = _regime_diagnostics(ScaleRegime(epsilon=0.04, eta=0.01, gamma=math.inf, T=1.0))
+    assert inf == {"regime_drift": None, "scaling_quotient": pytest.approx(0.4)}
 
 
 def test_rate_sweep_requires_sweep_section(tmp_path):

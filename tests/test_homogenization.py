@@ -8,6 +8,7 @@ import pytest
 from fastslow.coefficients import get_model, model_from_expressions
 from fastslow.homogenization import (
     DomainEscapeError,
+    NonFiniteCorrectorError,
     TruncationError,
     attach_variance,
     averaged_drift,
@@ -139,6 +140,18 @@ def test_build_homogenized_error_names_x_node():
     bad = model_from_expressions("pinch", "y", "1", "-y", "y")
     with pytest.raises(Exception, match="x-node"):
         build_homogenized(bad, (-1, 1), 3, 256)
+
+
+def test_build_homogenized_names_non_finite_corrector():
+    """A quintic fast drift underflows the density on the right tail of the
+    window, where d_y phi divides round-off flux by ~0: the failure names
+    the x-node and that cause instead of failing inside the spline fit."""
+    model = model_from_expressions("custom", "-x + 0.5*sin(y)", "1", "x - y - y^5", "1")
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteCorrectorError) as info:
+        build_homogenized(model, (-1, 1), 5, 2048, 1.0)
+    message = str(info.value)
+    assert message.startswith("x-node 1 (x=-0.5): the corrector is not finite")
+    assert "density underflows on 206 nodes of the right tail" in message
 
 
 def test_limit_ode_affine_orbit(affine):

@@ -296,11 +296,11 @@ def test_default_checkpoints():
 
 
 def _stub_clt(w1_of_eps, ci_of_w1):
-    def fake(model, regime, x0, y0, dt, n_paths, checkpoints=None, seed=0, **kw):
+    def fake(model, regime, x0, y0, dt, n_paths, times, capture, seed, trajectory, **kw):
         w1 = w1_of_eps(regime.epsilon)
         return [
             WassersteinReport(
-                t=checkpoints[0],
+                t=times[0],
                 n=n_paths,
                 w1=w1,
                 bootstrap_ci=ci_of_w1(w1),
@@ -315,7 +315,7 @@ def _stub_clt(w1_of_eps, ci_of_w1):
 
 def test_rate_sweep_recovers_synthetic_slope(affine, monkeypatch):
     monkeypatch.setattr(
-        metrics_mod, "clt_verify", _stub_clt(lambda e: e**0.25, lambda w: (0.9 * w, 1.1 * w))
+        metrics_mod, "_clt_reports", _stub_clt(lambda e: e**0.25, lambda w: (0.9 * w, 1.1 * w))
     )
     fit = rate_sweep(
         affine, (0.16, 0.08, 0.04, 0.02), "equal", {"n_paths": 10}, K=1.0
@@ -334,7 +334,7 @@ def test_rate_sweep_recovers_synthetic_slope(affine, monkeypatch):
 
 def test_rate_sweep_flags_noisy_points_and_eta_rule(affine, monkeypatch):
     monkeypatch.setattr(
-        metrics_mod, "clt_verify", _stub_clt(lambda e: e**0.5, lambda w: (w / 5.0, 1.1 * w))
+        metrics_mod, "_clt_reports", _stub_clt(lambda e: e**0.5, lambda w: (w / 5.0, 1.1 * w))
     )
     fit = rate_sweep(
         affine, (0.16, 0.08, 0.04), lambda e: e * e, {"n_paths": 10}, K=1.0
@@ -381,6 +381,31 @@ def test_rate_sweep_homogenizes_once_per_sweep(affine, affine_hom, monkeypatch):
     assert len(calls) == 1
     rate_sweep(affine, (0.16, 0.08, 0.04), "equal", dict(config, hom=affine_hom), T=0.2)
     assert len(calls) == 1
+
+
+def test_rate_sweep_integrates_the_limit_once_and_matches_clt_verify(
+    affine, affine_hom, monkeypatch
+):
+    """Every sweep point shares x0, T and hom, so one limit trajectory
+    serves them all, and each point reports exactly what clt_verify does."""
+    calls = []
+    real = metrics_mod.limit_ode
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(metrics_mod, "limit_ode", counting)
+    eps, T, seed = (0.16, 0.08, 0.04), 0.2, 9
+    config = {"n_paths": 40, "n_boot": 10, "hom": affine_hom}
+    fit = rate_sweep(affine, eps, "equal", config, T=T, seed=seed)
+    assert len(calls) == 1
+    for i, e in enumerate(eps):
+        (alone,) = clt_verify(
+            affine, ScaleRegime(e, e, 1.0, T), 0.0, 0.0, e / 20, 40,
+            checkpoints=(T,), seed=(seed, i), n_boot=10, hom=affine_hom,
+        )
+        assert fit.reports[i] == alone
 
 
 def test_rate_sweep_checks_every_step_before_homogenizing(affine, monkeypatch):

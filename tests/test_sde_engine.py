@@ -1,6 +1,7 @@
 """Tests for the slow-fast Euler-Maruyama engine and its noise plumbing."""
 
 import gc
+import hashlib
 import math
 import re
 import tracemalloc
@@ -26,7 +27,7 @@ from fastslow.sde_engine import (
     simulate_with_increments,
     time_grid,
 )
-from fastslow.sde_engine import _stream
+from fastslow.sde_engine import _Key, _philox_keys
 
 
 # -- regime bookkeeping ------------------------------------------------
@@ -154,14 +155,67 @@ def test_simulate_rejects_nonpositive_sizes(affine, affine_regime, kwargs, messa
 # -- noise blocks --------------------------------------------------------
 
 
+def _seed_sequence_stream(entropy):
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+
 def test_draw_increments_match_one_normal_draw_per_stream():
     ids, n_steps, dt = [4, 0, 9], 37, 0.001
     dW1, dW2 = draw_increments((8, 2), ids, n_steps, dt)
     assert dW1.shape == dW2.shape == (n_steps, len(ids))
     for j, pid in enumerate(ids):
         for dw, channel in ((dW1, CHANNEL_W1), (dW2, CHANNEL_W2)):
-            ref = _stream((8, 2), pid, channel).normal(0.0, math.sqrt(dt), n_steps)
+            ref = _seed_sequence_stream((8, 2, pid, channel)).normal(
+                0.0, math.sqrt(dt), n_steps
+            )
             assert np.array_equal(dw[:, j], ref)
+
+
+def test_draw_increments_golden_digest():
+    # Any change to how the streams are keyed or drawn moves this digest.
+    dW1, dW2 = draw_increments((8, 2), range(5), 7, 1e-3)
+    digest = hashlib.sha256(dW1.tobytes() + dW2.tobytes()).hexdigest()
+    assert digest == "9cad14d6153c8e0c47853a8e9d05ac4362f2ba02f779c85069bb062898d5a14f"
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [0, 77, 2**40 + 5, (), (77,), (77, 3), (2**40 + 5, 1), (910, 0, 7), (1, 2, 3, 4)],
+)
+@pytest.mark.parametrize("channel", [0, 1, 2, 3])
+def test_philox_keys_equal_seed_sequence_state(seed, channel):
+    ids = [0, 1, 5, 123456789, 2**32 - 1]
+    keys = _philox_keys(seed, ids, channel)
+    assert keys.shape == (len(ids), 2) and keys.dtype == np.uint64
+    prefix = tuple(seed) if isinstance(seed, tuple) else (seed,)
+    for key, pid in zip(keys, ids):
+        ref = np.random.SeedSequence(prefix + (pid, channel)).generate_state(2, np.uint64)
+        assert np.array_equal(key, ref)
+
+
+@pytest.mark.parametrize(
+    "seed, ids, message",
+    [
+        (3, [0, 2**32], r"path ids must lie in \[0, 2\*\*32\) \(got \[4294967296\]\)"),
+        (3, [-1, 2], r"path ids must lie in \[0, 2\*\*32\) \(got \[-1\]\)"),
+        (-2, [0], r"seed words must be non-negative \(got -2"),
+        ((5, -1), [0], r"seed words must be non-negative \(got -1"),
+    ],
+)
+def test_invalid_stream_keys_raise_before_any_draw(seed, ids, message, monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a stream was opened")
+
+    monkeypatch.setattr(sde_engine.np.random, "Philox", no_draw)
+    with pytest.raises(ValueError, match=message):
+        draw_increments(seed, ids, 4, 1e-3)
+
+
+def test_key_serves_only_a_philox_key():
+    key = _philox_keys(7, [0], 0)[0]
+    assert _Key(key).generate_state(2, np.uint64) is key
+    with pytest.raises(ValueError, match="2 uint64 words"):
+        _Key(key).generate_state(4, np.uint32)
 
 
 @pytest.mark.parametrize("path_chunk", [None, 3, 6])
@@ -210,6 +264,7 @@ def _traced_peak(run) -> int:
     """Peak traced memory, in bytes, of one call of ``run``, with the cycle
     collector off: cyclic garbage of ``run`` then counts, and no
     collection empties the interpreter's free lists mid-measurement."""
+    enabled = gc.isenabled()
     gc.disable()
     tracemalloc.start()
     try:
@@ -217,7 +272,8 @@ def _traced_peak(run) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-        gc.enable()
+        if enabled:
+            gc.enable()
 
 
 def test_memory_does_not_grow_with_steps(affine, monkeypatch):
@@ -227,7 +283,9 @@ def test_memory_does_not_grow_with_steps(affine, monkeypatch):
     A tuple freed after a resize enters the interpreter's free list, which
     keeps up to 2000 per size and which tracemalloc counts as live, so
     the first 2000-odd steps of a process grow the traced memory whatever
-    the code does: an untraced 4096-step pass fills those lists first."""
+    the code does: an untraced 4096-step pass fills those lists first.  A
+    full collection empties them again, so the collector stays off from
+    the warm-up to the last measurement."""
     from fastslow.malliavin import _tangent_pass
 
     block, dt = 32, 1.0 / 4096
@@ -251,10 +309,14 @@ def test_memory_does_not_grow_with_steps(affine, monkeypatch):
             affine, regime(n_steps), 0.0, 0.0, dt, n_steps, 1, 200, r, [(r[1], r[0])]
         )
 
-    tangent_pass(4096)
-    for run in (light_simulation, tangent_pass):
-        long, short = (_traced_peak(lambda: run(n)) for n in (512, 64))
-        assert long <= 1.1 * short, (run.__name__, short, long)
+    gc.disable()
+    try:
+        tangent_pass(4096)
+        for run in (light_simulation, tangent_pass):
+            long, short = (_traced_peak(lambda: run(n)) for n in (512, 64))
+            assert long <= 1.1 * short, (run.__name__, short, long)
+    finally:
+        gc.enable()
 
 
 # -- scheme correctness ------------------------------------------------
