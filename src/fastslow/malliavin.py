@@ -34,17 +34,25 @@ dissipativity margin K of :func:`fastslow.coefficients.check_assumptions`;
 D^{W2}Y splits as Q1 + Q2 with Q1 = Z * tau(X_r, Y_r)/sqrt(eta) and Q2
 the response to the D^{W2}X feedback.
 
+Both tangent orders are advanced by one recursion, which runs over a
+stream of base states (k, X_k, Y_k, dW1_k, dW2_k).  The moment sweeps
+feed it live Euler-Maruyama states, so each path chunk's noise drives
+the base path and its tangents in one forward pass and nothing is
+stored; :func:`first_order_tangents` and :func:`second_order_tangents`
+feed it the rows of a stored :class:`~fastslow.sde_engine.PathBundle`,
+and the first can also record the first-order series.
+
 The module also evaluates the Monte Carlo moment-inequality suite
-(scaling of tangent moments in eps and eta, in one forward pass over
-each path chunk's noise for the base path and its tangents), the
-H-norm and contraction norm of the final-time derivative kernels, and
-a quadruple time-decay integral with an exact closed form.
+(scaling of tangent moments in eps and eta), the H-norm and
+contraction norm of the final-time derivative kernels, and a quadruple
+time-decay integral with an exact closed form.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -54,7 +62,7 @@ from fastslow.sde_engine import (
     PathBundle,
     ScaleRegime,
     _check_stability,
-    _em_step,
+    _em_states,
     _noise_blocks,
     _require_positive,
     _StepScales,
@@ -167,8 +175,6 @@ class SecondOrderTangents:
     final_d2y: np.ndarray
     sup_abs_d2x: np.ndarray
     sup_abs_d2y: np.ndarray
-    D2X: np.ndarray | None = None
-    D2Y: np.ndarray | None = None
 
 
 def default_r_grid(n_steps: int, n_r: int = 16) -> np.ndarray:
@@ -182,11 +188,37 @@ def full_pair_grid(r_indices: Sequence[int]) -> np.ndarray:
     return np.array([(a, b) for a in r for b in r], dtype=int)
 
 
-def _require_storage(bundle: PathBundle, increments: bool = True) -> None:
+def _require_storage(bundle: PathBundle) -> None:
     if bundle.X is None or bundle.Y is None:
         raise ValueError("bundle must store full paths for tangent integration")
-    if increments and (bundle.dW1 is None or bundle.dW2 is None):
+    if bundle.dW1 is None or bundle.dW2 is None:
         raise ValueError("bundle must store increments for tangent integration")
+
+
+def _stored_states(bundle: PathBundle):
+    """A stored bundle's rows in the shape :func:`_em_states` yields:
+    (k, X_k, Y_k, dW1_k, dW2_k) for every step k, then
+    (n_steps, X_n, Y_n, None, None)."""
+    _require_storage(bundle)
+    n = bundle.n_steps
+    rows = zip(range(n), bundle.X, bundle.Y, bundle.dW1, bundle.dW2)
+    return itertools.chain(rows, [(n, bundle.X[n], bundle.Y[n], None, None)])
+
+
+def _r_grid(n_steps: int, r_indices: Sequence[int], pairs=()) -> np.ndarray:
+    """Sorted distinct perturbation steps of ``r_indices`` and ``pairs``.
+
+    Raises ValueError when there is none, or naming the first step
+    outside [0, n_steps].
+    """
+    steps = [np.asarray(v, dtype=int).ravel() for v in (r_indices, pairs)]
+    r_idx = np.unique(np.concatenate(steps))
+    if len(r_idx) == 0:
+        raise ValueError("need at least one perturbation index")
+    outside = r_idx[(r_idx < 0) | (r_idx > n_steps)]
+    if len(outside):
+        raise ValueError(f"r-index {outside[0]} outside [0, {n_steps}]")
+    return r_idx
 
 
 def _check_bytes(*shape: int) -> None:
@@ -292,256 +324,58 @@ def _second_step(p, d2x, d2y, factors, w1, w2, s: _StepScales, k, combos, pair_a
     return d2x_new, d2y_new
 
 
-def _pair_layout(pairs, combos, position):
-    """Pair array, combos, channel columns j1/j2 (n_c, 1), r-rows pos1/pos2
-    of the first-order state, and {step: pairs injected there}."""
-    pair_arr = np.asarray(pairs, dtype=int).reshape(-1, 2)
-    combos = tuple((int(a), int(b)) for a, b in combos)
-    pos = {int(r): position(int(r)) for r in np.unique(pair_arr)}
-    pos1 = np.array([pos[int(a)] for a in pair_arr[:, 0]], dtype=int)
-    pos2 = np.array([pos[int(b)] for b in pair_arr[:, 1]], dtype=int)
-    j1 = np.array([c[0] for c in combos])[:, None]
-    j2 = np.array([c[1] for c in combos])[:, None]
-    starts: dict[int, list[int]] = {}
-    for q, k in enumerate(pair_arr.max(axis=1)):
-        starts.setdefault(int(k), []).append(q)
-    return pair_arr, combos, j1, j2, pos1, pos2, starts
-
-
-def first_order_tangents(
-    model: CoefficientSet,
-    bundle: PathBundle,
-    r_indices: Sequence[int],
-    store_series: bool = True,
-) -> FirstOrderTangents:
-    """Integrate both-channel first-order tangents along every path.
-
-    The affine tangent system is advanced with the same explicit scheme
-    and the same stored increments as the base path.  The perturbation
-    at step index r injects the initial data (sqrt(eps) sigma, 0) on
-    channel W1 and (0, tau/sqrt(eta)) on channel W2; states are zero
-    before r, and the loop starts at the first perturbation step.  The
-    moment sweeps compute the same values in one pass over the noise,
-    without a bundle or a series.
-
-    Parameters
-    ----------
-    r_indices : sequence of int
-        Perturbation step indices (subset of the path grid); sorted and
-        deduplicated internally.
-    store_series : bool
-        Keep the full (2, n_r, n_t, n_paths) series (needed as input to
-        :func:`second_order_tangents`); final values and running sups
-        are kept either way.
-    """
-    _require_storage(bundle)
-    r_idx = np.unique(np.asarray(r_indices, dtype=int))
-    if len(r_idx) == 0:
-        raise ValueError("need at least one perturbation index")
-    if r_idx[0] < 0 or r_idx[-1] > bundle.n_steps:
-        raise ValueError(
-            f"r-indices must lie in [0, {bundle.n_steps}] (got "
-            f"[{r_idx[0]}, {r_idx[-1]}])"
-        )
-    n_r = len(r_idx)
-    n_t = bundle.n_steps + 1
-    n_paths = bundle.n_paths
-    s = _StepScales.of(bundle.regime, bundle.dt)
-
-    if store_series:
-        _check_bytes(2, 2, n_r, n_t, n_paths)
-        DX = np.zeros((2, n_r, n_t, n_paths))
-        DY = np.zeros((2, n_r, n_t, n_paths))
-    else:
-        DX = DY = None
-    dx = np.zeros((2, n_r, n_paths))
-    dy = np.zeros((2, n_r, n_paths))
-    sup_dx = np.zeros((2, n_r, n_paths))
-    sup_dy = np.zeros((2, n_r, n_paths))
-    sigma_r, tau_r = (
-        np.broadcast_to(v, (n_r, n_paths))
-        for v in model.evaluate(bundle.X[r_idx], bundle.Y[r_idx], ("sigma", "tau"))
-    )
-    row = {int(r): i for i, r in enumerate(r_idx)}
-
-    for k in range(int(r_idx[0]), n_t):
-        if k in row:
-            i = row[k]
-            _inject_first(dx, dy, i, sigma_r[i], tau_r[i], s)
-        if store_series:
-            DX[:, :, k, :] = dx
-            DY[:, :, k, :] = dy
-        np.maximum(sup_dx, np.abs(dx), out=sup_dx)
-        np.maximum(sup_dy, np.abs(dy), out=sup_dy)
-        if k == bundle.n_steps:
-            break
-        d = model.evaluate(bundle.X[k], bundle.Y[k], _FIRST_KEYS)
-        dx, dy = _first_step(d, dx, dy, bundle.dW1[k], bundle.dW2[k], s, k, r_idx)
-
-    return FirstOrderTangents(
-        r_indices=r_idx,
-        r_values=r_idx * bundle.dt,
-        regime=bundle.regime,
-        dt=bundle.dt,
-        final_dx=dx.copy(),
-        final_dy=dy.copy(),
-        sup_abs_dx=sup_dx,
-        sup_abs_dy=sup_dy,
-        DX=DX,
-        DY=DY,
-    )
-
-
 _ALL_COMBOS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-def second_order_tangents(
-    model: CoefficientSet,
-    bundle: PathBundle,
-    first: FirstOrderTangents,
-    pairs: Sequence[tuple[int, int]],
-    combos: Sequence[tuple[int, int]] = _ALL_COMBOS,
-    store_series: bool = False,
-) -> SecondOrderTangents:
-    """Integrate second-order tangents for the given (r1, r2) pairs.
-
-    Requires ``first`` with a stored series covering every r that
-    appears in ``pairs``.  Each channel combo (j1, j2) is integrated
-    independently (so swap symmetry is a real check, not imposed).  The
-    state is zero before t = max(r1, r2), starts there from the alpha
-    initial data (the loop starts at the first such step) and is
-    forced by the second-partial source terms
-
-        b1[g] = d11_g DX1 DX2 + d12_g (DX1 DY2 + DY1 DX2)
-                + d22_g DY1 DY2 + d2_g D2Y          (g in {c, sigma})
-        b2[g] = d11_g DX1 DX2 + d12_g (DX1 DY2 + DY1 DX2)
-                + d22_g DY1 DY2 + d1_g D2X          (g in {f, tau})
-
-    with DXi, DYi the stored first-order tangents for (j_i, r_i).  The
-    moment sweeps compute the same values in one pass over the noise,
-    without a bundle or a series.
-    """
-    _require_storage(bundle)
-    if first.DX is None:
-        raise ValueError("first-order tangents must be built with store_series")
-    pair_arr, combos, j1, j2, pos1, pos2, starts = _pair_layout(
-        pairs, combos, first.position
-    )
-    n_c, n_pairs = len(combos), len(pair_arr)
-    n_t = bundle.n_steps + 1
-    n_paths = bundle.n_paths
-    s = _StepScales.of(bundle.regime, bundle.dt)
-
-    if store_series:
-        _check_bytes(2, n_c, n_pairs, n_t, n_paths)
-        D2X = np.zeros((n_c, n_pairs, n_t, n_paths))
-        D2Y = np.zeros((n_c, n_pairs, n_t, n_paths))
-    else:
-        D2X = D2Y = None
-    d2x = np.zeros((n_c, n_pairs, n_paths))
-    d2y = np.zeros((n_c, n_pairs, n_paths))
-    sup_x = np.zeros((n_c, n_pairs, n_paths))
-    sup_y = np.zeros((n_c, n_pairs, n_paths))
-    r_rows = np.unique(pair_arr)
-    alpha_rows = tuple(
-        np.broadcast_to(v, (len(r_rows), n_paths))
-        for v in model.evaluate(bundle.X[r_rows], bundle.Y[r_rows], _ALPHA_KEYS)
-    )
-    alpha = {int(r): tuple(v[i] for v in alpha_rows) for i, r in enumerate(r_rows)}
-
-    for k in range(min(starts, default=bundle.n_steps), n_t):
-        for q in starts.get(k, ()):
-            r1, r2 = int(pair_arr[q, 0]), int(pair_arr[q, 1])
-            # First-order values: of the (j2, r2) tangent at time r1 and
-            # of the (j1, r1) tangent at time r2, read from the series.
-            at_1 = (first.DX[j2[:, 0], pos2[q], r1], first.DY[j2[:, 0], pos2[q], r1])
-            at_2 = (first.DX[j1[:, 0], pos1[q], r2], first.DY[j1[:, 0], pos1[q], r2])
-            d2x[:, q], d2y[:, q] = _second_start(
-                j1, j2, alpha[r1], alpha[r2], at_1, at_2, s
-            )
-        if store_series:
-            D2X[:, :, k, :] = d2x
-            D2Y[:, :, k, :] = d2y
-        np.maximum(sup_x, np.abs(d2x), out=sup_x)
-        np.maximum(sup_y, np.abs(d2y), out=sup_y)
-        if k == bundle.n_steps:
-            break
-        factors = _factors(first.DX[:, :, k], first.DY[:, :, k], j1, pos1, j2, pos2)
-        p = model.evaluate(bundle.X[k], bundle.Y[k], _PARTIAL_KEYS)
-        d2x, d2y = _second_step(
-            p, d2x, d2y, factors, bundle.dW1[k], bundle.dW2[k], s, k, combos, pair_arr
-        )
-
-    return SecondOrderTangents(
-        combos=combos,
-        pair_indices=pair_arr,
-        pair_values=pair_arr * bundle.dt,
-        regime=bundle.regime,
-        dt=bundle.dt,
-        final_d2x=d2x.copy(),
-        final_d2y=d2y.copy(),
-        sup_abs_d2x=sup_x,
-        sup_abs_d2y=sup_y,
-        D2X=D2X,
-        D2Y=D2Y,
-    )
 
 
 def _tangent_pass(
     model: CoefficientSet,
     regime: ScaleRegime,
-    x0: float,
-    y0: float,
     dt: float,
     n_steps: int,
-    master_seed,
     n_paths: int,
+    states,
     r_indices: Sequence[int],
     pairs: Sequence[tuple[int, int]] | None = None,
     combos: Sequence[tuple[int, int]] = _ALL_COMBOS,
+    record=None,
 ) -> tuple[FirstOrderTangents, SecondOrderTangents | None]:
-    """Base path, first- and second-order tangents in one step loop.
+    """First- and second-order tangents in one loop over base states.
 
-    Draws the noise of paths 0..n_paths-1 under ``master_seed`` as
-    :func:`~fastslow.sde_engine.simulate_paths` does, in time blocks,
-    and advances, step by step on it, the Euler-Maruyama state, the
-    first-order state from the first r and the second-order state from
-    the first max(r1, r2).
-    Returns what :func:`first_order_tangents` and
-    :func:`second_order_tangents` return on the same paths, without
-    series (``second`` is None without ``pairs``); every r in ``pairs``
-    must be in ``r_indices``.  Beyond one noise block it keeps
-    O((n_r + n_pairs) n_paths) state and no path, increment or tangent
-    series, so its memory does not grow with n_steps.
+    ``states`` yields (k, x, y, dw1, dw2) for k = 0..n_steps-1 and last
+    (n_steps, x, y, None, None): live noise through
+    :func:`~fastslow.sde_engine._em_states`, or a stored bundle's rows
+    through :func:`_stored_states`.  Step by step on them, the loop
+    advances the first-order state from the first r and the
+    second-order state from the first max(r1, r2).  The r-grid is
+    ``r_indices`` together with every r of ``pairs``, each checked to
+    lie in [0, n_steps].  ``record(k, dx, dy)``, when given, sees the
+    (2, n_r, n_paths) first-order state at every k from the first r.
+
+    Returns the tangents without series (``second`` is None without
+    ``pairs``).  Beyond what ``states`` holds it keeps
+    O((n_r + n_pairs) n_paths) state, so its memory does not grow with
+    n_steps.
     """
+    pair_arr = np.asarray(() if pairs is None else pairs, dtype=int).reshape(-1, 2)
+    r_idx = _r_grid(n_steps, r_indices, pair_arr)
     s = _StepScales.of(regime, dt)
-    noise = (
-        step
-        for blocks in _noise_blocks(master_seed, range(n_paths), n_steps, dt)
-        for step in zip(*blocks)
-    )
-    r_idx = np.unique(np.asarray(r_indices, dtype=int))
+    combos = tuple((int(a), int(b)) for a, b in combos)
+    # Channel columns (n_c, 1) and first-order r-rows of each pair.
+    j1, j2 = (np.array([c[i] for c in combos])[:, None] for i in (0, 1))
+    pos1, pos2 = np.searchsorted(r_idx, pair_arr).T
+    starts: dict[int, list[int]] = {}
+    for q, k in enumerate(pair_arr.max(axis=1)):
+        starts.setdefault(int(k), []).append(q)
     row = {int(r): i for i, r in enumerate(r_idx)}
-    dx = np.zeros((2, len(r_idx), n_paths))
-    dy = np.zeros((2, len(r_idx), n_paths))
-    sup_dx = np.zeros((2, len(r_idx), n_paths))
-    sup_dy = np.zeros((2, len(r_idx), n_paths))
-    pair_arr, combos, j1, j2, pos1, pos2, starts = _pair_layout(
-        () if pairs is None else pairs, combos, row.__getitem__
-    )
+    pair_rows = {int(r) for r in pair_arr.ravel()}
     n_c, n_pairs = len(combos), len(pair_arr)
-    d2x = np.zeros((n_c, n_pairs, n_paths))
-    d2y = np.zeros((n_c, n_pairs, n_paths))
-    sup_x = np.zeros((n_c, n_pairs, n_paths))
-    sup_y = np.zeros((n_c, n_pairs, n_paths))
-    pair_rows = {int(r) for r in np.unique(pair_arr)}
+    dx, dy, sup_dx, sup_dy = (np.zeros((2, len(r_idx), n_paths)) for _ in range(4))
+    d2x, d2y, sup_x, sup_y = (np.zeros((n_c, n_pairs, n_paths)) for _ in range(4))
     alpha: dict[int, tuple] = {}
     first_at = int(r_idx[0])
     second_at = min(starts, default=n_steps + 1)
 
-    x = np.full(n_paths, float(x0))
-    y = np.full(n_paths, float(y0))
-    for k in range(n_steps + 1):
+    for k, x, y, w1, w2 in states:
         if k in row:
             sigma, tau = model.evaluate(x, y, ("sigma", "tau"))
             _inject_first(dx, dy, row[k], sigma, tau, s)
@@ -566,12 +400,13 @@ def _tangent_pass(
         if k >= first_at:
             np.maximum(sup_dx, np.abs(dx), out=sup_dx)
             np.maximum(sup_dy, np.abs(dy), out=sup_dy)
+            if record is not None:
+                record(k, dx, dy)
         if k >= second_at:
             np.maximum(sup_x, np.abs(d2x), out=sup_x)
             np.maximum(sup_y, np.abs(d2y), out=sup_y)
-        if k == n_steps:
+        if w1 is None:
             break
-        w1, w2 = next(noise)
         if k >= second_at:
             factors = _factors(dx, dy, j1, pos1, j2, pos2)
             p = model.evaluate(x, y, _PARTIAL_KEYS)
@@ -581,7 +416,6 @@ def _tangent_pass(
         if k >= first_at:
             d = model.evaluate(x, y, _FIRST_KEYS)
             dx, dy = _first_step(d, dx, dy, w1, w2, s, k, r_idx)
-        x, y = _em_step(model, x, y, w1, w2, k, s)
 
     first = FirstOrderTangents(
         r_indices=r_idx,
@@ -606,6 +440,79 @@ def _tangent_pass(
         sup_abs_d2x=sup_x,
         sup_abs_d2y=sup_y,
     )
+
+
+def first_order_tangents(
+    model: CoefficientSet,
+    bundle: PathBundle,
+    r_indices: Sequence[int],
+    store_series: bool = True,
+) -> FirstOrderTangents:
+    """Integrate both-channel first-order tangents along every path.
+
+    Runs the tangent recursion of the moment sweeps over the bundle's
+    stored states and increments.  The perturbation at step index r
+    injects the initial data (sqrt(eps) sigma, 0) on channel W1 and
+    (0, tau/sqrt(eta)) on channel W2; states are zero before r.
+
+    Parameters
+    ----------
+    r_indices : sequence of int
+        Perturbation step indices in [0, n_steps] (ValueError naming
+        the first outside); sorted and deduplicated internally.
+    store_series : bool
+        Keep the full (2, n_r, n_t, n_paths) series; final values and
+        running sups are kept either way.
+    """
+    states = _stored_states(bundle)
+    record = DX = DY = None
+    if store_series:
+        n_r = len(_r_grid(bundle.n_steps, r_indices))
+        shape = (2, n_r, bundle.n_steps + 1, bundle.n_paths)
+        _check_bytes(2, *shape)
+        DX, DY = np.zeros(shape), np.zeros(shape)
+
+        def record(k, dx, dy):
+            DX[:, :, k] = dx
+            DY[:, :, k] = dy
+
+    first, _ = _tangent_pass(
+        model, bundle.regime, bundle.dt, bundle.n_steps, bundle.n_paths,
+        states, r_indices, record=record,
+    )
+    return replace(first, DX=DX, DY=DY)
+
+
+def second_order_tangents(
+    model: CoefficientSet,
+    bundle: PathBundle,
+    pairs: Sequence[tuple[int, int]],
+    combos: Sequence[tuple[int, int]] = _ALL_COMBOS,
+) -> SecondOrderTangents:
+    """Integrate second-order tangents for the given (r1, r2) pairs.
+
+    Runs the tangent recursion of the moment sweeps over the bundle's
+    stored states and increments, with the first-order tangents of
+    every r in ``pairs`` (each in [0, n_steps]; ValueError naming the
+    first outside) advanced alongside.  Each channel combo (j1, j2) is
+    integrated independently (so swap symmetry is a real check, not
+    imposed).  The state is zero before t = max(r1, r2), starts there
+    from the alpha initial data, read from the current first-order
+    state, and is forced by the second-partial source terms
+
+        b1[g] = d11_g DX1 DX2 + d12_g (DX1 DY2 + DY1 DX2)
+                + d22_g DY1 DY2 + d2_g D2Y          (g in {c, sigma})
+        b2[g] = d11_g DX1 DX2 + d12_g (DX1 DY2 + DY1 DX2)
+                + d22_g DY1 DY2 + d1_g D2X          (g in {f, tau})
+
+    with DXi, DYi the first-order tangents for (j_i, r_i).
+    """
+    states = _stored_states(bundle)
+    _, second = _tangent_pass(
+        model, bundle.regime, bundle.dt, bundle.n_steps, bundle.n_paths,
+        states, (), pairs, combos,
+    )
+    return second
 
 
 def z_process(model: CoefficientSet, bundle: PathBundle, r_index: int) -> np.ndarray:
@@ -914,8 +821,9 @@ def moment_sweep(
     that advances the base path, the first-order tangents from the
     first perturbation step and the second-order tangents from the
     first max(r1, r2); no path, increment or tangent series is kept.
-    The values are those :func:`first_order_tangents` and
-    :func:`second_order_tangents` record on the same paths.
+    The tangent recursion is the one :func:`first_order_tangents` and
+    :func:`second_order_tangents` run over a stored bundle, so they
+    give the same values on the same paths.
     """
     _require_positive(n_paths=n_paths, path_chunk=path_chunk)
     if len(regimes) < 1:
@@ -952,17 +860,19 @@ def moment_sweep(
         pairs = np.array([[r_mid, r_mid], [r_mid, r_lo]])
         r_union = sorted(set(r_sel) | {r_mid, r_lo})
         acc: dict[str, list] = {}
+        scales = _StepScales.of(regime, dt_eff)
         for start in range(0, n_paths, path_chunk):
             m = min(path_chunk, n_paths - start)
+            noise = _noise_blocks(
+                _seed_tuple(seed) + (i_reg, start), range(m), n_steps, dt_eff
+            )
             first, second = _tangent_pass(
                 model,
                 regime,
-                x0,
-                y0,
                 dt_eff,
                 n_steps,
-                _seed_tuple(seed) + (i_reg, start),
                 m,
+                _em_states(model, scales, x0, y0, m, noise),
                 r_union,
                 pairs,
             )
@@ -1081,8 +991,9 @@ def decay_check(
     consecutive increase up to twice the summed standard errors.
     ``dt`` defaults to eta/20; a larger step raises
     :class:`~fastslow.sde_engine.StabilityError`.  Like
-    :func:`moment_sweep`, each path chunk runs one step loop in which
-    every tangent starts at its perturbation step, and keeps no series.
+    :func:`moment_sweep`, each path chunk runs one step loop over its
+    noise, in which the base path advances and every tangent starts at
+    its perturbation step, and keeps no series.
     """
     _require_positive(n_paths=n_paths, path_chunk=path_chunk)
     if bound_id not in ("d2x_w1w2", "d2x_w2w2", "dw2_y_final"):
@@ -1107,18 +1018,18 @@ def decay_check(
         pairs = np.array([[r_hi, r2] for r2 in r_list])
         combos = ((0, 1),) if bound_id == "d2x_w1w2" else ((1, 1),)
 
+    scales = _StepScales.of(regime, dt_eff)
     acc: dict[str, list] = {}
     for start in range(0, n_paths, path_chunk):
         m = min(path_chunk, n_paths - start)
+        noise = _noise_blocks(_seed_tuple(seed) + (start,), range(m), n_steps, dt_eff)
         first, second = _tangent_pass(
             model,
             regime,
-            x0,
-            y0,
             dt_eff,
             n_steps,
-            _seed_tuple(seed) + (start,),
             m,
+            _em_states(model, scales, x0, y0, m, noise),
             r_union,
             pairs,
             combos,

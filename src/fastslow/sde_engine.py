@@ -22,8 +22,10 @@ chunk draws its noise in time blocks of a fixed byte budget, continuing
 every stream from block to block, and the step loop consumes one block
 at a time: a stream drawn in blocks gives the same numbers as one draw
 of the same length, so the block length changes no result, and peak
-memory grows with the block, not with n_steps.  Paths and increments
-are stored only when asked for.
+memory grows with the block, not with n_steps.  One recursion,
+:func:`_em_states`, advances the state over the blocks and yields each
+step's state with its increments; paths and increments are stored only
+when asked for.
 """
 
 from __future__ import annotations
@@ -168,23 +170,6 @@ class PathBundle:
         if self.captures is not None and k in self.captures:
             return self.captures[k]
         raise AlignmentError(f"step {k} was not stored or captured")
-
-    def increment_variance_z(self) -> float:
-        """Worst z-score of the per-step increment variance against dt.
-
-        Var of a chi^2-based variance estimate over N = n_steps*n_paths
-        increments is 2 dt^2 / N; returns max |s^2 - dt| / se over the
-        two channels.
-        """
-        if self.dW1 is None:
-            raise ValueError("increments were not stored")
-        worst = 0.0
-        n = self.dW1.size
-        se = math.sqrt(2.0 / n) * self.dt
-        for dw in (self.dW1, self.dW2):
-            s2 = float(np.mean(dw**2))
-            worst = max(worst, abs(s2 - self.dt) / se)
-        return worst
 
 
 @dataclass(frozen=True)
@@ -426,6 +411,33 @@ def _capture_set(capture_indices: Iterable[int], n_steps: int) -> set[int]:
     return wanted
 
 
+def _em_states(
+    model: CoefficientSet,
+    scales: _StepScales,
+    x0: float,
+    y0: float,
+    n_paths: int,
+    blocks,
+):
+    """The Euler-Maruyama recursion of n_paths paths over noise blocks.
+
+    ``blocks`` yields (dW1, dW2) arrays of shape (b, n_paths) covering
+    the steps in order.  Yields (k, x, y, dw1, dw2) for every step k,
+    the state at k with the increments that advance it, and last
+    (n_steps, x, y, None, None).  The yielded rows are valid until the
+    next item is drawn; the states are never written in place.
+    """
+    x = np.full(n_paths, float(x0))
+    y = np.full(n_paths, float(y0))
+    k = 0
+    for w1, w2 in blocks:
+        for dw1, dw2 in zip(w1, w2):
+            yield k, x, y, dw1, dw2
+            x, y = _em_step(model, x, y, dw1, dw2, k, scales)
+            k += 1
+    yield k, x, y, None, None
+
+
 def _em_loop(
     model: CoefficientSet,
     scales: _StepScales,
@@ -439,33 +451,22 @@ def _em_loop(
     dW1=None,
     dW2=None,
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """The Euler-Maruyama recursion of n_paths paths over noise blocks.
+    """Run :func:`_em_states` and keep what the caller asks for.
 
-    ``blocks`` yields (dW1, dW2) arrays of shape (b, n_paths) covering
-    the steps in order.  State rows go into ``X``/``Y`` and the noise
-    into ``dW1``/``dW2`` where given (arrays with one row per grid time
-    and per step).  Returns {k: (x, y)} copies of the state at the steps
-    in ``wanted``.
+    State rows go into ``X``/``Y`` and the noise into ``dW1``/``dW2``
+    where given (arrays with one row per grid time and per step).
+    Returns {k: (x, y)} copies of the state at the steps in ``wanted``.
     """
-    x = np.full(n_paths, float(x0))
-    y = np.full(n_paths, float(y0))
-    if X is not None:
-        X[0] = x
-        Y[0] = y
-    captures = {0: (x.copy(), y.copy())} if 0 in wanted else {}
-    k = 0
-    for w1, w2 in blocks:
-        if dW1 is not None:
-            dW1[k : k + len(w1)] = w1
-            dW2[k : k + len(w2)] = w2
-        for dw1, dw2 in zip(w1, w2):
-            x, y = _em_step(model, x, y, dw1, dw2, k, scales)
-            k += 1
-            if X is not None:
-                X[k] = x
-                Y[k] = y
-            if k in wanted:
-                captures[k] = (x.copy(), y.copy())
+    captures = {}
+    for k, x, y, dw1, dw2 in _em_states(model, scales, x0, y0, n_paths, blocks):
+        if X is not None:
+            X[k] = x
+            Y[k] = y
+        if dW1 is not None and dw1 is not None:
+            dW1[k] = dw1
+            dW2[k] = dw2
+        if k in wanted:
+            captures[k] = (x.copy(), y.copy())
     return captures
 
 

@@ -182,8 +182,7 @@ def test_criterion_07_second_tangents_vanish_for_affine(affine):
     regime = ScaleRegime(epsilon=0.05, eta=0.05, gamma=1.0, T=0.25)
     bundle = simulate_paths(affine, regime, 0.1, -0.2, regime.eta / 20.0, 64, 707)
     r_grid = default_r_grid(bundle.n_steps, 16)
-    first = first_order_tangents(affine, bundle, r_grid, store_series=True)
-    second = second_order_tangents(affine, bundle, first, full_pair_grid(r_grid))
+    second = second_order_tangents(affine, bundle, full_pair_grid(r_grid))
 
     assert len(second.pair_indices) == 16 * 16
     assert float(np.max(np.abs(second.sup_abs_d2x))) <= 1e-12

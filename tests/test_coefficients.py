@@ -28,7 +28,14 @@ from fastslow.malliavin import (
     first_order_tangents,
     second_order_tangents,
 )
-from fastslow.sde_engine import _EM_KEYS, ScaleRegime, simulate_paths
+from fastslow.sde_engine import (
+    _EM_KEYS,
+    ScaleRegime,
+    _em_states,
+    _noise_blocks,
+    _StepScales,
+    simulate_paths,
+)
 
 
 def test_builtin_names():
@@ -122,9 +129,11 @@ def test_evaluate_broadcasts_mixed_shapes_and_keeps_constants_scalar(bounded):
 
 
 def test_tangents_evaluate_once_per_step(bounded, monkeypatch):
-    """From the first perturbation step on, one fused call per step, plus
-    one for the perturbation-time rows; no call before that step and
-    none through the one-key views."""
+    """One call for the injection values at each perturbation row and one
+    for the alpha partials at each pair row; from the first perturbation
+    step on, one fused call per step for each tangent order, on the
+    stored rows in order; nothing before that step and nothing through
+    the one-key views."""
     regime = ScaleRegime(epsilon=0.05, eta=0.05, gamma=1.0, T=0.2)
     bundle = simulate_paths(bounded, regime, 0.4, 0.3, regime.eta / 20, 3, 5)
     n = bundle.n_steps
@@ -135,32 +144,36 @@ def test_tangents_evaluate_once_per_step(bounded, monkeypatch):
         calls.append((tuple(keys), np.array(x)))
         return evaluate(self, x, y, keys)
 
-    def assert_loop_from(first_step, keys):
-        # one call per stored row first_step..n-1, in order
-        assert len(calls) == 1 + n - first_step
-        assert {k for k, _ in calls[1:]} == {keys}
-        assert all(
-            np.array_equal(x, bundle.X[k])
-            for (_, x), k in zip(calls[1:], range(first_step, n))
-        )
+    def assert_rows(keys, rows):
+        xs = [x for k, x in calls if k == keys]
+        assert len(xs) == len(rows), keys
+        assert all(np.array_equal(x, bundle.X[k]) for x, k in zip(xs, rows)), keys
 
     monkeypatch.setattr(CoefficientTable, "evaluate", counting)
-    first = first_order_tangents(bounded, bundle, [0, 10, 20, 40])
-    assert calls[0][0] == ("sigma", "tau")
-    assert_loop_from(0, _FIRST_KEYS)
+    first_order_tangents(bounded, bundle, [0, 10, 20, 40])
+    assert len(calls) == 4 + n
+    assert_rows(("sigma", "tau"), [0, 10, 20, 40])
+    assert_rows(_FIRST_KEYS, range(0, n))
     calls.clear()
     first_order_tangents(bounded, bundle, [10, 20, 40])
-    assert_loop_from(10, _FIRST_KEYS)
+    assert len(calls) == 3 + (n - 10)
+    assert_rows(("sigma", "tau"), [10, 20, 40])
+    assert_rows(_FIRST_KEYS, range(10, n))
     calls.clear()
-    second_order_tangents(bounded, bundle, first, [(10, 10), (20, 10), (40, 40)])
-    assert calls[0][0] == _ALPHA_KEYS
-    assert_loop_from(10, _PARTIAL_KEYS)  # 71 calls
+    second_order_tangents(bounded, bundle, [(10, 10), (20, 10), (40, 40)])
+    assert len(calls) == 3 + 3 + 2 * (n - 10)  # 146
+    assert_rows(("sigma", "tau"), [10, 20, 40])
+    assert_rows(_ALPHA_KEYS, [10, 20, 40])
+    assert_rows(_PARTIAL_KEYS, range(10, n))
+    assert_rows(_FIRST_KEYS, range(10, n))
 
-    # The fused pass: one EM call per step; the tangent kernels start at
+    # On live noise: one EM call per step; the tangent kernels start at
     # the first r (10) and the first max(r1, r2) (20).
     calls.clear()
+    noise = _noise_blocks(5, range(3), n, bundle.dt)
+    states = _em_states(bounded, _StepScales.of(regime, bundle.dt), 0.4, 0.3, 3, noise)
     _tangent_pass(
-        bounded, regime, 0.4, 0.3, bundle.dt, n, 5, 3, [10, 20, 40], [(20, 10), (40, 40)]
+        bounded, regime, bundle.dt, n, 3, states, [10, 20, 40], [(20, 10), (40, 40)]
     )
     keys = [k for k, _ in calls]
     assert keys.count(_EM_KEYS) == n

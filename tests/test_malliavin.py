@@ -1,5 +1,7 @@
 """Tests for tangent (Malliavin-derivative) integration and moment checks."""
 
+import hashlib
+import json
 import math
 import re
 
@@ -31,7 +33,16 @@ from fastslow.malliavin import (
     second_order_tangents,
     z_process,
 )
-from fastslow.sde_engine import ScaleRegime, StabilityError, simulate_paths, time_grid
+from fastslow.sde_engine import (
+    PathBundle,
+    ScaleRegime,
+    StabilityError,
+    _em_states,
+    _noise_blocks,
+    _StepScales,
+    simulate_paths,
+    time_grid,
+)
 
 ALL_COMBOS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -129,8 +140,12 @@ def test_first_order_validation(affine, affine_regime, affine_bundle):
         first_order_tangents(affine, bare, [0])
     with pytest.raises(ValueError):
         first_order_tangents(affine, affine_bundle, [])
-    with pytest.raises(ValueError):
+    n = affine_bundle.n_steps
+    with pytest.raises(ValueError, match=re.escape(f"r-index 1000000 outside [0, {n}]")):
         first_order_tangents(affine, affine_bundle, [10**6])
+    # an r of a pair goes through the same check
+    with pytest.raises(ValueError, match=re.escape(f"r-index {n + 1} outside [0, {n}]")):
+        second_order_tangents(affine, affine_bundle, [(0, n + 1)])
 
 
 def test_tangent_blow_up_names_channel():
@@ -155,45 +170,25 @@ def test_series_byte_cap(affine):
 def test_second_order_affine_identically_zero(affine, affine_bundle):
     """Every second partial of the affine coefficients vanishes, so the
     second-order tangents are exactly zero."""
-    first = first_order_tangents(affine, affine_bundle, [500, 1500])
     pairs = full_pair_grid([500, 1500])
-    second = second_order_tangents(
-        affine, affine_bundle, first, pairs, store_series=True
-    )
-    assert np.all(second.D2X == 0.0)
-    assert np.all(second.D2Y == 0.0)
-    assert np.all(second.final_d2x == 0.0)
+    second = second_order_tangents(affine, affine_bundle, pairs)
+    # zero running sups: the whole series is zero
+    assert np.all(second.sup_abs_d2x == 0.0)
     assert np.all(second.sup_abs_d2y == 0.0)
+    assert np.all(second.final_d2x == 0.0)
 
 
 def test_second_order_swap_symmetry(bounded, bounded_bundle):
     """Channel/time swaps (j1, r1; j2, r2) <-> (j2, r2; j1, r1) give the
     same mixed second tangent although each combo is integrated
     independently."""
-    first = first_order_tangents(bounded, bounded_bundle, [40, 140])
-    one = second_order_tangents(
-        bounded, bounded_bundle, first, [(140, 40)], combos=((0, 1),)
-    )
-    other = second_order_tangents(
-        bounded, bounded_bundle, first, [(40, 140)], combos=((1, 0),)
-    )
+    one = second_order_tangents(bounded, bounded_bundle, [(140, 40)], combos=((0, 1),))
+    other = second_order_tangents(bounded, bounded_bundle, [(40, 140)], combos=((1, 0),))
     assert np.array_equal(one.final_d2x, other.final_d2x)
     assert np.array_equal(one.final_d2y, other.final_d2y)
-    same_a = second_order_tangents(
-        bounded, bounded_bundle, first, [(140, 40)], combos=((1, 1),)
-    )
-    same_b = second_order_tangents(
-        bounded, bounded_bundle, first, [(40, 140)], combos=((1, 1),)
-    )
+    same_a = second_order_tangents(bounded, bounded_bundle, [(140, 40)], combos=((1, 1),))
+    same_b = second_order_tangents(bounded, bounded_bundle, [(40, 140)], combos=((1, 1),))
     assert np.array_equal(same_a.final_d2x, same_b.final_d2x)
-
-
-def test_second_order_requires_series(affine, affine_bundle):
-    first = first_order_tangents(
-        affine, affine_bundle, [500], store_series=False
-    )
-    with pytest.raises(ValueError):
-        second_order_tangents(affine, affine_bundle, first, [(500, 500)])
 
 
 # -- fast-flow fundamental solution ------------------------------------
@@ -345,10 +340,7 @@ def test_contraction_synthetic_against_direct_loop():
 
 def test_contraction_zero_for_affine_and_nonnegative(affine, bounded, bounded_bundle):
     r8 = default_r_grid(bounded_bundle.n_steps, 8)
-    first = first_order_tangents(bounded, bounded_bundle, r8)
-    second = second_order_tangents(
-        bounded, bounded_bundle, first, full_pair_grid(r8)
-    )
+    second = second_order_tangents(bounded, bounded_bundle, full_pair_grid(r8))
     val = contraction_norm_second(second)
     assert np.all(val >= 0.0)
     assert np.any(val > 0.0)
@@ -429,20 +421,22 @@ def test_moment_sweep_affine_structure(affine):
     )
 
 
-# -- one forward pass against the recorders ----------------------------
+# -- one tangent recursion, live or over stored rows --------------------
 
 
-def _recorded(
-    model, regime, x0, y0, dt, n_steps, seed, n_paths, r_indices, pairs=None,
-    combos=ALL_COMBOS,
-):
-    """The fused pass rebuilt from a stored bundle and the two recorders."""
-    bundle = simulate_paths(model, regime, x0, y0, dt, n_paths, seed)
-    assert (bundle.n_steps, bundle.dt) == (n_steps, dt)
-    first = first_order_tangents(model, bundle, r_indices)
-    if pairs is None:
-        return first, None
-    return first, second_order_tangents(model, bundle, first, pairs, combos)
+def _recorded(model, scales, x0, y0, n_paths, blocks):
+    """The live Euler-Maruyama states, stored in a bundle and fed back as
+    its rows."""
+    rows = [
+        (x.copy(), y.copy(), None if w1 is None else (w1.copy(), w2.copy()))
+        for _, x, y, w1, w2 in _em_states(model, scales, x0, y0, n_paths, blocks)
+    ]
+    X, Y = (np.array([row[i] for row in rows]) for i in (0, 1))
+    dW1, dW2 = (np.array([row[2][i] for row in rows[:-1]]) for i in (0, 1))
+    bundle = PathBundle(
+        None, x0, y0, scales.dt, None, n_paths, len(dW1), X, Y, dW1, dW2
+    )
+    return malliavin_mod._stored_states(bundle)
 
 
 @pytest.mark.parametrize(
@@ -457,19 +451,27 @@ def _recorded(
     ],
 )
 def test_tangent_pass_matches_recorders_bitwise(bounded, r_indices, pairs, combos):
+    """The pass on live Euler-Maruyama states equals, bit for bit, the
+    recorders on the stored bundle that simulate_paths draws from the
+    same seed."""
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.15)
     n_steps, dt = time_grid(regime.T, regime.eta / 20)
     assert n_steps == 60
-    args = (bounded, regime, 0.4, 0.3, dt, n_steps, (4, 1), 6, r_indices, pairs, combos)
-    first, second = malliavin_mod._tangent_pass(*args)
-    ref_first, ref_second = _recorded(*args)
+    noise = _noise_blocks((4, 1), range(6), n_steps, dt)
+    states = _em_states(bounded, _StepScales.of(regime, dt), 0.4, 0.3, 6, noise)
+    first, second = malliavin_mod._tangent_pass(
+        bounded, regime, dt, n_steps, 6, states, r_indices, pairs, combos
+    )
+    bundle = simulate_paths(bounded, regime, 0.4, 0.3, dt, 6, (4, 1))
+    ref_first = first_order_tangents(bounded, bundle, r_indices)
     assert first.DX is None and first.DY is None
     for name in ("r_indices", "final_dx", "final_dy", "sup_abs_dx", "sup_abs_dy"):
         assert np.array_equal(getattr(first, name), getattr(ref_first, name)), name
     if pairs is None:
         assert second is None
         return
-    assert second.combos == ref_second.combos and second.D2X is None
+    ref_second = second_order_tangents(bounded, bundle, pairs, combos)
+    assert second.combos == ref_second.combos
     assert np.any(second.final_d2x != 0.0)
     for name in ("pair_indices", "final_d2x", "final_d2y", "sup_abs_d2x", "sup_abs_d2y"):
         assert np.array_equal(getattr(second, name), getattr(ref_second, name)), name
@@ -477,7 +479,8 @@ def test_tangent_pass_matches_recorders_bitwise(bounded, r_indices, pairs, combo
 
 def test_sweeps_match_recorders_bitwise(bounded, monkeypatch):
     """moment_sweep and decay_check (all three bounds) report the same
-    floats when the fused pass is replaced by a bundle and the recorders.
+    floats when the tangent recursion runs over the stored rows of the
+    live states instead of advancing with them.
 
     The moment pairs are (r_mid, r_mid) and (r_mid, r_lo) with r_lo = 0 on
     the first regime and r_lo > 0 on the second."""
@@ -498,8 +501,167 @@ def test_sweeps_match_recorders_bitwise(bounded, monkeypatch):
         return [r.to_dict() for r in reports.values()], [d.to_dict() for d in decays]
 
     fused = run()
-    monkeypatch.setattr(malliavin_mod, "_tangent_pass", _recorded)
+    monkeypatch.setattr(malliavin_mod, "_em_states", _recorded)
     assert run() == fused
+
+
+def _scalar_tangents(model, bundle, r_grid, pairs, combos):
+    """Literal per-path reference for both tangent orders.
+
+    Follows the recursions of the module docstring step by step in
+    Python floats, with the one-key coefficient views.  The first-order
+    series is stored, and the second-order initial data read it at r1
+    and r2.  Returns the first-order (DX, DY) series, shape (2, n_r,
+    n_t, n_paths), and the second-order (final D2X, final D2Y, sup |D2X|,
+    sup |D2Y|), each (n_combos, n_pairs, n_paths).
+    """
+    m = model
+    er = math.sqrt(bundle.regime.epsilon)
+    hr = math.sqrt(bundle.regime.eta)
+    dt, eta, n = bundle.dt, bundle.regime.eta, bundle.n_steps
+    n_t, n_paths = n + 1, bundle.n_paths
+    DX = np.zeros((2, len(r_grid), n_t, n_paths))
+    DY = np.zeros((2, len(r_grid), n_t, n_paths))
+    second = np.zeros((4, len(combos), len(pairs), n_paths))
+    for p in range(n_paths):
+        X, Y = bundle.X[:, p].tolist(), bundle.Y[:, p].tolist()
+        W1, W2 = bundle.dW1[:, p].tolist(), bundle.dW2[:, p].tolist()
+        for i, r in enumerate(r_grid):
+            for j in (0, 1):
+                dx = er * m.sigma(X[r], Y[r]) if j == 0 else 0.0
+                dy = m.tau(X[r], Y[r]) / hr if j == 1 else 0.0
+                for k in range(r, n_t):
+                    DX[j, i, k, p], DY[j, i, k, p] = dx, dy
+                    if k == n:
+                        break
+                    x, y = X[k], Y[k]
+                    dx, dy = (
+                        dx
+                        + dt * (m.d1_c(x, y) * dx + m.d2_c(x, y) * dy)
+                        + er * W1[k] * (m.d1_sigma(x, y) * dx + m.d2_sigma(x, y) * dy),
+                        dy
+                        + dt / eta * (m.d1_f(x, y) * dx + m.d2_f(x, y) * dy)
+                        + W2[k] / hr * (m.d1_tau(x, y) * dx + m.d2_tau(x, y) * dy),
+                    )
+        for c, (j1, j2) in enumerate(combos):
+            for q, (r1, r2) in enumerate(pairs):
+                i1, i2 = list(r_grid).index(r1), list(r_grid).index(r2)
+                DX1, DY1 = DX[j1, i1, :, p], DY[j1, i1, :, p]
+                DX2, DY2 = DX[j2, i2, :, p], DY[j2, i2, :, p]
+                a1 = a2 = 0.0
+                x1, y1, x2, y2 = X[r1], Y[r1], X[r2], Y[r2]
+                if j1 == 0:
+                    a1 += m.d1_sigma(x1, y1) * DX2[r1] + m.d2_sigma(x1, y1) * DY2[r1]
+                if j2 == 0:
+                    a1 += m.d1_sigma(x2, y2) * DX1[r2] + m.d2_sigma(x2, y2) * DY1[r2]
+                if j1 == 1:
+                    a2 += m.d1_tau(x1, y1) * DX2[r1] + m.d2_tau(x1, y1) * DY2[r1]
+                if j2 == 1:
+                    a2 += m.d1_tau(x2, y2) * DX1[r2] + m.d2_tau(x2, y2) * DY1[r2]
+                d2x, d2y = er * a1, a2 / hr
+                sup_x, sup_y = abs(d2x), abs(d2y)
+                for k in range(max(r1, r2), n):
+                    x, y = X[k], Y[k]
+
+                    def source(g):
+                        d11, d12, d22 = (
+                            getattr(m, f"{d}_{g}")(x, y) for d in ("d11", "d12", "d22")
+                        )
+                        return (
+                            d11 * DX1[k] * DX2[k]
+                            + d12 * (DX1[k] * DY2[k] + DY1[k] * DX2[k])
+                            + d22 * DY1[k] * DY2[k]
+                        )
+
+                    d2x, d2y = (
+                        d2x
+                        + dt * (m.d1_c(x, y) * d2x + m.d2_c(x, y) * d2y + source("c"))
+                        + er * W1[k] * (
+                            m.d1_sigma(x, y) * d2x + m.d2_sigma(x, y) * d2y + source("sigma")
+                        ),
+                        d2y
+                        + dt / eta * (m.d1_f(x, y) * d2x + m.d2_f(x, y) * d2y + source("f"))
+                        + W2[k] / hr * (
+                            m.d1_tau(x, y) * d2x + m.d2_tau(x, y) * d2y + source("tau")
+                        ),
+                    )
+                    sup_x, sup_y = max(sup_x, abs(d2x)), max(sup_y, abs(d2y))
+                second[:, c, q, p] = d2x, d2y, sup_x, sup_y
+    return DX, DY, second
+
+
+def test_recorders_match_scalar_reference(bounded, bounded_bundle):
+    """Both recorders against the literal per-path recursions, on a grid
+    with 0 and the horizon, pairs with r1 > r2, r1 < r2 and r1 == r2,
+    and all four channel combos."""
+    n = bounded_bundle.n_steps
+    r_grid = [0, 12, 30, n]
+    pairs = [(30, 12), (12, 30), (30, 30), (0, n), (n, n)]
+    DX, DY, ref = _scalar_tangents(bounded, bounded_bundle, r_grid, pairs, ALL_COMBOS)
+    first = first_order_tangents(bounded, bounded_bundle, r_grid)
+    np.testing.assert_allclose(first.DX, DX, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(first.DY, DY, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(first.final_dx, DX[:, :, -1], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(first.final_dy, DY[:, :, -1], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(first.sup_abs_dx, np.abs(DX).max(axis=2), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(first.sup_abs_dy, np.abs(DY).max(axis=2), rtol=1e-12, atol=0)
+    second = second_order_tangents(bounded, bounded_bundle, pairs)
+    got = (second.final_d2x, second.final_d2y, second.sup_abs_d2x, second.sup_abs_d2y)
+    for name, value, expect in zip(("final_d2x", "final_d2y", "sup_x", "sup_y"), got, ref):
+        np.testing.assert_allclose(value, expect, rtol=1e-12, atol=0, err_msg=name)
+    assert np.all(np.any(ref[0] != 0.0, axis=(1, 2)))  # every combo moves
+
+
+#: sha256 of the sweep reports and the recorder finals on a polynomial
+#: model (only +, -, * and squares, so no libm call enters the digest).
+GOLDEN = {
+    "moments": "4e99ec48728378022595c26638bf5f948c9bace9f51c904870733dbfb12413f6",
+    "decays": "b014af32fc1787caf38a5970ba6b531a6c83ace8821bdd59e0add9a3e691a4c5",
+    "first": "ea6cbcde62558d10f02b0d959baad1b135874c8cb286622bf0325e7ce020bfe6",
+    "second": "ed00e42c58d3389179b0d108357080e790ccd74eb085de1b1da786cca7e8820a",
+}
+
+
+def test_golden_digests_on_polynomial_model():
+    poly = model_from_expressions(
+        "poly", "y - 0.5*x - 0.1*x*y", "1 + 0.1*x*y", "0.5*x - y + 0.1*x*y", "1 + 0.1*x**2"
+    )
+
+    def of_json(obj):
+        return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+    def of_arrays(*arrays):
+        h = hashlib.sha256()
+        for a in arrays:
+            h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+        return h.hexdigest()
+
+    regimes = [ScaleRegime(0.1, 0.1, 1.0, 0.3), ScaleRegime(0.05, 0.05, 1.0, 0.3)]
+    reports = moment_sweep(
+        poly, regimes, 1, 40, seed=5, x0=0.4, y0=0.3,
+        pair_sep_etas=2.0, path_chunk=25, k_hat=1.0,
+    )
+    decays = [
+        decay_check(
+            poly, regimes[-1], bound_id, 1, 40, 6,
+            separations_eta=(0.5, 1.0, 2.0), x0=0.4, y0=0.3, path_chunk=25,
+        ).to_dict()
+        for bound_id in ("d2x_w1w2", "d2x_w2w2", "dw2_y_final")
+    ]
+    regime = ScaleRegime(0.05, 0.05, 1.0, 0.15)
+    bundle = simulate_paths(poly, regime, 0.4, 0.3, regime.eta / 20, 6, (4, 1))
+    first = first_order_tangents(poly, bundle, [0, 12, 30, 60])
+    second = second_order_tangents(poly, bundle, [(30, 12), (12, 30), (30, 30), (0, 60)])
+    assert {
+        "moments": of_json([r.to_dict() for r in reports.values()]),
+        "decays": of_json(decays),
+        "first": of_arrays(
+            first.final_dx, first.final_dy, first.sup_abs_dx, first.sup_abs_dy
+        ),
+        "second": of_arrays(
+            second.final_d2x, second.final_d2y, second.sup_abs_d2x, second.sup_abs_d2y
+        ),
+    } == GOLDEN
 
 
 def test_moment_sweep_validation(affine):

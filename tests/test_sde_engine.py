@@ -113,31 +113,6 @@ def test_channel_streams_are_independent():
     assert not np.array_equal(dW1[:, 0], dW1[:, 1])
 
 
-def test_increment_variance_matches_dt(affine):
-    bundle = simulate_paths(
-        affine,
-        ScaleRegime(0.01, 0.05, math.inf, 1.0),
-        0.0,
-        0.0,
-        0.0025,
-        32,
-        99,
-    )
-    assert bundle.increment_variance_z() < 5.0
-    bare = simulate_paths(
-        affine,
-        ScaleRegime(0.01, 0.05, math.inf, 0.1),
-        0.0,
-        0.0,
-        0.0025,
-        2,
-        99,
-        store_increments=False,
-    )
-    with pytest.raises(ValueError):
-        bare.increment_variance_z()
-
-
 @pytest.mark.parametrize(
     "kwargs, message",
     [
@@ -305,8 +280,11 @@ def test_memory_does_not_grow_with_steps(affine, monkeypatch):
     def tangent_pass(n_steps):
         monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * 200 * block)
         r = [n_steps // 4, n_steps // 2]
+        noise = sde_engine._noise_blocks(1, range(200), n_steps, dt)
+        scales = sde_engine._StepScales.of(regime(n_steps), dt)
+        states = sde_engine._em_states(affine, scales, 0.0, 0.0, 200, noise)
         _tangent_pass(
-            affine, regime(n_steps), 0.0, 0.0, dt, n_steps, 1, 200, r, [(r[1], r[0])]
+            affine, regime(n_steps), dt, n_steps, 200, states, r, [(r[1], r[0])]
         )
 
     gc.disable()
