@@ -172,6 +172,9 @@ class ExperimentConfig:
         for p in self.analysis.get("p", []):
             if int(p) != p or p < 1:
                 raise ConfigError(f"analysis.p entries must be positive integers (got {p})")
+        boot = self.analysis.get("bootstrap")
+        if boot is not None and (int(boot) != boot or boot < 1):
+            raise ConfigError(f"analysis.bootstrap must be a positive integer (got {boot})")
 
     # -- resolved accessors -------------------------------------------
 

@@ -184,7 +184,7 @@ def default_r_grid(n_steps: int, n_r: int = 16) -> np.ndarray:
 
 def full_pair_grid(r_indices: Sequence[int]) -> np.ndarray:
     """All (r1, r2) pairs of an r-grid in row-major order."""
-    r = np.asarray(r_indices, dtype=int)
+    r = _step_indices(r_indices)
     return np.array([(a, b) for a in r for b in r], dtype=int)
 
 
@@ -205,13 +205,26 @@ def _stored_states(bundle: PathBundle):
     return itertools.chain(rows, [(n, bundle.X[n], bundle.Y[n], None, None)])
 
 
+def _step_indices(values) -> np.ndarray:
+    """``values`` as a flat int array; ValueError naming the first one
+    that is not integral (a cast would truncate 10.7 to step 10)."""
+    arr = np.asarray(values).ravel()
+    if arr.dtype.kind in "iu":
+        return arr.astype(int)
+    flat = arr.astype(float)
+    bad = ~(np.isfinite(flat) & (flat == np.round(flat)))
+    if bad.any():
+        raise ValueError(f"r-index {flat[bad][0]} is not an integer")
+    return flat.astype(int)
+
+
 def _r_grid(n_steps: int, r_indices: Sequence[int], pairs=()) -> np.ndarray:
     """Sorted distinct perturbation steps of ``r_indices`` and ``pairs``.
 
-    Raises ValueError when there is none, or naming the first step
-    outside [0, n_steps].
+    Raises ValueError when there is none, or naming the first step that
+    is not an integer or lies outside [0, n_steps].
     """
-    steps = [np.asarray(v, dtype=int).ravel() for v in (r_indices, pairs)]
+    steps = [_step_indices(v) for v in (r_indices, pairs)]
     r_idx = np.unique(np.concatenate(steps))
     if len(r_idx) == 0:
         raise ValueError("need at least one perturbation index")
@@ -356,7 +369,7 @@ def _tangent_pass(
     O((n_r + n_pairs) n_paths) state, so its memory does not grow with
     n_steps.
     """
-    pair_arr = np.asarray(() if pairs is None else pairs, dtype=int).reshape(-1, 2)
+    pair_arr = _step_indices(() if pairs is None else pairs).reshape(-1, 2)
     r_idx = _r_grid(n_steps, r_indices, pair_arr)
     s = _StepScales.of(regime, dt)
     combos = tuple((int(a), int(b)) for a, b in combos)
@@ -527,9 +540,7 @@ def z_process(model: CoefficientSet, bundle: PathBundle, r_index: int) -> np.nda
     cumulated along the stored path and noise.  Always positive.
     """
     _require_storage(bundle)
-    r = int(r_index)
-    if not 0 <= r <= bundle.n_steps:
-        raise ValueError(f"r-index {r} outside [0, {bundle.n_steps}]")
+    (r,) = _r_grid(bundle.n_steps, [r_index])
     eta = bundle.regime.eta
     n_t = bundle.n_steps + 1
     out = np.ones((n_t, bundle.n_paths))
@@ -563,7 +574,7 @@ def q_decomposition(
     Returns (Q1, Q2), each of shape (n_t, n_paths), zero before r.
     """
     _require_storage(bundle)
-    r = int(r_index)
+    (r,) = _r_grid(bundle.n_steps, [r_index])
     first = first_order_tangents(model, bundle, [r], store_series=True)
     dxw2 = first.DX[1, 0]  # D^{W2}X series, (n_t, n_paths)
     dyw2 = first.DY[1, 0]

@@ -15,6 +15,15 @@ approach N(0, sigma_t^2), the two-bracket theoretical rate envelope
 
 with zeta in (0, 1/2), and a log-log rate regression across (eps, eta)
 sweeps with the envelope constant anchored at the coarsest point.
+
+The estimator is built once per sample as a table (:class:`_W1Table`):
+the sorted sample, the rank of each original index, the Gaussian CDF
+antiderivative G on the sorted sample and the Gaussian quantiles at the
+plateau levels k/n.  :func:`w1_vs_gaussian` evaluates it on the sample
+itself, and every bootstrap resample is its sorted ranks in the same
+table, so a resample makes no float sort, no ndtri call and evaluates G
+only where a quantile falls strictly inside its interval.  The result is
+bit-equal to sorting the resampled values and integrating afresh.
 """
 
 from __future__ import annotations
@@ -146,6 +155,68 @@ def _gaussian_cdf_antiderivative(x: np.ndarray, mu: float, sigma: float) -> np.n
     return (x - mu) * ndtr(z) + sigma * np.exp(-0.5 * zc**2) / math.sqrt(2.0 * math.pi)
 
 
+class _W1Table:
+    """Exact W1 against N(mu, sigma2) of one sample and its resamples.
+
+    Holds the sorted sample ``xs``, the rank of each original index in
+    it (``xs[rank[i]] == samples[i]``), ``G`` on ``xs`` and the Gaussian
+    ``quantile`` mu + sigma ndtri(k/n) at each plateau level k/n.  A
+    resample drawing original indices ``idx`` has the sorted values
+    ``xs[j]`` with ``j = sort(rank[idx])``.  Where a quantile is clipped
+    to an interval end, G of the crossing is that end's gathered G.
+    """
+
+    def __init__(self, samples, mu: float, sigma2: float):
+        x = np.asarray(samples, dtype=float)
+        self.n = n = x.size
+        if n < 2:
+            raise ValueError(f"need at least two samples (got {n})")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("samples must be finite")
+        if sigma2 < 0:
+            raise ValueError(f"variance must be nonnegative (got {sigma2})")
+        order = np.argsort(x)
+        self.xs = x[order]
+        self.rank = np.empty(n, dtype=np.intp)
+        self.rank[order] = np.arange(n)
+        self.mu, self.sigma2 = mu, sigma2
+        if sigma2 == 0.0:
+            return
+        self.sigma = sigma = math.sqrt(sigma2)
+        self.q = np.arange(1, n) / n  # plateau levels of F_n between order stats
+        self.quantile = mu + sigma * ndtri(self.q)
+        self.G = self._G(self.xs)
+
+    def _G(self, x):
+        return _gaussian_cdf_antiderivative(x, self.mu, self.sigma)
+
+    def w1(self, j: np.ndarray) -> float:
+        """W1 of the sample with sorted values ``xs[j]`` (``j`` sorted ranks)."""
+        v = self.xs[j]
+        mu = self.mu
+        if self.sigma2 == 0.0:
+            return float(np.mean(np.abs(v - mu)))
+        sigma = self.sigma
+        a, b = v[:-1], v[1:]
+        g = self.G[j]
+        ga, gb = g[:-1], g[1:]
+        quantile = self.quantile
+        crossing = np.clip(quantile, a, b)
+        inside = (quantile > a) & (quantile < b)
+        g_crossing = np.where(quantile <= a, ga, gb)
+        g_crossing[inside] = self._G(crossing[inside])
+        middle = np.sum(self.q * (2.0 * crossing - a - b) + ga + gb - 2.0 * g_crossing)
+
+        left_tail = self._G(v[0])  # integral of F below the smallest sample
+        z_hi = (v[-1] - mu) / sigma
+        z_hi_c = min(max(z_hi, -_Z_UNDERFLOW), _Z_UNDERFLOW)
+        right_tail = sigma * (
+            np.exp(-0.5 * z_hi_c**2) / math.sqrt(2.0 * math.pi)
+            - z_hi * (1.0 - ndtr(z_hi))
+        )
+        return float(middle + left_tail + right_tail)
+
+
 def w1_vs_gaussian(samples, mu: float, sigma2: float) -> float:
     """Exact W1 distance of an empirical measure from N(mu, sigma2).
 
@@ -153,34 +224,11 @@ def w1_vs_gaussian(samples, mu: float, sigma2: float) -> float:
     consecutive order statistics (where F_n is constant and the Gaussian
     CDF F crosses the plateau at a known quantile) plus the two Gaussian
     tails.  With sigma2 = 0 the target is a point mass and the distance
-    is mean |x_i - mu|.
+    is mean |x_i - mu|.  Needs at least two finite samples and
+    sigma2 >= 0 (ValueError otherwise).
     """
-    xs = np.sort(np.asarray(samples, dtype=float))
-    n = xs.size
-    if n < 2:
-        raise ValueError(f"need at least two samples (got {n})")
-    if not np.all(np.isfinite(xs)):
-        raise ValueError("samples must be finite")
-    if sigma2 < 0:
-        raise ValueError(f"variance must be nonnegative (got {sigma2})")
-    if sigma2 == 0.0:
-        return float(np.mean(np.abs(xs - mu)))
-    sigma = math.sqrt(sigma2)
-
-    q = np.arange(1, n) / n  # plateau levels of F_n between order stats
-    a, b = xs[:-1], xs[1:]
-    crossing = np.clip(mu + sigma * ndtri(q), a, b)
-    G = lambda x: _gaussian_cdf_antiderivative(x, mu, sigma)  # noqa: E731
-    middle = np.sum(q * (2.0 * crossing - a - b) + G(a) + G(b) - 2.0 * G(crossing))
-
-    left_tail = G(xs[0])  # integral of F below the smallest sample
-    z_hi = (xs[-1] - mu) / sigma
-    z_hi_c = min(max(z_hi, -_Z_UNDERFLOW), _Z_UNDERFLOW)
-    right_tail = sigma * (
-        np.exp(-0.5 * z_hi_c**2) / math.sqrt(2.0 * math.pi)
-        - z_hi * (1.0 - ndtr(z_hi))
-    )
-    return float(middle + left_tail + right_tail)
+    table = _W1Table(samples, mu, sigma2)
+    return table.w1(np.arange(table.n))
 
 
 def w1_between_gaussians(mu1: float, sigma1: float, mu2: float, sigma2: float) -> float:
@@ -212,16 +260,33 @@ def bootstrap_w1(
 
     Resamples the empirical measure with replacement using the
     dedicated bootstrap noise channel of the seed, so path simulation
-    and resampling never share a stream.
+    and resampling never share a stream.  The sample is sorted, and G
+    and the plateau quantiles are evaluated, once; each resample is its
+    sorted ranks in that table (see :class:`_W1Table`), so it costs an
+    integer sort and a few gathers and gives the same W1 as sorting the
+    resampled values.
+
+    Raises ValueError for an ``n_boot`` that is not an integer >= 1, a
+    ``level`` outside (0, 1), or samples :func:`w1_vs_gaussian` rejects.
     """
-    xs = np.asarray(samples, dtype=float)
+    _check_n_boot(n_boot)
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must lie in (0, 1) (got {level!r})")
+    table = _W1Table(samples, mu, sigma2)
+    n = table.n
     rng = _stream(seed, 0, CHANNEL_BOOTSTRAP)
     stats = np.empty(n_boot)
     for i in range(n_boot):
-        stats[i] = w1_vs_gaussian(rng.choice(xs, size=xs.size, replace=True), mu, sigma2)
+        idx = rng.choice(n, size=n, replace=True)
+        stats[i] = table.w1(np.sort(table.rank[idx]))
     alpha = 100.0 * (1.0 - level) / 2.0
     lo, hi = np.percentile(stats, [alpha, 100.0 - alpha])
     return float(lo), float(hi)
+
+
+def _check_n_boot(n_boot) -> None:
+    if isinstance(n_boot, bool) or not isinstance(n_boot, (int, np.integer)) or n_boot < 1:
+        raise ValueError(f"n_boot must be an integer >= 1 (got {n_boot!r})")
 
 
 def default_checkpoints(T: float) -> tuple[float, float, float]:
@@ -253,8 +318,10 @@ def clt_verify(
     on :data:`HOM_GRID`.  A ``dt`` above eta/20 raises
     :class:`~fastslow.sde_engine.StabilityError` before any
     homogenization work.  Checkpoints must sit on the simulation grid
-    and default to {T/4, T/2, T}.
+    and default to {T/4, T/2, T}.  An ``n_boot`` that is not an integer
+    >= 1 raises ValueError before any other work.
     """
+    _check_n_boot(n_boot)
     if checkpoints is None:
         checkpoints = default_checkpoints(regime.T)
     times, capture = _checkpoint_steps(regime, dt, checkpoints)
@@ -426,7 +493,9 @@ def rate_sweep(
     model is built on :data:`HOM_GRID` unless ``clt_config`` carries
     ``hom`` (checked as in :func:`clt_verify`), after every point's step
     has passed the eta/20 guard
-    (:class:`~fastslow.sde_engine.StabilityError` otherwise).
+    (:class:`~fastslow.sde_engine.StabilityError` otherwise).  An
+    ``n_boot`` that is not an integer >= 1 raises ValueError before any
+    homogenization or simulation.
 
     A point whose bootstrap CI extends outside [w1/3, 3 w1] is flagged
     as noisy, not failed.
@@ -444,6 +513,7 @@ def rate_sweep(
         raise ValueError(f"unknown eta rule {eta_rule!r}")
 
     cfg = dict(clt_config)
+    _check_n_boot(cfg.get("n_boot", N_BOOTSTRAP))
     x0 = float(cfg.pop("x0", 0.0))
     y0 = float(cfg.pop("y0", 0.0))
     n_paths = int(cfg.pop("n_paths", 10_000))

@@ -156,6 +156,7 @@ def test_config_expressions_model():
         ({"model": "affine-oracle", "analysis": {"p": [0]}}, "positive integers"),
         ({"model": "affine-oracle", "grid": {"n_paths": 0}}, "positive integer"),
         ({"model": "affine-oracle", "grid": {"ny": 2.5}}, "positive integer"),
+        ({"model": "affine-oracle", "analysis": {"bootstrap": 0}}, "analysis.bootstrap"),
         ("not a dict", "must be an object"),
     ],
 )

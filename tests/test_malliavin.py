@@ -148,6 +148,33 @@ def test_first_order_validation(affine, affine_regime, affine_bundle):
         second_order_tangents(affine, affine_bundle, [(0, n + 1)])
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m, b, r: first_order_tangents(m, b, r),
+        lambda m, b, r: second_order_tangents(m, b, [(0, r[-1])]),
+        lambda m, b, r: z_process(m, b, r[-1]),
+        lambda m, b, r: q_decomposition(m, b, r[-1]),
+        lambda m, b, r: full_pair_grid(r),
+    ],
+    ids=["first_order", "second_order", "z_process", "q_decomposition", "pair_grid"],
+)
+def test_fractional_r_index_is_rejected(affine, affine_bundle, call):
+    with pytest.raises(ValueError, match=re.escape("r-index 10.7 is not an integer")):
+        call(affine, affine_bundle, [4, 10.7])
+    # integral values of any numeric type are accepted as steps
+    for r in (10, 10.0, np.int64(10)):
+        call(affine, affine_bundle, [4, r])
+
+
+def test_integral_r_indices_keep_their_values(affine, affine_bundle):
+    first = first_order_tangents(affine, affine_bundle, [np.int64(10), 4.0], False)
+    assert first.r_indices.tolist() == [4, 10]
+    assert np.array_equal(
+        z_process(affine, affine_bundle, 10.0), z_process(affine, affine_bundle, 10)
+    )
+
+
 def test_tangent_blow_up_names_channel():
     wild = model_from_expressions("wild-tau", "-x", "1", "-y", "3 + 2*cos(40*y)")
     regime = ScaleRegime(epsilon=0.01, eta=0.01, gamma=1.0, T=0.5)

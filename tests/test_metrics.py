@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 import fastslow.metrics as metrics_mod
 from fastslow.metrics import (
@@ -24,7 +24,7 @@ from fastslow.metrics import (
 )
 from fastslow.coefficients import model_from_expressions
 from fastslow.homogenization import build_homogenized
-from fastslow.sde_engine import ScaleRegime, StabilityError
+from fastslow.sde_engine import CHANNEL_BOOTSTRAP, ScaleRegime, StabilityError, _stream
 
 # -- exact W1 against a Gaussian ---------------------------------------
 
@@ -141,6 +141,138 @@ def test_bootstrap_w1_determinism_and_shape():
     assert (lo, hi) == again
     other = bootstrap_w1(xs, 0.0, 1.0, seed=5, n_boot=100)
     assert (lo, hi) != other
+
+
+# Independent reference: the estimator as it was before the sorted table,
+# one sort, one ndtri and three passes of G per call, and the bootstrap
+# as a loop over resampled values.
+
+
+def _G_old(x, mu, sigma):
+    z = (x - mu) / sigma
+    zc = np.clip(z, -40.0, 40.0)
+    return (x - mu) * ndtr(z) + sigma * np.exp(-0.5 * zc**2) / math.sqrt(2.0 * math.pi)
+
+
+def w1_vs_gaussian_old(samples, mu, sigma2):
+    xs = np.sort(np.asarray(samples, dtype=float))
+    n = xs.size
+    if sigma2 == 0.0:
+        return float(np.mean(np.abs(xs - mu)))
+    sigma = math.sqrt(sigma2)
+
+    q = np.arange(1, n) / n
+    a, b = xs[:-1], xs[1:]
+    crossing = np.clip(mu + sigma * ndtri(q), a, b)
+    G = lambda x: _G_old(x, mu, sigma)  # noqa: E731
+    middle = np.sum(q * (2.0 * crossing - a - b) + G(a) + G(b) - 2.0 * G(crossing))
+
+    left_tail = G(xs[0])
+    z_hi = (xs[-1] - mu) / sigma
+    z_hi_c = min(max(z_hi, -40.0), 40.0)
+    right_tail = sigma * (
+        np.exp(-0.5 * z_hi_c**2) / math.sqrt(2.0 * math.pi)
+        - z_hi * (1.0 - ndtr(z_hi))
+    )
+    return float(middle + left_tail + right_tail)
+
+
+def bootstrap_w1_old(samples, mu, sigma2, seed, n_boot, level=0.95):
+    xs = np.asarray(samples, dtype=float)
+    rng = _stream(seed, 0, CHANNEL_BOOTSTRAP)
+    stats = np.empty(n_boot)
+    for i in range(n_boot):
+        stats[i] = w1_vs_gaussian_old(rng.choice(xs, size=xs.size, replace=True), mu, sigma2)
+    alpha = 100.0 * (1.0 - level) / 2.0
+    lo, hi = np.percentile(stats, [alpha, 100.0 - alpha])
+    return float(lo), float(hi)
+
+
+def _reference_cases():
+    rng = np.random.default_rng(2024)
+    return {
+        "normal": (rng.normal(0.0, 1.0, 2000), 0.0, 1.0),
+        "shifted": (rng.normal(0.3, 1.2, 2000), 0.0, 1.0),
+        "skewed": (rng.exponential(1.0, 1500), 1.0, 1.0),
+        "tie_rich": (np.round(rng.normal(0.0, 1.0, 1500), 1), 0.0, 1.0),
+        "far_tail": (rng.normal(0.0, 1.0, 300), 30.0, 0.25),
+        "n2": (np.array([0.3, -1.0]), 0.0, 2.0),
+        "n17": (rng.normal(0.0, 1.0, 17), 0.1, 0.5),
+        "two_atoms": (np.repeat([-1.0, 2.0], [40, 60]), 0.0, 1.0),
+        "point_mass": (rng.normal(0.0, 1.0, 500), 0.2, 0.0),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_reference_cases()))
+def test_w1_bit_equal_to_reference_formula(case):
+    xs, mu, sigma2 = _reference_cases()[case]
+    assert w1_vs_gaussian(xs, mu, sigma2) == w1_vs_gaussian_old(xs, mu, sigma2)
+
+
+@pytest.mark.parametrize("case", sorted(_reference_cases()))
+def test_bootstrap_bit_equal_to_resampling_loop(case):
+    xs, mu, sigma2 = _reference_cases()[case]
+    for seed, level in (((3, 1), 0.95), (8, 0.8)):
+        assert bootstrap_w1(xs, mu, sigma2, seed, 60, level) == bootstrap_w1_old(
+            xs, mu, sigma2, seed, 60, level
+        )
+
+
+def test_bootstrap_resamples_bit_equal_one_by_one():
+    """Each resample's W1 from the table equals the reference on the
+    resampled values, not only the two CI ends."""
+    xs, mu, sigma2 = _reference_cases()["tie_rich"]
+    table = metrics_mod._W1Table(xs, mu, sigma2)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        idx = rng.choice(xs.size, size=xs.size, replace=True)
+        j = np.sort(table.rank[idx])
+        assert table.w1(j) == w1_vs_gaussian_old(xs[idx], mu, sigma2)
+
+
+def test_bootstrap_w1_rejects_bad_samples():
+    with pytest.raises(ValueError, match="at least two"):
+        bootstrap_w1([1.0], 0.0, 1.0, seed=0, n_boot=10)
+    with pytest.raises(ValueError, match="finite"):
+        bootstrap_w1([0.0, np.nan], 0.0, 1.0, seed=0, n_boot=10)
+    with pytest.raises(ValueError, match="variance"):
+        bootstrap_w1([0.0, 1.0], 0.0, -1.0, seed=0, n_boot=10)
+
+
+@pytest.mark.parametrize("n_boot", [0, -3, 2.5, True, "10"])
+def test_bootstrap_w1_rejects_bad_n_boot(n_boot):
+    with pytest.raises(ValueError, match="n_boot"):
+        bootstrap_w1([0.0, 1.0, 2.0], 0.0, 1.0, seed=0, n_boot=n_boot)
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, math.nan])
+def test_bootstrap_w1_rejects_bad_level(level):
+    with pytest.raises(ValueError, match="level"):
+        bootstrap_w1([0.0, 1.0, 2.0], 0.0, 1.0, seed=0, n_boot=10, level=level)
+
+
+def test_bootstrap_w1_accepts_numpy_integer_n_boot():
+    xs = np.random.default_rng(1).normal(0.0, 1.0, 50)
+    assert bootstrap_w1(xs, 0.0, 1.0, 4, np.int64(20)) == bootstrap_w1(xs, 0.0, 1.0, 4, 20)
+
+
+def _not_reached(*args, **kwargs):
+    raise AssertionError("work started before n_boot was checked")
+
+
+def test_clt_verify_checks_n_boot_before_any_work(affine, monkeypatch):
+    monkeypatch.setattr(metrics_mod, "build_homogenized", _not_reached)
+    monkeypatch.setattr(metrics_mod, "simulate_paths", _not_reached)
+    regime = ScaleRegime(0.05, 0.05, 1.0, 0.1)
+    with pytest.raises(ValueError, match="n_boot"):
+        clt_verify(affine, regime, 0.0, 0.0, 0.0025, 10, n_boot=0)
+
+
+def test_rate_sweep_checks_n_boot_before_any_work(affine, monkeypatch):
+    monkeypatch.setattr(metrics_mod, "build_homogenized", _not_reached)
+    monkeypatch.setattr(metrics_mod, "simulate_paths", _not_reached)
+    with pytest.raises(ValueError, match="n_boot"):
+        rate_sweep(affine, (0.16, 0.08, 0.04), "equal", {"n_boot": 0}, T=0.2)
 
 
 # -- theoretical envelope ----------------------------------------------
