@@ -36,11 +36,12 @@ the response to the D^{W2}X feedback.
 
 Both tangent orders are advanced by one recursion, which runs over a
 stream of base states (k, X_k, Y_k, dW1_k, dW2_k).  The moment sweeps
-feed it live Euler-Maruyama states, so each path chunk's noise drives
-the base path and its tangents in one forward pass and nothing is
-stored; :func:`first_order_tangents` and :func:`second_order_tangents`
-feed it the rows of a stored :class:`~fastslow.sde_engine.PathBundle`,
-and the first can also record the first-order series.
+feed it live Euler-Maruyama states, so at each sweep point the noise
+of all paths drives the base path and its tangents in one forward pass
+and nothing is stored; :func:`first_order_tangents`,
+:func:`second_order_tangents` and :func:`q_decomposition` feed it the
+rows of a stored :class:`~fastslow.sde_engine.PathBundle`, and the
+first and the last also read the first-order state at every step.
 
 The module also evaluates the Monte Carlo moment-inequality suite
 (scaling of tangent moments in eps and eta), the H-norm and
@@ -264,7 +265,7 @@ def _first_step(d, dx, dy, w1, w2, s: _StepScales, k: int, r_idx):
     dy_new = dy + (d1f * dx + d2f * dy) * (s.dt / s.eta) + (
         d1t * dx + d2t * dy
     ) * (w2 / s.eta_root)
-    if not (np.all(np.isfinite(dx_new)) and np.all(np.isfinite(dy_new))):
+    if not (np.isfinite(dx_new).all() and np.isfinite(dy_new).all()):
         bad = np.argwhere(~(np.isfinite(dx_new) & np.isfinite(dy_new)))
         j, i = int(bad[0][0]), int(bad[0][1])
         raise TangentBlowUpError(
@@ -327,7 +328,7 @@ def _second_step(p, d2x, d2y, factors, w1, w2, s: _StepScales, k, combos, pair_a
     d2y_new = d2y + (d2f * d2y + b2f) * (s.dt / s.eta) + (d2t * d2y + b2t) * (
         w2 / s.eta_root
     )
-    if not (np.all(np.isfinite(d2x_new)) and np.all(np.isfinite(d2y_new))):
+    if not (np.isfinite(d2x_new).all() and np.isfinite(d2y_new).all()):
         bad = np.argwhere(~(np.isfinite(d2x_new) & np.isfinite(d2y_new)))
         c, q = int(bad[0][0]), int(bad[0][1])
         raise TangentBlowUpError(
@@ -366,8 +367,8 @@ def _tangent_pass(
 
     Returns the tangents without series (``second`` is None without
     ``pairs``).  Beyond what ``states`` holds it keeps
-    O((n_r + n_pairs) n_paths) state, so its memory does not grow with
-    n_steps.
+    O((n_r + n_combos n_pairs) n_paths) state, so its memory does not
+    grow with n_steps.
     """
     pair_arr = _step_indices(() if pairs is None else pairs).reshape(-1, 2)
     r_idx = _r_grid(n_steps, r_indices, pair_arr)
@@ -567,17 +568,16 @@ def q_decomposition(
     Q1 = Zm(t) tau(X_r, Y_r)/sqrt(eta) with Zm the fundamental solution
     of the discretized homogeneous fast tangent recursion (so the
     decomposition telescopes exactly in discrete time); Q2 solves the
-    affine recursion forced by D^{W2}X.  Verifies Q1 + Q2 against the
-    directly integrated D^{W2}Y and raises :class:`DecompositionError`
-    if the reconstruction residual exceeds 1e-6 * (1 + max |D|).
+    affine recursion forced by D^{W2}X.  Both advance step by step with
+    the first-order tangent pass, which keeps no tangent series.
+    Verifies Q1 + Q2 against the directly integrated D^{W2}Y and raises
+    :class:`DecompositionError` if the reconstruction residual exceeds
+    1e-6 * (1 + max |D|).
 
     Returns (Q1, Q2), each of shape (n_t, n_paths), zero before r.
     """
     _require_storage(bundle)
     (r,) = _r_grid(bundle.n_steps, [r_index])
-    first = first_order_tangents(model, bundle, [r], store_series=True)
-    dxw2 = first.DX[1, 0]  # D^{W2}X series, (n_t, n_paths)
-    dyw2 = first.DY[1, 0]
     eta = bundle.regime.eta
     eta_root = math.sqrt(eta)
     dt = bundle.dt
@@ -588,18 +588,31 @@ def q_decomposition(
     q1[r] = tau_r / eta_root
     zm = np.ones(bundle.n_paths)
     q2_state = np.zeros(bundle.n_paths)
-    for k in range(r, bundle.n_steps):
+    resid = d_max = 0.0
+
+    def record(k, dx, dy):
+        # D^{W2}X and D^{W2}Y at step k; Q1 + Q2 and D are zero before r.
+        nonlocal zm, q2_state, resid, d_max
+        dxw2, dyw2 = dx[1, 0], dy[1, 0]
+        resid = max(resid, float(np.max(np.abs(q1[k] + q2[k] - dyw2))))
+        d_max = max(d_max, float(np.max(np.abs(dyw2))))
+        if k == bundle.n_steps:
+            return
         d1f, d2f, d1t, d2t = model.evaluate(
             bundle.X[k], bundle.Y[k], ("d1_f", "d2_f", "d1_tau", "d2_tau")
         )
         a = 1.0 + d2f * (dt / eta) + d2t * (bundle.dW2[k] / eta_root)
-        g = d1f * dxw2[k] * (dt / eta) + d1t * dxw2[k] * (bundle.dW2[k] / eta_root)
+        g = d1f * dxw2 * (dt / eta) + d1t * dxw2 * (bundle.dW2[k] / eta_root)
         zm = a * zm
         q2_state = a * q2_state + g
         q1[k + 1] = zm * (tau_r / eta_root)
         q2[k + 1] = q2_state
-    resid = float(np.max(np.abs(q1 + q2 - dyw2)))
-    tol = 1e-6 * (1.0 + float(np.max(np.abs(dyw2))))
+
+    _tangent_pass(
+        model, bundle.regime, dt, bundle.n_steps, bundle.n_paths,
+        _stored_states(bundle), [r], record=record,
+    )
+    tol = 1e-6 * (1.0 + d_max)
     if resid > tol:
         raise DecompositionError(
             f"Q1+Q2 reconstruction residual {resid:.3e} exceeds {tol:.3e}"
@@ -780,18 +793,67 @@ def _moment_envelopes(
     }
 
 
-def _accumulate(acc: dict, key: str, per_path: np.ndarray) -> None:
-    a = acc.setdefault(key, [0.0, 0.0, 0])
-    a[0] += float(np.sum(per_path))
-    a[1] += float(np.sum(per_path**2))
-    a[2] += per_path.size
+def _path_chunks(seed_words: tuple, n_paths: int, path_chunk: int):
+    """Stream groups and column slices of a sweep's path chunks.
+
+    The chunk of paths start..start+m-1 draws from the streams keyed by
+    ``seed_words + (start,)`` with path ids 0..m-1.
+    """
+    cols = [
+        slice(start, min(start + path_chunk, n_paths))
+        for start in range(0, n_paths, path_chunk)
+    ]
+    groups = [(seed_words + (c.start,), range(c.stop - c.start)) for c in cols]
+    return groups, cols
 
 
-def _mean_se(acc_entry) -> tuple[float, float]:
-    s, s2, n = acc_entry
+def _sweep_pass(
+    model: CoefficientSet,
+    regime: ScaleRegime,
+    dt: float,
+    n_steps: int,
+    x0: float,
+    y0: float,
+    groups,
+    r_indices: Sequence[int],
+    pairs=None,
+    combos: Sequence[tuple[int, int]] = _ALL_COMBOS,
+):
+    """One :func:`_tangent_pass` on live noise over the paths of every
+    stream group, in group order."""
+    n_paths = sum(len(ids) for _, ids in groups)
+    noise = _noise_blocks(groups, n_steps, dt)
+    states = _em_states(model, _StepScales.of(regime, dt), x0, y0, n_paths, noise)
+    return _tangent_pass(
+        model, regime, dt, n_steps, n_paths, states, r_indices, pairs, combos
+    )
+
+
+def _mean_se(per_path: np.ndarray, cols) -> tuple[float, float]:
+    """Mean and standard error of per-path values, whose sum and sum of
+    squares add up chunk by chunk over the column slices ``cols``."""
+    s = s2 = 0.0
+    n = 0
+    for c in cols:
+        part = per_path[c]
+        s += float(np.sum(part))
+        s2 += float(np.sum(part**2))
+        n += part.size
     mean = s / n
     var = max(s2 / n - mean**2, 0.0)
     return mean, math.sqrt(var / n)
+
+
+def _require_values(name: str, values, upper: float = math.inf) -> list[float]:
+    """``values`` as floats; ValueError naming ``name`` when there is none
+    or naming the first that is not a finite number in [0, upper]."""
+    out = [float(v) for v in values]
+    if not out:
+        raise ValueError(f"{name} must not be empty")
+    for v in out:
+        if not (0.0 <= v <= upper and math.isfinite(v)):
+            raise ValueError(f"{name} value {v} is not a finite number in [0, {upper:g}]")
+    return out
 
 
 def moment_sweep(
@@ -812,27 +874,35 @@ def moment_sweep(
     """Monte Carlo moment suite for the six tangent bounds.
 
     ``r_selection`` gives the first-order perturbation times as
-    fractions of the horizon.  For each regime (ordered by decreasing
-    epsilon) computes:
+    fractions of the horizon, each in [0, 1].  For each regime (ordered
+    by decreasing epsilon) computes:
 
     - ``dw1_x_sup`` / ``dw2_x_sup``: mean over the r-selection of
       E sup_t |D_r^{Wj} X_t|^{2p} (sup over the stored grid);
     - ``dw2_y_final``: E |D_{T/2}^{W2} Y_T|^{2p};
     - ``d2x_w1w1``: E |D2_{r,r}^{W1,W1} X_T|^{2p} at r = T/2;
     - ``d2x_w1w2`` / ``d2x_w2w2``: the same at (r1, r2) =
-      (T/2, T/2 - pair_sep_etas * eta).
+      (T/2, max(0, T/2 - pair_sep_etas * eta)); the envelope reads the
+      separation r1 - r2 realized on the grid.
 
     The envelope constant ``C_fit`` is anchored at the first regime; a
     Monte Carlo standard error above 30% of the mean attaches an
     under-sampled warning (never a failure).  ``dt`` defaults to eta/20
     per regime; a larger step raises
-    :class:`~fastslow.sde_engine.StabilityError` before any work.
+    :class:`~fastslow.sde_engine.StabilityError` before any work, as do
+    an empty ``r_selection``, a fraction outside [0, 1] and a negative
+    or non-finite ``pair_sep_etas`` (ValueError naming the value).
 
-    Each chunk of ``path_chunk`` paths runs one step loop over its noise
-    that advances the base path, the first-order tangents from the
-    first perturbation step and the second-order tangents from the
-    first max(r1, r2); no path, increment or tangent series is kept.
-    The tangent recursion is the one :func:`first_order_tangents` and
+    Each regime runs one step loop over all ``n_paths`` paths that
+    advances the base path, the first-order tangents from the first
+    perturbation step and the second-order tangents from the first
+    max(r1, r2); no path, increment or tangent series is kept.  The pass
+    holds O((n_r + n_combos n_pairs) n_paths) tangent state, one noise
+    block of at most 32 MiB and a draw buffer of one chunk's streams.
+    ``path_chunk`` sets only how the paths' streams are keyed: chunk
+    i_reg, start draws from the streams ``seed + (i_reg, start)`` with
+    path ids 0..m-1, and the moment sums add up chunk by chunk, so
+    results depend on it.  The tangent recursion is the one :func:`first_order_tangents` and
     :func:`second_order_tangents` run over a stored bundle, so they
     give the same values on the same paths.
     """
@@ -844,6 +914,8 @@ def moment_sweep(
         raise ValueError("regimes must be ordered by strictly decreasing epsilon")
     if p not in (1, 2):
         raise ValueError(f"moment order p must be 1 or 2 (got {p})")
+    fractions = _require_values("r_selection", r_selection, 1.0)
+    _require_values("pair_sep_etas", [pair_sep_etas])
     steps = [dt if dt is not None else r.eta / 20.0 for r in regimes]
     for step, regime in zip(steps, regimes):
         _check_stability(step, regime.eta)
@@ -862,63 +934,26 @@ def moment_sweep(
     for i_reg, (regime, step) in enumerate(zip(regimes, steps)):
         T = regime.T
         n_steps, dt_eff = time_grid(T, step)
-        r_sel = sorted(
-            {min(n_steps, max(0, int(round(f * n_steps)))) for f in r_selection}
-        )
-        r_mid = min(n_steps, max(0, int(round(0.5 * n_steps))))
+        r_sel = sorted({int(round(f * n_steps)) for f in fractions})
+        r_mid = int(round(0.5 * n_steps))
         sep_steps = int(round(pair_sep_etas * regime.eta / dt_eff))
         r_lo = max(0, r_mid - sep_steps)
         pairs = np.array([[r_mid, r_mid], [r_mid, r_lo]])
         r_union = sorted(set(r_sel) | {r_mid, r_lo})
-        acc: dict[str, list] = {}
-        scales = _StepScales.of(regime, dt_eff)
-        for start in range(0, n_paths, path_chunk):
-            m = min(path_chunk, n_paths - start)
-            noise = _noise_blocks(
-                _seed_tuple(seed) + (i_reg, start), range(m), n_steps, dt_eff
-            )
-            first, second = _tangent_pass(
-                model,
-                regime,
-                dt_eff,
-                n_steps,
-                m,
-                _em_states(model, scales, x0, y0, m, noise),
-                r_union,
-                pairs,
-            )
-            sel_rows = [first.position(r) for r in r_sel]
-            _accumulate(
-                acc,
-                "dw1_x_sup",
-                np.mean(first.sup_abs_dx[0, sel_rows] ** (2 * p), axis=0),
-            )
-            _accumulate(
-                acc,
-                "dw2_x_sup",
-                np.mean(first.sup_abs_dx[1, sel_rows] ** (2 * p), axis=0),
-            )
-            _accumulate(
-                acc,
-                "dw2_y_final",
-                np.abs(first.final_dy[1, first.position(r_mid)]) ** (2 * p),
-            )
-            combo_row = {c: i for i, c in enumerate(second.combos)}
-            _accumulate(
-                acc,
-                "d2x_w1w1",
-                np.abs(second.final_d2x[combo_row[(0, 0)], 0]) ** (2 * p),
-            )
-            _accumulate(
-                acc,
-                "d2x_w1w2",
-                np.abs(second.final_d2x[combo_row[(0, 1)], 1]) ** (2 * p),
-            )
-            _accumulate(
-                acc,
-                "d2x_w2w2",
-                np.abs(second.final_d2x[combo_row[(1, 1)], 1]) ** (2 * p),
-            )
+        groups, cols = _path_chunks(_seed_tuple(seed) + (i_reg,), n_paths, path_chunk)
+        first, second = _sweep_pass(
+            model, regime, dt_eff, n_steps, x0, y0, groups, r_union, pairs
+        )
+        sel_rows = [first.position(r) for r in r_sel]
+        combo_row = {c: i for i, c in enumerate(second.combos)}
+        per_path = {
+            "dw1_x_sup": np.mean(first.sup_abs_dx[0, sel_rows] ** (2 * p), axis=0),
+            "dw2_x_sup": np.mean(first.sup_abs_dx[1, sel_rows] ** (2 * p), axis=0),
+            "dw2_y_final": np.abs(first.final_dy[1, first.position(r_mid)]) ** (2 * p),
+            "d2x_w1w1": np.abs(second.final_d2x[combo_row[(0, 0)], 0]) ** (2 * p),
+            "d2x_w1w2": np.abs(second.final_d2x[combo_row[(0, 1)], 1]) ** (2 * p),
+            "d2x_w2w2": np.abs(second.final_d2x[combo_row[(1, 1)], 1]) ** (2 * p),
+        }
         env = _moment_envelopes(
             p,
             regime.epsilon,
@@ -931,7 +966,7 @@ def moment_sweep(
         per_regime.append(
             {
                 "regime": regime,
-                "acc": acc,
+                "moments": {k: _mean_se(v, cols) for k, v in per_path.items()},
                 "env": env,
             }
         )
@@ -942,7 +977,7 @@ def moment_sweep(
         warnings: list[str] = []
         c_fit = 0.0
         for i, entry in enumerate(per_regime):
-            mean, se = _mean_se(entry["acc"][bound_id])
+            mean, se = entry["moments"][bound_id]
             envelope = entry["env"][bound_id]
             if i == 0:
                 c_fit = mean / envelope if envelope > 0 else 0.0
@@ -997,72 +1032,51 @@ def decay_check(
     For ``d2x_w1w2`` / ``d2x_w2w2``: E|D2_{r1,r2} X_T|^{2p} with
     r1 = T/2 and r2 = r1 - sep;  for ``dw2_y_final``:
     E|D_r^{W2} Y_T|^{2p} with r = T - sep.  Separations are given in
-    units of eta.  All separations share the same simulated paths, so
-    the comparison is low-noise; monotone_within_noise allows each
+    units of eta; an empty list, or a separation that is negative,
+    non-finite or reaches before t = 0, raises ValueError naming it
+    before any work.  All separations share the same simulated paths,
+    so the comparison is low-noise; monotone_within_noise allows each
     consecutive increase up to twice the summed standard errors.
     ``dt`` defaults to eta/20; a larger step raises
     :class:`~fastslow.sde_engine.StabilityError`.  Like
-    :func:`moment_sweep`, each path chunk runs one step loop over its
-    noise, in which the base path advances and every tangent starts at
-    its perturbation step, and keeps no series.
+    :func:`moment_sweep`, one step loop over all paths advances the base
+    path and starts every tangent at its perturbation step, and keeps no
+    series; ``path_chunk`` sets the stream keys ``seed + (start,)``,
+    path ids 0..m-1, of each chunk and the chunks the moment sums add
+    up over.
     """
     _require_positive(n_paths=n_paths, path_chunk=path_chunk)
     if bound_id not in ("d2x_w1w2", "d2x_w2w2", "dw2_y_final"):
         raise ValueError(f"no separation structure for bound {bound_id!r}")
+    seps = _require_values("separations_eta", separations_eta)
     step = dt if dt is not None else regime.eta / 20.0
     _check_stability(step, regime.eta)
     n_steps, dt_eff = time_grid(regime.T, step)
-    seps = [float(s) for s in separations_eta]
-    sep_steps = [int(round(s * regime.eta / dt_eff)) for s in seps]
     if bound_id == "dw2_y_final":
-        r_list = [n_steps - s for s in sep_steps]
-        if min(r_list) < 0:
-            raise ValueError("separation exceeds the horizon")
+        r_top, top = n_steps, "the horizon"
+    else:
+        r_top, top = int(round(0.5 * n_steps)), "r1 = T/2"
+    r_list = [r_top - int(round(s * regime.eta / dt_eff)) for s in seps]
+    for s, r in zip(seps, r_list):
+        if r < 0:
+            raise ValueError(f"separations_eta value {s} exceeds {top}")
+    if bound_id == "dw2_y_final":
         r_union = sorted(set(r_list))
         pairs, combos = None, ()
     else:
-        r_hi = int(round(0.5 * n_steps))
-        r_list = [r_hi - s for s in sep_steps]
-        if min(r_list) < 0:
-            raise ValueError("separation exceeds r1 = T/2")
-        r_union = sorted({r_hi, *r_list})
-        pairs = np.array([[r_hi, r2] for r2 in r_list])
+        r_union = sorted({r_top, *r_list})
+        pairs = np.array([[r_top, r2] for r2 in r_list])
         combos = ((0, 1),) if bound_id == "d2x_w1w2" else ((1, 1),)
 
-    scales = _StepScales.of(regime, dt_eff)
-    acc: dict[str, list] = {}
-    for start in range(0, n_paths, path_chunk):
-        m = min(path_chunk, n_paths - start)
-        noise = _noise_blocks(_seed_tuple(seed) + (start,), range(m), n_steps, dt_eff)
-        first, second = _tangent_pass(
-            model,
-            regime,
-            dt_eff,
-            n_steps,
-            m,
-            _em_states(model, scales, x0, y0, m, noise),
-            r_union,
-            pairs,
-            combos,
-        )
-        if second is None:
-            for i, r in enumerate(r_list):
-                _accumulate(
-                    acc,
-                    f"s{i}",
-                    np.abs(first.final_dy[1, first.position(r)]) ** (2 * p),
-                )
-        else:
-            for i in range(len(r_list)):
-                _accumulate(
-                    acc, f"s{i}", np.abs(second.final_d2x[0, i]) ** (2 * p)
-                )
-
-    means, ses = [], []
-    for i in range(len(seps)):
-        mean, se = _mean_se(acc[f"s{i}"])
-        means.append(mean)
-        ses.append(se)
+    groups, cols = _path_chunks(_seed_tuple(seed), n_paths, path_chunk)
+    first, second = _sweep_pass(
+        model, regime, dt_eff, n_steps, x0, y0, groups, r_union, pairs, combos
+    )
+    if second is None:
+        per_sep = [np.abs(first.final_dy[1, first.position(r)]) for r in r_list]
+    else:
+        per_sep = list(np.abs(second.final_d2x[0]))
+    means, ses = zip(*(_mean_se(v ** (2 * p), cols) for v in per_sep))
     monotone = all(
         means[i + 1] <= means[i] + 2.0 * (ses[i] + ses[i + 1])
         for i in range(len(means) - 1)
@@ -1073,8 +1087,8 @@ def decay_check(
         epsilon=regime.epsilon,
         eta=regime.eta,
         separations=tuple(seps),
-        empirical=tuple(means),
-        stderr=tuple(ses),
+        empirical=means,
+        stderr=ses,
         monotone_within_noise=monotone,
     )
 

@@ -22,15 +22,17 @@ chunk draws its noise in time blocks of a fixed byte budget, continuing
 every stream from block to block, and the step loop consumes one block
 at a time: a stream drawn in blocks gives the same numbers as one draw
 of the same length, so the block length changes no result, and peak
-memory grows with the block, not with n_steps.  One recursion,
-:func:`_em_states`, advances the state over the blocks and yields each
-step's state with its increments; paths and increments are stored only
-when asked for.
+memory grows with the block, not with n_steps.  One block can join
+several stream groups, each with its own seed, as column groups.  One
+recursion, :func:`_em_states`, advances the state over the blocks and
+yields each step's state with its increments; paths and increments are
+stored only when asked for.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -68,10 +70,10 @@ STABILITY_FRACTION = 1.0 / 20.0
 _EM_KEYS = ("c", "sigma", "f", "tau")
 
 #: Bytes of one noise block of both channels (16 bytes per path-step):
-#: a chunk of m paths draws max(1, _NOISE_BLOCK_BYTES // (16 m)) steps
-#: at a time.  The block length changes no result, only peak memory
-#: (the block plus a path-major draw buffer of half its size) and the
-#: number of draw calls.
+#: a block of m paths holds max(1, _NOISE_BLOCK_BYTES // (16 m)) steps.
+#: The block length changes no result, only peak memory (the block plus
+#: a path-major draw buffer of one stream group, at most half its size)
+#: and the number of draw calls.
 _NOISE_BLOCK_BYTES = 32 * 1024**2
 
 
@@ -320,67 +322,86 @@ class _Key(np.random.bit_generator.ISeedSequence):
         return self.key
 
 
-def _streams(master_seed, path_ids: Sequence[int], channel: int):
-    """Counter-based generators keyed by (master_seed, path_id, channel).
-
-    All keys are derived up front (invalid ids or seeds raise before any
-    stream exists); the generators are built lazily, in path order.
-    """
-    keys = _philox_keys(master_seed, path_ids, channel)
-    return (np.random.Generator(np.random.Philox(_Key(k))) for k in keys)
+def _generator(key: np.ndarray) -> np.random.Generator:
+    """The counter-based generator of one precomputed Philox key."""
+    return np.random.Generator(np.random.Philox(_Key(key)))
 
 
 def _stream(master_seed, path_id: int, channel: int) -> np.random.Generator:
     """The generator of one (master_seed, path_id, channel) stream."""
-    return next(_streams(master_seed, (path_id,), channel))
+    return _generator(_philox_keys(master_seed, (path_id,), channel)[0])
+
+
+def _mapped_array(rows: int, cols: int) -> np.ndarray:
+    """An uninitialized (rows, cols) float array in its own anonymous map.
+
+    Noise block buffers are large, and the C heap keeps a large freed
+    array: freeing one raises the allocator's threshold for mapping, so
+    the next block of that size lands in the heap, where any allocation
+    above it keeps the freed block in the process after the run.  A map
+    goes back to the operating system as soon as the array is dropped;
+    tracemalloc does not count it.
+    """
+    n = rows * cols
+    buf = mmap.mmap(-1, 8 * max(1, n), flags=mmap.MAP_PRIVATE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        # As numpy advises its own large arrays: fewer page faults.
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, np.float64, count=n).reshape(rows, cols)
 
 
 def _noise_blocks(
-    master_seed,
-    path_ids: Sequence[int],
+    groups: Sequence[tuple[object, Sequence[int]]],
     n_steps: int,
     dt: float,
     block_steps: int | None = None,
 ):
-    """Brownian increments of a path chunk, drawn in blocks of whole steps.
+    """Brownian increments of stream groups, drawn in blocks of whole steps.
 
-    Derives the keys of the 2 m per-path streams of ``path_ids`` in one
-    pass per channel, opens each stream once and yields (dW1, dW2)
-    blocks of shape (b, m) that cover steps 0..n_steps-1 in order.  Path
-    ids outside [0, 2**32) and negative seed words raise ValueError
-    before any draw.  A block holds ``block_steps`` steps (default:
-    as many as fit in :data:`_NOISE_BLOCK_BYTES`, at least one) or the
-    remainder.  Philox streams are counter-based, so a stream drawn in
-    blocks gives the numbers of one draw of n_steps: every block length
-    yields the same increments.  Each stream fills a row of a
-    path-major buffer, which one transposing copy scales by sqrt(dt).
-    The yielded arrays are reused: a block is valid until the next one
-    is drawn.
+    ``groups`` lists (master_seed, path_ids) pairs; their m paths in all
+    are the columns of every block, group after group.  Derives the keys
+    of the 2 m per-path streams in one pass per group and channel, opens
+    each stream once and yields (dW1, dW2) blocks of shape (b, m) that
+    cover steps 0..n_steps-1 in order.  Path ids outside [0, 2**32) and
+    negative seed words raise ValueError before any draw.  A block holds
+    ``block_steps`` steps (default: as many as fit in
+    :data:`_NOISE_BLOCK_BYTES`, at least one) or the remainder.  Philox
+    streams are counter-based, so a stream drawn in blocks gives the
+    numbers of one draw of n_steps: every block length yields the same
+    increments, and a group's columns are those it yields on its own.
+    Each stream of a group fills a row of a path-major buffer, which one
+    transposing copy scales by sqrt(dt) into the group's columns.  The
+    yielded arrays are reused: a block is valid until the next one is
+    drawn.
     """
-    m = len(path_ids)
+    keys = [
+        [_philox_keys(seed, ids, ch) for seed, ids in groups]
+        for ch in (CHANNEL_W1, CHANNEL_W2)
+    ]
+    widths = [len(k) for k in keys[0]]
+    edges = np.cumsum([0, *widths]).tolist()
+    m = edges[-1]
     if block_steps is None:
         block_steps = _NOISE_BLOCK_BYTES // (16 * max(1, m))
     size = max(1, min(block_steps, n_steps))
-    streams = [_streams(master_seed, path_ids, ch) for ch in (CHANNEL_W1, CHANNEL_W2)]
+    streams = [[map(_generator, k) for k in ch_keys] for ch_keys in keys]
     if size < n_steps:
         # Later blocks continue the streams, so they stay open.  A single
         # block opens each stream, draws it whole and drops it: an open
         # stream is 4 objects the cycle collector tracks, and 20k of them
         # alive through a step loop cost full collections.
-        streams = [list(gens) for gens in streams]
-    raw = np.empty((m, size))
-    # One array per channel rather than one (2, size, m) array: freeing a
-    # large block raises the allocator's threshold for keeping freed
-    # memory, so the largest block sets what a run retains afterwards.
-    out = (np.empty((size, m)), np.empty((size, m)))
+        streams = [[list(gens) for gens in ch] for ch in streams]
+    raw = _mapped_array(max(widths, default=0), size)
+    out = (_mapped_array(size, m), _mapped_array(size, m))
     scale = math.sqrt(dt)
     for k in range(0, n_steps, size):
         b = min(size, n_steps - k)
-        rows = raw[:, :b]
-        for gens, dw in zip(streams, out):
-            for gen, row in zip(gens, rows):
-                gen.standard_normal(out=row)
-            np.multiply(rows.T, scale, out=dw[:b])
+        for ch_streams, dw in zip(streams, out):
+            for gens, lo, hi in zip(ch_streams, edges, edges[1:]):
+                rows = raw[: hi - lo, :b]
+                for gen, row in zip(gens, rows):
+                    gen.standard_normal(out=row)
+                np.multiply(rows.T, scale, out=dw[:b, lo:hi])
         yield out[0][:b], out[1][:b]
 
 
@@ -397,7 +418,7 @@ def draw_increments(
     This is the noise :func:`simulate_paths` runs on, drawn as a single
     block.
     """
-    blocks = _noise_blocks(master_seed, path_ids, n_steps, dt, n_steps)
+    blocks = _noise_blocks([(master_seed, path_ids)], n_steps, dt, n_steps)
     empty = np.empty((0, len(path_ids)))
     return next(blocks, (empty, empty))
 
@@ -521,7 +542,7 @@ def _em_step(
     dt, eta = scales.dt, scales.eta
     x_new = x + c * dt + scales.eps_root * sigma * dw1
     y_new = y + f * (dt / eta) + tau * (dw2 / scales.eta_root)
-    if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(y_new))):
+    if not (np.isfinite(x_new).all() and np.isfinite(y_new).all()):
         bad = int(np.argmax(~(np.isfinite(x_new) & np.isfinite(y_new))))
         raise BlowUpError(
             f"non-finite state at step {k + 1} (path column {bad}); "
@@ -601,7 +622,7 @@ def simulate_paths(
             x0,
             y0,
             len(ids),
-            _noise_blocks(master_seed, ids, n_steps, dt_eff),
+            _noise_blocks([(master_seed, ids)], n_steps, dt_eff),
             wanted,
             *(None if a is None else a[:, cols] for a in (X, Y, dW1, dW2)),
         )

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -484,7 +485,7 @@ def test_tangent_pass_matches_recorders_bitwise(bounded, r_indices, pairs, combo
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.15)
     n_steps, dt = time_grid(regime.T, regime.eta / 20)
     assert n_steps == 60
-    noise = _noise_blocks((4, 1), range(6), n_steps, dt)
+    noise = _noise_blocks([((4, 1), range(6))], n_steps, dt)
     states = _em_states(bounded, _StepScales.of(regime, dt), 0.4, 0.3, 6, noise)
     first, second = malliavin_mod._tangent_pass(
         bounded, regime, dt, n_steps, 6, states, r_indices, pairs, combos
@@ -530,6 +531,65 @@ def test_sweeps_match_recorders_bitwise(bounded, monkeypatch):
     fused = run()
     monkeypatch.setattr(malliavin_mod, "_em_states", _recorded)
     assert run() == fused
+
+
+def _per_chunk_pass(one_pass):
+    """The reference for the sweeps' wide pass: one pass per path chunk,
+    on that chunk's streams alone, with the chunks' arrays joined along
+    the path axis."""
+
+    def run(model, regime, dt, n_steps, x0, y0, groups, *args):
+        parts = [one_pass(model, regime, dt, n_steps, x0, y0, [g], *args) for g in groups]
+
+        def join(objs, names):
+            joined = {n: np.concatenate([getattr(o, n) for o in objs], -1) for n in names}
+            return replace(objs[0], **joined)
+
+        firsts, seconds = zip(*parts)
+        first = join(firsts, ("final_dx", "final_dy", "sup_abs_dx", "sup_abs_dy"))
+        if seconds[0] is None:
+            return first, None
+        names = ("final_d2x", "final_d2y", "sup_abs_d2x", "sup_abs_d2y")
+        return first, join(seconds, names)
+
+    return run
+
+
+def test_wide_pass_equals_per_chunk_passes(bounded, monkeypatch):
+    """One pass over all paths of a sweep point reports the same floats
+    as one pass per path chunk, with a ragged last chunk (130 paths in
+    chunks of 50, 50 and 30)."""
+    regimes = [ScaleRegime(0.1, 0.1, 1.0, 0.3), ScaleRegime(0.05, 0.05, 1.0, 0.3)]
+    passes = []
+    tangent_pass = malliavin_mod._tangent_pass
+
+    def counted(model, regime, dt, n_steps, n_paths, *args, **kwargs):
+        passes.append(n_paths)
+        return tangent_pass(model, regime, dt, n_steps, n_paths, *args, **kwargs)
+
+    def run():
+        reports = moment_sweep(
+            bounded, regimes, 1, 130, seed=5, x0=0.4, y0=0.3,
+            pair_sep_etas=2.0, path_chunk=50, k_hat=1.0,
+        )
+        decays = [
+            decay_check(
+                bounded, regimes[-1], bound_id, 1, 130, 6,
+                separations_eta=(0.5, 1.0, 2.0), x0=0.4, y0=0.3, path_chunk=50,
+            )
+            for bound_id in ("d2x_w1w2", "d2x_w2w2", "dw2_y_final")
+        ]
+        return [r.to_dict() for r in reports.values()], [d.to_dict() for d in decays]
+
+    monkeypatch.setattr(malliavin_mod, "_tangent_pass", counted)
+    wide = run()
+    assert passes == [130] * 5  # one pass per regime and per decay check
+    passes.clear()
+    monkeypatch.setattr(
+        malliavin_mod, "_sweep_pass", _per_chunk_pass(malliavin_mod._sweep_pass)
+    )
+    assert run() == wide
+    assert passes == [50, 50, 30] * 5
 
 
 def _scalar_tangents(model, bundle, r_grid, pairs, combos):
@@ -745,6 +805,45 @@ def test_sweeps_reject_nonpositive_sizes_first(affine, monkeypatch, sizes, messa
         moment_sweep(affine, [regime], 1, **args)
     with pytest.raises(ValueError, match=re.escape(message)):
         decay_check(affine, regime, "dw2_y_final", 1, seed=0, **args)
+
+
+@pytest.mark.parametrize(
+    "bound_id, name, value, message",
+    [
+        (None, "r_selection", (), "must not be empty"),
+        (None, "r_selection", (0.5, 1.5), "value 1.5 is not a finite number in [0, 1]"),
+        (None, "r_selection", (-0.25,), "value -0.25 is not"),
+        (None, "r_selection", (math.nan,), "value nan is not"),
+        (None, "pair_sep_etas", -1.0, "value -1.0 is not a finite number in [0, inf]"),
+        (None, "pair_sep_etas", math.nan, "value nan is not"),
+        (None, "pair_sep_etas", math.inf, "value inf is not"),
+        ("d2x_w1w2", "separations_eta", (), "must not be empty"),
+        ("d2x_w1w2", "separations_eta", (1.0, -2.0), "value -2.0 is not"),
+        ("d2x_w2w2", "separations_eta", (math.nan,), "value nan is not"),
+        ("dw2_y_final", "separations_eta", (-1.0,), "value -1.0 is not"),
+        ("dw2_y_final", "separations_eta", (math.inf,), "value inf is not"),
+        ("dw2_y_final", "separations_eta", (100.0,), "value 100.0 exceeds the horizon"),
+        ("d2x_w1w2", "separations_eta", (1.0, 2.5), "value 2.5 exceeds r1 = T/2"),
+    ],
+)
+def test_sweeps_reject_bad_arguments_before_any_draw(
+    affine, monkeypatch, bound_id, name, value, message
+):
+    """Bad perturbation times and separations raise a ValueError naming
+    the argument and the value, before any assumption check or draw
+    (``bound_id`` None calls moment_sweep, else decay_check)."""
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    monkeypatch.setattr(malliavin_mod, "check_assumptions", not_reached)
+    monkeypatch.setattr(malliavin_mod, "_noise_blocks", not_reached)
+    regime = ScaleRegime(0.05, 0.05, 1.0, 0.2)
+    with pytest.raises(ValueError, match=re.escape(f"{name} {message}")):
+        if bound_id is None:
+            moment_sweep(affine, [regime], 1, 10, **{name: value})
+        else:
+            decay_check(affine, regime, bound_id, 1, 10, 0, **{name: value})
 
 
 # -- separation decay --------------------------------------------------

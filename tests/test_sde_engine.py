@@ -153,6 +153,30 @@ def test_draw_increments_golden_digest():
     assert digest == "9cad14d6153c8e0c47853a8e9d05ac4362f2ba02f779c85069bb062898d5a14f"
 
 
+@pytest.mark.parametrize("block", [1, 5, 24, 40])
+def test_noise_blocks_join_stream_groups(block):
+    """Blocks drawn for several stream groups hold, group after group,
+    exactly the columns each group's own draw_increments gives."""
+    groups = [((3, 0), range(5)), ((3, 5), range(2)), (9, [4, 0, 7]), ((3, 7), [0])]
+    n_steps, dt = 24, 1e-3
+    lengths, rows1, rows2 = [], [], []
+    for w1, w2 in sde_engine._noise_blocks(groups, n_steps, dt, block):
+        lengths.append(len(w1))
+        rows1.append(w1.copy())  # the yielded blocks are reused
+        rows2.append(w2.copy())
+    size = min(block, n_steps)
+    assert lengths == [min(size, n_steps - k) for k in range(0, n_steps, size)]
+    dW1, dW2 = np.concatenate(rows1), np.concatenate(rows2)
+    assert dW1.shape == (n_steps, 11)
+    start = 0
+    for seed, ids in groups:
+        ref1, ref2 = draw_increments(seed, ids, n_steps, dt)
+        cols = slice(start, start + len(ids))
+        assert np.array_equal(dW1[:, cols], ref1), seed
+        assert np.array_equal(dW2[:, cols], ref2), seed
+        start += len(ids)
+
+
 @pytest.mark.parametrize(
     "seed",
     [0, 77, 2**40 + 5, (), (77,), (77, 3), (2**40 + 5, 1), (910, 0, 7), (1, 2, 3, 4)],
@@ -213,7 +237,7 @@ def test_blocked_noise_matches_one_block(bounded, monkeypatch, path_chunk, block
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.06)
     n_steps, dt = time_grid(regime.T, regime.eta / 20)
     assert n_steps == 24
-    blocks = sde_engine._noise_blocks(seed, range(chunk), n_steps, dt)
+    blocks = sde_engine._noise_blocks([(seed, range(chunk))], n_steps, dt)
     assert sum(1 for _ in blocks) == math.ceil(n_steps / min(block, n_steps))
 
     kwargs = dict(capture_indices=marks, path_chunk=path_chunk)
@@ -260,7 +284,9 @@ def test_memory_does_not_grow_with_steps(affine, monkeypatch):
     the first 2000-odd steps of a process grow the traced memory whatever
     the code does: an untraced 4096-step pass fills those lists first.  A
     full collection empties them again, so the collector stays off from
-    the warm-up to the last measurement."""
+    the warm-up to the last measurement.  The noise blocks live in
+    anonymous maps, which tracemalloc does not see; the block length is
+    pinned by test_blocked_noise_matches_one_block."""
     from fastslow.malliavin import _tangent_pass
 
     block, dt = 32, 1.0 / 4096
@@ -280,7 +306,7 @@ def test_memory_does_not_grow_with_steps(affine, monkeypatch):
     def tangent_pass(n_steps):
         monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * 200 * block)
         r = [n_steps // 4, n_steps // 2]
-        noise = sde_engine._noise_blocks(1, range(200), n_steps, dt)
+        noise = sde_engine._noise_blocks([(1, range(200))], n_steps, dt)
         scales = sde_engine._StepScales.of(regime(n_steps), dt)
         states = sde_engine._em_states(affine, scales, 0.0, 0.0, 200, noise)
         _tangent_pass(
