@@ -340,8 +340,11 @@ def _mapped_array(rows: int, cols: int) -> np.ndarray:
     the next block of that size lands in the heap, where any allocation
     above it keeps the freed block in the process after the run.  A map
     goes back to the operating system as soon as the array is dropped;
-    tracemalloc does not count it.
+    tracemalloc does not count it.  Where the platform has no private
+    anonymous maps (Windows), the array is an ordinary numpy array.
     """
+    if not hasattr(mmap, "MAP_PRIVATE"):
+        return np.empty((rows, cols))
     n = rows * cols
     buf = mmap.mmap(-1, 8 * max(1, n), flags=mmap.MAP_PRIVATE)
     if hasattr(mmap, "MADV_HUGEPAGE"):

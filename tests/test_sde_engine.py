@@ -177,6 +177,16 @@ def test_noise_blocks_join_stream_groups(block):
         start += len(ids)
 
 
+def test_noise_without_private_maps(monkeypatch):
+    """Where mmap has no private anonymous maps, the block buffers are
+    numpy arrays and the noise is the same."""
+    ref = draw_increments(7, range(4), 10, 1e-3)
+    monkeypatch.delattr(sde_engine.mmap, "MAP_PRIVATE")
+    assert sde_engine._mapped_array(3, 5).shape == (3, 5)
+    for got, want in zip(draw_increments(7, range(4), 10, 1e-3), ref):
+        assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize(
     "seed",
     [0, 77, 2**40 + 5, (), (77,), (77, 3), (2**40 + 5, 1), (910, 0, 7), (1, 2, 3, 4)],
@@ -284,10 +294,10 @@ def test_memory_does_not_grow_with_steps(affine, monkeypatch):
     the first 2000-odd steps of a process grow the traced memory whatever
     the code does: an untraced 4096-step pass fills those lists first.  A
     full collection empties them again, so the collector stays off from
-    the warm-up to the last measurement.  The noise blocks live in
-    anonymous maps, which tracemalloc does not see; the block length is
-    pinned by test_blocked_noise_matches_one_block."""
-    from fastslow.malliavin import _tangent_pass
+    the warm-up to the last measurement.  The noise block buffers live in
+    anonymous maps, which tracemalloc does not see, so the bytes asked of
+    ``_mapped_array`` are recorded and must not grow either."""
+    from fastslow.malliavin import _sweep_pass
 
     block, dt = 32, 1.0 / 4096
 
@@ -306,19 +316,37 @@ def test_memory_does_not_grow_with_steps(affine, monkeypatch):
     def tangent_pass(n_steps):
         monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * 200 * block)
         r = [n_steps // 4, n_steps // 2]
-        noise = sde_engine._noise_blocks([(1, range(200))], n_steps, dt)
-        scales = sde_engine._StepScales.of(regime(n_steps), dt)
-        states = sde_engine._em_states(affine, scales, 0.0, 0.0, 200, noise)
-        _tangent_pass(
-            affine, regime(n_steps), dt, n_steps, 200, states, r, [(r[1], r[0])]
+        groups = [(1, range(120)), (2, range(80))]
+        _sweep_pass(
+            affine, regime(n_steps), dt, n_steps, 0.0, 0.0, groups, r, [(r[1], r[0])]
         )
+
+    mapped = []
+    real_mapped_array = sde_engine._mapped_array
+
+    def recording_mapped_array(rows, cols):
+        mapped.append(8 * rows * cols)
+        return real_mapped_array(rows, cols)
+
+    monkeypatch.setattr(sde_engine, "_mapped_array", recording_mapped_array)
+
+    def peaks(run, n_steps):
+        mapped.clear()
+        traced = _traced_peak(lambda: run(n_steps))
+        return traced, sum(mapped)
 
     gc.disable()
     try:
         tangent_pass(4096)
         for run in (light_simulation, tangent_pass):
-            long, short = (_traced_peak(lambda: run(n)) for n in (512, 64))
+            (long, long_mapped), (short, short_mapped) = (
+                peaks(run, n) for n in (512, 64)
+            )
             assert long <= 1.1 * short, (run.__name__, short, long)
+            assert short_mapped > 0, run.__name__
+            assert long_mapped == short_mapped, (
+                run.__name__, short_mapped, long_mapped
+            )
     finally:
         gc.enable()
 
