@@ -46,7 +46,7 @@ from fastslow.homogenization import (
     write_detail_csv,
     write_summary_csv,
 )
-from fastslow.malliavin import decay_check, moment_sweep
+from fastslow.malliavin import _decay_steps, _require_values, decay_check, moment_sweep
 from fastslow.metrics import (
     HOM_GRID,
     clt_verify,
@@ -170,8 +170,14 @@ class ExperimentConfig:
         if zeta is not None and not 0.0 < zeta < 0.5:
             raise ConfigError(f"analysis.zeta must lie in (0, 1/2) (got {zeta})")
         for p in self.analysis.get("p", []):
-            if int(p) != p or p < 1:
-                raise ConfigError(f"analysis.p entries must be positive integers (got {p})")
+            if p not in (1, 2):
+                raise ConfigError(
+                    f"analysis.p entries must be the positive integers 1 or 2 (got {p})"
+                )
+        if self.sweep is not None and (
+            "decay_separations" in self.analysis or "decay_bounds" in self.analysis
+        ):
+            self.decay_settings()
         boot = self.analysis.get("bootstrap")
         if boot is not None and (int(boot) != boot or boot < 1):
             raise ConfigError(f"analysis.bootstrap must be a positive integer (got {boot})")
@@ -203,6 +209,24 @@ class ExperimentConfig:
             ScaleRegime(epsilon=e, eta=e, gamma=gamma, T=T)
             for e in self.sweep["epsilons"]
         ]
+
+    def decay_settings(self) -> tuple[list[float], list[str]]:
+        """``analysis.decay_separations`` and ``analysis.decay_bounds`` (or
+        their defaults), checked as :func:`decay_check` checks them at the
+        finest sweep point (ConfigError otherwise)."""
+        seps = self.analysis.get("decay_separations", (1.0, 3.0, 10.0))
+        bounds = list(self.analysis.get("decay_bounds", ("d2x_w1w2", "d2x_w2w2")))
+        finest = self.sweep_regimes()[-1]
+        try:
+            seps = _require_values("separations", seps)
+            for bound_id in bounds:
+                _decay_steps(finest, bound_id, seps)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"analysis.decay_separations / decay_bounds at the finest sweep "
+                f"point (eps={finest.epsilon:g}): {exc}"
+            ) from None
+        return seps, bounds
 
     def master_seed(self, override=None):
         if override is not None:
@@ -407,6 +431,7 @@ def cmd_malliavin_sweep(config: ExperimentConfig, out_dir, seed) -> int:
     model = config.coefficient_set()
     regimes = config.sweep_regimes()
     n_paths = int(config.grid.get("n_paths", 2000))
+    separations, decay_bounds = config.decay_settings()
     any_warn = False
     all_pass = True
     for p in config.analysis.get("p", [1]):
@@ -417,9 +442,7 @@ def cmd_malliavin_sweep(config: ExperimentConfig, out_dir, seed) -> int:
         )
         all_pass = all_pass and all(rep.passes for rep in reports.values())
         any_warn = any_warn or any(rep.warnings for rep in reports.values())
-    separations = config.analysis.get("decay_separations", (1.0, 3.0, 10.0))
-    decay_bounds = config.analysis.get("decay_bounds", ("d2x_w1w2", "d2x_w2w2"))
-    if separations and decay_bounds:
+    if decay_bounds:
         finest = regimes[-1]
         payload = {}
         for bid in decay_bounds:

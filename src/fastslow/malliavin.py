@@ -53,13 +53,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from fastslow.coefficients import COEFFICIENT_KEYS, CoefficientSet, check_assumptions
 from fastslow.sde_engine import (
+    PURPOSE_DECAY_CHECK,
+    PURPOSE_MOMENT_SWEEP,
     PathBundle,
     ScaleRegime,
     _check_stability,
@@ -107,6 +109,8 @@ BOUND_IDS = (
     "d2x_w1w2",
     "d2x_w2w2",
 )
+#: The second-order bounds at a separated pair (r1, r2).
+_MIXED_BOUNDS = ("d2x_w1w2", "d2x_w2w2")
 
 #: Soft cap on tangent series allocations (bytes).
 _SERIES_BYTE_CAP = 2 * 1024**3
@@ -691,12 +695,17 @@ def contraction_norm_second(second: SecondOrderTangents, r_values=None) -> np.nd
 
 @dataclass(frozen=True)
 class MomentPoint:
+    """One sweep point of a moment bound; the mixed bounds also carry the
+    pair separation asked for and the one realized on the grid."""
+
     epsilon: float
     eta: float
     empirical: float
     envelope: float
     stderr: float
     passes: bool
+    separation_requested: float | None = None
+    separation_realized: float | None = None
 
 
 @dataclass(frozen=True)
@@ -715,24 +724,11 @@ class MomentReport:
     warnings: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "bound_id": self.bound_id,
-            "p": self.p,
-            "points": [
-                {
-                    "epsilon": q.epsilon,
-                    "eta": q.eta,
-                    "empirical": q.empirical,
-                    "envelope": q.envelope,
-                    "stderr": q.stderr,
-                    "passes": q.passes,
-                }
-                for q in self.points
-            ],
-            "C_fit": self.C_fit,
-            "passes": self.passes,
-            "warnings": list(self.warnings),
-        }
+        out = asdict(self)
+        out["points"] = [
+            {k: v for k, v in q.items() if v is not None} for q in out["points"]
+        ]
+        return out
 
 
 @dataclass(frozen=True)
@@ -749,16 +745,7 @@ class DecayReport:
     monotone_within_noise: bool
 
     def to_dict(self) -> dict:
-        return {
-            "bound_id": self.bound_id,
-            "p": self.p,
-            "epsilon": self.epsilon,
-            "eta": self.eta,
-            "separations": list(self.separations),
-            "empirical": list(self.empirical),
-            "stderr": list(self.stderr),
-            "monotone_within_noise": self.monotone_within_noise,
-        }
+        return asdict(self)
 
 
 def _moment_envelopes(
@@ -793,20 +780,6 @@ def _moment_envelopes(
     }
 
 
-def _path_chunks(seed_words: tuple, n_paths: int, path_chunk: int):
-    """Stream groups and column slices of a sweep's path chunks.
-
-    The chunk of paths start..start+m-1 draws from the streams keyed by
-    ``seed_words + (start,)`` with path ids 0..m-1.
-    """
-    cols = [
-        slice(start, min(start + path_chunk, n_paths))
-        for start in range(0, n_paths, path_chunk)
-    ]
-    groups = [(seed_words + (c.start,), range(c.stop - c.start)) for c in cols]
-    return groups, cols
-
-
 def _sweep_pass(
     model: CoefficientSet,
     regime: ScaleRegime,
@@ -814,33 +787,29 @@ def _sweep_pass(
     n_steps: int,
     x0: float,
     y0: float,
-    groups,
+    seed,
+    stream: tuple[int, int],
+    path_ids: Sequence[int],
     r_indices: Sequence[int],
     pairs=None,
     combos: Sequence[tuple[int, int]] = _ALL_COMBOS,
 ):
-    """One :func:`_tangent_pass` on live noise over the paths of every
-    stream group, in group order."""
-    n_paths = sum(len(ids) for _, ids in groups)
-    noise = _noise_blocks(groups, n_steps, dt)
-    states = _em_states(model, _StepScales.of(regime, dt), x0, y0, n_paths, noise)
+    """One :func:`_tangent_pass` on live noise over the paths ``path_ids``,
+    drawn from the streams (seed, purpose, point, path_id, channel) with
+    ``stream`` = (purpose, point)."""
+    purpose, point = stream
+    noise = _noise_blocks(seed, path_ids, n_steps, dt, purpose=purpose, point=point)
+    states = _em_states(model, _StepScales.of(regime, dt), x0, y0, len(path_ids), noise)
     return _tangent_pass(
-        model, regime, dt, n_steps, n_paths, states, r_indices, pairs, combos
+        model, regime, dt, n_steps, len(path_ids), states, r_indices, pairs, combos
     )
 
 
-def _mean_se(per_path: np.ndarray, cols) -> tuple[float, float]:
-    """Mean and standard error of per-path values, whose sum and sum of
-    squares add up chunk by chunk over the column slices ``cols``."""
-    s = s2 = 0.0
-    n = 0
-    for c in cols:
-        part = per_path[c]
-        s += float(np.sum(part))
-        s2 += float(np.sum(part**2))
-        n += part.size
-    mean = s / n
-    var = max(s2 / n - mean**2, 0.0)
+def _mean_se(per_path: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of per-path values."""
+    n = per_path.size
+    mean = float(np.sum(per_path)) / n
+    var = max(float(np.sum(per_path**2)) / n - mean**2, 0.0)
     return mean, math.sqrt(var / n)
 
 
@@ -867,7 +836,6 @@ def moment_sweep(
     y0: float = 0.0,
     dt: float | None = None,
     pair_sep_etas: float = 3.0,
-    path_chunk: int = 500,
     k_hat: float | None = None,
     assumption_box: tuple[float, float] = (-6.0, 6.0),
 ) -> dict[str, MomentReport]:
@@ -883,7 +851,9 @@ def moment_sweep(
     - ``d2x_w1w1``: E |D2_{r,r}^{W1,W1} X_T|^{2p} at r = T/2;
     - ``d2x_w1w2`` / ``d2x_w2w2``: the same at (r1, r2) =
       (T/2, max(0, T/2 - pair_sep_etas * eta)); the envelope reads the
-      separation r1 - r2 realized on the grid.
+      separation r1 - r2 realized on the grid, and each point reports
+      both the requested separation pair_sep_etas * eta and the
+      realized one.
 
     The envelope constant ``C_fit`` is anchored at the first regime; a
     Monte Carlo standard error above 30% of the mean attaches an
@@ -898,15 +868,15 @@ def moment_sweep(
     perturbation step and the second-order tangents from the first
     max(r1, r2); no path, increment or tangent series is kept.  The pass
     holds O((n_r + n_combos n_pairs) n_paths) tangent state, one noise
-    block of at most 32 MiB and a draw buffer of one chunk's streams.
-    ``path_chunk`` sets only how the paths' streams are keyed: chunk
-    i_reg, start draws from the streams ``seed + (i_reg, start)`` with
-    path ids 0..m-1, and the moment sums add up chunk by chunk, so
-    results depend on it.  The tangent recursion is the one :func:`first_order_tangents` and
-    :func:`second_order_tangents` run over a stored bundle, so they
-    give the same values on the same paths.
+    block of at most 32 MiB and a draw buffer of at most 512 streams.
+    Regime i draws path j's noise from the streams (seed, moment sweep,
+    i + 1, j, channel), so a path's values do not depend on which paths
+    share its pass.  The tangent recursion is the one
+    :func:`first_order_tangents` and :func:`second_order_tangents` run
+    over a stored bundle, so they give the same values on the same
+    paths.
     """
-    _require_positive(n_paths=n_paths, path_chunk=path_chunk)
+    _require_positive(n_paths=n_paths)
     if len(regimes) < 1:
         raise ValueError("need at least one regime")
     eps_list = [r.epsilon for r in regimes]
@@ -940,9 +910,9 @@ def moment_sweep(
         r_lo = max(0, r_mid - sep_steps)
         pairs = np.array([[r_mid, r_mid], [r_mid, r_lo]])
         r_union = sorted(set(r_sel) | {r_mid, r_lo})
-        groups, cols = _path_chunks(_seed_tuple(seed) + (i_reg,), n_paths, path_chunk)
         first, second = _sweep_pass(
-            model, regime, dt_eff, n_steps, x0, y0, groups, r_union, pairs
+            model, regime, dt_eff, n_steps, x0, y0, seed,
+            (PURPOSE_MOMENT_SWEEP, i_reg + 1), range(n_paths), r_union, pairs,
         )
         sel_rows = [first.position(r) for r in r_sel]
         combo_row = {c: i for i, c in enumerate(second.combos)}
@@ -954,20 +924,19 @@ def moment_sweep(
             "d2x_w1w2": np.abs(second.final_d2x[combo_row[(0, 1)], 1]) ** (2 * p),
             "d2x_w2w2": np.abs(second.final_d2x[combo_row[(1, 1)], 1]) ** (2 * p),
         }
+        sep = (r_mid - r_lo) * dt_eff
         env = _moment_envelopes(
-            p,
-            regime.epsilon,
-            regime.eta,
-            k_hat,
-            T,
-            r_mid * dt_eff,
-            (r_mid - r_lo) * dt_eff,
+            p, regime.epsilon, regime.eta, k_hat, T, r_mid * dt_eff, sep
         )
         per_regime.append(
             {
                 "regime": regime,
-                "moments": {k: _mean_se(v, cols) for k, v in per_path.items()},
+                "moments": {k: _mean_se(v) for k, v in per_path.items()},
                 "env": env,
+                "separation": {
+                    "separation_requested": pair_sep_etas * regime.eta,
+                    "separation_realized": sep,
+                },
             }
         )
 
@@ -995,6 +964,7 @@ def moment_sweep(
                     envelope=envelope,
                     stderr=se,
                     passes=ok,
+                    **(entry["separation"] if bound_id in _MIXED_BOUNDS else {}),
                 )
             )
         reports[bound_id] = MomentReport(
@@ -1008,45 +978,18 @@ def moment_sweep(
     return reports
 
 
-def _seed_tuple(seed) -> tuple:
-    if isinstance(seed, (tuple, list)):
-        return tuple(int(v) for v in seed)
-    return (int(seed),)
-
-
-def decay_check(
-    model: CoefficientSet,
+def _decay_steps(
     regime: ScaleRegime,
     bound_id: str,
-    p: int,
-    n_paths: int,
-    seed,
-    separations_eta: Sequence[float] = (1.0, 3.0, 10.0),
-    x0: float = 0.0,
-    y0: float = 0.0,
+    separations_eta: Sequence[float],
     dt: float | None = None,
-    path_chunk: int = 500,
-) -> DecayReport:
-    """Moment decay in the perturbation-time separation.
-
-    For ``d2x_w1w2`` / ``d2x_w2w2``: E|D2_{r1,r2} X_T|^{2p} with
-    r1 = T/2 and r2 = r1 - sep;  for ``dw2_y_final``:
-    E|D_r^{W2} Y_T|^{2p} with r = T - sep.  Separations are given in
-    units of eta; an empty list, or a separation that is negative,
-    non-finite or reaches before t = 0, raises ValueError naming it
-    before any work.  All separations share the same simulated paths,
-    so the comparison is low-noise; monotone_within_noise allows each
-    consecutive increase up to twice the summed standard errors.
-    ``dt`` defaults to eta/20; a larger step raises
-    :class:`~fastslow.sde_engine.StabilityError`.  Like
-    :func:`moment_sweep`, one step loop over all paths advances the base
-    path and starts every tangent at its perturbation step, and keeps no
-    series; ``path_chunk`` sets the stream keys ``seed + (start,)``,
-    path ids 0..m-1, of each chunk and the chunks the moment sums add
-    up over.
-    """
-    _require_positive(n_paths=n_paths, path_chunk=path_chunk)
-    if bound_id not in ("d2x_w1w2", "d2x_w2w2", "dw2_y_final"):
+) -> tuple[int, float, int, list[int]]:
+    """(n_steps, dt_eff, r_top, r_list) of :func:`decay_check`: r_top is
+    the step of r1 = T/2 or of the horizon, r_list those of the
+    separations before it.  ValueError names a bound without separation
+    structure and an empty list or a separation that is negative,
+    non-finite or reaches before t = 0."""
+    if bound_id not in (*_MIXED_BOUNDS, "dw2_y_final"):
         raise ValueError(f"no separation structure for bound {bound_id!r}")
     seps = _require_values("separations_eta", separations_eta)
     step = dt if dt is not None else regime.eta / 20.0
@@ -1060,6 +1003,39 @@ def decay_check(
     for s, r in zip(seps, r_list):
         if r < 0:
             raise ValueError(f"separations_eta value {s} exceeds {top}")
+    return n_steps, dt_eff, r_top, r_list
+
+
+def decay_check(
+    model: CoefficientSet,
+    regime: ScaleRegime,
+    bound_id: str,
+    p: int,
+    n_paths: int,
+    seed,
+    separations_eta: Sequence[float] = (1.0, 3.0, 10.0),
+    x0: float = 0.0,
+    y0: float = 0.0,
+    dt: float | None = None,
+) -> DecayReport:
+    """Moment decay in the perturbation-time separation.
+
+    For ``d2x_w1w2`` / ``d2x_w2w2``: E|D2_{r1,r2} X_T|^{2p} with
+    r1 = T/2 and r2 = r1 - sep;  for ``dw2_y_final``:
+    E|D_r^{W2} Y_T|^{2p} with r = T - sep.  Separations are given in
+    units of eta and checked by :func:`_decay_steps` before any work.
+    All separations share the same simulated paths, so the comparison
+    is low-noise; monotone_within_noise allows each consecutive increase
+    up to twice the summed standard errors.  ``dt`` defaults to eta/20;
+    a larger step raises :class:`~fastslow.sde_engine.StabilityError`.
+    Like :func:`moment_sweep`, one step loop over all paths advances the
+    base path and starts every tangent at its perturbation step, and
+    keeps no series.  Path j draws its noise from the streams (seed,
+    decay check, 0, j, channel), which no moment sweep point shares.
+    """
+    _require_positive(n_paths=n_paths)
+    n_steps, dt_eff, r_top, r_list = _decay_steps(regime, bound_id, separations_eta, dt)
+    seps = [float(s) for s in separations_eta]
     if bound_id == "dw2_y_final":
         r_union = sorted(set(r_list))
         pairs, combos = None, ()
@@ -1068,15 +1044,15 @@ def decay_check(
         pairs = np.array([[r_top, r2] for r2 in r_list])
         combos = ((0, 1),) if bound_id == "d2x_w1w2" else ((1, 1),)
 
-    groups, cols = _path_chunks(_seed_tuple(seed), n_paths, path_chunk)
     first, second = _sweep_pass(
-        model, regime, dt_eff, n_steps, x0, y0, groups, r_union, pairs, combos
+        model, regime, dt_eff, n_steps, x0, y0, seed,
+        (PURPOSE_DECAY_CHECK, 0), range(n_paths), r_union, pairs, combos,
     )
     if second is None:
         per_sep = [np.abs(first.final_dy[1, first.position(r)]) for r in r_list]
     else:
         per_sep = list(np.abs(second.final_d2x[0]))
-    means, ses = zip(*(_mean_se(v ** (2 * p), cols) for v in per_sep))
+    means, ses = zip(*(_mean_se(v ** (2 * p)) for v in per_sep))
     monotone = all(
         means[i + 1] <= means[i] + 2.0 * (ses[i] + ses[i + 1])
         for i in range(len(means) - 1)
@@ -1107,15 +1083,7 @@ class QuadrupleIntegralReport:
     C_fit: float
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "T": self.T,
-            "analytic": self.analytic,
-            "quadrature": self.quadrature,
-            "quadrature_flag": self.quadrature_flag,
-            "envelope": self.envelope,
-            "C_fit": self.C_fit,
-        }
+        return asdict(self)
 
 
 def quadruple_analytic(k: float, T: float) -> float:

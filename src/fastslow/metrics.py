@@ -45,6 +45,7 @@ from fastslow.homogenization import (
 )
 from fastslow.sde_engine import (
     CHANNEL_BOOTSTRAP,
+    PURPOSE_BOOTSTRAP,
     ScaleRegime,
     _check_stability,
     _grid_index,
@@ -258,9 +259,10 @@ def bootstrap_w1(
 ) -> tuple[float, float]:
     """Percentile bootstrap CI for :func:`w1_vs_gaussian`.
 
-    Resamples the empirical measure with replacement using the
-    dedicated bootstrap noise channel of the seed, so path simulation
-    and resampling never share a stream.  The sample is sorted, and G
+    Resamples the empirical measure with replacement from the stream
+    (seed, bootstrap, 0, 0, bootstrap channel), so path simulation and
+    resampling never share a stream; ``seed`` may also be the
+    ``numpy.random.Generator`` to resample from.  The sample is sorted, and G
     and the plateau quantiles are evaluated, once; each resample is its
     sorted ranks in that table (see :class:`_W1Table`), so it costs an
     integer sort and a few gathers and gives the same W1 as sorting the
@@ -274,7 +276,9 @@ def bootstrap_w1(
         raise ValueError(f"level must lie in (0, 1) (got {level!r})")
     table = _W1Table(samples, mu, sigma2)
     n = table.n
-    rng = _stream(seed, 0, CHANNEL_BOOTSTRAP)
+    rng = seed if isinstance(seed, np.random.Generator) else _stream(
+        seed, PURPOSE_BOOTSTRAP, 0, 0, CHANNEL_BOOTSTRAP
+    )
     stats = np.empty(n_boot)
     for i in range(n_boot):
         idx = rng.choice(n, size=n, replace=True)
@@ -384,8 +388,11 @@ def _clt_reports(
     seed,
     trajectory: LimitTrajectory,
     n_boot: int = N_BOOTSTRAP,
+    point: int = 0,
 ) -> list[WassersteinReport]:
-    """Simulate, then report W1 against the limit ``trajectory`` at each time."""
+    """Simulate the paths of stream point ``point``, then report W1 against
+    the limit ``trajectory`` at each time, the i-th bootstrapped from the
+    stream (seed, bootstrap, point, i, bootstrap channel)."""
     bundle = simulate_paths(
         model,
         regime,
@@ -397,14 +404,14 @@ def _clt_reports(
         store_paths=False,
         store_increments=False,
         capture_indices=capture,
+        _point=point,
     )
     reports = []
     for i, t in enumerate(times):
         sample = fluctuation_samples(bundle, trajectory, t)
         w1 = w1_vs_gaussian(sample.theta, sample.limit_mean, sample.limit_var)
-        ci = bootstrap_w1(
-            sample.theta, sample.limit_mean, sample.limit_var, _point_seed(seed, i), n_boot
-        )
+        rng = _stream(seed, PURPOSE_BOOTSTRAP, point, i, CHANNEL_BOOTSTRAP)
+        ci = bootstrap_w1(sample.theta, sample.limit_mean, sample.limit_var, rng, n_boot)
         reports.append(
             WassersteinReport(
                 t=t,
@@ -495,7 +502,9 @@ def rate_sweep(
     has passed the eta/20 guard
     (:class:`~fastslow.sde_engine.StabilityError` otherwise).  An
     ``n_boot`` that is not an integer >= 1 raises ValueError before any
-    homogenization or simulation.
+    homogenization or simulation.  Sweep point i draws from the streams
+    of point i + 1, so no point shares a stream with :func:`clt_verify`
+    under the same seed.
 
     A point whose bootstrap CI extends outside [w1/3, 3 w1] is flagged
     as noisy, not failed.
@@ -544,8 +553,9 @@ def rate_sweep(
             n_paths,
             times,
             capture,
-            _point_seed(seed, i),
+            seed,
             trajectory,
+            point=i + 1,
             **cfg,
         )[0]
         reports.append(rep)
@@ -577,9 +587,3 @@ def rate_sweep(
         noisy_points=tuple(noisy),
         reports=tuple(reports),
     )
-
-
-def _point_seed(seed, i: int) -> tuple:
-    if isinstance(seed, (tuple, list)):
-        return tuple(int(v) for v in seed) + (i,)
-    return (int(seed), i)

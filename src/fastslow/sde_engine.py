@@ -11,22 +11,19 @@ are advanced with the explicit scheme
     Y_{k+1} = Y_k + (f/eta) dt + (tau/sqrt(eta)) dW2_k
 
 under the stability guard dt <= eta/20 (twenty steps per fast
-relaxation time).  Brownian increments come from counter-based
-per-path Philox streams keyed by (master_seed, path_id, channel), so
-results are independent of path chunking.  A stream is defined by its
-key alone: the keys of a whole chunk are derived in one vectorized pass
-of numpy's SeedSequence hash (bit-equal to seeding each stream with
-``SeedSequence(seed words + (path_id, channel))``), and each stream is
-a ``Generator(Philox(...))`` handed its precomputed key.  Each path
-chunk draws its noise in time blocks of a fixed byte budget, continuing
-every stream from block to block, and the step loop consumes one block
-at a time: a stream drawn in blocks gives the same numbers as one draw
-of the same length, so the block length changes no result, and peak
-memory grows with the block, not with n_steps.  One block can join
-several stream groups, each with its own seed, as column groups.  One
-recursion, :func:`_em_states`, advances the state over the blocks and
-yields each step's state with its increments; paths and increments are
-stored only when asked for.
+relaxation time).  Every random number comes from a counter-based
+Philox stream keyed by ``SeedSequence(seed words, spawn_key=(purpose,
+point, path_id, channel))``: what draws it, the sweep point (0 for a
+run of one point, i + 1 for sweep point i), the global path id and the
+noise channel.  The spawn key always has four words, so the streams of
+one seed are distinct by construction, and a path's noise does not
+depend on the paths drawn with it.  The keys of many paths come from
+one vectorized pass of numpy's SeedSequence hash.  Noise is drawn in
+time blocks of a fixed byte budget, continuing every stream from block
+to block, so the block length changes no result and peak memory grows
+with the block, not with n_steps.  One recursion, :func:`_em_states`,
+advances the state over the blocks and yields each step's state with
+its increments; paths and increments are stored only when asked for.
 """
 
 from __future__ import annotations
@@ -56,11 +53,18 @@ __all__ = [
     "time_grid",
 ]
 
-#: Stream channel tags for the per-(seed, id, channel) generators.
+#: Stream channel tags, the last word of a stream's spawn key.
 CHANNEL_W1 = 0
 CHANNEL_W2 = 1
 CHANNEL_GAUSS_LIMIT = 2
 CHANNEL_BOOTSTRAP = 3
+
+#: Stream purposes, the first word of a stream's spawn key.
+PURPOSE_PATHS = 0
+PURPOSE_MOMENT_SWEEP = 1
+PURPOSE_DECAY_CHECK = 2
+PURPOSE_BOOTSTRAP = 3
+PURPOSE_LIMIT_SAMPLE = 4
 
 #: Stability guard: at most this fraction of the fast relaxation time
 #: per step.
@@ -71,10 +75,13 @@ _EM_KEYS = ("c", "sigma", "f", "tau")
 
 #: Bytes of one noise block of both channels (16 bytes per path-step):
 #: a block of m paths holds max(1, _NOISE_BLOCK_BYTES // (16 m)) steps.
-#: The block length changes no result, only peak memory (the block plus
-#: a path-major draw buffer of one stream group, at most half its size)
-#: and the number of draw calls.
+#: The block length changes no result, only peak memory and the number
+#: of draw calls.
 _NOISE_BLOCK_BYTES = 32 * 1024**2
+
+#: Streams drawn per batch into the path-major draw buffer, which holds
+#: at most this many rows of one block, whatever the path count.
+_DRAW_BATCH = 512
 
 
 class StabilityError(ValueError):
@@ -209,9 +216,9 @@ def _check_stability(dt: float, eta: float) -> None:
 
 
 def _require_positive(**sizes) -> None:
-    """Raise ValueError naming the first size below 1 (None is skipped)."""
+    """Raise ValueError naming the first size below 1."""
     for name, value in sizes.items():
-        if value is not None and value < 1:
+        if value < 1:
             raise ValueError(f"{name} must be >= 1 (got {value})")
 
 
@@ -255,15 +262,18 @@ def _seed_words(master_seed) -> list[int]:
     return words
 
 
-def _philox_keys(master_seed, path_ids: Sequence[int], channel: int) -> np.ndarray:
-    """Philox keys of the streams (master_seed, path_id, channel), shape (m, 2).
+def _philox_keys(master_seed, purpose, point, path_ids, channel) -> np.ndarray:
+    """Philox keys of the streams (master_seed, purpose, point, path_id,
+    channel), shape (m, 2).
 
-    Row j equals ``SeedSequence(seed words + (path_ids[j], channel))
-    .generate_state(2, np.uint64)`` bit for bit: it is numpy's
-    SeedSequence mix run as wrapping uint32 arithmetic on columns, one
+    Row j equals ``SeedSequence(seed words, spawn_key=(purpose, point,
+    path_ids[j], channel)).generate_state(2, np.uint64)`` bit for bit:
+    as numpy does once a spawn key is given, the seed words are padded
+    with zeros to the pool size and the spawn words follow, and the
+    SeedSequence mix runs as wrapping uint32 arithmetic on columns, one
     row per path.  The hash constants depend only on the number of
-    entropy words, which is the same for every row, so one pass serves
-    the chunk.  Path ids must lie in [0, 2**32), so each is one word
+    words, which is the same for every row, so one pass serves all
+    paths.  Path ids must lie in [0, 2**32), so each is one word
     (ValueError otherwise).
     """
     ids = np.asarray(path_ids).reshape(-1)
@@ -271,7 +281,9 @@ def _philox_keys(master_seed, path_ids: Sequence[int], channel: int) -> np.ndarr
     if m and (ids.min() < 0 or ids.max() > _MASK32):
         bad = [int(i) for i in ids if not 0 <= i <= _MASK32][:3]
         raise ValueError(f"path ids must lie in [0, 2**32) (got {bad})")
-    words = [np.full(m, w, np.uint32) for w in _seed_words(master_seed)]
+    seed_words = _seed_words(master_seed)
+    seed_words += [0] * (_POOL_SIZE - len(seed_words))
+    words = [np.full(m, w, np.uint32) for w in (*seed_words, purpose, point)]
     words += [ids.astype(np.uint32), np.full(m, int(channel), np.uint32)]
 
     hash_const = _INIT_A
@@ -287,8 +299,7 @@ def _philox_keys(master_seed, path_ids: Sequence[int], channel: int) -> np.ndarr
         result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
         return result ^ (result >> _XSHIFT)
 
-    zeros = np.zeros(m, np.uint32)
-    pool = [hashmix(words[i] if i < len(words) else zeros) for i in range(_POOL_SIZE)]
+    pool = [hashmix(word) for word in words[:_POOL_SIZE]]  # the padded seed words
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
@@ -327,9 +338,9 @@ def _generator(key: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_Key(key)))
 
 
-def _stream(master_seed, path_id: int, channel: int) -> np.random.Generator:
-    """The generator of one (master_seed, path_id, channel) stream."""
-    return _generator(_philox_keys(master_seed, (path_id,), channel)[0])
+def _stream(master_seed, purpose, point, path_id, channel) -> np.random.Generator:
+    """The generator of one (master_seed, purpose, point, path_id, channel) stream."""
+    return _generator(_philox_keys(master_seed, purpose, point, (path_id,), channel)[0])
 
 
 def _mapped_array(rows: int, cols: int) -> np.ndarray:
@@ -354,55 +365,58 @@ def _mapped_array(rows: int, cols: int) -> np.ndarray:
 
 
 def _noise_blocks(
-    groups: Sequence[tuple[object, Sequence[int]]],
+    master_seed,
+    path_ids: Sequence[int],
     n_steps: int,
     dt: float,
     block_steps: int | None = None,
+    purpose: int = PURPOSE_PATHS,
+    point: int = 0,
 ):
-    """Brownian increments of stream groups, drawn in blocks of whole steps.
+    """Brownian increments of m paths, drawn in blocks of whole steps.
 
-    ``groups`` lists (master_seed, path_ids) pairs; their m paths in all
-    are the columns of every block, group after group.  Derives the keys
-    of the 2 m per-path streams in one pass per group and channel, opens
-    each stream once and yields (dW1, dW2) blocks of shape (b, m) that
-    cover steps 0..n_steps-1 in order.  Path ids outside [0, 2**32) and
-    negative seed words raise ValueError before any draw.  A block holds
-    ``block_steps`` steps (default: as many as fit in
+    Derives the keys of the 2 m streams (master_seed, purpose, point,
+    path_id, channel) in one pass per channel, opens each stream once
+    and yields (dW1, dW2) blocks of shape (b, m), one column per path
+    id, that cover steps 0..n_steps-1 in order.  Path ids outside
+    [0, 2**32) and negative seed words raise ValueError before any draw.
+    A block holds ``block_steps`` steps (default: as many as fit in
     :data:`_NOISE_BLOCK_BYTES`, at least one) or the remainder.  Philox
     streams are counter-based, so a stream drawn in blocks gives the
     numbers of one draw of n_steps: every block length yields the same
-    increments, and a group's columns are those it yields on its own.
-    Each stream of a group fills a row of a path-major buffer, which one
-    transposing copy scales by sqrt(dt) into the group's columns.  The
+    increments.  The streams fill the rows of a path-major buffer in
+    batches of at most :data:`_DRAW_BATCH`, and one transposing copy
+    per batch scales them by sqrt(dt) into the batch's columns.  The
     yielded arrays are reused: a block is valid until the next one is
     drawn.
     """
     keys = [
-        [_philox_keys(seed, ids, ch) for seed, ids in groups]
+        _philox_keys(master_seed, purpose, point, path_ids, ch)
         for ch in (CHANNEL_W1, CHANNEL_W2)
     ]
-    widths = [len(k) for k in keys[0]]
-    edges = np.cumsum([0, *widths]).tolist()
-    m = edges[-1]
+    m = len(keys[0])
     if block_steps is None:
         block_steps = _NOISE_BLOCK_BYTES // (16 * max(1, m))
     size = max(1, min(block_steps, n_steps))
-    streams = [[map(_generator, k) for k in ch_keys] for ch_keys in keys]
+    streams = [map(_generator, k) for k in keys]
     if size < n_steps:
         # Later blocks continue the streams, so they stay open.  A single
         # block opens each stream, draws it whole and drops it: an open
         # stream is 4 objects the cycle collector tracks, and 20k of them
         # alive through a step loop cost full collections.
-        streams = [[list(gens) for gens in ch] for ch in streams]
-    raw = _mapped_array(max(widths, default=0), size)
+        streams = [list(gens) for gens in streams]
+    raw = _mapped_array(min(m, _DRAW_BATCH), size)
     out = (_mapped_array(size, m), _mapped_array(size, m))
     scale = math.sqrt(dt)
     for k in range(0, n_steps, size):
         b = min(size, n_steps - k)
-        for ch_streams, dw in zip(streams, out):
-            for gens, lo, hi in zip(ch_streams, edges, edges[1:]):
+        for gens, dw in zip(streams, out):
+            gens = iter(gens)
+            for lo in range(0, m, _DRAW_BATCH):
+                hi = min(lo + _DRAW_BATCH, m)
                 rows = raw[: hi - lo, :b]
-                for gen, row in zip(gens, rows):
+                # rows first: zip then takes no stream past the batch
+                for row, gen in zip(rows, gens):
                     gen.standard_normal(out=row)
                 np.multiply(rows.T, scale, out=dw[:b, lo:hi])
         yield out[0][:b], out[1][:b]
@@ -421,7 +435,7 @@ def draw_increments(
     This is the noise :func:`simulate_paths` runs on, drawn as a single
     block.
     """
-    blocks = _noise_blocks([(master_seed, path_ids)], n_steps, dt, n_steps)
+    blocks = _noise_blocks(master_seed, path_ids, n_steps, dt, n_steps)
     empty = np.empty((0, len(path_ids)))
     return next(blocks, (empty, empty))
 
@@ -576,7 +590,8 @@ def simulate_paths(
     store_paths: bool = True,
     store_increments: bool = True,
     capture_indices: Iterable[int] = (),
-    path_chunk: int | None = None,
+    *,
+    _point: int = 0,
 ) -> PathBundle:
     """Simulate a bundle of independent paths.
 
@@ -587,51 +602,32 @@ def simulate_paths(
         otherwise).  The realized step divides T exactly; see
         :func:`time_grid`.
     n_paths : int
-        Number of Monte Carlo paths (>= 1).
+        Number of Monte Carlo paths (>= 1), with path ids 0..n_paths-1.
     master_seed : int or tuple of int
-        Root of the per-path noise streams.
+        Root of the noise streams (purpose paths, point ``_point``, which
+        only :func:`fastslow.metrics.rate_sweep` sets).
     store_paths, store_increments : bool
         Full (n_steps+1, n_paths) state / (n_steps, n_paths) noise
         storage.  Disable both and use ``capture_indices`` for
-        memory-light large runs.
+        memory-light large runs: peak memory is then O(n_paths * block).
     capture_indices : iterable of int
         Step indices whose state rows are snapshotted regardless of
         ``store_paths``.
-    path_chunk : int, optional
-        Simulate in chunks of this many paths (>= 1; None: one chunk).
-        Results do not depend on it.  Each chunk draws its noise in time
-        blocks, so without stored paths or increments peak memory is
-        O(chunk * block) plus the chunk's open streams, whatever n_steps.
     """
-    _require_positive(n_paths=n_paths, path_chunk=path_chunk)
+    _require_positive(n_paths=n_paths)
     _check_stability(dt, regime.eta)
     n_steps, dt_eff = time_grid(regime.T, dt)
     wanted = _capture_set(capture_indices, n_steps)
-    chunk = n_paths if path_chunk is None else int(path_chunk)
-    scales = _StepScales.of(regime, dt_eff)
 
     X = np.empty((n_steps + 1, n_paths)) if store_paths else None
     Y = np.empty((n_steps + 1, n_paths)) if store_paths else None
     dW1 = np.empty((n_steps, n_paths)) if store_increments else None
     dW2 = np.empty((n_steps, n_paths)) if store_increments else None
-    captures = {k: (np.empty(n_paths), np.empty(n_paths)) for k in sorted(wanted)}
-
-    for start in range(0, n_paths, chunk):
-        cols = slice(start, min(start + chunk, n_paths))
-        ids = range(cols.start, cols.stop)
-        caps = _em_loop(
-            model,
-            scales,
-            x0,
-            y0,
-            len(ids),
-            _noise_blocks([(master_seed, ids)], n_steps, dt_eff),
-            wanted,
-            *(None if a is None else a[:, cols] for a in (X, Y, dW1, dW2)),
-        )
-        for k, (rx, ry) in caps.items():
-            captures[k][0][cols] = rx
-            captures[k][1][cols] = ry
+    noise = _noise_blocks(master_seed, range(n_paths), n_steps, dt_eff, point=_point)
+    captures = _em_loop(
+        model, _StepScales.of(regime, dt_eff), x0, y0, n_paths, noise, wanted,
+        X, Y, dW1, dW2,
+    )
 
     return PathBundle(
         regime=regime,
@@ -691,6 +687,6 @@ def limit_gaussian_samples(sigma2_t: float, n: int, seed) -> np.ndarray:
     """n i.i.d. N(0, sigma2_t) draws from the named limit-sampling stream."""
     if sigma2_t < 0:
         raise ValueError(f"variance must be nonnegative (got {sigma2_t})")
-    rng = _stream(seed, 0, CHANNEL_GAUSS_LIMIT)
+    rng = _stream(seed, PURPOSE_LIMIT_SAMPLE, 0, 0, CHANNEL_GAUSS_LIMIT)
     return rng.normal(0.0, math.sqrt(sigma2_t), int(n))
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+import fastslow.sde_engine as sde_engine
 from fastslow.coefficients import get_model
 from fastslow.sde_engine import ScaleRegime, simulate_paths
 
@@ -27,3 +28,25 @@ def affine_bundle(affine, affine_regime):
     return simulate_paths(
         affine, affine_regime, 0.0, 0.0, affine_regime.eta / 20.0, 8, 12345
     )
+
+
+@pytest.fixture
+def stream_keys(monkeypatch):
+    """``stream_keys(call)`` runs ``call()`` and returns the set of the
+    Philox keys of every stream it opened."""
+    real = sde_engine._philox_keys
+
+    def run(call):
+        seen = set()
+
+        def recording(*args):
+            keys = real(*args)
+            seen.update(map(tuple, keys.tolist()))
+            return keys
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sde_engine, "_philox_keys", recording)
+            call()
+        return seen
+
+    return run

@@ -234,6 +234,18 @@ def test_criterion_09_moment_envelope_ratios_and_separation_decay(bounded):
         spread = max(ratios) / min(ratios)
         assert spread <= 3.0, f"{bound_id}: ratio spread {spread:.2f} across {ratios}"
 
+    # At eps = eta = 0.2 the pair separation 3 eta = 0.6 reaches before
+    # t = 0 from r1 = T/2, so r2 is clamped to 0 and C_fit is anchored at
+    # a realized separation of 0.5.
+    for bound_id in ("d2x_w1w2", "d2x_w2w2"):
+        first = reports[bound_id].points[0]
+        assert first.separation_requested == pytest.approx(0.6)
+        assert first.separation_realized == pytest.approx(0.5)
+        assert all(
+            pt.separation_realized == pytest.approx(pt.separation_requested)
+            for pt in reports[bound_id].points[1:]
+        )
+
     for bound_id in ("d2x_w1w2", "d2x_w2w2"):
         rep = decay_check(
             bounded,

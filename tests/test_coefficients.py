@@ -170,7 +170,7 @@ def test_tangents_evaluate_once_per_step(bounded, monkeypatch):
     # On live noise: one EM call per step; the tangent kernels start at
     # the first r (10) and the first max(r1, r2) (20).
     calls.clear()
-    noise = _noise_blocks([(5, range(3))], n, bundle.dt)
+    noise = _noise_blocks(5, range(3), n, bundle.dt)
     states = _em_states(bounded, _StepScales.of(regime, bundle.dt), 0.4, 0.3, 3, noise)
     _tangent_pass(
         bounded, regime, bundle.dt, n, 3, states, [10, 20, 40], [(20, 10), (40, 40)]

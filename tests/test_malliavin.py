@@ -424,7 +424,7 @@ def test_moment_sweep_affine_structure(affine):
         ScaleRegime(0.1, 0.1, 1.0, 0.5),
         ScaleRegime(0.05, 0.05, 1.0, 0.5),
     ]
-    reports = moment_sweep(affine, regimes, 1, 100, seed=3, path_chunk=50)
+    reports = moment_sweep(affine, regimes, 1, 100, seed=3)
     assert set(reports) == set(BOUND_IDS)
     for rep in reports.values():
         assert rep.p == 1
@@ -434,6 +434,12 @@ def test_moment_sweep_affine_structure(affine):
         d = rep.to_dict()
         assert d["bound_id"] == rep.bound_id
         assert len(d["points"]) == 2 and "stderr" in d["points"][0]
+        mixed = rep.bound_id in ("d2x_w1w2", "d2x_w2w2")
+        for q, r, point in zip(rep.points, regimes, d["points"]):
+            assert ("separation_realized" in point) == mixed
+            if mixed:  # pair_sep_etas = 3: 0.3 reaches before 0 from T/2 = 0.25
+                assert q.separation_requested == pytest.approx(3.0 * r.eta)
+                assert q.separation_realized == pytest.approx(min(0.25, 3.0 * r.eta))
     # affine second partials vanish: the pure second-order moment is zero
     w1w1 = reports["d2x_w1w1"]
     assert all(q.empirical == 0.0 for q in w1w1.points)
@@ -485,7 +491,7 @@ def test_tangent_pass_matches_recorders_bitwise(bounded, r_indices, pairs, combo
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.15)
     n_steps, dt = time_grid(regime.T, regime.eta / 20)
     assert n_steps == 60
-    noise = _noise_blocks([((4, 1), range(6))], n_steps, dt)
+    noise = _noise_blocks((4, 1), range(6), n_steps, dt)
     states = _em_states(bounded, _StepScales.of(regime, dt), 0.4, 0.3, 6, noise)
     first, second = malliavin_mod._tangent_pass(
         bounded, regime, dt, n_steps, 6, states, r_indices, pairs, combos
@@ -517,12 +523,12 @@ def test_sweeps_match_recorders_bitwise(bounded, monkeypatch):
     def run():
         reports = moment_sweep(
             bounded, regimes, 1, 40, seed=5, x0=0.4, y0=0.3,
-            pair_sep_etas=2.0, path_chunk=25, k_hat=1.0,
+            pair_sep_etas=2.0, k_hat=1.0,
         )
         decays = [
             decay_check(
                 bounded, regimes[-1], bound_id, 1, 40, 6,
-                separations_eta=(0.5, 1.0, 2.0), x0=0.4, y0=0.3, path_chunk=25,
+                separations_eta=(0.5, 1.0, 2.0), x0=0.4, y0=0.3,
             )
             for bound_id in ("d2x_w1w2", "d2x_w2w2", "dw2_y_final")
         ]
@@ -533,13 +539,18 @@ def test_sweeps_match_recorders_bitwise(bounded, monkeypatch):
     assert run() == fused
 
 
-def _per_chunk_pass(one_pass):
-    """The reference for the sweeps' wide pass: one pass per path chunk,
-    on that chunk's streams alone, with the chunks' arrays joined along
-    the path axis."""
+def _split_pass(one_pass, sizes):
+    """The reference for the sweeps' wide pass: one pass per run of
+    consecutive global path ids, of the given sizes, with the runs'
+    arrays joined along the path axis."""
 
-    def run(model, regime, dt, n_steps, x0, y0, groups, *args):
-        parts = [one_pass(model, regime, dt, n_steps, x0, y0, [g], *args) for g in groups]
+    def run(model, regime, dt, n_steps, x0, y0, seed, stream, path_ids, *args):
+        edges = np.cumsum([0, *sizes])
+        assert edges[-1] == len(path_ids)
+        parts = [
+            one_pass(model, regime, dt, n_steps, x0, y0, seed, stream, path_ids[lo:hi], *args)
+            for lo, hi in zip(edges, edges[1:])
+        ]
 
         def join(objs, names):
             joined = {n: np.concatenate([getattr(o, n) for o in objs], -1) for n in names}
@@ -557,8 +568,9 @@ def _per_chunk_pass(one_pass):
 
 def test_wide_pass_equals_per_chunk_passes(bounded, monkeypatch):
     """One pass over all paths of a sweep point reports the same floats
-    as one pass per path chunk, with a ragged last chunk (130 paths in
-    chunks of 50, 50 and 30)."""
+    as passes over the same global path ids split into runs of 50, 50
+    and 30: a path's noise and tangents do not depend on the paths that
+    share its pass, and the moments sum over all paths at once."""
     regimes = [ScaleRegime(0.1, 0.1, 1.0, 0.3), ScaleRegime(0.05, 0.05, 1.0, 0.3)]
     passes = []
     tangent_pass = malliavin_mod._tangent_pass
@@ -570,12 +582,12 @@ def test_wide_pass_equals_per_chunk_passes(bounded, monkeypatch):
     def run():
         reports = moment_sweep(
             bounded, regimes, 1, 130, seed=5, x0=0.4, y0=0.3,
-            pair_sep_etas=2.0, path_chunk=50, k_hat=1.0,
+            pair_sep_etas=2.0, k_hat=1.0,
         )
         decays = [
             decay_check(
                 bounded, regimes[-1], bound_id, 1, 130, 6,
-                separations_eta=(0.5, 1.0, 2.0), x0=0.4, y0=0.3, path_chunk=50,
+                separations_eta=(0.5, 1.0, 2.0), x0=0.4, y0=0.3,
             )
             for bound_id in ("d2x_w1w2", "d2x_w2w2", "dw2_y_final")
         ]
@@ -586,10 +598,23 @@ def test_wide_pass_equals_per_chunk_passes(bounded, monkeypatch):
     assert passes == [130] * 5  # one pass per regime and per decay check
     passes.clear()
     monkeypatch.setattr(
-        malliavin_mod, "_sweep_pass", _per_chunk_pass(malliavin_mod._sweep_pass)
+        malliavin_mod, "_sweep_pass", _split_pass(malliavin_mod._sweep_pass, (50, 50, 30))
     )
     assert run() == wide
     assert passes == [50, 50, 30] * 5
+
+
+def test_moment_sweep_and_decay_check_share_no_stream(affine, stream_keys):
+    """Under the one seed the CLI gives both, the moment sweep's points
+    and the decay check open disjoint sets of streams."""
+    regimes = [ScaleRegime(0.1, 0.1, 1.0, 0.2), ScaleRegime(0.05, 0.05, 1.0, 0.2)]
+    moments = stream_keys(lambda: moment_sweep(affine, regimes, 1, 5, seed=4, k_hat=1.0))
+    decays = stream_keys(
+        lambda: decay_check(affine, regimes[-1], "d2x_w1w2", 1, 5, 4, separations_eta=(1.0,))
+    )
+    assert len(moments) == len(regimes) * 2 * 5
+    assert len(decays) == 2 * 5
+    assert not moments & decays
 
 
 def _scalar_tangents(model, bundle, r_grid, pairs, combos):
@@ -702,10 +727,10 @@ def test_recorders_match_scalar_reference(bounded, bounded_bundle):
 #: sha256 of the sweep reports and the recorder finals on a polynomial
 #: model (only +, -, * and squares, so no libm call enters the digest).
 GOLDEN = {
-    "moments": "4e99ec48728378022595c26638bf5f948c9bace9f51c904870733dbfb12413f6",
-    "decays": "b014af32fc1787caf38a5970ba6b531a6c83ace8821bdd59e0add9a3e691a4c5",
-    "first": "ea6cbcde62558d10f02b0d959baad1b135874c8cb286622bf0325e7ce020bfe6",
-    "second": "ed00e42c58d3389179b0d108357080e790ccd74eb085de1b1da786cca7e8820a",
+    "moments": "246caeae6f7570b1ed6afc37a28cab920ba31f4c7aaaee875283977682f623a3",
+    "decays": "44614bfa07eee23a6c0a757eeb8b1a367e7951b846e97dc38388cf32bfc03eb1",
+    "first": "677125b0c9e57cecefb57b1c93c69a682704522b9d4c24fc53c62a3d70f6999a",
+    "second": "584400f348f52c6b83227807f4779e2a686facfabf21af4724617e4c37e95775",
 }
 
 
@@ -726,12 +751,12 @@ def test_golden_digests_on_polynomial_model():
     regimes = [ScaleRegime(0.1, 0.1, 1.0, 0.3), ScaleRegime(0.05, 0.05, 1.0, 0.3)]
     reports = moment_sweep(
         poly, regimes, 1, 40, seed=5, x0=0.4, y0=0.3,
-        pair_sep_etas=2.0, path_chunk=25, k_hat=1.0,
+        pair_sep_etas=2.0, k_hat=1.0,
     )
     decays = [
         decay_check(
             poly, regimes[-1], bound_id, 1, 40, 6,
-            separations_eta=(0.5, 1.0, 2.0), x0=0.4, y0=0.3, path_chunk=25,
+            separations_eta=(0.5, 1.0, 2.0), x0=0.4, y0=0.3,
         ).to_dict()
         for bound_id in ("d2x_w1w2", "d2x_w2w2", "dw2_y_final")
     ]
@@ -789,8 +814,6 @@ def test_sweeps_reject_step_above_stability_guard(affine, monkeypatch):
     "sizes, message",
     [
         (dict(n_paths=0), "n_paths must be >= 1 (got 0)"),
-        (dict(path_chunk=0), "path_chunk must be >= 1 (got 0)"),
-        (dict(path_chunk=-5), "path_chunk must be >= 1 (got -5)"),
     ],
 )
 def test_sweeps_reject_nonpositive_sizes_first(affine, monkeypatch, sizes, message):
@@ -800,7 +823,7 @@ def test_sweeps_reject_nonpositive_sizes_first(affine, monkeypatch, sizes, messa
     monkeypatch.setattr(malliavin_mod, "check_assumptions", not_reached)
     monkeypatch.setattr(malliavin_mod, "_noise_blocks", not_reached)
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.1)
-    args = dict(n_paths=10, path_chunk=500) | sizes
+    args = dict(n_paths=10) | sizes
     with pytest.raises(ValueError, match=re.escape(message)):
         moment_sweep(affine, [regime], 1, **args)
     with pytest.raises(ValueError, match=re.escape(message)):

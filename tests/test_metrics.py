@@ -11,6 +11,7 @@ from scipy.special import ndtr, ndtri
 
 import fastslow.metrics as metrics_mod
 from fastslow.metrics import (
+    LIMIT_ODE_DT,
     RateFit,
     WassersteinReport,
     bootstrap_w1,
@@ -23,8 +24,14 @@ from fastslow.metrics import (
     w1_vs_gaussian,
 )
 from fastslow.coefficients import model_from_expressions
-from fastslow.homogenization import build_homogenized
-from fastslow.sde_engine import CHANNEL_BOOTSTRAP, ScaleRegime, StabilityError, _stream
+from fastslow.homogenization import attach_variance, build_homogenized
+from fastslow.sde_engine import (
+    CHANNEL_BOOTSTRAP,
+    PURPOSE_BOOTSTRAP,
+    ScaleRegime,
+    StabilityError,
+    _stream,
+)
 
 # -- exact W1 against a Gaussian ---------------------------------------
 
@@ -179,7 +186,7 @@ def w1_vs_gaussian_old(samples, mu, sigma2):
 
 def bootstrap_w1_old(samples, mu, sigma2, seed, n_boot, level=0.95):
     xs = np.asarray(samples, dtype=float)
-    rng = _stream(seed, 0, CHANNEL_BOOTSTRAP)
+    rng = _stream(seed, PURPOSE_BOOTSTRAP, 0, 0, CHANNEL_BOOTSTRAP)
     stats = np.empty(n_boot)
     for i in range(n_boot):
         stats[i] = w1_vs_gaussian_old(rng.choice(xs, size=xs.size, replace=True), mu, sigma2)
@@ -519,7 +526,9 @@ def test_rate_sweep_integrates_the_limit_once_and_matches_clt_verify(
     affine, affine_hom, monkeypatch
 ):
     """Every sweep point shares x0, T and hom, so one limit trajectory
-    serves them all, and each point reports exactly what clt_verify does."""
+    serves them all, and each point reports exactly what clt_verify's
+    pipeline does on a limit integrated for that point alone, at the
+    point's own streams (point i + 1)."""
     calls = []
     real = metrics_mod.limit_ode
 
@@ -533,11 +542,36 @@ def test_rate_sweep_integrates_the_limit_once_and_matches_clt_verify(
     fit = rate_sweep(affine, eps, "equal", config, T=T, seed=seed)
     assert len(calls) == 1
     for i, e in enumerate(eps):
-        (alone,) = clt_verify(
-            affine, ScaleRegime(e, e, 1.0, T), 0.0, 0.0, e / 20, 40,
-            checkpoints=(T,), seed=(seed, i), n_boot=10, hom=affine_hom,
+        regime = ScaleRegime(e, e, 1.0, T)
+        times, capture = metrics_mod._checkpoint_steps(regime, e / 20, (T,))
+        trajectory = attach_variance(affine_hom, real(affine_hom, 0.0, T, LIMIT_ODE_DT))
+        (alone,) = metrics_mod._clt_reports(
+            affine, regime, 0.0, 0.0, e / 20, 40, times, capture, seed,
+            trajectory, n_boot=10, point=i + 1,
         )
         assert fit.reports[i] == alone
+
+
+def test_clt_verify_and_rate_sweep_share_no_stream(affine, affine_hom, stream_keys):
+    """Under one seed, clt_verify at the coarsest rate-sweep regime and the
+    rate sweep open disjoint sets of streams (paths and bootstrap); the
+    old rule gave clt_verify and sweep point 0 the same path-0 W1 stream."""
+    eps, T, seed = (0.16, 0.08, 0.04), 0.2, 5
+    clt = stream_keys(
+        lambda: clt_verify(
+            affine, ScaleRegime(eps[0], eps[0], 1.0, T), 0.0, 0.0, eps[0] / 20, 6,
+            checkpoints=(T / 2, T), seed=seed, n_boot=3, hom=affine_hom,
+        )
+    )
+    rate = stream_keys(
+        lambda: rate_sweep(
+            affine, eps, "equal", {"n_paths": 6, "n_boot": 3, "hom": affine_hom},
+            T=T, seed=seed,
+        )
+    )
+    assert len(clt) == 2 * 6 + 2
+    assert len(rate) == len(eps) * (2 * 6 + 1)
+    assert not clt & rate
 
 
 def test_rate_sweep_checks_every_step_before_homogenizing(affine, monkeypatch):

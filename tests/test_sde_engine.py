@@ -15,6 +15,8 @@ from fastslow.homogenization import attach_variance, build_homogenized, limit_od
 from fastslow.sde_engine import (
     CHANNEL_W1,
     CHANNEL_W2,
+    PURPOSE_MOMENT_SWEEP,
+    PURPOSE_PATHS,
     AlignmentError,
     BlowUpError,
     PathBundle,
@@ -72,18 +74,9 @@ def test_simulate_rejects_unstable_dt(affine, affine_regime):
 # -- determinism -------------------------------------------------------
 
 
-def _small_bundle(model, seed=7, path_chunk=None):
+def _small_bundle(model, seed=7, n_paths=6):
     regime = ScaleRegime(epsilon=0.04, eta=0.02, gamma=math.sqrt(2.0), T=0.25)
-    return simulate_paths(
-        model,
-        regime,
-        0.3,
-        -0.2,
-        regime.eta / 20,
-        6,
-        seed,
-        path_chunk=path_chunk,
-    )
+    return simulate_paths(model, regime, 0.3, -0.2, regime.eta / 20, n_paths, seed)
 
 
 def test_same_seed_is_bitwise_identical(affine):
@@ -94,10 +87,12 @@ def test_same_seed_is_bitwise_identical(affine):
 
 
 def test_chunking_does_not_change_results(affine):
+    """A path does not depend on how many paths run with it: the first
+    two paths of a six-path bundle are a two-path bundle."""
     whole = _small_bundle(affine)
-    chunked = _small_bundle(affine, path_chunk=2)
-    assert np.array_equal(whole.X, chunked.X)
-    assert np.array_equal(whole.dW2, chunked.dW2)
+    part = _small_bundle(affine, n_paths=2)
+    for name in ("X", "Y", "dW1", "dW2"):
+        assert np.array_equal(getattr(whole, name)[:, :2], getattr(part, name)), name
 
 
 def test_different_seeds_differ(affine):
@@ -117,12 +112,10 @@ def test_channel_streams_are_independent():
     "kwargs, message",
     [
         (dict(n_paths=0), "n_paths must be >= 1 (got 0)"),
-        (dict(path_chunk=0), "path_chunk must be >= 1 (got 0)"),
-        (dict(path_chunk=-5), "path_chunk must be >= 1 (got -5)"),
     ],
 )
 def test_simulate_rejects_nonpositive_sizes(affine, affine_regime, kwargs, message):
-    args = dict(n_paths=4, master_seed=0, path_chunk=None) | kwargs
+    args = dict(n_paths=4, master_seed=0) | kwargs
     with pytest.raises(ValueError, match=re.escape(message)):
         simulate_paths(affine, affine_regime, 0.0, 0.0, affine_regime.eta / 20, **args)
 
@@ -130,8 +123,9 @@ def test_simulate_rejects_nonpositive_sizes(affine, affine_regime, kwargs, messa
 # -- noise blocks --------------------------------------------------------
 
 
-def _seed_sequence_stream(entropy):
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+def _seed_sequence_stream(entropy, spawn_key):
+    seq = np.random.SeedSequence(entropy, spawn_key=spawn_key)
+    return np.random.Generator(np.random.Philox(seq))
 
 
 def test_draw_increments_match_one_normal_draw_per_stream():
@@ -140,7 +134,7 @@ def test_draw_increments_match_one_normal_draw_per_stream():
     assert dW1.shape == dW2.shape == (n_steps, len(ids))
     for j, pid in enumerate(ids):
         for dw, channel in ((dW1, CHANNEL_W1), (dW2, CHANNEL_W2)):
-            ref = _seed_sequence_stream((8, 2, pid, channel)).normal(
+            ref = _seed_sequence_stream((8, 2), (PURPOSE_PATHS, 0, pid, channel)).normal(
                 0.0, math.sqrt(dt), n_steps
             )
             assert np.array_equal(dw[:, j], ref)
@@ -150,31 +144,28 @@ def test_draw_increments_golden_digest():
     # Any change to how the streams are keyed or drawn moves this digest.
     dW1, dW2 = draw_increments((8, 2), range(5), 7, 1e-3)
     digest = hashlib.sha256(dW1.tobytes() + dW2.tobytes()).hexdigest()
-    assert digest == "9cad14d6153c8e0c47853a8e9d05ac4362f2ba02f779c85069bb062898d5a14f"
+    assert digest == "15d209a395f74b0541ef6434a41140261e8ee5191fd54cbe3d28619416b6343f"
 
 
 @pytest.mark.parametrize("block", [1, 5, 24, 40])
-def test_noise_blocks_join_stream_groups(block):
-    """Blocks drawn for several stream groups hold, group after group,
-    exactly the columns each group's own draw_increments gives."""
-    groups = [((3, 0), range(5)), ((3, 5), range(2)), (9, [4, 0, 7]), ((3, 7), [0])]
-    n_steps, dt = 24, 1e-3
+def test_noise_blocks_join_stream_groups(block, monkeypatch):
+    """Blocks whose streams are drawn in row batches of 4 (11 paths: two
+    full batches and a ragged one of 3) join, batch after batch, exactly
+    the columns draw_increments gives in one batch."""
+    ids, n_steps, dt = [9, 0, 4, 3, 2**32 - 1, 7, 12, 5, 1, 8, 6], 24, 1e-3
+    ref1, ref2 = draw_increments((3, 1), ids, n_steps, dt)
+    monkeypatch.setattr(sde_engine, "_DRAW_BATCH", 4)
     lengths, rows1, rows2 = [], [], []
-    for w1, w2 in sde_engine._noise_blocks(groups, n_steps, dt, block):
+    for w1, w2 in sde_engine._noise_blocks((3, 1), ids, n_steps, dt, block):
         lengths.append(len(w1))
         rows1.append(w1.copy())  # the yielded blocks are reused
         rows2.append(w2.copy())
     size = min(block, n_steps)
     assert lengths == [min(size, n_steps - k) for k in range(0, n_steps, size)]
     dW1, dW2 = np.concatenate(rows1), np.concatenate(rows2)
-    assert dW1.shape == (n_steps, 11)
-    start = 0
-    for seed, ids in groups:
-        ref1, ref2 = draw_increments(seed, ids, n_steps, dt)
-        cols = slice(start, start + len(ids))
-        assert np.array_equal(dW1[:, cols], ref1), seed
-        assert np.array_equal(dW2[:, cols], ref2), seed
-        start += len(ids)
+    for j in range(len(ids)):
+        assert np.array_equal(dW1[:, j], ref1[:, j]), j
+        assert np.array_equal(dW2[:, j], ref2[:, j]), j
 
 
 def test_noise_without_private_maps(monkeypatch):
@@ -194,12 +185,40 @@ def test_noise_without_private_maps(monkeypatch):
 @pytest.mark.parametrize("channel", [0, 1, 2, 3])
 def test_philox_keys_equal_seed_sequence_state(seed, channel):
     ids = [0, 1, 5, 123456789, 2**32 - 1]
-    keys = _philox_keys(seed, ids, channel)
-    assert keys.shape == (len(ids), 2) and keys.dtype == np.uint64
-    prefix = tuple(seed) if isinstance(seed, tuple) else (seed,)
-    for key, pid in zip(keys, ids):
-        ref = np.random.SeedSequence(prefix + (pid, channel)).generate_state(2, np.uint64)
-        assert np.array_equal(key, ref)
+    for purpose, point in ((0, 0), (4, 7), (1, 2**32 - 1)):
+        keys = _philox_keys(seed, purpose, point, ids, channel)
+        assert keys.shape == (len(ids), 2) and keys.dtype == np.uint64
+        for key, pid in zip(keys, ids):
+            ref = np.random.SeedSequence(
+                seed, spawn_key=(purpose, point, pid, channel)
+            ).generate_state(2, np.uint64)
+            assert np.array_equal(key, ref)
+
+
+def test_spawn_keys_are_length_sensitive():
+    """Words that differ only by a trailing zero or by length give one
+    stream when folded into the entropy, as the earlier rule did, and
+    different streams as a spawn key; so the (purpose, point, path,
+    channel) keys of one seed are pairwise distinct."""
+
+    def state(entropy, spawn_key=()):
+        seq = np.random.SeedSequence(entropy, spawn_key=spawn_key)
+        return tuple(seq.generate_state(2, np.uint64).tolist())
+
+    assert state((77, 0, 0)) == state((77, 0, 0, 0))
+    spawn_keys = [(0,), (0, 0), (0, 0, 0), (0, 0, 0, 0), (0, 1), (0, 1, 0), (1,)]
+    assert len({state(77, k) for k in spawn_keys}) == len(spawn_keys)
+    # Under the earlier rule (77, path 0, W1) and (77, 0) + (path 0, W1)
+    # were one stream; now every word of the key counts.
+    grid = [
+        (purpose, point, pid, channel)
+        for purpose in range(5)
+        for point in range(3)
+        for pid in range(3)
+        for channel in range(4)
+    ]
+    keys = {tuple(_philox_keys(77, *key[:2], [key[2]], key[3])[0]) for key in grid}
+    assert len(keys) == len(grid)
 
 
 @pytest.mark.parametrize(
@@ -221,13 +240,13 @@ def test_invalid_stream_keys_raise_before_any_draw(seed, ids, message, monkeypat
 
 
 def test_key_serves_only_a_philox_key():
-    key = _philox_keys(7, [0], 0)[0]
+    key = _philox_keys(7, PURPOSE_PATHS, 0, [0], 0)[0]
     assert _Key(key).generate_state(2, np.uint64) is key
     with pytest.raises(ValueError, match="2 uint64 words"):
         _Key(key).generate_state(4, np.uint32)
 
 
-@pytest.mark.parametrize("path_chunk", [None, 3, 6])
+@pytest.mark.parametrize("batch", [None, 3, 6])
 @pytest.mark.parametrize(
     "block",
     [
@@ -237,26 +256,28 @@ def test_key_serves_only_a_philox_key():
         1,
     ],
 )
-def test_blocked_noise_matches_one_block(bounded, monkeypatch, path_chunk, block):
-    """simulate_paths, drawing its noise in blocks of ``block`` steps,
+def test_blocked_noise_matches_one_block(bounded, monkeypatch, batch, block):
+    """simulate_paths, drawing its noise in blocks of ``block`` steps and
+    row batches of ``batch`` streams (None: the default, one batch),
     stores and captures exactly what draw_increments +
     simulate_with_increments give on the same noise in one block."""
     n_paths, seed, marks = 6, (3, 1), (0, 5, 23, 24)
-    chunk = n_paths if path_chunk is None else path_chunk
-    monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * chunk * block)
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.06)
     n_steps, dt = time_grid(regime.T, regime.eta / 20)
     assert n_steps == 24
-    blocks = sde_engine._noise_blocks([(seed, range(chunk))], n_steps, dt)
+    dW1, dW2 = draw_increments(seed, range(n_paths), n_steps, dt)
+    monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * n_paths * block)
+    if batch is not None:
+        monkeypatch.setattr(sde_engine, "_DRAW_BATCH", batch)
+    blocks = sde_engine._noise_blocks(seed, range(n_paths), n_steps, dt)
     assert sum(1 for _ in blocks) == math.ceil(n_steps / min(block, n_steps))
 
-    kwargs = dict(capture_indices=marks, path_chunk=path_chunk)
+    kwargs = dict(capture_indices=marks)
     full = simulate_paths(bounded, regime, 0.4, 0.3, dt, n_paths, seed, **kwargs)
     light = simulate_paths(
         bounded, regime, 0.4, 0.3, dt, n_paths, seed,
         store_paths=False, store_increments=False, **kwargs,
     )
-    dW1, dW2 = draw_increments(seed, range(n_paths), n_steps, dt)
     X, Y, caps = simulate_with_increments(
         bounded, regime, 0.4, 0.3, dt, dW1, dW2, capture_indices=marks
     )
@@ -296,7 +317,8 @@ def test_memory_does_not_grow_with_steps(affine, monkeypatch):
     full collection empties them again, so the collector stays off from
     the warm-up to the last measurement.  The noise block buffers live in
     anonymous maps, which tracemalloc does not see, so the bytes asked of
-    ``_mapped_array`` are recorded and must not grow either."""
+    ``_mapped_array`` are recorded and must not grow either; nor may the
+    path-major draw buffer when the path count grows from 600 to 2000."""
     from fastslow.malliavin import _sweep_pass
 
     block, dt = 32, 1.0 / 4096
@@ -316,9 +338,9 @@ def test_memory_does_not_grow_with_steps(affine, monkeypatch):
     def tangent_pass(n_steps):
         monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * 200 * block)
         r = [n_steps // 4, n_steps // 2]
-        groups = [(1, range(120)), (2, range(80))]
         _sweep_pass(
-            affine, regime(n_steps), dt, n_steps, 0.0, 0.0, groups, r, [(r[1], r[0])]
+            affine, regime(n_steps), dt, n_steps, 0.0, 0.0, 1,
+            (PURPOSE_MOMENT_SWEEP, 1), range(200), r, [(r[1], r[0])],
         )
 
     mapped = []
@@ -349,6 +371,13 @@ def test_memory_does_not_grow_with_steps(affine, monkeypatch):
             )
     finally:
         gc.enable()
+
+    def draw_buffer(n_paths):
+        mapped.clear()
+        next(sde_engine._noise_blocks(1, range(n_paths), block, dt, block))
+        return mapped[0]  # the draw buffer, then the two blocks
+
+    assert draw_buffer(600) == draw_buffer(2000) == 8 * sde_engine._DRAW_BATCH * block
 
 
 # -- scheme correctness ------------------------------------------------
