@@ -46,7 +46,7 @@ from fastslow.homogenization import (
     write_detail_csv,
     write_summary_csv,
 )
-from fastslow.malliavin import _decay_steps, _require_values, decay_check, moment_sweep
+from fastslow.malliavin import check_decay_settings, decay_check, moment_sweep
 from fastslow.metrics import (
     HOM_GRID,
     clt_verify,
@@ -174,10 +174,7 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"analysis.p entries must be the positive integers 1 or 2 (got {p})"
                 )
-        if self.sweep is not None and (
-            "decay_separations" in self.analysis or "decay_bounds" in self.analysis
-        ):
-            self.decay_settings()
+        self.decay_settings()
         boot = self.analysis.get("bootstrap")
         if boot is not None and (int(boot) != boot or boot < 1):
             raise ConfigError(f"analysis.bootstrap must be a positive integer (got {boot})")
@@ -210,21 +207,20 @@ class ExperimentConfig:
             for e in self.sweep["epsilons"]
         ]
 
-    def decay_settings(self) -> tuple[list[float], list[str]]:
+    def decay_settings(
+        self, regime: ScaleRegime | None = None
+    ) -> tuple[list[float], list[str]]:
         """``analysis.decay_separations`` and ``analysis.decay_bounds`` (or
-        their defaults), checked as :func:`decay_check` checks them at the
-        finest sweep point (ConfigError otherwise)."""
+        their defaults), checked as :func:`decay_check` checks them, at
+        ``regime`` when one is given (ConfigError otherwise)."""
         seps = self.analysis.get("decay_separations", (1.0, 3.0, 10.0))
         bounds = list(self.analysis.get("decay_bounds", ("d2x_w1w2", "d2x_w2w2")))
-        finest = self.sweep_regimes()[-1]
+        where = "" if regime is None else f" at eps={regime.epsilon:g}"
         try:
-            seps = _require_values("separations", seps)
-            for bound_id in bounds:
-                _decay_steps(finest, bound_id, seps)
+            seps = check_decay_settings(bounds, seps, regime)
         except (TypeError, ValueError) as exc:
             raise ConfigError(
-                f"analysis.decay_separations / decay_bounds at the finest sweep "
-                f"point (eps={finest.epsilon:g}): {exc}"
+                f"analysis.decay_separations / decay_bounds{where}: {exc}"
             ) from None
         return seps, bounds
 
@@ -431,7 +427,9 @@ def cmd_malliavin_sweep(config: ExperimentConfig, out_dir, seed) -> int:
     model = config.coefficient_set()
     regimes = config.sweep_regimes()
     n_paths = int(config.grid.get("n_paths", 2000))
-    separations, decay_bounds = config.decay_settings()
+    # Reject a separation that reaches before t = 0 at the finest point
+    # before any artifact is written.
+    separations, decay_bounds = config.decay_settings(regimes[-1])
     any_warn = False
     all_pass = True
     for p in config.analysis.get("p", [1]):

@@ -96,6 +96,7 @@ __all__ = [
     "quadruple_envelope",
     "quadruple_integral_check",
     "BOUND_IDS",
+    "check_decay_settings",
     "full_pair_grid",
     "default_r_grid",
 ]
@@ -989,9 +990,7 @@ def _decay_steps(
     separations before it.  ValueError names a bound without separation
     structure and an empty list or a separation that is negative,
     non-finite or reaches before t = 0."""
-    if bound_id not in (*_MIXED_BOUNDS, "dw2_y_final"):
-        raise ValueError(f"no separation structure for bound {bound_id!r}")
-    seps = _require_values("separations_eta", separations_eta)
+    seps = check_decay_settings([bound_id], separations_eta)
     step = dt if dt is not None else regime.eta / 20.0
     _check_stability(step, regime.eta)
     n_steps, dt_eff = time_grid(regime.T, step)
@@ -1004,6 +1003,26 @@ def _decay_steps(
         if r < 0:
             raise ValueError(f"separations_eta value {s} exceeds {top}")
     return n_steps, dt_eff, r_top, r_list
+
+
+def check_decay_settings(
+    bound_ids: Sequence[str],
+    separations_eta: Sequence[float],
+    regime: ScaleRegime | None = None,
+) -> list[float]:
+    """The separations as floats, after the checks :func:`decay_check`
+    makes before any work.  ValueError names a bound without separation
+    structure, an empty list or a separation that is negative or
+    non-finite; given ``regime``, also a separation that reaches before
+    t = 0 there at the default step eta/20."""
+    for bound_id in bound_ids:
+        if bound_id not in (*_MIXED_BOUNDS, "dw2_y_final"):
+            raise ValueError(f"no separation structure for bound {bound_id!r}")
+    seps = _require_values("separations_eta", separations_eta)
+    if regime is not None:
+        for bound_id in bound_ids:
+            _decay_steps(regime, bound_id, seps)
+    return seps
 
 
 def decay_check(

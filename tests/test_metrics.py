@@ -21,6 +21,7 @@ from fastslow.metrics import (
     theoretical_bound,
     theoretical_bound_terms,
     w1_between_gaussians,
+    w1_floor,
     w1_vs_gaussian,
 )
 from fastslow.coefficients import model_from_expressions
@@ -112,6 +113,35 @@ def test_w1_validation():
         w1_vs_gaussian([0.0, np.inf], 0.0, 1.0)
     with pytest.raises(ValueError):
         w1_vs_gaussian([0.0, 1.0], 0.0, -1.0)
+
+
+def test_w1_floor_closed_forms_and_scaling():
+    # One draw: W1(delta_X, N(0, s2)) = E|X - Y| = 2 s / sqrt(pi).
+    assert w1_floor(1, 4.0) == pytest.approx(4.0 / math.sqrt(math.pi), rel=1e-12)
+    assert w1_floor(7, 9.0) == pytest.approx(3.0 * w1_floor(7, 1.0), rel=1e-12)
+    assert w1_floor(5, 0.0) == 0.0
+    # Large n: sqrt(n) times the floor tends to the Brownian-bridge
+    # constant sqrt(2/pi) * int sqrt(Phi(z) (1 - Phi(z))) dz.
+    bridge = quad(lambda z: math.sqrt(ndtr(z) * ndtr(-z)), -np.inf, np.inf)[0]
+    n = 100_000
+    assert math.sqrt(n) * w1_floor(n, 1.0) == pytest.approx(
+        math.sqrt(2.0 / math.pi) * bridge, rel=1e-3
+    )
+
+
+def test_w1_floor_is_the_mean_of_the_estimator():
+    rng = np.random.default_rng(11)
+    reads = [w1_vs_gaussian(rng.normal(0.5, 2.0, 20), 0.5, 4.0) for _ in range(4000)]
+    se = np.std(reads) / math.sqrt(len(reads))
+    assert abs(np.mean(reads) - w1_floor(20, 4.0)) < 4.0 * se
+
+
+@pytest.mark.parametrize(
+    "n, sigma2", [(0, 1.0), (2.5, 1.0), (True, 1.0), (3, -1.0), (3, math.nan)]
+)
+def test_w1_floor_validation(n, sigma2):
+    with pytest.raises(ValueError):
+        w1_floor(n, sigma2)
 
 
 # -- Gaussian-vs-Gaussian closed form ----------------------------------
@@ -467,8 +497,34 @@ def test_rate_sweep_recovers_synthetic_slope(affine, monkeypatch):
     assert fit.bound_values[0] == pytest.approx(fit.points[0][2], rel=1e-12)
     assert len(fit.bound_values) == 4
     d = fit.to_dict()
-    assert set(d) == {"points", "rate", "bound", "c_fit", "noisy_points"}
+    assert set(d) == {"points", "rate", "bound", "floor", "c_fit", "noisy_points"}
     assert set(d["rate"]) == {"slope", "intercept", "r2"}
+
+
+def test_rate_sweep_bound_is_envelope_plus_floor(affine, monkeypatch):
+    """The Monte Carlo floor does not shrink with eps, so it is added to
+    the envelope rather than scaled with it.  A sweep whose W1 does not
+    decay still lies above the bound, and a coarsest point under its
+    floor anchors the constant at 0."""
+    eps = (0.16, 0.08, 0.04)
+    raw = [theoretical_bound(ScaleRegime(e, e, 1.0, 1.0), 1.0, 0.1) for e in eps]
+    floor = w1_floor(10, 1.0)
+    monkeypatch.setattr(
+        metrics_mod, "_clt_reports", _stub_clt(lambda e: 1.0, lambda w: (0.9 * w, 1.1 * w))
+    )
+    fit = rate_sweep(affine, eps, "equal", {"n_paths": 10}, K=1.0)
+    assert fit.floor_values == (floor,) * 3
+    assert fit.c_fit == pytest.approx((1.0 - floor) / raw[0], rel=1e-12)
+    assert fit.bound_values == pytest.approx([fit.c_fit * r + floor for r in raw], rel=1e-12)
+    assert fit.bound_values[0] == pytest.approx(1.0, rel=1e-12)
+    assert all(b < 1.0 for b in fit.bound_values[1:])
+
+    monkeypatch.setattr(
+        metrics_mod, "_clt_reports", _stub_clt(lambda e: 0.1, lambda w: (0.9 * w, 1.1 * w))
+    )
+    fit = rate_sweep(affine, eps, "equal", {"n_paths": 10}, K=1.0)
+    assert fit.c_fit == 0.0
+    assert fit.bound_values == fit.floor_values == (floor,) * 3
 
 
 def test_rate_sweep_flags_noisy_points_and_eta_rule(affine, monkeypatch):
@@ -550,6 +606,17 @@ def test_rate_sweep_integrates_the_limit_once_and_matches_clt_verify(
             trajectory, n_boot=10, point=i + 1,
         )
         assert fit.reports[i] == alone
+    # clt_verify runs the same pipeline on the streams of point 0.
+    regime = ScaleRegime(eps[0], eps[0], 1.0, T)
+    times, capture = metrics_mod._checkpoint_steps(regime, eps[0] / 20, (T,))
+    trajectory = attach_variance(affine_hom, real(affine_hom, 0.0, T, LIMIT_ODE_DT))
+    assert clt_verify(
+        affine, regime, 0.0, 0.0, eps[0] / 20, 40, checkpoints=(T,), seed=seed,
+        n_boot=10, hom=affine_hom,
+    ) == metrics_mod._clt_reports(
+        affine, regime, 0.0, 0.0, eps[0] / 20, 40, times, capture, seed,
+        trajectory, n_boot=10, point=0,
+    )
 
 
 def test_clt_verify_and_rate_sweep_share_no_stream(affine, affine_hom, stream_keys):
