@@ -22,6 +22,7 @@ import argparse
 import hashlib
 import json
 import math
+import numbers
 import os
 import platform
 import sys
@@ -83,6 +84,24 @@ class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
 
+def _number(name: str, value):
+    """``value`` when it is a real number (not a bool); ConfigError
+    naming ``name`` otherwise, where a comparison or int() would raise a
+    bare TypeError or ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number (got {value!r})")
+    return value
+
+
+def _require_count(name: str, value) -> None:
+    """ConfigError naming ``name`` unless ``value`` is None or an integral
+    number of at least 1."""
+    if value is not None and not (
+        float(_number(name, value)).is_integer() and value >= 1
+    ):
+        raise ConfigError(f"{name} must be a positive integer (got {value})")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: model, regime(s), grids, analysis knobs, and IO.
@@ -138,14 +157,14 @@ class ExperimentConfig:
         if self.regime is not None:
             for key in ("epsilon", "eta", "T"):
                 value = self.regime.get(key)
-                if value is None or not value > 0:
+                if value is None or not _number(f"regime.{key}", value) > 0:
                     raise ConfigError(f"regime.{key} must be positive (got {value})")
             gamma = self.regime.get("gamma", math.inf)
-            if not gamma > 0:
+            if not _number("regime.gamma", gamma) > 0:
                 raise ConfigError(f"regime.gamma must be positive (got {gamma})")
             dt = self.grid.get("dt")
             if dt is not None:
-                if not dt > 0:
+                if not _number("grid.dt", dt) > 0:
                     raise ConfigError(f"grid.dt must be positive (got {dt})")
                 try:
                     _check_stability(dt, self.regime["eta"])
@@ -153,9 +172,9 @@ class ExperimentConfig:
                     raise ConfigError(f"grid.{exc}") from None
         if self.sweep is not None:
             eps = self.sweep.get("epsilons")
-            if not eps or len(eps) < 1:
+            if not isinstance(eps, (list, tuple)) or not eps:
                 raise ConfigError("sweep.epsilons must be a non-empty list")
-            if any(not e > 0 for e in eps):
+            if any(not _number("sweep.epsilons", e) > 0 for e in eps):
                 raise ConfigError("sweep.epsilons must be positive")
             if any(b >= a for a, b in zip(eps, eps[1:])):
                 raise ConfigError("sweep.epsilons must be strictly decreasing")
@@ -163,11 +182,9 @@ class ExperimentConfig:
             if rule != "equal":
                 raise ConfigError(f"unknown sweep.eta_rule {rule!r}")
         for key in ("n_paths", "nx", "ny", "r_grid"):
-            value = self.grid.get(key)
-            if value is not None and (int(value) != value or value < 1):
-                raise ConfigError(f"grid.{key} must be a positive integer (got {value})")
+            _require_count(f"grid.{key}", self.grid.get(key))
         zeta = self.analysis.get("zeta")
-        if zeta is not None and not 0.0 < zeta < 0.5:
+        if zeta is not None and not 0.0 < _number("analysis.zeta", zeta) < 0.5:
             raise ConfigError(f"analysis.zeta must lie in (0, 1/2) (got {zeta})")
         for p in self.analysis.get("p", []):
             if p not in (1, 2):
@@ -175,9 +192,7 @@ class ExperimentConfig:
                     f"analysis.p entries must be the positive integers 1 or 2 (got {p})"
                 )
         self.decay_settings()
-        boot = self.analysis.get("bootstrap")
-        if boot is not None and (int(boot) != boot or boot < 1):
-            raise ConfigError(f"analysis.bootstrap must be a positive integer (got {boot})")
+        _require_count("analysis.bootstrap", self.analysis.get("bootstrap"))
 
     # -- resolved accessors -------------------------------------------
 

@@ -35,13 +35,16 @@ D^{W2}Y splits as Q1 + Q2 with Q1 = Z * tau(X_r, Y_r)/sqrt(eta) and Q2
 the response to the D^{W2}X feedback.
 
 Both tangent orders are advanced by one recursion, which runs over a
-stream of base states (k, X_k, Y_k, dW1_k, dW2_k).  The moment sweeps
-feed it live Euler-Maruyama states, so at each sweep point the noise
-of all paths drives the base path and its tangents in one forward pass
-and nothing is stored; :func:`first_order_tangents`,
-:func:`second_order_tangents` and :func:`q_decomposition` feed it the
-rows of a stored :class:`~fastslow.sde_engine.PathBundle`, and the
-first and the last also read the first-order state at every step.
+stream of base states (k, X_k, Y_k, dW1_k, dW2_k).  Its second-order
+state is a list of cells (j1, j2, r1, r2), one D2_{r1,r2} per channel
+pair and time pair that a caller reads.  The moment sweeps feed it
+live Euler-Maruyama states, so at each sweep point the noise of all
+paths drives the base path and its tangents in one forward pass and
+nothing is stored; :func:`first_order_tangents`,
+:func:`second_order_tangents` (which asks for every cell of its combos
+x pairs product) and :func:`q_decomposition` feed it the rows of a
+stored :class:`~fastslow.sde_engine.PathBundle`, and the first and the
+last also read the first-order state at every step.
 
 The module also evaluates the Monte Carlo moment-inequality suite
 (scaling of tangent moments in eps and eta), the H-norm and
@@ -112,6 +115,9 @@ BOUND_IDS = (
 )
 #: The second-order bounds at a separated pair (r1, r2).
 _MIXED_BOUNDS = ("d2x_w1w2", "d2x_w2w2")
+
+#: Every channel pair (j1, j2), 0 = W1 and 1 = W2, in row-major order.
+_ALL_COMBOS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 #: Soft cap on tangent series allocations (bytes).
 _SERIES_BYTE_CAP = 2 * 1024**3
@@ -281,7 +287,7 @@ def _first_step(d, dx, dy, w1, w2, s: _StepScales, k: int, r_idx):
 
 
 def _second_start(j1, j2, alpha_1, alpha_2, at_1, at_2, s: _StepScales):
-    """Initial (D2X, D2Y), each (n_c, n_paths), of one pair at max(r1, r2).
+    """Initial (D2X, D2Y), each (n_paths,), of one cell at max(r1, r2).
 
     ``alpha_i`` holds the :data:`_ALPHA_KEYS` partials at r_i; ``at_1``
     is (DX, DY) of the (j2, r2) tangent at time r1 and ``at_2`` that of
@@ -301,19 +307,12 @@ def _second_start(j1, j2, alpha_1, alpha_2, at_1, at_2, s: _StepScales):
     return s.eps_root * alpha1, alpha2 / s.eta_root
 
 
-def _factors(dx, dy, j1, pos1, j2, pos2):
-    """First-order factors (DX1, DY1, DX2, DY2) of every (combo, pair),
-    each (n_c, n_pairs, n_paths), from a (2, n_r, n_paths) state."""
-    at1 = (j1, pos1[None, :])
-    at2 = (j2, pos2[None, :])
-    return dx[at1], dy[at1], dx[at2], dy[at2]
-
-
-def _second_step(p, d2x, d2y, factors, w1, w2, s: _StepScales, k, combos, pair_arr):
-    """Advance the (n_c, n_pairs, n_paths) second-order state over step k.
+def _second_step(p, d2x, d2y, factors, w1, w2, s: _StepScales, k, cells):
+    """Advance the (n_cells, n_paths) second-order state over step k.
 
     ``p`` holds the :data:`_PARTIAL_KEYS` values on the base state at k
-    and ``factors`` the first-order factors at k (see :func:`_factors`).
+    and ``factors`` the first-order (DX1, DY1, DX2, DY2) of every cell
+    at k.
     """
     DX1, DY1, DX2, DY2 = factors
     cross = DX1 * DY2 + DY1 * DX2
@@ -335,15 +334,24 @@ def _second_step(p, d2x, d2y, factors, w1, w2, s: _StepScales, k, combos, pair_a
     )
     if not (np.isfinite(d2x_new).all() and np.isfinite(d2y_new).all()):
         bad = np.argwhere(~(np.isfinite(d2x_new) & np.isfinite(d2y_new)))
-        c, q = int(bad[0][0]), int(bad[0][1])
         raise TangentBlowUpError(
             f"second-order tangent blew up at step {k + 1} "
-            f"(combo {combos[c]}, pair {tuple(pair_arr[q])})"
+            f"(cell (j1, j2, r1, r2) = {tuple(cells[bad[0][0]])})"
         )
     return d2x_new, d2y_new
 
 
-_ALL_COMBOS = ((0, 0), (0, 1), (1, 0), (1, 1))
+def _cell_array(cells) -> np.ndarray:
+    """``cells`` as an (n_cells, 4) int array of (j1, j2, r1, r2); before
+    any cast, ValueError names the first cell whose channel is not 0 (W1)
+    or 1 (W2) or whose time is not an integer."""
+    arr = np.asarray(cells).reshape(-1, 4)
+    bad = ~np.isin(arr[:, :2], (0, 1)).all(axis=1)
+    if bad.any():
+        raise ValueError(
+            f"cell {tuple(arr[bad][0].tolist())} has a channel other than 0 or 1"
+        )
+    return _step_indices(arr).reshape(-1, 4)
 
 
 def _tangent_pass(
@@ -354,10 +362,9 @@ def _tangent_pass(
     n_paths: int,
     states,
     r_indices: Sequence[int],
-    pairs: Sequence[tuple[int, int]] | None = None,
-    combos: Sequence[tuple[int, int]] = _ALL_COMBOS,
+    cells: Sequence[tuple[int, int, int, int]] | None = None,
     record=None,
-) -> tuple[FirstOrderTangents, SecondOrderTangents | None]:
+) -> tuple[FirstOrderTangents, dict[str, np.ndarray] | None]:
     """First- and second-order tangents in one loop over base states.
 
     ``states`` yields (k, x, y, dw1, dw2) for k = 0..n_steps-1 and last
@@ -365,31 +372,33 @@ def _tangent_pass(
     :func:`~fastslow.sde_engine._em_states`, or a stored bundle's rows
     through :func:`_stored_states`.  Step by step on them, the loop
     advances the first-order state from the first r and the
-    second-order state from the first max(r1, r2).  The r-grid is
-    ``r_indices`` together with every r of ``pairs``, each checked to
-    lie in [0, n_steps].  ``record(k, dx, dy)``, when given, sees the
-    (2, n_r, n_paths) first-order state at every k from the first r.
+    second-order state from the first max(r1, r2); each cell
+    (j1, j2, r1, r2) of ``cells`` starts at its own max(r1, r2) from its
+    alpha data.  The r-grid is ``r_indices`` together with every r of
+    ``cells``, each checked to lie in [0, n_steps].  ``record(k, dx,
+    dy)``, when given, sees the (2, n_r, n_paths) first-order state at
+    every k from the first r.
 
-    Returns the tangents without series (``second`` is None without
-    ``pairs``).  Beyond what ``states`` holds it keeps
-    O((n_r + n_combos n_pairs) n_paths) state, so its memory does not
-    grow with n_steps.
+    Returns the tangents without series and (None without ``cells``) the
+    (n_cells, n_paths) arrays ``final_d2x``, ``final_d2y``,
+    ``sup_abs_d2x`` and ``sup_abs_d2y`` by name.  Beyond what ``states``
+    holds it keeps O((n_r + n_cells) n_paths) state, so its memory does
+    not grow with n_steps.
     """
-    pair_arr = _step_indices(() if pairs is None else pairs).reshape(-1, 2)
-    r_idx = _r_grid(n_steps, r_indices, pair_arr)
+    cell_arr = _cell_array(() if cells is None else cells)
+    j1, j2, r1, r2 = cell_arr.T
+    r_idx = _r_grid(n_steps, r_indices, cell_arr[:, 2:])
     s = _StepScales.of(regime, dt)
-    combos = tuple((int(a), int(b)) for a, b in combos)
-    # Channel columns (n_c, 1) and first-order r-rows of each pair.
-    j1, j2 = (np.array([c[i] for c in combos])[:, None] for i in (0, 1))
-    pos1, pos2 = np.searchsorted(r_idx, pair_arr).T
+    # First-order r-rows of each cell's two factors.
+    pos1, pos2 = np.searchsorted(r_idx, r1), np.searchsorted(r_idx, r2)
+    cell_list = cell_arr.tolist()
     starts: dict[int, list[int]] = {}
-    for q, k in enumerate(pair_arr.max(axis=1)):
-        starts.setdefault(int(k), []).append(q)
+    for c, k in enumerate(np.maximum(r1, r2).tolist()):
+        starts.setdefault(k, []).append(c)
     row = {int(r): i for i, r in enumerate(r_idx)}
-    pair_rows = {int(r) for r in pair_arr.ravel()}
-    n_c, n_pairs = len(combos), len(pair_arr)
+    pair_rows = set(cell_arr[:, 2:].ravel().tolist())
     dx, dy, sup_dx, sup_dy = (np.zeros((2, len(r_idx), n_paths)) for _ in range(4))
-    d2x, d2y, sup_x, sup_y = (np.zeros((n_c, n_pairs, n_paths)) for _ in range(4))
+    d2x, d2y, sup_x, sup_y = (np.zeros((len(cell_arr), n_paths)) for _ in range(4))
     alpha: dict[int, tuple] = {}
     first_at = int(r_idx[0])
     second_at = min(starts, default=n_steps + 1)
@@ -400,22 +409,13 @@ def _tangent_pass(
             _inject_first(dx, dy, row[k], sigma, tau, s)
         if k in pair_rows:
             alpha[k] = model.evaluate(x, y, _ALPHA_KEYS)
-        for q in starts.get(k, ()):
-            r1, r2 = int(pair_arr[q, 0]), int(pair_arr[q, 1])
+        for c in starts.get(k, ()):
+            a, b, t1, t2 = cell_list[c]
             # The tangent of the earlier r is the current state; that of
             # the later r is zero at the earlier time (current if equal).
-            now_2 = (dx[j2[:, 0], pos2[q]], dy[j2[:, 0], pos2[q]])
-            now_1 = (dx[j1[:, 0], pos1[q]], dy[j1[:, 0], pos1[q]])
-            zero = (np.zeros((n_c, n_paths)),) * 2
-            d2x[:, q], d2y[:, q] = _second_start(
-                j1,
-                j2,
-                alpha[r1],
-                alpha[r2],
-                now_2 if r2 <= r1 else zero,
-                now_1 if r1 <= r2 else zero,
-                s,
-            )
+            now_2 = (dx[b, pos2[c]], dy[b, pos2[c]]) if t2 <= t1 else (0.0, 0.0)
+            now_1 = (dx[a, pos1[c]], dy[a, pos1[c]]) if t1 <= t2 else (0.0, 0.0)
+            d2x[c], d2y[c] = _second_start(a, b, alpha[t1], alpha[t2], now_2, now_1, s)
         if k >= first_at:
             np.maximum(sup_dx, np.abs(dx), out=sup_dx)
             np.maximum(sup_dy, np.abs(dy), out=sup_dy)
@@ -427,11 +427,9 @@ def _tangent_pass(
         if w1 is None:
             break
         if k >= second_at:
-            factors = _factors(dx, dy, j1, pos1, j2, pos2)
+            factors = (dx[j1, pos1], dy[j1, pos1], dx[j2, pos2], dy[j2, pos2])
             p = model.evaluate(x, y, _PARTIAL_KEYS)
-            d2x, d2y = _second_step(
-                p, d2x, d2y, factors, w1, w2, s, k, combos, pair_arr
-            )
+            d2x, d2y = _second_step(p, d2x, d2y, factors, w1, w2, s, k, cell_list)
         if k >= first_at:
             d = model.evaluate(x, y, _FIRST_KEYS)
             dx, dy = _first_step(d, dx, dy, w1, w2, s, k, r_idx)
@@ -446,19 +444,11 @@ def _tangent_pass(
         sup_abs_dx=sup_dx,
         sup_abs_dy=sup_dy,
     )
-    if pairs is None:
+    if cells is None:
         return first, None
-    return first, SecondOrderTangents(
-        combos=combos,
-        pair_indices=pair_arr,
-        pair_values=pair_arr * dt,
-        regime=regime,
-        dt=dt,
-        final_d2x=d2x,
-        final_d2y=d2y,
-        sup_abs_d2x=sup_x,
-        sup_abs_d2y=sup_y,
-    )
+    return first, {
+        "final_d2x": d2x, "final_d2y": d2y, "sup_abs_d2x": sup_x, "sup_abs_d2y": sup_y
+    }
 
 
 def first_order_tangents(
@@ -524,14 +514,25 @@ def second_order_tangents(
         b2[g] = d11_g DX1 DX2 + d12_g (DX1 DY2 + DY1 DX2)
                 + d22_g DY1 DY2 + d1_g D2X          (g in {f, tau})
 
-    with DXi, DYi the first-order tangents for (j_i, r_i).
+    with DXi, DYi the first-order tangents for (j_i, r_i).  A channel
+    other than 0 (W1) or 1 (W2) raises ValueError naming its cell
+    (j1, j2, r1, r2) before any step.
     """
-    states = _stored_states(bundle)
+    pair_arr = _step_indices(pairs).reshape(-1, 2)
+    cells = [(a, b, *q) for a, b in combos for q in pair_arr.tolist()]
     _, second = _tangent_pass(
         model, bundle.regime, bundle.dt, bundle.n_steps, bundle.n_paths,
-        states, (), pairs, combos,
+        _stored_states(bundle), (), cells,
     )
-    return second
+    shape = (len(combos), len(pair_arr), bundle.n_paths)
+    return SecondOrderTangents(
+        combos=tuple((int(a), int(b)) for a, b in combos),
+        pair_indices=pair_arr,
+        pair_values=pair_arr * bundle.dt,
+        regime=bundle.regime,
+        dt=bundle.dt,
+        **{name: value.reshape(shape) for name, value in second.items()},
+    )
 
 
 def z_process(model: CoefficientSet, bundle: PathBundle, r_index: int) -> np.ndarray:
@@ -792,8 +793,7 @@ def _sweep_pass(
     stream: tuple[int, int],
     path_ids: Sequence[int],
     r_indices: Sequence[int],
-    pairs=None,
-    combos: Sequence[tuple[int, int]] = _ALL_COMBOS,
+    cells: Sequence[tuple[int, int, int, int]] | None = None,
 ):
     """One :func:`_tangent_pass` on live noise over the paths ``path_ids``,
     drawn from the streams (seed, purpose, point, path_id, channel) with
@@ -802,7 +802,7 @@ def _sweep_pass(
     noise = _noise_blocks(seed, path_ids, n_steps, dt, purpose=purpose, point=point)
     states = _em_states(model, _StepScales.of(regime, dt), x0, y0, len(path_ids), noise)
     return _tangent_pass(
-        model, regime, dt, n_steps, len(path_ids), states, r_indices, pairs, combos
+        model, regime, dt, n_steps, len(path_ids), states, r_indices, cells
     )
 
 
@@ -866,9 +866,10 @@ def moment_sweep(
 
     Each regime runs one step loop over all ``n_paths`` paths that
     advances the base path, the first-order tangents from the first
-    perturbation step and the second-order tangents from the first
-    max(r1, r2); no path, increment or tangent series is kept.  The pass
-    holds O((n_r + n_combos n_pairs) n_paths) tangent state, one noise
+    perturbation step and the three second-order cells the bounds read,
+    (W1, W1) at (T/2, T/2) and (W1, W2), (W2, W2) at (T/2, r2), from
+    the first max(r1, r2); no path, increment or tangent series is
+    kept.  The pass holds O((n_r + 3) n_paths) tangent state, one noise
     block of at most 32 MiB and a draw buffer of at most 512 streams.
     Regime i draws path j's noise from the streams (seed, moment sweep,
     i + 1, j, channel), so a path's values do not depend on which paths
@@ -909,21 +910,21 @@ def moment_sweep(
         r_mid = int(round(0.5 * n_steps))
         sep_steps = int(round(pair_sep_etas * regime.eta / dt_eff))
         r_lo = max(0, r_mid - sep_steps)
-        pairs = np.array([[r_mid, r_mid], [r_mid, r_lo]])
+        cells = [(0, 0, r_mid, r_mid), (0, 1, r_mid, r_lo), (1, 1, r_mid, r_lo)]
         r_union = sorted(set(r_sel) | {r_mid, r_lo})
         first, second = _sweep_pass(
             model, regime, dt_eff, n_steps, x0, y0, seed,
-            (PURPOSE_MOMENT_SWEEP, i_reg + 1), range(n_paths), r_union, pairs,
+            (PURPOSE_MOMENT_SWEEP, i_reg + 1), range(n_paths), r_union, cells,
         )
         sel_rows = [first.position(r) for r in r_sel]
-        combo_row = {c: i for i, c in enumerate(second.combos)}
+        d2x_w1w1, d2x_w1w2, d2x_w2w2 = second["final_d2x"]
         per_path = {
             "dw1_x_sup": np.mean(first.sup_abs_dx[0, sel_rows] ** (2 * p), axis=0),
             "dw2_x_sup": np.mean(first.sup_abs_dx[1, sel_rows] ** (2 * p), axis=0),
             "dw2_y_final": np.abs(first.final_dy[1, first.position(r_mid)]) ** (2 * p),
-            "d2x_w1w1": np.abs(second.final_d2x[combo_row[(0, 0)], 0]) ** (2 * p),
-            "d2x_w1w2": np.abs(second.final_d2x[combo_row[(0, 1)], 1]) ** (2 * p),
-            "d2x_w2w2": np.abs(second.final_d2x[combo_row[(1, 1)], 1]) ** (2 * p),
+            "d2x_w1w1": np.abs(d2x_w1w1) ** (2 * p),
+            "d2x_w1w2": np.abs(d2x_w1w2) ** (2 * p),
+            "d2x_w2w2": np.abs(d2x_w2w2) ** (2 * p),
         }
         sep = (r_mid - r_lo) * dt_eff
         env = _moment_envelopes(
@@ -1049,7 +1050,9 @@ def decay_check(
     a larger step raises :class:`~fastslow.sde_engine.StabilityError`.
     Like :func:`moment_sweep`, one step loop over all paths advances the
     base path and starts every tangent at its perturbation step, and
-    keeps no series.  Path j draws its noise from the streams (seed,
+    keeps no series; the mixed bounds advance one second-order cell
+    (j1, W2, r1, r2) per separation, with j1 = W1 for ``d2x_w1w2`` and
+    W2 for ``d2x_w2w2``.  Path j draws its noise from the streams (seed,
     decay check, 0, j, channel), which no moment sweep point shares.
     """
     _require_positive(n_paths=n_paths)
@@ -1057,20 +1060,20 @@ def decay_check(
     seps = [float(s) for s in separations_eta]
     if bound_id == "dw2_y_final":
         r_union = sorted(set(r_list))
-        pairs, combos = None, ()
+        cells = None
     else:
         r_union = sorted({r_top, *r_list})
-        pairs = np.array([[r_top, r2] for r2 in r_list])
-        combos = ((0, 1),) if bound_id == "d2x_w1w2" else ((1, 1),)
+        j1 = 0 if bound_id == "d2x_w1w2" else 1
+        cells = [(j1, 1, r_top, r2) for r2 in r_list]
 
     first, second = _sweep_pass(
         model, regime, dt_eff, n_steps, x0, y0, seed,
-        (PURPOSE_DECAY_CHECK, 0), range(n_paths), r_union, pairs, combos,
+        (PURPOSE_DECAY_CHECK, 0), range(n_paths), r_union, cells,
     )
     if second is None:
         per_sep = [np.abs(first.final_dy[1, first.position(r)]) for r in r_list]
     else:
-        per_sep = list(np.abs(second.final_d2x[0]))
+        per_sep = list(np.abs(second["final_d2x"]))
     means, ses = zip(*(_mean_se(v ** (2 * p)) for v in per_sep))
     monotone = all(
         means[i + 1] <= means[i] + 2.0 * (ses[i] + ses[i + 1])

@@ -183,6 +183,24 @@ def test_config_expressions_model():
             "no separation structure for bound 'd2x_w1w1'",
         ),
         ("not a dict", "must be an object"),
+        # Non-numeric values: ConfigError naming the key, not a bare
+        # ValueError from int() or TypeError from a comparison.
+        (
+            {"model": "affine-oracle", "grid": {"n_paths": "many"}},
+            "grid.n_paths must be a number",
+        ),
+        (
+            {"model": "affine-oracle", "analysis": {"bootstrap": "x"}},
+            "analysis.bootstrap must be a number",
+        ),
+        (
+            {"model": "affine-oracle", "analysis": {"zeta": "x"}},
+            "analysis.zeta must be a number",
+        ),
+        (
+            {"model": "affine-oracle", "regime": {"epsilon": "a", "eta": 0.1, "T": 1.0}},
+            "regime.epsilon must be a number",
+        ),
     ],
 )
 def test_config_rejections(raw, fragment):
@@ -233,6 +251,11 @@ def test_main_malformed_json(tmp_path):
 def test_main_invalid_config_schema(tmp_path):
     cfg = _write_config(tmp_path, {"model": "affine-oracle", "bogus": True})
     assert main(["bound-eval", "--config", cfg]) == EXIT_USAGE
+
+
+def test_main_non_numeric_config_value_is_a_usage_error(tmp_path):
+    cfg = _write_config(tmp_path, {"model": "affine-oracle", "grid": {"n_paths": "many"}})
+    assert main(["check-assumptions", "--config", cfg]) == EXIT_USAGE
 
 
 def test_main_unknown_model_is_an_assertion_failure(tmp_path):

@@ -172,9 +172,8 @@ def test_tangents_evaluate_once_per_step(bounded, monkeypatch):
     calls.clear()
     noise = _noise_blocks(5, range(3), n, bundle.dt)
     states = _em_states(bounded, _StepScales.of(regime, bundle.dt), 0.4, 0.3, 3, noise)
-    _tangent_pass(
-        bounded, regime, bundle.dt, n, 3, states, [10, 20, 40], [(20, 10), (40, 40)]
-    )
+    cells = [(a, b, *q) for a in (0, 1) for b in (0, 1) for q in [(20, 10), (40, 40)]]
+    _tangent_pass(bounded, regime, bundle.dt, n, 3, states, [10, 20, 40], cells)
     keys = [k for k, _ in calls]
     assert keys.count(_EM_KEYS) == n
     assert keys.count(_FIRST_KEYS) == n - 10

@@ -487,14 +487,16 @@ def _recorded(model, scales, x0, y0, n_paths, blocks):
 def test_tangent_pass_matches_recorders_bitwise(bounded, r_indices, pairs, combos):
     """The pass on live Euler-Maruyama states equals, bit for bit, the
     recorders on the stored bundle that simulate_paths draws from the
-    same seed."""
+    same seed; the pass's cells are the combo-major product that
+    second_order_tangents expands."""
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.15)
     n_steps, dt = time_grid(regime.T, regime.eta / 20)
     assert n_steps == 60
     noise = _noise_blocks((4, 1), range(6), n_steps, dt)
     states = _em_states(bounded, _StepScales.of(regime, dt), 0.4, 0.3, 6, noise)
+    cells = None if pairs is None else [(a, b, *q) for a, b in combos for q in pairs]
     first, second = malliavin_mod._tangent_pass(
-        bounded, regime, dt, n_steps, 6, states, r_indices, pairs, combos
+        bounded, regime, dt, n_steps, 6, states, r_indices, cells
     )
     bundle = simulate_paths(bounded, regime, 0.4, 0.3, dt, 6, (4, 1))
     ref_first = first_order_tangents(bounded, bundle, r_indices)
@@ -505,10 +507,13 @@ def test_tangent_pass_matches_recorders_bitwise(bounded, r_indices, pairs, combo
         assert second is None
         return
     ref_second = second_order_tangents(bounded, bundle, pairs, combos)
-    assert second.combos == ref_second.combos
-    assert np.any(second.final_d2x != 0.0)
-    for name in ("pair_indices", "final_d2x", "final_d2y", "sup_abs_d2x", "sup_abs_d2y"):
-        assert np.array_equal(getattr(second, name), getattr(ref_second, name)), name
+    assert ref_second.combos == combos
+    assert ref_second.pair_indices.tolist() == [list(q) for q in pairs]
+    assert np.any(second["final_d2x"] != 0.0)
+    for name in ("final_d2x", "final_d2y", "sup_abs_d2x", "sup_abs_d2y"):
+        assert second[name].shape == (len(cells), 6), name
+        expect = getattr(ref_second, name).reshape(len(cells), 6)
+        assert np.array_equal(second[name], expect), name
 
 
 def test_sweeps_match_recorders_bitwise(bounded, monkeypatch):
@@ -551,17 +556,13 @@ def _split_pass(one_pass, sizes):
             one_pass(model, regime, dt, n_steps, x0, y0, seed, stream, path_ids[lo:hi], *args)
             for lo, hi in zip(edges, edges[1:])
         ]
-
-        def join(objs, names):
-            joined = {n: np.concatenate([getattr(o, n) for o in objs], -1) for n in names}
-            return replace(objs[0], **joined)
-
         firsts, seconds = zip(*parts)
-        first = join(firsts, ("final_dx", "final_dy", "sup_abs_dx", "sup_abs_dy"))
+        names = ("final_dx", "final_dy", "sup_abs_dx", "sup_abs_dy")
+        joined = {n: np.concatenate([getattr(f, n) for f in firsts], -1) for n in names}
+        first = replace(firsts[0], **joined)
         if seconds[0] is None:
             return first, None
-        names = ("final_d2x", "final_d2y", "sup_abs_d2x", "sup_abs_d2y")
-        return first, join(seconds, names)
+        return first, {n: np.concatenate([s[n] for s in seconds], -1) for n in seconds[0]}
 
     return run
 
@@ -617,15 +618,15 @@ def test_moment_sweep_and_decay_check_share_no_stream(affine, stream_keys):
     assert not moments & decays
 
 
-def _scalar_tangents(model, bundle, r_grid, pairs, combos):
+def _scalar_tangents(model, bundle, r_grid, cells):
     """Literal per-path reference for both tangent orders.
 
     Follows the recursions of the module docstring step by step in
     Python floats, with the one-key coefficient views.  The first-order
-    series is stored, and the second-order initial data read it at r1
-    and r2.  Returns the first-order (DX, DY) series, shape (2, n_r,
-    n_t, n_paths), and the second-order (final D2X, final D2Y, sup |D2X|,
-    sup |D2Y|), each (n_combos, n_pairs, n_paths).
+    series is stored, and the second-order initial data of each cell
+    (j1, j2, r1, r2) read it at r1 and r2.  Returns the first-order
+    (DX, DY) series, shape (2, n_r, n_t, n_paths), and the second-order
+    (final D2X, final D2Y, sup |D2X|, sup |D2Y|), each (n_cells, n_paths).
     """
     m = model
     er = math.sqrt(bundle.regime.epsilon)
@@ -634,7 +635,7 @@ def _scalar_tangents(model, bundle, r_grid, pairs, combos):
     n_t, n_paths = n + 1, bundle.n_paths
     DX = np.zeros((2, len(r_grid), n_t, n_paths))
     DY = np.zeros((2, len(r_grid), n_t, n_paths))
-    second = np.zeros((4, len(combos), len(pairs), n_paths))
+    second = np.zeros((4, len(cells), n_paths))
     for p in range(n_paths):
         X, Y = bundle.X[:, p].tolist(), bundle.Y[:, p].tolist()
         W1, W2 = bundle.dW1[:, p].tolist(), bundle.dW2[:, p].tolist()
@@ -655,50 +656,49 @@ def _scalar_tangents(model, bundle, r_grid, pairs, combos):
                         + dt / eta * (m.d1_f(x, y) * dx + m.d2_f(x, y) * dy)
                         + W2[k] / hr * (m.d1_tau(x, y) * dx + m.d2_tau(x, y) * dy),
                     )
-        for c, (j1, j2) in enumerate(combos):
-            for q, (r1, r2) in enumerate(pairs):
-                i1, i2 = list(r_grid).index(r1), list(r_grid).index(r2)
-                DX1, DY1 = DX[j1, i1, :, p], DY[j1, i1, :, p]
-                DX2, DY2 = DX[j2, i2, :, p], DY[j2, i2, :, p]
-                a1 = a2 = 0.0
-                x1, y1, x2, y2 = X[r1], Y[r1], X[r2], Y[r2]
-                if j1 == 0:
-                    a1 += m.d1_sigma(x1, y1) * DX2[r1] + m.d2_sigma(x1, y1) * DY2[r1]
-                if j2 == 0:
-                    a1 += m.d1_sigma(x2, y2) * DX1[r2] + m.d2_sigma(x2, y2) * DY1[r2]
-                if j1 == 1:
-                    a2 += m.d1_tau(x1, y1) * DX2[r1] + m.d2_tau(x1, y1) * DY2[r1]
-                if j2 == 1:
-                    a2 += m.d1_tau(x2, y2) * DX1[r2] + m.d2_tau(x2, y2) * DY1[r2]
-                d2x, d2y = er * a1, a2 / hr
-                sup_x, sup_y = abs(d2x), abs(d2y)
-                for k in range(max(r1, r2), n):
-                    x, y = X[k], Y[k]
+        for c, (j1, j2, r1, r2) in enumerate(cells):
+            i1, i2 = list(r_grid).index(r1), list(r_grid).index(r2)
+            DX1, DY1 = DX[j1, i1, :, p], DY[j1, i1, :, p]
+            DX2, DY2 = DX[j2, i2, :, p], DY[j2, i2, :, p]
+            a1 = a2 = 0.0
+            x1, y1, x2, y2 = X[r1], Y[r1], X[r2], Y[r2]
+            if j1 == 0:
+                a1 += m.d1_sigma(x1, y1) * DX2[r1] + m.d2_sigma(x1, y1) * DY2[r1]
+            if j2 == 0:
+                a1 += m.d1_sigma(x2, y2) * DX1[r2] + m.d2_sigma(x2, y2) * DY1[r2]
+            if j1 == 1:
+                a2 += m.d1_tau(x1, y1) * DX2[r1] + m.d2_tau(x1, y1) * DY2[r1]
+            if j2 == 1:
+                a2 += m.d1_tau(x2, y2) * DX1[r2] + m.d2_tau(x2, y2) * DY1[r2]
+            d2x, d2y = er * a1, a2 / hr
+            sup_x, sup_y = abs(d2x), abs(d2y)
+            for k in range(max(r1, r2), n):
+                x, y = X[k], Y[k]
 
-                    def source(g):
-                        d11, d12, d22 = (
-                            getattr(m, f"{d}_{g}")(x, y) for d in ("d11", "d12", "d22")
-                        )
-                        return (
-                            d11 * DX1[k] * DX2[k]
-                            + d12 * (DX1[k] * DY2[k] + DY1[k] * DX2[k])
-                            + d22 * DY1[k] * DY2[k]
-                        )
-
-                    d2x, d2y = (
-                        d2x
-                        + dt * (m.d1_c(x, y) * d2x + m.d2_c(x, y) * d2y + source("c"))
-                        + er * W1[k] * (
-                            m.d1_sigma(x, y) * d2x + m.d2_sigma(x, y) * d2y + source("sigma")
-                        ),
-                        d2y
-                        + dt / eta * (m.d1_f(x, y) * d2x + m.d2_f(x, y) * d2y + source("f"))
-                        + W2[k] / hr * (
-                            m.d1_tau(x, y) * d2x + m.d2_tau(x, y) * d2y + source("tau")
-                        ),
+                def source(g):
+                    d11, d12, d22 = (
+                        getattr(m, f"{d}_{g}")(x, y) for d in ("d11", "d12", "d22")
                     )
-                    sup_x, sup_y = max(sup_x, abs(d2x)), max(sup_y, abs(d2y))
-                second[:, c, q, p] = d2x, d2y, sup_x, sup_y
+                    return (
+                        d11 * DX1[k] * DX2[k]
+                        + d12 * (DX1[k] * DY2[k] + DY1[k] * DX2[k])
+                        + d22 * DY1[k] * DY2[k]
+                    )
+
+                d2x, d2y = (
+                    d2x
+                    + dt * (m.d1_c(x, y) * d2x + m.d2_c(x, y) * d2y + source("c"))
+                    + er * W1[k] * (
+                        m.d1_sigma(x, y) * d2x + m.d2_sigma(x, y) * d2y + source("sigma")
+                    ),
+                    d2y
+                    + dt / eta * (m.d1_f(x, y) * d2x + m.d2_f(x, y) * d2y + source("f"))
+                    + W2[k] / hr * (
+                        m.d1_tau(x, y) * d2x + m.d2_tau(x, y) * d2y + source("tau")
+                    ),
+                )
+                sup_x, sup_y = max(sup_x, abs(d2x)), max(sup_y, abs(d2y))
+            second[:, c, p] = d2x, d2y, sup_x, sup_y
     return DX, DY, second
 
 
@@ -709,7 +709,9 @@ def test_recorders_match_scalar_reference(bounded, bounded_bundle):
     n = bounded_bundle.n_steps
     r_grid = [0, 12, 30, n]
     pairs = [(30, 12), (12, 30), (30, 30), (0, n), (n, n)]
-    DX, DY, ref = _scalar_tangents(bounded, bounded_bundle, r_grid, pairs, ALL_COMBOS)
+    cells = [(a, b, *q) for a, b in ALL_COMBOS for q in pairs]
+    DX, DY, ref = _scalar_tangents(bounded, bounded_bundle, r_grid, cells)
+    ref = ref.reshape(4, len(ALL_COMBOS), len(pairs), bounded_bundle.n_paths)
     first = first_order_tangents(bounded, bounded_bundle, r_grid)
     np.testing.assert_allclose(first.DX, DX, rtol=1e-12, atol=0)
     np.testing.assert_allclose(first.DY, DY, rtol=1e-12, atol=0)
@@ -722,6 +724,109 @@ def test_recorders_match_scalar_reference(bounded, bounded_bundle):
     for name, value, expect in zip(("final_d2x", "final_d2y", "sup_x", "sup_y"), got, ref):
         np.testing.assert_allclose(value, expect, rtol=1e-12, atol=0, err_msg=name)
     assert np.all(np.any(ref[0] != 0.0, axis=(1, 2)))  # every combo moves
+
+
+def test_cell_list_that_is_not_a_product(bounded, bounded_bundle):
+    """A cell list that no combos x pairs product gives: mixed channel
+    pairs, r1 > r2, r1 < r2 and r1 == r2, cells at r = 0 and at the
+    horizon, and one repeated cell.  The stored-row pass matches the
+    literal recursions, and the live-state pass matches it bit for bit."""
+    n = bounded_bundle.n_steps
+    cells = [
+        (0, 1, 30, 12),
+        (1, 0, 12, 30),
+        (1, 1, 30, 30),
+        (0, 0, 0, n),
+        (0, 1, n, 0),
+        (1, 1, 0, 0),
+        (0, 1, 30, 12),
+    ]
+    _, _, ref = _scalar_tangents(bounded, bounded_bundle, [0, 12, 30, n], cells)
+    args = (bounded, bounded_bundle.regime, bounded_bundle.dt, n, bounded_bundle.n_paths)
+    stored_first, stored = malliavin_mod._tangent_pass(
+        *args, malliavin_mod._stored_states(bounded_bundle), (), cells
+    )
+    names = ("final_d2x", "final_d2y", "sup_abs_d2x", "sup_abs_d2y")
+    for name, expect in zip(names, ref):
+        assert stored[name].shape == (len(cells), bounded_bundle.n_paths)
+        np.testing.assert_allclose(stored[name], expect, rtol=1e-12, atol=0, err_msg=name)
+        assert np.array_equal(stored[name][0], stored[name][-1]), name
+    assert np.all(np.any(ref[:2] != 0.0, axis=(0, 2)))  # every cell moves
+
+    scales = _StepScales.of(bounded_bundle.regime, bounded_bundle.dt)
+    noise = _noise_blocks(42, range(bounded_bundle.n_paths), n, bounded_bundle.dt)
+    states = _em_states(bounded, scales, 0.1, -0.2, bounded_bundle.n_paths, noise)
+    live_first, live = malliavin_mod._tangent_pass(*args, states, (), cells)
+    for name in names:
+        assert np.array_equal(live[name], stored[name]), name
+    assert np.array_equal(live_first.final_dx, stored_first.final_dx)
+
+
+@pytest.mark.parametrize("combo", [(-1, 0), (0.5, 0), (2, 0)])
+def test_channels_other_than_0_or_1_are_rejected(bounded, bounded_bundle, combo):
+    """A channel must be the integer 0 (W1) or 1 (W2): neither labelled
+    nor truncated nor left to an IndexError, and rejected before any
+    step runs."""
+
+    def no_states():
+        raise AssertionError("a step ran")
+        yield
+
+    with pytest.raises(ValueError, match=r"cell \(.*\) has a channel other than 0 or 1"):
+        second_order_tangents(bounded, bounded_bundle, [(12, 30)], combos=(combo,))
+    with pytest.raises(ValueError, match="has a channel other than 0 or 1"):
+        malliavin_mod._tangent_pass(
+            bounded, bounded_bundle.regime, bounded_bundle.dt, bounded_bundle.n_steps,
+            bounded_bundle.n_paths, no_states(), (), [(0, 1, 30, 12), (*combo, 30, 30)],
+        )
+
+
+def test_sweeps_request_only_the_cells_they_read(bounded, monkeypatch):
+    """moment_sweep hands the pass exactly the 3 cells its bounds read,
+    and advances 3 cells per step; decay_check hands it one cell per
+    separation (none for dw2_y_final)."""
+    requested, advanced = [], set()
+    tangent_pass, second_step = malliavin_mod._tangent_pass, malliavin_mod._second_step
+
+    def spy_pass(model, regime, dt, n_steps, n_paths, states, r_indices, cells=None, **kw):
+        requested.append(None if cells is None else [tuple(c) for c in cells])
+        return tangent_pass(model, regime, dt, n_steps, n_paths, states, r_indices, cells, **kw)
+
+    def spy_step(p, d2x, *args):
+        advanced.add(d2x.shape[0])
+        return second_step(p, d2x, *args)
+
+    monkeypatch.setattr(malliavin_mod, "_tangent_pass", spy_pass)
+    monkeypatch.setattr(malliavin_mod, "_second_step", spy_step)
+    regimes = [ScaleRegime(0.1, 0.1, 1.0, 0.3), ScaleRegime(0.05, 0.05, 1.0, 0.3)]
+    moment_sweep(bounded, regimes, 1, 5, seed=5, pair_sep_etas=2.0, k_hat=1.0)
+    # T/2 is step 30 of 60 and step 60 of 120; 2 eta back is 40 steps on the
+    # first grid (clamped to 0) and 40 steps on the second.
+    assert requested == [
+        [(0, 0, 30, 30), (0, 1, 30, 0), (1, 1, 30, 0)],
+        [(0, 0, 60, 60), (0, 1, 60, 20), (1, 1, 60, 20)],
+    ]
+    assert advanced == {3}
+    requested.clear()
+    for bound_id in ("d2x_w1w2", "d2x_w2w2", "dw2_y_final"):
+        decay_check(bounded, regimes[-1], bound_id, 1, 5, 6, separations_eta=(0.5, 2.0))
+    assert requested == [
+        [(0, 1, 60, 50), (0, 1, 60, 20)],
+        [(1, 1, 60, 50), (1, 1, 60, 20)],
+        None,
+    ]
+
+
+def test_second_order_blow_up_names_the_cell(bounded):
+    s = _StepScales.of(ScaleRegime(0.05, 0.05, 1.0, 0.15), 0.0025)
+    ones, w = np.ones((2, 3)), np.zeros(3)
+    d2x = ones.copy()
+    d2x[1, 2] = np.inf  # only the second cell blows up
+    match = r"step 8 \(cell \(j1, j2, r1, r2\) = \(1, 1, 5, 2\)\)"
+    with pytest.raises(TangentBlowUpError, match=match), np.errstate(invalid="ignore"):
+        malliavin_mod._second_step(
+            [ones] * 20, d2x, ones, (ones,) * 4, w, w, s, 7, [[0, 1, 5, 2], [1, 1, 5, 2]]
+        )
 
 
 #: sha256 of the sweep reports and the recorder finals on a polynomial

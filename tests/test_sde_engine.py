@@ -338,9 +338,10 @@ def test_memory_does_not_grow_with_steps(affine, monkeypatch):
     def tangent_pass(n_steps):
         monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * 200 * block)
         r = [n_steps // 4, n_steps // 2]
+        cells = [(j1, j2, r[1], r[0]) for j1 in (0, 1) for j2 in (0, 1)]
         _sweep_pass(
             affine, regime(n_steps), dt, n_steps, 0.0, 0.0, 1,
-            (PURPOSE_MOMENT_SWEEP, 1), range(200), r, [(r[1], r[0])],
+            (PURPOSE_MOMENT_SWEEP, 1), range(200), r, cells,
         )
 
     mapped = []
