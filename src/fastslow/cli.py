@@ -181,15 +181,27 @@ class ExperimentConfig:
             rule = self.sweep.get("eta_rule", "equal")
             if rule != "equal":
                 raise ConfigError(f"unknown sweep.eta_rule {rule!r}")
+            for key in ("T", "gamma"):
+                value = self.sweep.get(key, 1.0)
+                if not _number(f"sweep.{key}", value) > 0:
+                    raise ConfigError(f"sweep.{key} must be positive (got {value})")
         for key in ("n_paths", "nx", "ny", "r_grid"):
             _require_count(f"grid.{key}", self.grid.get(key))
+        for section, keys in (("grid", ("x0", "y0")), ("analysis", ("K", "C1", "C2"))):
+            values = getattr(self, section)
+            for key in keys:
+                if key in values:
+                    _number(f"{section}.{key}", values[key])
         zeta = self.analysis.get("zeta")
         if zeta is not None and not 0.0 < _number("analysis.zeta", zeta) < 0.5:
             raise ConfigError(f"analysis.zeta must lie in (0, 1/2) (got {zeta})")
-        for p in self.analysis.get("p", []):
-            if p not in (1, 2):
+        orders = self.analysis.get("p", [])
+        if not isinstance(orders, (list, tuple)):
+            raise ConfigError(f"analysis.p must be a list of moment orders (got {orders!r})")
+        for p in orders:
+            if isinstance(p, bool) or p not in (1, 2):
                 raise ConfigError(
-                    f"analysis.p entries must be the positive integers 1 or 2 (got {p})"
+                    f"analysis.p entries must be the positive integers 1 or 2 (got {p!r})"
                 )
         self.decay_settings()
         _require_count("analysis.bootstrap", self.analysis.get("bootstrap"))

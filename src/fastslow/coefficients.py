@@ -10,8 +10,11 @@ tangent (sensitivity) equations downstream need.  Models are defined as
 symbolic expressions in ``x`` and ``y``; partials are produced by symbolic
 differentiation, so the supplied derivatives are exact.  All 24 expressions
 sit in one :class:`CoefficientTable`; :meth:`CoefficientSet.evaluate`
-computes any subset of them in one fused, common-subexpression-eliminated
-kernel call.
+computes any subset of them in one kernel call.  The kernel evaluates
+each function application (``tanh(x)``, ``cos(y)``, ...) once for the
+whole subset and otherwise computes every key exactly as that key
+computes alone, so a key's value does not depend on the keys evaluated
+with it.
 
 Two built-in models ship with the package:
 
@@ -43,6 +46,7 @@ from sympy.parsing.sympy_parser import (
     parse_expr,
     standard_transformations,
 )
+from sympy.printing.numpy import NumPyPrinter
 
 __all__ = [
     "CoefficientSet",
@@ -96,15 +100,59 @@ class ModelEvaluationError(ValueError):
     """A coefficient function produced a non-finite or degenerate value."""
 
 
+class _CallNamingPrinter(NumPyPrinter):
+    """The NumPy printer of ``lambdify``, but each function application is
+    printed once, as a name, and :attr:`calls` maps its text to the name.
+
+    Nested applications are named first, so the calls can be assigned in
+    the order of :attr:`calls`.  Every other node prints as it does in a
+    lone ``lambdify(..., modules="numpy")``, so a key's arithmetic, and
+    thus its bits, do not depend on the keys printed with it.
+    """
+
+    def __init__(self):
+        super().__init__(
+            {
+                "fully_qualified_modules": False,
+                "inline": True,
+                "allow_unknown_functions": True,
+                "user_functions": {},
+            }
+        )
+        self.calls: dict[str, str] = {}
+
+    def _print(self, expr, **kwargs):
+        text = super()._print(expr, **kwargs)
+        if isinstance(expr, sp.Function):
+            return self.calls.setdefault(text, f"_call{len(self.calls)}")
+        return text
+
+
+def _compile_kernel(exprs) -> Callable:
+    """A function of (x, y) returning the tuple of ``exprs``' values,
+    with each function application evaluated once."""
+    printer = _CallNamingPrinter()
+    values = [printer.doprint(e) for e in exprs]
+    lines = [f"    {name} = {text}\n" for text, name in printer.calls.items()]
+    returned = "".join(value + ", " for value in values)
+    source = "def kernel(x, y):\n" + "".join(lines) + f"    return ({returned})\n"
+    namespace: dict = {}
+    exec("from numpy import *", namespace)  # the names lambdify's numpy code uses
+    exec(source, namespace)
+    return namespace["kernel"]
+
+
 class CoefficientTable:
     """The symbolic table of a model's 24 coefficient expressions.
 
-    :meth:`evaluate` runs one ``lambdify(..., cse=True)`` kernel per
-    requested key tuple, compiled on first use and cached, so a hot loop
-    that asks for the same keys every step pays one Python call per step
-    and shares every common subexpression between the keys.  Concurrent
-    first uses of one key tuple may both compile; the kernels are equal,
-    so the cache stays safe to share across worker threads.
+    :meth:`evaluate` runs one kernel per requested key tuple, compiled on
+    first use and cached, so a hot loop that asks for the same keys every
+    step pays one Python call per step.  A kernel evaluates each function
+    application of the tuple once and prints every key as it prints
+    alone, so each value is bit-equal to its expression lambdified alone,
+    whatever tuple it is asked with.  Concurrent first uses of one key
+    tuple may both compile; the kernels are equal, so the cache stays
+    safe to share across worker threads.
     """
 
     def __init__(self, expressions: Mapping[str, sp.Expr]):
@@ -117,12 +165,7 @@ class CoefficientTable:
             unknown = [k for k in keys if k not in self.expressions]
             if unknown:
                 raise KeyError(f"unknown coefficient key(s): {', '.join(unknown)}")
-            kernel = sp.lambdify(
-                (_X, _Y),
-                [self.expressions[k] for k in keys],
-                modules="numpy",
-                cse=True,
-            )
+            kernel = _compile_kernel([self.expressions[k] for k in keys])
             self._kernels[keys] = kernel
         return kernel
 
@@ -209,7 +252,7 @@ class CoefficientSet:
 
     def evaluate(self, x, y, keys: tuple[str, ...]) -> tuple:
         """Values of the coefficient ``keys`` (e.g. ``("c", "d1_c")``) at
-        (x, y), from one fused kernel; see :meth:`CoefficientTable.evaluate`.
+        (x, y), from one kernel call; see :meth:`CoefficientTable.evaluate`.
         """
         return self.table.evaluate(x, y, keys)
 

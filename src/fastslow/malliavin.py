@@ -35,16 +35,23 @@ D^{W2}Y splits as Q1 + Q2 with Q1 = Z * tau(X_r, Y_r)/sqrt(eta) and Q2
 the response to the D^{W2}X feedback.
 
 Both tangent orders are advanced by one recursion, which runs over a
-stream of base states (k, X_k, Y_k, dW1_k, dW2_k).  Its second-order
-state is a list of cells (j1, j2, r1, r2), one D2_{r1,r2} per channel
-pair and time pair that a caller reads.  The moment sweeps feed it
-live Euler-Maruyama states, so at each sweep point the noise of all
-paths drives the base path and its tangents in one forward pass and
-nothing is stored; :func:`first_order_tangents`,
-:func:`second_order_tangents` (which asks for every cell of its combos
-x pairs product) and :func:`q_decomposition` feed it the rows of a
-stored :class:`~fastslow.sde_engine.PathBundle`, and the first and the
-last also read the first-order state at every step.
+stream of base states (k, X_k, Y_k, dW1_k, dW2_k) with the values of all
+24 coefficient keys at each state, from one kernel call per step that
+the Euler-Maruyama step reads too.  Its first-order state is a list of
+tangents (j, r), the ones a caller reads joined with the two factors of
+every cell, and its second-order state a list of cells (j1, j2, r1, r2),
+one D2_{r1,r2} per channel pair and time pair that a caller reads: it
+holds O((n_tangents + n_cells) n_paths) values.  Both lists are sorted by
+start, so the started rows are a prefix, and each tangent and each cell
+is stepped only from its own start.  The moment sweeps feed the
+recursion live Euler-Maruyama states, so at each sweep point the noise
+of all paths drives the base path and its tangents in one forward pass
+and nothing is stored; :func:`first_order_tangents` (which asks for both
+channels at every r of its grid), :func:`second_order_tangents` (which
+asks for every cell of its combos x pairs product) and
+:func:`q_decomposition` feed it the rows of a stored
+:class:`~fastslow.sde_engine.PathBundle`, and the first and the last
+also read the first-order state at every step.
 
 The module also evaluates the Monte Carlo moment-inequality suite
 (scaling of tangent moments in eps and eta), the H-norm and
@@ -56,7 +63,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -122,14 +130,25 @@ _ALL_COMBOS = ((0, 0), (0, 1), (1, 0), (1, 1))
 #: Soft cap on tangent series allocations (bytes).
 _SERIES_BYTE_CAP = 2 * 1024**3
 
-#: Partials one first-order tangent step needs, in one kernel call.
+#: Partials one first-order tangent step reads.
 _FIRST_KEYS = (
     "d1_c", "d2_c", "d1_sigma", "d2_sigma", "d1_f", "d2_f", "d1_tau", "d2_tau"
 )
-#: All 20 partials, in table order: what one second-order step needs.
+#: All 20 partials, in table order: what one second-order step reads.
 _PARTIAL_KEYS = tuple(k for k in COEFFICIENT_KEYS if k.startswith("d"))
 #: Partials the second-order initial data reads at the perturbation times.
 _ALPHA_KEYS = ("d1_sigma", "d2_sigma", "d1_tau", "d2_tau")
+
+
+def _picker(keys: tuple[str, ...]) -> itemgetter:
+    """Picks the values of ``keys`` from a tuple of all 24 key values."""
+    return itemgetter(*(COEFFICIENT_KEYS.index(key) for key in keys))
+
+
+_first_partials = _picker(_FIRST_KEYS)
+_all_partials = _picker(_PARTIAL_KEYS)
+_alpha_partials = _picker(_ALPHA_KEYS)
+_injection_values = _picker(("sigma", "tau"))
 
 
 class TangentBlowUpError(FloatingPointError):
@@ -209,12 +228,15 @@ def _require_storage(bundle: PathBundle) -> None:
 
 def _stored_states(bundle: PathBundle):
     """A stored bundle's rows in the shape :func:`_em_states` yields:
-    (k, X_k, Y_k, dW1_k, dW2_k) for every step k, then
-    (n_steps, X_n, Y_n, None, None)."""
+    (k, X_k, Y_k, dW1_k, dW2_k, None) for every step k, then
+    (n_steps, X_n, Y_n, None, None, None).  A stored row carries no
+    coefficient values; :func:`_tangent_pass` evaluates the tuple of the
+    live stream on each row it reads."""
     _require_storage(bundle)
     n = bundle.n_steps
-    rows = zip(range(n), bundle.X, bundle.Y, bundle.dW1, bundle.dW2)
-    return itertools.chain(rows, [(n, bundle.X[n], bundle.Y[n], None, None)])
+    no_values = itertools.repeat(None)
+    rows = zip(range(n), bundle.X, bundle.Y, bundle.dW1, bundle.dW2, no_values)
+    return itertools.chain(rows, [(n, bundle.X[n], bundle.Y[n], None, None, None)])
 
 
 def _step_indices(values) -> np.ndarray:
@@ -255,35 +277,35 @@ def _check_bytes(*shape: int) -> None:
         )
 
 
-def _inject_first(dx, dy, i: int, sigma, tau, s: _StepScales) -> None:
-    """Start row i of both channels: (sqrt(eps) sigma, 0) on W1 and
-    (0, tau/sqrt(eta)) on W2, with sigma, tau at the perturbation time."""
-    dx[0, i] = s.eps_root * sigma
-    dy[0, i] = 0.0
-    dx[1, i] = 0.0
-    dy[1, i] = tau / s.eta_root
+def _inject_first(dx, dy, i: int, j: int, sigma, tau, s: _StepScales) -> None:
+    """Start row i, the tangent of channel j: (sqrt(eps) sigma, 0) on W1
+    or (0, tau/sqrt(eta)) on W2, with sigma, tau at the perturbation time."""
+    dx[i] = s.eps_root * sigma if j == 0 else 0.0
+    dy[i] = tau / s.eta_root if j == 1 else 0.0
 
 
-def _first_step(d, dx, dy, w1, w2, s: _StepScales, k: int, r_idx):
-    """Advance the (2, n_r, n_paths) first-order state over step k.
+def _first_step(d, dx, dy, w1, w2, s: _StepScales, k: int, tangents):
+    """Advance the (n, n_paths) first-order rows ``dx``, ``dy`` over step
+    k, in place; row i is the tangent (j, r) = ``tangents[i]``.
 
     ``d`` holds the :data:`_FIRST_KEYS` partials on the base state at k.
     """
     d1c, d2c, d1s, d2s, d1f, d2f, d1t, d2t = d
-    dx_new = dx + (d1c * dx + d2c * dy) * s.dt + s.eps_root * (
-        d1s * dx + d2s * dy
-    ) * w1
-    dy_new = dy + (d1f * dx + d2f * dy) * (s.dt / s.eta) + (
-        d1t * dx + d2t * dy
-    ) * (w2 / s.eta_root)
-    if not (np.isfinite(dx_new).all() and np.isfinite(dy_new).all()):
-        bad = np.argwhere(~(np.isfinite(dx_new) & np.isfinite(dy_new)))
-        j, i = int(bad[0][0]), int(bad[0][1])
+    drift_x = (d1c * dx + d2c * dy) * s.dt
+    noise_x = s.eps_root * (d1s * dx + d2s * dy) * w1
+    drift_y = (d1f * dx + d2f * dy) * (s.dt / s.eta)
+    noise_y = (d1t * dx + d2t * dy) * (w2 / s.eta_root)
+    dx += drift_x
+    dx += noise_x
+    dy += drift_y
+    dy += noise_y
+    if not (np.isfinite(dx).all() and np.isfinite(dy).all()):
+        bad = np.argwhere(~(np.isfinite(dx) & np.isfinite(dy)))
+        j, r = tangents[int(bad[0][0])]
         raise TangentBlowUpError(
             f"first-order tangent blew up at step {k + 1} "
-            f"(channel W{j + 1}, r-index {int(r_idx[i])})"
+            f"(channel W{j + 1}, r-index {r})"
         )
-    return dx_new, dy_new
 
 
 def _second_start(j1, j2, alpha_1, alpha_2, at_1, at_2, s: _StepScales):
@@ -308,10 +330,11 @@ def _second_start(j1, j2, alpha_1, alpha_2, at_1, at_2, s: _StepScales):
 
 
 def _second_step(p, d2x, d2y, factors, w1, w2, s: _StepScales, k, cells):
-    """Advance the (n_cells, n_paths) second-order state over step k.
+    """Advance the (n, n_paths) second-order rows ``d2x``, ``d2y`` over
+    step k, in place; row i is the cell ``cells[i]``.
 
     ``p`` holds the :data:`_PARTIAL_KEYS` values on the base state at k
-    and ``factors`` the first-order (DX1, DY1, DX2, DY2) of every cell
+    and ``factors`` the first-order (DX1, DY1, DX2, DY2) of every row
     at k.
     """
     DX1, DY1, DX2, DY2 = factors
@@ -328,30 +351,45 @@ def _second_step(p, d2x, d2y, factors, w1, w2, s: _StepScales, k, cells):
     b1s = d11s * both_x + d12s * cross + d22s * both_y + d2s * d2y
     b2f = d11f * both_x + d12f * cross + d22f * both_y + d1f * d2x
     b2t = d11t * both_x + d12t * cross + d22t * both_y + d1t * d2x
-    d2x_new = d2x + (d1c * d2x + b1c) * s.dt + s.eps_root * (d1s * d2x + b1s) * w1
-    d2y_new = d2y + (d2f * d2y + b2f) * (s.dt / s.eta) + (d2t * d2y + b2t) * (
-        w2 / s.eta_root
-    )
-    if not (np.isfinite(d2x_new).all() and np.isfinite(d2y_new).all()):
-        bad = np.argwhere(~(np.isfinite(d2x_new) & np.isfinite(d2y_new)))
+    drift_x = (d1c * d2x + b1c) * s.dt
+    noise_x = s.eps_root * (d1s * d2x + b1s) * w1
+    drift_y = (d2f * d2y + b2f) * (s.dt / s.eta)
+    noise_y = (d2t * d2y + b2t) * (w2 / s.eta_root)
+    d2x += drift_x
+    d2x += noise_x
+    d2y += drift_y
+    d2y += noise_y
+    if not (np.isfinite(d2x).all() and np.isfinite(d2y).all()):
+        bad = np.argwhere(~(np.isfinite(d2x) & np.isfinite(d2y)))
         raise TangentBlowUpError(
             f"second-order tangent blew up at step {k + 1} "
             f"(cell (j1, j2, r1, r2) = {tuple(cells[bad[0][0]])})"
         )
-    return d2x_new, d2y_new
 
 
-def _cell_array(cells) -> np.ndarray:
-    """``cells`` as an (n_cells, 4) int array of (j1, j2, r1, r2); before
-    any cast, ValueError names the first cell whose channel is not 0 (W1)
-    or 1 (W2) or whose time is not an integer."""
-    arr = np.asarray(cells).reshape(-1, 4)
-    bad = ~np.isin(arr[:, :2], (0, 1)).all(axis=1)
+def _index_array(rows, width: int, what: str) -> np.ndarray:
+    """``rows`` as an (n, width) int array whose first width // 2 columns
+    are channels and the rest steps: a tangent (j, r) or a cell (j1, j2,
+    r1, r2).  Before any cast, ValueError names the first ``what`` whose
+    channel is not 0 (W1) or 1 (W2) or whose step is not an integer."""
+    arr = np.asarray(rows).reshape(-1, width)
+    bad = ~np.isin(arr[:, : width // 2], (0, 1)).all(axis=1)
     if bad.any():
         raise ValueError(
-            f"cell {tuple(arr[bad][0].tolist())} has a channel other than 0 or 1"
+            f"{what} {tuple(arr[bad][0].tolist())} has a channel other than 0 or 1"
         )
-    return _step_indices(arr).reshape(-1, 4)
+    return _step_indices(arr).reshape(-1, width)
+
+
+@dataclass(frozen=True)
+class _TangentRows:
+    """First-order finals and running sups of one tangent pass, one
+    (n_paths,) row per requested tangent (j, r), in request order."""
+
+    final_dx: np.ndarray
+    final_dy: np.ndarray
+    sup_abs_dx: np.ndarray
+    sup_abs_dy: np.ndarray
 
 
 def _tangent_pass(
@@ -361,93 +399,112 @@ def _tangent_pass(
     n_steps: int,
     n_paths: int,
     states,
-    r_indices: Sequence[int],
+    tangents: Sequence[tuple[int, int]],
     cells: Sequence[tuple[int, int, int, int]] | None = None,
     record=None,
-) -> tuple[FirstOrderTangents, dict[str, np.ndarray] | None]:
+) -> tuple[_TangentRows, dict[str, np.ndarray] | None]:
     """First- and second-order tangents in one loop over base states.
 
-    ``states`` yields (k, x, y, dw1, dw2) for k = 0..n_steps-1 and last
-    (n_steps, x, y, None, None): live noise through
-    :func:`~fastslow.sde_engine._em_states`, or a stored bundle's rows
-    through :func:`_stored_states`.  Step by step on them, the loop
-    advances the first-order state from the first r and the
-    second-order state from the first max(r1, r2); each cell
-    (j1, j2, r1, r2) of ``cells`` starts at its own max(r1, r2) from its
-    alpha data.  The r-grid is ``r_indices`` together with every r of
-    ``cells``, each checked to lie in [0, n_steps].  ``record(k, dx,
-    dy)``, when given, sees the (2, n_r, n_paths) first-order state at
-    every k from the first r.
+    ``states`` yields (k, x, y, dw1, dw2, values) for k = 0..n_steps-1
+    and last (n_steps, x, y, None, None, None): live noise through
+    :func:`~fastslow.sde_engine._em_states`, whose values are the 24
+    coefficient keys the Euler-Maruyama step ran on, or a stored
+    bundle's rows through :func:`_stored_states`.  Where a state it
+    reads comes without values, the pass evaluates the same 24 keys, so
+    every read state costs one kernel call.
 
-    Returns the tangents without series and (None without ``cells``) the
-    (n_cells, n_paths) arrays ``final_d2x``, ``final_d2y``,
-    ``sup_abs_d2x`` and ``sup_abs_d2y`` by name.  Beyond what ``states``
-    holds it keeps O((n_r + n_cells) n_paths) state, so its memory does
+    The first-order state holds the tangents (j, r) of ``tangents``
+    joined with the two factors (j1, r1) and (j2, r2) of every cell
+    (j1, j2, r1, r2) of ``cells``, each step checked to lie in
+    [0, n_steps]; the second-order state holds the cells.  Both are
+    sorted by start, r for a tangent and max(r1, r2) for a cell, so the
+    started rows are a prefix: a tangent is injected at r, a cell
+    starts at max(r1, r2) from its alpha data, and each is stepped only
+    from there.  ``record(k, dx, dy)``, when given, sees the first-order
+    values of ``tangents``, (n_tangents, n_paths) each, at every k from
+    the first r.
+
+    Returns the finals and sups of ``tangents`` in their order and
+    (None without ``cells``) the (n_cells, n_paths) arrays
+    ``final_d2x``, ``final_d2y``, ``sup_abs_d2x`` and ``sup_abs_d2y`` by
+    name, in the order of ``cells``.  Beyond what ``states`` holds it
+    keeps O((n_tangents + n_cells) n_paths) state, so its memory does
     not grow with n_steps.
     """
-    cell_arr = _cell_array(() if cells is None else cells)
-    j1, j2, r1, r2 = cell_arr.T
-    r_idx = _r_grid(n_steps, r_indices, cell_arr[:, 2:])
-    s = _StepScales.of(regime, dt)
-    # First-order r-rows of each cell's two factors.
-    pos1, pos2 = np.searchsorted(r_idx, r1), np.searchsorted(r_idx, r2)
-    cell_list = cell_arr.tolist()
+    cell_arr = _index_array(() if cells is None else cells, 4, "cell")
+    asked = _index_array(tangents, 2, "tangent")
+    wanted = np.concatenate([asked, cell_arr[:, [0, 2]], cell_arr[:, [1, 3]]])
+    _r_grid(n_steps, wanted[:, 1])
+    held = sorted(set(map(tuple, wanted.tolist())), key=lambda t: (t[1], t[0]))
+    row = {t: i for i, t in enumerate(held)}
+    asked_rows = [row[t] for t in map(tuple, asked.tolist())]
+    inject: dict[int, list[int]] = {}
+    for i, (_, r) in enumerate(held):
+        inject.setdefault(r, []).append(i)
+    # Cells by start; ``unsort`` puts them back in the order of ``cells``.
+    order = np.argsort(np.maximum(cell_arr[:, 2], cell_arr[:, 3]), kind="stable")
+    unsort = np.argsort(order)
+    cell_list = cell_arr[order].tolist()
+    row_1 = np.array([row[(a, r1)] for a, _, r1, _ in cell_list], dtype=int)
+    row_2 = np.array([row[(b, r2)] for _, b, _, r2 in cell_list], dtype=int)
     starts: dict[int, list[int]] = {}
-    for c, k in enumerate(np.maximum(r1, r2).tolist()):
-        starts.setdefault(k, []).append(c)
-    row = {int(r): i for i, r in enumerate(r_idx)}
-    pair_rows = set(cell_arr[:, 2:].ravel().tolist())
-    dx, dy, sup_dx, sup_dy = (np.zeros((2, len(r_idx), n_paths)) for _ in range(4))
-    d2x, d2y, sup_x, sup_y = (np.zeros((len(cell_arr), n_paths)) for _ in range(4))
+    for c, (_, _, r1, r2) in enumerate(cell_list):
+        starts.setdefault(max(r1, r2), []).append(c)
+    alpha_at = {r for cell in cell_list for r in cell[2:]}
+    s = _StepScales.of(regime, dt)
+    dx, dy, sup_dx, sup_dy = (np.zeros((len(held), n_paths)) for _ in range(4))
+    d2x, d2y, sup_x, sup_y = (np.zeros((len(cell_list), n_paths)) for _ in range(4))
     alpha: dict[int, tuple] = {}
-    first_at = int(r_idx[0])
-    second_at = min(starts, default=n_steps + 1)
+    n1 = n2 = 0  # started tangents and cells
+    first_at = held[0][1]
 
-    for k, x, y, w1, w2 in states:
-        if k in row:
-            sigma, tau = model.evaluate(x, y, ("sigma", "tau"))
-            _inject_first(dx, dy, row[k], sigma, tau, s)
-        if k in pair_rows:
-            alpha[k] = model.evaluate(x, y, _ALPHA_KEYS)
+    for k, x, y, w1, w2, values in states:
+        if k < first_at:
+            continue
+        if values is None:
+            values = model.evaluate(x, y, COEFFICIENT_KEYS)
+        if k in inject:
+            sigma, tau = _injection_values(values)
+            for i in inject[k]:
+                _inject_first(dx, dy, i, held[i][0], sigma, tau, s)
+            n1 = inject[k][-1] + 1
+        if k in alpha_at:
+            alpha[k] = _alpha_partials(values)
         for c in starts.get(k, ()):
-            a, b, t1, t2 = cell_list[c]
+            a, b, r1, r2 = cell_list[c]
             # The tangent of the earlier r is the current state; that of
             # the later r is zero at the earlier time (current if equal).
-            now_2 = (dx[b, pos2[c]], dy[b, pos2[c]]) if t2 <= t1 else (0.0, 0.0)
-            now_1 = (dx[a, pos1[c]], dy[a, pos1[c]]) if t1 <= t2 else (0.0, 0.0)
-            d2x[c], d2y[c] = _second_start(a, b, alpha[t1], alpha[t2], now_2, now_1, s)
-        if k >= first_at:
-            np.maximum(sup_dx, np.abs(dx), out=sup_dx)
-            np.maximum(sup_dy, np.abs(dy), out=sup_dy)
-            if record is not None:
-                record(k, dx, dy)
-        if k >= second_at:
-            np.maximum(sup_x, np.abs(d2x), out=sup_x)
-            np.maximum(sup_y, np.abs(d2y), out=sup_y)
+            now_2 = (dx[row_2[c]], dy[row_2[c]]) if r2 <= r1 else (0.0, 0.0)
+            now_1 = (dx[row_1[c]], dy[row_1[c]]) if r1 <= r2 else (0.0, 0.0)
+            d2x[c], d2y[c] = _second_start(a, b, alpha[r1], alpha[r2], now_2, now_1, s)
+            n2 = c + 1
+        np.maximum(sup_dx[:n1], np.abs(dx[:n1]), out=sup_dx[:n1])
+        np.maximum(sup_dy[:n1], np.abs(dy[:n1]), out=sup_dy[:n1])
+        if record is not None:
+            record(k, dx[asked_rows], dy[asked_rows])
+        if n2:
+            np.maximum(sup_x[:n2], np.abs(d2x[:n2]), out=sup_x[:n2])
+            np.maximum(sup_y[:n2], np.abs(d2y[:n2]), out=sup_y[:n2])
         if w1 is None:
             break
-        if k >= second_at:
-            factors = (dx[j1, pos1], dy[j1, pos1], dx[j2, pos2], dy[j2, pos2])
-            p = model.evaluate(x, y, _PARTIAL_KEYS)
-            d2x, d2y = _second_step(p, d2x, d2y, factors, w1, w2, s, k, cell_list)
-        if k >= first_at:
-            d = model.evaluate(x, y, _FIRST_KEYS)
-            dx, dy = _first_step(d, dx, dy, w1, w2, s, k, r_idx)
+        if n2:
+            r_1, r_2 = row_1[:n2], row_2[:n2]
+            factors = (dx[r_1], dy[r_1], dx[r_2], dy[r_2])
+            p = _all_partials(values)
+            _second_step(p, d2x[:n2], d2y[:n2], factors, w1, w2, s, k, cell_list)
+        d = _first_partials(values)
+        _first_step(d, dx[:n1], dy[:n1], w1, w2, s, k, held)
 
-    first = FirstOrderTangents(
-        r_indices=r_idx,
-        r_values=r_idx * dt,
-        regime=regime,
-        dt=dt,
-        final_dx=dx,
-        final_dy=dy,
-        sup_abs_dx=sup_dx,
-        sup_abs_dy=sup_dy,
+    first = _TangentRows(
+        *(a[asked_rows] for a in (dx, dy, sup_dx, sup_dy))
     )
     if cells is None:
         return first, None
     return first, {
-        "final_d2x": d2x, "final_d2y": d2y, "sup_abs_d2x": sup_x, "sup_abs_d2y": sup_y
+        "final_d2x": d2x[unsort],
+        "final_d2y": d2y[unsort],
+        "sup_abs_d2x": sup_x[unsort],
+        "sup_abs_d2y": sup_y[unsort],
     }
 
 
@@ -460,9 +517,10 @@ def first_order_tangents(
     """Integrate both-channel first-order tangents along every path.
 
     Runs the tangent recursion of the moment sweeps over the bundle's
-    stored states and increments.  The perturbation at step index r
-    injects the initial data (sqrt(eps) sigma, 0) on channel W1 and
-    (0, tau/sqrt(eta)) on channel W2; states are zero before r.
+    stored states and increments, asking for both channels at every r.
+    The perturbation at step index r injects the initial data
+    (sqrt(eps) sigma, 0) on channel W1 and (0, tau/sqrt(eta)) on channel
+    W2; states are zero before r.
 
     Parameters
     ----------
@@ -474,22 +532,34 @@ def first_order_tangents(
         running sups are kept either way.
     """
     states = _stored_states(bundle)
+    r_idx = _r_grid(bundle.n_steps, r_indices)
+    shape = (2, len(r_idx), bundle.n_paths)
     record = DX = DY = None
     if store_series:
-        n_r = len(_r_grid(bundle.n_steps, r_indices))
-        shape = (2, n_r, bundle.n_steps + 1, bundle.n_paths)
-        _check_bytes(2, *shape)
-        DX, DY = np.zeros(shape), np.zeros(shape)
+        series = (2, len(r_idx), bundle.n_steps + 1, bundle.n_paths)
+        _check_bytes(2, *series)
+        DX, DY = np.zeros(series), np.zeros(series)
 
         def record(k, dx, dy):
-            DX[:, :, k] = dx
-            DY[:, :, k] = dy
+            DX[:, :, k] = dx.reshape(shape)
+            DY[:, :, k] = dy.reshape(shape)
 
-    first, _ = _tangent_pass(
+    rows, _ = _tangent_pass(
         model, bundle.regime, bundle.dt, bundle.n_steps, bundle.n_paths,
-        states, r_indices, record=record,
+        states, [(j, r) for j in (0, 1) for r in r_idx.tolist()], record=record,
     )
-    return replace(first, DX=DX, DY=DY)
+    return FirstOrderTangents(
+        r_indices=r_idx,
+        r_values=r_idx * bundle.dt,
+        regime=bundle.regime,
+        dt=bundle.dt,
+        final_dx=rows.final_dx.reshape(shape),
+        final_dy=rows.final_dy.reshape(shape),
+        sup_abs_dx=rows.sup_abs_dx.reshape(shape),
+        sup_abs_dy=rows.sup_abs_dy.reshape(shape),
+        DX=DX,
+        DY=DY,
+    )
 
 
 def second_order_tangents(
@@ -501,9 +571,11 @@ def second_order_tangents(
     """Integrate second-order tangents for the given (r1, r2) pairs.
 
     Runs the tangent recursion of the moment sweeps over the bundle's
-    stored states and increments, with the first-order tangents of
-    every r in ``pairs`` (each in [0, n_steps]; ValueError naming the
-    first outside) advanced alongside.  Each channel combo (j1, j2) is
+    stored states and increments, asking for every cell (j1, j2, r1, r2)
+    of the ``combos`` x ``pairs`` product (each r in [0, n_steps];
+    ValueError naming the first outside); the first-order factors
+    (j1, r1) and (j2, r2) of the cells advance alongside.  Each channel
+    combo (j1, j2) is
     integrated independently (so swap symmetry is a real check, not
     imposed).  The state is zero before t = max(r1, r2), starts there
     from the alpha initial data, read from the current first-order
@@ -599,7 +671,7 @@ def q_decomposition(
     def record(k, dx, dy):
         # D^{W2}X and D^{W2}Y at step k; Q1 + Q2 and D are zero before r.
         nonlocal zm, q2_state, resid, d_max
-        dxw2, dyw2 = dx[1, 0], dy[1, 0]
+        dxw2, dyw2 = dx[0], dy[0]
         resid = max(resid, float(np.max(np.abs(q1[k] + q2[k] - dyw2))))
         d_max = max(d_max, float(np.max(np.abs(dyw2))))
         if k == bundle.n_steps:
@@ -616,7 +688,7 @@ def q_decomposition(
 
     _tangent_pass(
         model, bundle.regime, dt, bundle.n_steps, bundle.n_paths,
-        _stored_states(bundle), [r], record=record,
+        _stored_states(bundle), [(1, r)], record=record,
     )
     tol = 1e-6 * (1.0 + d_max)
     if resid > tol:
@@ -792,7 +864,7 @@ def _sweep_pass(
     seed,
     stream: tuple[int, int],
     path_ids: Sequence[int],
-    r_indices: Sequence[int],
+    tangents: Sequence[tuple[int, int]],
     cells: Sequence[tuple[int, int, int, int]] | None = None,
 ):
     """One :func:`_tangent_pass` on live noise over the paths ``path_ids``,
@@ -802,7 +874,7 @@ def _sweep_pass(
     noise = _noise_blocks(seed, path_ids, n_steps, dt, purpose=purpose, point=point)
     states = _em_states(model, _StepScales.of(regime, dt), x0, y0, len(path_ids), noise)
     return _tangent_pass(
-        model, regime, dt, n_steps, len(path_ids), states, r_indices, cells
+        model, regime, dt, n_steps, len(path_ids), states, tangents, cells
     )
 
 
@@ -865,12 +937,14 @@ def moment_sweep(
     or non-finite ``pair_sep_etas`` (ValueError naming the value).
 
     Each regime runs one step loop over all ``n_paths`` paths that
-    advances the base path, the first-order tangents from the first
-    perturbation step and the three second-order cells the bounds read,
-    (W1, W1) at (T/2, T/2) and (W1, W2), (W2, W2) at (T/2, r2), from
-    the first max(r1, r2); no path, increment or tangent series is
-    kept.  The pass holds O((n_r + 3) n_paths) tangent state, one noise
-    block of at most 32 MiB and a draw buffer of at most 512 streams.
+    advances the base path and only the tangents the bounds read, each
+    from its own start: the first-order tangents of both channels at
+    every r of the selection and of W2 at T/2, the factors of the
+    second-order cells, and the three cells, (W1, W1) at (T/2, T/2) and
+    (W1, W2), (W2, W2) at (T/2, r2); no path, increment or tangent
+    series is kept.  The pass holds O((2 n_sel + 5) n_paths) tangent
+    state, one noise block of at most 32 MiB and a draw buffer of at
+    most 512 streams.
     Regime i draws path j's noise from the streams (seed, moment sweep,
     i + 1, j, channel), so a path's values do not depend on which paths
     share its pass.  The tangent recursion is the one
@@ -911,17 +985,17 @@ def moment_sweep(
         sep_steps = int(round(pair_sep_etas * regime.eta / dt_eff))
         r_lo = max(0, r_mid - sep_steps)
         cells = [(0, 0, r_mid, r_mid), (0, 1, r_mid, r_lo), (1, 1, r_mid, r_lo)]
-        r_union = sorted(set(r_sel) | {r_mid, r_lo})
+        tangents = [(j, r) for j in (0, 1) for r in r_sel] + [(1, r_mid)]
         first, second = _sweep_pass(
             model, regime, dt_eff, n_steps, x0, y0, seed,
-            (PURPOSE_MOMENT_SWEEP, i_reg + 1), range(n_paths), r_union, cells,
+            (PURPOSE_MOMENT_SWEEP, i_reg + 1), range(n_paths), tangents, cells,
         )
-        sel_rows = [first.position(r) for r in r_sel]
+        n_sel = len(r_sel)
         d2x_w1w1, d2x_w1w2, d2x_w2w2 = second["final_d2x"]
         per_path = {
-            "dw1_x_sup": np.mean(first.sup_abs_dx[0, sel_rows] ** (2 * p), axis=0),
-            "dw2_x_sup": np.mean(first.sup_abs_dx[1, sel_rows] ** (2 * p), axis=0),
-            "dw2_y_final": np.abs(first.final_dy[1, first.position(r_mid)]) ** (2 * p),
+            "dw1_x_sup": np.mean(first.sup_abs_dx[:n_sel] ** (2 * p), axis=0),
+            "dw2_x_sup": np.mean(first.sup_abs_dx[n_sel : 2 * n_sel] ** (2 * p), axis=0),
+            "dw2_y_final": np.abs(first.final_dy[2 * n_sel]) ** (2 * p),
             "d2x_w1w1": np.abs(d2x_w1w1) ** (2 * p),
             "d2x_w1w2": np.abs(d2x_w1w2) ** (2 * p),
             "d2x_w2w2": np.abs(d2x_w2w2) ** (2 * p),
@@ -1049,29 +1123,30 @@ def decay_check(
     up to twice the summed standard errors.  ``dt`` defaults to eta/20;
     a larger step raises :class:`~fastslow.sde_engine.StabilityError`.
     Like :func:`moment_sweep`, one step loop over all paths advances the
-    base path and starts every tangent at its perturbation step, and
-    keeps no series; the mixed bounds advance one second-order cell
-    (j1, W2, r1, r2) per separation, with j1 = W1 for ``d2x_w1w2`` and
-    W2 for ``d2x_w2w2``.  Path j draws its noise from the streams (seed,
+    base path and only the tangents the bound reads, each from its own
+    start, and keeps no series: ``dw2_y_final`` the W2 tangent at each
+    r, the mixed bounds one second-order cell (j1, W2, r1, r2) per
+    separation, with j1 = W1 for ``d2x_w1w2`` and W2 for ``d2x_w2w2``,
+    and its two factors.  Path j draws its noise from the streams (seed,
     decay check, 0, j, channel), which no moment sweep point shares.
     """
     _require_positive(n_paths=n_paths)
     n_steps, dt_eff, r_top, r_list = _decay_steps(regime, bound_id, separations_eta, dt)
     seps = [float(s) for s in separations_eta]
     if bound_id == "dw2_y_final":
-        r_union = sorted(set(r_list))
+        tangents = [(1, r) for r in r_list]
         cells = None
     else:
-        r_union = sorted({r_top, *r_list})
+        tangents = []
         j1 = 0 if bound_id == "d2x_w1w2" else 1
         cells = [(j1, 1, r_top, r2) for r2 in r_list]
 
     first, second = _sweep_pass(
         model, regime, dt_eff, n_steps, x0, y0, seed,
-        (PURPOSE_DECAY_CHECK, 0), range(n_paths), r_union, cells,
+        (PURPOSE_DECAY_CHECK, 0), range(n_paths), tangents, cells,
     )
     if second is None:
-        per_sep = [np.abs(first.final_dy[1, first.position(r)]) for r in r_list]
+        per_sep = list(np.abs(first.final_dy))
     else:
         per_sep = list(np.abs(second["final_d2x"]))
     means, ses = zip(*(_mean_se(v ** (2 * p)) for v in per_sep))

@@ -23,7 +23,9 @@ time blocks of a fixed byte budget, continuing every stream from block
 to block, so the block length changes no result and peak memory grows
 with the block, not with n_steps.  One recursion, :func:`_em_states`,
 advances the state over the blocks and yields each step's state with
-its increments; paths and increments are stored only when asked for.
+its increments and the coefficient values the step ran on, from one
+kernel call per step for the key tuple its consumer asks for; paths and
+increments are stored only when asked for.
 """
 
 from __future__ import annotations
@@ -31,11 +33,17 @@ from __future__ import annotations
 import math
 import mmap
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from fastslow.coefficients import TAU_MIN, CoefficientSet, ModelEvaluationError
+from fastslow.coefficients import (
+    COEFFICIENT_KEYS,
+    TAU_MIN,
+    CoefficientSet,
+    ModelEvaluationError,
+)
 from fastslow.homogenization import LimitTrajectory
 
 __all__ = [
@@ -456,24 +464,31 @@ def _em_states(
     y0: float,
     n_paths: int,
     blocks,
+    keys: tuple[str, ...] = COEFFICIENT_KEYS,
 ):
     """The Euler-Maruyama recursion of n_paths paths over noise blocks.
 
     ``blocks`` yields (dW1, dW2) arrays of shape (b, n_paths) covering
-    the steps in order.  Yields (k, x, y, dw1, dw2) for every step k,
-    the state at k with the increments that advance it, and last
-    (n_steps, x, y, None, None).  The yielded rows are valid until the
-    next item is drawn; the states are never written in place.
+    the steps in order.  Yields (k, x, y, dw1, dw2, values) for every
+    step k: the state at k, the increments that advance it and the
+    values of ``keys`` at the state, from one kernel call.  ``keys``
+    (default: all 24, what the tangent pass reads) must include c,
+    sigma, f and tau, which the step reads from those values.  Last
+    comes (n_steps, x, y, None, None, None), as no step follows.  The
+    yielded rows are valid until the next item is drawn; the states are
+    never written in place.
     """
+    em_values = itemgetter(*(keys.index(key) for key in _EM_KEYS))
     x = np.full(n_paths, float(x0))
     y = np.full(n_paths, float(y0))
     k = 0
     for w1, w2 in blocks:
         for dw1, dw2 in zip(w1, w2):
-            yield k, x, y, dw1, dw2
-            x, y = _em_step(model, x, y, dw1, dw2, k, scales)
+            values = model.evaluate(x, y, keys)
+            yield k, x, y, dw1, dw2, values
+            x, y = _em_step(model, x, y, em_values(values), dw1, dw2, k, scales)
             k += 1
-    yield k, x, y, None, None
+    yield k, x, y, None, None, None
 
 
 def _em_loop(
@@ -496,7 +511,8 @@ def _em_loop(
     Returns {k: (x, y)} copies of the state at the steps in ``wanted``.
     """
     captures = {}
-    for k, x, y, dw1, dw2 in _em_states(model, scales, x0, y0, n_paths, blocks):
+    states = _em_states(model, scales, x0, y0, n_paths, blocks, _EM_KEYS)
+    for k, x, y, dw1, dw2, _ in states:
         if X is not None:
             X[k] = x
             Y[k] = y
@@ -543,6 +559,7 @@ def _em_step(
     model: CoefficientSet,
     x: np.ndarray,
     y: np.ndarray,
+    values: tuple,
     dw1: np.ndarray,
     dw2: np.ndarray,
     k: int,
@@ -550,10 +567,11 @@ def _em_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One Euler-Maruyama step from the state (x, y) at step index k.
 
-    Checks |tau| against TAU_MIN (at k = 0 only for a constant tau) and
-    raises :class:`BlowUpError` naming step k + 1 on a non-finite state.
+    ``values`` holds c, sigma, f and tau at (x, y).  Checks |tau|
+    against TAU_MIN (at k = 0 only for a constant tau) and raises
+    :class:`BlowUpError` naming step k + 1 on a non-finite state.
     """
-    c, sigma, f, tau = model.evaluate(x, y, _EM_KEYS)
+    c, sigma, f, tau = values
     if k == 0 or np.ndim(tau):
         _check_tau(model, tau, k)
     dt, eta = scales.dt, scales.eta

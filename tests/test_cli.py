@@ -201,6 +201,14 @@ def test_config_expressions_model():
             {"model": "affine-oracle", "regime": {"epsilon": "a", "eta": 0.1, "T": 1.0}},
             "regime.epsilon must be a number",
         ),
+        (
+            {"model": "affine-oracle", "sweep": {"epsilons": [0.1], "T": 0.0}},
+            r"sweep.T must be positive \(got 0.0\)",
+        ),
+        (
+            {"model": "affine-oracle", "sweep": {"epsilons": [0.1], "gamma": -1.0}},
+            r"sweep.gamma must be positive \(got -1.0\)",
+        ),
     ],
 )
 def test_config_rejections(raw, fragment):
@@ -256,6 +264,54 @@ def test_main_invalid_config_schema(tmp_path):
 def test_main_non_numeric_config_value_is_a_usage_error(tmp_path):
     cfg = _write_config(tmp_path, {"model": "affine-oracle", "grid": {"n_paths": "many"}})
     assert main(["check-assumptions", "--config", cfg]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        ("analysis", "K"),
+        ("analysis", "C1"),
+        ("analysis", "C2"),
+        ("grid", "x0"),
+        ("grid", "y0"),
+        ("sweep", "T"),
+        ("sweep", "gamma"),
+    ],
+)
+def test_main_non_numeric_value_is_named_at_parse_time(tmp_path, capsys, section, key):
+    """A value that reaches float() or a comparison only when a command
+    runs is checked when the config is parsed: exit 64 naming the key,
+    before the output directory is made."""
+    out = tmp_path / "out"
+    raw = {"model": "affine-oracle", "sweep": {"epsilons": [0.1]}, "io": {"output_dir": str(out)}}
+    raw.setdefault(section, {})[key] = "x"
+    cfg = _write_config(tmp_path, raw)
+    assert main(["bound-eval", "--config", cfg]) == EXIT_USAGE
+    assert f"{section}.{key} must be a number (got 'x')" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "p, message",
+    [
+        (2, "analysis.p must be a list of moment orders (got 2)"),
+        ([True], "analysis.p entries must be the positive integers 1 or 2 (got True)"),
+    ],
+)
+def test_main_analysis_p_must_be_a_list_of_orders(tmp_path, capsys, p, message):
+    """analysis.p is a list of the integers 1 and 2: a bare number is not
+    iterated into a TypeError (exit 1), and a bool is not taken for 1."""
+    cfg = _write_config(
+        tmp_path,
+        {
+            "model": "affine-oracle",
+            "regime": {"epsilon": 0.1, "eta": 0.1, "T": 1.0},
+            "analysis": {"p": p},
+            "io": {"output_dir": str(tmp_path / "out")},
+        },
+    )
+    assert main(["bound-eval", "--config", cfg]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
 
 
 def test_main_unknown_model_is_an_assertion_failure(tmp_path):

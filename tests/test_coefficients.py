@@ -128,15 +128,51 @@ def test_evaluate_broadcasts_mixed_shapes_and_keeps_constants_scalar(bounded):
         bounded.evaluate(0.3, 0.2, ("c", "d3_c"))
 
 
+#: Every key tuple the library evaluates, and the per-order subsets of
+#: the tangent recursion.
+_LIBRARY_TUPLES = (
+    _EM_KEYS,
+    _FIRST_KEYS,
+    _PARTIAL_KEYS,
+    _ALPHA_KEYS,
+    ("sigma", "tau"),
+    COEFFICIENT_KEYS,
+    ("d1_f", "d1_tau", "d2_tau", "d2_f"),
+    ("d2_f", "d2_tau"),
+    ("tau",),
+    ("d1_f", "d2_f", "d1_tau", "d2_tau"),
+)
+
+
+@pytest.mark.parametrize("name", ["affine-oracle", "bounded-coupled", "trig"])
+def test_every_key_tuple_is_bit_equal_to_each_key_alone(name):
+    """Each value of every key tuple the library evaluates is bit-equal
+    to its expression lambdified alone: a key's value does not depend on
+    the keys evaluated with it."""
+    model = _trig_model() if name == "trig" else get_model(name)
+    rng = np.random.default_rng(3)
+    X, Y = rng.uniform(-2.5, 2.5, size=(2, 40, 50))
+    x, y = sp.symbols("x y", real=True)
+    alone = {
+        key: np.broadcast_to(
+            sp.lambdify((x, y), model.table.expressions[key], modules="numpy")(X, Y),
+            X.shape,
+        )
+        for key in COEFFICIENT_KEYS
+    }
+    for keys in _LIBRARY_TUPLES:
+        for key, value in zip(keys, model.evaluate(X, Y, keys)):
+            assert np.array_equal(np.broadcast_to(value, X.shape), alone[key]), (keys, key)
+
+
 def test_tangents_evaluate_once_per_step(bounded, monkeypatch):
-    """One call for the injection values at each perturbation row and one
-    for the alpha partials at each pair row; from the first perturbation
-    step on, one fused call per step for each tangent order, on the
-    stored rows in order; nothing before that step and nothing through
-    the one-key views."""
+    """Exactly one kernel call per state a pass reads, for all 24 keys
+    on that state's rows, and none through the one-key views: on stored
+    rows from the first perturbation step to the horizon; on live noise
+    the call of each Euler-Maruyama step, which the tangents read too,
+    and one at the horizon.  simulate_paths keeps one call of the 4 EM
+    keys per step."""
     regime = ScaleRegime(epsilon=0.05, eta=0.05, gamma=1.0, T=0.2)
-    bundle = simulate_paths(bounded, regime, 0.4, 0.3, regime.eta / 20, 3, 5)
-    n = bundle.n_steps
     calls = []
     evaluate = CoefficientTable.evaluate
 
@@ -144,42 +180,29 @@ def test_tangents_evaluate_once_per_step(bounded, monkeypatch):
         calls.append((tuple(keys), np.array(x)))
         return evaluate(self, x, y, keys)
 
-    def assert_rows(keys, rows):
-        xs = [x for k, x in calls if k == keys]
-        assert len(xs) == len(rows), keys
-        assert all(np.array_equal(x, bundle.X[k]) for x, k in zip(xs, rows)), keys
+    def assert_calls(keys, rows):
+        assert [k for k, _ in calls] == [keys] * len(rows)
+        assert all(np.array_equal(x, bundle.X[k]) for (_, x), k in zip(calls, rows))
+        calls.clear()
 
     monkeypatch.setattr(CoefficientTable, "evaluate", counting)
+    bundle = simulate_paths(bounded, regime, 0.4, 0.3, regime.eta / 20, 3, 5)
+    n = bundle.n_steps
+    assert_calls(_EM_KEYS, range(0, n))
     first_order_tangents(bounded, bundle, [0, 10, 20, 40])
-    assert len(calls) == 4 + n
-    assert_rows(("sigma", "tau"), [0, 10, 20, 40])
-    assert_rows(_FIRST_KEYS, range(0, n))
-    calls.clear()
+    assert_calls(COEFFICIENT_KEYS, range(0, n + 1))
     first_order_tangents(bounded, bundle, [10, 20, 40])
-    assert len(calls) == 3 + (n - 10)
-    assert_rows(("sigma", "tau"), [10, 20, 40])
-    assert_rows(_FIRST_KEYS, range(10, n))
-    calls.clear()
+    assert_calls(COEFFICIENT_KEYS, range(10, n + 1))
     second_order_tangents(bounded, bundle, [(10, 10), (20, 10), (40, 40)])
-    assert len(calls) == 3 + 3 + 2 * (n - 10)  # 146
-    assert_rows(("sigma", "tau"), [10, 20, 40])
-    assert_rows(_ALPHA_KEYS, [10, 20, 40])
-    assert_rows(_PARTIAL_KEYS, range(10, n))
-    assert_rows(_FIRST_KEYS, range(10, n))
+    assert_calls(COEFFICIENT_KEYS, range(10, n + 1))
 
-    # On live noise: one EM call per step; the tangent kernels start at
-    # the first r (10) and the first max(r1, r2) (20).
-    calls.clear()
+    # On live noise drawn from the bundle's streams, the states are its rows.
     noise = _noise_blocks(5, range(3), n, bundle.dt)
     states = _em_states(bounded, _StepScales.of(regime, bundle.dt), 0.4, 0.3, 3, noise)
+    tangents = [(j, r) for j in (0, 1) for r in (10, 20, 40)]
     cells = [(a, b, *q) for a in (0, 1) for b in (0, 1) for q in [(20, 10), (40, 40)]]
-    _tangent_pass(bounded, regime, bundle.dt, n, 3, states, [10, 20, 40], cells)
-    keys = [k for k, _ in calls]
-    assert keys.count(_EM_KEYS) == n
-    assert keys.count(_FIRST_KEYS) == n - 10
-    assert keys.count(_PARTIAL_KEYS) == n - 20
-    assert keys[: keys.index(_FIRST_KEYS)].count(_EM_KEYS) == 10
-    assert keys[: keys.index(_PARTIAL_KEYS)].count(_EM_KEYS) == 20
+    _tangent_pass(bounded, regime, bundle.dt, n, 3, states, tangents, cells)
+    assert_calls(COEFFICIENT_KEYS, range(0, n + 1))
 
 
 def test_eval_all_rejects_nonfinite_point(affine):

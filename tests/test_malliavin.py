@@ -463,7 +463,7 @@ def _recorded(model, scales, x0, y0, n_paths, blocks):
     its rows."""
     rows = [
         (x.copy(), y.copy(), None if w1 is None else (w1.copy(), w2.copy()))
-        for _, x, y, w1, w2 in _em_states(model, scales, x0, y0, n_paths, blocks)
+        for _, x, y, w1, w2, _ in _em_states(model, scales, x0, y0, n_paths, blocks)
     ]
     X, Y = (np.array([row[i] for row in rows]) for i in (0, 1))
     dW1, dW2 = (np.array([row[2][i] for row in rows[:-1]]) for i in (0, 1))
@@ -487,22 +487,25 @@ def _recorded(model, scales, x0, y0, n_paths, blocks):
 def test_tangent_pass_matches_recorders_bitwise(bounded, r_indices, pairs, combos):
     """The pass on live Euler-Maruyama states equals, bit for bit, the
     recorders on the stored bundle that simulate_paths draws from the
-    same seed; the pass's cells are the combo-major product that
-    second_order_tangents expands."""
+    same seed; the pass's tangents are the channel-major grid that
+    first_order_tangents asks for, and its cells the combo-major product
+    that second_order_tangents expands."""
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.15)
     n_steps, dt = time_grid(regime.T, regime.eta / 20)
     assert n_steps == 60
     noise = _noise_blocks((4, 1), range(6), n_steps, dt)
     states = _em_states(bounded, _StepScales.of(regime, dt), 0.4, 0.3, 6, noise)
+    tangents = [(j, r) for j in (0, 1) for r in r_indices]
     cells = None if pairs is None else [(a, b, *q) for a, b in combos for q in pairs]
     first, second = malliavin_mod._tangent_pass(
-        bounded, regime, dt, n_steps, 6, states, r_indices, cells
+        bounded, regime, dt, n_steps, 6, states, tangents, cells
     )
     bundle = simulate_paths(bounded, regime, 0.4, 0.3, dt, 6, (4, 1))
     ref_first = first_order_tangents(bounded, bundle, r_indices)
-    assert first.DX is None and first.DY is None
-    for name in ("r_indices", "final_dx", "final_dy", "sup_abs_dx", "sup_abs_dy"):
-        assert np.array_equal(getattr(first, name), getattr(ref_first, name)), name
+    assert ref_first.r_indices.tolist() == r_indices
+    for name in ("final_dx", "final_dy", "sup_abs_dx", "sup_abs_dy"):
+        got = getattr(first, name).reshape(2, len(r_indices), 6)
+        assert np.array_equal(got, getattr(ref_first, name)), name
     if pairs is None:
         assert second is None
         return
@@ -782,38 +785,106 @@ def test_channels_other_than_0_or_1_are_rejected(bounded, bounded_bundle, combo)
 
 
 def test_sweeps_request_only_the_cells_they_read(bounded, monkeypatch):
-    """moment_sweep hands the pass exactly the 3 cells its bounds read,
-    and advances 3 cells per step; decay_check hands it one cell per
-    separation (none for dw2_y_final)."""
-    requested, advanced = [], set()
-    tangent_pass, second_step = malliavin_mod._tangent_pass, malliavin_mod._second_step
+    """moment_sweep hands the pass exactly the tangents and the 3 cells its
+    bounds read; with the cells' factors the pass holds 7 tangents, and
+    it steps only the started ones and 3 cells per step.  decay_check
+    hands it the W2 tangent at each r for dw2_y_final and otherwise one
+    cell per separation and no tangent."""
+    requested, first_rows, second_rows = [], set(), set()
+    tangent_pass = malliavin_mod._tangent_pass
+    first_step, second_step = malliavin_mod._first_step, malliavin_mod._second_step
 
-    def spy_pass(model, regime, dt, n_steps, n_paths, states, r_indices, cells=None, **kw):
-        requested.append(None if cells is None else [tuple(c) for c in cells])
-        return tangent_pass(model, regime, dt, n_steps, n_paths, states, r_indices, cells, **kw)
+    def spy_pass(model, regime, dt, n_steps, n_paths, states, tangents, cells=None, **kw):
+        requested.append(
+            ([tuple(t) for t in tangents], None if cells is None else [tuple(c) for c in cells])
+        )
+        return tangent_pass(model, regime, dt, n_steps, n_paths, states, tangents, cells, **kw)
 
-    def spy_step(p, d2x, *args):
-        advanced.add(d2x.shape[0])
+    def spy_first(d, dx, *args):
+        first_rows.add(dx.shape[0])
+        return first_step(d, dx, *args)
+
+    def spy_second(p, d2x, *args):
+        second_rows.add(d2x.shape[0])
         return second_step(p, d2x, *args)
 
     monkeypatch.setattr(malliavin_mod, "_tangent_pass", spy_pass)
-    monkeypatch.setattr(malliavin_mod, "_second_step", spy_step)
+    monkeypatch.setattr(malliavin_mod, "_first_step", spy_first)
+    monkeypatch.setattr(malliavin_mod, "_second_step", spy_second)
     regimes = [ScaleRegime(0.1, 0.1, 1.0, 0.3), ScaleRegime(0.05, 0.05, 1.0, 0.3)]
     moment_sweep(bounded, regimes, 1, 5, seed=5, pair_sep_etas=2.0, k_hat=1.0)
     # T/2 is step 30 of 60 and step 60 of 120; 2 eta back is 40 steps on the
-    # first grid (clamped to 0) and 40 steps on the second.
+    # first grid (clamped to 0) and 40 steps on the second.  The r-selection
+    # is T/4, T/2, 3T/4.
     assert requested == [
-        [(0, 0, 30, 30), (0, 1, 30, 0), (1, 1, 30, 0)],
-        [(0, 0, 60, 60), (0, 1, 60, 20), (1, 1, 60, 20)],
+        (
+            [(0, 15), (0, 30), (0, 45), (1, 15), (1, 30), (1, 45), (1, 30)],
+            [(0, 0, 30, 30), (0, 1, 30, 0), (1, 1, 30, 0)],
+        ),
+        (
+            [(0, 30), (0, 60), (0, 90), (1, 30), (1, 60), (1, 90), (1, 60)],
+            [(0, 0, 60, 60), (0, 1, 60, 20), (1, 1, 60, 20)],
+        ),
     ]
-    assert advanced == {3}
+    # (W2, r_lo) first, then both channels at each selected r.
+    assert first_rows == {1, 3, 5, 7}
+    assert second_rows == {3}
     requested.clear()
     for bound_id in ("d2x_w1w2", "d2x_w2w2", "dw2_y_final"):
         decay_check(bounded, regimes[-1], bound_id, 1, 5, 6, separations_eta=(0.5, 2.0))
     assert requested == [
-        [(0, 1, 60, 50), (0, 1, 60, 20)],
-        [(1, 1, 60, 50), (1, 1, 60, 20)],
-        None,
+        ([], [(0, 1, 60, 50), (0, 1, 60, 20)]),
+        ([], [(1, 1, 60, 50), (1, 1, 60, 20)]),
+        ([(1, 110), (1, 80)], None),
+    ]
+
+
+def test_tangent_subset_equals_full_grid_and_starts_late(bounded, bounded_bundle, monkeypatch):
+    """A pass asked for some (channel, r) tangents, unsorted and with a
+    repeat, returns them bit for bit as the pass asked for the full grid
+    does, in the order asked; its cells match too.  No tangent and no
+    cell is stepped before its own start: each step advances exactly
+    the rows started by then."""
+    n = bounded_bundle.n_steps
+    full = [(j, r) for j in (0, 1) for r in (0, 12, 30, n)]
+    subset = [(1, 30), (0, 12), (1, n), (1, 30)]
+    cells = [(0, 1, n, 0), (0, 1, 30, 12)]
+    args = (bounded, bounded_bundle.regime, bounded_bundle.dt, n, bounded_bundle.n_paths)
+    ref, ref_second = malliavin_mod._tangent_pass(
+        *args, malliavin_mod._stored_states(bounded_bundle), full, cells
+    )
+
+    steps = []
+    first_step, second_step = malliavin_mod._first_step, malliavin_mod._second_step
+
+    def spy_first(d, dx, dy, w1, w2, s, k, tangents):
+        steps.append(("first", k, dx.shape[0]))
+        return first_step(d, dx, dy, w1, w2, s, k, tangents)
+
+    def spy_second(p, d2x, d2y, factors, w1, w2, s, k, cells):
+        steps.append(("second", k, d2x.shape[0]))
+        return second_step(p, d2x, d2y, factors, w1, w2, s, k, cells)
+
+    monkeypatch.setattr(malliavin_mod, "_first_step", spy_first)
+    monkeypatch.setattr(malliavin_mod, "_second_step", spy_second)
+    got, second = malliavin_mod._tangent_pass(
+        *args, malliavin_mod._stored_states(bounded_bundle), subset, cells
+    )
+    rows = [full.index(t) for t in subset]
+    for name in ("final_dx", "final_dy", "sup_abs_dx", "sup_abs_dy"):
+        assert getattr(got, name).shape == (len(subset), bounded_bundle.n_paths)
+        assert np.array_equal(getattr(got, name), getattr(ref, name)[rows]), name
+    for name in ref_second:
+        assert np.array_equal(second[name], ref_second[name]), name
+    assert np.all(np.any((second["final_d2x"] != 0.0) | (second["final_d2y"] != 0.0), axis=1))
+
+    # Held: (W2, 0); (W1, 12), (W2, 12); (W1, 30), (W2, 30); (W1, n), (W2, n).
+    started = [1 if k < 12 else 3 if k < 30 else 5 for k in range(n)]
+    assert [c for kind, _, c in steps if kind == "first"] == started
+    assert [k for kind, k, _ in steps if kind == "first"] == list(range(n))
+    # The cell (W1, W2, 30, 12) from step 30; (W1, W2, n, 0) is never stepped.
+    assert [(k, c) for kind, k, c in steps if kind == "second"] == [
+        (k, 1) for k in range(30, n)
     ]
 
 
