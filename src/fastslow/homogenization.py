@@ -36,12 +36,13 @@ and interpolated with natural cubic splines in both variables.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 from scipy.optimize import brentq
 
 from fastslow.coefficients import CoefficientSet
@@ -206,6 +207,36 @@ class HomogenizedModel:
 def _poly_interp(xs, vals):
     """Exact low-order polynomial interpolant for degenerate grids."""
     return np.poly1d(np.polyfit(xs, vals, deg=len(xs) - 1))
+
+
+def _scalar_interp(interp):
+    """A float -> float function equal to ``float(interp(x))``.
+
+    For a piecewise polynomial (a :class:`CubicSpline` or its derivative)
+    it repeats, on Python floats, what ``PPoly.__call__`` computes for
+    one point: the interval i with breaks[i] <= x < breaks[i + 1] (the
+    first or last interval outside the breaks, as it extrapolates) and
+    the sum over ascending powers of coefficient * s**k, with s = x -
+    breaks[i] and s**k formed by repeated products, added left to right.
+    So each value keeps its bits, without the array call per point.
+    """
+    if not isinstance(interp, PPoly):
+        return lambda x: float(interp(x))
+    breaks = interp.x.tolist()
+    ascending = interp.c[::-1].T.tolist()  # per interval, lowest power first
+    last = len(breaks) - 2
+
+    def at(x):
+        x = float(x)
+        i = min(max(bisect_right(breaks, x) - 1, 0), last)
+        s = x - breaks[i]
+        total, power = 0.0, 1.0
+        for coef in ascending[i]:
+            total = total + coef * power
+            power = power * s
+        return total
+
+    return at
 
 
 def default_y_window(
@@ -505,11 +536,12 @@ def limit_ode(
     ps = np.empty(n + 1)
     xb[0], ps[0] = x0, x0
 
+    c_bar = _scalar_interp(hom._c_bar_spline)
+    c_bar_prime = _scalar_interp(hom._c_bar_prime)
+
     def rhs(state):
         x, p = state
-        return np.array(
-            [float(hom.c_bar_at(x)), float(hom.c_bar_prime_at(x)) * p]
-        )
+        return np.array([c_bar(x), c_bar_prime(x) * p])
 
     state = np.array([x0, x0], dtype=float)
     for k in range(n):

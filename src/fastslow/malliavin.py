@@ -36,14 +36,17 @@ the response to the D^{W2}X feedback.
 
 Both tangent orders are advanced by one recursion, which runs over a
 stream of base states (k, X_k, Y_k, dW1_k, dW2_k) with the values of all
-24 coefficient keys at each state, from one kernel call per step that
-the Euler-Maruyama step reads too.  Its first-order state is a list of
-tangents (j, r), the ones a caller reads joined with the two factors of
-every cell, and its second-order state a list of cells (j1, j2, r1, r2),
-one D2_{r1,r2} per channel pair and time pair that a caller reads: it
-holds O((n_tangents + n_cells) n_paths) values.  Both lists are sorted by
-start, so the started rows are a prefix, and each tangent and each cell
-is stepped only from its own start.  The moment sweeps feed the
+24 coefficient keys at each state it reads, from one kernel call per
+step that the Euler-Maruyama step reads too (before the first tangent
+starts, that step evaluates only its own 4 keys).  The steps leave out
+every term whose partial is identically zero for the model.  Its
+first-order state is a list of tangents (j, r), the ones a caller reads
+joined with the two factors of every cell, and its second-order state a
+list of cells (j1, j2, r1, r2), one D2_{r1,r2} per channel pair and time
+pair that a caller reads: it holds O((n_tangents + n_cells) n_paths)
+values.  Both lists are sorted by start, so the started rows are a
+prefix, and each tangent and each cell is stepped only from its own
+start.  The moment sweeps feed the
 recursion live Euler-Maruyama states, so at each sweep point the noise
 of all paths drives the base path and its tangents in one forward pass
 and nothing is stored; :func:`first_order_tangents` (which asks for both
@@ -140,15 +143,32 @@ _PARTIAL_KEYS = tuple(k for k in COEFFICIENT_KEYS if k.startswith("d"))
 _ALPHA_KEYS = ("d1_sigma", "d2_sigma", "d1_tau", "d2_tau")
 
 
-def _picker(keys: tuple[str, ...]) -> itemgetter:
-    """Picks the values of ``keys`` from a tuple of all 24 key values."""
-    return itemgetter(*(COEFFICIENT_KEYS.index(key) for key in keys))
+def _picker(keys: tuple[str, ...], zero: frozenset[str] = frozenset()):
+    """Picks the values of ``keys`` from a tuple of all 24 key values;
+    a key in ``zero`` is picked as None."""
+    none_at = len(COEFFICIENT_KEYS)
+    pick = itemgetter(
+        *(none_at if key in zero else COEFFICIENT_KEYS.index(key) for key in keys)
+    )
+    return lambda values: pick((*values, None))
 
 
-_first_partials = _picker(_FIRST_KEYS)
-_all_partials = _picker(_PARTIAL_KEYS)
+def _zero_partials(model: CoefficientSet) -> frozenset[str]:
+    """The partials whose expression is the constant 0, which
+    :meth:`~fastslow.coefficients.CoefficientSet.evaluate` returns as the
+    float 0.0 at every state.  A partial that vanishes only at some
+    states is not among them."""
+    expressions = model.table.expressions
+    return frozenset(
+        key for key in _PARTIAL_KEYS
+        if expressions[key].is_Number and expressions[key].is_zero
+    )
+
+
 _alpha_partials = _picker(_ALPHA_KEYS)
 _injection_values = _picker(("sigma", "tau"))
+_tau = _picker(("tau",))
+_fast_partials = _picker(("d1_f", "d2_f", "d1_tau", "d2_tau"))
 
 
 class TangentBlowUpError(FloatingPointError):
@@ -284,21 +304,62 @@ def _inject_first(dx, dy, i: int, j: int, sigma, tau, s: _StepScales) -> None:
     dy[i] = tau / s.eta_root if j == 1 else 0.0
 
 
+def _times(coef, value):
+    """coef * value, or None where ``coef`` is None (an identically zero
+    partial)."""
+    return None if coef is None else coef * value
+
+
+def _sum(*terms):
+    """The left-to-right sum of the terms that are not None, or None when
+    none is left.  Leaving out an identically zero term adds 0.0 nowhere,
+    so every remaining sum keeps its bits."""
+    total = None
+    for term in terms:
+        if term is not None:
+            total = term if total is None else total + term
+    return total
+
+
+def _reads(*coefs) -> bool:
+    """Whether any of the partials ``coefs`` is not identically zero."""
+    return any(c is not None for c in coefs)
+
+
+def _advance(x, y, drift_x, noise_x, drift_y, noise_y, w1, w2, s: _StepScales):
+    """The explicit step of a tangent pair, in place:
+
+        x += drift_x dt + sqrt(eps) noise_x dW1,
+        y += drift_y dt/eta + noise_y dW2/sqrt(eta),
+
+    where a sum that is None (all its terms identically zero) adds
+    nothing.  The sums are formed from x and y before the call."""
+    if drift_x is not None:
+        x += drift_x * s.dt
+    if noise_x is not None:
+        x += s.eps_root * noise_x * w1
+    if drift_y is not None:
+        y += drift_y * (s.dt / s.eta)
+    if noise_y is not None:
+        y += noise_y * (w2 / s.eta_root)
+
+
 def _first_step(d, dx, dy, w1, w2, s: _StepScales, k: int, tangents):
     """Advance the (n, n_paths) first-order rows ``dx``, ``dy`` over step
     k, in place; row i is the tangent (j, r) = ``tangents[i]``.
 
-    ``d`` holds the :data:`_FIRST_KEYS` partials on the base state at k.
+    ``d`` holds the :data:`_FIRST_KEYS` partials on the base state at k,
+    None for each that is identically zero; their terms are left out.
     """
     d1c, d2c, d1s, d2s, d1f, d2f, d1t, d2t = d
-    drift_x = (d1c * dx + d2c * dy) * s.dt
-    noise_x = s.eps_root * (d1s * dx + d2s * dy) * w1
-    drift_y = (d1f * dx + d2f * dy) * (s.dt / s.eta)
-    noise_y = (d1t * dx + d2t * dy) * (w2 / s.eta_root)
-    dx += drift_x
-    dx += noise_x
-    dy += drift_y
-    dy += noise_y
+    _advance(
+        dx, dy,
+        _sum(_times(d1c, dx), _times(d2c, dy)),
+        _sum(_times(d1s, dx), _times(d2s, dy)),
+        _sum(_times(d1f, dx), _times(d2f, dy)),
+        _sum(_times(d1t, dx), _times(d2t, dy)),
+        w1, w2, s,
+    )
     if not (np.isfinite(dx).all() and np.isfinite(dy).all()):
         bad = np.argwhere(~(np.isfinite(dx) & np.isfinite(dy)))
         j, r = tangents[int(bad[0][0])]
@@ -333,32 +394,41 @@ def _second_step(p, d2x, d2y, factors, w1, w2, s: _StepScales, k, cells):
     """Advance the (n, n_paths) second-order rows ``d2x``, ``d2y`` over
     step k, in place; row i is the cell ``cells[i]``.
 
-    ``p`` holds the :data:`_PARTIAL_KEYS` values on the base state at k
-    and ``factors`` the first-order (DX1, DY1, DX2, DY2) of every row
+    ``p`` holds the :data:`_PARTIAL_KEYS` values on the base state at k,
+    None for each that is identically zero; their terms are left out,
+    and so is a product of factors that no remaining term reads.
+    ``factors`` holds the first-order (DX1, DY1, DX2, DY2) of every row
     at k.
     """
     DX1, DY1, DX2, DY2 = factors
-    cross = DX1 * DY2 + DY1 * DX2
-    both_x = DX1 * DX2
-    both_y = DY1 * DY2
     (
         d1c, d2c, d11c, d12c, d22c,
         d1s, d2s, d11s, d12s, d22s,
         d1f, d2f, d11f, d12f, d22f,
         d1t, d2t, d11t, d12t, d22t,
     ) = p
-    b1c = d11c * both_x + d12c * cross + d22c * both_y + d2c * d2y
-    b1s = d11s * both_x + d12s * cross + d22s * both_y + d2s * d2y
-    b2f = d11f * both_x + d12f * cross + d22f * both_y + d1f * d2x
-    b2t = d11t * both_x + d12t * cross + d22t * both_y + d1t * d2x
-    drift_x = (d1c * d2x + b1c) * s.dt
-    noise_x = s.eps_root * (d1s * d2x + b1s) * w1
-    drift_y = (d2f * d2y + b2f) * (s.dt / s.eta)
-    noise_y = (d2t * d2y + b2t) * (w2 / s.eta_root)
-    d2x += drift_x
-    d2x += noise_x
-    d2y += drift_y
-    d2y += noise_y
+    both_x = DX1 * DX2 if _reads(d11c, d11s, d11f, d11t) else None
+    cross = DX1 * DY2 + DY1 * DX2 if _reads(d12c, d12s, d12f, d12t) else None
+    both_y = DY1 * DY2 if _reads(d22c, d22s, d22f, d22t) else None
+
+    def source(d11, d12, d22, last, state):
+        return _sum(
+            _times(d11, both_x), _times(d12, cross), _times(d22, both_y),
+            _times(last, state),
+        )
+
+    b1c = source(d11c, d12c, d22c, d2c, d2y)
+    b1s = source(d11s, d12s, d22s, d2s, d2y)
+    b2f = source(d11f, d12f, d22f, d1f, d2x)
+    b2t = source(d11t, d12t, d22t, d1t, d2x)
+    _advance(
+        d2x, d2y,
+        _sum(_times(d1c, d2x), b1c),
+        _sum(_times(d1s, d2x), b1s),
+        _sum(_times(d2f, d2y), b2f),
+        _sum(_times(d2t, d2y), b2t),
+        w1, w2, s,
+    )
     if not (np.isfinite(d2x).all() and np.isfinite(d2y).all()):
         bad = np.argwhere(~(np.isfinite(d2x) & np.isfinite(d2y)))
         raise TangentBlowUpError(
@@ -407,11 +477,14 @@ def _tangent_pass(
 
     ``states`` yields (k, x, y, dw1, dw2, values) for k = 0..n_steps-1
     and last (n_steps, x, y, None, None, None): live noise through
-    :func:`~fastslow.sde_engine._em_states`, whose values are the 24
-    coefficient keys the Euler-Maruyama step ran on, or a stored
-    bundle's rows through :func:`_stored_states`.  Where a state it
-    reads comes without values, the pass evaluates the same 24 keys, so
-    every read state costs one kernel call.
+    :func:`~fastslow.sde_engine._em_states`, whose values from the first
+    start on are the 24 coefficient keys the Euler-Maruyama step ran on
+    (the pass reads no state before it), or a stored bundle's rows
+    through :func:`_stored_states`.  Where a state it reads comes
+    without values, the pass evaluates the same 24 keys, so every read
+    state costs one kernel call.  The steps leave out every term whose
+    partial is identically zero for the model (:func:`_zero_partials`,
+    decided once per pass), which changes no value.
 
     The first-order state holds the tangents (j, r) of ``tangents``
     joined with the two factors (j1, r1) and (j2, r2) of every cell
@@ -420,9 +493,9 @@ def _tangent_pass(
     sorted by start, r for a tangent and max(r1, r2) for a cell, so the
     started rows are a prefix: a tangent is injected at r, a cell
     starts at max(r1, r2) from its alpha data, and each is stepped only
-    from there.  ``record(k, dx, dy)``, when given, sees the first-order
-    values of ``tangents``, (n_tangents, n_paths) each, at every k from
-    the first r.
+    from there.  ``record(k, dx, dy, values)``, when given, sees the
+    first-order values of ``tangents``, (n_tangents, n_paths) each, and
+    the 24 key values of the state at every k from the first r.
 
     Returns the finals and sups of ``tangents`` in their order and
     (None without ``cells``) the (n_cells, n_paths) arrays
@@ -457,6 +530,9 @@ def _tangent_pass(
     alpha: dict[int, tuple] = {}
     n1 = n2 = 0  # started tangents and cells
     first_at = held[0][1]
+    zero = _zero_partials(model)
+    first_partials = _picker(_FIRST_KEYS, zero)
+    all_partials = _picker(_PARTIAL_KEYS, zero)
 
     for k, x, y, w1, w2, values in states:
         if k < first_at:
@@ -481,7 +557,7 @@ def _tangent_pass(
         np.maximum(sup_dx[:n1], np.abs(dx[:n1]), out=sup_dx[:n1])
         np.maximum(sup_dy[:n1], np.abs(dy[:n1]), out=sup_dy[:n1])
         if record is not None:
-            record(k, dx[asked_rows], dy[asked_rows])
+            record(k, dx[asked_rows], dy[asked_rows], values)
         if n2:
             np.maximum(sup_x[:n2], np.abs(d2x[:n2]), out=sup_x[:n2])
             np.maximum(sup_y[:n2], np.abs(d2y[:n2]), out=sup_y[:n2])
@@ -490,10 +566,9 @@ def _tangent_pass(
         if n2:
             r_1, r_2 = row_1[:n2], row_2[:n2]
             factors = (dx[r_1], dy[r_1], dx[r_2], dy[r_2])
-            p = _all_partials(values)
+            p = all_partials(values)
             _second_step(p, d2x[:n2], d2y[:n2], factors, w1, w2, s, k, cell_list)
-        d = _first_partials(values)
-        _first_step(d, dx[:n1], dy[:n1], w1, w2, s, k, held)
+        _first_step(first_partials(values), dx[:n1], dy[:n1], w1, w2, s, k, held)
 
     first = _TangentRows(
         *(a[asked_rows] for a in (dx, dy, sup_dx, sup_dy))
@@ -540,7 +615,7 @@ def first_order_tangents(
         _check_bytes(2, *series)
         DX, DY = np.zeros(series), np.zeros(series)
 
-        def record(k, dx, dy):
+        def record(k, dx, dy, values):
             DX[:, :, k] = dx.reshape(shape)
             DY[:, :, k] = dy.reshape(shape)
 
@@ -647,7 +722,9 @@ def q_decomposition(
     of the discretized homogeneous fast tangent recursion (so the
     decomposition telescopes exactly in discrete time); Q2 solves the
     affine recursion forced by D^{W2}X.  Both advance step by step with
-    the first-order tangent pass, which keeps no tangent series.
+    the first-order tangent pass, which keeps no tangent series, on the
+    coefficient values it evaluates at each state (one kernel call per
+    row read).
     Verifies Q1 + Q2 against the directly integrated D^{W2}Y and raises
     :class:`DecompositionError` if the reconstruction residual exceeds
     1e-6 * (1 + max |D|).
@@ -662,23 +739,23 @@ def q_decomposition(
     n_t = bundle.n_steps + 1
     q1 = np.zeros((n_t, bundle.n_paths))
     q2 = np.zeros((n_t, bundle.n_paths))
-    (tau_r,) = model.evaluate(bundle.X[r], bundle.Y[r], ("tau",))
-    q1[r] = tau_r / eta_root
     zm = np.ones(bundle.n_paths)
     q2_state = np.zeros(bundle.n_paths)
-    resid = d_max = 0.0
+    tau_r = resid = d_max = 0.0
 
-    def record(k, dx, dy):
-        # D^{W2}X and D^{W2}Y at step k; Q1 + Q2 and D are zero before r.
-        nonlocal zm, q2_state, resid, d_max
+    def record(k, dx, dy, values):
+        # D^{W2}X and D^{W2}Y at step k, from k = r on, with the pass's
+        # coefficient values at the state; Q1 + Q2 and D are zero before r.
+        nonlocal zm, q2_state, tau_r, resid, d_max
+        if k == r:
+            tau_r = _tau(values)
+            q1[r] = tau_r / eta_root
         dxw2, dyw2 = dx[0], dy[0]
         resid = max(resid, float(np.max(np.abs(q1[k] + q2[k] - dyw2))))
         d_max = max(d_max, float(np.max(np.abs(dyw2))))
         if k == bundle.n_steps:
             return
-        d1f, d2f, d1t, d2t = model.evaluate(
-            bundle.X[k], bundle.Y[k], ("d1_f", "d2_f", "d1_tau", "d2_tau")
-        )
+        d1f, d2f, d1t, d2t = _fast_partials(values)
         a = 1.0 + d2f * (dt / eta) + d2t * (bundle.dW2[k] / eta_root)
         g = d1f * dxw2 * (dt / eta) + d1t * dxw2 * (bundle.dW2[k] / eta_root)
         zm = a * zm
@@ -869,10 +946,19 @@ def _sweep_pass(
 ):
     """One :func:`_tangent_pass` on live noise over the paths ``path_ids``,
     drawn from the streams (seed, purpose, point, path_id, channel) with
-    ``stream`` = (purpose, point)."""
+    ``stream`` = (purpose, point).  Before the first start, the smallest
+    r of the tangents and of the cells, the pass reads no state, so the
+    Euler-Maruyama steps up to it evaluate only the 4 EM keys."""
     purpose, point = stream
+    first_at = min(
+        [r for _, r in tangents] + [r for cell in cells or () for r in cell[2:]],
+        default=0,
+    )
     noise = _noise_blocks(seed, path_ids, n_steps, dt, purpose=purpose, point=point)
-    states = _em_states(model, _StepScales.of(regime, dt), x0, y0, len(path_ids), noise)
+    states = _em_states(
+        model, _StepScales.of(regime, dt), x0, y0, len(path_ids), noise,
+        keys_from=first_at,
+    )
     return _tangent_pass(
         model, regime, dt, n_steps, len(path_ids), states, tangents, cells
     )

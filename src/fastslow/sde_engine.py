@@ -23,9 +23,10 @@ time blocks of a fixed byte budget, continuing every stream from block
 to block, so the block length changes no result and peak memory grows
 with the block, not with n_steps.  One recursion, :func:`_em_states`,
 advances the state over the blocks and yields each step's state with
-its increments and the coefficient values the step ran on, from one
-kernel call per step for the key tuple its consumer asks for; paths and
-increments are stored only when asked for.
+its increments and, from the step its consumer first reads them, the
+values of the key tuple that consumer asks for: one kernel call per
+step, of the 4 EM keys before that step and of the asked tuple from it.
+Paths and increments are stored only when asked for.
 """
 
 from __future__ import annotations
@@ -346,6 +347,28 @@ def _generator(key: np.ndarray) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_Key(key)))
 
 
+def _rekeyed(keys: np.ndarray):
+    """One generator per key of ``keys`` (shape (m, 2)): the generator of
+    a single Philox whose state is set, before each is handed out, to
+    that key with a zero counter and an empty buffer, as a fresh
+    ``Philox`` holds it.  So each draws the numbers of
+    :func:`_generator` of its key, valid until the next is taken; setting
+    a state costs less than building a generator."""
+    bit_generator = np.random.Philox(_Key(np.zeros(2, np.uint64)))
+    generator = np.random.Generator(bit_generator)
+    zero = np.zeros(4, np.uint64)
+    for key in keys:
+        bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": zero, "key": key},
+            "buffer": zero,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield generator
+
+
 def _stream(master_seed, purpose, point, path_id, channel) -> np.random.Generator:
     """The generator of one (master_seed, purpose, point, path_id, channel) stream."""
     return _generator(_philox_keys(master_seed, purpose, point, (path_id,), channel)[0])
@@ -384,9 +407,12 @@ def _noise_blocks(
     """Brownian increments of m paths, drawn in blocks of whole steps.
 
     Derives the keys of the 2 m streams (master_seed, purpose, point,
-    path_id, channel) in one pass per channel, opens each stream once
-    and yields (dW1, dW2) blocks of shape (b, m), one column per path
-    id, that cover steps 0..n_steps-1 in order.  Path ids outside
+    path_id, channel) in one pass per channel and yields (dW1, dW2)
+    blocks of shape (b, m), one column per path id, that cover steps
+    0..n_steps-1 in order.  When the draw spans several blocks, each
+    stream is opened once and stays open from block to block; when it
+    fits in one block, each channel re-keys one generator per stream
+    (:func:`_rekeyed`), which draws the same numbers.  Path ids outside
     [0, 2**32) and negative seed words raise ValueError before any draw.
     A block holds ``block_steps`` steps (default: as many as fit in
     :data:`_NOISE_BLOCK_BYTES`, at least one) or the remainder.  Philox
@@ -406,13 +432,16 @@ def _noise_blocks(
     if block_steps is None:
         block_steps = _NOISE_BLOCK_BYTES // (16 * max(1, m))
     size = max(1, min(block_steps, n_steps))
-    streams = [map(_generator, k) for k in keys]
     if size < n_steps:
-        # Later blocks continue the streams, so they stay open.  A single
-        # block opens each stream, draws it whole and drops it: an open
-        # stream is 4 objects the cycle collector tracks, and 20k of them
-        # alive through a step loop cost full collections.
-        streams = [list(gens) for gens in streams]
+        # Later blocks continue the streams, so they stay open.  Re-keying
+        # one generator instead would need a state read and a state set
+        # per stream and block, which costs more than opening it once.
+        streams = [list(map(_generator, k)) for k in keys]
+    else:
+        # A single block draws each stream whole before the next, so one
+        # generator per channel, re-keyed per stream, serves them all and
+        # no stream object outlives its draw.
+        streams = [_rekeyed(k) for k in keys]
     raw = _mapped_array(min(m, _DRAW_BATCH), size)
     out = (_mapped_array(size, m), _mapped_array(size, m))
     scale = math.sqrt(dt)
@@ -465,18 +494,22 @@ def _em_states(
     n_paths: int,
     blocks,
     keys: tuple[str, ...] = COEFFICIENT_KEYS,
+    keys_from: int = 0,
 ):
     """The Euler-Maruyama recursion of n_paths paths over noise blocks.
 
     ``blocks`` yields (dW1, dW2) arrays of shape (b, n_paths) covering
     the steps in order.  Yields (k, x, y, dw1, dw2, values) for every
-    step k: the state at k, the increments that advance it and the
-    values of ``keys`` at the state, from one kernel call.  ``keys``
-    (default: all 24, what the tangent pass reads) must include c,
-    sigma, f and tau, which the step reads from those values.  Last
-    comes (n_steps, x, y, None, None, None), as no step follows.  The
-    yielded rows are valid until the next item is drawn; the states are
-    never written in place.
+    step k: the state at k, the increments that advance it and, from
+    step ``keys_from`` on, the values of ``keys`` at the state.  Each
+    step makes one kernel call: of the 4 EM keys before ``keys_from``,
+    where it yields None for the values, and of ``keys`` (default: all
+    24, what the tangent pass reads) from it.  ``keys`` must include c,
+    sigma, f and tau, which the step reads from those values; a key's
+    value does not depend on the tuple it is evaluated with, so the
+    switch moves no state.  Last comes (n_steps, x, y, None, None,
+    None), as no step follows.  The yielded rows are valid until the
+    next item is drawn; the states are never written in place.
     """
     em_values = itemgetter(*(keys.index(key) for key in _EM_KEYS))
     x = np.full(n_paths, float(x0))
@@ -484,9 +517,13 @@ def _em_states(
     k = 0
     for w1, w2 in blocks:
         for dw1, dw2 in zip(w1, w2):
-            values = model.evaluate(x, y, keys)
+            if k < keys_from:
+                values, em = None, model.evaluate(x, y, _EM_KEYS)
+            else:
+                values = model.evaluate(x, y, keys)
+                em = em_values(values)
             yield k, x, y, dw1, dw2, values
-            x, y = _em_step(model, x, y, em_values(values), dw1, dw2, k, scales)
+            x, y = _em_step(model, x, y, em, dw1, dw2, k, scales)
             k += 1
     yield k, x, y, None, None, None
 

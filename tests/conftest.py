@@ -3,7 +3,7 @@
 import pytest
 
 import fastslow.sde_engine as sde_engine
-from fastslow.coefficients import get_model
+from fastslow.coefficients import get_model, model_from_expressions
 from fastslow.sde_engine import ScaleRegime, simulate_paths
 
 
@@ -15,6 +15,18 @@ def affine():
 @pytest.fixture(scope="session")
 def bounded():
     return get_model("bounded-coupled")
+
+
+@pytest.fixture(scope="session")
+def trig():
+    """A model whose tau and every partial but d12_f vary with the state."""
+    return model_from_expressions(
+        "trig",
+        "sin(x)*cos(y) - 0.3*x*y",
+        "1 + 0.5*cos(x)*sin(y)",
+        "tanh(x) - y - 0.1*y^3",
+        "sqrt(2) + 0.2*sin(x*y)",
+    )
 
 
 @pytest.fixture(scope="session")

@@ -89,21 +89,11 @@ def test_constant_coefficient_broadcasts(affine):
         assert type(getattr(affine, key)(0.3, -0.2)) is float
 
 
-def _trig_model():
-    return model_from_expressions(
-        "trig",
-        "sin(x)*cos(y) - 0.3*x*y",
-        "1 + 0.5*cos(x)*sin(y)",
-        "tanh(x) - y - 0.1*y^3",
-        "sqrt(2) + 0.2*sin(x*y)",
-    )
-
-
 @pytest.mark.parametrize("name", ["affine-oracle", "bounded-coupled", "trig"])
-def test_evaluate_matches_each_expression(name):
+def test_evaluate_matches_each_expression(name, request):
     """Every fused-kernel value equals its own expression, lambdified
     alone, to 1e-14 relative error."""
-    model = _trig_model() if name == "trig" else get_model(name)
+    model = request.getfixturevalue("trig") if name == "trig" else get_model(name)
     X, Y = np.meshgrid(np.linspace(-1.37, 1.61, 5), np.linspace(-1.23, 1.89, 4))
     x, y = sp.symbols("x y", real=True)
     values = model.evaluate(X, Y, COEFFICIENT_KEYS)
@@ -128,8 +118,9 @@ def test_evaluate_broadcasts_mixed_shapes_and_keeps_constants_scalar(bounded):
         bounded.evaluate(0.3, 0.2, ("c", "d3_c"))
 
 
-#: Every key tuple the library evaluates, and the per-order subsets of
-#: the tangent recursion.
+#: Every key tuple the library evaluates, the per-order subsets of the
+#: tangent recursion, and the tuples of the Q1/Q2 reference recursion in
+#: test_malliavin (the last two).
 _LIBRARY_TUPLES = (
     _EM_KEYS,
     _FIRST_KEYS,
@@ -145,11 +136,11 @@ _LIBRARY_TUPLES = (
 
 
 @pytest.mark.parametrize("name", ["affine-oracle", "bounded-coupled", "trig"])
-def test_every_key_tuple_is_bit_equal_to_each_key_alone(name):
+def test_every_key_tuple_is_bit_equal_to_each_key_alone(name, request):
     """Each value of every key tuple the library evaluates is bit-equal
     to its expression lambdified alone: a key's value does not depend on
     the keys evaluated with it."""
-    model = _trig_model() if name == "trig" else get_model(name)
+    model = request.getfixturevalue("trig") if name == "trig" else get_model(name)
     rng = np.random.default_rng(3)
     X, Y = rng.uniform(-2.5, 2.5, size=(2, 40, 50))
     x, y = sp.symbols("x y", real=True)

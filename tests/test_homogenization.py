@@ -209,3 +209,30 @@ def test_csv_outputs(tmp_path, affine):
     assert len(slines) == 1 + 3
     x, c_bar, q_bar = map(float, slines[1].split(","))
     assert c_bar == pytest.approx(-x, abs=1e-8)
+
+
+@pytest.mark.parametrize("name", ["affine-oracle", "bounded-coupled"])
+def test_limit_ode_scalar_spline_is_bit_identical(name, monkeypatch):
+    """limit_ode evaluates c_bar and c_bar' on scalars without the array
+    call of CubicSpline, and its trajectory is bit for bit the one the
+    spline calls give, on the grid and step the sweeps use.  Each scalar
+    value equals the spline's at its breaks, beside them, between them
+    and outside them."""
+    import fastslow.homogenization as hom_mod
+    from fastslow.metrics import HOM_GRID, LIMIT_ODE_DT
+
+    hom = build_homogenized(get_model(name), *HOM_GRID, 1.0)
+    got = [limit_ode(hom, x0, 1.0, LIMIT_ODE_DT) for x0 in (0.0, 0.4, -2.5)]
+    monkeypatch.setattr(hom_mod, "_scalar_interp", lambda interp: lambda x: float(interp(x)))
+    for x0, traj in zip((0.0, 0.4, -2.5), got):
+        ref = limit_ode(hom, x0, 1.0, LIMIT_ODE_DT)
+        assert np.array_equal(traj.x_bar, ref.x_bar) and np.array_equal(traj.psi, ref.psi)
+    monkeypatch.undo()
+    breaks = hom.x_grid
+    xs = np.concatenate(
+        [breaks, np.nextafter(breaks, -np.inf), np.nextafter(breaks, np.inf),
+         np.linspace(-3.5, 3.5, 2001)]
+    )
+    for interp in (hom._c_bar_spline, hom._c_bar_prime):
+        scalar = hom_mod._scalar_interp(interp)
+        assert np.array_equal([scalar(x) for x in xs], interp(xs))

@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
 import fastslow.malliavin as malliavin_mod
-from fastslow.coefficients import model_from_expressions
+from fastslow.coefficients import COEFFICIENT_KEYS, CoefficientTable, model_from_expressions
 from fastslow.malliavin import (
     BOUND_IDS,
     SecondOrderTangents,
@@ -35,6 +35,7 @@ from fastslow.malliavin import (
     z_process,
 )
 from fastslow.sde_engine import (
+    _EM_KEYS as EM_KEYS,
     PathBundle,
     ScaleRegime,
     StabilityError,
@@ -458,12 +459,13 @@ def test_moment_sweep_affine_structure(affine):
 # -- one tangent recursion, live or over stored rows --------------------
 
 
-def _recorded(model, scales, x0, y0, n_paths, blocks):
+def _recorded(model, scales, x0, y0, n_paths, blocks, keys_from=0):
     """The live Euler-Maruyama states, stored in a bundle and fed back as
     its rows."""
+    states = _em_states(model, scales, x0, y0, n_paths, blocks, keys_from=keys_from)
     rows = [
         (x.copy(), y.copy(), None if w1 is None else (w1.copy(), w2.copy()))
-        for _, x, y, w1, w2, _ in _em_states(model, scales, x0, y0, n_paths, blocks)
+        for _, x, y, w1, w2, _ in states
     ]
     X, Y = (np.array([row[i] for row in rows]) for i in (0, 1))
     dW1, dW2 = (np.array([row[2][i] for row in rows[:-1]]) for i in (0, 1))
@@ -898,6 +900,237 @@ def test_second_order_blow_up_names_the_cell(bounded):
         malliavin_mod._second_step(
             [ones] * 20, d2x, ones, (ones,) * 4, w, w, s, 7, [[0, 1, 5, 2], [1, 1, 5, 2]]
         )
+
+
+# -- the sweep pass does only the work its reports read -----------------
+
+#: The partials of bounded-coupled that are identically zero: tau is the
+#: constant sqrt(2), c and f are sums of a function of x and one of y.
+BOUNDED_ZERO_PARTIALS = frozenset(
+    {"d12_c", "d12_f", "d22_f", "d1_tau", "d2_tau", "d11_tau", "d12_tau", "d22_tau"}
+)
+
+
+def test_second_order_blow_up_names_the_cell_without_zero_terms():
+    """With the identically zero partials of bounded-coupled passed as
+    None, the blow-up still names the step and the cell."""
+    s = _StepScales.of(ScaleRegime(0.05, 0.05, 1.0, 0.15), 0.0025)
+    ones, w = np.ones((2, 3)), np.zeros(3)
+    d2x = ones.copy()
+    d2x[1, 2] = np.inf  # only the second cell blows up
+    p = [None if key in BOUNDED_ZERO_PARTIALS else ones for key in malliavin_mod._PARTIAL_KEYS]
+    match = r"step 8 \(cell \(j1, j2, r1, r2\) = \(1, 1, 5, 2\)\)"
+    with pytest.raises(TangentBlowUpError, match=match), np.errstate(invalid="ignore"):
+        malliavin_mod._second_step(
+            p, d2x, ones, (ones,) * 4, w, w, s, 7, [[0, 1, 5, 2], [1, 1, 5, 2]]
+        )
+
+
+def test_first_order_blow_up_names_the_tangent_without_zero_terms():
+    s = _StepScales.of(ScaleRegime(0.05, 0.05, 1.0, 0.15), 0.0025)
+    ones, w = np.ones((2, 3)), np.ones(3)
+    dx = ones.copy()
+    dx[1, 0] = np.inf
+    d = [ones, ones, ones, ones, ones, ones, None, None]  # no tau partial
+    with pytest.raises(TangentBlowUpError, match=r"step 5 \(channel W2, r-index 3\)"):
+        malliavin_mod._first_step(d, dx, ones.copy(), w, w, s, 4, [(0, 3), (1, 3)])
+
+
+def _unfolded_first_step(d, dx, dy, w1, w2, s, k, tangents):
+    """The first-order step with every term (the reference)."""
+    d1c, d2c, d1s, d2s, d1f, d2f, d1t, d2t = d
+    drift_x = (d1c * dx + d2c * dy) * s.dt
+    noise_x = s.eps_root * (d1s * dx + d2s * dy) * w1
+    drift_y = (d1f * dx + d2f * dy) * (s.dt / s.eta)
+    noise_y = (d1t * dx + d2t * dy) * (w2 / s.eta_root)
+    dx += drift_x
+    dx += noise_x
+    dy += drift_y
+    dy += noise_y
+
+
+def _unfolded_second_step(p, d2x, d2y, factors, w1, w2, s, k, cells):
+    """The second-order step with every term (the reference)."""
+    DX1, DY1, DX2, DY2 = factors
+    cross = DX1 * DY2 + DY1 * DX2
+    both_x = DX1 * DX2
+    both_y = DY1 * DY2
+    (
+        d1c, d2c, d11c, d12c, d22c,
+        d1s, d2s, d11s, d12s, d22s,
+        d1f, d2f, d11f, d12f, d22f,
+        d1t, d2t, d11t, d12t, d22t,
+    ) = p
+    b1c = d11c * both_x + d12c * cross + d22c * both_y + d2c * d2y
+    b1s = d11s * both_x + d12s * cross + d22s * both_y + d2s * d2y
+    b2f = d11f * both_x + d12f * cross + d22f * both_y + d1f * d2x
+    b2t = d11t * both_x + d12t * cross + d22t * both_y + d1t * d2x
+    drift_x = (d1c * d2x + b1c) * s.dt
+    noise_x = s.eps_root * (d1s * d2x + b1s) * w1
+    drift_y = (d2f * d2y + b2f) * (s.dt / s.eta)
+    noise_y = (d2t * d2y + b2t) * (w2 / s.eta_root)
+    d2x += drift_x
+    d2x += noise_x
+    d2y += drift_y
+    d2y += noise_y
+
+
+@pytest.fixture
+def unfolded(monkeypatch):
+    """``unfolded()`` puts the sweep pass in its reference form: every
+    Euler-Maruyama step evaluates all 24 keys, both tangent steps run
+    every term, and the noise comes in 3 blocks from streams kept open."""
+    em_states, noise_blocks = malliavin_mod._em_states, malliavin_mod._noise_blocks
+
+    def all_keys_from_step_0(*args, keys_from):
+        return em_states(*args)
+
+    def three_blocks(seed, path_ids, n_steps, dt, **kwargs):
+        return noise_blocks(seed, path_ids, n_steps, dt, -(-n_steps // 3), **kwargs)
+
+    def apply():
+        monkeypatch.setattr(malliavin_mod, "_em_states", all_keys_from_step_0)
+        monkeypatch.setattr(malliavin_mod, "_noise_blocks", three_blocks)
+        monkeypatch.setattr(malliavin_mod, "_zero_partials", lambda model: frozenset())
+        monkeypatch.setattr(malliavin_mod, "_first_step", _unfolded_first_step)
+        monkeypatch.setattr(malliavin_mod, "_second_step", _unfolded_second_step)
+
+    return apply
+
+
+def _sweeps(model):
+    """The moment sweep and the three decay checks, as reported."""
+    regimes = [ScaleRegime(0.1, 0.1, 1.0, 0.3), ScaleRegime(0.05, 0.05, 1.0, 0.3)]
+    reports = moment_sweep(
+        model, regimes, 1, 30, seed=5, x0=0.4, y0=0.3, pair_sep_etas=2.0, k_hat=1.0,
+    )
+    decays = [
+        decay_check(
+            model, regimes[-1], bound_id, 1, 30, 6,
+            separations_eta=(0.5, 1.0, 2.0), x0=0.4, y0=0.3,
+        )
+        for bound_id in ("d2x_w1w2", "d2x_w2w2", "dw2_y_final")
+    ]
+    return [r.to_dict() for r in reports.values()], [d.to_dict() for d in decays]
+
+
+@pytest.mark.parametrize("fixture", ["bounded", "trig"])
+def test_sweeps_equal_the_unfolded_reference(fixture, request, unfolded):
+    """The moment sweep and all three decay bounds report the same floats
+    as the reference that evaluates all 24 keys from step 0, runs every
+    term of both tangent steps and draws its noise from open streams, on
+    a model with 8 identically zero partials and on one whose tau and
+    all its partials vary (only d12_f is 0)."""
+    model = request.getfixturevalue(fixture)
+    zero = malliavin_mod._zero_partials(model)
+    assert zero == (BOUNDED_ZERO_PARTIALS if fixture == "bounded" else {"d12_f"})
+    fast = _sweeps(model)
+    unfolded()
+    assert _sweeps(model) == fast
+
+
+def test_sweep_pass_evaluates_em_keys_before_the_first_start(bounded, monkeypatch):
+    """Each sweep pass makes one kernel call per step: of the 4 EM keys
+    before its first start (the smallest r of its tangents and cell
+    factors) and of all 24 keys from it, the horizon included."""
+    calls = []
+    evaluate = CoefficientTable.evaluate
+
+    def counting(self, x, y, keys):
+        calls.append(tuple(keys))
+        return evaluate(self, x, y, keys)
+
+    def schedule(first_at, n_steps):
+        return [EM_KEYS] * first_at + [COEFFICIENT_KEYS] * (n_steps - first_at + 1)
+
+    monkeypatch.setattr(CoefficientTable, "evaluate", counting)
+    regimes = [ScaleRegime(0.1, 0.1, 1.0, 0.3), ScaleRegime(0.05, 0.05, 1.0, 0.3)]
+    moment_sweep(bounded, regimes, 1, 5, seed=5, pair_sep_etas=2.0, k_hat=1.0)
+    # Regime 0 (60 steps) holds the cells' factor (W2, 0); regime 1 (120
+    # steps) starts at r_lo = 60 - 40 before the selection's 30.
+    assert calls == schedule(0, 60) + schedule(20, 120)
+    for bound_id, first_at in (("d2x_w1w2", 20), ("d2x_w2w2", 20), ("dw2_y_final", 80)):
+        calls.clear()
+        decay_check(bounded, regimes[-1], bound_id, 1, 5, 6, separations_eta=(0.5, 2.0))
+        assert calls == schedule(first_at, 120), bound_id
+
+
+def test_partial_vanishing_at_some_states_is_kept(monkeypatch, unfolded):
+    """Only a partial whose expression is the constant 0 is left out: on
+    a path started at x = 0, d1_c = sin(x) and d11_f = -0.5 sin(x) are
+    exact zeros at step 0, yet the steps read them as arrays, and the
+    tangents equal the unfolded reference."""
+    model = model_from_expressions("sine", "y - cos(x)", "1", "0.5*sin(x) - y", "sqrt(2)")
+    zero = malliavin_mod._zero_partials(model)
+    assert {"d1_c", "d11_c", "d1_f", "d11_f"}.isdisjoint(zero)
+    assert {"d12_c", "d22_c", "d1_sigma", "d12_f", "d22_f", "d2_tau"} <= zero
+    regime = ScaleRegime(0.05, 0.05, 1.0, 0.15)
+    bundle = simulate_paths(model, regime, 0.0, 0.3, regime.eta / 20, 5, 3)
+    args = (model, regime, bundle.dt, bundle.n_steps, 5)
+    tangents, cells = [(0, 0), (1, 0), (1, 20)], [(0, 1, 0, 0), (1, 1, 20, 0)]
+    read = {}
+    first_step, second_step = malliavin_mod._first_step, malliavin_mod._second_step
+
+    def spy_first(d, *rest):
+        read.setdefault("first", (d[0], rest[5]))
+        return first_step(d, *rest)
+
+    def spy_second(p, *rest):
+        read.setdefault("second", (p[malliavin_mod._PARTIAL_KEYS.index("d11_f")], rest[6]))
+        return second_step(p, *rest)
+
+    monkeypatch.setattr(malliavin_mod, "_first_step", spy_first)
+    monkeypatch.setattr(malliavin_mod, "_second_step", spy_second)
+    got = malliavin_mod._tangent_pass(*args, malliavin_mod._stored_states(bundle), tangents, cells)
+    for name in ("first", "second"):
+        value, k = read[name]
+        assert k == 0 and isinstance(value, np.ndarray) and np.all(value == 0.0), name
+    unfolded()
+    ref = malliavin_mod._tangent_pass(*args, malliavin_mod._stored_states(bundle), tangents, cells)
+    for name in ("final_dx", "final_dy", "sup_abs_dx", "sup_abs_dy"):
+        assert np.array_equal(getattr(got[0], name), getattr(ref[0], name)), name
+    for name in ref[1]:
+        assert np.array_equal(got[1][name], ref[1][name]), name
+
+
+@pytest.mark.parametrize("fixture", ["bounded", "trig"])
+def test_q_decomposition_evaluates_once_per_read_row(fixture, request, monkeypatch):
+    """q_decomposition reads tau at r and the fast partials from the
+    pass's values: one 24-key kernel call per row from r to the horizon,
+    and Q1, Q2 equal, bit for bit, the recursion run on its own kernel
+    calls over the stored first-order series."""
+    model = request.getfixturevalue(fixture)
+    regime = ScaleRegime(0.05, 0.05, 1.0, 0.15)
+    bundle = simulate_paths(model, regime, 0.4, 0.3, regime.eta / 20, 5, 8)
+    n, r, dt, eta_root = bundle.n_steps, 12, bundle.dt, math.sqrt(regime.eta)
+    dxw2 = first_order_tangents(model, bundle, [r]).DX[1, 0]
+    (tau_r,) = model.evaluate(bundle.X[r], bundle.Y[r], ("tau",))
+    q1, q2 = np.zeros((2, n + 1, 5))
+    q1[r] = tau_r / eta_root
+    zm, q2_state = np.ones(5), np.zeros(5)
+    for k in range(r, n):
+        d1f, d2f, d1t, d2t = model.evaluate(
+            bundle.X[k], bundle.Y[k], ("d1_f", "d2_f", "d1_tau", "d2_tau")
+        )
+        a = 1.0 + d2f * (dt / regime.eta) + d2t * (bundle.dW2[k] / eta_root)
+        g = d1f * dxw2[k] * (dt / regime.eta) + d1t * dxw2[k] * (bundle.dW2[k] / eta_root)
+        zm = a * zm
+        q2_state = a * q2_state + g
+        q1[k + 1] = zm * (tau_r / eta_root)
+        q2[k + 1] = q2_state
+
+    calls = []
+    evaluate = CoefficientTable.evaluate
+
+    def counting(self, x, y, keys):
+        calls.append((tuple(keys), np.array(x)))
+        return evaluate(self, x, y, keys)
+
+    monkeypatch.setattr(CoefficientTable, "evaluate", counting)
+    got1, got2 = q_decomposition(model, bundle, r)
+    assert [keys for keys, _ in calls] == [COEFFICIENT_KEYS] * (n - r + 1)
+    assert all(np.array_equal(x, bundle.X[k]) for (_, x), k in zip(calls, range(r, n + 1)))
+    assert np.array_equal(got1, q1) and np.array_equal(got2, q2)
 
 
 #: sha256 of the sweep reports and the recorder finals on a polynomial

@@ -168,6 +168,33 @@ def test_noise_blocks_join_stream_groups(block, monkeypatch):
         assert np.array_equal(dW2[:, j], ref2[:, j]), j
 
 
+@pytest.mark.parametrize("block", [24, 5])
+def test_single_block_rekeys_one_generator_per_channel(block, monkeypatch):
+    """A draw that fits in one block builds one Philox per channel and
+    re-keys it for each stream; a draw over several blocks opens one
+    generator per stream and keeps it.  Both give, column for column,
+    the numbers of the SeedSequence stream of each (path, channel)."""
+    ids, n_steps, dt = [9, 0, 4, 2**32 - 1, 7], 24, 1e-3
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(sde_engine.np.random, "Philox", counting)
+    rows1, rows2 = [], []
+    for w1, w2 in sde_engine._noise_blocks((8, 2), ids, n_steps, dt, block):
+        rows1.append(w1.copy())  # the yielded blocks are reused
+        rows2.append(w2.copy())
+    assert len(built) == (2 if block >= n_steps else 2 * len(ids))
+    monkeypatch.undo()
+    for dw, channel in ((np.concatenate(rows1), CHANNEL_W1), (np.concatenate(rows2), CHANNEL_W2)):
+        for j, pid in enumerate(ids):
+            ref = _seed_sequence_stream((8, 2), (PURPOSE_PATHS, 0, pid, channel))
+            assert np.array_equal(dw[:, j], ref.normal(0.0, math.sqrt(dt), n_steps)), (channel, j)
+
+
 def test_noise_without_private_maps(monkeypatch):
     """Where mmap has no private anonymous maps, the block buffers are
     numpy arrays and the noise is the same."""
