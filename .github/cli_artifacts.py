@@ -1,0 +1,99 @@
+"""Compare the CLI data artifacts of two source trees byte for byte.
+
+    python .github/cli_artifacts.py BASE_TREE HEAD_TREE
+
+Runs a small config of each of five commands (``check-assumptions``,
+``homogenize``, ``clt-verify``, ``malliavin-sweep``, ``rate-sweep``)
+once with ``BASE_TREE/src`` and once with ``HEAD_TREE/src`` on the
+import path, each run in an empty directory so that it writes into the
+default ``fastslow-out``.  Every artifact except ``run_manifest.json``
+(it records the wall time) is compared, and a Markdown table with the
+exit codes and "same" or "moved" per artifact goes to stdout.  The
+configs leave the assumption grid, the bootstrap count and the decay
+separations at their defaults, so the defaults are compared too.  The
+script reports and does not gate: it exits 0 whatever it finds.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+REGIME = {"epsilon": 0.05, "eta": 0.05, "gamma": 1.0, "T": 0.5}
+
+CONFIGS = {
+    "check-assumptions": {"model": "bounded-coupled", "analysis": {"p": [1, 2]}},
+    "homogenize": {
+        "model": "bounded-coupled",
+        "regime": REGIME,
+        "grid": {"x_range": [-2.0, 2.0], "nx": 9, "ny": 1024},
+    },
+    "clt-verify": {
+        "model": "bounded-coupled",
+        "regime": REGIME,
+        "grid": {"n_paths": 400, "nx": 17, "ny": 2048},
+        "io": {"master_seed": 3},
+    },
+    "malliavin-sweep": {
+        "model": "bounded-coupled",
+        "sweep": {"epsilons": [0.1, 0.05], "gamma": 1.0, "T": 1.0},
+        "grid": {"n_paths": 100},
+        "analysis": {"p": [1]},
+        "io": {"master_seed": 4},
+    },
+    "rate-sweep": {
+        "model": "affine-oracle",
+        "sweep": {"epsilons": [0.16, 0.08, 0.04], "gamma": 1.0, "T": 0.3},
+        "grid": {"n_paths": 200, "nx": 17, "ny": 2048},
+        "io": {"master_seed": 6},
+    },
+}
+
+
+def run(tree: str, command: str, workdir: str) -> tuple[int, dict[str, bytes]]:
+    """Exit code and data artifacts of ``command`` run from ``tree``."""
+    os.makedirs(workdir)
+    config = os.path.join(workdir, "config.json")
+    with open(config, "w", encoding="utf-8") as fh:
+        json.dump(CONFIGS[command], fh)
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    code = subprocess.run(
+        [sys.executable, "-m", "fastslow.cli", command, "--config", config],
+        cwd=workdir,
+        env=env,
+    ).returncode
+    out = os.path.join(workdir, "fastslow-out")
+    artifacts = {}
+    if os.path.isdir(out):
+        for name in sorted(os.listdir(out)):
+            if name != "run_manifest.json":
+                with open(os.path.join(out, name), "rb") as fh:
+                    artifacts[name] = fh.read()
+    return code, artifacts
+
+
+def main(base: str, head: str) -> None:
+    print("| command | exit base / head | artifact | |")
+    print("|---|---|---|---|")
+    with tempfile.TemporaryDirectory() as scratch:
+        for command in CONFIGS:
+            base_code, base_out = run(base, command, os.path.join(scratch, "base", command))
+            head_code, head_out = run(head, command, os.path.join(scratch, "head", command))
+            codes = f"{base_code} / {head_code}"
+            for name in sorted(set(base_out) | set(head_out)):
+                if name not in base_out or name not in head_out:
+                    mark = "**only in " + ("head**" if name in head_out else "base**")
+                else:
+                    mark = "same" if base_out[name] == head_out[name] else "**moved**"
+                print(f"| {command} | {codes} | `{name}` | {mark} |")
+            if not base_out and not head_out:
+                print(f"| {command} | {codes} | none written | |")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    main(sys.argv[1], sys.argv[2])

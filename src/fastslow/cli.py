@@ -36,6 +36,7 @@ import scipy
 
 import fastslow
 from fastslow.coefficients import (
+    ASSUMPTION_GRID,
     CoefficientSet,
     check_assumptions,
     get_model,
@@ -47,9 +48,15 @@ from fastslow.homogenization import (
     write_detail_csv,
     write_summary_csv,
 )
-from fastslow.malliavin import check_decay_settings, decay_check, moment_sweep
+from fastslow.malliavin import (
+    DECAY_SEPARATIONS,
+    check_decay_settings,
+    decay_check,
+    moment_sweep,
+)
 from fastslow.metrics import (
     HOM_GRID,
+    N_BOOTSTRAP,
     clt_verify,
     rate_sweep,
     theoretical_bound,
@@ -195,9 +202,11 @@ class ExperimentConfig:
         zeta = self.analysis.get("zeta")
         if zeta is not None and not 0.0 < _number("analysis.zeta", zeta) < 0.5:
             raise ConfigError(f"analysis.zeta must lie in (0, 1/2) (got {zeta})")
-        orders = self.analysis.get("p", [])
+        orders = self.analysis.get("p", [1])
         if not isinstance(orders, (list, tuple)):
             raise ConfigError(f"analysis.p must be a list of moment orders (got {orders!r})")
+        if not orders:
+            raise ConfigError("analysis.p must not be empty")
         for p in orders:
             if isinstance(p, bool) or p not in (1, 2):
                 raise ConfigError(
@@ -234,13 +243,17 @@ class ExperimentConfig:
             for e in self.sweep["epsilons"]
         ]
 
+    def moment_orders(self) -> list[int]:
+        """``analysis.p``, default [1]."""
+        return [int(p) for p in self.analysis.get("p", [1])]
+
     def decay_settings(
         self, regime: ScaleRegime | None = None
     ) -> tuple[list[float], list[str]]:
         """``analysis.decay_separations`` and ``analysis.decay_bounds`` (or
         their defaults), checked as :func:`decay_check` checks them, at
         ``regime`` when one is given (ConfigError otherwise)."""
-        seps = self.analysis.get("decay_separations", (1.0, 3.0, 10.0))
+        seps = self.analysis.get("decay_separations", DECAY_SEPARATIONS)
         bounds = list(self.analysis.get("decay_bounds", ("d2x_w1w2", "d2x_w2w2")))
         where = "" if regime is None else f" at eps={regime.epsilon:g}"
         try:
@@ -272,16 +285,11 @@ def _norm_dict(value):
 
 
 def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+    def write(tmp: str) -> None:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+
+    _atomic_file(write, path)
 
 
 def _write_json(path: str, payload) -> None:
@@ -335,14 +343,15 @@ def _write_manifest(out_dir, command, config, seed, t0, exit_code) -> None:
 
 def cmd_check_assumptions(config: ExperimentConfig, out_dir, seed) -> int:
     model = config.coefficient_set()
-    x_range = tuple(config.grid.get("x_range", (-6.0, 6.0)))
+    box, nodes = ASSUMPTION_GRID
+    x_range = tuple(config.grid.get("x_range", box))
     y_range = tuple(config.grid.get("y_range", x_range))
-    nx = int(config.grid.get("nx", 201))
-    ny = int(config.grid.get("ny", 201))
+    nx = int(config.grid.get("nx", nodes))
+    ny = int(config.grid.get("ny", nodes))
     all_pass = True
-    for p in config.analysis.get("p", [1]):
-        report = check_assumptions(model, x_range, y_range, nx, ny, int(p))
-        _write_json(os.path.join(out_dir, f"assumptions_p{int(p)}.json"), report.to_dict())
+    for p in config.moment_orders():
+        report = check_assumptions(model, x_range, y_range, nx, ny, p)
+        _write_json(os.path.join(out_dir, f"assumptions_p{p}.json"), report.to_dict())
         all_pass = all_pass and report.passes
     return EXIT_PASS if all_pass else EXIT_ASSERTION
 
@@ -416,7 +425,7 @@ def cmd_clt_verify(config: ExperimentConfig, out_dir, seed) -> int:
         n_paths=int(grid.get("n_paths", 10_000)),
         checkpoints=grid.get("checkpoints"),
         seed=seed,
-        n_boot=int(config.analysis.get("bootstrap", 400)),
+        n_boot=int(config.analysis.get("bootstrap", N_BOOTSTRAP)),
         hom=hom,
     )
     payload = {
@@ -459,10 +468,10 @@ def cmd_malliavin_sweep(config: ExperimentConfig, out_dir, seed) -> int:
     separations, decay_bounds = config.decay_settings(regimes[-1])
     any_warn = False
     all_pass = True
-    for p in config.analysis.get("p", [1]):
-        reports = moment_sweep(model, regimes, int(p), n_paths, seed=seed)
+    for p in config.moment_orders():
+        reports = moment_sweep(model, regimes, p, n_paths, seed=seed)
         _write_json(
-            os.path.join(out_dir, f"moments_p{int(p)}.json"),
+            os.path.join(out_dir, f"moments_p{p}.json"),
             {bid: rep.to_dict() for bid, rep in reports.items()},
         )
         all_pass = all_pass and all(rep.passes for rep in reports.values())
@@ -475,7 +484,7 @@ def cmd_malliavin_sweep(config: ExperimentConfig, out_dir, seed) -> int:
                 model,
                 finest,
                 bid,
-                int(config.analysis.get("p", [1])[0]),
+                config.moment_orders()[0],
                 n_paths,
                 seed,
                 separations_eta=separations,
@@ -505,7 +514,7 @@ def cmd_rate_sweep(config: ExperimentConfig, out_dir, seed) -> int:
             "y0": grid.get("y0", 0.0),
             "n_paths": grid.get("n_paths", 10_000),
             "dt_eta_fraction": grid.get("dt_eta_fraction", STABILITY_FRACTION),
-            "n_boot": int(config.analysis.get("bootstrap", 400)),
+            "n_boot": int(config.analysis.get("bootstrap", N_BOOTSTRAP)),
             "hom": hom,
         },
         gamma=gamma,

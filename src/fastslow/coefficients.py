@@ -62,10 +62,18 @@ __all__ = [
     "check_assumptions",
     "validate_partials",
     "TAU_MIN",
+    "ASSUMPTION_GRID",
 ]
 
 #: Nondegeneracy floor for the fast diffusion: |tau| below this raises.
 TAU_MIN = 1e-6
+
+#: Default grid of :func:`check_assumptions` in the moment sweep and the
+#: CLI: (lo, hi) of the box on each axis, and nodes per axis.
+ASSUMPTION_GRID = ((-6.0, 6.0), 201)
+
+#: Central-difference step of :func:`validate_partials`.
+_FD_STEP = 1e-4
 
 _FUNC_NAMES = ("c", "sigma", "f", "tau")
 _PARTIAL_PREFIXES = ("d1_", "d2_", "d11_", "d12_", "d22_")
@@ -536,11 +544,7 @@ def check_assumptions(
     )
 
 
-def validate_partials(
-    model: CoefficientSet,
-    sample_points,
-    h: float = 1e-4,
-) -> float:
+def validate_partials(model: CoefficientSet, sample_points) -> float:
     """Cross-check every supplied partial against a central difference.
 
     First partials are differenced from the parent function; second
@@ -549,8 +553,7 @@ def validate_partials(
 
         |supplied - finite difference| / (1 + |supplied|).
     """
-    if h <= 0:
-        raise ValueError(f"step h must be positive (got {h})")
+    h = _FD_STEP
     worst = 0.0
     pairs = []
     for g in _FUNC_NAMES:

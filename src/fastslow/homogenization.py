@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import warnings
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -78,6 +78,10 @@ WINDOW_TARGET = 1e-10
 DENSITY_FLOOR = 1e-300
 #: Interior of a row = density above this fraction of the row peak.
 INTERIOR_FRACTION = 1e-6
+#: y-range scanned for the stationary point of f(x, .).
+Y_SCAN_RANGE = (-60.0, 60.0)
+#: Initial half-width of a y-window, in Laplace standard deviations.
+WINDOW_HALF_WIDTH_SIGMAS = 8.0
 
 
 class TruncationError(ValueError):
@@ -102,15 +106,13 @@ class BoundaryQualityWarning(UserWarning):
 
 @dataclass(frozen=True)
 class LimitTrajectory:
-    """Limit ODE orbit Xbar, its linearization Psi, and the variance profile.
+    """Limit ODE orbit Xbar on its time grid, and the variance profile.
 
-    ``psi`` solves dPsi = c_bar'(Xbar) Psi dt with Psi(0) = x0; ``sigma2``
-    is filled by :func:`attach_variance` (None until then).
+    ``sigma2`` is filled by :func:`attach_variance` (None until then).
     """
 
     t_grid: np.ndarray
     x_bar: np.ndarray
-    psi: np.ndarray
     sigma2: np.ndarray | None = None
 
 
@@ -122,7 +124,9 @@ class HomogenizedModel:
     row i lives on the per-x window ``y_grid[i]``.  ``c_bar`` and
     ``q_bar`` are per-x arrays.  ``model_name`` and ``model_expressions``
     identify the model the tables were built for.  Instances are
-    immutable; evaluation methods are pure and thread-safe.
+    immutable; evaluation methods are pure and thread-safe.  Only the
+    c_bar and q_bar splines are fitted at construction; :meth:`phi_at`
+    and :meth:`dy_phi_at` fit the row splines they read on each call.
     """
 
     x_grid: np.ndarray
@@ -134,14 +138,11 @@ class HomogenizedModel:
     q_bar: np.ndarray
     gamma: float
     model_name: str
-    interpolation: str = "cubic-x/cubic-y"
     warnings: tuple[str, ...] = ()
     model_expressions: Mapping[str, str] | None = None
     _c_bar_spline: CubicSpline = field(init=False, repr=False, compare=False)
     _c_bar_prime: CubicSpline = field(init=False, repr=False, compare=False)
     _q_bar_spline: CubicSpline = field(init=False, repr=False, compare=False)
-    _phi_rows: tuple = field(init=False, repr=False, compare=False)
-    _dy_phi_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.x_grid) >= 4:
@@ -156,16 +157,6 @@ class HomogenizedModel:
         object.__setattr__(self, "_c_bar_spline", cb)
         object.__setattr__(self, "_c_bar_prime", prime)
         object.__setattr__(self, "_q_bar_spline", qb)
-        phi_rows = tuple(
-            CubicSpline(self.y_grid[i], self.phi[i], bc_type="natural")
-            for i in range(len(self.x_grid))
-        )
-        dy_rows = tuple(
-            CubicSpline(self.y_grid[i], self.dy_phi[i], bc_type="natural")
-            for i in range(len(self.x_grid))
-        )
-        object.__setattr__(self, "_phi_rows", phi_rows)
-        object.__setattr__(self, "_dy_phi_rows", dy_rows)
 
     # -- evaluation ----------------------------------------------------
     def c_bar_at(self, x):
@@ -173,19 +164,21 @@ class HomogenizedModel:
         return self._c_bar_spline(x)
 
     def c_bar_prime_at(self, x):
-        """Derivative of the averaged drift (drives the linearization)."""
+        """Derivative of the averaged drift (drives the variance profile)."""
         return self._c_bar_prime(x)
 
     def q_bar_at(self, x):
         """Averaged effective diffusion q_bar(x)."""
         return self._q_bar_spline(x)
 
-    def _rows_at(self, rows, x, y):
+    def _rows_at(self, table, x, y):
         x = float(x)
         vals = np.array(
             [
-                rows[i](np.clip(y, self.y_grid[i][0], self.y_grid[i][-1]))
-                for i in range(len(self.x_grid))
+                CubicSpline(y_row, row, bc_type="natural")(
+                    np.clip(y, y_row[0], y_row[-1])
+                )
+                for y_row, row in zip(self.y_grid, table)
             ]
         )
         if len(self.x_grid) >= 4:
@@ -194,14 +187,11 @@ class HomogenizedModel:
 
     def phi_at(self, x, y):
         """Corrector phi(x, y) (y clamped to the row windows)."""
-        return self._rows_at(self._phi_rows, x, y)
+        return self._rows_at(self.phi, x, y)
 
     def dy_phi_at(self, x, y):
         """Corrector derivative d_y phi(x, y)."""
-        return self._rows_at(self._dy_phi_rows, x, y)
-
-    def y_window(self, i: int) -> tuple[float, float]:
-        return float(self.y_grid[i][0]), float(self.y_grid[i][-1])
+        return self._rows_at(self.dy_phi, x, y)
 
 
 def _poly_interp(xs, vals):
@@ -239,32 +229,29 @@ def _scalar_interp(interp):
     return at
 
 
-def default_y_window(
-    model: CoefficientSet,
-    x: float,
-    half_width_sigmas: float = 8.0,
-    scan_range: tuple[float, float] = (-60.0, 60.0),
-) -> tuple[float, float]:
+def default_y_window(model: CoefficientSet, x: float) -> tuple[float, float]:
     """Choose a y-window centred on the stationary mode.
 
-    The mode solves f(x, y*) = 0 (located by scan + bisection); the
-    width scale is the Laplace estimate s = sqrt(-tau^2 / (2 d2_f)) at
-    the mode.  The window [y* - k s, y* + k s] is widened by 1.5x until
-    the unnormalized density at both ends falls below ``WINDOW_TARGET``
-    of the peak.
+    The mode solves f(x, y*) = 0 (scan of ``Y_SCAN_RANGE``, then
+    bisection); the width scale is the Laplace estimate
+    s = sqrt(-tau^2 / (2 d2_f)) at the mode.  The window [y* - k s,
+    y* + k s], k = ``WINDOW_HALF_WIDTH_SIGMAS``, is widened by 1.5x
+    until the unnormalized density at both ends falls below
+    ``WINDOW_TARGET`` of the peak.
     """
-    ys = np.linspace(scan_range[0], scan_range[1], 4097)
+    lo, hi = Y_SCAN_RANGE
+    ys = np.linspace(lo, hi, 4097)
     fv = model.f(np.full_like(ys, x), ys)
     sign = np.sign(fv)
     flips = np.nonzero(np.diff(sign) != 0)[0]
     if len(flips) == 0:
         raise TruncationError(
-            f"no stationary point of f({x}, .) in {scan_range}; "
-            "widen scan_range"
+            f"no stationary point of f({x}, .) in the scanned range "
+            f"{Y_SCAN_RANGE}"
         )
     # Use the sign change closest to the window centre; dissipative f
     # crosses downward there.
-    mid = 0.5 * (scan_range[0] + scan_range[1])
+    mid = 0.5 * (lo + hi)
     k = flips[np.argmin(np.abs(ys[flips] - mid))]
     y_star = brentq(lambda u: float(model.f(x, u)), ys[k], ys[k + 1], xtol=1e-12)
     d2f = float(model.d2_f(x, y_star))
@@ -274,7 +261,7 @@ def default_y_window(
             f"stationary point y*={y_star:.4g} of f({x}, .) is not attracting"
         )
     s = np.sqrt(-tau2 / (2.0 * d2f))
-    half = half_width_sigmas * s
+    half = WINDOW_HALF_WIDTH_SIGMAS * s
     for _ in range(9):
         window = (y_star - half, y_star + half)
         dens = _raw_density(model, x, np.linspace(*window, 513))
@@ -515,10 +502,9 @@ def _corrector_failure(
 def limit_ode(
     hom: HomogenizedModel, x0: float, T: float, dt: float
 ) -> LimitTrajectory:
-    """Integrate the coupled (Xbar, Psi) system with classical RK4.
+    """Integrate dXbar = c_bar(Xbar) dt with classical RK4 on Python floats.
 
-    dXbar = c_bar(Xbar) dt,  dPsi = c_bar'(Xbar) Psi dt,  Psi(0) = x0.
-
+    c_bar is evaluated on scalars, bit-equal to the spline's array call.
     Raises :class:`DomainEscapeError` if the orbit leaves the tabulated
     x-range (reporting the exit time).
     """
@@ -533,30 +519,22 @@ def limit_ode(
     h = T / n
     t = np.linspace(0.0, T, n + 1)
     xb = np.empty(n + 1)
-    ps = np.empty(n + 1)
-    xb[0], ps[0] = x0, x0
-
+    xb[0] = x0
     c_bar = _scalar_interp(hom._c_bar_spline)
-    c_bar_prime = _scalar_interp(hom._c_bar_prime)
-
-    def rhs(state):
-        x, p = state
-        return np.array([c_bar(x), c_bar_prime(x) * p])
-
-    state = np.array([x0, x0], dtype=float)
+    x = float(x0)
     for k in range(n):
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * h * k1)
-        k3 = rhs(state + 0.5 * h * k2)
-        k4 = rhs(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not lo <= state[0] <= hi:
+        k1 = c_bar(x)
+        k2 = c_bar(x + 0.5 * h * k1)
+        k3 = c_bar(x + 0.5 * h * k2)
+        k4 = c_bar(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not lo <= x <= hi:
             raise DomainEscapeError(
                 f"limit orbit left [{lo}, {hi}] at t={t[k + 1]:.6g}",
                 float(t[k + 1]),
             )
-        xb[k + 1], ps[k + 1] = state
-    return LimitTrajectory(t_grid=t, x_bar=xb, psi=ps)
+        xb[k + 1] = x
+    return LimitTrajectory(t_grid=t, x_bar=xb)
 
 
 def _variance_profile(hom: HomogenizedModel, traj: LimitTrajectory) -> np.ndarray:
@@ -582,12 +560,7 @@ def _variance_profile(hom: HomogenizedModel, traj: LimitTrajectory) -> np.ndarra
 
 def attach_variance(hom: HomogenizedModel, traj: LimitTrajectory) -> LimitTrajectory:
     """Return a copy of ``traj`` with the sigma2 profile filled in."""
-    return LimitTrajectory(
-        t_grid=traj.t_grid,
-        x_bar=traj.x_bar,
-        psi=traj.psi,
-        sigma2=_variance_profile(hom, traj),
-    )
+    return replace(traj, sigma2=_variance_profile(hom, traj))
 
 
 def limit_variance(hom: HomogenizedModel, traj: LimitTrajectory, t: float) -> float:

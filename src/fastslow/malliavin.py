@@ -72,7 +72,12 @@ from typing import Sequence
 
 import numpy as np
 
-from fastslow.coefficients import COEFFICIENT_KEYS, CoefficientSet, check_assumptions
+from fastslow.coefficients import (
+    ASSUMPTION_GRID,
+    COEFFICIENT_KEYS,
+    CoefficientSet,
+    check_assumptions,
+)
 from fastslow.sde_engine import (
     PURPOSE_DECAY_CHECK,
     PURPOSE_MOMENT_SWEEP,
@@ -113,6 +118,7 @@ __all__ = [
     "check_decay_settings",
     "full_pair_grid",
     "default_r_grid",
+    "DECAY_SEPARATIONS",
 ]
 
 #: Moment-suite bound identifiers (see :func:`moment_sweep`).
@@ -126,6 +132,14 @@ BOUND_IDS = (
 )
 #: The second-order bounds at a separated pair (r1, r2).
 _MIXED_BOUNDS = ("d2x_w1w2", "d2x_w2w2")
+#: Default separations of :func:`decay_check`, in units of eta.
+DECAY_SEPARATIONS = (1.0, 3.0, 10.0)
+#: :func:`quadruple_quadrature` stops at this relative change or beyond
+#: this many panels per axis; :func:`quadruple_integral_check` runs it
+#: up to k = ``_QUADRATURE_MAX_K``.
+_QUADRATURE_REL_TOL = 1e-6
+_QUADRATURE_MAX_PANELS = 512
+_QUADRATURE_MAX_K = 6.0
 
 #: Every channel pair (j1, j2), 0 = W1 and 1 = W2, in row-major order.
 _ALL_COMBOS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -272,14 +286,13 @@ def _step_indices(values) -> np.ndarray:
     return flat.astype(int)
 
 
-def _r_grid(n_steps: int, r_indices: Sequence[int], pairs=()) -> np.ndarray:
-    """Sorted distinct perturbation steps of ``r_indices`` and ``pairs``.
+def _r_grid(n_steps: int, r_indices: Sequence[int]) -> np.ndarray:
+    """Sorted distinct perturbation steps of ``r_indices``.
 
     Raises ValueError when there is none, or naming the first step that
     is not an integer or lies outside [0, n_steps].
     """
-    steps = [_step_indices(v) for v in (r_indices, pairs)]
-    r_idx = np.unique(np.concatenate(steps))
+    r_idx = np.unique(_step_indices(r_indices))
     if len(r_idx) == 0:
         raise ValueError("need at least one perturbation index")
     outside = r_idx[(r_idx < 0) | (r_idx > n_steps)]
@@ -996,7 +1009,6 @@ def moment_sweep(
     dt: float | None = None,
     pair_sep_etas: float = 3.0,
     k_hat: float | None = None,
-    assumption_box: tuple[float, float] = (-6.0, 6.0),
 ) -> dict[str, MomentReport]:
     """Monte Carlo moment suite for the six tangent bounds.
 
@@ -1016,8 +1028,10 @@ def moment_sweep(
 
     The envelope constant ``C_fit`` is anchored at the first regime; a
     Monte Carlo standard error above 30% of the mean attaches an
-    under-sampled warning (never a failure).  ``dt`` defaults to eta/20
-    per regime; a larger step raises
+    under-sampled warning (never a failure).  ``k_hat`` defaults to the
+    ``K_hat`` of :func:`~fastslow.coefficients.check_assumptions` on
+    ``ASSUMPTION_GRID`` (ValueError when it fails).  ``dt`` defaults to
+    eta/20 per regime; a larger step raises
     :class:`~fastslow.sde_engine.StabilityError` before any work, as do
     an empty ``r_selection``, a fraction outside [0, 1] and a negative
     or non-finite ``pair_sep_etas`` (ValueError naming the value).
@@ -1052,9 +1066,8 @@ def moment_sweep(
     for step, regime in zip(steps, regimes):
         _check_stability(step, regime.eta)
     if k_hat is None:
-        rep = check_assumptions(
-            model, assumption_box, assumption_box, 201, 201, p
-        )
+        box, nodes = ASSUMPTION_GRID
+        rep = check_assumptions(model, box, box, nodes, nodes, p)
         if not rep.passes:
             raise ValueError(
                 f"model {model.name!r} fails the dissipativity margin at "
@@ -1143,15 +1156,14 @@ def moment_sweep(
 def _decay_steps(
     regime: ScaleRegime,
     bound_id: str,
-    separations_eta: Sequence[float],
+    seps: Sequence[float],
     dt: float | None = None,
 ) -> tuple[int, float, int, list[int]]:
-    """(n_steps, dt_eff, r_top, r_list) of :func:`decay_check`: r_top is
-    the step of r1 = T/2 or of the horizon, r_list those of the
-    separations before it.  ValueError names a bound without separation
-    structure and an empty list or a separation that is negative,
-    non-finite or reaches before t = 0."""
-    seps = check_decay_settings([bound_id], separations_eta)
+    """(n_steps, dt_eff, r_top, r_list) of :func:`decay_check` for the
+    separations ``seps`` that :func:`check_decay_settings` returned:
+    r_top is the step of r1 = T/2 or of the horizon, r_list those of
+    the separations before it.  ValueError names a separation that
+    reaches before t = 0."""
     step = dt if dt is not None else regime.eta / 20.0
     _check_stability(step, regime.eta)
     n_steps, dt_eff = time_grid(regime.T, step)
@@ -1193,7 +1205,7 @@ def decay_check(
     p: int,
     n_paths: int,
     seed,
-    separations_eta: Sequence[float] = (1.0, 3.0, 10.0),
+    separations_eta: Sequence[float] = DECAY_SEPARATIONS,
     x0: float = 0.0,
     y0: float = 0.0,
     dt: float | None = None,
@@ -1203,7 +1215,8 @@ def decay_check(
     For ``d2x_w1w2`` / ``d2x_w2w2``: E|D2_{r1,r2} X_T|^{2p} with
     r1 = T/2 and r2 = r1 - sep;  for ``dw2_y_final``:
     E|D_r^{W2} Y_T|^{2p} with r = T - sep.  Separations are given in
-    units of eta and checked by :func:`_decay_steps` before any work.
+    units of eta and checked by :func:`check_decay_settings` and
+    :func:`_decay_steps` before any work.
     All separations share the same simulated paths, so the comparison
     is low-noise; monotone_within_noise allows each consecutive increase
     up to twice the summed standard errors.  ``dt`` defaults to eta/20;
@@ -1217,8 +1230,8 @@ def decay_check(
     decay check, 0, j, channel), which no moment sweep point shares.
     """
     _require_positive(n_paths=n_paths)
-    n_steps, dt_eff, r_top, r_list = _decay_steps(regime, bound_id, separations_eta, dt)
-    seps = [float(s) for s in separations_eta]
+    seps = check_decay_settings([bound_id], separations_eta)
+    n_steps, dt_eff, r_top, r_list = _decay_steps(regime, bound_id, seps, dt)
     if bound_id == "dw2_y_final":
         tangents = [(1, r) for r in r_list]
         cells = None
@@ -1313,25 +1326,23 @@ def quadruple_brute_force(k: float, T: float, n: int = 40) -> float:
     return _pairwise_value(pts, wts, k)
 
 
-def quadruple_quadrature(
-    k: float, T: float, rel_tol: float = 1e-6, max_panels: int = 512
-) -> tuple[float, bool]:
+def quadruple_quadrature(k: float, T: float) -> tuple[float, bool]:
     """Adaptive 4-D quadrature by panel-doubling Gauss-Legendre.
 
     Composite 8-point Gauss-Legendre panels per axis, refined by
-    doubling until the relative change drops below ``rel_tol``.
-    Returns (value, converged).
+    doubling until the relative change drops below ``_QUADRATURE_REL_TOL``
+    (at most ``_QUADRATURE_MAX_PANELS``).  Returns (value, converged).
     """
     xg, wg = np.polynomial.legendre.leggauss(8)
     prev = None
     n = 8
-    while n <= max_panels:
+    while n <= _QUADRATURE_MAX_PANELS:
         edges = np.linspace(0.0, T, n + 1)
         h = np.diff(edges)
         pts = (edges[:-1, None] + h[:, None] * (xg[None, :] + 1.0) / 2.0).ravel()
         wts = (h[:, None] * wg[None, :] / 2.0).ravel()
         val = _pairwise_value(pts, wts, k)
-        if prev is not None and abs(val - prev) <= rel_tol * abs(val):
+        if prev is not None and abs(val - prev) <= _QUADRATURE_REL_TOL * abs(val):
             return val, True
         prev = val
         n *= 2
@@ -1349,19 +1360,17 @@ def quadruple_fit_constant(T: float, k_ref: float = 10.0) -> float:
     return quadruple_analytic(k_ref, T) / shape
 
 
-def quadruple_integral_check(
-    k: float, T: float = 1.0, small_k_threshold: float = 6.0
-) -> QuadrupleIntegralReport:
+def quadruple_integral_check(k: float, T: float = 1.0) -> QuadrupleIntegralReport:
     """Evaluate the quadruple decay integral and its fitted envelope.
 
-    The analytic closed form is always computed; for k below
-    ``small_k_threshold`` an independent adaptive quadrature runs as a
+    The analytic closed form is always computed; for k up to
+    ``_QUADRATURE_MAX_K`` an independent adaptive quadrature runs as a
     cross-check (skipped at large k where the closed form's leading
     terms dominate and the quadrature would need very fine panels).
     Nonconvergent quadrature falls back to analytic-only with a flag.
     """
     analytic = quadruple_analytic(k, T)
-    if k <= small_k_threshold:
+    if k <= _QUADRATURE_MAX_K:
         quad, ok = quadruple_quadrature(k, T)
         flag = "ok" if ok else "not-converged"
         if not ok:

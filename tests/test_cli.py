@@ -314,6 +314,27 @@ def test_main_analysis_p_must_be_a_list_of_orders(tmp_path, capsys, p, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["malliavin-sweep", "check-assumptions"])
+def test_main_empty_analysis_p_is_a_usage_error(tmp_path, capsys, command):
+    """An empty analysis.p is rejected when the config is parsed (exit 64,
+    nothing written) instead of indexing the first order in malliavin-sweep
+    or writing no data artifact in check-assumptions."""
+    out = tmp_path / "out"
+    cfg = _write_config(
+        tmp_path,
+        {
+            "model": "affine-oracle",
+            "sweep": {"epsilons": [0.2, 0.1], "T": 1.0},
+            "grid": {"n_paths": 10},
+            "analysis": {"p": [], "decay_separations": [1.0]},
+            "io": {"output_dir": str(out)},
+        },
+    )
+    assert main([command, "--config", cfg]) == EXIT_USAGE
+    assert "analysis.p must not be empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_main_unknown_model_is_an_assertion_failure(tmp_path):
     out = tmp_path / "out"
     cfg = _write_config(
