@@ -10,8 +10,11 @@ default ``fastslow-out``.  Every artifact except ``run_manifest.json``
 (it records the wall time) is compared, and a Markdown table with the
 exit codes and "same" or "moved" per artifact goes to stdout.  The
 configs leave the assumption grid, the bootstrap count and the decay
-separations at their defaults, so the defaults are compared too.  The
-script reports and does not gate: it exits 0 whatever it finds.
+separations at their defaults, so the defaults are compared too.  Every
+config but ``rate-sweep grouped`` draws its noise in one 32 MiB block;
+that one's finest point simulates 6000 paths of 500 steps, which
+``simulate_paths`` runs as two path groups.  The script reports and does not gate: it
+exits 0 whatever it finds.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import tempfile
 
 REGIME = {"epsilon": 0.05, "eta": 0.05, "gamma": 1.0, "T": 0.5}
 
+#: Config per run name; a run name is its command, or the command and a tag.
 CONFIGS = {
     "check-assumptions": {"model": "bounded-coupled", "analysis": {"p": [1, 2]}},
     "homogenize": {
@@ -50,16 +54,23 @@ CONFIGS = {
         "grid": {"n_paths": 200, "nx": 17, "ny": 2048},
         "io": {"master_seed": 6},
     },
+    "rate-sweep grouped": {
+        "model": "affine-oracle",
+        "sweep": {"epsilons": [0.08, 0.04, 0.02], "gamma": 1.0, "T": 0.5},
+        "grid": {"n_paths": 6000, "nx": 17, "ny": 2048},
+        "io": {"master_seed": 7},
+    },
 }
 
 
-def run(tree: str, command: str, workdir: str) -> tuple[int, dict[str, bytes]]:
-    """Exit code and data artifacts of ``command`` run from ``tree``."""
+def run(tree: str, name: str, workdir: str) -> tuple[int, dict[str, bytes]]:
+    """Exit code and data artifacts of the run ``name`` from ``tree``."""
     os.makedirs(workdir)
     config = os.path.join(workdir, "config.json")
     with open(config, "w", encoding="utf-8") as fh:
-        json.dump(CONFIGS[command], fh)
+        json.dump(CONFIGS[name], fh)
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(tree), "src"))
+    command = name.split()[0]
     code = subprocess.run(
         [sys.executable, "-m", "fastslow.cli", command, "--config", config],
         cwd=workdir,
@@ -76,21 +87,21 @@ def run(tree: str, command: str, workdir: str) -> tuple[int, dict[str, bytes]]:
 
 
 def main(base: str, head: str) -> None:
-    print("| command | exit base / head | artifact | |")
+    print("| run | exit base / head | artifact | |")
     print("|---|---|---|---|")
     with tempfile.TemporaryDirectory() as scratch:
-        for command in CONFIGS:
-            base_code, base_out = run(base, command, os.path.join(scratch, "base", command))
-            head_code, head_out = run(head, command, os.path.join(scratch, "head", command))
+        for run_name in CONFIGS:
+            base_code, base_out = run(base, run_name, os.path.join(scratch, "base", run_name))
+            head_code, head_out = run(head, run_name, os.path.join(scratch, "head", run_name))
             codes = f"{base_code} / {head_code}"
             for name in sorted(set(base_out) | set(head_out)):
                 if name not in base_out or name not in head_out:
                     mark = "**only in " + ("head**" if name in head_out else "base**")
                 else:
                     mark = "same" if base_out[name] == head_out[name] else "**moved**"
-                print(f"| {command} | {codes} | `{name}` | {mark} |")
+                print(f"| {run_name} | {codes} | `{name}` | {mark} |")
             if not base_out and not head_out:
-                print(f"| {command} | {codes} | none written | |")
+                print(f"| {run_name} | {codes} | none written | |")
 
 
 if __name__ == "__main__":

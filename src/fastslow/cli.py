@@ -109,6 +109,16 @@ def _require_count(name: str, value) -> None:
         raise ConfigError(f"{name} must be a positive integer (got {value})")
 
 
+def _require_range(name: str, value) -> None:
+    """ConfigError naming ``name`` unless ``value`` is a pair [lo, hi] of
+    finite numbers with lo < hi."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ConfigError(f"{name} must be a pair [lo, hi] (got {value!r})")
+    lo, hi = (_number(name, v) for v in value)
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ConfigError(f"{name} must be finite with lo < hi (got {value!r})")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: model, regime(s), grids, analysis knobs, and IO.
@@ -194,6 +204,9 @@ class ExperimentConfig:
                     raise ConfigError(f"sweep.{key} must be positive (got {value})")
         for key in ("n_paths", "nx", "ny", "r_grid"):
             _require_count(f"grid.{key}", self.grid.get(key))
+        for key in ("x_range", "y_range"):
+            if key in self.grid:
+                _require_range(f"grid.{key}", self.grid[key])
         for section, keys in (("grid", ("x0", "y0")), ("analysis", ("K", "C1", "C2"))):
             values = getattr(self, section)
             for key in keys:

@@ -495,7 +495,9 @@ def _tangent_pass(
     (the pass reads no state before it), or a stored bundle's rows
     through :func:`_stored_states`.  Where a state it reads comes
     without values, the pass evaluates the same 24 keys, so every read
-    state costs one kernel call.  The steps leave out every term whose
+    state costs one kernel call.  The horizon state is read only where a
+    tangent or cell factor starts there or ``record`` is given; otherwise
+    it costs no call.  The steps leave out every term whose
     partial is identically zero for the model (:func:`_zero_partials`,
     decided once per pass), which changes no value.
 
@@ -550,7 +552,10 @@ def _tangent_pass(
     for k, x, y, w1, w2, values in states:
         if k < first_at:
             continue
-        if values is None:
+        # At the horizon (no step follows) only a start or ``record`` reads them.
+        if values is None and (
+            w1 is not None or record is not None or k in inject or k in alpha_at
+        ):
             values = model.evaluate(x, y, COEFFICIENT_KEYS)
         if k in inject:
             sigma, tau = _injection_values(values)

@@ -19,14 +19,17 @@ noise channel.  The spawn key always has four words, so the streams of
 one seed are distinct by construction, and a path's noise does not
 depend on the paths drawn with it.  The keys of many paths come from
 one vectorized pass of numpy's SeedSequence hash.  Noise is drawn in
-time blocks of a fixed byte budget, continuing every stream from block
-to block, so the block length changes no result and peak memory grows
-with the block, not with n_steps.  One recursion, :func:`_em_states`,
-advances the state over the blocks and yields each step's state with
-its increments and, from the step its consumer first reads them, the
-values of the key tuple that consumer asks for: one kernel call per
-step, of the 4 EM keys before that step and of the asked tuple from it.
-Paths and increments are stored only when asked for.
+blocks of a fixed byte budget, so peak memory grows with the block, not
+with n_steps.  A simulation whose draw exceeds one block either runs
+in time blocks, continuing every stream from block to block, or in
+groups of paths, each drawn whole in one block before the next group
+starts; :func:`_path_groups` chooses, and neither choice moves a value.
+One recursion, :func:`_em_states`, advances the state over the blocks
+and yields each step's state with its increments and, from the step its
+consumer first reads them, the values of the key tuple that consumer
+asks for: one kernel call per step, of the 4 EM keys before that step
+and of the asked tuple from it.  Paths and increments are stored only
+when asked for.
 """
 
 from __future__ import annotations
@@ -91,6 +94,26 @@ _NOISE_BLOCK_BYTES = 32 * 1024**2
 #: Streams drawn per batch into the path-major draw buffer, which holds
 #: at most this many rows of one block, whatever the path count.
 _DRAW_BATCH = 512
+
+
+def _path_groups(n_paths: int, n_steps: int) -> list[range]:
+    """The path ids of :func:`simulate_paths`, as the groups it runs one
+    after another.
+
+    A group of at most _NOISE_BLOCK_BYTES // (16 n_steps) paths draws its
+    whole noise in one block, with no stream left open.  Each group pays
+    the per-step cost of the Euler-Maruyama loop again, so the paths are
+    split into n_groups such groups of near-equal size only when
+    (n_groups - 1) * n_steps <= n_paths: the extra steps are then no more
+    than one per path.  Otherwise one group holds every path and draws in
+    time blocks (one block when the whole draw fits).
+    """
+    per_block = max(1, _NOISE_BLOCK_BYTES // (16 * n_steps))
+    n_groups = -(-n_paths // per_block)
+    if (n_groups - 1) * n_steps > n_paths:
+        n_groups = 1
+    size = -(-n_paths // n_groups)
+    return [range(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
 
 
 class StabilityError(ValueError):
@@ -412,7 +435,9 @@ def _noise_blocks(
     0..n_steps-1 in order.  When the draw spans several blocks, each
     stream is opened once and stays open from block to block; when it
     fits in one block, each channel re-keys one generator per stream
-    (:func:`_rekeyed`), which draws the same numbers.  Path ids outside
+    (:func:`_rekeyed`), which draws the same numbers and keeps no stream
+    open: :func:`simulate_paths` draws a grouped pass this way, one
+    group of paths at a time (:func:`_path_groups`).  Path ids outside
     [0, 2**32) and negative seed words raise ValueError before any draw.
     A block holds ``block_steps`` steps (default: as many as fit in
     :data:`_NOISE_BLOCK_BYTES`, at least one) or the remainder.  Philox
@@ -477,13 +502,17 @@ def draw_increments(
     return next(blocks, (empty, empty))
 
 
-def _capture_set(capture_indices: Iterable[int], n_steps: int) -> set[int]:
-    """Requested snapshot steps; raises :class:`AlignmentError` off [0, n_steps]."""
-    wanted = {int(k) for k in capture_indices}
-    for k in sorted(wanted):
+def _capture_rows(
+    capture_indices: Iterable[int], n_steps: int, n_paths: int
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """{k: (x_row, y_row)} of uninitialized (n_paths,) rows, one per
+    requested snapshot step in ascending order; raises
+    :class:`AlignmentError` off [0, n_steps]."""
+    wanted = sorted({int(k) for k in capture_indices})
+    for k in wanted:
         if not 0 <= k <= n_steps:
             raise AlignmentError(f"capture index {k} outside [0, {n_steps}]")
-    return wanted
+    return {k: (np.empty(n_paths), np.empty(n_paths)) for k in wanted}
 
 
 def _em_states(
@@ -495,6 +524,7 @@ def _em_states(
     blocks,
     keys: tuple[str, ...] = COEFFICIENT_KEYS,
     keys_from: int = 0,
+    first_column: int = 0,
 ):
     """The Euler-Maruyama recursion of n_paths paths over noise blocks.
 
@@ -509,7 +539,9 @@ def _em_states(
     value does not depend on the tuple it is evaluated with, so the
     switch moves no state.  Last comes (n_steps, x, y, None, None,
     None), as no step follows.  The yielded rows are valid until the
-    next item is drawn; the states are never written in place.
+    next item is drawn; the states are never written in place.  Errors
+    name a path by its column plus ``first_column``, the column of the
+    first path in the caller's arrays.
     """
     em_values = itemgetter(*(keys.index(key) for key in _EM_KEYS))
     x = np.full(n_paths, float(x0))
@@ -523,7 +555,7 @@ def _em_states(
                 values = model.evaluate(x, y, keys)
                 em = em_values(values)
             yield k, x, y, dw1, dw2, values
-            x, y = _em_step(model, x, y, em, dw1, dw2, k, scales)
+            x, y = _em_step(model, x, y, em, dw1, dw2, k, scales, first_column)
             k += 1
     yield k, x, y, None, None, None
 
@@ -533,32 +565,35 @@ def _em_loop(
     scales: _StepScales,
     x0: float,
     y0: float,
-    n_paths: int,
     blocks,
-    wanted: set[int],
+    columns: range,
+    captures: Mapping[int, tuple[np.ndarray, np.ndarray]],
     X=None,
     Y=None,
     dW1=None,
     dW2=None,
-) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Run :func:`_em_states` and keep what the caller asks for.
+) -> None:
+    """Run :func:`_em_states` for the paths of ``columns`` and keep what
+    the caller asks for in those columns.
 
     State rows go into ``X``/``Y`` and the noise into ``dW1``/``dW2``
-    where given (arrays with one row per grid time and per step).
-    Returns {k: (x, y)} copies of the state at the steps in ``wanted``.
+    where given (arrays with one row per grid time and per step), and
+    the state at each step k of ``captures`` into its (x_row, y_row).
     """
-    captures = {}
-    states = _em_states(model, scales, x0, y0, n_paths, blocks, _EM_KEYS)
+    cols = slice(columns.start, columns.stop)
+    states = _em_states(
+        model, scales, x0, y0, len(columns), blocks, _EM_KEYS, first_column=columns.start
+    )
     for k, x, y, dw1, dw2, _ in states:
         if X is not None:
-            X[k] = x
-            Y[k] = y
+            X[k, cols] = x
+            Y[k, cols] = y
         if dW1 is not None and dw1 is not None:
-            dW1[k] = dw1
-            dW2[k] = dw2
-        if k in wanted:
-            captures[k] = (x.copy(), y.copy())
-    return captures
+            dW1[k, cols] = dw1
+            dW2[k, cols] = dw2
+        if k in captures:
+            captures[k][0][cols] = x
+            captures[k][1][cols] = y
 
 
 def simulate_with_increments(
@@ -583,11 +618,12 @@ def simulate_with_increments(
     :func:`simulate_paths` as one block.
     """
     n_steps, n_paths = dW1.shape
-    wanted = _capture_set(capture_indices, n_steps)
+    captures = _capture_rows(capture_indices, n_steps, n_paths)
     X = np.empty((n_steps + 1, n_paths)) if store_paths else None
     Y = np.empty((n_steps + 1, n_paths)) if store_paths else None
-    captures = _em_loop(
-        model, _StepScales.of(regime, dt), x0, y0, n_paths, [(dW1, dW2)], wanted, X, Y
+    _em_loop(
+        model, _StepScales.of(regime, dt), x0, y0, [(dW1, dW2)], range(n_paths),
+        captures, X, Y,
     )
     return X, Y, captures
 
@@ -601,36 +637,39 @@ def _em_step(
     dw2: np.ndarray,
     k: int,
     scales: _StepScales,
+    first_column: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One Euler-Maruyama step from the state (x, y) at step index k.
 
     ``values`` holds c, sigma, f and tau at (x, y).  Checks |tau|
     against TAU_MIN (at k = 0 only for a constant tau) and raises
-    :class:`BlowUpError` naming step k + 1 on a non-finite state.
+    :class:`BlowUpError` naming step k + 1 on a non-finite state.  An
+    error names the path column of the failing row plus ``first_column``.
     """
     c, sigma, f, tau = values
     if k == 0 or np.ndim(tau):
-        _check_tau(model, tau, k)
+        _check_tau(model, tau, k, first_column)
     dt, eta = scales.dt, scales.eta
     x_new = x + c * dt + scales.eps_root * sigma * dw1
     y_new = y + f * (dt / eta) + tau * (dw2 / scales.eta_root)
     if not (np.isfinite(x_new).all() and np.isfinite(y_new).all()):
         bad = int(np.argmax(~(np.isfinite(x_new) & np.isfinite(y_new))))
         raise BlowUpError(
-            f"non-finite state at step {k + 1} (path column {bad}); "
+            f"non-finite state at step {k + 1} (path column {first_column + bad}); "
             "check coefficients and the step size"
         )
     return x_new, y_new
 
 
-def _check_tau(model: CoefficientSet, tau, k: int) -> None:
-    """Raise if |tau| of any path column falls below TAU_MIN at step k."""
+def _check_tau(model: CoefficientSet, tau, k: int, first_column: int) -> None:
+    """Raise if |tau| of any path column falls below TAU_MIN at step k,
+    naming the column plus ``first_column``."""
     abs_tau = np.ravel(np.abs(tau))
     j = int(np.argmin(abs_tau))
     if abs_tau[j] < TAU_MIN:
         raise ModelEvaluationError(
             f"model {model.name!r}: tau degenerates at step {k} (path column "
-            f"{j}): |tau|={abs_tau[j]:.3e} < {TAU_MIN:g}"
+            f"{first_column + j}): |tau|={abs_tau[j]:.3e} < {TAU_MIN:g}"
         )
 
 
@@ -668,21 +707,29 @@ def simulate_paths(
     capture_indices : iterable of int
         Step indices whose state rows are snapshotted regardless of
         ``store_paths``.
+
+    The Euler-Maruyama loop runs over the groups of :func:`_path_groups`,
+    one after another, each writing its columns of the stored rows,
+    increments and captures.  A group that is not the whole bundle draws
+    its noise in one block of at most ``_NOISE_BLOCK_BYTES`` and keeps no
+    stream open; one group of every path draws in time blocks.  Path ids
+    key the streams, so the grouping moves no value.  A path that blows up
+    is named by its path id; with several groups, a failure in an earlier
+    group is reported before one at an earlier step of a later group.
     """
     _require_positive(n_paths=n_paths)
     _check_stability(dt, regime.eta)
     n_steps, dt_eff = time_grid(regime.T, dt)
-    wanted = _capture_set(capture_indices, n_steps)
+    captures = _capture_rows(capture_indices, n_steps, n_paths)
 
     X = np.empty((n_steps + 1, n_paths)) if store_paths else None
     Y = np.empty((n_steps + 1, n_paths)) if store_paths else None
     dW1 = np.empty((n_steps, n_paths)) if store_increments else None
     dW2 = np.empty((n_steps, n_paths)) if store_increments else None
-    noise = _noise_blocks(master_seed, range(n_paths), n_steps, dt_eff, point=_point)
-    captures = _em_loop(
-        model, _StepScales.of(regime, dt_eff), x0, y0, n_paths, noise, wanted,
-        X, Y, dW1, dW2,
-    )
+    scales = _StepScales.of(regime, dt_eff)
+    for ids in _path_groups(n_paths, n_steps):
+        noise = _noise_blocks(master_seed, ids, n_steps, dt_eff, point=_point)
+        _em_loop(model, scales, x0, y0, noise, ids, captures, X, Y, dW1, dW2)
 
     return PathBundle(
         regime=regime,

@@ -292,6 +292,29 @@ def test_main_non_numeric_value_is_named_at_parse_time(tmp_path, capsys, section
 
 
 @pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("x_range", 5, "grid.x_range must be a pair [lo, hi] (got 5)"),
+        ("x_range", [1, "a"], "grid.x_range must be a number (got 'a')"),
+        ("x_range", [2, 1], "grid.x_range must be finite with lo < hi (got [2, 1])"),
+        ("y_range", [0, 1, 2], "grid.y_range must be a pair [lo, hi] (got [0, 1, 2])"),
+        ("y_range", [0, math.inf], "grid.y_range must be finite with lo < hi (got [0, inf])"),
+    ],
+)
+def test_main_grid_range_is_checked_at_parse_time(tmp_path, capsys, key, value, message):
+    """grid.x_range and grid.y_range must each be a pair of finite numbers
+    with lo < hi: anything else fails with exit 64 naming the key, before
+    the output directory is made, instead of a TypeError traceback from
+    the assumption grid."""
+    out = tmp_path / "out"
+    raw = {"model": "affine-oracle", "grid": {key: value}, "io": {"output_dir": str(out)}}
+    cfg = _write_config(tmp_path, raw)
+    assert main(["check-assumptions", "--config", cfg]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "p, message",
     [
         (2, "analysis.p must be a list of moment orders (got 2)"),

@@ -159,10 +159,11 @@ def test_every_key_tuple_is_bit_equal_to_each_key_alone(name, request):
 def test_tangents_evaluate_once_per_step(bounded, monkeypatch):
     """Exactly one kernel call per state a pass reads, for all 24 keys
     on that state's rows, and none through the one-key views: on stored
-    rows from the first perturbation step to the horizon; on live noise
-    the call of each Euler-Maruyama step, which the tangents read too,
-    and one at the horizon.  simulate_paths keeps one call of the 4 EM
-    keys per step."""
+    rows from the first perturbation step, up to the horizon where a
+    recorder reads it and before it otherwise; on live noise the call of
+    each Euler-Maruyama step, which the tangents read too, and none at
+    the horizon, where nothing starts.  simulate_paths keeps one call of
+    the 4 EM keys per step."""
     regime = ScaleRegime(epsilon=0.05, eta=0.05, gamma=1.0, T=0.2)
     calls = []
     evaluate = CoefficientTable.evaluate
@@ -184,8 +185,12 @@ def test_tangents_evaluate_once_per_step(bounded, monkeypatch):
     assert_calls(COEFFICIENT_KEYS, range(0, n + 1))
     first_order_tangents(bounded, bundle, [10, 20, 40])
     assert_calls(COEFFICIENT_KEYS, range(10, n + 1))
-    second_order_tangents(bounded, bundle, [(10, 10), (20, 10), (40, 40)])
+    first_order_tangents(bounded, bundle, [10, 20, 40], store_series=False)
+    assert_calls(COEFFICIENT_KEYS, range(10, n))
+    first_order_tangents(bounded, bundle, [10, n], store_series=False)
     assert_calls(COEFFICIENT_KEYS, range(10, n + 1))
+    second_order_tangents(bounded, bundle, [(10, 10), (20, 10), (40, 40)])
+    assert_calls(COEFFICIENT_KEYS, range(10, n))
 
     # On live noise drawn from the bundle's streams, the states are its rows.
     noise = _noise_blocks(5, range(3), n, bundle.dt)
@@ -193,7 +198,7 @@ def test_tangents_evaluate_once_per_step(bounded, monkeypatch):
     tangents = [(j, r) for j in (0, 1) for r in (10, 20, 40)]
     cells = [(a, b, *q) for a in (0, 1) for b in (0, 1) for q in [(20, 10), (40, 40)]]
     _tangent_pass(bounded, regime, bundle.dt, n, 3, states, tangents, cells)
-    assert_calls(COEFFICIENT_KEYS, range(0, n + 1))
+    assert_calls(COEFFICIENT_KEYS, range(0, n))
 
 
 def test_eval_all_rejects_nonfinite_point(affine):

@@ -1032,7 +1032,10 @@ def test_sweeps_equal_the_unfolded_reference(fixture, request, unfolded):
 def test_sweep_pass_evaluates_em_keys_before_the_first_start(bounded, monkeypatch):
     """Each sweep pass makes one kernel call per step: of the 4 EM keys
     before its first start (the smallest r of its tangents and cell
-    factors) and of all 24 keys from it, the horizon included."""
+    factors) and of all 24 keys from it.  The horizon state costs a call
+    only where a tangent starts there: the W2 tangent of dw2_y_final at
+    separation 0, which then reads its injection D_T^{W2} Y_T =
+    tau / sqrt(eta) = sqrt(2 / eta) from that call."""
     calls = []
     evaluate = CoefficientTable.evaluate
 
@@ -1040,8 +1043,8 @@ def test_sweep_pass_evaluates_em_keys_before_the_first_start(bounded, monkeypatc
         calls.append(tuple(keys))
         return evaluate(self, x, y, keys)
 
-    def schedule(first_at, n_steps):
-        return [EM_KEYS] * first_at + [COEFFICIENT_KEYS] * (n_steps - first_at + 1)
+    def schedule(first_at, n_steps, horizon=False):
+        return [EM_KEYS] * first_at + [COEFFICIENT_KEYS] * (n_steps - first_at + horizon)
 
     monkeypatch.setattr(CoefficientTable, "evaluate", counting)
     regimes = [ScaleRegime(0.1, 0.1, 1.0, 0.3), ScaleRegime(0.05, 0.05, 1.0, 0.3)]
@@ -1053,6 +1056,12 @@ def test_sweep_pass_evaluates_em_keys_before_the_first_start(bounded, monkeypatc
         calls.clear()
         decay_check(bounded, regimes[-1], bound_id, 1, 5, 6, separations_eta=(0.5, 2.0))
         assert calls == schedule(first_at, 120), bound_id
+    calls.clear()
+    report = decay_check(
+        bounded, regimes[-1], "dw2_y_final", 1, 5, 6, separations_eta=(0.0, 2.0)
+    )
+    assert calls == schedule(80, 120, horizon=True)
+    assert report.empirical[0] == pytest.approx(2.0 / regimes[-1].eta, rel=1e-12)
 
 
 def test_partial_vanishing_at_some_states_is_kept(monkeypatch, unfolded):

@@ -5,6 +5,7 @@ import hashlib
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -287,7 +288,9 @@ def test_blocked_noise_matches_one_block(bounded, monkeypatch, batch, block):
     """simulate_paths, drawing its noise in blocks of ``block`` steps and
     row batches of ``batch`` streams (None: the default, one batch),
     stores and captures exactly what draw_increments +
-    simulate_with_increments give on the same noise in one block."""
+    simulate_with_increments give on the same noise in one block.  Six
+    paths of 24 steps run as one group at every block length, so blocks
+    of 5 and 1 steps keep every stream open from block to block."""
     n_paths, seed, marks = 6, (3, 1), (0, 5, 23, 24)
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.06)
     n_steps, dt = time_grid(regime.T, regime.eta / 20)
@@ -296,6 +299,7 @@ def test_blocked_noise_matches_one_block(bounded, monkeypatch, batch, block):
     monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * n_paths * block)
     if batch is not None:
         monkeypatch.setattr(sde_engine, "_DRAW_BATCH", batch)
+    assert sde_engine._path_groups(n_paths, n_steps) == [range(n_paths)]
     blocks = sde_engine._noise_blocks(seed, range(n_paths), n_steps, dt)
     assert sum(1 for _ in blocks) == math.ceil(n_steps / min(block, n_steps))
 
@@ -317,6 +321,115 @@ def test_blocked_noise_matches_one_block(bounded, monkeypatch, batch, block):
             assert np.array_equal(bundle.captures[k][1], caps[k][1])
 
 
+@pytest.mark.parametrize(
+    "n_paths, n_steps, groups",
+    [
+        # the rate-sweep points at 10k paths: one block, then 2, 3 and 5 groups
+        (10_000, 125, [10_000]),
+        (10_000, 250, [5_000] * 2),
+        (10_000, 500, [3_334, 3_334, 3_332]),
+        (10_000, 1_000, [2_000] * 5),
+        # 10 groups would repeat 18000 > 10000 steps: time blocks
+        (10_000, 2_000, [10_000]),
+        # more steps than fit one path's draw in a block
+        (3, 3_000_000, [3]),
+        (1, 3_000_000, [1]),
+    ],
+)
+def test_path_groups_rule(n_paths, n_steps, groups):
+    """At the 32 MiB budget a pass is split into n_groups groups of
+    near-equal size, each of whose draws fits one block, exactly when
+    (n_groups - 1) * n_steps <= n_paths; otherwise one group holds every
+    path.  The groups cover the path ids in order."""
+    assert sde_engine._NOISE_BLOCK_BYTES == 32 * 1024**2
+    got = sde_engine._path_groups(n_paths, n_steps)
+    assert [len(ids) for ids in got] == groups
+    assert [i for ids in got for i in ids] == list(range(n_paths))
+    if len(got) > 1:
+        assert 16 * n_steps * max(groups) <= sde_engine._NOISE_BLOCK_BYTES
+
+
+@pytest.mark.parametrize(
+    "block_paths, groups",
+    [
+        (100, [100]),  # one block
+        (50, [50, 50]),
+        (34, [34, 34, 32]),  # ragged
+        (20, [20] * 5),  # (5 - 1) * 24 = 96 <= 100
+        (17, [100]),  # 6 groups: 5 * 24 = 120 > 100, so time blocks of 4 steps
+        (4, [100]),  # time blocks of 1 step
+    ],
+)
+@pytest.mark.parametrize(
+    "store_paths, store_increments, marks",
+    [
+        (True, True, (0, 5, 23, 24)),  # full storage and captures
+        (True, False, ()),
+        (False, False, (0, 5, 23, 24)),  # captures only
+        (False, False, ()),  # both off
+    ],
+)
+def test_path_groups_match_one_block(
+    bounded, monkeypatch, block_paths, groups, store_paths, store_increments, marks
+):
+    """simulate_paths at a block budget that holds the whole draw of
+    ``block_paths`` paths stores and captures exactly what draw_increments
+    + simulate_with_increments give on the noise of all 100 paths drawn
+    in one block, whether the budget splits the pass into path groups or
+    leaves it on time blocks."""
+    n_paths, seed = 100, (5, 2)
+    regime = ScaleRegime(0.05, 0.05, 1.0, 0.06)
+    n_steps, dt = time_grid(regime.T, regime.eta / 20)
+    assert n_steps == 24
+    dW1, dW2 = draw_increments(seed, range(n_paths), n_steps, dt)
+    X, Y, caps = simulate_with_increments(
+        bounded, regime, 0.4, 0.3, dt, dW1, dW2, capture_indices=marks
+    )
+    monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * n_steps * block_paths)
+    assert [len(ids) for ids in sde_engine._path_groups(n_paths, n_steps)] == groups
+    bundle = simulate_paths(
+        bounded, regime, 0.4, 0.3, dt, n_paths, seed,
+        store_paths=store_paths, store_increments=store_increments, capture_indices=marks,
+    )
+    for name, ref, stored in (
+        ("X", X, store_paths), ("Y", Y, store_paths),
+        ("dW1", dW1, store_increments), ("dW2", dW2, store_increments),
+    ):
+        if stored:
+            assert np.array_equal(getattr(bundle, name), ref), name
+        else:
+            assert getattr(bundle, name) is None, name
+    if not marks:
+        assert bundle.captures is None
+        return
+    assert list(bundle.captures) == list(marks)
+    for k in marks:
+        assert np.array_equal(bundle.captures[k][0], caps[k][0]), k
+        assert np.array_equal(bundle.captures[k][1], caps[k][1]), k
+
+
+def test_grouped_pass_keeps_no_stream_open(affine, monkeypatch):
+    """A pass run in path groups builds one Philox per channel and group
+    and re-keys it for each stream, where time blocks would open one
+    generator per stream and keep it."""
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    regime = ScaleRegime(0.05, 0.05, 1.0, 0.06)
+    monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * 24 * 20)
+    monkeypatch.setattr(sde_engine.np.random, "Philox", counting)
+    simulate_paths(affine, regime, 0.0, 0.0, regime.eta / 20, 100, 3, False, False)
+    assert len(built) == 2 * 5
+    built.clear()
+    monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * 24 * 17)
+    simulate_paths(affine, regime, 0.0, 0.0, regime.eta / 20, 100, 3, False, False)
+    assert len(built) == 2 * 100
+
+
 def _traced_peak(run) -> int:
     """Peak traced memory, in bytes, of one call of ``run``, with the cycle
     collector off: cyclic garbage of ``run`` then counts, and no
@@ -335,35 +448,47 @@ def _traced_peak(run) -> int:
 
 def test_memory_does_not_grow_with_steps(affine, monkeypatch):
     """Peak memory of a light simulation and of the fused tangent pass
-    stays flat when n_steps grows 8x at a fixed path count.
+    stays flat when n_steps grows 8x at a fixed path count, within each
+    way simulate_paths draws: on time blocks with every stream open (100
+    paths, 64 and 512 steps, 30-step blocks) and in path groups drawn in
+    one block each (2000 paths, 20 and 160 steps, 2 and 10 groups).  The
+    two ways hold different objects (open streams against one re-keyed
+    generator per channel), so each is compared with itself.
 
     A tuple freed after a resize enters the interpreter's free list, which
     keeps up to 2000 per size and which tracemalloc counts as live, so
     the first 2000-odd steps of a process grow the traced memory whatever
-    the code does: an untraced 4096-step pass fills those lists first.  A
-    full collection empties them again, so the collector stays off from
-    the warm-up to the last measurement.  The noise block buffers live in
-    anonymous maps, which tracemalloc does not see, so the bytes asked of
-    ``_mapped_array`` are recorded and must not grow either; nor may the
-    path-major draw buffer when the path count grows from 600 to 2000."""
+    the code does: an untraced 4096-step tangent pass and an untraced
+    4096-step simulation on time blocks fill those lists first.  A full
+    collection empties them again, so the collector stays off from the
+    warm-up to the last measurement.  The noise block buffers live in
+    anonymous maps, which tracemalloc does not see, so the peak of the
+    bytes held from ``_mapped_array`` is recorded too.  On time blocks it
+    must not grow; in path groups, where a group's one block grows with
+    n_steps as the group shrinks, it must be the buffers of one group: the
+    largest group's two channel blocks, within the block budget, and its
+    draw buffer.  Nor may the path-major draw buffer grow when the path
+    count grows from 600 to 2000."""
     from fastslow.malliavin import _sweep_pass
 
-    block, dt = 32, 1.0 / 4096
+    dt = 1.0 / 4096
 
     def regime(n_steps):
         out = ScaleRegime(0.005, 0.005, 1.0, n_steps * dt)
         assert time_grid(out.T, dt) == (n_steps, dt)
         return out
 
-    def light_simulation(n_steps):
-        monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * 2000 * block)
-        simulate_paths(
-            affine, regime(n_steps), 0.0, 0.0, dt, 2000, 1,
-            store_paths=False, store_increments=False, capture_indices=[n_steps],
-        )
+    def light_simulation(n_paths, block):
+        def run(n_steps):
+            monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * n_paths * block)
+            simulate_paths(
+                affine, regime(n_steps), 0.0, 0.0, dt, n_paths, 1,
+                store_paths=False, store_increments=False, capture_indices=[n_steps],
+            )
+        return run
 
     def tangent_pass(n_steps):
-        monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * 200 * block)
+        monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * 200 * 32)
         r = [n_steps // 4, n_steps // 2]
         tangents = [(j, q) for j in (0, 1) for q in r]
         cells = [(j1, j2, r[1], r[0]) for j1 in (0, 1) for j2 in (0, 1)]
@@ -372,41 +497,60 @@ def test_memory_does_not_grow_with_steps(affine, monkeypatch):
             (PURPOSE_MOMENT_SWEEP, 1), range(200), tangents, cells,
         )
 
-    mapped = []
+    held = [0, 0]  # bytes held from _mapped_array now, and their peak
     real_mapped_array = sde_engine._mapped_array
 
+    def release(nbytes):
+        held[0] -= nbytes
+
     def recording_mapped_array(rows, cols):
-        mapped.append(8 * rows * cols)
-        return real_mapped_array(rows, cols)
+        out = real_mapped_array(rows, cols)
+        held[0] += 8 * rows * cols
+        held[1] = max(held[1], held[0])
+        weakref.finalize(out, release, 8 * rows * cols)
+        return out
 
     monkeypatch.setattr(sde_engine, "_mapped_array", recording_mapped_array)
 
     def peaks(run, n_steps):
-        mapped.clear()
+        held[1] = 0
         traced = _traced_peak(lambda: run(n_steps))
-        return traced, sum(mapped)
+        assert held[0] == 0
+        return traced, held[1]
 
+    def groups(n_paths, block, n_steps):
+        monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * n_paths * block)
+        return [len(ids) for ids in sde_engine._path_groups(n_paths, n_steps)]
+
+    time_blocks, path_groups = light_simulation(100, 30), light_simulation(2000, 16)
+    assert groups(100, 30, 64) == groups(100, 30, 512) == [100]
+    assert groups(2000, 16, 20) == [1000] * 2
+    assert groups(2000, 16, 160) == [200] * 10
     gc.disable()
     try:
         tangent_pass(4096)
-        for run in (light_simulation, tangent_pass):
-            (long, long_mapped), (short, short_mapped) = (
-                peaks(run, n) for n in (512, 64)
-            )
-            assert long <= 1.1 * short, (run.__name__, short, long)
-            assert short_mapped > 0, run.__name__
-            assert long_mapped == short_mapped, (
-                run.__name__, short_mapped, long_mapped
-            )
+        time_blocks(4096)
+        cases = ((time_blocks, (512, 64)), (tangent_pass, (512, 64)), (path_groups, (160, 20)))
+        for run, steps in cases:
+            (long, long_mapped), (short, short_mapped) = (peaks(run, n) for n in steps)
+            assert long <= 1.1 * short, (steps, short, long)
+            assert short_mapped > 0, steps
+            if run is not path_groups:
+                assert long_mapped == short_mapped, (steps, short_mapped, long_mapped)
+        budget = 16 * 2000 * 16
+        for n_steps, mapped, size in ((20, short_mapped, 1000), (160, long_mapped, 200)):
+            block = 16 * size * n_steps
+            assert block <= budget
+            assert mapped == block + 8 * min(size, sde_engine._DRAW_BATCH) * n_steps
     finally:
         gc.enable()
 
     def draw_buffer(n_paths):
-        mapped.clear()
-        next(sde_engine._noise_blocks(1, range(n_paths), block, dt, block))
-        return mapped[0]  # the draw buffer, then the two blocks
+        held[1] = 0
+        next(sde_engine._noise_blocks(1, range(n_paths), 32, dt, 32))
+        return held[1] - 2 * 8 * n_paths * 32  # less the two channel blocks
 
-    assert draw_buffer(600) == draw_buffer(2000) == 8 * sde_engine._DRAW_BATCH * block
+    assert draw_buffer(600) == draw_buffer(2000) == 8 * sde_engine._DRAW_BATCH * 32
 
 
 # -- scheme correctness ------------------------------------------------
@@ -459,6 +603,40 @@ def test_blow_up_error_names_the_step():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(BlowUpError, match="step"):
             simulate_paths(stiff, regime, 2.0, 0.0, 0.005, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "tau, channel, value, error, message",
+    [
+        ("sqrt(2)", 0, math.inf, BlowUpError, r"non-finite state at step 1 \(path column 37\)"),
+        (
+            "exp(-y^2)", 1, 1e3, ModelEvaluationError,
+            r"tau degenerates at step 1 \(path column 37\)",
+        ),
+    ],
+)
+def test_errors_name_the_global_path_in_a_later_group(
+    monkeypatch, tau, channel, value, error, message
+):
+    """Under path groups, a blow-up or a degenerate tau of path 37, in the
+    second of two groups of 25 paths, names the path by its id, not by
+    its column 12 in the group.  Step 0 of the path's noise on one
+    channel is set to ``value`` as the engine draws it."""
+    regime = ScaleRegime(epsilon=0.05, eta=0.05, gamma=1.0, T=0.06)
+    model = model_from_expressions("poisoned", "y - 2*x", "1", "x - y", tau)
+    monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * 24 * 25)
+    assert sde_engine._path_groups(50, 24) == [range(0, 25), range(25, 50)]
+    real = sde_engine._noise_blocks
+
+    def poisoned(seed, path_ids, *args, **kwargs):
+        for block in real(seed, path_ids, *args, **kwargs):
+            if 37 in path_ids:
+                block[channel][0, path_ids.index(37)] = value
+            yield block
+
+    monkeypatch.setattr(sde_engine, "_noise_blocks", poisoned)
+    with np.errstate(invalid="ignore"), pytest.raises(error, match=message):
+        simulate_paths(model, regime, 0.0, 0.0, regime.eta / 20, 50, 1)
 
 
 def test_degenerate_tau_names_step_column_and_value():
