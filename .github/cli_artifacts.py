@@ -2,9 +2,9 @@
 
     python .github/cli_artifacts.py BASE_TREE HEAD_TREE
 
-Runs a small config of each of five commands (``check-assumptions``,
-``homogenize``, ``clt-verify``, ``malliavin-sweep``, ``rate-sweep``)
-once with ``BASE_TREE/src`` and once with ``HEAD_TREE/src`` on the
+Runs a small config of each of the six commands (``check-assumptions``,
+``homogenize``, ``clt-verify``, ``malliavin-sweep``, ``rate-sweep``,
+``bound-eval``) once with ``BASE_TREE/src`` and once with ``HEAD_TREE/src`` on the
 import path, each run in an empty directory so that it writes into the
 default ``fastslow-out``.  Every artifact except ``run_manifest.json``
 (it records the wall time) is compared, and a Markdown table with the
@@ -59,6 +59,11 @@ CONFIGS = {
         "sweep": {"epsilons": [0.08, 0.04, 0.02], "gamma": 1.0, "T": 0.5},
         "grid": {"n_paths": 6000, "nx": 17, "ny": 2048},
         "io": {"master_seed": 7},
+    },
+    "bound-eval": {
+        "model": "bounded-coupled",
+        "sweep": {"epsilons": [0.1, 0.05, 0.025], "gamma": 1.0, "T": 1.0},
+        "analysis": {"K": 0.8, "zeta": 0.2, "C1": 2.0},
     },
 }
 

@@ -87,6 +87,20 @@ _COMMANDS = (
 )
 
 
+#: The keys each config section may hold: those some command reads.
+_SECTION_KEYS = {
+    "expressions": ("c", "sigma", "f", "tau"),
+    "regime": ("epsilon", "eta", "gamma", "T"),
+    "sweep": ("epsilons", "eta_rule", "gamma", "T"),
+    "grid": (
+        "dt", "dt_eta_fraction", "n_paths", "nx", "ny", "x_range", "y_range",
+        "x0", "y0", "checkpoints",
+    ),
+    "analysis": ("p", "K", "C1", "C2", "zeta", "bootstrap", "decay_separations", "decay_bounds"),
+    "io": ("master_seed", "output_dir"),
+}
+
+
 class ConfigError(ValueError):
     """Invalid or inconsistent experiment configuration."""
 
@@ -107,6 +121,15 @@ def _require_count(name: str, value) -> None:
         float(_number(name, value)).is_integer() and value >= 1
     ):
         raise ConfigError(f"{name} must be a positive integer (got {value})")
+
+
+def _seed(name: str, value) -> int:
+    """``value`` as an int; ConfigError naming ``name`` unless it is a
+    non-negative integral number (a bool or 1.5 is not taken for 1)."""
+    _number(name, value)
+    if not (isinstance(value, numbers.Integral) or float(value).is_integer()) or value < 0:
+        raise ConfigError(f"{name} must be a non-negative integer (got {value!r})")
+    return int(value)
 
 
 def _require_range(name: str, value) -> None:
@@ -141,8 +164,7 @@ class ExperimentConfig:
     def from_dict(raw: dict) -> "ExperimentConfig":
         if not isinstance(raw, dict):
             raise ConfigError(f"config root must be an object (got {type(raw).__name__})")
-        known = {"model", "expressions", "regime", "sweep", "grid", "analysis", "io"}
-        unknown = set(raw) - known
+        unknown = set(raw) - {"model", *_SECTION_KEYS}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg = ExperimentConfig(
@@ -167,8 +189,12 @@ class ExperimentConfig:
     def validate(self) -> None:
         if (self.model is None) == (self.expressions is None):
             raise ConfigError("config needs exactly one of 'model' or 'expressions'")
+        for section, keys in _SECTION_KEYS.items():
+            unknown = set(getattr(self, section) or ()) - set(keys)
+            if unknown:
+                raise ConfigError(f"unknown {section} keys: {sorted(unknown)}")
         if self.expressions is not None:
-            missing = {"c", "sigma", "f", "tau"} - set(self.expressions)
+            missing = set(_SECTION_KEYS["expressions"]) - set(self.expressions)
             if missing:
                 raise ConfigError(f"expressions missing coefficients: {sorted(missing)}")
         if self.regime is not None:
@@ -202,8 +228,22 @@ class ExperimentConfig:
                 value = self.sweep.get(key, 1.0)
                 if not _number(f"sweep.{key}", value) > 0:
                     raise ConfigError(f"sweep.{key} must be positive (got {value})")
-        for key in ("n_paths", "nx", "ny", "r_grid"):
+        for key in ("n_paths", "nx", "ny"):
             _require_count(f"grid.{key}", self.grid.get(key))
+        fraction = self.grid.get("dt_eta_fraction")
+        if fraction is not None and not (
+            0.0 < _number("grid.dt_eta_fraction", fraction) <= STABILITY_FRACTION
+        ):
+            raise ConfigError(f"grid.dt_eta_fraction must lie in (0, 1/20] (got {fraction})")
+        checkpoints = self.grid.get("checkpoints")
+        if checkpoints is not None:
+            if not isinstance(checkpoints, (list, tuple)) or not checkpoints:
+                raise ConfigError(
+                    f"grid.checkpoints must be a non-empty list of times (got {checkpoints!r})"
+                )
+            for t in checkpoints:
+                if not math.isfinite(_number("grid.checkpoints", t)):
+                    raise ConfigError(f"grid.checkpoints must be finite (got {t})")
         for key in ("x_range", "y_range"):
             if key in self.grid:
                 _require_range(f"grid.{key}", self.grid[key])
@@ -227,6 +267,7 @@ class ExperimentConfig:
                 )
         self.decay_settings()
         _require_count("analysis.bootstrap", self.analysis.get("bootstrap"))
+        self.master_seed()
 
     # -- resolved accessors -------------------------------------------
 
@@ -277,10 +318,12 @@ class ExperimentConfig:
             ) from None
         return seps, bounds
 
-    def master_seed(self, override=None):
+    def master_seed(self, override=None) -> int:
+        """The ``--seed`` override when given, else ``io.master_seed``
+        (default 0); ConfigError unless it is a non-negative integer."""
         if override is not None:
-            return override
-        return int(self.io.get("master_seed", 0))
+            return _seed("--seed", override)
+        return _seed("io.master_seed", self.io.get("master_seed", 0))
 
     def output_dir(self) -> str:
         return str(self.io.get("output_dir", "fastslow-out"))
@@ -514,13 +557,16 @@ def cmd_rate_sweep(config: ExperimentConfig, out_dir, seed) -> int:
     model = config.coefficient_set()
     if config.sweep is None:
         raise ConfigError("rate-sweep needs a 'sweep' section")
+    epsilons = config.sweep["epsilons"]
+    if len(epsilons) < 3:
+        raise ConfigError(f"rate-sweep needs at least three sweep.epsilons (got {epsilons})")
     grid = config.grid
     gamma = config.sweep.get("gamma", 1.0)
     T = config.sweep.get("T", 1.0)
     hom = _clt_homogenized(config, model, gamma)
     fit = rate_sweep(
         model,
-        config.sweep["epsilons"],
+        epsilons,
         config.sweep.get("eta_rule", "equal"),
         {
             "x0": grid.get("x0", 0.0),
@@ -647,11 +693,11 @@ def main(argv=None) -> int:
 
     try:
         config = ExperimentConfig.from_dict(raw)
+        seed = config.master_seed(args.seed)
     except ConfigError as exc:
         print(f"fastslow: invalid config: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    seed = config.master_seed(args.seed)
     out_dir = config.output_dir()
     t0 = time.monotonic()
     try:

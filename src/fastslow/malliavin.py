@@ -1,4 +1,4 @@
-"""Tangent (Malliavin derivative) processes along stored paths.
+"""Tangent (Malliavin derivative) processes along simulated paths.
 
 A noise perturbation of channel j at time r propagates through the
 system as the first-order tangent pair (DX, DY) solving the affine
@@ -34,27 +34,26 @@ dissipativity margin K of :func:`fastslow.coefficients.check_assumptions`;
 D^{W2}Y splits as Q1 + Q2 with Q1 = Z * tau(X_r, Y_r)/sqrt(eta) and Q2
 the response to the D^{W2}X feedback.
 
-Both tangent orders are advanced by one recursion, which runs over a
-stream of base states (k, X_k, Y_k, dW1_k, dW2_k) with the values of all
-24 coefficient keys at each state it reads, from one kernel call per
-step that the Euler-Maruyama step reads too (before the first tangent
-starts, that step evaluates only its own 4 keys).  The steps leave out
-every term whose partial is identically zero for the model.  Its
-first-order state is a list of tangents (j, r), the ones a caller reads
-joined with the two factors of every cell, and its second-order state a
-list of cells (j1, j2, r1, r2), one D2_{r1,r2} per channel pair and time
-pair that a caller reads: it holds O((n_tangents + n_cells) n_paths)
-values.  Both lists are sorted by start, so the started rows are a
-prefix, and each tangent and each cell is stepped only from its own
-start.  The moment sweeps feed the
-recursion live Euler-Maruyama states, so at each sweep point the noise
-of all paths drives the base path and its tangents in one forward pass
-and nothing is stored; :func:`first_order_tangents` (which asks for both
-channels at every r of its grid), :func:`second_order_tangents` (which
-asks for every cell of its combos x pairs product) and
-:func:`q_decomposition` feed it the rows of a stored
-:class:`~fastslow.sde_engine.PathBundle`, and the first and the last
-also read the first-order state at every step.
+Both tangent orders are advanced by one forward pass over noise,
+:func:`_tangent_pass`: it runs the Euler-Maruyama recursion over the
+noise blocks it is given, and the same increments drive the base path
+and its tangents.  Each step makes one kernel call, of the 4 EM keys
+before the first tangent starts and of all 24 coefficient keys from
+there, which the tangent steps read too.  The steps leave out every
+term whose partial is identically zero for the model.  Its first-order
+state is a list of tangents (j, r), the ones a caller reads joined with
+the two factors of every cell, and its second-order state a list of
+cells (j1, j2, r1, r2), one D2_{r1,r2} per channel pair and time pair
+that a caller reads: it holds O((n_tangents + n_cells) n_paths) values.
+Both lists are sorted by start, so the started rows are a prefix, and
+each tangent and each cell is stepped only from its own start.  The
+moment sweeps feed the pass freshly drawn noise, so nothing is stored;
+:func:`first_order_tangents` (which asks for both channels at every r
+of its grid), :func:`second_order_tangents` (which asks for every cell
+of its combos x pairs product) and :func:`q_decomposition` feed it the
+increments of a stored :class:`~fastslow.sde_engine.PathBundle` and
+replay its path from its initial state, and the first and the last also
+read the first-order state at every step.
 
 The module also evaluates the Monte Carlo moment-inequality suite
 (scaling of tangent moments in eps and eta), the H-norm and
@@ -64,7 +63,6 @@ time-decay integral with an exact closed form.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass
 from operator import itemgetter
@@ -260,17 +258,12 @@ def _require_storage(bundle: PathBundle) -> None:
         raise ValueError("bundle must store increments for tangent integration")
 
 
-def _stored_states(bundle: PathBundle):
-    """A stored bundle's rows in the shape :func:`_em_states` yields:
-    (k, X_k, Y_k, dW1_k, dW2_k, None) for every step k, then
-    (n_steps, X_n, Y_n, None, None, None).  A stored row carries no
-    coefficient values; :func:`_tangent_pass` evaluates the tuple of the
-    live stream on each row it reads."""
-    _require_storage(bundle)
-    n = bundle.n_steps
-    no_values = itertools.repeat(None)
-    rows = zip(range(n), bundle.X, bundle.Y, bundle.dW1, bundle.dW2, no_values)
-    return itertools.chain(rows, [(n, bundle.X[n], bundle.Y[n], None, None, None)])
+def _stored_noise(bundle: PathBundle) -> list[tuple[np.ndarray, np.ndarray]]:
+    """A bundle's stored increments as the one noise block of a
+    :func:`_tangent_pass`; ValueError when the bundle stores none."""
+    if bundle.dW1 is None or bundle.dW2 is None:
+        raise ValueError("bundle must store increments for tangent integration")
+    return [(bundle.dW1, bundle.dW2)]
 
 
 def _step_indices(values) -> np.ndarray:
@@ -480,44 +473,50 @@ def _tangent_pass(
     regime: ScaleRegime,
     dt: float,
     n_steps: int,
+    x0: float,
+    y0: float,
+    noise,
     n_paths: int,
-    states,
     tangents: Sequence[tuple[int, int]],
     cells: Sequence[tuple[int, int, int, int]] | None = None,
     record=None,
 ) -> tuple[_TangentRows, dict[str, np.ndarray] | None]:
-    """First- and second-order tangents in one loop over base states.
+    """First- and second-order tangents in one forward pass over noise.
 
-    ``states`` yields (k, x, y, dw1, dw2, values) for k = 0..n_steps-1
-    and last (n_steps, x, y, None, None, None): live noise through
-    :func:`~fastslow.sde_engine._em_states`, whose values from the first
-    start on are the 24 coefficient keys the Euler-Maruyama step ran on
-    (the pass reads no state before it), or a stored bundle's rows
-    through :func:`_stored_states`.  Where a state it reads comes
-    without values, the pass evaluates the same 24 keys, so every read
-    state costs one kernel call.  The horizon state is read only where a
-    tangent or cell factor starts there or ``record`` is given; otherwise
-    it costs no call.  The steps leave out every term whose
-    partial is identically zero for the model (:func:`_zero_partials`,
-    decided once per pass), which changes no value.
+    ``noise`` yields (dW1, dW2) blocks of shape (b, n_paths) that cover
+    steps 0..n_steps-1 in order: live blocks of
+    :func:`~fastslow.sde_engine._noise_blocks`, or a stored bundle's
+    increments as one block (:func:`_stored_noise`).  The pass runs
+    :func:`~fastslow.sde_engine._em_states` from (x0, y0) over them, so
+    the same increments drive the base path and its tangents, and the
+    tangent steps read the 24 coefficient keys that each Euler-Maruyama
+    step evaluates from the first start on: one kernel call per step.
+    Before the first start (the smallest r of the tangents and cell
+    factors) the pass reads no state, so those steps evaluate only the 4
+    EM keys.  The horizon state is evaluated only where a tangent or
+    cell factor starts there or ``record`` is given; otherwise it costs
+    no call.  The steps leave out every term whose partial is
+    identically zero for the model (:func:`_zero_partials`, decided once
+    per pass), which changes no value.
 
     The first-order state holds the tangents (j, r) of ``tangents``
     joined with the two factors (j1, r1) and (j2, r2) of every cell
     (j1, j2, r1, r2) of ``cells``, each step checked to lie in
-    [0, n_steps]; the second-order state holds the cells.  Both are
-    sorted by start, r for a tangent and max(r1, r2) for a cell, so the
-    started rows are a prefix: a tangent is injected at r, a cell
-    starts at max(r1, r2) from its alpha data, and each is stepped only
-    from there.  ``record(k, dx, dy, values)``, when given, sees the
-    first-order values of ``tangents``, (n_tangents, n_paths) each, and
-    the 24 key values of the state at every k from the first r.
+    [0, n_steps] before any noise is read; the second-order state holds
+    the cells.  Both are sorted by start, r for a tangent and
+    max(r1, r2) for a cell, so the started rows are a prefix: a tangent
+    is injected at r, a cell starts at max(r1, r2) from its alpha data,
+    and each is stepped only from there.  ``record(k, dx, dy, values)``,
+    when given, sees the first-order values of ``tangents``,
+    (n_tangents, n_paths) each, and the 24 key values of the state at
+    every k from the first r.
 
     Returns the finals and sups of ``tangents`` in their order and
     (None without ``cells``) the (n_cells, n_paths) arrays
     ``final_d2x``, ``final_d2y``, ``sup_abs_d2x`` and ``sup_abs_d2y`` by
-    name, in the order of ``cells``.  Beyond what ``states`` holds it
-    keeps O((n_tangents + n_cells) n_paths) state, so its memory does
-    not grow with n_steps.
+    name, in the order of ``cells``.  Beyond one noise block it keeps
+    O((n_tangents + n_cells) n_paths) state, so its memory does not grow
+    with n_steps.
     """
     cell_arr = _index_array(() if cells is None else cells, 4, "cell")
     asked = _index_array(tangents, 2, "tangent")
@@ -548,14 +547,13 @@ def _tangent_pass(
     zero = _zero_partials(model)
     first_partials = _picker(_FIRST_KEYS, zero)
     all_partials = _picker(_PARTIAL_KEYS, zero)
+    states = _em_states(model, s, x0, y0, n_paths, noise, keys_from=first_at)
 
     for k, x, y, w1, w2, values in states:
         if k < first_at:
             continue
-        # At the horizon (no step follows) only a start or ``record`` reads them.
-        if values is None and (
-            w1 is not None or record is not None or k in inject or k in alpha_at
-        ):
+        # The horizon state comes without values: only a start or ``record`` reads them.
+        if values is None and (record is not None or k in inject or k in alpha_at):
             values = model.evaluate(x, y, COEFFICIENT_KEYS)
         if k in inject:
             sigma, tau = _injection_values(values)
@@ -609,8 +607,9 @@ def first_order_tangents(
 ) -> FirstOrderTangents:
     """Integrate both-channel first-order tangents along every path.
 
-    Runs the tangent recursion of the moment sweeps over the bundle's
-    stored states and increments, asking for both channels at every r.
+    Runs the tangent pass of the moment sweeps over the bundle's stored
+    increments from its x0, y0, asking for both channels at every r; the
+    pass replays the Euler-Maruyama step, so it reads no stored path.
     The perturbation at step index r injects the initial data
     (sqrt(eps) sigma, 0) on channel W1 and (0, tau/sqrt(eta)) on channel
     W2; states are zero before r.
@@ -624,7 +623,7 @@ def first_order_tangents(
         Keep the full (2, n_r, n_t, n_paths) series; final values and
         running sups are kept either way.
     """
-    states = _stored_states(bundle)
+    noise = _stored_noise(bundle)
     r_idx = _r_grid(bundle.n_steps, r_indices)
     shape = (2, len(r_idx), bundle.n_paths)
     record = DX = DY = None
@@ -638,8 +637,9 @@ def first_order_tangents(
             DY[:, :, k] = dy.reshape(shape)
 
     rows, _ = _tangent_pass(
-        model, bundle.regime, bundle.dt, bundle.n_steps, bundle.n_paths,
-        states, [(j, r) for j in (0, 1) for r in r_idx.tolist()], record=record,
+        model, bundle.regime, bundle.dt, bundle.n_steps, bundle.x0, bundle.y0,
+        noise, bundle.n_paths, [(j, r) for j in (0, 1) for r in r_idx.tolist()],
+        record=record,
     )
     return FirstOrderTangents(
         r_indices=r_idx,
@@ -663,8 +663,8 @@ def second_order_tangents(
 ) -> SecondOrderTangents:
     """Integrate second-order tangents for the given (r1, r2) pairs.
 
-    Runs the tangent recursion of the moment sweeps over the bundle's
-    stored states and increments, asking for every cell (j1, j2, r1, r2)
+    Runs the tangent pass of the moment sweeps over the bundle's stored
+    increments from its x0, y0, asking for every cell (j1, j2, r1, r2)
     of the ``combos`` x ``pairs`` product (each r in [0, n_steps];
     ValueError naming the first outside); the first-order factors
     (j1, r1) and (j2, r2) of the cells advance alongside.  Each channel
@@ -686,8 +686,8 @@ def second_order_tangents(
     pair_arr = _step_indices(pairs).reshape(-1, 2)
     cells = [(a, b, *q) for a, b in combos for q in pair_arr.tolist()]
     _, second = _tangent_pass(
-        model, bundle.regime, bundle.dt, bundle.n_steps, bundle.n_paths,
-        _stored_states(bundle), (), cells,
+        model, bundle.regime, bundle.dt, bundle.n_steps, bundle.x0, bundle.y0,
+        _stored_noise(bundle), bundle.n_paths, (), cells,
     )
     shape = (len(combos), len(pair_arr), bundle.n_paths)
     return SecondOrderTangents(
@@ -740,16 +740,16 @@ def q_decomposition(
     of the discretized homogeneous fast tangent recursion (so the
     decomposition telescopes exactly in discrete time); Q2 solves the
     affine recursion forced by D^{W2}X.  Both advance step by step with
-    the first-order tangent pass, which keeps no tangent series, on the
-    coefficient values it evaluates at each state (one kernel call per
-    row read).
+    the first-order tangent pass over the bundle's stored increments,
+    which keeps no tangent series, on the coefficient values it
+    evaluates at each state (one kernel call per step).
     Verifies Q1 + Q2 against the directly integrated D^{W2}Y and raises
     :class:`DecompositionError` if the reconstruction residual exceeds
     1e-6 * (1 + max |D|).
 
     Returns (Q1, Q2), each of shape (n_t, n_paths), zero before r.
     """
-    _require_storage(bundle)
+    noise = _stored_noise(bundle)
     (r,) = _r_grid(bundle.n_steps, [r_index])
     eta = bundle.regime.eta
     eta_root = math.sqrt(eta)
@@ -782,8 +782,8 @@ def q_decomposition(
         q2[k + 1] = q2_state
 
     _tangent_pass(
-        model, bundle.regime, dt, bundle.n_steps, bundle.n_paths,
-        _stored_states(bundle), [(1, r)], record=record,
+        model, bundle.regime, dt, bundle.n_steps, bundle.x0, bundle.y0, noise,
+        bundle.n_paths, [(1, r)], record=record,
     )
     tol = 1e-6 * (1.0 + d_max)
     if resid > tol:
@@ -949,39 +949,6 @@ def _moment_envelopes(
     }
 
 
-def _sweep_pass(
-    model: CoefficientSet,
-    regime: ScaleRegime,
-    dt: float,
-    n_steps: int,
-    x0: float,
-    y0: float,
-    seed,
-    stream: tuple[int, int],
-    path_ids: Sequence[int],
-    tangents: Sequence[tuple[int, int]],
-    cells: Sequence[tuple[int, int, int, int]] | None = None,
-):
-    """One :func:`_tangent_pass` on live noise over the paths ``path_ids``,
-    drawn from the streams (seed, purpose, point, path_id, channel) with
-    ``stream`` = (purpose, point).  Before the first start, the smallest
-    r of the tangents and of the cells, the pass reads no state, so the
-    Euler-Maruyama steps up to it evaluate only the 4 EM keys."""
-    purpose, point = stream
-    first_at = min(
-        [r for _, r in tangents] + [r for cell in cells or () for r in cell[2:]],
-        default=0,
-    )
-    noise = _noise_blocks(seed, path_ids, n_steps, dt, purpose=purpose, point=point)
-    states = _em_states(
-        model, _StepScales.of(regime, dt), x0, y0, len(path_ids), noise,
-        keys_from=first_at,
-    )
-    return _tangent_pass(
-        model, regime, dt, n_steps, len(path_ids), states, tangents, cells
-    )
-
-
 def _mean_se(per_path: np.ndarray) -> tuple[float, float]:
     """Mean and standard error of per-path values."""
     n = per_path.size
@@ -1052,10 +1019,10 @@ def moment_sweep(
     most 512 streams.
     Regime i draws path j's noise from the streams (seed, moment sweep,
     i + 1, j, channel), so a path's values do not depend on which paths
-    share its pass.  The tangent recursion is the one
+    share its pass.  The tangent pass is the one
     :func:`first_order_tangents` and :func:`second_order_tangents` run
-    over a stored bundle, so they give the same values on the same
-    paths.
+    over a stored bundle's increments, so they give the same values on
+    the same paths.
     """
     _require_positive(n_paths=n_paths)
     if len(regimes) < 1:
@@ -1090,9 +1057,12 @@ def moment_sweep(
         r_lo = max(0, r_mid - sep_steps)
         cells = [(0, 0, r_mid, r_mid), (0, 1, r_mid, r_lo), (1, 1, r_mid, r_lo)]
         tangents = [(j, r) for j in (0, 1) for r in r_sel] + [(1, r_mid)]
-        first, second = _sweep_pass(
-            model, regime, dt_eff, n_steps, x0, y0, seed,
-            (PURPOSE_MOMENT_SWEEP, i_reg + 1), range(n_paths), tangents, cells,
+        noise = _noise_blocks(
+            seed, range(n_paths), n_steps, dt_eff,
+            purpose=PURPOSE_MOMENT_SWEEP, point=i_reg + 1,
+        )
+        first, second = _tangent_pass(
+            model, regime, dt_eff, n_steps, x0, y0, noise, n_paths, tangents, cells
         )
         n_sel = len(r_sel)
         d2x_w1w1, d2x_w1w2, d2x_w2w2 = second["final_d2x"]
@@ -1245,9 +1215,11 @@ def decay_check(
         j1 = 0 if bound_id == "d2x_w1w2" else 1
         cells = [(j1, 1, r_top, r2) for r2 in r_list]
 
-    first, second = _sweep_pass(
-        model, regime, dt_eff, n_steps, x0, y0, seed,
-        (PURPOSE_DECAY_CHECK, 0), range(n_paths), tangents, cells,
+    noise = _noise_blocks(
+        seed, range(n_paths), n_steps, dt_eff, purpose=PURPOSE_DECAY_CHECK, point=0
+    )
+    first, second = _tangent_pass(
+        model, regime, dt_eff, n_steps, x0, y0, noise, n_paths, tangents, cells
     )
     if second is None:
         per_sep = list(np.abs(first.final_dy))

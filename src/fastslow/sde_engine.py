@@ -26,10 +26,9 @@ groups of paths, each drawn whole in one block before the next group
 starts; :func:`_path_groups` chooses, and neither choice moves a value.
 One recursion, :func:`_em_states`, advances the state over the blocks
 and yields each step's state with its increments and, from the step its
-consumer first reads them, the values of the key tuple that consumer
-asks for: one kernel call per step, of the 4 EM keys before that step
-and of the asked tuple from it.  Paths and increments are stored only
-when asked for.
+consumer first reads them, the values of all 24 coefficient keys: one
+kernel call per step, of the 4 EM keys before that step and of all 24
+from it.  Paths and increments are stored only when asked for.
 """
 
 from __future__ import annotations
@@ -522,8 +521,7 @@ def _em_states(
     y0: float,
     n_paths: int,
     blocks,
-    keys: tuple[str, ...] = COEFFICIENT_KEYS,
-    keys_from: int = 0,
+    keys_from: float,
     first_column: int = 0,
 ):
     """The Euler-Maruyama recursion of n_paths paths over noise blocks.
@@ -531,19 +529,18 @@ def _em_states(
     ``blocks`` yields (dW1, dW2) arrays of shape (b, n_paths) covering
     the steps in order.  Yields (k, x, y, dw1, dw2, values) for every
     step k: the state at k, the increments that advance it and, from
-    step ``keys_from`` on, the values of ``keys`` at the state.  Each
-    step makes one kernel call: of the 4 EM keys before ``keys_from``,
-    where it yields None for the values, and of ``keys`` (default: all
-    24, what the tangent pass reads) from it.  ``keys`` must include c,
-    sigma, f and tau, which the step reads from those values; a key's
-    value does not depend on the tuple it is evaluated with, so the
-    switch moves no state.  Last comes (n_steps, x, y, None, None,
+    step ``keys_from`` on, the values of all 24 coefficient keys at the
+    state, which the tangent pass reads.  Each step makes one kernel
+    call: of the 4 EM keys before ``keys_from``, where it yields None
+    for the values, and of all 24 keys from it (``math.inf``: never).
+    A key's value does not depend on the tuple it is evaluated with, so
+    the switch moves no state.  Last comes (n_steps, x, y, None, None,
     None), as no step follows.  The yielded rows are valid until the
     next item is drawn; the states are never written in place.  Errors
     name a path by its column plus ``first_column``, the column of the
     first path in the caller's arrays.
     """
-    em_values = itemgetter(*(keys.index(key) for key in _EM_KEYS))
+    em_values = itemgetter(*(COEFFICIENT_KEYS.index(key) for key in _EM_KEYS))
     x = np.full(n_paths, float(x0))
     y = np.full(n_paths, float(y0))
     k = 0
@@ -552,7 +549,7 @@ def _em_states(
             if k < keys_from:
                 values, em = None, model.evaluate(x, y, _EM_KEYS)
             else:
-                values = model.evaluate(x, y, keys)
+                values = model.evaluate(x, y, COEFFICIENT_KEYS)
                 em = em_values(values)
             yield k, x, y, dw1, dw2, values
             x, y = _em_step(model, x, y, em, dw1, dw2, k, scales, first_column)
@@ -582,7 +579,8 @@ def _em_loop(
     """
     cols = slice(columns.start, columns.stop)
     states = _em_states(
-        model, scales, x0, y0, len(columns), blocks, _EM_KEYS, first_column=columns.start
+        model, scales, x0, y0, len(columns), blocks,
+        keys_from=math.inf, first_column=columns.start,
     )
     for k, x, y, dw1, dw2, _ in states:
         if X is not None:

@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+import fastslow.cli as cli_mod
 from fastslow.cli import (
     EXIT_ASSERTION,
     EXIT_IO,
@@ -209,6 +210,24 @@ def test_config_expressions_model():
             {"model": "affine-oracle", "sweep": {"epsilons": [0.1], "gamma": -1.0}},
             r"sweep.gamma must be positive \(got -1.0\)",
         ),
+        # A key no command reads is rejected by name inside each section,
+        # so a misspelt grid.n_paths does not silently run the default.
+        ({"model": "affine-oracle", "grid": {"n_path": 5}}, r"unknown grid keys: \['n_path'\]"),
+        ({"model": "affine-oracle", "grid": {"r_grid": 8}}, r"unknown grid keys: \['r_grid'\]"),
+        (
+            {"expressions": {"c": "x", "sigma": "1", "f": "-y", "tau": "1", "d1_c": "1"}},
+            r"unknown expressions keys: \['d1_c'\]",
+        ),
+        (
+            {
+                "model": "affine-oracle",
+                "regime": {"epsilon": 0.1, "eta": 0.1, "T": 1.0, "Tmax": 2},
+            },
+            r"unknown regime keys: \['Tmax'\]",
+        ),
+        ({"model": "affine-oracle", "sweep": {"epsilons": [0.1], "eta": 0.1}}, "unknown sweep keys"),
+        ({"model": "affine-oracle", "analysis": {"bootstraps": 50}}, "unknown analysis keys"),
+        ({"model": "affine-oracle", "io": {"seed": 3}}, r"unknown io keys: \['seed'\]"),
     ],
 )
 def test_config_rejections(raw, fragment):
@@ -310,6 +329,76 @@ def test_main_grid_range_is_checked_at_parse_time(tmp_path, capsys, key, value, 
     raw = {"model": "affine-oracle", "grid": {key: value}, "io": {"output_dir": str(out)}}
     cfg = _write_config(tmp_path, raw)
     assert main(["check-assumptions", "--config", cfg]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        ("x", "io.master_seed must be a number (got 'x')"),
+        (1.5, "io.master_seed must be a non-negative integer (got 1.5)"),
+        (True, "io.master_seed must be a number (got True)"),
+        (-1, "io.master_seed must be a non-negative integer (got -1)"),
+    ],
+)
+def test_main_master_seed_is_checked_at_parse_time(tmp_path, capsys, seed, message):
+    """io.master_seed must be a non-negative integer: a string is not left
+    to int() (a traceback), 1.5 and true do not run as seed 1, and -1 is
+    not left to the stream keys (exit 2).  Each fails with exit 64 naming
+    the key, before the output directory is made."""
+    out = tmp_path / "out"
+    raw = {
+        "model": "affine-oracle",
+        "regime": {"epsilon": 0.1, "eta": 0.1, "T": 1.0},
+        "io": {"output_dir": str(out), "master_seed": seed},
+    }
+    assert main(["bound-eval", "--config", _write_config(tmp_path, raw)]) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_main_negative_seed_option_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    raw = {
+        "model": "affine-oracle",
+        "regime": {"epsilon": 0.1, "eta": 0.1, "T": 1.0},
+        "io": {"output_dir": str(out)},
+    }
+    cfg = _write_config(tmp_path, raw)
+    assert main(["bound-eval", "--config", cfg, "--seed", "-1"]) == EXIT_USAGE
+    assert "--seed must be a non-negative integer (got -1)" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["bound-eval", "--config", cfg, "--seed", "0"]) == EXIT_PASS
+    assert _read_json(out, "run_manifest.json")["seed"] == 0
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("checkpoints", 5, "grid.checkpoints must be a non-empty list of times (got 5)"),
+        ("checkpoints", [], "grid.checkpoints must be a non-empty list of times (got [])"),
+        ("checkpoints", [0.1, "a"], "grid.checkpoints must be a number (got 'a')"),
+        ("checkpoints", [0.1, math.inf], "grid.checkpoints must be finite (got inf)"),
+        ("dt_eta_fraction", "x", "grid.dt_eta_fraction must be a number (got 'x')"),
+        ("dt_eta_fraction", 0.1, "grid.dt_eta_fraction must lie in (0, 1/20] (got 0.1)"),
+        ("dt_eta_fraction", 0, "grid.dt_eta_fraction must lie in (0, 1/20] (got 0)"),
+    ],
+)
+def test_main_grid_times_are_checked_at_parse_time(tmp_path, capsys, key, value, message):
+    """grid.checkpoints must be a non-empty list of finite numbers and
+    grid.dt_eta_fraction a number in (0, 1/20], as grid.dt is checked:
+    exit 64 naming the key, before the output directory is made, instead
+    of a TypeError traceback in clt-verify or a late failure in
+    rate-sweep."""
+    out = tmp_path / "out"
+    raw = {
+        "model": "affine-oracle",
+        "sweep": {"epsilons": [0.16, 0.08, 0.04], "T": 0.3},
+        "grid": {key: value},
+        "io": {"output_dir": str(out)},
+    }
+    assert main(["rate-sweep", "--config", _write_config(tmp_path, raw)]) == EXIT_USAGE
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -830,6 +919,30 @@ def test_regime_diagnostics_write_null_for_inf_or_none():
     assert off == {"regime_drift": 1.0, "scaling_quotient": pytest.approx(0.2)}
     inf = _regime_diagnostics(ScaleRegime(epsilon=0.04, eta=0.01, gamma=math.inf, T=1.0))
     assert inf == {"regime_drift": None, "scaling_quotient": pytest.approx(0.4)}
+
+
+def test_rate_sweep_needs_three_points_before_any_work(tmp_path, capsys, monkeypatch):
+    """rate-sweep with fewer than three sweep.epsilons is a usage error
+    (exit 64) raised before the homogenization, with no data artifact;
+    the config itself stays valid, as malliavin-sweep runs two points."""
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("homogenization started before the sweep was checked")
+
+    monkeypatch.setattr(cli_mod, "build_homogenized", not_reached)
+    out = tmp_path / "out"
+    cfg = _write_config(
+        tmp_path,
+        {
+            "model": "affine-oracle",
+            "sweep": {"epsilons": [0.08, 0.04], "T": 0.3},
+            "io": {"output_dir": str(out)},
+        },
+    )
+    assert main(["rate-sweep", "--config", cfg]) == EXIT_USAGE
+    message = "rate-sweep needs at least three sweep.epsilons (got [0.08, 0.04])"
+    assert message in capsys.readouterr().err
+    assert not out.exists() or os.listdir(out) == []
 
 
 def test_rate_sweep_requires_sweep_section(tmp_path):

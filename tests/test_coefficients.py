@@ -31,9 +31,7 @@ from fastslow.malliavin import (
 from fastslow.sde_engine import (
     _EM_KEYS,
     ScaleRegime,
-    _em_states,
     _noise_blocks,
-    _StepScales,
     simulate_paths,
 )
 
@@ -157,13 +155,14 @@ def test_every_key_tuple_is_bit_equal_to_each_key_alone(name, request):
 
 
 def test_tangents_evaluate_once_per_step(bounded, monkeypatch):
-    """Exactly one kernel call per state a pass reads, for all 24 keys
-    on that state's rows, and none through the one-key views: on stored
-    rows from the first perturbation step, up to the horizon where a
-    recorder reads it and before it otherwise; on live noise the call of
-    each Euler-Maruyama step, which the tangents read too, and none at
-    the horizon, where nothing starts.  simulate_paths keeps one call of
-    the 4 EM keys per step."""
+    """Exactly one kernel call per state a pass reads, none through the
+    one-key views, and every state the pass evaluates is the stored row
+    bit for bit: the bundle functions replay the stored increments, with
+    the 4 EM keys before the first perturbation step and all 24 keys
+    from it, up to the horizon where a recorder reads it and before it
+    otherwise; on live noise drawn from the bundle's streams the pass
+    makes the same calls, and none at the horizon, where nothing starts.
+    simulate_paths keeps one call of the 4 EM keys per step."""
     regime = ScaleRegime(epsilon=0.05, eta=0.05, gamma=1.0, T=0.2)
     calls = []
     evaluate = CoefficientTable.evaluate
@@ -172,33 +171,34 @@ def test_tangents_evaluate_once_per_step(bounded, monkeypatch):
         calls.append((tuple(keys), np.array(x)))
         return evaluate(self, x, y, keys)
 
-    def assert_calls(keys, rows):
-        assert [k for k, _ in calls] == [keys] * len(rows)
-        assert all(np.array_equal(x, bundle.X[k]) for (_, x), k in zip(calls, rows))
+    def assert_calls(first_at, stop):
+        """One call on each state k < stop: of the EM keys before
+        first_at and of all 24 keys from it."""
+        expect = [_EM_KEYS] * first_at + [COEFFICIENT_KEYS] * (stop - first_at)
+        assert [k for k, _ in calls] == expect
+        assert all(np.array_equal(x, bundle.X[k]) for (_, x), k in zip(calls, range(stop)))
         calls.clear()
 
     monkeypatch.setattr(CoefficientTable, "evaluate", counting)
     bundle = simulate_paths(bounded, regime, 0.4, 0.3, regime.eta / 20, 3, 5)
     n = bundle.n_steps
-    assert_calls(_EM_KEYS, range(0, n))
+    assert_calls(n, n)
     first_order_tangents(bounded, bundle, [0, 10, 20, 40])
-    assert_calls(COEFFICIENT_KEYS, range(0, n + 1))
+    assert_calls(0, n + 1)
     first_order_tangents(bounded, bundle, [10, 20, 40])
-    assert_calls(COEFFICIENT_KEYS, range(10, n + 1))
+    assert_calls(10, n + 1)
     first_order_tangents(bounded, bundle, [10, 20, 40], store_series=False)
-    assert_calls(COEFFICIENT_KEYS, range(10, n))
+    assert_calls(10, n)
     first_order_tangents(bounded, bundle, [10, n], store_series=False)
-    assert_calls(COEFFICIENT_KEYS, range(10, n + 1))
+    assert_calls(10, n + 1)
     second_order_tangents(bounded, bundle, [(10, 10), (20, 10), (40, 40)])
-    assert_calls(COEFFICIENT_KEYS, range(10, n))
+    assert_calls(10, n)
 
-    # On live noise drawn from the bundle's streams, the states are its rows.
     noise = _noise_blocks(5, range(3), n, bundle.dt)
-    states = _em_states(bounded, _StepScales.of(regime, bundle.dt), 0.4, 0.3, 3, noise)
     tangents = [(j, r) for j in (0, 1) for r in (10, 20, 40)]
     cells = [(a, b, *q) for a in (0, 1) for b in (0, 1) for q in [(20, 10), (40, 40)]]
-    _tangent_pass(bounded, regime, bundle.dt, n, 3, states, tangents, cells)
-    assert_calls(COEFFICIENT_KEYS, range(0, n))
+    _tangent_pass(bounded, regime, bundle.dt, n, 0.4, 0.3, noise, 3, tangents, cells)
+    assert_calls(10, n)
 
 
 def test_eval_all_rejects_nonfinite_point(affine):

@@ -36,10 +36,8 @@ from fastslow.malliavin import (
 )
 from fastslow.sde_engine import (
     _EM_KEYS as EM_KEYS,
-    PathBundle,
     ScaleRegime,
     StabilityError,
-    _em_states,
     _noise_blocks,
     _StepScales,
     simulate_paths,
@@ -456,23 +454,16 @@ def test_moment_sweep_affine_structure(affine):
     )
 
 
-# -- one tangent recursion, live or over stored rows --------------------
+# -- one tangent pass, over live or stored noise ------------------------
 
 
-def _recorded(model, scales, x0, y0, n_paths, blocks, keys_from=0):
-    """The live Euler-Maruyama states, stored in a bundle and fed back as
-    its rows."""
-    states = _em_states(model, scales, x0, y0, n_paths, blocks, keys_from=keys_from)
-    rows = [
-        (x.copy(), y.copy(), None if w1 is None else (w1.copy(), w2.copy()))
-        for _, x, y, w1, w2, _ in states
-    ]
-    X, Y = (np.array([row[i] for row in rows]) for i in (0, 1))
-    dW1, dW2 = (np.array([row[2][i] for row in rows[:-1]]) for i in (0, 1))
-    bundle = PathBundle(
-        None, x0, y0, scales.dt, None, n_paths, len(dW1), X, Y, dW1, dW2
+def _bundle_pass(model, bundle, tangents, cells=None):
+    """The tangent pass over a stored bundle's increments, from its
+    initial state, as the bundle functions run it."""
+    return malliavin_mod._tangent_pass(
+        model, bundle.regime, bundle.dt, bundle.n_steps, bundle.x0, bundle.y0,
+        malliavin_mod._stored_noise(bundle), bundle.n_paths, tangents, cells,
     )
-    return malliavin_mod._stored_states(bundle)
 
 
 @pytest.mark.parametrize(
@@ -487,20 +478,19 @@ def _recorded(model, scales, x0, y0, n_paths, blocks, keys_from=0):
     ],
 )
 def test_tangent_pass_matches_recorders_bitwise(bounded, r_indices, pairs, combos):
-    """The pass on live Euler-Maruyama states equals, bit for bit, the
-    recorders on the stored bundle that simulate_paths draws from the
-    same seed; the pass's tangents are the channel-major grid that
-    first_order_tangents asks for, and its cells the combo-major product
-    that second_order_tangents expands."""
+    """The pass on live noise equals, bit for bit, the recorders on the
+    stored bundle that simulate_paths draws from the same seed; the
+    pass's tangents are the channel-major grid that first_order_tangents
+    asks for, and its cells the combo-major product that
+    second_order_tangents expands."""
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.15)
     n_steps, dt = time_grid(regime.T, regime.eta / 20)
     assert n_steps == 60
     noise = _noise_blocks((4, 1), range(6), n_steps, dt)
-    states = _em_states(bounded, _StepScales.of(regime, dt), 0.4, 0.3, 6, noise)
     tangents = [(j, r) for j in (0, 1) for r in r_indices]
     cells = None if pairs is None else [(a, b, *q) for a, b in combos for q in pairs]
     first, second = malliavin_mod._tangent_pass(
-        bounded, regime, dt, n_steps, 6, states, tangents, cells
+        bounded, regime, dt, n_steps, 0.4, 0.3, noise, 6, tangents, cells
     )
     bundle = simulate_paths(bounded, regime, 0.4, 0.3, dt, 6, (4, 1))
     ref_first = first_order_tangents(bounded, bundle, r_indices)
@@ -521,44 +511,22 @@ def test_tangent_pass_matches_recorders_bitwise(bounded, r_indices, pairs, combo
         assert np.array_equal(second[name], expect), name
 
 
-def test_sweeps_match_recorders_bitwise(bounded, monkeypatch):
-    """moment_sweep and decay_check (all three bounds) report the same
-    floats when the tangent recursion runs over the stored rows of the
-    live states instead of advancing with them.
-
-    The moment pairs are (r_mid, r_mid) and (r_mid, r_lo) with r_lo = 0 on
-    the first regime and r_lo > 0 on the second."""
-    regimes = [ScaleRegime(0.1, 0.1, 1.0, 0.3), ScaleRegime(0.05, 0.05, 1.0, 0.3)]
-
-    def run():
-        reports = moment_sweep(
-            bounded, regimes, 1, 40, seed=5, x0=0.4, y0=0.3,
-            pair_sep_etas=2.0, k_hat=1.0,
-        )
-        decays = [
-            decay_check(
-                bounded, regimes[-1], bound_id, 1, 40, 6,
-                separations_eta=(0.5, 1.0, 2.0), x0=0.4, y0=0.3,
-            )
-            for bound_id in ("d2x_w1w2", "d2x_w2w2", "dw2_y_final")
-        ]
-        return [r.to_dict() for r in reports.values()], [d.to_dict() for d in decays]
-
-    fused = run()
-    monkeypatch.setattr(malliavin_mod, "_em_states", _recorded)
-    assert run() == fused
-
-
-def _split_pass(one_pass, sizes):
+def _split_pass(tangent_pass, noise_blocks, sizes):
     """The reference for the sweeps' wide pass: one pass per run of
-    consecutive global path ids, of the given sizes, with the runs'
-    arrays joined along the path axis."""
+    consecutive global path ids, of the given sizes, each over the noise
+    blocks of its own ids, with the runs' arrays joined along the path
+    axis.  The pass is handed (seed, path_ids, kwargs) in place of its
+    noise: what the sweep asked of ``_noise_blocks``."""
 
-    def run(model, regime, dt, n_steps, x0, y0, seed, stream, path_ids, *args):
+    def run(model, regime, dt, n_steps, x0, y0, noise, n_paths, *args):
+        seed, path_ids, kwargs = noise
         edges = np.cumsum([0, *sizes])
-        assert edges[-1] == len(path_ids)
+        assert edges[-1] == n_paths == len(path_ids)
         parts = [
-            one_pass(model, regime, dt, n_steps, x0, y0, seed, stream, path_ids[lo:hi], *args)
+            tangent_pass(
+                model, regime, dt, n_steps, x0, y0,
+                noise_blocks(seed, path_ids[lo:hi], n_steps, dt, **kwargs), hi - lo, *args,
+            )
             for lo, hi in zip(edges, edges[1:])
         ]
         firsts, seconds = zip(*parts)
@@ -574,16 +542,17 @@ def _split_pass(one_pass, sizes):
 
 def test_wide_pass_equals_per_chunk_passes(bounded, monkeypatch):
     """One pass over all paths of a sweep point reports the same floats
-    as passes over the same global path ids split into runs of 50, 50
-    and 30: a path's noise and tangents do not depend on the paths that
-    share its pass, and the moments sum over all paths at once."""
+    as passes over the noise blocks of the same global path ids split
+    into runs of 50, 50 and 30: a path's noise and tangents do not
+    depend on the paths that share its pass, and the moments sum over
+    all paths at once."""
     regimes = [ScaleRegime(0.1, 0.1, 1.0, 0.3), ScaleRegime(0.05, 0.05, 1.0, 0.3)]
     passes = []
-    tangent_pass = malliavin_mod._tangent_pass
+    tangent_pass, noise_blocks = malliavin_mod._tangent_pass, malliavin_mod._noise_blocks
 
-    def counted(model, regime, dt, n_steps, n_paths, *args, **kwargs):
+    def counted(model, regime, dt, n_steps, x0, y0, noise, n_paths, *args, **kwargs):
         passes.append(n_paths)
-        return tangent_pass(model, regime, dt, n_steps, n_paths, *args, **kwargs)
+        return tangent_pass(model, regime, dt, n_steps, x0, y0, noise, n_paths, *args, **kwargs)
 
     def run():
         reports = moment_sweep(
@@ -604,7 +573,10 @@ def test_wide_pass_equals_per_chunk_passes(bounded, monkeypatch):
     assert passes == [130] * 5  # one pass per regime and per decay check
     passes.clear()
     monkeypatch.setattr(
-        malliavin_mod, "_sweep_pass", _split_pass(malliavin_mod._sweep_pass, (50, 50, 30))
+        malliavin_mod, "_noise_blocks", lambda seed, ids, n_steps, dt, **kw: (seed, ids, kw)
+    )
+    monkeypatch.setattr(
+        malliavin_mod, "_tangent_pass", _split_pass(counted, noise_blocks, (50, 50, 30))
     )
     assert run() == wide
     assert passes == [50, 50, 30] * 5
@@ -735,7 +707,7 @@ def test_cell_list_that_is_not_a_product(bounded, bounded_bundle):
     """A cell list that no combos x pairs product gives: mixed channel
     pairs, r1 > r2, r1 < r2 and r1 == r2, cells at r = 0 and at the
     horizon, and one repeated cell.  The stored-row pass matches the
-    literal recursions, and the live-state pass matches it bit for bit."""
+    literal recursions, and the pass on live noise matches it bit for bit."""
     n = bounded_bundle.n_steps
     cells = [
         (0, 1, 30, 12),
@@ -747,10 +719,7 @@ def test_cell_list_that_is_not_a_product(bounded, bounded_bundle):
         (0, 1, 30, 12),
     ]
     _, _, ref = _scalar_tangents(bounded, bounded_bundle, [0, 12, 30, n], cells)
-    args = (bounded, bounded_bundle.regime, bounded_bundle.dt, n, bounded_bundle.n_paths)
-    stored_first, stored = malliavin_mod._tangent_pass(
-        *args, malliavin_mod._stored_states(bounded_bundle), (), cells
-    )
+    stored_first, stored = _bundle_pass(bounded, bounded_bundle, (), cells)
     names = ("final_d2x", "final_d2y", "sup_abs_d2x", "sup_abs_d2y")
     for name, expect in zip(names, ref):
         assert stored[name].shape == (len(cells), bounded_bundle.n_paths)
@@ -758,23 +727,57 @@ def test_cell_list_that_is_not_a_product(bounded, bounded_bundle):
         assert np.array_equal(stored[name][0], stored[name][-1]), name
     assert np.all(np.any(ref[:2] != 0.0, axis=(0, 2)))  # every cell moves
 
-    scales = _StepScales.of(bounded_bundle.regime, bounded_bundle.dt)
     noise = _noise_blocks(42, range(bounded_bundle.n_paths), n, bounded_bundle.dt)
-    states = _em_states(bounded, scales, 0.1, -0.2, bounded_bundle.n_paths, noise)
-    live_first, live = malliavin_mod._tangent_pass(*args, states, (), cells)
+    live_first, live = malliavin_mod._tangent_pass(
+        bounded, bounded_bundle.regime, bounded_bundle.dt, n, 0.1, -0.2, noise,
+        bounded_bundle.n_paths, (), cells,
+    )
     for name in names:
         assert np.array_equal(live[name], stored[name]), name
     assert np.array_equal(live_first.final_dx, stored_first.final_dx)
+
+
+def test_bundle_functions_read_only_the_increments(bounded, bounded_bundle):
+    """The bundle functions replay the stored increments from the
+    bundle's initial state: a bundle that keeps no paths gives the same
+    tangents and Q1, Q2 bit for bit, and each function rejects a bundle
+    that keeps no increments."""
+    regime = bounded_bundle.regime
+    shared = (bounded, regime, 0.1, -0.2, regime.eta / 20, 4, 42)
+    light = simulate_paths(*shared, store_paths=False)
+    assert light.X is None and light.Y is None
+    n = bounded_bundle.n_steps
+    r_grid, pairs = [0, 12, 30, n], [(30, 12), (12, 30), (0, n)]
+    got, ref = (first_order_tangents(bounded, b, r_grid) for b in (light, bounded_bundle))
+    for name in ("DX", "DY", "final_dx", "final_dy", "sup_abs_dx", "sup_abs_dy"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    got, ref = (second_order_tangents(bounded, b, pairs) for b in (light, bounded_bundle))
+    assert np.any(ref.final_d2x != 0.0)
+    for name in ("final_d2x", "final_d2y", "sup_abs_d2x", "sup_abs_d2y"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    q_light, q_ref = (q_decomposition(bounded, b, 12) for b in (light, bounded_bundle))
+    for got, ref in zip(q_light, q_ref):
+        assert np.array_equal(got, ref)
+
+    bare = simulate_paths(*shared, store_increments=False)
+    calls = (
+        lambda b: first_order_tangents(bounded, b, r_grid),
+        lambda b: second_order_tangents(bounded, b, pairs),
+        lambda b: q_decomposition(bounded, b, 12),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="bundle must store increments"):
+            call(bare)
 
 
 @pytest.mark.parametrize("combo", [(-1, 0), (0.5, 0), (2, 0)])
 def test_channels_other_than_0_or_1_are_rejected(bounded, bounded_bundle, combo):
     """A channel must be the integer 0 (W1) or 1 (W2): neither labelled
     nor truncated nor left to an IndexError, and rejected before any
-    step runs."""
+    noise block is read."""
 
-    def no_states():
-        raise AssertionError("a step ran")
+    def no_noise():
+        raise AssertionError("a noise block was read")
         yield
 
     with pytest.raises(ValueError, match=r"cell \(.*\) has a channel other than 0 or 1"):
@@ -782,7 +785,8 @@ def test_channels_other_than_0_or_1_are_rejected(bounded, bounded_bundle, combo)
     with pytest.raises(ValueError, match="has a channel other than 0 or 1"):
         malliavin_mod._tangent_pass(
             bounded, bounded_bundle.regime, bounded_bundle.dt, bounded_bundle.n_steps,
-            bounded_bundle.n_paths, no_states(), (), [(0, 1, 30, 12), (*combo, 30, 30)],
+            0.1, -0.2, no_noise(), bounded_bundle.n_paths, (),
+            [(0, 1, 30, 12), (*combo, 30, 30)],
         )
 
 
@@ -796,11 +800,13 @@ def test_sweeps_request_only_the_cells_they_read(bounded, monkeypatch):
     tangent_pass = malliavin_mod._tangent_pass
     first_step, second_step = malliavin_mod._first_step, malliavin_mod._second_step
 
-    def spy_pass(model, regime, dt, n_steps, n_paths, states, tangents, cells=None, **kw):
+    def spy_pass(model, regime, dt, n_steps, x0, y0, noise, n_paths, tangents, cells=None):
         requested.append(
             ([tuple(t) for t in tangents], None if cells is None else [tuple(c) for c in cells])
         )
-        return tangent_pass(model, regime, dt, n_steps, n_paths, states, tangents, cells, **kw)
+        return tangent_pass(
+            model, regime, dt, n_steps, x0, y0, noise, n_paths, tangents, cells
+        )
 
     def spy_first(d, dx, *args):
         first_rows.add(dx.shape[0])
@@ -851,10 +857,7 @@ def test_tangent_subset_equals_full_grid_and_starts_late(bounded, bounded_bundle
     full = [(j, r) for j in (0, 1) for r in (0, 12, 30, n)]
     subset = [(1, 30), (0, 12), (1, n), (1, 30)]
     cells = [(0, 1, n, 0), (0, 1, 30, 12)]
-    args = (bounded, bounded_bundle.regime, bounded_bundle.dt, n, bounded_bundle.n_paths)
-    ref, ref_second = malliavin_mod._tangent_pass(
-        *args, malliavin_mod._stored_states(bounded_bundle), full, cells
-    )
+    ref, ref_second = _bundle_pass(bounded, bounded_bundle, full, cells)
 
     steps = []
     first_step, second_step = malliavin_mod._first_step, malliavin_mod._second_step
@@ -869,9 +872,7 @@ def test_tangent_subset_equals_full_grid_and_starts_late(bounded, bounded_bundle
 
     monkeypatch.setattr(malliavin_mod, "_first_step", spy_first)
     monkeypatch.setattr(malliavin_mod, "_second_step", spy_second)
-    got, second = malliavin_mod._tangent_pass(
-        *args, malliavin_mod._stored_states(bounded_bundle), subset, cells
-    )
+    got, second = _bundle_pass(bounded, bounded_bundle, subset, cells)
     rows = [full.index(t) for t in subset]
     for name in ("final_dx", "final_dy", "sup_abs_dx", "sup_abs_dy"):
         assert getattr(got, name).shape == (len(subset), bounded_bundle.n_paths)
@@ -983,7 +984,7 @@ def unfolded(monkeypatch):
     em_states, noise_blocks = malliavin_mod._em_states, malliavin_mod._noise_blocks
 
     def all_keys_from_step_0(*args, keys_from):
-        return em_states(*args)
+        return em_states(*args, keys_from=0)
 
     def three_blocks(seed, path_ids, n_steps, dt, **kwargs):
         return noise_blocks(seed, path_ids, n_steps, dt, -(-n_steps // 3), **kwargs)
@@ -1075,7 +1076,6 @@ def test_partial_vanishing_at_some_states_is_kept(monkeypatch, unfolded):
     assert {"d12_c", "d22_c", "d1_sigma", "d12_f", "d22_f", "d2_tau"} <= zero
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.15)
     bundle = simulate_paths(model, regime, 0.0, 0.3, regime.eta / 20, 5, 3)
-    args = (model, regime, bundle.dt, bundle.n_steps, 5)
     tangents, cells = [(0, 0), (1, 0), (1, 20)], [(0, 1, 0, 0), (1, 1, 20, 0)]
     read = {}
     first_step, second_step = malliavin_mod._first_step, malliavin_mod._second_step
@@ -1090,12 +1090,12 @@ def test_partial_vanishing_at_some_states_is_kept(monkeypatch, unfolded):
 
     monkeypatch.setattr(malliavin_mod, "_first_step", spy_first)
     monkeypatch.setattr(malliavin_mod, "_second_step", spy_second)
-    got = malliavin_mod._tangent_pass(*args, malliavin_mod._stored_states(bundle), tangents, cells)
+    got = _bundle_pass(model, bundle, tangents, cells)
     for name in ("first", "second"):
         value, k = read[name]
         assert k == 0 and isinstance(value, np.ndarray) and np.all(value == 0.0), name
     unfolded()
-    ref = malliavin_mod._tangent_pass(*args, malliavin_mod._stored_states(bundle), tangents, cells)
+    ref = _bundle_pass(model, bundle, tangents, cells)
     for name in ("final_dx", "final_dy", "sup_abs_dx", "sup_abs_dy"):
         assert np.array_equal(getattr(got[0], name), getattr(ref[0], name)), name
     for name in ref[1]:
@@ -1105,9 +1105,11 @@ def test_partial_vanishing_at_some_states_is_kept(monkeypatch, unfolded):
 @pytest.mark.parametrize("fixture", ["bounded", "trig"])
 def test_q_decomposition_evaluates_once_per_read_row(fixture, request, monkeypatch):
     """q_decomposition reads tau at r and the fast partials from the
-    pass's values: one 24-key kernel call per row from r to the horizon,
-    and Q1, Q2 equal, bit for bit, the recursion run on its own kernel
-    calls over the stored first-order series."""
+    pass's values.  Replaying the bundle's increments, the pass makes one
+    kernel call per state, of the 4 EM keys before r and of all 24 keys
+    from r to the horizon, each on the stored row bit for bit; and Q1,
+    Q2 equal, bit for bit, the recursion run on its own kernel calls
+    over the stored first-order series."""
     model = request.getfixturevalue(fixture)
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.15)
     bundle = simulate_paths(model, regime, 0.4, 0.3, regime.eta / 20, 5, 8)
@@ -1137,8 +1139,8 @@ def test_q_decomposition_evaluates_once_per_read_row(fixture, request, monkeypat
 
     monkeypatch.setattr(CoefficientTable, "evaluate", counting)
     got1, got2 = q_decomposition(model, bundle, r)
-    assert [keys for keys, _ in calls] == [COEFFICIENT_KEYS] * (n - r + 1)
-    assert all(np.array_equal(x, bundle.X[k]) for (_, x), k in zip(calls, range(r, n + 1)))
+    assert [keys for keys, _ in calls] == [EM_KEYS] * r + [COEFFICIENT_KEYS] * (n - r + 1)
+    assert all(np.array_equal(x, bundle.X[k]) for (_, x), k in zip(calls, range(n + 1)))
     assert np.array_equal(got1, q1) and np.array_equal(got2, q2)
 
 

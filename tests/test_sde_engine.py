@@ -469,7 +469,7 @@ def test_memory_does_not_grow_with_steps(affine, monkeypatch):
     largest group's two channel blocks, within the block budget, and its
     draw buffer.  Nor may the path-major draw buffer grow when the path
     count grows from 600 to 2000."""
-    from fastslow.malliavin import _sweep_pass
+    from fastslow.malliavin import _tangent_pass
 
     dt = 1.0 / 4096
 
@@ -492,9 +492,11 @@ def test_memory_does_not_grow_with_steps(affine, monkeypatch):
         r = [n_steps // 4, n_steps // 2]
         tangents = [(j, q) for j in (0, 1) for q in r]
         cells = [(j1, j2, r[1], r[0]) for j1 in (0, 1) for j2 in (0, 1)]
-        _sweep_pass(
-            affine, regime(n_steps), dt, n_steps, 0.0, 0.0, 1,
-            (PURPOSE_MOMENT_SWEEP, 1), range(200), tangents, cells,
+        noise = sde_engine._noise_blocks(
+            1, range(200), n_steps, dt, purpose=PURPOSE_MOMENT_SWEEP, point=1
+        )
+        _tangent_pass(
+            affine, regime(n_steps), dt, n_steps, 0.0, 0.0, noise, 200, tangents, cells
         )
 
     held = [0, 0]  # bytes held from _mapped_array now, and their peak
