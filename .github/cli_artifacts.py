@@ -10,7 +10,9 @@ default ``fastslow-out``.  Every artifact except ``run_manifest.json``
 (it records the wall time) is compared, and a Markdown table with the
 exit codes and "same" or "moved" per artifact goes to stdout.  The
 configs leave the assumption grid, the bootstrap count and the decay
-separations at their defaults, so the defaults are compared too.  Every
+separations at their defaults, so the defaults are compared too.
+``malliavin-sweep start`` starts the sweep from x0 = 0.4, y0 = 0.3, so
+the start read from ``grid`` is compared as well.  Every
 config but ``rate-sweep grouped`` draws its noise in one 32 MiB block;
 that one's finest point simulates 6000 paths of 500 steps, which
 ``simulate_paths`` runs as two path groups.  The script reports and does not gate: it
@@ -45,6 +47,13 @@ CONFIGS = {
         "model": "bounded-coupled",
         "sweep": {"epsilons": [0.1, 0.05], "gamma": 1.0, "T": 1.0},
         "grid": {"n_paths": 100},
+        "analysis": {"p": [1]},
+        "io": {"master_seed": 4},
+    },
+    "malliavin-sweep start": {
+        "model": "bounded-coupled",
+        "sweep": {"epsilons": [0.1, 0.05], "gamma": 1.0, "T": 1.0},
+        "grid": {"n_paths": 100, "x0": 0.4, "y0": 0.3},
         "analysis": {"p": [1]},
         "io": {"master_seed": 4},
     },

@@ -77,16 +77,6 @@ EXIT_WARNINGS = 3
 EXIT_USAGE = 64
 EXIT_IO = 74
 
-_COMMANDS = (
-    "check-assumptions",
-    "homogenize",
-    "clt-verify",
-    "malliavin-sweep",
-    "rate-sweep",
-    "bound-eval",
-)
-
-
 #: The keys each config section may hold: those some command reads.
 _SECTION_KEYS = {
     "expressions": ("c", "sigma", "f", "tau"),
@@ -359,8 +349,12 @@ def _write_csv_rows(path: str, header: str, rows) -> None:
 
 
 def _atomic_file(write_fn, path: str) -> None:
-    """Run a path-taking writer against a temp file, then rename."""
+    """Run a path-taking writer against a temp file, then rename.
+
+    The file's directory is created here, at the first write, so a run
+    that fails before writing leaves no directory behind."""
     directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     os.close(fd)
     try:
@@ -381,7 +375,7 @@ def _write_manifest(out_dir, command, config, seed, t0, exit_code) -> None:
     payload = {
         "command": command,
         "config_hash": _config_hash(config),
-        "seed": seed if isinstance(seed, int) else list(seed),
+        "seed": seed,
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -519,13 +513,15 @@ def cmd_malliavin_sweep(config: ExperimentConfig, out_dir, seed) -> int:
     model = config.coefficient_set()
     regimes = config.sweep_regimes()
     n_paths = int(config.grid.get("n_paths", 2000))
+    x0 = float(config.grid.get("x0", 0.0))
+    y0 = float(config.grid.get("y0", 0.0))
     # Reject a separation that reaches before t = 0 at the finest point
     # before any artifact is written.
     separations, decay_bounds = config.decay_settings(regimes[-1])
     any_warn = False
     all_pass = True
     for p in config.moment_orders():
-        reports = moment_sweep(model, regimes, p, n_paths, seed=seed)
+        reports = moment_sweep(model, regimes, p, n_paths, seed=seed, x0=x0, y0=y0)
         _write_json(
             os.path.join(out_dir, f"moments_p{p}.json"),
             {bid: rep.to_dict() for bid, rep in reports.items()},
@@ -544,6 +540,8 @@ def cmd_malliavin_sweep(config: ExperimentConfig, out_dir, seed) -> int:
                 n_paths,
                 seed,
                 separations_eta=separations,
+                x0=x0,
+                y0=y0,
             )
             payload[bid] = rep.to_dict()
             all_pass = all_pass and rep.monotone_within_noise
@@ -624,8 +622,8 @@ def cmd_bound_eval(config: ExperimentConfig, out_dir, seed) -> int:
     rows = []
     details = []
     for regime in regimes:
-        value = theoretical_bound(regime, K, zeta, C1, C2, regime.T)
-        terms = theoretical_bound_terms(regime, K, zeta, regime.T)
+        value = theoretical_bound(regime, K, zeta, C1, C2)
+        terms = theoretical_bound_terms(regime, K, zeta)
         rows.append(
             (regime.epsilon, regime.eta,
              math.inf if math.isinf(regime.gamma) else regime.gamma,
@@ -668,7 +666,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fastslow",
         description="Slow-fast SDE laboratory: averaging, fluctuations, tangents.",
     )
-    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("command", choices=_DISPATCH)
     parser.add_argument("--config", required=True, help="path to a JSON experiment config")
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     return parser
@@ -700,12 +698,6 @@ def main(argv=None) -> int:
 
     out_dir = config.output_dir()
     t0 = time.monotonic()
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        print(f"fastslow: cannot create output directory: {exc}", file=sys.stderr)
-        return EXIT_IO
-
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("always", BoundaryQualityWarning)

@@ -145,18 +145,12 @@ class HomogenizedModel:
     _q_bar_spline: CubicSpline = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.x_grid) >= 4:
-            cb = CubicSpline(self.x_grid, self.c_bar, bc_type="natural")
-            qb = CubicSpline(self.x_grid, self.q_bar, bc_type="natural")
-        else:
-            # Degenerate x-grids (2-3 nodes) fall back to the unique
-            # low-order polynomial interpolant.
-            cb = _poly_interp(self.x_grid, self.c_bar)
-            qb = _poly_interp(self.x_grid, self.q_bar)
-        prime = cb.derivative() if isinstance(cb, CubicSpline) else cb.deriv()
+        cb = CubicSpline(self.x_grid, self.c_bar, bc_type="natural")
         object.__setattr__(self, "_c_bar_spline", cb)
-        object.__setattr__(self, "_c_bar_prime", prime)
-        object.__setattr__(self, "_q_bar_spline", qb)
+        object.__setattr__(self, "_c_bar_prime", cb.derivative())
+        object.__setattr__(
+            self, "_q_bar_spline", CubicSpline(self.x_grid, self.q_bar, bc_type="natural")
+        )
 
     # -- evaluation ----------------------------------------------------
     def c_bar_at(self, x):
@@ -181,9 +175,7 @@ class HomogenizedModel:
                 for y_row, row in zip(self.y_grid, table)
             ]
         )
-        if len(self.x_grid) >= 4:
-            return CubicSpline(self.x_grid, vals, bc_type="natural")(x)
-        return _poly_interp(self.x_grid, vals)(x)
+        return CubicSpline(self.x_grid, vals, bc_type="natural")(x)
 
     def phi_at(self, x, y):
         """Corrector phi(x, y) (y clamped to the row windows)."""
@@ -194,24 +186,17 @@ class HomogenizedModel:
         return self._rows_at(self.dy_phi, x, y)
 
 
-def _poly_interp(xs, vals):
-    """Exact low-order polynomial interpolant for degenerate grids."""
-    return np.poly1d(np.polyfit(xs, vals, deg=len(xs) - 1))
+def _scalar_interp(interp: PPoly):
+    """A float -> float function equal to ``float(interp(x))`` for a
+    piecewise polynomial (a :class:`CubicSpline` or its derivative).
 
-
-def _scalar_interp(interp):
-    """A float -> float function equal to ``float(interp(x))``.
-
-    For a piecewise polynomial (a :class:`CubicSpline` or its derivative)
-    it repeats, on Python floats, what ``PPoly.__call__`` computes for
+    It repeats, on Python floats, what ``PPoly.__call__`` computes for
     one point: the interval i with breaks[i] <= x < breaks[i + 1] (the
     first or last interval outside the breaks, as it extrapolates) and
     the sum over ascending powers of coefficient * s**k, with s = x -
     breaks[i] and s**k formed by repeated products, added left to right.
     So each value keeps its bits, without the array call per point.
     """
-    if not isinstance(interp, PPoly):
-        return lambda x: float(interp(x))
     breaks = interp.x.tolist()
     ascending = interp.c[::-1].T.tolist()  # per interval, lowest power first
     last = len(breaks) - 2

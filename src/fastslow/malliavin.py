@@ -494,10 +494,10 @@ def _tangent_pass(
     Before the first start (the smallest r of the tangents and cell
     factors) the pass reads no state, so those steps evaluate only the 4
     EM keys.  The horizon state is evaluated only where a tangent or
-    cell factor starts there or ``record`` is given; otherwise it costs
-    no call.  The steps leave out every term whose partial is
-    identically zero for the model (:func:`_zero_partials`, decided once
-    per pass), which changes no value.
+    cell factor starts there; otherwise it costs no call.  The steps
+    leave out every term whose partial is identically zero for the model
+    (:func:`_zero_partials`, decided once per pass), which changes no
+    value.
 
     The first-order state holds the tangents (j, r) of ``tangents``
     joined with the two factors (j1, r1) and (j2, r2) of every cell
@@ -509,7 +509,8 @@ def _tangent_pass(
     and each is stepped only from there.  ``record(k, dx, dy, values)``,
     when given, sees the first-order values of ``tangents``,
     (n_tangents, n_paths) each, and the 24 key values of the state at
-    every k from the first r.
+    every k from the first r; at the horizon k = n_steps ``values`` is
+    None unless a tangent or cell factor starts there.
 
     Returns the finals and sups of ``tangents`` in their order and
     (None without ``cells``) the (n_cells, n_paths) arrays
@@ -552,8 +553,8 @@ def _tangent_pass(
     for k, x, y, w1, w2, values in states:
         if k < first_at:
             continue
-        # The horizon state comes without values: only a start or ``record`` reads them.
-        if values is None and (record is not None or k in inject or k in alpha_at):
+        # The horizon state comes without values: only a start reads them.
+        if values is None and (k in inject or k in alpha_at):
             values = model.evaluate(x, y, COEFFICIENT_KEYS)
         if k in inject:
             sigma, tau = _injection_values(values)
@@ -793,23 +794,19 @@ def q_decomposition(
     return q1, q2
 
 
-def hnorm_first(first: FirstOrderTangents, r_values=None) -> np.ndarray:
+def hnorm_first(first: FirstOrderTangents) -> np.ndarray:
     """Per-path fourth power of the derivative H-norm at the final time:
 
         ( int (|D_u^{W1}X_T|^2 + |D_u^{W2}X_T|^2) du )^2,
 
-    trapezoid over the tangent r-grid (at least 8 nodes).  ``r_values``
-    overrides the integration abscissae (same length as the r-grid);
-    the stored sorted grid is used either way, so the result does not
-    depend on how the caller enumerated the perturbation times.
+    trapezoid over the tangent r-grid (at least 8 nodes).  The grid is
+    the stored sorted one, so the result does not depend on how the
+    caller enumerated the perturbation times.
     """
     if len(first.r_indices) < 8:
         raise ValueError("H-norm quadrature needs an r-grid of at least 8 nodes")
-    nodes = first.r_values if r_values is None else np.asarray(r_values, float)
-    if len(nodes) != len(first.r_indices):
-        raise ValueError("r_values length must match the tangent r-grid")
     integrand = np.sum(first.final_dx**2, axis=0)  # (n_r, n_paths)
-    return np.trapezoid(integrand, nodes, axis=0) ** 2
+    return np.trapezoid(integrand, first.r_values, axis=0) ** 2
 
 
 def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
@@ -819,7 +816,7 @@ def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
     return w
 
 
-def contraction_norm_second(second: SecondOrderTangents, r_values=None) -> np.ndarray:
+def contraction_norm_second(second: SecondOrderTangents) -> np.ndarray:
     """Per-path squared contraction norm of the final-time second kernel.
 
     Requires ``second`` built on the full pair grid of an r-grid (at
@@ -830,7 +827,6 @@ def contraction_norm_second(second: SecondOrderTangents, r_values=None) -> np.nd
 
     (trapezoid in u over the r-grid) and returns the squared
     Hilbert-Schmidt size  sum_{i,j} int int M[v, w]^2 dv dw  per path.
-    ``r_values`` overrides the integration abscissae.
     """
     if second.combos != _ALL_COMBOS:
         raise ValueError("contraction needs all four channel combos")
@@ -849,10 +845,7 @@ def contraction_norm_second(second: SecondOrderTangents, r_values=None) -> np.nd
         raise ValueError(
             "pair grid is not the row-major full grid of an ascending r-grid"
         )
-    nodes = r_idx * second.dt if r_values is None else np.asarray(r_values, float)
-    if len(nodes) != n_r:
-        raise ValueError("r_values length must match the r-grid")
-    w = _trapezoid_weights(nodes)
+    w = _trapezoid_weights(r_idx * second.dt)
     n_paths = second.final_d2x.shape[-1]
     kern = second.final_d2x.reshape(2, 2, n_r, n_r, n_paths)
     m = np.einsum("ikuvp,kjuwp,u->ijvwp", kern, kern, w)

@@ -466,10 +466,9 @@ def _clt_reports(
     return reports
 
 
-def theoretical_bound_terms(
-    regime: ScaleRegime, K: float, zeta: float, T: float
-) -> dict:
-    """Individual envelope terms (C1 and C2 brackets) plus diagnostics.
+def theoretical_bound_terms(regime: ScaleRegime, K: float, zeta: float) -> dict:
+    """Individual envelope terms (C1 and C2 brackets) plus diagnostics,
+    at the regime's horizon T.
 
     The regime-drift term eta/eps - 1/gamma^2 enters under an absolute
     value; its sign is reported separately rather than guessed away.
@@ -492,7 +491,7 @@ def theoretical_bound_terms(
     bracket2 = {
         "ratio_sqrt_eta_quarter": ratio**0.5 * eta**0.25,
         "ratio_eta_quarter": ratio * eta**0.25,
-        "fast_transient": (1.0 + ratio) * math.exp(-K * T / (16.0 * eta)),
+        "fast_transient": (1.0 + ratio) * math.exp(-K * regime.T / (16.0 * eta)),
     }
     return {
         "bracket1": bracket1,
@@ -507,10 +506,10 @@ def theoretical_bound(
     zeta: float = 0.1,
     C1: float = 1.0,
     C2: float = 1.0,
-    T: float | None = None,
 ) -> float:
-    """Two-bracket theoretical envelope at one (eps, eta, gamma) point."""
-    terms = theoretical_bound_terms(regime, K, zeta, T if T is not None else regime.T)
+    """Two-bracket theoretical envelope at one (eps, eta, gamma) point,
+    at the regime's horizon T."""
+    terms = theoretical_bound_terms(regime, K, zeta)
     return C1 * sum(terms["bracket1"].values()) + C2 * sum(terms["bracket2"].values())
 
 
@@ -615,10 +614,10 @@ def rate_sweep(
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
 
     floors = tuple(w1_floor(rep.n, rep.limit_var) for rep in reports)
-    raw0 = theoretical_bound(regimes[0], K, zeta, 1.0, 1.0, T)
+    raw0 = theoretical_bound(regimes[0], K, zeta)
     c_fit = max(points[0][2] - floors[0], 0.0) / raw0 if raw0 > 0 else 0.0
     bounds = tuple(
-        theoretical_bound(r, K, zeta, c_fit, c_fit, T) + floor
+        theoretical_bound(r, K, zeta, c_fit, c_fit) + floor
         for r, floor in zip(regimes, floors)
     )
     return RateFit(

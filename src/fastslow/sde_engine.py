@@ -12,11 +12,12 @@ are advanced with the explicit scheme
 
 under the stability guard dt <= eta/20 (twenty steps per fast
 relaxation time).  Every random number comes from a counter-based
-Philox stream keyed by ``SeedSequence(seed words, spawn_key=(purpose,
-point, path_id, channel))``: what draws it, the sweep point (0 for a
-run of one point, i + 1 for sweep point i), the global path id and the
-noise channel.  The spawn key always has four words, so the streams of
-one seed are distinct by construction, and a path's noise does not
+Philox stream keyed by ``SeedSequence(seed, spawn_key=(purpose,
+point, path_id, channel))``, the seed a non-negative int: what draws
+it, the sweep point (0 for a run of one point, i + 1 for sweep point
+i), the global path id and the noise channel.  The spawn key always
+has four words, so the streams of one seed are distinct by
+construction, and a path's noise does not
 depend on the paths drawn with it.  The keys of many paths come from
 one vectorized pass of numpy's SeedSequence hash.  Noise is drawn in
 blocks of a fixed byte budget, so peak memory grows with the block, not
@@ -190,7 +191,7 @@ class PathBundle:
     x0: float
     y0: float
     dt: float
-    master_seed: object
+    master_seed: int
     n_paths: int
     n_steps: int
     X: np.ndarray | None
@@ -274,22 +275,26 @@ _XSHIFT = np.uint32(16)
 
 
 def _seed_words(master_seed) -> list[int]:
-    """The uint32 entropy words of an int or tuple-of-int seed.
+    """The uint32 entropy words of a non-negative int seed.
 
-    Each int contributes its little-endian 32-bit words (0 gives one
-    word), as numpy's SeedSequence reads it; a negative word raises
-    ValueError naming it.
+    The int contributes its little-endian 32-bit words (0 gives one
+    word), as numpy's SeedSequence reads it; numpy integers are
+    accepted.  Anything else, such as a tuple, a float, a bool or a
+    negative int, raises ValueError naming it.  Padded with zeros to the
+    pool size, the words of two ints below 2**128 differ, so distinct
+    seeds key distinct streams.
     """
-    values = master_seed if isinstance(master_seed, (tuple, list)) else (master_seed,)
-    words = []
-    for v in values:
-        v = int(v)
-        if v < 0:
-            raise ValueError(f"seed words must be non-negative (got {v} in {master_seed!r})")
+    if (
+        isinstance(master_seed, bool)
+        or not isinstance(master_seed, (int, np.integer))
+        or master_seed < 0
+    ):
+        raise ValueError(f"a seed must be a non-negative int (got {master_seed!r})")
+    v = int(master_seed)
+    words = [v & _MASK32]
+    while v > _MASK32:
+        v >>= 32
         words.append(v & _MASK32)
-        while v > _MASK32:
-            v >>= 32
-            words.append(v & _MASK32)
     return words
 
 
@@ -437,7 +442,8 @@ def _noise_blocks(
     (:func:`_rekeyed`), which draws the same numbers and keeps no stream
     open: :func:`simulate_paths` draws a grouped pass this way, one
     group of paths at a time (:func:`_path_groups`).  Path ids outside
-    [0, 2**32) and negative seed words raise ValueError before any draw.
+    [0, 2**32) and a seed that is not a non-negative int raise
+    ValueError before any draw.
     A block holds ``block_steps`` steps (default: as many as fit in
     :data:`_NOISE_BLOCK_BYTES`, at least one) or the remainder.  Philox
     streams are counter-based, so a stream drawn in blocks gives the
@@ -695,9 +701,10 @@ def simulate_paths(
         :func:`time_grid`.
     n_paths : int
         Number of Monte Carlo paths (>= 1), with path ids 0..n_paths-1.
-    master_seed : int or tuple of int
+    master_seed : int
         Root of the noise streams (purpose paths, point ``_point``, which
-        only :func:`fastslow.metrics.rate_sweep` sets).
+        only :func:`fastslow.metrics.rate_sweep` sets): a non-negative
+        int, else ValueError before any draw (:func:`_seed_words`).
     store_paths, store_increments : bool
         Full (n_steps+1, n_paths) state / (n_steps, n_paths) noise
         storage.  Disable both and use ``capture_indices`` for
@@ -734,7 +741,7 @@ def simulate_paths(
         x0=float(x0),
         y0=float(y0),
         dt=dt_eff,
-        master_seed=master_seed,
+        master_seed=int(master_seed),
         n_paths=n_paths,
         n_steps=n_steps,
         X=X,

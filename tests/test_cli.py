@@ -23,7 +23,8 @@ from fastslow.cli import (
     _regime_diagnostics,
     main,
 )
-from fastslow.malliavin import BOUND_IDS
+from fastslow.coefficients import get_model
+from fastslow.malliavin import BOUND_IDS, decay_check, moment_sweep
 from fastslow.sde_engine import ScaleRegime
 
 
@@ -824,6 +825,38 @@ def test_malliavin_sweep_artifacts(tmp_path):
         assert code == EXIT_PASS
 
 
+def test_malliavin_sweep_reads_the_grid_start(tmp_path):
+    """malliavin-sweep starts its paths at grid.x0, grid.y0: the moments
+    and the decay report it writes equal those of moment_sweep and
+    decay_check run in process from that start."""
+    out = tmp_path / "out"
+    sweep = {"epsilons": [0.1, 0.05], "gamma": 1.0, "T": 0.25}
+    cfg = _write_config(
+        tmp_path,
+        {
+            "model": "bounded-coupled",
+            "sweep": sweep,
+            "grid": {"n_paths": 20, "x0": 0.4, "y0": 0.3},
+            "analysis": {"p": [1], "decay_separations": [1.0, 2.0], "decay_bounds": ["d2x_w1w2"]},
+            "io": {"output_dir": str(out), "master_seed": 2},
+        },
+    )
+    main(["malliavin-sweep", "--config", cfg])
+
+    def written(payload):
+        return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+    model = get_model("bounded-coupled")
+    regimes = [ScaleRegime(e, e, 1.0, 0.25) for e in sweep["epsilons"]]
+    reports = moment_sweep(model, regimes, 1, 20, seed=2, x0=0.4, y0=0.3)
+    moments = {bid: rep.to_dict() for bid, rep in reports.items()}
+    assert _read_bytes(out, "moments_p1.json") == written(moments)
+    decay = decay_check(
+        model, regimes[-1], "d2x_w1w2", 1, 20, 2, separations_eta=(1.0, 2.0), x0=0.4, y0=0.3
+    )
+    assert _read_bytes(out, "decay.json") == written({"d2x_w1w2": decay.to_dict()})
+
+
 @pytest.mark.parametrize(
     "analysis",
     [
@@ -848,7 +881,7 @@ def test_malliavin_sweep_bad_decay_separation_writes_nothing(tmp_path, analysis)
         },
     )
     assert main(["malliavin-sweep", "--config", cfg]) == EXIT_USAGE
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_decay_reach_is_checked_only_by_malliavin_sweep():
@@ -942,7 +975,7 @@ def test_rate_sweep_needs_three_points_before_any_work(tmp_path, capsys, monkeyp
     assert main(["rate-sweep", "--config", cfg]) == EXIT_USAGE
     message = "rate-sweep needs at least three sweep.epsilons (got [0.08, 0.04])"
     assert message in capsys.readouterr().err
-    assert not out.exists() or os.listdir(out) == []
+    assert not out.exists()
 
 
 def test_rate_sweep_requires_sweep_section(tmp_path):
@@ -956,3 +989,21 @@ def test_rate_sweep_requires_sweep_section(tmp_path):
         },
     )
     assert main(["rate-sweep", "--config", cfg]) == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_clt_verify_without_regime_writes_nothing(tmp_path, capsys):
+    """A command whose section is missing fails with exit 64 and leaves
+    no output directory: it is made at the first write."""
+    out = tmp_path / "out"
+    cfg = _write_config(
+        tmp_path,
+        {
+            "model": "affine-oracle",
+            "sweep": {"epsilons": [0.16, 0.08, 0.04], "T": 0.3},
+            "io": {"output_dir": str(out)},
+        },
+    )
+    assert main(["clt-verify", "--config", cfg]) == EXIT_USAGE
+    assert "this command needs a 'regime' section" in capsys.readouterr().err
+    assert not out.exists()

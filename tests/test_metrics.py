@@ -249,7 +249,7 @@ def test_w1_bit_equal_to_reference_formula(case):
 @pytest.mark.parametrize("case", sorted(_reference_cases()))
 def test_bootstrap_bit_equal_to_resampling_loop(case):
     xs, mu, sigma2 = _reference_cases()[case]
-    for seed, level in (((3, 1), 0.95), (8, 0.8)):
+    for seed, level in ((3 + (1 << 32), 0.95), (8, 0.8)):
         assert bootstrap_w1(xs, mu, sigma2, seed, 60, level) == bootstrap_w1_old(
             xs, mu, sigma2, seed, 60, level
         )
@@ -339,7 +339,7 @@ def test_theoretical_bound_frozen_value():
 
 def test_theoretical_bound_terms_structure():
     regime = ScaleRegime(0.04, 0.01, 2.0, 1.0)
-    terms = theoretical_bound_terms(regime, K=2.0, zeta=0.2, T=1.0)
+    terms = theoretical_bound_terms(regime, K=2.0, zeta=0.2)
     b1, b2 = terms["bracket1"], terms["bracket2"]
     ratio = 0.25
     assert b1["eta_quarter"] == pytest.approx(0.01**0.25)
@@ -354,14 +354,14 @@ def test_theoretical_bound_terms_structure():
     )
     assert terms["regime_drift_negative"] is False  # drift exactly zero here
     drifted = theoretical_bound_terms(
-        ScaleRegime(0.04, 0.001, 2.0, 1.0), K=1.0, zeta=0.1, T=1.0
+        ScaleRegime(0.04, 0.001, 2.0, 1.0), K=1.0, zeta=0.1
     )
     assert drifted["regime_drift_negative"] is True
 
 
 def test_theoretical_bound_gamma_infinity_and_limits():
     tall = ScaleRegime(0.01, 0.0001, math.inf, 1.0)
-    terms = theoretical_bound_terms(tall, K=1.0, zeta=0.1, T=1.0)
+    terms = theoretical_bound_terms(tall, K=1.0, zeta=0.1)
     assert terms["bracket1"]["regime_drift_sqrt"] == pytest.approx(0.1)  # |eta/eps|^0.5
     coarse = theoretical_bound(ScaleRegime(0.04, 0.04, 1.0, 1.0), K=1.0)
     fine = theoretical_bound(ScaleRegime(0.01, 0.01, 1.0, 1.0), K=1.0)

@@ -131,11 +131,11 @@ def _seed_sequence_stream(entropy, spawn_key):
 
 def test_draw_increments_match_one_normal_draw_per_stream():
     ids, n_steps, dt = [4, 0, 9], 37, 0.001
-    dW1, dW2 = draw_increments((8, 2), ids, n_steps, dt)
+    dW1, dW2 = draw_increments(8 + (2 << 32), ids, n_steps, dt)
     assert dW1.shape == dW2.shape == (n_steps, len(ids))
     for j, pid in enumerate(ids):
         for dw, channel in ((dW1, CHANNEL_W1), (dW2, CHANNEL_W2)):
-            ref = _seed_sequence_stream((8, 2), (PURPOSE_PATHS, 0, pid, channel)).normal(
+            ref = _seed_sequence_stream(8 + (2 << 32), (PURPOSE_PATHS, 0, pid, channel)).normal(
                 0.0, math.sqrt(dt), n_steps
             )
             assert np.array_equal(dw[:, j], ref)
@@ -143,7 +143,7 @@ def test_draw_increments_match_one_normal_draw_per_stream():
 
 def test_draw_increments_golden_digest():
     # Any change to how the streams are keyed or drawn moves this digest.
-    dW1, dW2 = draw_increments((8, 2), range(5), 7, 1e-3)
+    dW1, dW2 = draw_increments(8 + (2 << 32), range(5), 7, 1e-3)
     digest = hashlib.sha256(dW1.tobytes() + dW2.tobytes()).hexdigest()
     assert digest == "15d209a395f74b0541ef6434a41140261e8ee5191fd54cbe3d28619416b6343f"
 
@@ -154,10 +154,10 @@ def test_noise_blocks_join_stream_groups(block, monkeypatch):
     full batches and a ragged one of 3) join, batch after batch, exactly
     the columns draw_increments gives in one batch."""
     ids, n_steps, dt = [9, 0, 4, 3, 2**32 - 1, 7, 12, 5, 1, 8, 6], 24, 1e-3
-    ref1, ref2 = draw_increments((3, 1), ids, n_steps, dt)
+    ref1, ref2 = draw_increments(3 + (1 << 32), ids, n_steps, dt)
     monkeypatch.setattr(sde_engine, "_DRAW_BATCH", 4)
     lengths, rows1, rows2 = [], [], []
-    for w1, w2 in sde_engine._noise_blocks((3, 1), ids, n_steps, dt, block):
+    for w1, w2 in sde_engine._noise_blocks(3 + (1 << 32), ids, n_steps, dt, block):
         lengths.append(len(w1))
         rows1.append(w1.copy())  # the yielded blocks are reused
         rows2.append(w2.copy())
@@ -185,14 +185,14 @@ def test_single_block_rekeys_one_generator_per_channel(block, monkeypatch):
 
     monkeypatch.setattr(sde_engine.np.random, "Philox", counting)
     rows1, rows2 = [], []
-    for w1, w2 in sde_engine._noise_blocks((8, 2), ids, n_steps, dt, block):
+    for w1, w2 in sde_engine._noise_blocks(8 + (2 << 32), ids, n_steps, dt, block):
         rows1.append(w1.copy())  # the yielded blocks are reused
         rows2.append(w2.copy())
     assert len(built) == (2 if block >= n_steps else 2 * len(ids))
     monkeypatch.undo()
     for dw, channel in ((np.concatenate(rows1), CHANNEL_W1), (np.concatenate(rows2), CHANNEL_W2)):
         for j, pid in enumerate(ids):
-            ref = _seed_sequence_stream((8, 2), (PURPOSE_PATHS, 0, pid, channel))
+            ref = _seed_sequence_stream(8 + (2 << 32), (PURPOSE_PATHS, 0, pid, channel))
             assert np.array_equal(dw[:, j], ref.normal(0.0, math.sqrt(dt), n_steps)), (channel, j)
 
 
@@ -208,32 +208,51 @@ def test_noise_without_private_maps(monkeypatch):
 
 @pytest.mark.parametrize(
     "seed",
-    [0, 77, 2**40 + 5, (), (77,), (77, 3), (2**40 + 5, 1), (910, 0, 7), (1, 2, 3, 4)],
+    [0, 77, 2**40 + 5, (), (77,), (77, 3), (5, 256, 1), (910, 0, 7), (1, 2, 3, 4)],
 )
 @pytest.mark.parametrize("channel", [0, 1, 2, 3])
 def test_philox_keys_equal_seed_sequence_state(seed, channel):
+    """The keys of an int seed equal SeedSequence's state bit for bit.  A
+    tuple of 32-bit words stands for the int with those little-endian
+    words (() for 0), which SeedSequence reads as the same entropy, so
+    ints of one to four words are checked against their words."""
+    entropy = seed
+    if isinstance(seed, tuple):
+        seed = sum(word << (32 * i) for i, word in enumerate(seed))
     ids = [0, 1, 5, 123456789, 2**32 - 1]
     for purpose, point in ((0, 0), (4, 7), (1, 2**32 - 1)):
         keys = _philox_keys(seed, purpose, point, ids, channel)
         assert keys.shape == (len(ids), 2) and keys.dtype == np.uint64
         for key, pid in zip(keys, ids):
             ref = np.random.SeedSequence(
-                seed, spawn_key=(purpose, point, pid, channel)
+                entropy, spawn_key=(purpose, point, pid, channel)
             ).generate_state(2, np.uint64)
             assert np.array_equal(key, ref)
 
 
+def test_distinct_int_seeds_key_distinct_streams():
+    """Ints below 2**128 pad to distinct word pools, so seeds that share
+    their low word, or whose words differ only by position, key distinct
+    streams; numpy integers key the streams of their value."""
+    seeds = [0, 77, 2**32 + 77, 77 << 32, 2**64 + 77, 2**96 + 77, 2**128 - 1]
+    keys = {tuple(_philox_keys(s, PURPOSE_PATHS, 0, [0], 0)[0]) for s in seeds}
+    assert len(keys) == len(seeds)
+    for s in (np.int64(77), np.uint32(77), np.uint64(2**32 + 77)):
+        assert np.array_equal(
+            _philox_keys(s, PURPOSE_PATHS, 0, [0, 3], 1),
+            _philox_keys(int(s), PURPOSE_PATHS, 0, [0, 3], 1),
+        )
+
+
 def test_spawn_keys_are_length_sensitive():
-    """Words that differ only by a trailing zero or by length give one
-    stream when folded into the entropy, as the earlier rule did, and
-    different streams as a spawn key; so the (purpose, point, path,
-    channel) keys of one seed are pairwise distinct."""
+    """Spawn keys that differ only by a trailing zero or by length give
+    different streams; so the (purpose, point, path, channel) keys of
+    one seed are pairwise distinct."""
 
     def state(entropy, spawn_key=()):
         seq = np.random.SeedSequence(entropy, spawn_key=spawn_key)
         return tuple(seq.generate_state(2, np.uint64).tolist())
 
-    assert state((77, 0, 0)) == state((77, 0, 0, 0))
     spawn_keys = [(0,), (0, 0), (0, 0, 0), (0, 0, 0, 0), (0, 1), (0, 1, 0), (1,)]
     assert len({state(77, k) for k in spawn_keys}) == len(spawn_keys)
     # Under the earlier rule (77, path 0, W1) and (77, 0) + (path 0, W1)
@@ -254,8 +273,12 @@ def test_spawn_keys_are_length_sensitive():
     [
         (3, [0, 2**32], r"path ids must lie in \[0, 2\*\*32\) \(got \[4294967296\]\)"),
         (3, [-1, 2], r"path ids must lie in \[0, 2\*\*32\) \(got \[-1\]\)"),
-        (-2, [0], r"seed words must be non-negative \(got -2"),
-        ((5, -1), [0], r"seed words must be non-negative \(got -1"),
+        (-2, [0], r"a seed must be a non-negative int \(got -2\)"),
+        ((8, 2), [0], r"a seed must be a non-negative int \(got \(8, 2\)\)"),
+        ([8], [0], r"a seed must be a non-negative int \(got \[8\]\)"),
+        (8.0, [0], r"a seed must be a non-negative int \(got 8.0\)"),
+        (True, [0], r"a seed must be a non-negative int \(got True\)"),
+        (np.int64(-1), [0], r"a seed must be a non-negative int \(got np.int64\(-1\)\)"),
     ],
 )
 def test_invalid_stream_keys_raise_before_any_draw(seed, ids, message, monkeypatch):
@@ -291,7 +314,7 @@ def test_blocked_noise_matches_one_block(bounded, monkeypatch, batch, block):
     simulate_with_increments give on the same noise in one block.  Six
     paths of 24 steps run as one group at every block length, so blocks
     of 5 and 1 steps keep every stream open from block to block."""
-    n_paths, seed, marks = 6, (3, 1), (0, 5, 23, 24)
+    n_paths, seed, marks = 6, 3 + (1 << 32), (0, 5, 23, 24)
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.06)
     n_steps, dt = time_grid(regime.T, regime.eta / 20)
     assert n_steps == 24
@@ -377,7 +400,7 @@ def test_path_groups_match_one_block(
     + simulate_with_increments give on the noise of all 100 paths drawn
     in one block, whether the budget splits the pass into path groups or
     leaves it on time blocks."""
-    n_paths, seed = 100, (5, 2)
+    n_paths, seed = 100, 5 + (2 << 32)
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.06)
     n_steps, dt = time_grid(regime.T, regime.eta / 20)
     assert n_steps == 24
