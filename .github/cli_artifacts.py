@@ -11,8 +11,9 @@ default ``fastslow-out``.  Every artifact except ``run_manifest.json``
 exit codes and "same" or "moved" per artifact goes to stdout.  The
 configs leave the assumption grid, the bootstrap count and the decay
 separations at their defaults, so the defaults are compared too.
-``malliavin-sweep start`` starts the sweep from x0 = 0.4, y0 = 0.3, so
-the start read from ``grid`` is compared as well.  Every
+``malliavin-sweep start`` starts the sweep from x0 = 0.4, y0 = 0.3, and
+``malliavin-sweep fine`` steps at eta/40, so the start and the step
+fraction read from ``grid`` are compared as well.  Every
 config but ``rate-sweep grouped`` draws its noise in one 32 MiB block;
 that one's finest point simulates 6000 paths of 500 steps, which
 ``simulate_paths`` runs as two path groups.  The script reports and does not gate: it
@@ -54,6 +55,13 @@ CONFIGS = {
         "model": "bounded-coupled",
         "sweep": {"epsilons": [0.1, 0.05], "gamma": 1.0, "T": 1.0},
         "grid": {"n_paths": 100, "x0": 0.4, "y0": 0.3},
+        "analysis": {"p": [1]},
+        "io": {"master_seed": 4},
+    },
+    "malliavin-sweep fine": {
+        "model": "bounded-coupled",
+        "sweep": {"epsilons": [0.1, 0.05], "gamma": 1.0, "T": 1.0},
+        "grid": {"n_paths": 100, "dt_eta_fraction": 0.025},
         "analysis": {"p": [1]},
         "io": {"master_seed": 4},
     },

@@ -291,17 +291,23 @@ class ExperimentConfig:
         """``analysis.p``, default [1]."""
         return [int(p) for p in self.analysis.get("p", [1])]
 
+    def dt_eta_fraction(self) -> float:
+        """``grid.dt_eta_fraction``, the sweeps' step as a fraction of
+        eta, default the stability guard 1/20."""
+        return float(self.grid.get("dt_eta_fraction", STABILITY_FRACTION))
+
     def decay_settings(
         self, regime: ScaleRegime | None = None
     ) -> tuple[list[float], list[str]]:
         """``analysis.decay_separations`` and ``analysis.decay_bounds`` (or
         their defaults), checked as :func:`decay_check` checks them, at
-        ``regime`` when one is given (ConfigError otherwise)."""
+        ``regime`` and the configured step fraction when a regime is
+        given (ConfigError otherwise)."""
         seps = self.analysis.get("decay_separations", DECAY_SEPARATIONS)
         bounds = list(self.analysis.get("decay_bounds", ("d2x_w1w2", "d2x_w2w2")))
         where = "" if regime is None else f" at eps={regime.epsilon:g}"
         try:
-            seps = check_decay_settings(bounds, seps, regime)
+            seps = check_decay_settings(bounds, seps, regime, self.dt_eta_fraction())
         except (TypeError, ValueError) as exc:
             raise ConfigError(
                 f"analysis.decay_separations / decay_bounds{where}: {exc}"
@@ -515,13 +521,16 @@ def cmd_malliavin_sweep(config: ExperimentConfig, out_dir, seed) -> int:
     n_paths = int(config.grid.get("n_paths", 2000))
     x0 = float(config.grid.get("x0", 0.0))
     y0 = float(config.grid.get("y0", 0.0))
+    fraction = config.dt_eta_fraction()
     # Reject a separation that reaches before t = 0 at the finest point
     # before any artifact is written.
     separations, decay_bounds = config.decay_settings(regimes[-1])
     any_warn = False
     all_pass = True
     for p in config.moment_orders():
-        reports = moment_sweep(model, regimes, p, n_paths, seed=seed, x0=x0, y0=y0)
+        reports = moment_sweep(
+            model, regimes, p, n_paths, seed=seed, x0=x0, y0=y0, dt_eta_fraction=fraction
+        )
         _write_json(
             os.path.join(out_dir, f"moments_p{p}.json"),
             {bid: rep.to_dict() for bid, rep in reports.items()},
@@ -542,6 +551,7 @@ def cmd_malliavin_sweep(config: ExperimentConfig, out_dir, seed) -> int:
                 separations_eta=separations,
                 x0=x0,
                 y0=y0,
+                dt_eta_fraction=fraction,
             )
             payload[bid] = rep.to_dict()
             all_pass = all_pass and rep.monotone_within_noise
@@ -570,7 +580,7 @@ def cmd_rate_sweep(config: ExperimentConfig, out_dir, seed) -> int:
             "x0": grid.get("x0", 0.0),
             "y0": grid.get("y0", 0.0),
             "n_paths": grid.get("n_paths", 10_000),
-            "dt_eta_fraction": grid.get("dt_eta_fraction", STABILITY_FRACTION),
+            "dt_eta_fraction": config.dt_eta_fraction(),
             "n_boot": int(config.analysis.get("bootstrap", N_BOOTSTRAP)),
             "hom": hom,
         },

@@ -34,7 +34,6 @@ Two built-in models ship with the package:
 from __future__ import annotations
 
 import dataclasses
-import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
@@ -254,9 +253,6 @@ class CoefficientSet:
     d22_tau: Callable
     table: CoefficientTable = field(compare=False, repr=False)
     expressions: Mapping[str, str] | None = None
-    reference_solution: Mapping[str, object] | None = field(
-        default=None, compare=False, repr=False
-    )
 
     def evaluate(self, x, y, keys: tuple[str, ...]) -> tuple:
         """Values of the coefficient ``keys`` (e.g. ``("c", "d1_c")``) at
@@ -329,7 +325,6 @@ def model_from_expressions(
     sigma: str,
     f: str,
     tau: str,
-    reference_solution: Mapping[str, object] | None = None,
 ) -> CoefficientSet:
     """Build a :class:`CoefficientSet` from four expression strings.
 
@@ -340,8 +335,6 @@ def model_from_expressions(
     c, sigma, f, tau : str
         Expressions in ``x`` and ``y``; see :func:`_parse_expression`
         for the allowed grammar.
-    reference_solution : mapping, optional
-        Closed-form reference quantities for oracle models.
 
     Returns
     -------
@@ -366,7 +359,6 @@ def model_from_expressions(
     return CoefficientSet(
         name=name,
         expressions=dict(texts),
-        reference_solution=reference_solution,
         table=table,
         **{key: _view(table, key) for key in COEFFICIENT_KEYS},
     )
@@ -377,39 +369,14 @@ def _affine_oracle() -> CoefficientSet:
 
     With c = y - 2x, f = x - y, tau = sqrt(2) the frozen-x fast process
     is an Ornstein-Uhlenbeck process with stationary law N(x, 1), the
-    averaged drift is -x, the corrector is phi = x - y, and at gamma the
-    effective diffusion is q = 1 + 2/gamma^2 (constant in x), so
+    averaged drift is c_bar = -x (c_bar' = -1), the corrector is
+    phi = x - y (d_y phi = -1), and at gamma the effective diffusion is
+    q = 1 + 2/gamma^2 (constant in x; 1 at gamma = inf), so
 
         sigma_t^2 = q_bar * (1 - exp(-2 t)) / 2.
     """
-
-    def q_bar(gamma: float) -> float:
-        if math.isinf(gamma):
-            return 1.0
-        return 1.0 + 2.0 / gamma**2
-
-    def sigma2(t, gamma: float):
-        return q_bar(gamma) * (1.0 - np.exp(-2.0 * np.asarray(t, float))) / 2.0
-
-    ref = {
-        "density_mean": lambda x: np.asarray(x, float) + 0.0,
-        "density_var": 1.0,
-        "c_bar": lambda x: -np.asarray(x, float),
-        "c_bar_prime": lambda x: np.full_like(np.asarray(x, float), -1.0),
-        "phi": lambda x, y: np.asarray(x, float) - np.asarray(y, float),
-        "dy_phi": lambda x, y: np.full(
-            np.broadcast_shapes(np.shape(x), np.shape(y)), -1.0
-        ),
-        "q_bar": q_bar,
-        "sigma2": sigma2,
-    }
     return model_from_expressions(
-        "affine-oracle",
-        c="y - 2*x",
-        sigma="1",
-        f="x - y",
-        tau="sqrt(2)",
-        reference_solution=ref,
+        "affine-oracle", c="y - 2*x", sigma="1", f="x - y", tau="sqrt(2)"
     )
 
 
@@ -420,17 +387,12 @@ def _bounded_coupled() -> CoefficientSet:
     process an OU process with stationary law N(0.5 tanh(x), 1);
     everything else (averaged drift, corrector) requires quadrature.
     """
-    ref = {
-        "density_mean": lambda x: 0.5 * np.tanh(np.asarray(x, float)),
-        "density_var": 1.0,
-    }
     return model_from_expressions(
         "bounded-coupled",
         c="tanh(y) - 0.5*tanh(x)",
         sigma="1 + 0.1*cos(x)*cos(y)",
         f="0.5*tanh(x) - y",
         tau="sqrt(2)",
-        reference_solution=ref,
     )
 
 

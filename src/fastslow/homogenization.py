@@ -46,6 +46,7 @@ from scipy.interpolate import CubicSpline, PPoly
 from scipy.optimize import brentq
 
 from fastslow.coefficients import CoefficientSet
+from fastslow.sde_engine import time_grid
 
 __all__ = [
     "HomogenizedModel",
@@ -489,6 +490,8 @@ def limit_ode(
 ) -> LimitTrajectory:
     """Integrate dXbar = c_bar(Xbar) dt with classical RK4 on Python floats.
 
+    The nodes are those of :func:`~fastslow.sde_engine.time_grid`
+    (T, dt), the grid of the simulations: ceil(T/dt) steps of T/n.
     c_bar is evaluated on scalars, bit-equal to the spline's array call.
     Raises :class:`DomainEscapeError` if the orbit leaves the tabulated
     x-range (reporting the exit time).
@@ -500,8 +503,7 @@ def limit_ode(
         raise DomainEscapeError(
             f"x0={x0} outside tabulated range [{lo}, {hi}]", 0.0
         )
-    n = max(1, int(round(T / dt)))
-    h = T / n
+    n, h = time_grid(T, dt)
     t = np.linspace(0.0, T, n + 1)
     xb = np.empty(n + 1)
     xb[0] = x0

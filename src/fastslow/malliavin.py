@@ -47,13 +47,14 @@ cells (j1, j2, r1, r2), one D2_{r1,r2} per channel pair and time pair
 that a caller reads: it holds O((n_tangents + n_cells) n_paths) values.
 Both lists are sorted by start, so the started rows are a prefix, and
 each tangent and each cell is stepped only from its own start.  The
-moment sweeps feed the pass freshly drawn noise, so nothing is stored;
+pass always draws its noise from the streams, so no noise is stored:
+the moment sweeps feed it the streams of their own points, and
 :func:`first_order_tangents` (which asks for both channels at every r
 of its grid), :func:`second_order_tangents` (which asks for every cell
-of its combos x pairs product) and :func:`q_decomposition` feed it the
-increments of a stored :class:`~fastslow.sde_engine.PathBundle` and
-replay its path from its initial state, and the first and the last also
-read the first-order state at every step.
+of its combos x pairs product) and :func:`q_decomposition` redraw the
+streams of a :class:`~fastslow.sde_engine.PathBundle` and replay its
+path from its initial state, and the first and the last also read the
+first-order state at every step.
 
 The module also evaluates the Monte Carlo moment-inequality suite
 (scaling of tangent moments in eps and eta), the H-norm and
@@ -79,6 +80,7 @@ from fastslow.coefficients import (
 from fastslow.sde_engine import (
     PURPOSE_DECAY_CHECK,
     PURPOSE_MOMENT_SWEEP,
+    STABILITY_FRACTION,
     PathBundle,
     ScaleRegime,
     _check_stability,
@@ -251,19 +253,15 @@ def full_pair_grid(r_indices: Sequence[int]) -> np.ndarray:
     return np.array([(a, b) for a in r for b in r], dtype=int)
 
 
-def _require_storage(bundle: PathBundle) -> None:
-    if bundle.X is None or bundle.Y is None:
-        raise ValueError("bundle must store full paths for tangent integration")
-    if bundle.dW1 is None or bundle.dW2 is None:
-        raise ValueError("bundle must store increments for tangent integration")
-
-
-def _stored_noise(bundle: PathBundle) -> list[tuple[np.ndarray, np.ndarray]]:
-    """A bundle's stored increments as the one noise block of a
-    :func:`_tangent_pass`; ValueError when the bundle stores none."""
-    if bundle.dW1 is None or bundle.dW2 is None:
-        raise ValueError("bundle must store increments for tangent integration")
-    return [(bundle.dW1, bundle.dW2)]
+def _bundle_noise(bundle: PathBundle):
+    """The noise blocks of a bundle's paths, redrawn from its streams
+    (master_seed, paths, point, j, channel): bit for bit the increments
+    :func:`~fastslow.sde_engine.simulate_paths` drew, in whatever block
+    or group shape.  Each block is a reused buffer of at most 32 MiB."""
+    return _noise_blocks(
+        bundle.master_seed, range(bundle.n_paths), bundle.n_steps, bundle.dt,
+        point=bundle.point,
+    )
 
 
 def _step_indices(values) -> np.ndarray:
@@ -484,9 +482,9 @@ def _tangent_pass(
     """First- and second-order tangents in one forward pass over noise.
 
     ``noise`` yields (dW1, dW2) blocks of shape (b, n_paths) that cover
-    steps 0..n_steps-1 in order: live blocks of
-    :func:`~fastslow.sde_engine._noise_blocks`, or a stored bundle's
-    increments as one block (:func:`_stored_noise`).  The pass runs
+    steps 0..n_steps-1 in order: the blocks of
+    :func:`~fastslow.sde_engine._noise_blocks`, of a sweep's own streams
+    or of a bundle's (:func:`_bundle_noise`).  The pass runs
     :func:`~fastslow.sde_engine._em_states` from (x0, y0) over them, so
     the same increments drive the base path and its tangents, and the
     tangent steps read the 24 coefficient keys that each Euler-Maruyama
@@ -506,11 +504,12 @@ def _tangent_pass(
     the cells.  Both are sorted by start, r for a tangent and
     max(r1, r2) for a cell, so the started rows are a prefix: a tangent
     is injected at r, a cell starts at max(r1, r2) from its alpha data,
-    and each is stepped only from there.  ``record(k, dx, dy, values)``,
-    when given, sees the first-order values of ``tangents``,
-    (n_tangents, n_paths) each, and the 24 key values of the state at
-    every k from the first r; at the horizon k = n_steps ``values`` is
-    None unless a tangent or cell factor starts there.
+    and each is stepped only from there.  ``record(k, dx, dy, values,
+    w2)``, when given, sees the first-order values of ``tangents``,
+    (n_tangents, n_paths) each, the 24 key values of the state and the
+    W2 increments (n_paths,) of step k at every k from the first r; at
+    the horizon k = n_steps ``w2`` is None, and so is ``values`` unless
+    a tangent or cell factor starts there.
 
     Returns the finals and sups of ``tangents`` in their order and
     (None without ``cells``) the (n_cells, n_paths) arrays
@@ -574,7 +573,7 @@ def _tangent_pass(
         np.maximum(sup_dx[:n1], np.abs(dx[:n1]), out=sup_dx[:n1])
         np.maximum(sup_dy[:n1], np.abs(dy[:n1]), out=sup_dy[:n1])
         if record is not None:
-            record(k, dx[asked_rows], dy[asked_rows], values)
+            record(k, dx[asked_rows], dy[asked_rows], values, w2)
         if n2:
             np.maximum(sup_x[:n2], np.abs(d2x[:n2]), out=sup_x[:n2])
             np.maximum(sup_y[:n2], np.abs(d2y[:n2]), out=sup_y[:n2])
@@ -608,9 +607,10 @@ def first_order_tangents(
 ) -> FirstOrderTangents:
     """Integrate both-channel first-order tangents along every path.
 
-    Runs the tangent pass of the moment sweeps over the bundle's stored
-    increments from its x0, y0, asking for both channels at every r; the
-    pass replays the Euler-Maruyama step, so it reads no stored path.
+    Runs the tangent pass of the moment sweeps over the bundle's noise,
+    redrawn from its streams (:func:`_bundle_noise`), from its x0, y0,
+    asking for both channels at every r; the pass replays the
+    Euler-Maruyama step, so it reads no stored path.
     The perturbation at step index r injects the initial data
     (sqrt(eps) sigma, 0) on channel W1 and (0, tau/sqrt(eta)) on channel
     W2; states are zero before r.
@@ -624,7 +624,6 @@ def first_order_tangents(
         Keep the full (2, n_r, n_t, n_paths) series; final values and
         running sups are kept either way.
     """
-    noise = _stored_noise(bundle)
     r_idx = _r_grid(bundle.n_steps, r_indices)
     shape = (2, len(r_idx), bundle.n_paths)
     record = DX = DY = None
@@ -633,13 +632,14 @@ def first_order_tangents(
         _check_bytes(2, *series)
         DX, DY = np.zeros(series), np.zeros(series)
 
-        def record(k, dx, dy, values):
+        def record(k, dx, dy, values, w2):
             DX[:, :, k] = dx.reshape(shape)
             DY[:, :, k] = dy.reshape(shape)
 
     rows, _ = _tangent_pass(
         model, bundle.regime, bundle.dt, bundle.n_steps, bundle.x0, bundle.y0,
-        noise, bundle.n_paths, [(j, r) for j in (0, 1) for r in r_idx.tolist()],
+        _bundle_noise(bundle), bundle.n_paths,
+        [(j, r) for j in (0, 1) for r in r_idx.tolist()],
         record=record,
     )
     return FirstOrderTangents(
@@ -664,16 +664,16 @@ def second_order_tangents(
 ) -> SecondOrderTangents:
     """Integrate second-order tangents for the given (r1, r2) pairs.
 
-    Runs the tangent pass of the moment sweeps over the bundle's stored
-    increments from its x0, y0, asking for every cell (j1, j2, r1, r2)
-    of the ``combos`` x ``pairs`` product (each r in [0, n_steps];
-    ValueError naming the first outside); the first-order factors
-    (j1, r1) and (j2, r2) of the cells advance alongside.  Each channel
-    combo (j1, j2) is
-    integrated independently (so swap symmetry is a real check, not
-    imposed).  The state is zero before t = max(r1, r2), starts there
-    from the alpha initial data, read from the current first-order
-    state, and is forced by the second-partial source terms
+    Runs the tangent pass of the moment sweeps over the bundle's noise,
+    redrawn from its streams, from its x0, y0, asking for every cell
+    (j1, j2, r1, r2) of the ``combos`` x ``pairs`` product (each r in
+    [0, n_steps]; ValueError naming the first outside); the first-order
+    factors (j1, r1) and (j2, r2) of the cells advance alongside.  Each
+    channel combo (j1, j2) is integrated independently (so swap symmetry
+    is a real check, not imposed).  The state is zero before
+    t = max(r1, r2), starts there from the alpha initial data, read from
+    the current first-order state, and is forced by the second-partial
+    source terms
 
         b1[g] = d11_g DX1 DX2 + d12_g (DX1 DY2 + DY1 DX2)
                 + d22_g DY1 DY2 + d2_g D2Y          (g in {c, sigma})
@@ -688,7 +688,7 @@ def second_order_tangents(
     cells = [(a, b, *q) for a, b in combos for q in pair_arr.tolist()]
     _, second = _tangent_pass(
         model, bundle.regime, bundle.dt, bundle.n_steps, bundle.x0, bundle.y0,
-        _stored_noise(bundle), bundle.n_paths, (), cells,
+        _bundle_noise(bundle), bundle.n_paths, (), cells,
     )
     shape = (len(combos), len(pair_arr), bundle.n_paths)
     return SecondOrderTangents(
@@ -710,9 +710,12 @@ def z_process(model: CoefficientSet, bundle: PathBundle, r_index: int) -> np.nda
         (1/eta) int d2_f ds + (1/sqrt(eta)) int d2_tau dW^2
         - (1/(2 eta)) int d2_tau^2 ds
 
-    cumulated along the stored path and noise.  Always positive.
+    cumulated along the stored path and the W2 noise redrawn from the
+    bundle's streams.  Always positive.  ValueError when the bundle
+    stores no full paths.
     """
-    _require_storage(bundle)
+    if bundle.X is None:
+        raise ValueError("bundle must store full paths for the z-process")
     (r,) = _r_grid(bundle.n_steps, [r_index])
     eta = bundle.regime.eta
     n_t = bundle.n_steps + 1
@@ -720,9 +723,11 @@ def z_process(model: CoefficientSet, bundle: PathBundle, r_index: int) -> np.nda
     if r == bundle.n_steps:
         return out
     d2f, d2t = model.evaluate(bundle.X[r:-1], bundle.Y[r:-1], ("d2_f", "d2_tau"))
+    # The blocks are reused buffers, so each is copied before joining.
+    w2 = np.concatenate([block.copy() for _, block in _bundle_noise(bundle)])
     incr = (
         d2f * (bundle.dt / eta)
-        + d2t * (bundle.dW2[r:] / math.sqrt(eta))
+        + d2t * (w2[r:] / math.sqrt(eta))
         - d2t**2 * (bundle.dt / (2.0 * eta))
     )
     log_z = np.cumsum(incr, axis=0)
@@ -741,16 +746,15 @@ def q_decomposition(
     of the discretized homogeneous fast tangent recursion (so the
     decomposition telescopes exactly in discrete time); Q2 solves the
     affine recursion forced by D^{W2}X.  Both advance step by step with
-    the first-order tangent pass over the bundle's stored increments,
-    which keeps no tangent series, on the coefficient values it
-    evaluates at each state (one kernel call per step).
+    the first-order tangent pass over the bundle's noise, redrawn from
+    its streams, which keeps no tangent series, on the coefficient
+    values it evaluates at each state (one kernel call per step).
     Verifies Q1 + Q2 against the directly integrated D^{W2}Y and raises
     :class:`DecompositionError` if the reconstruction residual exceeds
     1e-6 * (1 + max |D|).
 
     Returns (Q1, Q2), each of shape (n_t, n_paths), zero before r.
     """
-    noise = _stored_noise(bundle)
     (r,) = _r_grid(bundle.n_steps, [r_index])
     eta = bundle.regime.eta
     eta_root = math.sqrt(eta)
@@ -762,9 +766,10 @@ def q_decomposition(
     q2_state = np.zeros(bundle.n_paths)
     tau_r = resid = d_max = 0.0
 
-    def record(k, dx, dy, values):
+    def record(k, dx, dy, values, w2):
         # D^{W2}X and D^{W2}Y at step k, from k = r on, with the pass's
-        # coefficient values at the state; Q1 + Q2 and D are zero before r.
+        # coefficient values at the state and the step's W2 increments;
+        # Q1 + Q2 and D are zero before r.
         nonlocal zm, q2_state, tau_r, resid, d_max
         if k == r:
             tau_r = _tau(values)
@@ -775,16 +780,16 @@ def q_decomposition(
         if k == bundle.n_steps:
             return
         d1f, d2f, d1t, d2t = _fast_partials(values)
-        a = 1.0 + d2f * (dt / eta) + d2t * (bundle.dW2[k] / eta_root)
-        g = d1f * dxw2 * (dt / eta) + d1t * dxw2 * (bundle.dW2[k] / eta_root)
+        a = 1.0 + d2f * (dt / eta) + d2t * (w2 / eta_root)
+        g = d1f * dxw2 * (dt / eta) + d1t * dxw2 * (w2 / eta_root)
         zm = a * zm
         q2_state = a * q2_state + g
         q1[k + 1] = zm * (tau_r / eta_root)
         q2[k + 1] = q2_state
 
     _tangent_pass(
-        model, bundle.regime, dt, bundle.n_steps, bundle.x0, bundle.y0, noise,
-        bundle.n_paths, [(1, r)], record=record,
+        model, bundle.regime, dt, bundle.n_steps, bundle.x0, bundle.y0,
+        _bundle_noise(bundle), bundle.n_paths, [(1, r)], record=record,
     )
     tol = 1e-6 * (1.0 + d_max)
     if resid > tol:
@@ -971,7 +976,7 @@ def moment_sweep(
     seed=0,
     x0: float = 0.0,
     y0: float = 0.0,
-    dt: float | None = None,
+    dt_eta_fraction: float = STABILITY_FRACTION,
     pair_sep_etas: float = 3.0,
     k_hat: float | None = None,
 ) -> dict[str, MomentReport]:
@@ -995,8 +1000,9 @@ def moment_sweep(
     Monte Carlo standard error above 30% of the mean attaches an
     under-sampled warning (never a failure).  ``k_hat`` defaults to the
     ``K_hat`` of :func:`~fastslow.coefficients.check_assumptions` on
-    ``ASSUMPTION_GRID`` (ValueError when it fails).  ``dt`` defaults to
-    eta/20 per regime; a larger step raises
+    ``ASSUMPTION_GRID`` (ValueError when it fails).  Each regime steps
+    at ``dt_eta_fraction`` of its eta (default 1/20, the stability
+    guard); a larger fraction raises
     :class:`~fastslow.sde_engine.StabilityError` before any work, as do
     an empty ``r_selection``, a fraction outside [0, 1] and a negative
     or non-finite ``pair_sep_etas`` (ValueError naming the value).
@@ -1014,8 +1020,8 @@ def moment_sweep(
     i + 1, j, channel), so a path's values do not depend on which paths
     share its pass.  The tangent pass is the one
     :func:`first_order_tangents` and :func:`second_order_tangents` run
-    over a stored bundle's increments, so they give the same values on
-    the same paths.
+    over a bundle's streams, so they give the same values on the same
+    paths.
     """
     _require_positive(n_paths=n_paths)
     if len(regimes) < 1:
@@ -1027,7 +1033,7 @@ def moment_sweep(
         raise ValueError(f"moment order p must be 1 or 2 (got {p})")
     fractions = _require_values("r_selection", r_selection, 1.0)
     _require_values("pair_sep_etas", [pair_sep_etas])
-    steps = [dt if dt is not None else r.eta / 20.0 for r in regimes]
+    steps = [dt_eta_fraction * r.eta for r in regimes]
     for step, regime in zip(steps, regimes):
         _check_stability(step, regime.eta)
     if k_hat is None:
@@ -1125,14 +1131,14 @@ def _decay_steps(
     regime: ScaleRegime,
     bound_id: str,
     seps: Sequence[float],
-    dt: float | None = None,
+    dt_eta_fraction: float,
 ) -> tuple[int, float, int, list[int]]:
     """(n_steps, dt_eff, r_top, r_list) of :func:`decay_check` for the
-    separations ``seps`` that :func:`check_decay_settings` returned:
-    r_top is the step of r1 = T/2 or of the horizon, r_list those of
-    the separations before it.  ValueError names a separation that
-    reaches before t = 0."""
-    step = dt if dt is not None else regime.eta / 20.0
+    separations ``seps`` that :func:`check_decay_settings` returned, at
+    the step ``dt_eta_fraction`` * eta: r_top is the step of r1 = T/2 or
+    of the horizon, r_list those of the separations before it.
+    ValueError names a separation that reaches before t = 0."""
+    step = dt_eta_fraction * regime.eta
     _check_stability(step, regime.eta)
     n_steps, dt_eff = time_grid(regime.T, step)
     if bound_id == "dw2_y_final":
@@ -1150,19 +1156,20 @@ def check_decay_settings(
     bound_ids: Sequence[str],
     separations_eta: Sequence[float],
     regime: ScaleRegime | None = None,
+    dt_eta_fraction: float = STABILITY_FRACTION,
 ) -> list[float]:
     """The separations as floats, after the checks :func:`decay_check`
     makes before any work.  ValueError names a bound without separation
     structure, an empty list or a separation that is negative or
     non-finite; given ``regime``, also a separation that reaches before
-    t = 0 there at the default step eta/20."""
+    t = 0 there at the step ``dt_eta_fraction`` * eta."""
     for bound_id in bound_ids:
         if bound_id not in (*_MIXED_BOUNDS, "dw2_y_final"):
             raise ValueError(f"no separation structure for bound {bound_id!r}")
     seps = _require_values("separations_eta", separations_eta)
     if regime is not None:
         for bound_id in bound_ids:
-            _decay_steps(regime, bound_id, seps)
+            _decay_steps(regime, bound_id, seps, dt_eta_fraction)
     return seps
 
 
@@ -1176,7 +1183,7 @@ def decay_check(
     separations_eta: Sequence[float] = DECAY_SEPARATIONS,
     x0: float = 0.0,
     y0: float = 0.0,
-    dt: float | None = None,
+    dt_eta_fraction: float = STABILITY_FRACTION,
 ) -> DecayReport:
     """Moment decay in the perturbation-time separation.
 
@@ -1187,8 +1194,9 @@ def decay_check(
     :func:`_decay_steps` before any work.
     All separations share the same simulated paths, so the comparison
     is low-noise; monotone_within_noise allows each consecutive increase
-    up to twice the summed standard errors.  ``dt`` defaults to eta/20;
-    a larger step raises :class:`~fastslow.sde_engine.StabilityError`.
+    up to twice the summed standard errors.  The step is
+    ``dt_eta_fraction`` of eta (default 1/20, the stability guard); a
+    larger fraction raises :class:`~fastslow.sde_engine.StabilityError`.
     Like :func:`moment_sweep`, one step loop over all paths advances the
     base path and only the tangents the bound reads, each from its own
     start, and keeps no series: ``dw2_y_final`` the W2 tangent at each
@@ -1199,7 +1207,7 @@ def decay_check(
     """
     _require_positive(n_paths=n_paths)
     seps = check_decay_settings([bound_id], separations_eta)
-    n_steps, dt_eff, r_top, r_list = _decay_steps(regime, bound_id, seps, dt)
+    n_steps, dt_eff, r_top, r_list = _decay_steps(regime, bound_id, seps, dt_eta_fraction)
     if bound_id == "dw2_y_final":
         tangents = [(1, r) for r in r_list]
         cells = None

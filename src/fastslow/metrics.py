@@ -49,6 +49,7 @@ from fastslow.homogenization import (
 from fastslow.sde_engine import (
     CHANNEL_BOOTSTRAP,
     PURPOSE_BOOTSTRAP,
+    STABILITY_FRACTION,
     ScaleRegime,
     _check_stability,
     _grid_index,
@@ -440,7 +441,6 @@ def _clt_reports(
         n_paths,
         seed,
         store_paths=False,
-        store_increments=False,
         capture_indices=capture,
         _point=point,
     )
@@ -536,7 +536,8 @@ def rate_sweep(
     envelope; where it exceeds the coarsest w1 the constant is 0.
     ``clt_config`` supplies
     the per-point keyword arguments of :func:`clt_verify` (x0, y0, dt
-    as a rule ``dt_eta_fraction`` of eta, n_paths, n_boot, hom).  One
+    as a rule ``dt_eta_fraction`` of eta, n_paths, n_boot, hom); any
+    other key raises ValueError naming it before any work.  One
     homogenized model and one limit trajectory serve every point; the
     model is built on :data:`HOM_GRID` unless ``clt_config`` carries
     ``hom`` (checked as in :func:`clt_verify`), after every point's step
@@ -563,18 +564,22 @@ def rate_sweep(
         raise ValueError(f"unknown eta rule {eta_rule!r}")
 
     cfg = dict(clt_config)
-    _check_n_boot(cfg.get("n_boot", N_BOOTSTRAP))
+    n_boot = cfg.pop("n_boot", N_BOOTSTRAP)
+    _check_n_boot(n_boot)
     x0 = float(cfg.pop("x0", 0.0))
     y0 = float(cfg.pop("y0", 0.0))
     n_paths = int(cfg.pop("n_paths", 10_000))
-    dt_eta_fraction = float(cfg.pop("dt_eta_fraction", 1.0 / 20.0))
+    dt_eta_fraction = float(cfg.pop("dt_eta_fraction", STABILITY_FRACTION))
+    hom = cfg.pop("hom", None)
+    if cfg:
+        raise ValueError(f"unknown clt_config keys: {sorted(cfg)}")
     regimes = [
         ScaleRegime(epsilon=eps, eta=float(eta_of(eps)), gamma=gamma, T=T)
         for eps in eps_list
     ]
     for regime in regimes:
         _check_stability(dt_eta_fraction * regime.eta, regime.eta)
-    hom = _matching_hom(model, gamma, cfg.pop("hom", None))
+    hom = _matching_hom(model, gamma, hom)
     # Every point shares x0, T and hom, so one limit trajectory serves all.
     trajectory = attach_variance(hom, limit_ode(hom, x0, T, LIMIT_ODE_DT))
 
@@ -596,8 +601,8 @@ def rate_sweep(
             capture,
             seed,
             trajectory,
+            n_boot=n_boot,
             point=i + 1,
-            **cfg,
         )[0]
         reports.append(rep)
         points.append((eps, eta, rep.w1))

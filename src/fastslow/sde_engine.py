@@ -29,16 +29,17 @@ One recursion, :func:`_em_states`, advances the state over the blocks
 and yields each step's state with its increments and, from the step its
 consumer first reads them, the values of all 24 coefficient keys: one
 kernel call per step, of the 4 EM keys before that step and of all 24
-from it.  Paths and increments are stored only when asked for.
+from it.  Paths are stored only when asked for; noise is never stored,
+as the stream key of a bundle redraws it bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -48,7 +49,9 @@ from fastslow.coefficients import (
     CoefficientSet,
     ModelEvaluationError,
 )
-from fastslow.homogenization import LimitTrajectory
+
+if TYPE_CHECKING:
+    from fastslow.homogenization import LimitTrajectory
 
 __all__ = [
     "ScaleRegime",
@@ -179,12 +182,14 @@ class ScaleRegime:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Simulated paths plus the noise that generated them.
+    """Simulated paths plus the key of the noise that generated them.
 
-    ``X``/``Y`` have shape (n_steps + 1, n_paths) when stored;
-    ``dW1``/``dW2`` have shape (n_steps, n_paths).  ``captures`` holds
-    {step index: (X_row, Y_row)} snapshots for memory-light runs that
-    skip full storage.  Immutable once assembled.
+    ``X``/``Y`` have shape (n_steps + 1, n_paths) when stored.
+    ``captures`` holds {step index: (X_row, Y_row)} snapshots for
+    memory-light runs that skip full storage.  The noise is not stored:
+    path j drew it from the streams (master_seed, paths, point, j,
+    channel), which :func:`_noise_blocks` redraws bit for bit.
+    Immutable once assembled.
     """
 
     regime: ScaleRegime
@@ -196,9 +201,8 @@ class PathBundle:
     n_steps: int
     X: np.ndarray | None
     Y: np.ndarray | None
-    dW1: np.ndarray | None
-    dW2: np.ndarray | None
     captures: Mapping[int, tuple[np.ndarray, np.ndarray]] | None = None
+    point: int = 0
 
     @property
     def t_grid(self) -> np.ndarray:
@@ -573,28 +577,23 @@ def _em_loop(
     captures: Mapping[int, tuple[np.ndarray, np.ndarray]],
     X=None,
     Y=None,
-    dW1=None,
-    dW2=None,
 ) -> None:
     """Run :func:`_em_states` for the paths of ``columns`` and keep what
     the caller asks for in those columns.
 
-    State rows go into ``X``/``Y`` and the noise into ``dW1``/``dW2``
-    where given (arrays with one row per grid time and per step), and
-    the state at each step k of ``captures`` into its (x_row, y_row).
+    State rows go into ``X``/``Y`` where given (arrays with one row per
+    grid time), and the state at each step k of ``captures`` into its
+    (x_row, y_row).
     """
     cols = slice(columns.start, columns.stop)
     states = _em_states(
         model, scales, x0, y0, len(columns), blocks,
         keys_from=math.inf, first_column=columns.start,
     )
-    for k, x, y, dw1, dw2, _ in states:
+    for k, x, y, _, _, _ in states:
         if X is not None:
             X[k, cols] = x
             Y[k, cols] = y
-        if dW1 is not None and dw1 is not None:
-            dW1[k, cols] = dw1
-            dW2[k, cols] = dw2
         if k in captures:
             captures[k][0][cols] = x
             captures[k][1][cols] = y
@@ -686,7 +685,6 @@ def simulate_paths(
     n_paths: int,
     master_seed,
     store_paths: bool = True,
-    store_increments: bool = True,
     capture_indices: Iterable[int] = (),
     *,
     _point: int = 0,
@@ -704,18 +702,19 @@ def simulate_paths(
     master_seed : int
         Root of the noise streams (purpose paths, point ``_point``, which
         only :func:`fastslow.metrics.rate_sweep` sets): a non-negative
-        int, else ValueError before any draw (:func:`_seed_words`).
-    store_paths, store_increments : bool
-        Full (n_steps+1, n_paths) state / (n_steps, n_paths) noise
-        storage.  Disable both and use ``capture_indices`` for
-        memory-light large runs: peak memory is then O(n_paths * block).
+        int, else ValueError before any draw (:func:`_seed_words`).  The
+        bundle keeps the seed and the point, not the noise.
+    store_paths : bool
+        Full (n_steps+1, n_paths) state storage, 16 bytes per path-step.
+        Disable it and use ``capture_indices`` for memory-light large
+        runs: peak memory is then O(n_paths * block).
     capture_indices : iterable of int
         Step indices whose state rows are snapshotted regardless of
         ``store_paths``.
 
     The Euler-Maruyama loop runs over the groups of :func:`_path_groups`,
-    one after another, each writing its columns of the stored rows,
-    increments and captures.  A group that is not the whole bundle draws
+    one after another, each writing its columns of the stored rows and
+    captures.  A group that is not the whole bundle draws
     its noise in one block of at most ``_NOISE_BLOCK_BYTES`` and keeps no
     stream open; one group of every path draws in time blocks.  Path ids
     key the streams, so the grouping moves no value.  A path that blows up
@@ -729,12 +728,10 @@ def simulate_paths(
 
     X = np.empty((n_steps + 1, n_paths)) if store_paths else None
     Y = np.empty((n_steps + 1, n_paths)) if store_paths else None
-    dW1 = np.empty((n_steps, n_paths)) if store_increments else None
-    dW2 = np.empty((n_steps, n_paths)) if store_increments else None
     scales = _StepScales.of(regime, dt_eff)
     for ids in _path_groups(n_paths, n_steps):
         noise = _noise_blocks(master_seed, ids, n_steps, dt_eff, point=_point)
-        _em_loop(model, scales, x0, y0, noise, ids, captures, X, Y, dW1, dW2)
+        _em_loop(model, scales, x0, y0, noise, ids, captures, X, Y)
 
     return PathBundle(
         regime=regime,
@@ -746,9 +743,8 @@ def simulate_paths(
         n_steps=n_steps,
         X=X,
         Y=Y,
-        dW1=dW1,
-        dW2=dW2,
         captures=captures or None,
+        point=_point,
     )
 
 

@@ -857,6 +857,49 @@ def test_malliavin_sweep_reads_the_grid_start(tmp_path):
     assert _read_bytes(out, "decay.json") == written({"d2x_w1w2": decay.to_dict()})
 
 
+def test_malliavin_sweep_reads_the_step_fraction(tmp_path):
+    """malliavin-sweep steps at grid.dt_eta_fraction of each eta: the
+    moments and the decay report it writes equal those of moment_sweep
+    and decay_check run in process at that fraction, and differ from
+    those at the default 1/20."""
+    out = tmp_path / "out"
+    sweep = {"epsilons": [0.1, 0.05], "gamma": 1.0, "T": 0.25}
+    cfg = _write_config(
+        tmp_path,
+        {
+            "model": "bounded-coupled",
+            "sweep": sweep,
+            "grid": {"n_paths": 20, "x0": 0.4, "y0": 0.3, "dt_eta_fraction": 0.025},
+            "analysis": {"p": [1], "decay_separations": [1.0, 2.0], "decay_bounds": ["d2x_w1w2"]},
+            "io": {"output_dir": str(out), "master_seed": 2},
+        },
+    )
+    main(["malliavin-sweep", "--config", cfg])
+
+    def written(payload):
+        return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+    model = get_model("bounded-coupled")
+    regimes = [ScaleRegime(e, e, 1.0, 0.25) for e in sweep["epsilons"]]
+    start = dict(x0=0.4, y0=0.3)
+    moments = {
+        fraction: {
+            bid: rep.to_dict()
+            for bid, rep in moment_sweep(
+                model, regimes, 1, 20, seed=2, dt_eta_fraction=fraction, **start
+            ).items()
+        }
+        for fraction in (0.025, 0.05)
+    }
+    assert _read_bytes(out, "moments_p1.json") == written(moments[0.025])
+    assert moments[0.025] != moments[0.05]
+    decay = decay_check(
+        model, regimes[-1], "d2x_w1w2", 1, 20, 2, separations_eta=(1.0, 2.0),
+        dt_eta_fraction=0.025, **start,
+    )
+    assert _read_bytes(out, "decay.json") == written({"d2x_w1w2": decay.to_dict()})
+
+
 @pytest.mark.parametrize(
     "analysis",
     [

@@ -23,6 +23,7 @@ from fastslow.homogenization import (
     write_detail_csv,
     write_summary_csv,
 )
+from fastslow.sde_engine import time_grid
 
 
 def _affine_row(affine, x, ny=2048):
@@ -181,6 +182,16 @@ def test_limit_ode_affine_orbit(affine):
     traj = limit_ode(hom, 1.0, 1.0, 1e-3)
     exact = np.exp(-traj.t_grid)
     np.testing.assert_allclose(traj.x_bar, exact, atol=5e-7)
+
+
+def test_limit_ode_steps_on_the_simulation_grid(affine):
+    """limit_ode takes the grid of time_grid: ceil(T/dt) steps of T/n,
+    where rounding T/dt = 3333.3 would give one step fewer."""
+    hom = build_homogenized(affine, (-3, 3), 17, 1024, gamma=1.0)
+    traj = limit_ode(hom, 1.0, 1.0, 3e-4)
+    n_steps, h = time_grid(1.0, 3e-4)
+    assert len(traj.t_grid) == n_steps + 1 == 3335
+    assert traj.t_grid[1] == h and traj.t_grid[-1] == 1.0
 
 
 def test_limit_ode_escape_names_exit_time():

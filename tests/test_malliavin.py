@@ -40,6 +40,7 @@ from fastslow.sde_engine import (
     StabilityError,
     _noise_blocks,
     _StepScales,
+    draw_increments,
     simulate_paths,
     time_grid,
 )
@@ -132,12 +133,7 @@ def test_epsilon_scaling_of_tangents(affine):
     assert np.array_equal(f_big.DY[0], 2.0 * f_small.DY[0])
 
 
-def test_first_order_validation(affine, affine_regime, affine_bundle):
-    bare = simulate_paths(
-        affine, affine_regime, 0.0, 0.0, 5e-4, 2, 0, store_increments=False
-    )
-    with pytest.raises(ValueError):
-        first_order_tangents(affine, bare, [0])
+def test_first_order_validation(affine, affine_bundle):
     with pytest.raises(ValueError):
         first_order_tangents(affine, affine_bundle, [])
     n = affine_bundle.n_steps
@@ -452,11 +448,11 @@ def test_moment_sweep_affine_structure(affine):
 
 
 def _bundle_pass(model, bundle, tangents, cells=None):
-    """The tangent pass over a stored bundle's increments, from its
-    initial state, as the bundle functions run it."""
+    """The tangent pass over a bundle's noise, redrawn from its streams,
+    from its initial state, as the bundle functions run it."""
     return malliavin_mod._tangent_pass(
         model, bundle.regime, bundle.dt, bundle.n_steps, bundle.x0, bundle.y0,
-        malliavin_mod._stored_noise(bundle), bundle.n_paths, tangents, cells,
+        malliavin_mod._bundle_noise(bundle), bundle.n_paths, tangents, cells,
     )
 
 
@@ -607,9 +603,10 @@ def _scalar_tangents(model, bundle, r_grid, cells):
     DX = np.zeros((2, len(r_grid), n_t, n_paths))
     DY = np.zeros((2, len(r_grid), n_t, n_paths))
     second = np.zeros((4, len(cells), n_paths))
+    dW1, dW2 = draw_increments(bundle.master_seed, range(n_paths), n, dt)
     for p in range(n_paths):
         X, Y = bundle.X[:, p].tolist(), bundle.Y[:, p].tolist()
-        W1, W2 = bundle.dW1[:, p].tolist(), bundle.dW2[:, p].tolist()
+        W1, W2 = dW1[:, p].tolist(), dW2[:, p].tolist()
         for i, r in enumerate(r_grid):
             for j in (0, 1):
                 dx = er * m.sigma(X[r], Y[r]) if j == 0 else 0.0
@@ -732,10 +729,9 @@ def test_cell_list_that_is_not_a_product(bounded, bounded_bundle):
 
 
 def test_bundle_functions_read_only_the_increments(bounded, bounded_bundle):
-    """The bundle functions replay the stored increments from the
-    bundle's initial state: a bundle that keeps no paths gives the same
-    tangents and Q1, Q2 bit for bit, and each function rejects a bundle
-    that keeps no increments."""
+    """The bundle functions replay the increments, redrawn from the
+    bundle's streams, from its initial state: a bundle that keeps no
+    paths gives the same tangents and Q1, Q2 bit for bit."""
     regime = bounded_bundle.regime
     shared = (bounded, regime, 0.1, -0.2, regime.eta / 20, 4, 42)
     light = simulate_paths(*shared, store_paths=False)
@@ -753,15 +749,28 @@ def test_bundle_functions_read_only_the_increments(bounded, bounded_bundle):
     for got, ref in zip(q_light, q_ref):
         assert np.array_equal(got, ref)
 
-    bare = simulate_paths(*shared, store_increments=False)
-    calls = (
-        lambda b: first_order_tangents(bounded, b, r_grid),
-        lambda b: second_order_tangents(bounded, b, pairs),
-        lambda b: q_decomposition(bounded, b, 12),
+
+def test_bundle_tangents_replay_the_bundle_point(bounded):
+    """A bundle keeps the stream point its paths drew from: the tangents
+    of a point-3 bundle are those of the pass over the point-3 streams,
+    and differ from those of the point-0 bundle of the same seed."""
+    regime = ScaleRegime(0.05, 0.05, 1.0, 0.15)
+    shared = (bounded, regime, 0.4, 0.3, regime.eta / 20, 5, 11)
+    at_3 = simulate_paths(*shared, store_paths=False, _point=3)
+    at_0 = simulate_paths(*shared, store_paths=False)
+    assert (at_3.point, at_0.point) == (3, 0)
+    r_grid = [0, 12, 30]
+    got = first_order_tangents(bounded, at_3, r_grid, store_series=False)
+    noise = _noise_blocks(11, range(5), at_3.n_steps, at_3.dt, point=3)
+    rows, _ = malliavin_mod._tangent_pass(
+        bounded, regime, at_3.dt, at_3.n_steps, 0.4, 0.3, noise, 5,
+        [(j, r) for j in (0, 1) for r in r_grid],
     )
-    for call in calls:
-        with pytest.raises(ValueError, match="bundle must store increments"):
-            call(bare)
+    for name in ("final_dx", "final_dy", "sup_abs_dx", "sup_abs_dy"):
+        ref = getattr(rows, name).reshape(2, len(r_grid), 5)
+        assert np.array_equal(getattr(got, name), ref), name
+    other = first_order_tangents(bounded, at_0, r_grid, store_series=False)
+    assert not np.array_equal(got.final_dx, other.final_dx)
 
 
 @pytest.mark.parametrize("combo", [(-1, 0), (0.5, 0), (2, 0)])
@@ -1110,6 +1119,7 @@ def test_q_decomposition_evaluates_once_per_read_row(fixture, request, monkeypat
     bundle = simulate_paths(model, regime, 0.4, 0.3, regime.eta / 20, 5, 8)
     n, r, dt, eta_root = bundle.n_steps, 12, bundle.dt, math.sqrt(regime.eta)
     dxw2 = first_order_tangents(model, bundle, [r]).DX[1, 0]
+    _, dW2 = draw_increments(bundle.master_seed, range(5), n, dt)
     (tau_r,) = model.evaluate(bundle.X[r], bundle.Y[r], ("tau",))
     q1, q2 = np.zeros((2, n + 1, 5))
     q1[r] = tau_r / eta_root
@@ -1118,8 +1128,8 @@ def test_q_decomposition_evaluates_once_per_read_row(fixture, request, monkeypat
         d1f, d2f, d1t, d2t = model.evaluate(
             bundle.X[k], bundle.Y[k], ("d1_f", "d2_f", "d1_tau", "d2_tau")
         )
-        a = 1.0 + d2f * (dt / regime.eta) + d2t * (bundle.dW2[k] / eta_root)
-        g = d1f * dxw2[k] * (dt / regime.eta) + d1t * dxw2[k] * (bundle.dW2[k] / eta_root)
+        a = 1.0 + d2f * (dt / regime.eta) + d2t * (dW2[k] / eta_root)
+        g = d1f * dxw2[k] * (dt / regime.eta) + d1t * dxw2[k] * (dW2[k] / eta_root)
         zm = a * zm
         q2_state = a * q2_state + g
         q1[k + 1] = zm * (tau_r / eta_root)
@@ -1210,7 +1220,8 @@ def test_moment_sweep_validation(affine):
 
 
 def test_sweeps_reject_step_above_stability_guard(affine, monkeypatch):
-    """A step above eta/20 raises, naming both values, before any work."""
+    """A step fraction above 1/20 raises, naming the step and the
+    guard, before any work."""
 
     def not_reached(*args, **kwargs):
         raise AssertionError("work started before the step was checked")
@@ -1220,9 +1231,9 @@ def test_sweeps_reject_step_above_stability_guard(affine, monkeypatch):
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.1)
     message = re.escape("dt=0.05 exceeds the stability guard eta/20=0.0025")
     with pytest.raises(StabilityError, match=message):
-        moment_sweep(affine, [regime], 1, 10, dt=0.05)
+        moment_sweep(affine, [regime], 1, 10, dt_eta_fraction=1.0)
     with pytest.raises(StabilityError, match=message):
-        decay_check(affine, regime, "dw2_y_final", 1, 10, 0, dt=0.05)
+        decay_check(affine, regime, "dw2_y_final", 1, 10, 0, dt_eta_fraction=1.0)
 
 
 @pytest.mark.parametrize(

@@ -654,3 +654,26 @@ def test_rate_sweep_checks_every_step_before_homogenizing(affine, monkeypatch):
             affine, (0.16, 0.08, 0.04), "equal", {"dt_eta_fraction": 0.1}, T=0.2
         )
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "extra, named",
+    [({"n_path": 10}, "['n_path']"), ({"point": 1, "dt": 0.01}, "['dt', 'point']")],
+)
+def test_rate_sweep_rejects_unknown_config_keys_before_homogenizing(
+    affine, monkeypatch, extra, named
+):
+    """A clt_config key rate_sweep does not read, a misspelt one or one
+    that would collide with the stream point, raises ValueError naming
+    it before any homogenization."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return build_homogenized(*args, **kwargs)
+
+    monkeypatch.setattr(metrics_mod, "build_homogenized", counting)
+    monkeypatch.setattr(metrics_mod, "simulate_paths", _not_reached)
+    with pytest.raises(ValueError, match=re.escape(f"unknown clt_config keys: {named}")):
+        rate_sweep(affine, (0.16, 0.08, 0.04), "equal", {"n_boot": 10, **extra}, T=0.2)
+    assert len(calls) == 0

@@ -83,7 +83,7 @@ def _small_bundle(model, seed=7, n_paths=6):
 def test_same_seed_is_bitwise_identical(affine):
     a = _small_bundle(affine)
     b = _small_bundle(affine)
-    for name in ("X", "Y", "dW1", "dW2"):
+    for name in ("X", "Y"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
@@ -92,7 +92,7 @@ def test_chunking_does_not_change_results(affine):
     two paths of a six-path bundle are a two-path bundle."""
     whole = _small_bundle(affine)
     part = _small_bundle(affine, n_paths=2)
-    for name in ("X", "Y", "dW1", "dW2"):
+    for name in ("X", "Y"):
         assert np.array_equal(getattr(whole, name)[:, :2], getattr(part, name)), name
 
 
@@ -330,14 +330,14 @@ def test_blocked_noise_matches_one_block(bounded, monkeypatch, batch, block):
     full = simulate_paths(bounded, regime, 0.4, 0.3, dt, n_paths, seed, **kwargs)
     light = simulate_paths(
         bounded, regime, 0.4, 0.3, dt, n_paths, seed,
-        store_paths=False, store_increments=False, **kwargs,
+        store_paths=False, **kwargs,
     )
     X, Y, caps = simulate_with_increments(
         bounded, regime, 0.4, 0.3, dt, dW1, dW2, capture_indices=marks
     )
-    for name, ref in (("X", X), ("Y", Y), ("dW1", dW1), ("dW2", dW2)):
+    for name, ref in (("X", X), ("Y", Y)):
         assert np.array_equal(getattr(full, name), ref), name
-    assert light.X is None and light.dW1 is None
+    assert light.X is None and light.Y is None
     for k in marks:
         for bundle in (full, light):
             assert np.array_equal(bundle.captures[k][0], caps[k][0])
@@ -384,7 +384,7 @@ def test_path_groups_rule(n_paths, n_steps, groups):
     ],
 )
 @pytest.mark.parametrize(
-    "store_paths, store_increments, marks",
+    "store_paths, redraw, marks",
     [
         (True, True, (0, 5, 23, 24)),  # full storage and captures
         (True, False, ()),
@@ -393,13 +393,15 @@ def test_path_groups_rule(n_paths, n_steps, groups):
     ],
 )
 def test_path_groups_match_one_block(
-    bounded, monkeypatch, block_paths, groups, store_paths, store_increments, marks
+    bounded, monkeypatch, block_paths, groups, store_paths, redraw, marks
 ):
     """simulate_paths at a block budget that holds the whole draw of
     ``block_paths`` paths stores and captures exactly what draw_increments
     + simulate_with_increments give on the noise of all 100 paths drawn
     in one block, whether the budget splits the pass into path groups or
-    leaves it on time blocks."""
+    leaves it on time blocks.  With ``redraw``, the noise the bundle
+    functions redraw from the bundle's streams at the same budget is that
+    one-block noise too."""
     n_paths, seed = 100, 5 + (2 << 32)
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.06)
     n_steps, dt = time_grid(regime.T, regime.eta / 20)
@@ -412,16 +414,19 @@ def test_path_groups_match_one_block(
     assert [len(ids) for ids in sde_engine._path_groups(n_paths, n_steps)] == groups
     bundle = simulate_paths(
         bounded, regime, 0.4, 0.3, dt, n_paths, seed,
-        store_paths=store_paths, store_increments=store_increments, capture_indices=marks,
+        store_paths=store_paths, capture_indices=marks,
     )
-    for name, ref, stored in (
-        ("X", X, store_paths), ("Y", Y, store_paths),
-        ("dW1", dW1, store_increments), ("dW2", dW2, store_increments),
-    ):
-        if stored:
+    for name, ref in (("X", X), ("Y", Y)):
+        if store_paths:
             assert np.array_equal(getattr(bundle, name), ref), name
         else:
             assert getattr(bundle, name) is None, name
+    if redraw:
+        from fastslow.malliavin import _bundle_noise
+
+        blocks = [(w1.copy(), w2.copy()) for w1, w2 in _bundle_noise(bundle)]
+        assert np.array_equal(np.concatenate([w1 for w1, _ in blocks]), dW1)
+        assert np.array_equal(np.concatenate([w2 for _, w2 in blocks]), dW2)
     if not marks:
         assert bundle.captures is None
         return
@@ -445,11 +450,11 @@ def test_grouped_pass_keeps_no_stream_open(affine, monkeypatch):
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.06)
     monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * 24 * 20)
     monkeypatch.setattr(sde_engine.np.random, "Philox", counting)
-    simulate_paths(affine, regime, 0.0, 0.0, regime.eta / 20, 100, 3, False, False)
+    simulate_paths(affine, regime, 0.0, 0.0, regime.eta / 20, 100, 3, store_paths=False)
     assert len(built) == 2 * 5
     built.clear()
     monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * 24 * 17)
-    simulate_paths(affine, regime, 0.0, 0.0, regime.eta / 20, 100, 3, False, False)
+    simulate_paths(affine, regime, 0.0, 0.0, regime.eta / 20, 100, 3, store_paths=False)
     assert len(built) == 2 * 100
 
 
@@ -492,7 +497,7 @@ def test_memory_does_not_grow_with_steps(affine, monkeypatch):
     largest group's two channel blocks, within the block budget, and its
     draw buffer.  Nor may the path-major draw buffer grow when the path
     count grows from 600 to 2000."""
-    from fastslow.malliavin import _tangent_pass
+    from fastslow.malliavin import _tangent_pass, first_order_tangents
 
     dt = 1.0 / 4096
 
@@ -506,9 +511,17 @@ def test_memory_does_not_grow_with_steps(affine, monkeypatch):
             monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * n_paths * block)
             simulate_paths(
                 affine, regime(n_steps), 0.0, 0.0, dt, n_paths, 1,
-                store_paths=False, store_increments=False, capture_indices=[n_steps],
+                store_paths=False, capture_indices=[n_steps],
             )
         return run
+
+    def bundle_tangents(n_steps):
+        # A light bundle keeps no noise: its tangents redraw it in blocks.
+        monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * 100 * 30)
+        bundle = simulate_paths(
+            affine, regime(n_steps), 0.0, 0.0, dt, 100, 1, store_paths=False
+        )
+        first_order_tangents(affine, bundle, [n_steps // 4, n_steps // 2], False)
 
     def tangent_pass(n_steps):
         monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * 200 * 32)
@@ -555,7 +568,10 @@ def test_memory_does_not_grow_with_steps(affine, monkeypatch):
     try:
         tangent_pass(4096)
         time_blocks(4096)
-        cases = ((time_blocks, (512, 64)), (tangent_pass, (512, 64)), (path_groups, (160, 20)))
+        cases = (
+            (time_blocks, (512, 64)), (tangent_pass, (512, 64)),
+            (bundle_tangents, (512, 64)), (path_groups, (160, 20)),
+        )
         for run, steps in cases:
             (long, long_mapped), (short, short_mapped) = (peaks(run, n) for n in steps)
             assert long <= 1.1 * short, (steps, short, long)
@@ -583,16 +599,17 @@ def test_memory_does_not_grow_with_steps(affine, monkeypatch):
 
 def test_affine_step_matches_linear_recursion(affine):
     """The update on the affine model is exactly linear; replay it
-    independently from the stored increments."""
+    independently on the bundle's noise, drawn again from its seed."""
     bundle = _small_bundle(affine)
     eps, eta = bundle.regime.epsilon, bundle.regime.eta
     dt = bundle.dt
+    dW1, dW2 = draw_increments(bundle.master_seed, range(bundle.n_paths), bundle.n_steps, dt)
     x = np.full(bundle.n_paths, bundle.x0)
     y = np.full(bundle.n_paths, bundle.y0)
     for k in range(bundle.n_steps):
         x, y = (
-            x + (y - 2.0 * x) * dt + math.sqrt(eps) * bundle.dW1[k],
-            y + (x - y) * dt / eta + math.sqrt(2.0) * bundle.dW2[k] / math.sqrt(eta),
+            x + (y - 2.0 * x) * dt + math.sqrt(eps) * dW1[k],
+            y + (x - y) * dt / eta + math.sqrt(2.0) * dW2[k] / math.sqrt(eta),
         )
     assert np.allclose(x, bundle.X[-1], rtol=0, atol=1e-13)
     assert np.allclose(y, bundle.Y[-1], rtol=0, atol=1e-13)
@@ -694,10 +711,9 @@ def test_captures_match_full_storage(affine):
         6,
         7,
         store_paths=False,
-        store_increments=False,
         capture_indices=marks,
     )
-    assert light.X is None and light.dW1 is None
+    assert light.X is None and light.Y is None
     for k in marks:
         lx, ly = light.state_at(k)
         assert np.array_equal(lx, full.X[k])
