@@ -12,8 +12,8 @@ exit codes and "same" or "moved" per artifact goes to stdout.  The
 configs leave the assumption grid, the bootstrap count and the decay
 separations at their defaults, so the defaults are compared too.
 ``malliavin-sweep start`` starts the sweep from x0 = 0.4, y0 = 0.3, and
-``malliavin-sweep fine`` steps at eta/40, so the start and the step
-fraction read from ``grid`` are compared as well.  Every
+``malliavin-sweep fine`` and ``clt-verify fine`` step at eta/40, so the
+start and the step fraction read from ``grid`` are compared as well.  Every
 config but ``rate-sweep grouped`` draws its noise in one 32 MiB block;
 that one's finest point simulates 6000 paths of 500 steps, which
 ``simulate_paths`` runs as two path groups.  The script reports and does not gate: it
@@ -42,6 +42,12 @@ CONFIGS = {
         "model": "bounded-coupled",
         "regime": REGIME,
         "grid": {"n_paths": 400, "nx": 17, "ny": 2048},
+        "io": {"master_seed": 3},
+    },
+    "clt-verify fine": {
+        "model": "bounded-coupled",
+        "regime": REGIME,
+        "grid": {"n_paths": 400, "nx": 17, "ny": 2048, "dt_eta_fraction": 0.025},
         "io": {"master_seed": 3},
     },
     "malliavin-sweep": {

@@ -38,6 +38,7 @@ import fastslow
 from fastslow.coefficients import (
     ASSUMPTION_GRID,
     CoefficientSet,
+    ExpressionError,
     check_assumptions,
     get_model,
     model_from_expressions,
@@ -62,12 +63,7 @@ from fastslow.metrics import (
     theoretical_bound,
     theoretical_bound_terms,
 )
-from fastslow.sde_engine import (
-    STABILITY_FRACTION,
-    ScaleRegime,
-    StabilityError,
-    _check_stability,
-)
+from fastslow.sde_engine import STABILITY_FRACTION, ScaleRegime
 
 __all__ = ["ExperimentConfig", "ConfigError", "main"]
 
@@ -77,16 +73,57 @@ EXIT_WARNINGS = 3
 EXIT_USAGE = 64
 EXIT_IO = 74
 
+#: The sections a command reads whole: each key with its default (None:
+#: the key is required).
+_WHOLE = {
+    "regime": {"epsilon": None, "eta": None, "gamma": math.inf, "T": None},
+    "sweep": {"epsilons": None, "eta_rule": "equal", "gamma": 1.0, "T": 1.0},
+}
+
+_HOM = {"grid.x_range": HOM_GRID[0], "grid.nx": HOM_GRID[1], "grid.ny": HOM_GRID[2]}
+_PATHS = {"grid.x0": 0.0, "grid.y0": 0.0, "grid.dt_eta_fraction": STABILITY_FRACTION}
+_BOUND = {"analysis.K": 1.0, "analysis.zeta": 0.1}
+
+#: What each command reads: the sections of :data:`_WHOLE` it may read,
+#: of which it reads the first one present (None: it may run without
+#: one), and each grid and analysis key with its default (None: the
+#: library's own, and for ``grid.y_range`` the x_range).
+_READS = {
+    "check-assumptions": ((), {
+        "grid.x_range": ASSUMPTION_GRID[0], "grid.y_range": None,
+        "grid.nx": ASSUMPTION_GRID[1], "grid.ny": ASSUMPTION_GRID[1], "analysis.p": (1,),
+    }),
+    "homogenize": (
+        ("regime", None), {"grid.x_range": (-3.0, 3.0), "grid.nx": 41, "grid.ny": 8192}
+    ),
+    "clt-verify": (("regime",), {
+        **_HOM, **_PATHS, "grid.n_paths": 10_000, "grid.checkpoints": None,
+        "analysis.bootstrap": N_BOOTSTRAP,
+    }),
+    "malliavin-sweep": (("sweep",), {
+        **_PATHS, "grid.n_paths": 2000, "analysis.p": (1,),
+        "analysis.decay_separations": DECAY_SEPARATIONS,
+        "analysis.decay_bounds": ("d2x_w1w2", "d2x_w2w2"),
+    }),
+    "rate-sweep": (("sweep",), {
+        **_HOM, **_PATHS, "grid.n_paths": 10_000, "analysis.bootstrap": N_BOOTSTRAP, **_BOUND,
+    }),
+    "bound-eval": (("regime", "sweep"), {**_BOUND, "analysis.C1": 1.0, "analysis.C2": 1.0}),
+}
+
 #: The keys each config section may hold: those some command reads.
 _SECTION_KEYS = {
     "expressions": ("c", "sigma", "f", "tau"),
-    "regime": ("epsilon", "eta", "gamma", "T"),
-    "sweep": ("epsilons", "eta_rule", "gamma", "T"),
-    "grid": (
-        "dt", "dt_eta_fraction", "n_paths", "nx", "ny", "x_range", "y_range",
-        "x0", "y0", "checkpoints",
-    ),
-    "analysis": ("p", "K", "C1", "C2", "zeta", "bootstrap", "decay_separations", "decay_bounds"),
+    **_WHOLE,
+    **{
+        section: {
+            key.partition(".")[2]
+            for _, keys in _READS.values()
+            for key in keys
+            if key.startswith(f"{section}.")
+        }
+        for section in ("grid", "analysis")
+    },
     "io": ("master_seed", "output_dir"),
 }
 
@@ -137,9 +174,9 @@ class ExperimentConfig:
     """One experiment: model, regime(s), grids, analysis knobs, and IO.
 
     Parses from / serializes to a stable JSON dict (round-trip
-    identity).  Numeric constraints of the downstream modules are
-    validated at load time; in particular a configured ``grid.dt``
-    larger than eta/20 is rejected before any simulation starts.
+    identity).  Numeric constraints of the downstream modules and the
+    model expressions are validated at load time, before any simulation
+    starts; :meth:`settings` then checks the config against one command.
     """
 
     model: str | None = None
@@ -187,37 +224,29 @@ class ExperimentConfig:
             missing = set(_SECTION_KEYS["expressions"]) - set(self.expressions)
             if missing:
                 raise ConfigError(f"expressions missing coefficients: {sorted(missing)}")
+            try:
+                self.coefficient_set()
+            except ExpressionError as exc:
+                raise ConfigError(f"expressions: {exc}") from None
         if self.regime is not None:
-            for key in ("epsilon", "eta", "T"):
-                value = self.regime.get(key)
-                if value is None or not _number(f"regime.{key}", value) > 0:
-                    raise ConfigError(f"regime.{key} must be positive (got {value})")
-            gamma = self.regime.get("gamma", math.inf)
-            if not _number("regime.gamma", gamma) > 0:
-                raise ConfigError(f"regime.gamma must be positive (got {gamma})")
-            dt = self.grid.get("dt")
-            if dt is not None:
-                if not _number("grid.dt", dt) > 0:
-                    raise ConfigError(f"grid.dt must be positive (got {dt})")
-                try:
-                    _check_stability(dt, self.regime["eta"])
-                except StabilityError as exc:
-                    raise ConfigError(f"grid.{exc}") from None
+            regime = self._section("regime")
+            for key in ("epsilon", "eta", "T", "gamma"):
+                if regime[key] is None or not _number(f"regime.{key}", regime[key]) > 0:
+                    raise ConfigError(f"regime.{key} must be positive (got {regime[key]})")
         if self.sweep is not None:
-            eps = self.sweep.get("epsilons")
+            sweep = self._section("sweep")
+            eps = sweep["epsilons"]
             if not isinstance(eps, (list, tuple)) or not eps:
                 raise ConfigError("sweep.epsilons must be a non-empty list")
             if any(not _number("sweep.epsilons", e) > 0 for e in eps):
                 raise ConfigError("sweep.epsilons must be positive")
             if any(b >= a for a, b in zip(eps, eps[1:])):
                 raise ConfigError("sweep.epsilons must be strictly decreasing")
-            rule = self.sweep.get("eta_rule", "equal")
-            if rule != "equal":
-                raise ConfigError(f"unknown sweep.eta_rule {rule!r}")
+            if sweep["eta_rule"] != "equal":
+                raise ConfigError(f"unknown sweep.eta_rule {sweep['eta_rule']!r}")
             for key in ("T", "gamma"):
-                value = self.sweep.get(key, 1.0)
-                if not _number(f"sweep.{key}", value) > 0:
-                    raise ConfigError(f"sweep.{key} must be positive (got {value})")
+                if not _number(f"sweep.{key}", sweep[key]) > 0:
+                    raise ConfigError(f"sweep.{key} must be positive (got {sweep[key]})")
         for key in ("n_paths", "nx", "ny"):
             _require_count(f"grid.{key}", self.grid.get(key))
         fraction = self.grid.get("dt_eta_fraction")
@@ -245,10 +274,10 @@ class ExperimentConfig:
         zeta = self.analysis.get("zeta")
         if zeta is not None and not 0.0 < _number("analysis.zeta", zeta) < 0.5:
             raise ConfigError(f"analysis.zeta must lie in (0, 1/2) (got {zeta})")
-        orders = self.analysis.get("p", [1])
+        orders = self.analysis.get("p", ())
         if not isinstance(orders, (list, tuple)):
             raise ConfigError(f"analysis.p must be a list of moment orders (got {orders!r})")
-        if not orders:
+        if "p" in self.analysis and not orders:
             raise ConfigError("analysis.p must not be empty")
         for p in orders:
             if isinstance(p, bool) or p not in (1, 2):
@@ -261,6 +290,41 @@ class ExperimentConfig:
 
     # -- resolved accessors -------------------------------------------
 
+    def settings(self, command: str) -> dict:
+        """Everything ``command`` reads, by key name: each grid and analysis
+        key of :data:`_READS` as configured or at its default there, the
+        keys of the whole section read (with the defaults of
+        :data:`_WHOLE`), and ``regimes``, that section's regimes.
+
+        ConfigError when the command needs a section the config lacks,
+        then naming each key or section the command does not read."""
+        sections, defaults = _READS[command]
+        read = next((s for s in sections if s is None or getattr(self, s) is not None), None)
+        if read is None and sections and sections[-1] is not None:
+            self._section(sections[-1])  # raises the ConfigError naming it
+        given = {f"{s}.{key}" for s in ("grid", "analysis") for key in getattr(self, s)}
+        given |= {s for s in _WHOLE if getattr(self, s) is not None}
+        unread = given - set(defaults) - {read}
+        if unread:
+            raise ConfigError(f"keys {command} does not read: {sorted(unread)}")
+        values = {key.partition(".")[2]: self._value(command, key) for key in defaults}
+        if read is None:
+            return {**values, "regimes": []}
+        regimes = [self.scale_regime()] if read == "regime" else self.sweep_regimes()
+        return {**values, **self._section(read), "regimes": regimes}
+
+    def _value(self, command: str, key: str):
+        """``key`` ("section.name") as configured, else ``command``'s default."""
+        section, _, name = key.partition(".")
+        return getattr(self, section).get(name, _READS[command][1][key])
+
+    def _section(self, name: str) -> dict:
+        """The ``regime`` or ``sweep`` section with the defaults of
+        :data:`_WHOLE`; ConfigError when the config has none."""
+        if getattr(self, name) is None:
+            raise ConfigError(f"this command needs a '{name}' section")
+        return {**_WHOLE[name], **getattr(self, name)}
+
     def coefficient_set(self) -> CoefficientSet:
         if self.model is not None:
             return get_model(self.model)
@@ -268,46 +332,28 @@ class ExperimentConfig:
         return model_from_expressions("custom", e["c"], e["sigma"], e["f"], e["tau"])
 
     def scale_regime(self) -> ScaleRegime:
-        if self.regime is None:
-            raise ConfigError("this command needs a 'regime' section")
-        return ScaleRegime(
-            epsilon=self.regime["epsilon"],
-            eta=self.regime["eta"],
-            gamma=self.regime.get("gamma", math.inf),
-            T=self.regime["T"],
-        )
+        return ScaleRegime(**self._section("regime"))
 
     def sweep_regimes(self) -> list[ScaleRegime]:
-        if self.sweep is None:
-            raise ConfigError("this command needs a 'sweep' section")
-        gamma = self.sweep.get("gamma", 1.0)
-        T = self.sweep.get("T", 1.0)
+        sweep = self._section("sweep")
         return [
-            ScaleRegime(epsilon=e, eta=e, gamma=gamma, T=T)
-            for e in self.sweep["epsilons"]
+            ScaleRegime(epsilon=e, eta=e, gamma=sweep["gamma"], T=sweep["T"])
+            for e in sweep["epsilons"]
         ]
-
-    def moment_orders(self) -> list[int]:
-        """``analysis.p``, default [1]."""
-        return [int(p) for p in self.analysis.get("p", [1])]
-
-    def dt_eta_fraction(self) -> float:
-        """``grid.dt_eta_fraction``, the sweeps' step as a fraction of
-        eta, default the stability guard 1/20."""
-        return float(self.grid.get("dt_eta_fraction", STABILITY_FRACTION))
 
     def decay_settings(
         self, regime: ScaleRegime | None = None
     ) -> tuple[list[float], list[str]]:
-        """``analysis.decay_separations`` and ``analysis.decay_bounds`` (or
-        their defaults), checked as :func:`decay_check` checks them, at
+        """``analysis.decay_separations`` and ``analysis.decay_bounds`` of
+        ``malliavin-sweep``, checked as :func:`decay_check` checks them, at
         ``regime`` and the configured step fraction when a regime is
         given (ConfigError otherwise)."""
-        seps = self.analysis.get("decay_separations", DECAY_SEPARATIONS)
-        bounds = list(self.analysis.get("decay_bounds", ("d2x_w1w2", "d2x_w2w2")))
+        seps = self._value("malliavin-sweep", "analysis.decay_separations")
+        bounds = list(self._value("malliavin-sweep", "analysis.decay_bounds"))
+        fraction = self._value("malliavin-sweep", "grid.dt_eta_fraction")
         where = "" if regime is None else f" at eps={regime.epsilon:g}"
         try:
-            seps = check_decay_settings(bounds, seps, regime, self.dt_eta_fraction())
+            seps = check_decay_settings(bounds, seps, regime, fraction)
         except (TypeError, ValueError) as exc:
             raise ConfigError(
                 f"analysis.decay_separations / decay_bounds{where}: {exc}"
@@ -397,29 +443,27 @@ def _write_manifest(out_dir, command, config, seed, t0, exit_code) -> None:
 # -- commands ---------------------------------------------------------
 
 
-def cmd_check_assumptions(config: ExperimentConfig, out_dir, seed) -> int:
+def cmd_check_assumptions(config: ExperimentConfig, s: dict, out_dir, seed) -> int:
     model = config.coefficient_set()
-    box, nodes = ASSUMPTION_GRID
-    x_range = tuple(config.grid.get("x_range", box))
-    y_range = tuple(config.grid.get("y_range", x_range))
-    nx = int(config.grid.get("nx", nodes))
-    ny = int(config.grid.get("ny", nodes))
+    x_range = tuple(s["x_range"])
+    y_range = tuple(s["y_range"] or x_range)
     all_pass = True
-    for p in config.moment_orders():
-        report = check_assumptions(model, x_range, y_range, nx, ny, p)
+    for p in map(int, s["p"]):
+        report = check_assumptions(model, x_range, y_range, int(s["nx"]), int(s["ny"]), p)
         _write_json(os.path.join(out_dir, f"assumptions_p{p}.json"), report.to_dict())
         all_pass = all_pass and report.passes
     return EXIT_PASS if all_pass else EXIT_ASSERTION
 
 
-def cmd_homogenize(config: ExperimentConfig, out_dir, seed) -> int:
+def _homogenized(s: dict, model: CoefficientSet, gamma):
+    """Homogenized model on the command's ``grid.x_range``, ``nx`` and ``ny``."""
+    return build_homogenized(model, tuple(s["x_range"]), int(s["nx"]), int(s["ny"]), gamma)
+
+
+def cmd_homogenize(config: ExperimentConfig, s: dict, out_dir, seed) -> int:
     model = config.coefficient_set()
-    regime = config.scale_regime() if config.regime is not None else None
-    gamma = regime.gamma if regime is not None else math.inf
-    x_range = tuple(config.grid.get("x_range", (-3.0, 3.0)))
-    nx = int(config.grid.get("nx", 41))
-    ny = int(config.grid.get("ny", 8192))
-    hom = build_homogenized(model, x_range, nx, ny, gamma)
+    gamma = s["regimes"][0].gamma if s["regimes"] else math.inf
+    hom = _homogenized(s, model, gamma)
     _atomic_file(
         lambda p: write_detail_csv(hom, p),
         os.path.join(out_dir, "homogenized_detail.csv"),
@@ -433,26 +477,13 @@ def cmd_homogenize(config: ExperimentConfig, out_dir, seed) -> int:
         {
             "model": model.name,
             "gamma": None if math.isinf(gamma) else gamma,
-            "x_range": list(x_range),
-            "nx": nx,
-            "ny": ny,
+            "x_range": list(s["x_range"]),
+            "nx": int(s["nx"]),
+            "ny": int(s["ny"]),
             "warnings": list(hom.warnings),
         },
     )
     return EXIT_WARNINGS if hom.warnings else EXIT_PASS
-
-
-def _clt_homogenized(config: ExperimentConfig, model: CoefficientSet, gamma):
-    """Homogenized model on the config's ``grid.x_range/nx/ny``."""
-    x_range, nx, ny = HOM_GRID
-    grid = config.grid
-    return build_homogenized(
-        model,
-        tuple(grid.get("x_range", x_range)),
-        int(grid.get("nx", nx)),
-        int(grid.get("ny", ny)),
-        gamma,
-    )
 
 
 def _regime_diagnostics(regime: ScaleRegime) -> dict:
@@ -467,21 +498,20 @@ def _regime_diagnostics(regime: ScaleRegime) -> dict:
     }
 
 
-def cmd_clt_verify(config: ExperimentConfig, out_dir, seed) -> int:
+def cmd_clt_verify(config: ExperimentConfig, s: dict, out_dir, seed) -> int:
     model = config.coefficient_set()
-    regime = config.scale_regime()
-    grid = config.grid
-    hom = _clt_homogenized(config, model, regime.gamma)
+    regime = s["regimes"][0]
+    hom = _homogenized(s, model, regime.gamma)
     reports = clt_verify(
         model,
         regime,
-        x0=float(grid.get("x0", 0.0)),
-        y0=float(grid.get("y0", 0.0)),
-        dt=float(grid.get("dt", regime.eta * STABILITY_FRACTION)),
-        n_paths=int(grid.get("n_paths", 10_000)),
-        checkpoints=grid.get("checkpoints"),
+        x0=float(s["x0"]),
+        y0=float(s["y0"]),
+        dt=regime.eta * float(s["dt_eta_fraction"]),
+        n_paths=int(s["n_paths"]),
+        checkpoints=s["checkpoints"],
         seed=seed,
-        n_boot=int(config.analysis.get("bootstrap", N_BOOTSTRAP)),
+        n_boot=int(s["bootstrap"]),
         hom=hom,
     )
     payload = {
@@ -515,22 +545,19 @@ def cmd_clt_verify(config: ExperimentConfig, out_dir, seed) -> int:
     return EXIT_WARNINGS if hom.warnings else EXIT_PASS
 
 
-def cmd_malliavin_sweep(config: ExperimentConfig, out_dir, seed) -> int:
+def cmd_malliavin_sweep(config: ExperimentConfig, s: dict, out_dir, seed) -> int:
     model = config.coefficient_set()
-    regimes = config.sweep_regimes()
-    n_paths = int(config.grid.get("n_paths", 2000))
-    x0 = float(config.grid.get("x0", 0.0))
-    y0 = float(config.grid.get("y0", 0.0))
-    fraction = config.dt_eta_fraction()
+    regimes = s["regimes"]
+    n_paths = int(s["n_paths"])
+    start = {key: float(s[key]) for key in ("x0", "y0", "dt_eta_fraction")}
+    orders = [int(p) for p in s["p"]]
     # Reject a separation that reaches before t = 0 at the finest point
     # before any artifact is written.
     separations, decay_bounds = config.decay_settings(regimes[-1])
     any_warn = False
     all_pass = True
-    for p in config.moment_orders():
-        reports = moment_sweep(
-            model, regimes, p, n_paths, seed=seed, x0=x0, y0=y0, dt_eta_fraction=fraction
-        )
+    for p in orders:
+        reports = moment_sweep(model, regimes, p, n_paths, seed=seed, **start)
         _write_json(
             os.path.join(out_dir, f"moments_p{p}.json"),
             {bid: rep.to_dict() for bid, rep in reports.items()},
@@ -538,20 +565,11 @@ def cmd_malliavin_sweep(config: ExperimentConfig, out_dir, seed) -> int:
         all_pass = all_pass and all(rep.passes for rep in reports.values())
         any_warn = any_warn or any(rep.warnings for rep in reports.values())
     if decay_bounds:
-        finest = regimes[-1]
         payload = {}
         for bid in decay_bounds:
             rep = decay_check(
-                model,
-                finest,
-                bid,
-                config.moment_orders()[0],
-                n_paths,
-                seed,
-                separations_eta=separations,
-                x0=x0,
-                y0=y0,
-                dt_eta_fraction=fraction,
+                model, regimes[-1], bid, orders[0], n_paths, seed,
+                separations_eta=separations, **start,
             )
             payload[bid] = rep.to_dict()
             all_pass = all_pass and rep.monotone_within_noise
@@ -561,42 +579,33 @@ def cmd_malliavin_sweep(config: ExperimentConfig, out_dir, seed) -> int:
     return EXIT_WARNINGS if any_warn else EXIT_PASS
 
 
-def cmd_rate_sweep(config: ExperimentConfig, out_dir, seed) -> int:
+def cmd_rate_sweep(config: ExperimentConfig, s: dict, out_dir, seed) -> int:
     model = config.coefficient_set()
-    if config.sweep is None:
-        raise ConfigError("rate-sweep needs a 'sweep' section")
-    epsilons = config.sweep["epsilons"]
+    epsilons, gamma, T = s["epsilons"], s["gamma"], s["T"]
     if len(epsilons) < 3:
         raise ConfigError(f"rate-sweep needs at least three sweep.epsilons (got {epsilons})")
-    grid = config.grid
-    gamma = config.sweep.get("gamma", 1.0)
-    T = config.sweep.get("T", 1.0)
-    hom = _clt_homogenized(config, model, gamma)
+    hom = _homogenized(s, model, gamma)
     fit = rate_sweep(
         model,
         epsilons,
-        config.sweep.get("eta_rule", "equal"),
+        s["eta_rule"],
         {
-            "x0": grid.get("x0", 0.0),
-            "y0": grid.get("y0", 0.0),
-            "n_paths": grid.get("n_paths", 10_000),
-            "dt_eta_fraction": config.dt_eta_fraction(),
-            "n_boot": int(config.analysis.get("bootstrap", N_BOOTSTRAP)),
+            "x0": s["x0"],
+            "y0": s["y0"],
+            "n_paths": s["n_paths"],
+            "dt_eta_fraction": float(s["dt_eta_fraction"]),
+            "n_boot": int(s["bootstrap"]),
             "hom": hom,
         },
         gamma=gamma,
         T=T,
-        K=float(config.analysis.get("K", 1.0)),
-        zeta=float(config.analysis.get("zeta", 0.1)),
+        K=float(s["K"]),
+        zeta=float(s["zeta"]),
         seed=seed,
     )
     payload = {
         "model": model.name,
-        "regime": {
-            "gamma": gamma,
-            "T": T,
-            "eta_rule": config.sweep.get("eta_rule", "equal"),
-        },
+        "regime": {"gamma": gamma, "T": T, "eta_rule": s["eta_rule"]},
         "checkpoints": [r.to_dict() for r in fit.reports],
         **fit.to_dict(),
         "warnings": list(hom.warnings),
@@ -620,18 +629,12 @@ def cmd_rate_sweep(config: ExperimentConfig, out_dir, seed) -> int:
     return EXIT_WARNINGS if fit.noisy_points or hom.warnings else EXIT_PASS
 
 
-def cmd_bound_eval(config: ExperimentConfig, out_dir, seed) -> int:
+def cmd_bound_eval(config: ExperimentConfig, s: dict, out_dir, seed) -> int:
     model_name = config.model if config.model is not None else "custom"
-    K = float(config.analysis.get("K", 1.0))
-    zeta = float(config.analysis.get("zeta", 0.1))
-    C1 = float(config.analysis.get("C1", 1.0))
-    C2 = float(config.analysis.get("C2", 1.0))
-    regimes = (
-        [config.scale_regime()] if config.regime is not None else config.sweep_regimes()
-    )
+    K, zeta, C1, C2 = (float(s[key]) for key in ("K", "zeta", "C1", "C2"))
     rows = []
     details = []
-    for regime in regimes:
+    for regime in s["regimes"]:
         value = theoretical_bound(regime, K, zeta, C1, C2)
         terms = theoretical_bound_terms(regime, K, zeta)
         rows.append(
@@ -702,6 +705,7 @@ def main(argv=None) -> int:
     try:
         config = ExperimentConfig.from_dict(raw)
         seed = config.master_seed(args.seed)
+        settings = config.settings(args.command)
     except ConfigError as exc:
         print(f"fastslow: invalid config: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -711,7 +715,7 @@ def main(argv=None) -> int:
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("always", BoundaryQualityWarning)
-            code = _DISPATCH[args.command](config, out_dir, seed)
+            code = _DISPATCH[args.command](config, settings, out_dir, seed)
     except ConfigError as exc:
         print(f"fastslow: invalid config: {exc}", file=sys.stderr)
         return EXIT_USAGE

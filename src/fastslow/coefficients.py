@@ -97,6 +97,8 @@ _TRANSFORMS = standard_transformations + (convert_xor,)
 # Expression strings may only use numbers, x/y, the allowed function
 # names, arithmetic operators and parentheses.
 _TEXT_OK = re.compile(r"^[0-9a-zA-Z_+\-*/^(). \t]*$")
+# A name (the group), or a number with its exponent, so that 1e6 holds no name.
+_NAME = re.compile(r"([A-Za-z_]\w*)|(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
 
 class ExpressionError(ValueError):
@@ -304,19 +306,16 @@ def _parse_expression(text: str) -> sp.Expr:
         raise ExpressionError("coefficient expression must be a non-empty string")
     if "__" in text or not _TEXT_OK.match(text):
         raise ExpressionError(f"disallowed characters in expression {text!r}")
+    # Checked before parsing: sympy would take any other name from its own
+    # namespace (E, I, log) or make it an undefined function (foo(x)).
+    unknown = set(_NAME.findall(text)) - {"", *_PARSE_LOCALS}
+    if unknown:
+        names = ", ".join(sorted(unknown))
+        raise ExpressionError(f"expression {text!r} uses unknown name(s): {names}")
     try:
-        expr = parse_expr(
-            text, local_dict=_PARSE_LOCALS, transformations=_TRANSFORMS
-        )
+        return parse_expr(text, local_dict=_PARSE_LOCALS, transformations=_TRANSFORMS)
     except Exception as exc:  # sympy raises a zoo of error types
         raise ExpressionError(f"could not parse expression {text!r}: {exc}") from exc
-    extra = expr.free_symbols - {_X, _Y}
-    if extra:
-        names = ", ".join(sorted(str(s) for s in extra))
-        raise ExpressionError(
-            f"expression {text!r} uses unknown symbol(s): {names}"
-        )
-    return expr
 
 
 def model_from_expressions(

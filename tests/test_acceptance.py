@@ -333,7 +333,7 @@ def test_criterion_12_cli_runs_byte_identical(tmp_path):
     clt_payload = {
         "model": "affine-oracle",
         "regime": {"epsilon": 0.05, "eta": 0.05, "gamma": 1.0, "T": 0.2},
-        "grid": {"dt": 0.0025, "n_paths": 200, "nx": 17, "ny": 2048},
+        "grid": {"dt_eta_fraction": 0.05, "n_paths": 200, "nx": 17, "ny": 2048},
         "analysis": {"bootstrap": 50},
     }
     first = data_bytes(run("clt-verify", clt_payload, "clt-1"))

@@ -24,7 +24,9 @@ from fastslow.cli import (
     main,
 )
 from fastslow.coefficients import get_model
+from fastslow.homogenization import build_homogenized
 from fastslow.malliavin import BOUND_IDS, decay_check, moment_sweep
+from fastslow.metrics import clt_verify
 from fastslow.sde_engine import ScaleRegime
 
 
@@ -57,7 +59,7 @@ def test_config_round_trip_identity():
     raw = {
         "model": "affine-oracle",
         "regime": {"epsilon": 0.05, "eta": 0.05, "gamma": 1.0, "T": 0.2},
-        "grid": {"dt": 0.0025, "n_paths": 200, "nx": 17, "ny": 2048},
+        "grid": {"dt_eta_fraction": 0.05, "n_paths": 200, "nx": 17, "ny": 2048},
         "analysis": {"zeta": 0.1, "p": [1, 2], "bootstrap": 50},
         "io": {"output_dir": "out", "master_seed": 3},
     }
@@ -122,21 +124,18 @@ def test_config_expressions_model():
             },
             "regime.gamma",
         ),
+        # The step is grid.dt_eta_fraction of eta for every command.
         (
             {
                 "model": "affine-oracle",
                 "regime": {"epsilon": 0.1, "eta": 0.1, "T": 1.0},
-                "grid": {"dt": 0.05},
+                "grid": {"dt": 0.005},
             },
-            "eta/20",
+            r"unknown grid keys: \['dt'\]",
         ),
         (
-            {
-                "model": "affine-oracle",
-                "regime": {"epsilon": 0.1, "eta": 0.1, "T": 1.0},
-                "grid": {"dt": -0.001},
-            },
-            "dt must be positive",
+            {"expressions": {"c": "x +* y", "sigma": "1", "f": "-y", "tau": "1"}},
+            "expressions: coefficient 'c': could not parse",
         ),
         ({"model": "affine-oracle", "sweep": {"epsilons": []}}, "non-empty"),
         (
@@ -388,10 +387,9 @@ def test_main_negative_seed_option_is_a_usage_error(tmp_path, capsys):
 )
 def test_main_grid_times_are_checked_at_parse_time(tmp_path, capsys, key, value, message):
     """grid.checkpoints must be a non-empty list of finite numbers and
-    grid.dt_eta_fraction a number in (0, 1/20], as grid.dt is checked:
-    exit 64 naming the key, before the output directory is made, instead
-    of a TypeError traceback in clt-verify or a late failure in
-    rate-sweep."""
+    grid.dt_eta_fraction a number in (0, 1/20]: exit 64 naming the key,
+    before the output directory is made, instead of a TypeError
+    traceback in clt-verify or a late failure in rate-sweep."""
     out = tmp_path / "out"
     raw = {
         "model": "affine-oracle",
@@ -445,6 +443,51 @@ def test_main_empty_analysis_p_is_a_usage_error(tmp_path, capsys, command):
     )
     assert main([command, "--config", cfg]) == EXIT_USAGE
     assert "analysis.p must not be empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+REGIME = {"epsilon": 0.1, "eta": 0.1, "T": 1.0}
+SWEEP = {"epsilons": [0.16, 0.08, 0.04], "T": 0.3}
+
+
+@pytest.mark.parametrize(
+    "command, given, key",
+    [
+        ("clt-verify", {"regime": REGIME, "analysis": {"p": [1]}}, "analysis.p"),
+        ("rate-sweep", {"sweep": SWEEP, "grid": {"checkpoints": [0.3]}}, "grid.checkpoints"),
+        ("malliavin-sweep", {"sweep": SWEEP, "grid": {"nx": 9}}, "grid.nx"),
+        ("check-assumptions", {"regime": REGIME}, "regime"),
+        ("homogenize", {"grid": {"n_paths": 10}}, "grid.n_paths"),
+        ("bound-eval", {"regime": REGIME, "grid": {"n_paths": 10}}, "grid.n_paths"),
+        ("bound-eval", {"regime": REGIME, "sweep": SWEEP}, "sweep"),
+    ],
+)
+def test_main_key_the_command_does_not_read_is_a_usage_error(
+    tmp_path, capsys, command, given, key
+):
+    """A key or section the command does not read fails with exit 64
+    naming it, before the output directory is made, instead of running
+    as if it were absent."""
+    out = tmp_path / "out"
+    raw = {"model": "affine-oracle", **given, "io": {"output_dir": str(out)}}
+    assert main([command, "--config", _write_config(tmp_path, raw)]) == EXIT_USAGE
+    assert f"keys {command} does not read: ['{key}']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["check-assumptions", "bound-eval"])
+def test_main_bad_expression_is_a_usage_error(tmp_path, capsys, command):
+    """An expression that does not parse fails with exit 64 naming the
+    coefficient when the config is parsed, also for bound-eval, which
+    builds no model, and writes nothing."""
+    out = tmp_path / "out"
+    raw = {
+        "expressions": {"c": "x +* y", "sigma": "1", "f": "-y", "tau": "1"},
+        **({"regime": REGIME} if command == "bound-eval" else {}),
+        "io": {"output_dir": str(out)},
+    }
+    assert main([command, "--config", _write_config(tmp_path, raw)]) == EXIT_USAGE
+    assert "expressions: coefficient 'c': could not parse" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -636,7 +679,7 @@ def test_homogenize_custom_expressions(tmp_path):
 # -- clt-verify -------------------------------------------------------
 
 
-def _clt_config(tmp_path, out_name, seed=3):
+def _clt_config(tmp_path, out_name, seed=3, fraction=0.05):
     out = tmp_path / out_name
     return out, _write_config(
         tmp_path,
@@ -644,7 +687,7 @@ def _clt_config(tmp_path, out_name, seed=3):
             "model": "affine-oracle",
             "regime": {"epsilon": 0.05, "eta": 0.05, "gamma": 1.0, "T": 0.2},
             "grid": {
-                "dt": 0.0025,
+                "dt_eta_fraction": fraction,
                 "n_paths": 200,
                 "nx": 17,
                 "ny": 2048,
@@ -711,6 +754,26 @@ def test_clt_verify_seed_changes_data(tmp_path):
         out_b, "clt_checkpoints.csv"
     )
     assert _read_json(out_b, "run_manifest.json")["seed"] == 4
+
+
+def test_clt_verify_reads_the_step_fraction(tmp_path):
+    """clt-verify steps at grid.dt_eta_fraction of eta, as the sweeps do:
+    its checkpoints equal those of clt_verify run in process at that
+    step, and differ from those at the default 1/20."""
+    out_fine, cfg_fine = _clt_config(tmp_path, "clt-fine", fraction=0.025)
+    out_default, cfg_default = _clt_config(tmp_path, "clt-default")
+    assert main(["clt-verify", "--config", cfg_fine]) == EXIT_PASS
+    assert main(["clt-verify", "--config", cfg_default]) == EXIT_PASS
+
+    model = get_model("affine-oracle")
+    regime = ScaleRegime(0.05, 0.05, 1.0, 0.2)
+    reports = clt_verify(
+        model, regime, 0.0, 0.0, dt=0.05 * 0.025, n_paths=200, seed=3, n_boot=50,
+        hom=build_homogenized(model, (-3.0, 3.0), 17, 2048, 1.0),
+    )
+    fine = _read_json(out_fine, "clt_verify.json")["checkpoints"]
+    assert fine == [r.to_dict() for r in reports]
+    assert fine != _read_json(out_default, "clt_verify.json")["checkpoints"]
 
 
 def _underflow_config(tmp_path, out_name, section):
