@@ -224,10 +224,14 @@ class ExperimentConfig:
             missing = set(_SECTION_KEYS["expressions"]) - set(self.expressions)
             if missing:
                 raise ConfigError(f"expressions missing coefficients: {sorted(missing)}")
-            try:
-                self.coefficient_set()
-            except ExpressionError as exc:
-                raise ConfigError(f"expressions: {exc}") from None
+        elif not isinstance(self.model, str):
+            raise ConfigError(f"model must be the name of a built-in (got {self.model!r})")
+        try:
+            self.coefficient_set()
+        except ExpressionError as exc:
+            raise ConfigError(f"expressions: {exc}") from None
+        except KeyError as exc:  # get_model: an unknown name, with the built-ins
+            raise ConfigError(exc.args[0]) from None
         if self.regime is not None:
             regime = self._section("regime")
             for key in ("epsilon", "eta", "T", "gamma"):
@@ -435,9 +439,27 @@ def _write_manifest(out_dir, command, config, seed, t0, exit_code) -> None:
             "fastslow": fastslow.__version__,
         },
         "wall_time_s": time.monotonic() - t0,
+        "peak_rss_mb": _peak_rss_mb(),
         "exit_code": exit_code,
     }
     _write_json(os.path.join(out_dir, "run_manifest.json"), payload)
+
+
+def _peak_rss_mb() -> dict | None:
+    """Peak resident memory in MiB of this process and of its largest
+    child process waited for, which is the largest worker of the parallel
+    simulation passes (0 when none ran); None where there is no
+    ``getrusage`` (Windows).  Pages a worker shares with this process
+    count in both, so their sum over-counts the total."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    unit = 1024.0**2 if sys.platform == "darwin" else 1024.0  # ru_maxrss: bytes, else KiB
+    return {
+        "process": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit,
+        "workers": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / unit,
+    }
 
 
 # -- commands ---------------------------------------------------------

@@ -25,6 +25,8 @@ with n_steps.  A simulation whose draw exceeds one block either runs
 in time blocks, continuing every stream from block to block, or in
 groups of paths, each drawn whole in one block before the next group
 starts; :func:`_path_groups` chooses, and neither choice moves a value.
+Nor does running a large simulation on one forked worker per CPU, each
+on a contiguous share of the path ids (:func:`_worker_shares`).
 One recursion, :func:`_em_states`, advances the state over the blocks
 and yields each step's state with its increments and, from the step its
 consumer first reads them, the values of all 24 coefficient keys: one
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import os
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -99,6 +102,12 @@ _NOISE_BLOCK_BYTES = 32 * 1024**2
 _DRAW_BATCH = 512
 
 
+def _split(n: int, parts: int) -> list[range]:
+    """range(n) as at most ``parts`` contiguous ranges of near-equal size."""
+    size = -(-n // parts)
+    return [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+
 def _path_groups(n_paths: int, n_steps: int) -> list[range]:
     """The path ids of :func:`simulate_paths`, as the groups it runs one
     after another.
@@ -115,8 +124,102 @@ def _path_groups(n_paths: int, n_steps: int) -> list[range]:
     n_groups = -(-n_paths // per_block)
     if (n_groups - 1) * n_steps > n_paths:
         n_groups = 1
-    size = -(-n_paths // n_groups)
-    return [range(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
+    return _split(n_paths, n_groups)
+
+
+#: Path-steps below which :func:`simulate_paths` runs in process: forking
+#: and joining two workers costs 9-16 ms, about what a serial pass of 1M
+#: path-steps takes at some 95 ns per path-step.
+_PARALLEL_MIN_PATH_STEPS = 1_000_000
+
+
+def _worker_shares(n_paths: int, n_steps: int) -> list[range]:
+    """The path ids of :func:`simulate_paths` as contiguous shares of
+    near-equal size, one per worker process that runs at once.
+
+    There are min(CPUs in the affinity set, n_paths) shares, and one
+    share, run in process, when the pass has fewer than
+    _PARALLEL_MIN_PATH_STEPS path-steps, when the platform reports no
+    affinity set or has no ``fork`` start method, or when this process
+    is itself a worker.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if cpus < 2 or n_paths * n_steps < _PARALLEL_MIN_PATH_STEPS:
+        return [range(n_paths)]
+    import multiprocessing
+
+    if (
+        multiprocessing.parent_process() is not None
+        or "fork" not in multiprocessing.get_all_start_methods()
+    ):
+        return [range(n_paths)]
+    return _split(n_paths, cpus)
+
+
+def _run_shares(run, shares: Sequence[range]) -> None:
+    """``run(share)`` for every share: in process when there is one, else
+    each in its own forked worker, all at once.
+
+    A worker owns its share, so it ends by itself when the share is done:
+    no worker waits for more work, even when this process is killed.  It
+    writes its results in place (the caller's arrays must be shared
+    maps) and sends back None or the exception it raised.  Every worker
+    is joined before this returns or raises; then the exception of the
+    first failing share, in share order, is raised, as a serial run over
+    the shares would raise it.  A worker that dies without a reply raises
+    RuntimeError naming its exit code.
+    """
+    if len(shares) == 1:
+        run(shares[0])
+        return
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    procs, pipes = [], []
+    try:
+        for share in shares:
+            receive, send = context.Pipe(duplex=False)
+            pipes.append(receive)
+            proc = context.Process(target=_share_worker, args=(run, share, send))
+            proc.start()
+            procs.append(proc)
+            send.close()
+        replies = []
+        for receive in pipes:
+            try:
+                replies.append(receive.recv())
+            except EOFError:
+                replies.append(EOFError)  # it died before it replied
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+        for receive in pipes:
+            receive.close()
+    for share, proc, reply in zip(shares, procs, replies):
+        if reply is EOFError:
+            raise RuntimeError(
+                f"the worker of paths {share.start}..{share.stop - 1} exited "
+                f"with code {proc.exitcode} before it reported"
+            )
+        if reply is not None:
+            raise reply
+
+
+def _share_worker(run, share: range, send) -> None:
+    """The body of one worker of :func:`_run_shares`: run the share and
+    send back None, or the exception it raised."""
+    try:
+        run(share)
+    except BaseException as exc:  # reported to the parent, which re-raises it
+        send.send(exc)
+    else:
+        send.send(None)
+    finally:
+        send.close()
 
 
 class StabilityError(ValueError):
@@ -405,8 +508,9 @@ def _stream(master_seed, purpose, point, path_id, channel) -> np.random.Generato
     return _generator(_philox_keys(master_seed, purpose, point, (path_id,), channel)[0])
 
 
-def _mapped_array(rows: int, cols: int) -> np.ndarray:
-    """An uninitialized (rows, cols) float array in its own anonymous map.
+def _mapped_array(rows: int, cols: int, shared: bool = False) -> np.ndarray:
+    """An uninitialized (rows, cols) float array in its own anonymous map,
+    private, or ``shared`` with the processes this one forks.
 
     Noise block buffers are large, and the C heap keeps a large freed
     array: freeing one raises the allocator's threshold for mapping, so
@@ -414,12 +518,14 @@ def _mapped_array(rows: int, cols: int) -> np.ndarray:
     above it keeps the freed block in the process after the run.  A map
     goes back to the operating system as soon as the array is dropped;
     tracemalloc does not count it.  Where the platform has no private
-    anonymous maps (Windows), the array is an ordinary numpy array.
+    anonymous maps (Windows, which cannot fork either), the array is an
+    ordinary numpy array.
     """
     if not hasattr(mmap, "MAP_PRIVATE"):
         return np.empty((rows, cols))
     n = rows * cols
-    buf = mmap.mmap(-1, 8 * max(1, n), flags=mmap.MAP_PRIVATE)
+    flags = mmap.MAP_SHARED if shared else mmap.MAP_PRIVATE
+    buf = mmap.mmap(-1, 8 * max(1, n), flags=flags)
     if hasattr(mmap, "MADV_HUGEPAGE"):
         # As numpy advises its own large arrays: fewer page faults.
         buf.madvise(mmap.MADV_HUGEPAGE)
@@ -512,16 +618,16 @@ def draw_increments(
 
 
 def _capture_rows(
-    capture_indices: Iterable[int], n_steps: int, n_paths: int
+    capture_indices: Iterable[int], n_steps: int, n_paths: int, empty=np.empty
 ) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """{k: (x_row, y_row)} of uninitialized (n_paths,) rows, one per
-    requested snapshot step in ascending order; raises
+    """{k: (x_row, y_row)} of uninitialized (n_paths,) rows from ``empty``,
+    one per requested snapshot step in ascending order; raises
     :class:`AlignmentError` off [0, n_steps]."""
     wanted = sorted({int(k) for k in capture_indices})
     for k in wanted:
         if not 0 <= k <= n_steps:
             raise AlignmentError(f"capture index {k} outside [0, {n_steps}]")
-    return {k: (np.empty(n_paths), np.empty(n_paths)) for k in wanted}
+    return {k: (empty((n_paths,)), empty((n_paths,))) for k in wanted}
 
 
 def _em_states(
@@ -712,26 +818,39 @@ def simulate_paths(
         Step indices whose state rows are snapshotted regardless of
         ``store_paths``.
 
-    The Euler-Maruyama loop runs over the groups of :func:`_path_groups`,
-    one after another, each writing its columns of the stored rows and
-    captures.  A group that is not the whole bundle draws
-    its noise in one block of at most ``_NOISE_BLOCK_BYTES`` and keeps no
-    stream open; one group of every path draws in time blocks.  Path ids
-    key the streams, so the grouping moves no value.  A path that blows up
-    is named by its path id; with several groups, a failure in an earlier
-    group is reported before one at an earlier step of a later group.
+    The path ids are split into the shares of :func:`_worker_shares`,
+    which run at once in forked workers (one share runs in process), each
+    writing its columns of the stored rows and captures, which are then
+    maps shared with the workers.  Within a share, the Euler-Maruyama
+    loop runs over the groups of :func:`_path_groups`, one after another.
+    A group that is not the whole share draws its noise in one block of
+    at most ``_NOISE_BLOCK_BYTES`` and keeps no stream open; one group of
+    the whole share draws in time blocks.  Path ids key the streams, so
+    neither split moves a value.  A path that blows up is named by its
+    path id; with several groups or shares, a failure in an earlier one
+    is reported before one at an earlier step of a later one.
     """
     _require_positive(n_paths=n_paths)
     _check_stability(dt, regime.eta)
     n_steps, dt_eff = time_grid(regime.T, dt)
-    captures = _capture_rows(capture_indices, n_steps, n_paths)
-
-    X = np.empty((n_steps + 1, n_paths)) if store_paths else None
-    Y = np.empty((n_steps + 1, n_paths)) if store_paths else None
+    shares = _worker_shares(n_paths, n_steps)
+    if len(shares) == 1:
+        empty = np.empty
+    else:
+        def empty(shape):
+            return _mapped_array(1, math.prod(shape), shared=True).reshape(shape)
+    captures = _capture_rows(capture_indices, n_steps, n_paths, empty)
+    X = empty((n_steps + 1, n_paths)) if store_paths else None
+    Y = empty((n_steps + 1, n_paths)) if store_paths else None
     scales = _StepScales.of(regime, dt_eff)
-    for ids in _path_groups(n_paths, n_steps):
-        noise = _noise_blocks(master_seed, ids, n_steps, dt_eff, point=_point)
-        _em_loop(model, scales, x0, y0, noise, ids, captures, X, Y)
+
+    def run(share: range) -> None:
+        for group in _path_groups(len(share), n_steps):
+            ids = share[group.start : group.stop]
+            noise = _noise_blocks(master_seed, ids, n_steps, dt_eff, point=_point)
+            _em_loop(model, scales, x0, y0, noise, ids, captures, X, Y)
+
+    _run_shares(run, shares)
 
     return PathBundle(
         regime=regime,

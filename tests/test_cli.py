@@ -228,6 +228,11 @@ def test_config_expressions_model():
         ({"model": "affine-oracle", "sweep": {"epsilons": [0.1], "eta": 0.1}}, "unknown sweep keys"),
         ({"model": "affine-oracle", "analysis": {"bootstraps": 50}}, "unknown analysis keys"),
         ({"model": "affine-oracle", "io": {"seed": 3}}, r"unknown io keys: \['seed'\]"),
+        (
+            {"model": "no-such-model"},
+            r"unknown model 'no-such-model'; built-ins: affine-oracle, bounded-coupled",
+        ),
+        ({"model": 5}, r"model must be the name of a built-in \(got 5\)"),
     ],
 )
 def test_config_rejections(raw, fragment):
@@ -491,17 +496,22 @@ def test_main_bad_expression_is_a_usage_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def test_main_unknown_model_is_an_assertion_failure(tmp_path):
+@pytest.mark.parametrize("command", sorted(cli_mod._DISPATCH))
+def test_main_unknown_model_is_a_usage_error(tmp_path, capsys, command):
+    """An unknown built-in model name fails with exit 64 naming it and the
+    built-ins when the config is parsed, and writes nothing: also for
+    bound-eval, which builds no model and once wrote its table."""
     out = tmp_path / "out"
-    cfg = _write_config(
-        tmp_path,
-        {
-            "model": "no-such-model",
-            "regime": {"epsilon": 0.1, "eta": 0.1, "T": 1.0},
-            "io": {"output_dir": str(out)},
-        },
-    )
-    assert main(["homogenize", "--config", cfg]) == EXIT_ASSERTION
+    section = {
+        "check-assumptions": {},
+        "malliavin-sweep": {"sweep": {"epsilons": [0.1, 0.05, 0.025]}},
+        "rate-sweep": {"sweep": {"epsilons": [0.1, 0.05, 0.025]}},
+    }.get(command, {"regime": REGIME})
+    raw = {"model": "no-such-model", **section, "io": {"output_dir": str(out)}}
+    assert main([command, "--config", _write_config(tmp_path, raw)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "unknown model 'no-such-model'; built-ins: affine-oracle, bounded-coupled" in err
+    assert not out.exists()
 
 
 def test_main_unwritable_output_dir(tmp_path):
@@ -728,6 +738,39 @@ def test_clt_verify_artifacts(tmp_path):
     assert header == "t,w1,ci_lo,ci_hi,mean_gap,sd_gap"
     assert len(rows) == 3
     assert [float(r[1]) for r in rows] == [c["w1"] for c in checkpoints]
+
+
+def test_clt_verify_manifest_counts_the_workers(tmp_path, monkeypatch):
+    """With the simulation forced onto two forked workers, clt-verify writes
+    the data of the serial run, and its manifest reports the peak memory
+    of this process and of its largest worker."""
+    import multiprocessing
+
+    import fastslow.sde_engine as sde_engine
+
+    serial_out, serial_cfg = _clt_config(tmp_path, "clt-serial")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert main(["clt-verify", "--config", serial_cfg]) == EXIT_PASS
+
+    started = []
+    context = multiprocessing.get_context("fork")
+
+    class Counted(context.Process):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(context, "Process", Counted)
+    monkeypatch.setattr(sde_engine, "_PARALLEL_MIN_PATH_STEPS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    out, cfg = _clt_config(tmp_path, "clt-workers")
+    assert main(["clt-verify", "--config", cfg]) == EXIT_PASS
+    assert len(started) == 2
+    for name in ("clt_verify.json", "clt_checkpoints.csv"):
+        assert _read_bytes(out, name) == _read_bytes(serial_out, name), name
+    peak = _read_json(out, "run_manifest.json")["peak_rss_mb"]
+    assert set(peak) == {"process", "workers"}
+    assert peak["process"] > 0 and peak["workers"] > 0
 
 
 def test_clt_verify_byte_identical_reruns_and_threads(tmp_path):

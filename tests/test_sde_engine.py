@@ -3,6 +3,8 @@
 import gc
 import hashlib
 import math
+import multiprocessing
+import os
 import re
 import tracemalloc
 import weakref
@@ -372,6 +374,61 @@ def test_path_groups_rule(n_paths, n_steps, groups):
         assert 16 * n_steps * max(groups) <= sde_engine._NOISE_BLOCK_BYTES
 
 
+def _force_workers(monkeypatch, n):
+    """Run every simulate_paths pass on ``n`` forked workers (1: in
+    process), whatever its size and the CPUs of this machine."""
+    monkeypatch.setattr(sde_engine, "_PARALLEL_MIN_PATH_STEPS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.fixture
+def starts(monkeypatch):
+    """The worker processes simulate_paths starts, in order."""
+    started = []
+    context = multiprocessing.get_context("fork")
+
+    class Counted(context.Process):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(context, "Process", Counted)
+    return started
+
+
+def _all_joined(started) -> bool:
+    """Every started worker has ended and been joined: none is left."""
+    return multiprocessing.active_children() == [] and all(
+        proc.exitcode is not None for proc in started
+    )
+
+
+@pytest.mark.parametrize(
+    "n_paths, n_steps, cpus, shares",
+    [
+        (10_000, 2_000, 2, [5_000] * 2),
+        (10_000, 2_000, 3, [3_334, 3_334, 3_332]),
+        (2, 1_000_000, 4, [1, 1]),  # at most one share per path
+        (999, 1_000, 2, [999]),  # below 1M path-steps: in process
+        (10_000, 2_000, 1, [10_000]),
+    ],
+)
+def test_worker_shares_rule(monkeypatch, n_paths, n_steps, cpus, shares):
+    """A pass of at least 1M path-steps is split into min(CPUs in the
+    affinity set, n_paths) contiguous shares of near-equal size; a
+    smaller pass, one CPU, a platform without ``fork`` and a worker
+    itself run one share."""
+    assert sde_engine._PARALLEL_MIN_PATH_STEPS == 1_000_000
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    got = sde_engine._worker_shares(n_paths, n_steps)
+    assert [len(ids) for ids in got] == shares
+    assert [i for ids in got for i in ids] == list(range(n_paths))
+    for name, value in (("parent_process", object), ("get_all_start_methods", list)):
+        with monkeypatch.context() as patch:
+            patch.setattr(multiprocessing, name, value)
+            assert sde_engine._worker_shares(n_paths, n_steps) == [range(n_paths)]
+
+
 @pytest.mark.parametrize(
     "block_paths, groups",
     [
@@ -393,15 +450,18 @@ def test_path_groups_rule(n_paths, n_steps, groups):
     ],
 )
 def test_path_groups_match_one_block(
-    bounded, monkeypatch, block_paths, groups, store_paths, redraw, marks
+    bounded, monkeypatch, starts, block_paths, groups, store_paths, redraw, marks
 ):
     """simulate_paths at a block budget that holds the whole draw of
     ``block_paths`` paths stores and captures exactly what draw_increments
     + simulate_with_increments give on the noise of all 100 paths drawn
     in one block, whether the budget splits the pass into path groups or
-    leaves it on time blocks.  With ``redraw``, the noise the bundle
-    functions redraw from the bundle's streams at the same budget is that
-    one-block noise too."""
+    leaves it on time blocks, and whether it runs in process or on two
+    forked workers, whose shares of 50 paths each run their own groups
+    (at 17 paths a block, 3 groups where the serial pass is on time
+    blocks).  No worker is left after the pass.  With ``redraw``, the
+    noise the bundle functions redraw from the bundle's streams at the
+    same budget is that one-block noise too."""
     n_paths, seed = 100, 5 + (2 << 32)
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.06)
     n_steps, dt = time_grid(regime.T, regime.eta / 20)
@@ -412,28 +472,32 @@ def test_path_groups_match_one_block(
     )
     monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * n_steps * block_paths)
     assert [len(ids) for ids in sde_engine._path_groups(n_paths, n_steps)] == groups
-    bundle = simulate_paths(
-        bounded, regime, 0.4, 0.3, dt, n_paths, seed,
-        store_paths=store_paths, capture_indices=marks,
-    )
-    for name, ref in (("X", X), ("Y", Y)):
-        if store_paths:
-            assert np.array_equal(getattr(bundle, name), ref), name
-        else:
-            assert getattr(bundle, name) is None, name
-    if redraw:
-        from fastslow.malliavin import _bundle_noise
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        bundle = simulate_paths(
+            bounded, regime, 0.4, 0.3, dt, n_paths, seed,
+            store_paths=store_paths, capture_indices=marks,
+        )
+        assert len(starts) == (0 if workers == 1 else 2)
+        assert _all_joined(starts)
+        for name, ref in (("X", X), ("Y", Y)):
+            if store_paths:
+                assert np.array_equal(getattr(bundle, name), ref), (workers, name)
+            else:
+                assert getattr(bundle, name) is None, name
+        if redraw:
+            from fastslow.malliavin import _bundle_noise
 
-        blocks = [(w1.copy(), w2.copy()) for w1, w2 in _bundle_noise(bundle)]
-        assert np.array_equal(np.concatenate([w1 for w1, _ in blocks]), dW1)
-        assert np.array_equal(np.concatenate([w2 for _, w2 in blocks]), dW2)
-    if not marks:
-        assert bundle.captures is None
-        return
-    assert list(bundle.captures) == list(marks)
-    for k in marks:
-        assert np.array_equal(bundle.captures[k][0], caps[k][0]), k
-        assert np.array_equal(bundle.captures[k][1], caps[k][1]), k
+            blocks = [(w1.copy(), w2.copy()) for w1, w2 in _bundle_noise(bundle)]
+            assert np.array_equal(np.concatenate([w1 for w1, _ in blocks]), dW1)
+            assert np.array_equal(np.concatenate([w2 for _, w2 in blocks]), dW2)
+        if not marks:
+            assert bundle.captures is None
+            continue
+        assert list(bundle.captures) == list(marks)
+        for k in marks:
+            assert np.array_equal(bundle.captures[k][0], caps[k][0]), (workers, k)
+            assert np.array_equal(bundle.captures[k][1], caps[k][1]), (workers, k)
 
 
 def test_grouped_pass_keeps_no_stream_open(affine, monkeypatch):
@@ -535,6 +599,8 @@ def test_memory_does_not_grow_with_steps(affine, monkeypatch):
             affine, regime(n_steps), dt, n_steps, 0.0, 0.0, noise, 200, tangents, cells
         )
 
+    # Forked workers' memory is not traced: measure passes run in process.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     held = [0, 0]  # bytes held from _mapped_array now, and their peak
     real_mapped_array = sde_engine._mapped_array
 
@@ -647,6 +713,23 @@ def test_blow_up_error_names_the_step():
             simulate_paths(stiff, regime, 2.0, 0.0, 0.005, 2, 1)
 
 
+def _poison(monkeypatch, poison):
+    """Make the engine draw ``value`` as step ``k`` of path ``i``'s noise on
+    ``channel``, for each {i: (channel, k, value)} of ``poison``."""
+    real = sde_engine._noise_blocks
+
+    def poisoned(seed, path_ids, n_steps, *args, **kwargs):
+        first = 0
+        for block in real(seed, path_ids, n_steps, *args, **kwargs):
+            for i, (channel, k, value) in poison.items():
+                if i in path_ids and first <= k < first + len(block[0]):
+                    block[channel][k - first, path_ids.index(i)] = value
+            first += len(block[0])
+            yield block
+
+    monkeypatch.setattr(sde_engine, "_noise_blocks", poisoned)
+
+
 @pytest.mark.parametrize(
     "tau, channel, value, error, message",
     [
@@ -658,27 +741,75 @@ def test_blow_up_error_names_the_step():
     ],
 )
 def test_errors_name_the_global_path_in_a_later_group(
-    monkeypatch, tau, channel, value, error, message
+    monkeypatch, starts, tau, channel, value, error, message
 ):
     """Under path groups, a blow-up or a degenerate tau of path 37, in the
     second of two groups of 25 paths, names the path by its id, not by
-    its column 12 in the group.  Step 0 of the path's noise on one
-    channel is set to ``value`` as the engine draws it."""
+    its column 12 in the group; on two workers the error crosses from the
+    second worker's share with its message.  Step 0 of the path's noise
+    on one channel is set to ``value`` as the engine draws it."""
     regime = ScaleRegime(epsilon=0.05, eta=0.05, gamma=1.0, T=0.06)
     model = model_from_expressions("poisoned", "y - 2*x", "1", "x - y", tau)
     monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * 24 * 25)
     assert sde_engine._path_groups(50, 24) == [range(0, 25), range(25, 50)]
-    real = sde_engine._noise_blocks
+    _poison(monkeypatch, {37: (channel, 0, value)})
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        with np.errstate(invalid="ignore"), pytest.raises(error, match=message):
+            simulate_paths(model, regime, 0.0, 0.0, regime.eta / 20, 50, 1)
+        assert _all_joined(starts)
+    assert [proc.exitcode for proc in starts] == [0, 0]
 
-    def poisoned(seed, path_ids, *args, **kwargs):
-        for block in real(seed, path_ids, *args, **kwargs):
-            if 37 in path_ids:
-                block[channel][0, path_ids.index(37)] = value
-            yield block
 
-    monkeypatch.setattr(sde_engine, "_noise_blocks", poisoned)
-    with np.errstate(invalid="ignore"), pytest.raises(error, match=message):
-        simulate_paths(model, regime, 0.0, 0.0, regime.eta / 20, 50, 1)
+def test_first_failing_share_is_raised(monkeypatch, starts):
+    """When paths of both shares blow up, the share of the lower path ids
+    is reported, although path 37 fails at an earlier step than path 10:
+    a serial pass in two groups reports the same, and no worker is left."""
+    regime = ScaleRegime(epsilon=0.05, eta=0.05, gamma=1.0, T=0.06)
+    model = model_from_expressions("poisoned", "y - 2*x", "1", "x - y", "sqrt(2)")
+    monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * 24 * 25)
+    _poison(monkeypatch, {10: (0, 5, math.inf), 37: (0, 0, math.inf)})
+    for workers in (1, 2):
+        _force_workers(monkeypatch, workers)
+        with pytest.raises(BlowUpError, match=r"at step 6 \(path column 10\)"):
+            simulate_paths(model, regime, 0.0, 0.0, regime.eta / 20, 50, 1)
+        assert len(starts) == 2 * (workers - 1)
+        assert _all_joined(starts)
+
+
+def test_worker_that_dies_is_reported(affine, monkeypatch, starts):
+    """A worker that exits without a reply (here the second, as if killed)
+    raises RuntimeError naming its paths and exit code once both workers
+    are joined."""
+    regime = ScaleRegime(epsilon=0.05, eta=0.05, gamma=1.0, T=0.06)
+    real = sde_engine._em_loop
+
+    def dying(*args):
+        if args[5].start >= 25:
+            os._exit(7)
+        real(*args)
+
+    monkeypatch.setattr(sde_engine, "_em_loop", dying)
+    _force_workers(monkeypatch, 2)
+    with pytest.raises(RuntimeError, match=r"paths 25\.\.49 exited with code 7"):
+        simulate_paths(affine, regime, 0.0, 0.0, regime.eta / 20, 50, 1)
+    assert [proc.exitcode for proc in starts] == [0, 7]
+    assert _all_joined(starts)
+
+
+@pytest.mark.parametrize("patch", ["one CPU", "no fork"])
+def test_no_worker_without_fork_or_a_second_cpu(affine, monkeypatch, starts, patch):
+    """With one CPU in the affinity set, or no ``fork`` start method, a
+    pass of any size starts no process and runs in process."""
+    regime = ScaleRegime(epsilon=0.05, eta=0.05, gamma=1.0, T=0.06)
+    _force_workers(monkeypatch, 1 if patch == "one CPU" else 2)
+    if patch == "no fork":
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    bundle = simulate_paths(affine, regime, 0.0, 0.0, regime.eta / 20, 50, 1)
+    assert starts == []
+    dW1, dW2 = draw_increments(1, range(50), 24, bundle.dt)
+    X, _, _ = simulate_with_increments(affine, regime, 0.0, 0.0, bundle.dt, dW1, dW2)
+    assert np.array_equal(bundle.X, X)
 
 
 def test_degenerate_tau_names_step_column_and_value():
