@@ -30,6 +30,7 @@ import tempfile
 import time
 import warnings
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy
@@ -330,6 +331,12 @@ class ExperimentConfig:
         return {**_WHOLE[name], **getattr(self, name)}
 
     def coefficient_set(self) -> CoefficientSet:
+        """The model, built once: :meth:`validate` builds it, and each
+        command reads the same one."""
+        return self._model
+
+    @cached_property
+    def _model(self) -> CoefficientSet:
         if self.model is not None:
             return get_model(self.model)
         e = self.expressions

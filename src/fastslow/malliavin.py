@@ -64,6 +64,7 @@ time-decay integral with an exact closed form.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass
 from operator import itemgetter
@@ -87,7 +88,11 @@ from fastslow.sde_engine import (
     _em_states,
     _noise_blocks,
     _require_positive,
+    _run_shares,
+    _shared_empty,
+    _split,
     _StepScales,
+    _workers,
     simulate_paths,  # noqa: F401  (perfbench's tracer wraps it here)
     time_grid,
 )
@@ -478,6 +483,7 @@ def _tangent_pass(
     tangents: Sequence[tuple[int, int]],
     cells: Sequence[tuple[int, int, int, int]] | None = None,
     record=None,
+    first_column: int = 0,
 ) -> tuple[_TangentRows, dict[str, np.ndarray] | None]:
     """First- and second-order tangents in one forward pass over noise.
 
@@ -516,7 +522,8 @@ def _tangent_pass(
     ``final_d2x``, ``final_d2y``, ``sup_abs_d2x`` and ``sup_abs_d2y`` by
     name, in the order of ``cells``.  Beyond one noise block it keeps
     O((n_tangents + n_cells) n_paths) state, so its memory does not grow
-    with n_steps.
+    with n_steps.  An Euler-Maruyama error names a path by its column plus
+    ``first_column``, the path id of the first column of ``noise``.
     """
     cell_arr = _index_array(() if cells is None else cells, 4, "cell")
     asked = _index_array(tangents, 2, "tangent")
@@ -547,7 +554,9 @@ def _tangent_pass(
     zero = _zero_partials(model)
     first_partials = _picker(_FIRST_KEYS, zero)
     all_partials = _picker(_PARTIAL_KEYS, zero)
-    states = _em_states(model, s, x0, y0, n_paths, noise, keys_from=first_at)
+    states = _em_states(
+        model, s, x0, y0, n_paths, noise, keys_from=first_at, first_column=first_column
+    )
 
     for k, x, y, w1, w2, values in states:
         if k < first_at:
@@ -967,6 +976,103 @@ def _require_values(name: str, values, upper: float = math.inf) -> list[float]:
     return out
 
 
+@dataclass(frozen=True)
+class _SweepPass:
+    """One tangent pass of a sweep: its regime on ``n_steps`` steps of
+    ``dt``, its streams (seed, ``purpose``, ``point``, path id, channel)
+    and the tangents and cells that its bounds read."""
+
+    regime: ScaleRegime
+    n_steps: int
+    dt: float
+    purpose: int
+    point: int
+    tangents: list[tuple[int, int]]
+    cells: list[tuple[int, int, int, int]] | None
+
+
+_SECOND_ROWS = ("final_d2x", "final_d2y", "sup_abs_d2x", "sup_abs_d2y")
+
+
+def _balanced_ranges(weights: Sequence[int], parts: int) -> list[range]:
+    """range(len(weights)) as ``parts`` <= len(weights) contiguous ranges,
+    none empty, whose largest summed weight is the least possible (among
+    equals, the one with the earliest cuts)."""
+    n = len(weights)
+    edges = [0, *itertools.accumulate(weights)]
+    # best[i]: (largest sum, starts) of the first i items cut into k ranges
+    best = {i: (edges[i], (0,)) for i in range(1, n + 1)}
+    for k in range(2, parts + 1):
+        best = {
+            i: min(
+                (max(best[j][0], edges[i] - edges[j]), (*best[j][1], j))
+                for j in range(k - 1, i)
+            )
+            for i in range(k, n + 1)
+        }
+    starts = (*best[n][1], n)
+    return [range(a, b) for a, b in zip(starts, starts[1:])]
+
+
+def _sweep_passes(
+    model: CoefficientSet,
+    passes: Sequence[_SweepPass],
+    n_paths: int,
+    seed,
+    x0: float,
+    y0: float,
+) -> list[tuple[_TangentRows, dict[str, np.ndarray] | None]]:
+    """What :func:`_tangent_pass` returns for each pass of a sweep, over
+    paths 0..n_paths-1 started at (x0, y0), in the order of ``passes``.
+
+    The call runs on the :func:`~fastslow.sde_engine._workers` that its
+    n_paths x (sum of n_steps) path-steps take, through
+    :func:`~fastslow.sde_engine._run_shares`, so it forks at most once.
+    With at least as many passes as workers, each worker runs a
+    contiguous range of whole passes over all paths, the ranges balanced
+    by their summed n_steps: each step of a pass costs a fixed overhead
+    that a split of its paths would not divide.  With fewer passes, each
+    worker runs every pass over a contiguous share of the path ids.  In
+    process (one worker) that is every pass over all paths.  A path
+    draws its noise from its own streams, so neither split moves a
+    value.  Workers write their columns of each pass's rows into maps
+    shared with this process, which then reads whole (n_paths,) rows.
+    The error of the first failing range of passes or share of paths is
+    raised, so with whole passes an earlier pass fails before a later
+    one, as in process; an Euler-Maruyama error names the path id.
+    """
+    workers = _workers(n_paths * sum(q.n_steps for q in passes))
+    empty = np.empty if workers == 1 else _shared_empty
+    rows = [empty((4 * len(q.tangents) + 4 * len(q.cells or ()), n_paths)) for q in passes]
+    whole = len(passes) >= workers
+    if whole:
+        shares = _balanced_ranges([q.n_steps for q in passes], workers)
+    else:
+        shares = _split(n_paths, workers)
+
+    def run(share: range) -> None:
+        for i in share if whole else range(len(passes)):
+            q, ids = passes[i], range(n_paths) if whole else share
+            noise = _noise_blocks(
+                seed, ids, q.n_steps, q.dt, purpose=q.purpose, point=q.point
+            )
+            first, second = _tangent_pass(
+                model, q.regime, q.dt, q.n_steps, x0, y0, noise, len(ids),
+                q.tangents, q.cells, first_column=ids.start,
+            )
+            got = [first.final_dx, first.final_dy, first.sup_abs_dx, first.sup_abs_dy]
+            got += [second[name] for name in _SECOND_ROWS] if second else []
+            rows[i][:, ids.start : ids.stop] = np.concatenate(got)
+
+    _run_shares(run, shares, "regimes" if whole else "paths")
+    out = []
+    for q, block in zip(passes, rows):
+        first = _TangentRows(*np.split(block[: 4 * len(q.tangents)], 4))
+        second = np.split(block[4 * len(q.tangents) :], 4)
+        out.append((first, None if q.cells is None else dict(zip(_SECOND_ROWS, second))))
+    return out
+
+
 def moment_sweep(
     model: CoefficientSet,
     regimes: Sequence[ScaleRegime],
@@ -1007,18 +1113,21 @@ def moment_sweep(
     an empty ``r_selection``, a fraction outside [0, 1] and a negative
     or non-finite ``pair_sep_etas`` (ValueError naming the value).
 
-    Each regime runs one step loop over all ``n_paths`` paths that
-    advances the base path and only the tangents the bounds read, each
-    from its own start: the first-order tangents of both channels at
-    every r of the selection and of W2 at T/2, the factors of the
-    second-order cells, and the three cells, (W1, W1) at (T/2, T/2) and
-    (W1, W2), (W2, W2) at (T/2, r2); no path, increment or tangent
-    series is kept.  The pass holds O((2 n_sel + 5) n_paths) tangent
-    state, one noise block of at most 32 MiB and a draw buffer of at
-    most 512 streams.
-    Regime i draws path j's noise from the streams (seed, moment sweep,
-    i + 1, j, channel), so a path's values do not depend on which paths
-    share its pass.  The tangent pass is the one
+    Each regime runs one tangent pass that advances the base path and
+    only the tangents the bounds read, each from its own start: the
+    first-order tangents of both channels at every r of the selection
+    and of W2 at T/2, the factors of the second-order cells, and the
+    three cells, (W1, W1) at (T/2, T/2) and (W1, W2), (W2, W2) at
+    (T/2, r2); no path, increment or tangent series is kept.  A pass
+    holds O((2 n_sel + 5) n_paths) tangent state, one noise block of at
+    most 32 MiB and a draw buffer of at most 512 streams.  A sweep of at
+    least 1M path-steps in all runs on forked workers, one per CPU
+    (:func:`_sweep_passes`): each worker runs a contiguous range of whole
+    regimes, the ranges balanced by their summed steps, or, with more
+    workers than regimes, every regime on a contiguous share of the
+    paths.  Regime i draws path j's noise from the streams (seed, moment
+    sweep, i + 1, j, channel), so a path's values do not depend on which
+    paths share its pass or its worker.  The tangent pass is the one
     :func:`first_order_tangents` and :func:`second_order_tangents` run
     over a bundle's streams, so they give the same values on the same
     paths.
@@ -1046,24 +1155,26 @@ def moment_sweep(
             )
         k_hat = rep.K_hat
 
-    per_regime: list[dict] = []
+    passes, picks = [], []
     for i_reg, (regime, step) in enumerate(zip(regimes, steps)):
-        T = regime.T
-        n_steps, dt_eff = time_grid(T, step)
+        n_steps, dt_eff = time_grid(regime.T, step)
         r_sel = sorted({int(round(f * n_steps)) for f in fractions})
         r_mid = int(round(0.5 * n_steps))
         sep_steps = int(round(pair_sep_etas * regime.eta / dt_eff))
         r_lo = max(0, r_mid - sep_steps)
         cells = [(0, 0, r_mid, r_mid), (0, 1, r_mid, r_lo), (1, 1, r_mid, r_lo)]
         tangents = [(j, r) for j in (0, 1) for r in r_sel] + [(1, r_mid)]
-        noise = _noise_blocks(
-            seed, range(n_paths), n_steps, dt_eff,
-            purpose=PURPOSE_MOMENT_SWEEP, point=i_reg + 1,
+        passes.append(
+            _SweepPass(
+                regime, n_steps, dt_eff, PURPOSE_MOMENT_SWEEP, i_reg + 1, tangents, cells
+            )
         )
-        first, second = _tangent_pass(
-            model, regime, dt_eff, n_steps, x0, y0, noise, n_paths, tangents, cells
-        )
-        n_sel = len(r_sel)
+        picks.append((len(r_sel), r_mid, r_lo))
+
+    per_regime: list[dict] = []
+    results = _sweep_passes(model, passes, n_paths, seed, x0, y0)
+    for q, (n_sel, r_mid, r_lo), (first, second) in zip(passes, picks, results):
+        regime, dt_eff = q.regime, q.dt
         d2x_w1w1, d2x_w1w2, d2x_w2w2 = second["final_d2x"]
         per_path = {
             "dw1_x_sup": np.mean(first.sup_abs_dx[:n_sel] ** (2 * p), axis=0),
@@ -1075,7 +1186,7 @@ def moment_sweep(
         }
         sep = (r_mid - r_lo) * dt_eff
         env = _moment_envelopes(
-            p, regime.epsilon, regime.eta, k_hat, T, r_mid * dt_eff, sep
+            p, regime.epsilon, regime.eta, k_hat, regime.T, r_mid * dt_eff, sep
         )
         per_regime.append(
             {
@@ -1197,13 +1308,16 @@ def decay_check(
     up to twice the summed standard errors.  The step is
     ``dt_eta_fraction`` of eta (default 1/20, the stability guard); a
     larger fraction raises :class:`~fastslow.sde_engine.StabilityError`.
-    Like :func:`moment_sweep`, one step loop over all paths advances the
-    base path and only the tangents the bound reads, each from its own
-    start, and keeps no series: ``dw2_y_final`` the W2 tangent at each
-    r, the mixed bounds one second-order cell (j1, W2, r1, r2) per
-    separation, with j1 = W1 for ``d2x_w1w2`` and W2 for ``d2x_w2w2``,
-    and its two factors.  Path j draws its noise from the streams (seed,
-    decay check, 0, j, channel), which no moment sweep point shares.
+    Like :func:`moment_sweep`, one tangent pass advances the base path
+    and only the tangents the bound reads, each from its own start, and
+    keeps no series: ``dw2_y_final`` the W2 tangent at each r, the mixed
+    bounds one second-order cell (j1, W2, r1, r2) per separation, with
+    j1 = W1 for ``d2x_w1w2`` and W2 for ``d2x_w2w2``, and its two
+    factors.  A pass of at least 1M path-steps is split into contiguous
+    shares of the path ids, one per CPU, that run at once on forked
+    workers (:func:`_sweep_passes`).  Path j draws its noise from the
+    streams (seed, decay check, 0, j, channel), which no moment sweep
+    point shares.
     """
     _require_positive(n_paths=n_paths)
     seps = check_decay_settings([bound_id], separations_eta)
@@ -1216,12 +1330,10 @@ def decay_check(
         j1 = 0 if bound_id == "d2x_w1w2" else 1
         cells = [(j1, 1, r_top, r2) for r2 in r_list]
 
-    noise = _noise_blocks(
-        seed, range(n_paths), n_steps, dt_eff, purpose=PURPOSE_DECAY_CHECK, point=0
+    one_pass = _SweepPass(
+        regime, n_steps, dt_eff, PURPOSE_DECAY_CHECK, 0, tangents, cells
     )
-    first, second = _tangent_pass(
-        model, regime, dt_eff, n_steps, x0, y0, noise, n_paths, tangents, cells
-    )
+    [(first, second)] = _sweep_passes(model, [one_pass], n_paths, seed, x0, y0)
     if second is None:
         per_sep = list(np.abs(first.final_dy))
     else:

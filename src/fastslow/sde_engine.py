@@ -127,38 +127,53 @@ def _path_groups(n_paths: int, n_steps: int) -> list[range]:
     return _split(n_paths, n_groups)
 
 
-#: Path-steps below which :func:`simulate_paths` runs in process: forking
-#: and joining two workers costs 9-16 ms, about what a serial pass of 1M
-#: path-steps takes at some 95 ns per path-step.
+#: Path-steps of a call below which it runs in process: forking and
+#: joining two workers costs 9-16 ms, about what a serial simulation of
+#: 1M path-steps takes at some 95 ns per path-step.  A tangent pass of
+#: the Malliavin sweeps costs about 2.5 times that (220-280 ns per
+#: path-step), so 1M is a conservative threshold for the sweeps; forking
+#: for every sweep pass, whatever its size, ran the malliavin_sweep
+#: workload slower than this rule does (1.19 against 1.00 s, timed in
+#: process).
 _PARALLEL_MIN_PATH_STEPS = 1_000_000
 
 
-def _worker_shares(n_paths: int, n_steps: int) -> list[range]:
-    """The path ids of :func:`simulate_paths` as contiguous shares of
-    near-equal size, one per worker process that runs at once.
-
-    There are min(CPUs in the affinity set, n_paths) shares, and one
-    share, run in process, when the pass has fewer than
-    _PARALLEL_MIN_PATH_STEPS path-steps, when the platform reports no
-    affinity set or has no ``fork`` start method, or when this process
-    is itself a worker.
-    """
+def _workers(path_steps: int) -> int:
+    """The number of worker processes a call of ``path_steps`` path-steps
+    forks: the CPUs in the affinity set, or 1 (run in process) when the
+    call has fewer than _PARALLEL_MIN_PATH_STEPS path-steps, when the
+    platform reports no affinity set or has no ``fork`` start method, or
+    when this process is itself a worker."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if cpus < 2 or n_paths * n_steps < _PARALLEL_MIN_PATH_STEPS:
-        return [range(n_paths)]
+    if cpus < 2 or path_steps < _PARALLEL_MIN_PATH_STEPS:
+        return 1
     import multiprocessing
 
     if (
         multiprocessing.parent_process() is not None
         or "fork" not in multiprocessing.get_all_start_methods()
     ):
-        return [range(n_paths)]
-    return _split(n_paths, cpus)
+        return 1
+    return cpus
 
 
-def _run_shares(run, shares: Sequence[range]) -> None:
+def _worker_shares(n_paths: int, n_steps: int) -> list[range]:
+    """The path ids of :func:`simulate_paths` as contiguous shares of
+    near-equal size, one per worker process that runs at once: at most
+    :func:`_workers` shares, and one per path at most."""
+    return _split(n_paths, _workers(n_paths * n_steps))
+
+
+def _shared_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized float array that the workers this process forks
+    write into and this process reads (:func:`_mapped_array`)."""
+    return _mapped_array(1, math.prod(shape), shared=True).reshape(shape)
+
+
+def _run_shares(run, shares: Sequence[range], unit: str = "paths") -> None:
     """``run(share)`` for every share: in process when there is one, else
-    each in its own forked worker, all at once.
+    each in its own forked worker, all at once.  A share is a range of
+    ``unit`` (path ids, or the regimes of a sweep).
 
     A worker owns its share, so it ends by itself when the share is done:
     no worker waits for more work, even when this process is killed.  It
@@ -167,7 +182,7 @@ def _run_shares(run, shares: Sequence[range]) -> None:
     is joined before this returns or raises; then the exception of the
     first failing share, in share order, is raised, as a serial run over
     the shares would raise it.  A worker that dies without a reply raises
-    RuntimeError naming its exit code.
+    RuntimeError naming its share of ``unit`` and its exit code.
     """
     if len(shares) == 1:
         run(shares[0])
@@ -202,7 +217,7 @@ def _run_shares(run, shares: Sequence[range]) -> None:
     for share, proc, reply in zip(shares, procs, replies):
         if reply is EOFError:
             raise RuntimeError(
-                f"the worker of paths {share.start}..{share.stop - 1} exited "
+                f"the worker of {unit} {share.start}..{share.stop - 1} exited "
                 f"with code {proc.exitcode} before it reported"
             )
         if reply is not None:
@@ -834,11 +849,7 @@ def simulate_paths(
     _check_stability(dt, regime.eta)
     n_steps, dt_eff = time_grid(regime.T, dt)
     shares = _worker_shares(n_paths, n_steps)
-    if len(shares) == 1:
-        empty = np.empty
-    else:
-        def empty(shape):
-            return _mapped_array(1, math.prod(shape), shared=True).reshape(shape)
+    empty = np.empty if len(shares) == 1 else _shared_empty
     captures = _capture_rows(capture_indices, n_steps, n_paths, empty)
     X = empty((n_steps + 1, n_paths)) if store_paths else None
     Y = empty((n_steps + 1, n_paths)) if store_paths else None

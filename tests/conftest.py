@@ -1,4 +1,8 @@
-"""Shared fixtures: built-in models and small reusable path bundles."""
+"""Shared fixtures: built-in models, small reusable path bundles, and the
+forked workers of large passes."""
+
+import multiprocessing
+import os
 
 import pytest
 
@@ -62,3 +66,69 @@ def stream_keys(monkeypatch):
         return seen
 
     return run
+
+
+@pytest.fixture
+def force_workers(monkeypatch):
+    """``force_workers(n)`` runs every call that may fork (a simulation
+    pass, a moment sweep or a decay check) on ``n`` forked workers (1: in
+    process), whatever its size and the CPUs of this machine."""
+
+    def force(n):
+        monkeypatch.setattr(sde_engine, "_PARALLEL_MIN_PATH_STEPS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+    return force
+
+
+@pytest.fixture
+def starts(monkeypatch):
+    """The worker processes started, in order."""
+    started = []
+    context = multiprocessing.get_context("fork")
+
+    class Counted(context.Process):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(context, "Process", Counted)
+    return started
+
+
+@pytest.fixture
+def all_joined(starts):
+    """``all_joined()``: every started worker has ended and been joined, so
+    none is left."""
+
+    def check() -> bool:
+        return multiprocessing.active_children() == [] and all(
+            proc.exitcode is not None for proc in starts
+        )
+
+    return check
+
+
+@pytest.fixture
+def poison(monkeypatch):
+    """``poison(module, {i: (channel, k, value)}, point=None)`` makes the
+    ``_noise_blocks`` that ``module`` calls yield ``value`` as step ``k``
+    of path ``i``'s noise on ``channel``, for the streams of ``point``
+    only when it is given."""
+
+    def apply(module, poisoned_paths, point=None):
+        real = module._noise_blocks
+
+        def poisoned(seed, path_ids, n_steps, *args, **kwargs):
+            hit = point is None or kwargs.get("point", 0) == point
+            first = 0
+            for block in real(seed, path_ids, n_steps, *args, **kwargs):
+                for i, (channel, k, value) in poisoned_paths.items():
+                    if hit and i in path_ids and first <= k < first + len(block[0]):
+                        block[channel][k - first, path_ids.index(i)] = value
+                first += len(block[0])
+                yield block
+
+        monkeypatch.setattr(module, "_noise_blocks", poisoned)
+
+    return apply

@@ -514,6 +514,31 @@ def test_main_unknown_model_is_a_usage_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        {"model": "bounded-coupled"},
+        {"expressions": {"c": "y - 2*x", "sigma": "1", "f": "x - y", "tau": "sqrt(2)"}},
+    ],
+)
+def test_main_builds_the_model_once(tmp_path, monkeypatch, model):
+    """A CLI run builds its model once, when the config is validated, and
+    the command reads that one: one get_model or model_from_expressions
+    call per run."""
+    built = []
+    for name in ("get_model", "model_from_expressions"):
+        real = getattr(cli_mod, name)
+
+        def counted(*args, real=real):
+            built.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(cli_mod, name, counted)
+    cfg = _write_config(tmp_path, {**model, "io": {"output_dir": str(tmp_path / "out")}})
+    assert main(["check-assumptions", "--config", cfg]) in (EXIT_PASS, EXIT_WARNINGS)
+    assert built == [model.get("model", "custom")]
+
+
 def test_main_unwritable_output_dir(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("file, not a directory", encoding="utf-8")

@@ -12,7 +12,12 @@ from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
 import fastslow.malliavin as malliavin_mod
-from fastslow.coefficients import COEFFICIENT_KEYS, CoefficientTable, model_from_expressions
+from fastslow.coefficients import (
+    COEFFICIENT_KEYS,
+    CoefficientTable,
+    ModelEvaluationError,
+    model_from_expressions,
+)
 from fastslow.malliavin import (
     BOUND_IDS,
     SecondOrderTangents,
@@ -36,6 +41,7 @@ from fastslow.malliavin import (
 )
 from fastslow.sde_engine import (
     _EM_KEYS as EM_KEYS,
+    BlowUpError,
     ScaleRegime,
     StabilityError,
     _noise_blocks,
@@ -508,7 +514,7 @@ def _split_pass(tangent_pass, noise_blocks, sizes):
     axis.  The pass is handed (seed, path_ids, kwargs) in place of its
     noise: what the sweep asked of ``_noise_blocks``."""
 
-    def run(model, regime, dt, n_steps, x0, y0, noise, n_paths, *args):
+    def run(model, regime, dt, n_steps, x0, y0, noise, n_paths, *args, first_column=0):
         seed, path_ids, kwargs = noise
         edges = np.cumsum([0, *sizes])
         assert edges[-1] == n_paths == len(path_ids)
@@ -516,6 +522,7 @@ def _split_pass(tangent_pass, noise_blocks, sizes):
             tangent_pass(
                 model, regime, dt, n_steps, x0, y0,
                 noise_blocks(seed, path_ids[lo:hi], n_steps, dt, **kwargs), hi - lo, *args,
+                first_column=first_column + lo,
             )
             for lo, hi in zip(edges, edges[1:])
         ]
@@ -803,12 +810,14 @@ def test_sweeps_request_only_the_cells_they_read(bounded, monkeypatch):
     tangent_pass = malliavin_mod._tangent_pass
     first_step, second_step = malliavin_mod._first_step, malliavin_mod._second_step
 
-    def spy_pass(model, regime, dt, n_steps, x0, y0, noise, n_paths, tangents, cells=None):
+    def spy_pass(
+        model, regime, dt, n_steps, x0, y0, noise, n_paths, tangents, cells=None, **kwargs
+    ):
         requested.append(
             ([tuple(t) for t in tangents], None if cells is None else [tuple(c) for c in cells])
         )
         return tangent_pass(
-            model, regime, dt, n_steps, x0, y0, noise, n_paths, tangents, cells
+            model, regime, dt, n_steps, x0, y0, noise, n_paths, tangents, cells, **kwargs
         )
 
     def spy_first(d, dx, *args):
@@ -986,8 +995,8 @@ def unfolded(monkeypatch):
     every term, and the noise comes in 3 blocks from streams kept open."""
     em_states, noise_blocks = malliavin_mod._em_states, malliavin_mod._noise_blocks
 
-    def all_keys_from_step_0(*args, keys_from):
-        return em_states(*args, keys_from=0)
+    def all_keys_from_step_0(*args, keys_from, **kwargs):
+        return em_states(*args, keys_from=0, **kwargs)
 
     def three_blocks(seed, path_ids, n_steps, dt, **kwargs):
         return noise_blocks(seed, path_ids, n_steps, dt, -(-n_steps // 3), **kwargs)
@@ -1002,15 +1011,16 @@ def unfolded(monkeypatch):
     return apply
 
 
-def _sweeps(model):
-    """The moment sweep and the three decay checks, as reported."""
+def _sweeps(model, p=1):
+    """The moment sweep and the three decay checks at moment order ``p``,
+    as reported."""
     regimes = [ScaleRegime(0.1, 0.1, 1.0, 0.3), ScaleRegime(0.05, 0.05, 1.0, 0.3)]
     reports = moment_sweep(
-        model, regimes, 1, 30, seed=5, x0=0.4, y0=0.3, pair_sep_etas=2.0, k_hat=1.0,
+        model, regimes, p, 30, seed=5, x0=0.4, y0=0.3, pair_sep_etas=2.0, k_hat=1.0,
     )
     decays = [
         decay_check(
-            model, regimes[-1], bound_id, 1, 30, 6,
+            model, regimes[-1], bound_id, p, 30, 6,
             separations_eta=(0.5, 1.0, 2.0), x0=0.4, y0=0.3,
         )
         for bound_id in ("d2x_w1w2", "d2x_w2w2", "dw2_y_final")
@@ -1031,6 +1041,94 @@ def test_sweeps_equal_the_unfolded_reference(fixture, request, unfolded):
     fast = _sweeps(model)
     unfolded()
     assert _sweeps(model) == fast
+
+
+@pytest.mark.parametrize(
+    "weights, parts, ranges",
+    [
+        ([100, 200, 400, 800], 2, [(0, 3), (3, 4)]),  # the malliavin_sweep regimes
+        ([100, 200, 400, 800], 3, [(0, 2), (2, 3), (3, 4)]),
+        ([60, 120], 2, [(0, 1), (1, 2)]),
+        ([5, 5, 5, 5], 2, [(0, 2), (2, 4)]),
+        ([1, 9, 1], 3, [(0, 1), (1, 2), (2, 3)]),
+        ([9, 1, 1, 1], 2, [(0, 1), (1, 4)]),
+        ([3, 3, 3], 1, [(0, 3)]),
+    ],
+)
+def test_balanced_ranges_rule(weights, parts, ranges):
+    """Whole passes are cut into contiguous, non-empty ranges whose largest
+    summed n_steps is the least possible."""
+    got = malliavin_mod._balanced_ranges(weights, parts)
+    assert [(r.start, r.stop) for r in got] == ranges
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_sweeps_on_workers_equal_the_run_in_process(
+    bounded, force_workers, starts, all_joined, workers
+):
+    """At p = 1 and p = 2, the moment sweep and the three decay checks
+    report the same floats (``to_dict``) on forked workers as in process:
+    on 2 workers the sweep's two regimes run as whole units, on 3 each
+    regime runs on shares of 10 paths, and each decay check runs its one
+    pass on shares of the paths.  Each call starts ``workers`` workers and
+    leaves none."""
+    force_workers(1)
+    in_process = [_sweeps(bounded, p) for p in (1, 2)]
+    assert starts == []
+    force_workers(workers)
+    assert [_sweeps(bounded, p) for p in (1, 2)] == in_process
+    assert len(starts) == 2 * 4 * workers
+    assert all_joined()
+
+
+_POISONED = ("poisoned", "y - 2*x", "1", "x - y")
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_first_failing_regime_is_raised(force_workers, poison, starts, all_joined, workers):
+    """When both regimes of a moment sweep blow up, the earlier regime's
+    error is raised although the later one fails at an earlier step, as
+    in process: on 2 workers (one regime each) and on 3, where path 3 of
+    regime 0 fails in the first share of paths and path 17 of regime 1
+    in the second.  No worker is left."""
+    model = model_from_expressions(*_POISONED, "sqrt(2)")
+    poison(malliavin_mod, {3: (0, 40, math.inf)}, point=1)
+    poison(malliavin_mod, {17: (0, 0, math.inf)}, point=2)
+    regimes = [ScaleRegime(0.1, 0.1, 1.0, 0.3), ScaleRegime(0.05, 0.05, 1.0, 0.3)]
+    force_workers(workers)
+    with pytest.raises(BlowUpError, match=r"at step 41 \(path column 3\)"):
+        moment_sweep(model, regimes, 1, 30, seed=5, k_hat=1.0)
+    assert len(starts) == (0 if workers == 1 else workers)
+    assert all_joined()
+
+
+@pytest.mark.parametrize(
+    "tau, channel, value, error, message",
+    [
+        ("sqrt(2)", 0, math.inf, BlowUpError, r"non-finite state at step 1 \(path column 37\)"),
+        (
+            "exp(-y^2)", 1, 1e3, ModelEvaluationError,
+            r"tau degenerates at step 1 \(path column 37\)",
+        ),
+    ],
+)
+def test_decay_check_names_the_global_path_in_a_later_share(
+    force_workers, poison, starts, all_joined, tau, channel, value, error, message
+):
+    """A blow-up or a degenerate tau of path 37, in the second of two
+    shares of 25 paths of a decay check, names the path by its id, not by
+    its column 12 in the share, in process and on two workers.  Step 0 of
+    the path's noise on one channel is set to ``value``; the tangents
+    start at step 20, so the error comes from the Euler-Maruyama step."""
+    model = model_from_expressions(*_POISONED, tau)
+    regime = ScaleRegime(0.05, 0.05, 1.0, 0.3)
+    poison(malliavin_mod, {37: (channel, 0, value)})
+    for workers in (1, 2):
+        force_workers(workers)
+        with np.errstate(invalid="ignore"), pytest.raises(error, match=message):
+            decay_check(model, regime, "d2x_w1w2", 1, 50, 6, separations_eta=(0.5, 2.0))
+        assert all_joined()
+    assert [proc.exitcode for proc in starts] == [0, 0]
 
 
 def test_sweep_pass_evaluates_em_keys_before_the_first_start(bounded, monkeypatch):

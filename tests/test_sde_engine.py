@@ -374,35 +374,6 @@ def test_path_groups_rule(n_paths, n_steps, groups):
         assert 16 * n_steps * max(groups) <= sde_engine._NOISE_BLOCK_BYTES
 
 
-def _force_workers(monkeypatch, n):
-    """Run every simulate_paths pass on ``n`` forked workers (1: in
-    process), whatever its size and the CPUs of this machine."""
-    monkeypatch.setattr(sde_engine, "_PARALLEL_MIN_PATH_STEPS", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
-@pytest.fixture
-def starts(monkeypatch):
-    """The worker processes simulate_paths starts, in order."""
-    started = []
-    context = multiprocessing.get_context("fork")
-
-    class Counted(context.Process):
-        def start(self):
-            started.append(self)
-            super().start()
-
-    monkeypatch.setattr(context, "Process", Counted)
-    return started
-
-
-def _all_joined(started) -> bool:
-    """Every started worker has ended and been joined: none is left."""
-    return multiprocessing.active_children() == [] and all(
-        proc.exitcode is not None for proc in started
-    )
-
-
 @pytest.mark.parametrize(
     "n_paths, n_steps, cpus, shares",
     [
@@ -450,7 +421,8 @@ def test_worker_shares_rule(monkeypatch, n_paths, n_steps, cpus, shares):
     ],
 )
 def test_path_groups_match_one_block(
-    bounded, monkeypatch, starts, block_paths, groups, store_paths, redraw, marks
+    bounded, monkeypatch, force_workers, starts, all_joined,
+    block_paths, groups, store_paths, redraw, marks,
 ):
     """simulate_paths at a block budget that holds the whole draw of
     ``block_paths`` paths stores and captures exactly what draw_increments
@@ -473,13 +445,13 @@ def test_path_groups_match_one_block(
     monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * n_steps * block_paths)
     assert [len(ids) for ids in sde_engine._path_groups(n_paths, n_steps)] == groups
     for workers in (1, 2):
-        _force_workers(monkeypatch, workers)
+        force_workers(workers)
         bundle = simulate_paths(
             bounded, regime, 0.4, 0.3, dt, n_paths, seed,
             store_paths=store_paths, capture_indices=marks,
         )
         assert len(starts) == (0 if workers == 1 else 2)
-        assert _all_joined(starts)
+        assert all_joined()
         for name, ref in (("X", X), ("Y", Y)):
             if store_paths:
                 assert np.array_equal(getattr(bundle, name), ref), (workers, name)
@@ -713,23 +685,6 @@ def test_blow_up_error_names_the_step():
             simulate_paths(stiff, regime, 2.0, 0.0, 0.005, 2, 1)
 
 
-def _poison(monkeypatch, poison):
-    """Make the engine draw ``value`` as step ``k`` of path ``i``'s noise on
-    ``channel``, for each {i: (channel, k, value)} of ``poison``."""
-    real = sde_engine._noise_blocks
-
-    def poisoned(seed, path_ids, n_steps, *args, **kwargs):
-        first = 0
-        for block in real(seed, path_ids, n_steps, *args, **kwargs):
-            for i, (channel, k, value) in poison.items():
-                if i in path_ids and first <= k < first + len(block[0]):
-                    block[channel][k - first, path_ids.index(i)] = value
-            first += len(block[0])
-            yield block
-
-    monkeypatch.setattr(sde_engine, "_noise_blocks", poisoned)
-
-
 @pytest.mark.parametrize(
     "tau, channel, value, error, message",
     [
@@ -741,7 +696,7 @@ def _poison(monkeypatch, poison):
     ],
 )
 def test_errors_name_the_global_path_in_a_later_group(
-    monkeypatch, starts, tau, channel, value, error, message
+    monkeypatch, force_workers, poison, starts, all_joined, tau, channel, value, error, message
 ):
     """Under path groups, a blow-up or a degenerate tau of path 37, in the
     second of two groups of 25 paths, names the path by its id, not by
@@ -752,57 +707,71 @@ def test_errors_name_the_global_path_in_a_later_group(
     model = model_from_expressions("poisoned", "y - 2*x", "1", "x - y", tau)
     monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * 24 * 25)
     assert sde_engine._path_groups(50, 24) == [range(0, 25), range(25, 50)]
-    _poison(monkeypatch, {37: (channel, 0, value)})
+    poison(sde_engine, {37: (channel, 0, value)})
     for workers in (1, 2):
-        _force_workers(monkeypatch, workers)
+        force_workers(workers)
         with np.errstate(invalid="ignore"), pytest.raises(error, match=message):
             simulate_paths(model, regime, 0.0, 0.0, regime.eta / 20, 50, 1)
-        assert _all_joined(starts)
+        assert all_joined()
     assert [proc.exitcode for proc in starts] == [0, 0]
 
 
-def test_first_failing_share_is_raised(monkeypatch, starts):
+def test_first_failing_share_is_raised(monkeypatch, force_workers, poison, starts, all_joined):
     """When paths of both shares blow up, the share of the lower path ids
     is reported, although path 37 fails at an earlier step than path 10:
     a serial pass in two groups reports the same, and no worker is left."""
     regime = ScaleRegime(epsilon=0.05, eta=0.05, gamma=1.0, T=0.06)
     model = model_from_expressions("poisoned", "y - 2*x", "1", "x - y", "sqrt(2)")
     monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * 24 * 25)
-    _poison(monkeypatch, {10: (0, 5, math.inf), 37: (0, 0, math.inf)})
+    poison(sde_engine, {10: (0, 5, math.inf), 37: (0, 0, math.inf)})
     for workers in (1, 2):
-        _force_workers(monkeypatch, workers)
+        force_workers(workers)
         with pytest.raises(BlowUpError, match=r"at step 6 \(path column 10\)"):
             simulate_paths(model, regime, 0.0, 0.0, regime.eta / 20, 50, 1)
         assert len(starts) == 2 * (workers - 1)
-        assert _all_joined(starts)
+        assert all_joined()
 
 
-def test_worker_that_dies_is_reported(affine, monkeypatch, starts):
+def test_worker_that_dies_is_reported(affine, monkeypatch, force_workers, starts, all_joined):
     """A worker that exits without a reply (here the second, as if killed)
-    raises RuntimeError naming its paths and exit code once both workers
-    are joined."""
-    regime = ScaleRegime(epsilon=0.05, eta=0.05, gamma=1.0, T=0.06)
-    real = sde_engine._em_loop
+    raises RuntimeError naming its share and exit code once both workers
+    are joined: paths 25..49 of a simulation pass, and regime 1 of a
+    moment sweep whose two regimes run as whole units."""
+    import fastslow.malliavin as malliavin
 
-    def dying(*args):
+    regime = ScaleRegime(epsilon=0.05, eta=0.05, gamma=1.0, T=0.06)
+    em_loop, noise_blocks = sde_engine._em_loop, malliavin._noise_blocks
+
+    def dying_share(*args):
         if args[5].start >= 25:
             os._exit(7)
-        real(*args)
+        em_loop(*args)
 
-    monkeypatch.setattr(sde_engine, "_em_loop", dying)
-    _force_workers(monkeypatch, 2)
+    def dying_regime(*args, point, **kwargs):
+        if point == 2:
+            os._exit(7)
+        return noise_blocks(*args, point=point, **kwargs)
+
+    monkeypatch.setattr(sde_engine, "_em_loop", dying_share)
+    monkeypatch.setattr(malliavin, "_noise_blocks", dying_regime)
+    force_workers(2)
     with pytest.raises(RuntimeError, match=r"paths 25\.\.49 exited with code 7"):
         simulate_paths(affine, regime, 0.0, 0.0, regime.eta / 20, 50, 1)
-    assert [proc.exitcode for proc in starts] == [0, 7]
-    assert _all_joined(starts)
+    regimes = [ScaleRegime(0.1, 0.1, 1.0, 0.06), regime]
+    with pytest.raises(RuntimeError, match=r"regimes 1\.\.1 exited with code 7"):
+        malliavin.moment_sweep(affine, regimes, 1, 50, seed=1, k_hat=1.0)
+    assert [proc.exitcode for proc in starts] == [0, 7, 0, 7]
+    assert all_joined()
 
 
 @pytest.mark.parametrize("patch", ["one CPU", "no fork"])
-def test_no_worker_without_fork_or_a_second_cpu(affine, monkeypatch, starts, patch):
+def test_no_worker_without_fork_or_a_second_cpu(
+    affine, monkeypatch, force_workers, starts, patch
+):
     """With one CPU in the affinity set, or no ``fork`` start method, a
     pass of any size starts no process and runs in process."""
     regime = ScaleRegime(epsilon=0.05, eta=0.05, gamma=1.0, T=0.06)
-    _force_workers(monkeypatch, 1 if patch == "one CPU" else 2)
+    force_workers(1 if patch == "one CPU" else 2)
     if patch == "no fork":
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     bundle = simulate_paths(affine, regime, 0.0, 0.0, regime.eta / 20, 50, 1)
