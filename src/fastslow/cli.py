@@ -454,10 +454,12 @@ def _write_manifest(out_dir, command, config, seed, t0, exit_code) -> None:
 
 def _peak_rss_mb() -> dict | None:
     """Peak resident memory in MiB of this process and of its largest
-    child process waited for, which is the largest worker of the parallel
-    simulation passes (0 when none ran); None where there is no
-    ``getrusage`` (Windows).  Pages a worker shares with this process
-    count in both, so their sum over-counts the total."""
+    child process waited for, the largest worker of the parallel passes;
+    None where there is no ``getrusage`` (Windows).  The children's peak
+    survives exec, so it also holds that of any child the launching
+    process waited for before it became this one: a run that forks no
+    worker reads a few MiB, not 0.  Pages a worker shares with this
+    process count in both, so their sum over-counts the total."""
     try:
         import resource
     except ImportError:

@@ -50,10 +50,15 @@ from fastslow.sde_engine import (
     CHANNEL_BOOTSTRAP,
     PURPOSE_BOOTSTRAP,
     STABILITY_FRACTION,
+    PathBundle,
     ScaleRegime,
     _check_stability,
     _grid_index,
+    _run_shares,
+    _shared_empty,
+    _split,
     _stream,
+    _workers,
     fluctuation_samples,
     simulate_paths,
     time_grid,
@@ -370,9 +375,11 @@ def clt_verify(
     times, capture = _checkpoint_steps(regime, dt, checkpoints)
     hom = _matching_hom(model, regime.gamma, hom)
     trajectory = attach_variance(hom, limit_ode(hom, x0, regime.T, LIMIT_ODE_DT))
-    return _clt_reports(
-        model, regime, x0, y0, dt, n_paths, times, capture, seed, trajectory, n_boot
+    bundle = simulate_paths(
+        model, regime, x0, y0, dt, n_paths, seed, store_paths=False,
+        capture_indices=capture,
     )
+    return _clt_reports(bundle, times, trajectory, n_boot)
 
 
 def _checkpoint_steps(
@@ -416,39 +423,21 @@ def _matching_hom(
 
 
 def _clt_reports(
-    model: CoefficientSet,
-    regime: ScaleRegime,
-    x0: float,
-    y0: float,
-    dt: float,
-    n_paths: int,
+    bundle: PathBundle,
     times: Sequence[float],
-    capture: Sequence[int],
-    seed,
     trajectory: LimitTrajectory,
     n_boot: int = N_BOOTSTRAP,
-    point: int = 0,
 ) -> list[WassersteinReport]:
-    """Simulate the paths of stream point ``point``, then report W1 against
-    the limit ``trajectory`` at each time, the i-th bootstrapped from the
-    stream (seed, bootstrap, point, i, bootstrap channel)."""
-    bundle = simulate_paths(
-        model,
-        regime,
-        x0,
-        y0,
-        dt,
-        n_paths,
-        seed,
-        store_paths=False,
-        capture_indices=capture,
-        _point=point,
-    )
+    """W1 of the captured states of ``bundle`` against the limit
+    ``trajectory`` at each time, the i-th bootstrapped from the stream
+    (bundle seed, bootstrap, bundle point, i, bootstrap channel)."""
     reports = []
     for i, t in enumerate(times):
         sample = fluctuation_samples(bundle, trajectory, t)
         w1 = w1_vs_gaussian(sample.theta, sample.limit_mean, sample.limit_var)
-        rng = _stream(seed, PURPOSE_BOOTSTRAP, point, i, CHANNEL_BOOTSTRAP)
+        rng = _stream(
+            bundle.master_seed, PURPOSE_BOOTSTRAP, bundle.point, i, CHANNEL_BOOTSTRAP
+        )
         ci = bootstrap_w1(sample.theta, sample.limit_mean, sample.limit_var, rng, n_boot)
         reports.append(
             WassersteinReport(
@@ -548,6 +537,18 @@ def rate_sweep(
     of point i + 1, so no point shares a stream with :func:`clt_verify`
     under the same seed.
 
+    The points are simulated one after another, each on every CPU that
+    :func:`~fastslow.sde_engine.simulate_paths` takes.  Their W1 and
+    bootstrap, serial work on one point's sample, then run side by side
+    through :func:`~fastslow.sde_engine._run_shares`, on the
+    :func:`~fastslow.sde_engine._workers` that the sweep's n_paths x (sum
+    of n_steps) path-steps take, one per point at most, each over a
+    contiguous range of points.  Each
+    point's report fields are written to a row shared with this process.
+    A point's result depends on its own streams alone, so no split moves
+    a value, and the error of the earliest failing point is raised, as
+    in process.
+
     A point whose bootstrap CI extends outside [w1/3, 3 w1] is flagged
     as noisy, not failed.
     """
@@ -577,38 +578,43 @@ def rate_sweep(
         ScaleRegime(epsilon=eps, eta=float(eta_of(eps)), gamma=gamma, T=T)
         for eps in eps_list
     ]
-    for regime in regimes:
-        _check_stability(dt_eta_fraction * regime.eta, regime.eta)
+    grids = [_checkpoint_steps(r, dt_eta_fraction * r.eta, (T,)) for r in regimes]
     hom = _matching_hom(model, gamma, hom)
     # Every point shares x0, T and hom, so one limit trajectory serves all.
     trajectory = attach_variance(hom, limit_ode(hom, x0, T, LIMIT_ODE_DT))
 
-    points: list[tuple[float, float, float]] = []
-    reports: list[WassersteinReport] = []
-    noisy: list[int] = []
-    for i, regime in enumerate(regimes):
-        eps, eta = regime.epsilon, regime.eta
-        dt = dt_eta_fraction * eta
-        times, capture = _checkpoint_steps(regime, dt, (T,))
-        rep = _clt_reports(
-            model,
-            regime,
-            x0,
-            y0,
-            dt,
-            n_paths,
-            times,
-            capture,
-            seed,
-            trajectory,
-            n_boot=n_boot,
-            point=i + 1,
-        )[0]
-        reports.append(rep)
-        points.append((eps, eta, rep.w1))
-        lo, hi = rep.bootstrap_ci
-        if rep.w1 > 0 and (lo < rep.w1 / 3.0 or hi > 3.0 * rep.w1):
-            noisy.append(i)
+    bundles = [
+        simulate_paths(
+            model, r, x0, y0, dt_eta_fraction * r.eta, n_paths, seed,
+            store_paths=False, capture_indices=capture, _point=i + 1,
+        )
+        for i, (r, (_, capture)) in enumerate(zip(regimes, grids))
+    ]
+    path_steps = n_paths * sum(b.n_steps for b in bundles)
+    shares = _split(len(bundles), _workers(path_steps))
+    # One row per point: t, n, w1, ci_lo, ci_hi, mean_gap, sd_gap, limit_var.
+    rows = (np.empty if len(shares) == 1 else _shared_empty)((len(bundles), 8))
+
+    def run(share: range) -> None:
+        for i in share:
+            (rep,) = _clt_reports(bundles[i], grids[i][0], trajectory, n_boot)
+            rows[i] = (
+                rep.t, rep.n, rep.w1, *rep.bootstrap_ci, rep.mean_gap, rep.sd_gap,
+                rep.limit_var,
+            )
+
+    _run_shares(run, shares, "sweep points")
+    reports = [
+        WassersteinReport(t, int(n), w1, (lo, hi), mean_gap, sd_gap, limit_var)
+        for t, n, w1, lo, hi, mean_gap, sd_gap, limit_var in rows.tolist()
+    ]
+    points = [(r.epsilon, r.eta, rep.w1) for r, rep in zip(regimes, reports)]
+    noisy = [
+        i
+        for i, rep in enumerate(reports)
+        if rep.w1 > 0
+        and (rep.bootstrap_ci[0] < rep.w1 / 3.0 or rep.bootstrap_ci[1] > 3.0 * rep.w1)
+    ]
 
     log_e = np.log([p[0] for p in points])
     log_w = np.log([p[2] for p in points])

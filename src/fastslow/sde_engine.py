@@ -173,7 +173,8 @@ def _shared_empty(shape: tuple[int, ...]) -> np.ndarray:
 def _run_shares(run, shares: Sequence[range], unit: str = "paths") -> None:
     """``run(share)`` for every share: in process when there is one, else
     each in its own forked worker, all at once.  A share is a range of
-    ``unit`` (path ids, or the regimes of a sweep).
+    ``unit``: path ids, the regimes of a Malliavin sweep or the points of
+    a rate sweep.
 
     A worker owns its share, so it ends by itself when the share is done:
     no worker waits for more work, even when this process is killed.  It

@@ -1076,18 +1076,23 @@ def test_decay_reach_is_checked_only_by_malliavin_sweep():
 # -- rate-sweep -------------------------------------------------------
 
 
-def test_rate_sweep_artifacts(tmp_path):
-    out = tmp_path / "out"
-    cfg = _write_config(
+def _rate_config(tmp_path, out_name, seed=6):
+    out = tmp_path / out_name
+    return out, _write_config(
         tmp_path,
         {
             "model": "affine-oracle",
             "sweep": {"epsilons": [0.16, 0.08, 0.04], "gamma": 1.0, "T": 0.3},
             "grid": {"n_paths": 200, "nx": 17, "ny": 2048},
             "analysis": {"bootstrap": 50, "K": 1.0, "zeta": 0.1},
-            "io": {"output_dir": str(out), "master_seed": 6},
+            "io": {"output_dir": str(out), "master_seed": seed},
         },
+        name=f"{out_name}.json",
     )
+
+
+def test_rate_sweep_artifacts(tmp_path):
+    out, cfg = _rate_config(tmp_path, "out")
     code = main(["rate-sweep", "--config", cfg])
     assert code in (EXIT_PASS, EXIT_WARNINGS)
 
@@ -1119,6 +1124,28 @@ def test_rate_sweep_artifacts(tmp_path):
     manifest = _read_json(out, "run_manifest.json")
     assert manifest["command"] == "rate-sweep"
     assert manifest["exit_code"] == code
+
+
+def test_rate_sweep_on_workers_writes_the_serial_artifacts(
+    tmp_path, force_workers, starts, all_joined
+):
+    """With its simulations and its points' statistics forced onto two
+    forked workers each, rate-sweep writes the data artifacts of the
+    serial run byte for byte.  Its seed is not that of the other rate-sweep
+    tests, so no earlier run's rows sit in the memory it reads."""
+    out, cfg = _rate_config(tmp_path, "rate-workers", seed=7)
+    force_workers(2)
+    code = main(["rate-sweep", "--config", cfg])
+    assert code in (EXIT_PASS, EXIT_WARNINGS)
+    assert len(starts) == 3 * 2 + 2  # 3 points' simulations, then statistics
+    assert all_joined()
+
+    serial_out, serial_cfg = _rate_config(tmp_path, "rate-serial", seed=7)
+    force_workers(1)
+    assert main(["rate-sweep", "--config", serial_cfg]) == code
+    assert len(starts) == 3 * 2 + 2
+    for name in ("rate_sweep.json", "rate_points.csv"):
+        assert _read_bytes(out, name) == _read_bytes(serial_out, name), name
 
 
 def test_regime_diagnostics_write_null_for_inf_or_none():

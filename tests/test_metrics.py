@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from scipy.special import ndtr, ndtri
 
 import fastslow.metrics as metrics_mod
+import fastslow.sde_engine as sde_engine
 from fastslow.metrics import (
     LIMIT_ODE_DT,
     RateFit,
@@ -29,9 +30,11 @@ from fastslow.homogenization import attach_variance, build_homogenized
 from fastslow.sde_engine import (
     CHANNEL_BOOTSTRAP,
     PURPOSE_BOOTSTRAP,
+    BlowUpError,
     ScaleRegime,
     StabilityError,
     _stream,
+    simulate_paths,
 )
 
 # -- exact W1 against a Gaussian ---------------------------------------
@@ -465,12 +468,12 @@ def test_default_checkpoints():
 
 
 def _stub_clt(w1_of_eps, ci_of_w1):
-    def fake(model, regime, x0, y0, dt, n_paths, times, capture, seed, trajectory, **kw):
-        w1 = w1_of_eps(regime.epsilon)
+    def fake(bundle, times, trajectory, n_boot):
+        w1 = w1_of_eps(bundle.regime.epsilon)
         return [
             WassersteinReport(
                 t=times[0],
-                n=n_paths,
+                n=bundle.n_paths,
                 w1=w1,
                 bootstrap_ci=ci_of_w1(w1),
                 mean_gap=0.0,
@@ -601,10 +604,11 @@ def test_rate_sweep_integrates_the_limit_once_and_matches_clt_verify(
         regime = ScaleRegime(e, e, 1.0, T)
         times, capture = metrics_mod._checkpoint_steps(regime, e / 20, (T,))
         trajectory = attach_variance(affine_hom, real(affine_hom, 0.0, T, LIMIT_ODE_DT))
-        (alone,) = metrics_mod._clt_reports(
-            affine, regime, 0.0, 0.0, e / 20, 40, times, capture, seed,
-            trajectory, n_boot=10, point=i + 1,
+        bundle = simulate_paths(
+            affine, regime, 0.0, 0.0, e / 20, 40, seed, store_paths=False,
+            capture_indices=capture, _point=i + 1,
         )
+        (alone,) = metrics_mod._clt_reports(bundle, times, trajectory, n_boot=10)
         assert fit.reports[i] == alone
     # clt_verify runs the same pipeline on the streams of point 0.
     regime = ScaleRegime(eps[0], eps[0], 1.0, T)
@@ -614,8 +618,13 @@ def test_rate_sweep_integrates_the_limit_once_and_matches_clt_verify(
         affine, regime, 0.0, 0.0, eps[0] / 20, 40, checkpoints=(T,), seed=seed,
         n_boot=10, hom=affine_hom,
     ) == metrics_mod._clt_reports(
-        affine, regime, 0.0, 0.0, eps[0] / 20, 40, times, capture, seed,
-        trajectory, n_boot=10, point=0,
+        simulate_paths(
+            affine, regime, 0.0, 0.0, eps[0] / 20, 40, seed, store_paths=False,
+            capture_indices=capture,
+        ),
+        times,
+        trajectory,
+        n_boot=10,
     )
 
 
@@ -639,6 +648,56 @@ def test_clt_verify_and_rate_sweep_share_no_stream(affine, affine_hom, stream_ke
     assert len(clt) == 2 * 6 + 2
     assert len(rate) == len(eps) * (2 * 6 + 1)
     assert not clt & rate
+
+
+_WORKER_SWEEP = (0.16, 0.08, 0.04, 0.02)  # 25, 50, 100 and 200 steps at T = 0.2
+
+
+def _worker_sweep(model, hom):
+    return rate_sweep(
+        model, _WORKER_SWEEP, "equal", {"n_paths": 40, "n_boot": 10, "hom": hom},
+        T=0.2, seed=3,
+    )
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_rate_sweep_on_workers_equals_the_run_in_process(
+    affine, affine_hom, force_workers, starts, all_joined, workers
+):
+    """The fit and every point's report, simulation, W1 and bootstrap, are
+    the same floats on forked workers as in process.  Each of the 4
+    points' simulations starts ``workers`` workers, then the points' W1
+    and bootstraps run on 2, as {0, 1} and {2, 3}; none is left.  The run
+    on workers comes first, so its rows cannot be memory that the run in
+    process left behind."""
+    force_workers(workers)
+    fit = _worker_sweep(affine, affine_hom)
+    assert len(starts) == len(_WORKER_SWEEP) * workers + 2
+    assert all_joined()
+    force_workers(1)
+    in_process = _worker_sweep(affine, affine_hom)
+    assert len(starts) == len(_WORKER_SWEEP) * workers + 2
+    assert fit.to_dict() == in_process.to_dict()
+    assert fit.reports == in_process.reports
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rate_sweep_raises_the_first_failing_point(
+    affine, affine_hom, force_workers, poison, starts, all_joined, workers
+):
+    """When sweep points 0 and 3 both blow up, point 0's error is raised
+    although point 3 fails at an earlier step, in process and on 2
+    workers: the points are simulated in order, so point 3 never starts.
+    No worker is left."""
+    poison(sde_engine, {3: (0, 20, math.inf)}, point=1)
+    poison(sde_engine, {17: (0, 0, math.inf)}, point=4)
+    force_workers(workers)
+    with np.errstate(invalid="ignore"), pytest.raises(
+        BlowUpError, match=r"at step 21 \(path column 3\)"
+    ):
+        _worker_sweep(affine, affine_hom)
+    assert len(starts) == (0 if workers == 1 else workers)
+    assert all_joined()
 
 
 def test_rate_sweep_checks_every_step_before_homogenizing(affine, monkeypatch):
