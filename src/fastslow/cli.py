@@ -434,7 +434,7 @@ def _config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _write_manifest(out_dir, command, config, seed, t0, exit_code) -> None:
+def _write_manifest(out_dir, command, config, seed, t0, children_at_start, exit_code) -> None:
     payload = {
         "command": command,
         "config_hash": _config_hash(config),
@@ -446,28 +446,31 @@ def _write_manifest(out_dir, command, config, seed, t0, exit_code) -> None:
             "fastslow": fastslow.__version__,
         },
         "wall_time_s": time.monotonic() - t0,
-        "peak_rss_mb": _peak_rss_mb(),
+        "peak_rss_mb": _peak_rss_mb(children_at_start),
         "exit_code": exit_code,
     }
     _write_json(os.path.join(out_dir, "run_manifest.json"), payload)
 
 
-def _peak_rss_mb() -> dict | None:
+def _peak_rss_mb(children_at_start: float = 0.0) -> dict | None:
     """Peak resident memory in MiB of this process and of its largest
-    child process waited for, the largest worker of the parallel passes;
-    None where there is no ``getrusage`` (Windows).  The children's peak
-    survives exec, so it also holds that of any child the launching
-    process waited for before it became this one: a run that forks no
-    worker reads a few MiB, not 0.  Pages a worker shares with this
-    process count in both, so their sum over-counts the total."""
+    worker; None where there is no ``getrusage`` (Windows).  The workers'
+    peak is that of the largest child process waited for, a reading that
+    survives exec and never falls, so it starts at what the launching
+    process or earlier runs left: it is reported only when it grew past
+    ``children_at_start``, the reading at the start of the run (by
+    default the reading itself), and is 0 otherwise, as when no worker
+    ran.  Pages a worker shares with this process count in both, so
+    their sum over-counts the total."""
     try:
         import resource
     except ImportError:
         return None
     unit = 1024.0**2 if sys.platform == "darwin" else 1024.0  # ru_maxrss: bytes, else KiB
+    children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / unit
     return {
         "process": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / unit,
-        "workers": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / unit,
+        "workers": children if children > children_at_start else 0.0,
     }
 
 
@@ -717,6 +720,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    children_at_start = (_peak_rss_mb() or {}).get("workers")  # the reading as it stands
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -758,7 +762,7 @@ def main(argv=None) -> int:
         return EXIT_ASSERTION
 
     try:
-        _write_manifest(out_dir, args.command, config, seed, t0, code)
+        _write_manifest(out_dir, args.command, config, seed, t0, children_at_start, code)
     except OSError as exc:
         print(f"fastslow: cannot write manifest: {exc}", file=sys.stderr)
         return EXIT_IO

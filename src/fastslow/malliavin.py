@@ -86,10 +86,10 @@ from fastslow.sde_engine import (
     ScaleRegime,
     _check_stability,
     _em_states,
+    _joined_paths,
     _noise_blocks,
     _require_positive,
     _run_shares,
-    _shared_empty,
     _split,
     _StepScales,
     _workers,
@@ -991,9 +991,6 @@ class _SweepPass:
     cells: list[tuple[int, int, int, int]] | None
 
 
-_SECOND_ROWS = ("final_d2x", "final_d2y", "sup_abs_d2x", "sup_abs_d2y")
-
-
 def _balanced_ranges(weights: Sequence[int], parts: int) -> list[range]:
     """range(len(weights)) as ``parts`` <= len(weights) contiguous ranges,
     none empty, whose largest summed weight is the least possible (among
@@ -1035,42 +1032,36 @@ def _sweep_passes(
     worker runs every pass over a contiguous share of the path ids.  In
     process (one worker) that is every pass over all paths.  A path
     draws its noise from its own streams, so neither split moves a
-    value.  Workers write their columns of each pass's rows into maps
-    shared with this process, which then reads whole (n_paths,) rows.
-    The error of the first failing range of passes or share of paths is
-    raised, so with whole passes an earlier pass fails before a later
-    one, as in process; an Euler-Maruyama error names the path id.
+    value.  Each worker returns its passes' results, which this process
+    concatenates in pass order, or joins along the path axis in path
+    order.  The error of the first failing range of passes or share of
+    paths is raised, so with whole passes an earlier pass fails before a
+    later one, as in process; an Euler-Maruyama error names the path id.
     """
     workers = _workers(n_paths * sum(q.n_steps for q in passes))
-    empty = np.empty if workers == 1 else _shared_empty
-    rows = [empty((4 * len(q.tangents) + 4 * len(q.cells or ()), n_paths)) for q in passes]
     whole = len(passes) >= workers
     if whole:
         shares = _balanced_ranges([q.n_steps for q in passes], workers)
     else:
         shares = _split(n_paths, workers)
 
-    def run(share: range) -> None:
+    def run(share: range) -> list:
+        out = []
         for i in share if whole else range(len(passes)):
             q, ids = passes[i], range(n_paths) if whole else share
             noise = _noise_blocks(
                 seed, ids, q.n_steps, q.dt, purpose=q.purpose, point=q.point
             )
-            first, second = _tangent_pass(
+            out.append(_tangent_pass(
                 model, q.regime, q.dt, q.n_steps, x0, y0, noise, len(ids),
                 q.tangents, q.cells, first_column=ids.start,
-            )
-            got = [first.final_dx, first.final_dy, first.sup_abs_dx, first.sup_abs_dy]
-            got += [second[name] for name in _SECOND_ROWS] if second else []
-            rows[i][:, ids.start : ids.stop] = np.concatenate(got)
+            ))
+        return out
 
-    _run_shares(run, shares, "regimes" if whole else "paths")
-    out = []
-    for q, block in zip(passes, rows):
-        first = _TangentRows(*np.split(block[: 4 * len(q.tangents)], 4))
-        second = np.split(block[4 * len(q.tangents) :], 4)
-        out.append((first, None if q.cells is None else dict(zip(_SECOND_ROWS, second))))
-    return out
+    parts = _run_shares(run, shares, "regimes" if whole else "paths")
+    if whole:
+        return [result for part in parts for result in part]
+    return _joined_paths(parts)
 
 
 def moment_sweep(
@@ -1125,9 +1116,10 @@ def moment_sweep(
     (:func:`_sweep_passes`): each worker runs a contiguous range of whole
     regimes, the ranges balanced by their summed steps, or, with more
     workers than regimes, every regime on a contiguous share of the
-    paths.  Regime i draws path j's noise from the streams (seed, moment
-    sweep, i + 1, j, channel), so a path's values do not depend on which
-    paths share its pass or its worker.  The tangent pass is the one
+    paths, and returns its tangent finals and sups.  Regime i draws path
+    j's noise from the streams (seed, moment sweep, i + 1, j, channel),
+    so a path's values do not depend on which paths share its pass or
+    its worker.  The tangent pass is the one
     :func:`first_order_tangents` and :func:`second_order_tangents` run
     over a bundle's streams, so they give the same values on the same
     paths.
@@ -1315,9 +1307,9 @@ def decay_check(
     j1 = W1 for ``d2x_w1w2`` and W2 for ``d2x_w2w2``, and its two
     factors.  A pass of at least 1M path-steps is split into contiguous
     shares of the path ids, one per CPU, that run at once on forked
-    workers (:func:`_sweep_passes`).  Path j draws its noise from the
-    streams (seed, decay check, 0, j, channel), which no moment sweep
-    point shares.
+    workers, each returning its paths' finals (:func:`_sweep_passes`).
+    Path j draws its noise from the streams (seed, decay check, 0, j,
+    channel), which no moment sweep point shares.
     """
     _require_positive(n_paths=n_paths)
     seps = check_decay_settings([bound_id], separations_eta)

@@ -55,7 +55,6 @@ from fastslow.sde_engine import (
     _check_stability,
     _grid_index,
     _run_shares,
-    _shared_empty,
     _split,
     _stream,
     _workers,
@@ -543,8 +542,7 @@ def rate_sweep(
     through :func:`~fastslow.sde_engine._run_shares`, on the
     :func:`~fastslow.sde_engine._workers` that the sweep's n_paths x (sum
     of n_steps) path-steps take, one per point at most, each over a
-    contiguous range of points.  Each
-    point's report fields are written to a row shared with this process.
+    contiguous range of points, and returns the points' reports.
     A point's result depends on its own streams alone, so no split moves
     a value, and the error of the earliest failing point is raised, as
     in process.
@@ -592,22 +590,11 @@ def rate_sweep(
     ]
     path_steps = n_paths * sum(b.n_steps for b in bundles)
     shares = _split(len(bundles), _workers(path_steps))
-    # One row per point: t, n, w1, ci_lo, ci_hi, mean_gap, sd_gap, limit_var.
-    rows = (np.empty if len(shares) == 1 else _shared_empty)((len(bundles), 8))
 
-    def run(share: range) -> None:
-        for i in share:
-            (rep,) = _clt_reports(bundles[i], grids[i][0], trajectory, n_boot)
-            rows[i] = (
-                rep.t, rep.n, rep.w1, *rep.bootstrap_ci, rep.mean_gap, rep.sd_gap,
-                rep.limit_var,
-            )
+    def run(share: range) -> list[WassersteinReport]:
+        return [_clt_reports(bundles[i], grids[i][0], trajectory, n_boot)[0] for i in share]
 
-    _run_shares(run, shares, "sweep points")
-    reports = [
-        WassersteinReport(t, int(n), w1, (lo, hi), mean_gap, sd_gap, limit_var)
-        for t, n, w1, lo, hi, mean_gap, sd_gap, limit_var in rows.tolist()
-    ]
+    reports = [rep for part in _run_shares(run, shares, "sweep points") for rep in part]
     points = [(r.epsilon, r.eta, rep.w1) for r, rep in zip(regimes, reports)]
     noisy = [
         i

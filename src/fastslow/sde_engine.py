@@ -26,7 +26,7 @@ in time blocks, continuing every stream from block to block, or in
 groups of paths, each drawn whole in one block before the next group
 starts; :func:`_path_groups` chooses, and neither choice moves a value.
 Nor does running a large simulation on one forked worker per CPU, each
-on a contiguous share of the path ids (:func:`_worker_shares`).
+on a contiguous share of the path ids (:func:`_run_shares`).
 One recursion, :func:`_em_states`, advances the state over the blocks
 and yields each step's state with its increments and, from the step its
 consumer first reads them, the values of all 24 coefficient keys: one
@@ -37,6 +37,7 @@ as the stream key of a bundle redraws it bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import mmap
 import os
@@ -157,37 +158,23 @@ def _workers(path_steps: int) -> int:
     return cpus
 
 
-def _worker_shares(n_paths: int, n_steps: int) -> list[range]:
-    """The path ids of :func:`simulate_paths` as contiguous shares of
-    near-equal size, one per worker process that runs at once: at most
-    :func:`_workers` shares, and one per path at most."""
-    return _split(n_paths, _workers(n_paths * n_steps))
-
-
-def _shared_empty(shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialized float array that the workers this process forks
-    write into and this process reads (:func:`_mapped_array`)."""
-    return _mapped_array(1, math.prod(shape), shared=True).reshape(shape)
-
-
-def _run_shares(run, shares: Sequence[range], unit: str = "paths") -> None:
-    """``run(share)`` for every share: in process when there is one, else
-    each in its own forked worker, all at once.  A share is a range of
-    ``unit``: path ids, the regimes of a Malliavin sweep or the points of
-    a rate sweep.
+def _run_shares(run, shares: Sequence[range], unit: str = "paths") -> list:
+    """``[run(share) for share in shares]``: in process when there is one
+    share, else each in its own forked worker, all at once.  A share is
+    a range of ``unit``: path ids, the regimes of a Malliavin sweep or
+    the points of a rate sweep.
 
     A worker owns its share, so it ends by itself when the share is done:
     no worker waits for more work, even when this process is killed.  It
-    writes its results in place (the caller's arrays must be shared
-    maps) and sends back None or the exception it raised.  Every worker
-    is joined before this returns or raises; then the exception of the
-    first failing share, in share order, is raised, as a serial run over
-    the shares would raise it.  A worker that dies without a reply raises
-    RuntimeError naming its share of ``unit`` and its exit code.
+    sends back (None, its result) or (the exception it raised, None)
+    through its own pipe, which this process reads in share order.  Every
+    worker is joined before this returns or raises; then the exception of
+    the first failing share, in share order, is raised, as a serial run
+    over the shares would raise it.  A worker that dies without a reply
+    raises RuntimeError naming its share of ``unit`` and its exit code.
     """
     if len(shares) == 1:
-        run(shares[0])
-        return
+        return [run(shares[0])]
     import multiprocessing
 
     context = multiprocessing.get_context("fork")
@@ -221,21 +208,37 @@ def _run_shares(run, shares: Sequence[range], unit: str = "paths") -> None:
                 f"the worker of {unit} {share.start}..{share.stop - 1} exited "
                 f"with code {proc.exitcode} before it reported"
             )
-        if reply is not None:
-            raise reply
+        if reply[0] is not None:
+            raise reply[0]
+    return [result for _, result in replies]
 
 
 def _share_worker(run, share: range, send) -> None:
     """The body of one worker of :func:`_run_shares`: run the share and
-    send back None, or the exception it raised."""
+    send back (None, its result), or (the exception it raised, None)."""
     try:
-        run(share)
+        reply = None, run(share)
     except BaseException as exc:  # reported to the parent, which re-raises it
-        send.send(exc)
-    else:
-        send.send(None)
-    finally:
-        send.close()
+        reply = exc, None
+    send.send(reply)
+    send.close()
+
+
+def _joined_paths(parts: Sequence):
+    """The results of consecutive shares of path ids as one, in share
+    order: the only one as it is, else their arrays joined along the last
+    (path) axis within the tuples, lists, dicts and dataclasses that hold
+    them; None stays None."""
+    head = parts[0]
+    if len(parts) == 1 or head is None:
+        return head
+    if isinstance(head, np.ndarray):
+        return np.concatenate(parts, axis=-1)
+    if isinstance(head, dict):
+        return {k: _joined_paths([p[k] for p in parts]) for k in head}
+    if dataclasses.is_dataclass(head):
+        return type(head)(**_joined_paths([vars(p) for p in parts]))
+    return type(head)(map(_joined_paths, zip(*parts)))
 
 
 class StabilityError(ValueError):
@@ -524,9 +527,9 @@ def _stream(master_seed, purpose, point, path_id, channel) -> np.random.Generato
     return _generator(_philox_keys(master_seed, purpose, point, (path_id,), channel)[0])
 
 
-def _mapped_array(rows: int, cols: int, shared: bool = False) -> np.ndarray:
-    """An uninitialized (rows, cols) float array in its own anonymous map,
-    private, or ``shared`` with the processes this one forks.
+def _mapped_array(rows: int, cols: int) -> np.ndarray:
+    """An uninitialized (rows, cols) float array in its own private
+    anonymous map.
 
     Noise block buffers are large, and the C heap keeps a large freed
     array: freeing one raises the allocator's threshold for mapping, so
@@ -540,8 +543,7 @@ def _mapped_array(rows: int, cols: int, shared: bool = False) -> np.ndarray:
     if not hasattr(mmap, "MAP_PRIVATE"):
         return np.empty((rows, cols))
     n = rows * cols
-    flags = mmap.MAP_SHARED if shared else mmap.MAP_PRIVATE
-    buf = mmap.mmap(-1, 8 * max(1, n), flags=flags)
+    buf = mmap.mmap(-1, 8 * max(1, n), flags=mmap.MAP_PRIVATE)
     if hasattr(mmap, "MADV_HUGEPAGE"):
         # As numpy advises its own large arrays: fewer page faults.
         buf.madvise(mmap.MADV_HUGEPAGE)
@@ -633,17 +635,14 @@ def draw_increments(
     return next(blocks, (empty, empty))
 
 
-def _capture_rows(
-    capture_indices: Iterable[int], n_steps: int, n_paths: int, empty=np.empty
-) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """{k: (x_row, y_row)} of uninitialized (n_paths,) rows from ``empty``,
-    one per requested snapshot step in ascending order; raises
+def _capture_steps(capture_indices: Iterable[int], n_steps: int) -> list[int]:
+    """The requested snapshot steps in ascending order, each once; raises
     :class:`AlignmentError` off [0, n_steps]."""
     wanted = sorted({int(k) for k in capture_indices})
     for k in wanted:
         if not 0 <= k <= n_steps:
             raise AlignmentError(f"capture index {k} outside [0, {n_steps}]")
-    return {k: (empty((n_paths,)), empty((n_paths,))) for k in wanted}
+    return wanted
 
 
 def _em_states(
@@ -694,31 +693,39 @@ def _em_loop(
     scales: _StepScales,
     x0: float,
     y0: float,
-    blocks,
-    columns: range,
-    captures: Mapping[int, tuple[np.ndarray, np.ndarray]],
-    X=None,
-    Y=None,
-) -> None:
-    """Run :func:`_em_states` for the paths of ``columns`` and keep what
-    the caller asks for in those columns.
+    groups,
+    n_paths: int,
+    n_steps: int,
+    wanted: Sequence[int],
+    store_paths: bool,
+    first_column: int = 0,
+):
+    """(captures, X, Y) of :func:`_em_states` run over n_paths paths of
+    n_steps steps, one group of columns after another.
 
-    State rows go into ``X``/``Y`` where given (arrays with one row per
-    grid time), and the state at each step k of ``captures`` into its
-    (x_row, y_row).
+    ``groups`` yields (columns, blocks): a range of the columns and the
+    noise blocks of its paths.  ``captures`` holds the (x_row, y_row) of
+    each step of ``wanted``; X and Y hold every state row when
+    ``store_paths``, else they are None.  Errors name a path by its
+    column plus ``first_column``, the path id of the first column.
     """
-    cols = slice(columns.start, columns.stop)
-    states = _em_states(
-        model, scales, x0, y0, len(columns), blocks,
-        keys_from=math.inf, first_column=columns.start,
-    )
-    for k, x, y, _, _, _ in states:
-        if X is not None:
-            X[k, cols] = x
-            Y[k, cols] = y
-        if k in captures:
-            captures[k][0][cols] = x
-            captures[k][1][cols] = y
+    captures = {k: (np.empty(n_paths), np.empty(n_paths)) for k in wanted}
+    X = np.empty((n_steps + 1, n_paths)) if store_paths else None
+    Y = np.empty((n_steps + 1, n_paths)) if store_paths else None
+    for columns, blocks in groups:
+        cols = slice(columns.start, columns.stop)
+        states = _em_states(
+            model, scales, x0, y0, len(columns), blocks,
+            keys_from=math.inf, first_column=first_column + columns.start,
+        )
+        for k, x, y, _, _, _ in states:
+            if store_paths:
+                X[k, cols] = x
+                Y[k, cols] = y
+            if k in captures:
+                captures[k][0][cols] = x
+                captures[k][1][cols] = y
+    return captures, X, Y
 
 
 def simulate_with_increments(
@@ -743,12 +750,9 @@ def simulate_with_increments(
     :func:`simulate_paths` as one block.
     """
     n_steps, n_paths = dW1.shape
-    captures = _capture_rows(capture_indices, n_steps, n_paths)
-    X = np.empty((n_steps + 1, n_paths)) if store_paths else None
-    Y = np.empty((n_steps + 1, n_paths)) if store_paths else None
-    _em_loop(
-        model, _StepScales.of(regime, dt), x0, y0, [(dW1, dW2)], range(n_paths),
-        captures, X, Y,
+    captures, X, Y = _em_loop(
+        model, _StepScales.of(regime, dt), x0, y0, [(range(n_paths), [(dW1, dW2)])],
+        n_paths, n_steps, _capture_steps(capture_indices, n_steps), store_paths,
     )
     return X, Y, captures
 
@@ -834,14 +838,16 @@ def simulate_paths(
         Step indices whose state rows are snapshotted regardless of
         ``store_paths``.
 
-    The path ids are split into the shares of :func:`_worker_shares`,
-    which run at once in forked workers (one share runs in process), each
-    writing its columns of the stored rows and captures, which are then
-    maps shared with the workers.  Within a share, the Euler-Maruyama
-    loop runs over the groups of :func:`_path_groups`, one after another.
-    A group that is not the whole share draws its noise in one block of
-    at most ``_NOISE_BLOCK_BYTES`` and keeps no stream open; one group of
-    the whole share draws in time blocks.  Path ids key the streams, so
+    The path ids are split into contiguous shares of near-equal size, one
+    per :func:`_workers` of the call's n_paths x n_steps path-steps, which
+    run at once in forked workers (:func:`_run_shares`; one share runs in
+    process).  Each share returns its own captures and stored rows, which
+    this process joins in path order (one share's are kept as they are).
+    Within a share, the Euler-Maruyama loop runs over the groups of
+    :func:`_path_groups`, one after another.  A group that is not the
+    whole share draws its noise in one block of at most
+    ``_NOISE_BLOCK_BYTES`` and keeps no stream open; one group of the
+    whole share draws in time blocks.  Path ids key the streams, so
     neither split moves a value.  A path that blows up is named by its
     path id; with several groups or shares, a failure in an earlier one
     is reported before one at an earlier step of a later one.
@@ -849,20 +855,23 @@ def simulate_paths(
     _require_positive(n_paths=n_paths)
     _check_stability(dt, regime.eta)
     n_steps, dt_eff = time_grid(regime.T, dt)
-    shares = _worker_shares(n_paths, n_steps)
-    empty = np.empty if len(shares) == 1 else _shared_empty
-    captures = _capture_rows(capture_indices, n_steps, n_paths, empty)
-    X = empty((n_steps + 1, n_paths)) if store_paths else None
-    Y = empty((n_steps + 1, n_paths)) if store_paths else None
+    wanted = _capture_steps(capture_indices, n_steps)
     scales = _StepScales.of(regime, dt_eff)
 
-    def run(share: range) -> None:
-        for group in _path_groups(len(share), n_steps):
-            ids = share[group.start : group.stop]
-            noise = _noise_blocks(master_seed, ids, n_steps, dt_eff, point=_point)
-            _em_loop(model, scales, x0, y0, noise, ids, captures, X, Y)
+    def run(share: range):
+        groups = (
+            (group, _noise_blocks(
+                master_seed, share[group.start : group.stop], n_steps, dt_eff, point=_point
+            ))
+            for group in _path_groups(len(share), n_steps)
+        )
+        return _em_loop(
+            model, scales, x0, y0, groups, len(share), n_steps, wanted, store_paths,
+            share.start,
+        )
 
-    _run_shares(run, shares)
+    shares = _split(n_paths, _workers(n_paths * n_steps))
+    captures, X, Y = _joined_paths(_run_shares(run, shares))
 
     return PathBundle(
         regime=regime,

@@ -768,14 +768,22 @@ def test_clt_verify_artifacts(tmp_path):
 def test_clt_verify_manifest_counts_the_workers(tmp_path, monkeypatch):
     """With the simulation forced onto two forked workers, clt-verify writes
     the data of the serial run, and its manifest reports the peak memory
-    of this process and of its largest worker."""
+    of this process and of its largest worker: 0 for the serial run,
+    which forks none.  The children's peak of this process never falls,
+    so a run here can read 0 whenever an earlier test's worker outgrew
+    this one's; the forked run's workers are read more than 0 in a new
+    interpreter, as the command runs."""
     import multiprocessing
+    import subprocess
+    import sys
 
     import fastslow.sde_engine as sde_engine
 
     serial_out, serial_cfg = _clt_config(tmp_path, "clt-serial")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert main(["clt-verify", "--config", serial_cfg]) == EXIT_PASS
+    peak = _read_json(serial_out, "run_manifest.json")["peak_rss_mb"]
+    assert peak["process"] > 0 and peak["workers"] == 0
 
     started = []
     context = multiprocessing.get_context("fork")
@@ -793,9 +801,46 @@ def test_clt_verify_manifest_counts_the_workers(tmp_path, monkeypatch):
     assert len(started) == 2
     for name in ("clt_verify.json", "clt_checkpoints.csv"):
         assert _read_bytes(out, name) == _read_bytes(serial_out, name), name
-    peak = _read_json(out, "run_manifest.json")["peak_rss_mb"]
-    assert set(peak) == {"process", "workers"}
+    assert set(_read_json(out, "run_manifest.json")["peak_rss_mb"]) == {"process", "workers"}
+
+    forked = (
+        "import os, sys\n"
+        "import fastslow.sde_engine as sde_engine\n"
+        "from fastslow.cli import main\n"
+        "sde_engine._PARALLEL_MIN_PATH_STEPS = 0\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    new_out, new_cfg = _clt_config(tmp_path, "clt-new-process")
+    run = subprocess.run(
+        [sys.executable, "-c", forked, "clt-verify", "--config", new_cfg], timeout=300
+    )
+    assert run.returncode == EXIT_PASS
+    assert _read_bytes(new_out, "clt_verify.json") == _read_bytes(serial_out, "clt_verify.json")
+    peak = _read_json(new_out, "run_manifest.json")["peak_rss_mb"]
     assert peak["process"] > 0 and peak["workers"] > 0
+
+
+def test_bound_eval_manifest_reads_no_workers(tmp_path):
+    """bound-eval forks no worker, so its manifest reads 0 for the workers,
+    although a child that this process waited for before the run left its
+    children's peak above 0."""
+    import multiprocessing
+    import resource
+
+    child = multiprocessing.get_context("fork").Process(target=int)
+    child.start()
+    child.join()
+    assert resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss > 0
+    out = tmp_path / "out"
+    raw = {
+        "model": "affine-oracle",
+        "regime": {"epsilon": 0.1, "eta": 0.1, "T": 1.0},
+        "io": {"output_dir": str(out)},
+    }
+    assert main(["bound-eval", "--config", _write_config(tmp_path, raw)]) == EXIT_PASS
+    peak = _read_json(out, "run_manifest.json")["peak_rss_mb"]
+    assert peak["process"] > 0 and peak["workers"] == 0
 
 
 def test_clt_verify_byte_identical_reruns_and_threads(tmp_path):
@@ -1131,8 +1176,8 @@ def test_rate_sweep_on_workers_writes_the_serial_artifacts(
 ):
     """With its simulations and its points' statistics forced onto two
     forked workers each, rate-sweep writes the data artifacts of the
-    serial run byte for byte.  Its seed is not that of the other rate-sweep
-    tests, so no earlier run's rows sit in the memory it reads."""
+    serial run byte for byte.  The workers return their results, so
+    nothing an earlier run left in memory reaches the artifacts."""
     out, cfg = _rate_config(tmp_path, "rate-workers", seed=7)
     force_workers(2)
     code = main(["rate-sweep", "--config", cfg])

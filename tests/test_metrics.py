@@ -667,9 +667,9 @@ def test_rate_sweep_on_workers_equals_the_run_in_process(
     """The fit and every point's report, simulation, W1 and bootstrap, are
     the same floats on forked workers as in process.  Each of the 4
     points' simulations starts ``workers`` workers, then the points' W1
-    and bootstraps run on 2, as {0, 1} and {2, 3}; none is left.  The run
-    on workers comes first, so its rows cannot be memory that the run in
-    process left behind."""
+    and bootstraps run on 2, as {0, 1} and {2, 3}; none is left.  The
+    workers return their results, so neither run reads what the other
+    left in memory, whichever runs first."""
     force_workers(workers)
     fit = _worker_sweep(affine, affine_hom)
     assert len(starts) == len(_WORKER_SWEEP) * workers + 2

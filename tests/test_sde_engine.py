@@ -1,11 +1,13 @@
 """Tests for the slow-fast Euler-Maruyama engine and its noise plumbing."""
 
+import faulthandler
 import gc
 import hashlib
 import math
 import multiprocessing
 import os
 import re
+import time
 import tracemalloc
 import weakref
 
@@ -391,13 +393,17 @@ def test_worker_shares_rule(monkeypatch, n_paths, n_steps, cpus, shares):
     itself run one share."""
     assert sde_engine._PARALLEL_MIN_PATH_STEPS == 1_000_000
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    got = sde_engine._worker_shares(n_paths, n_steps)
+
+    def worker_shares():
+        return sde_engine._split(n_paths, sde_engine._workers(n_paths * n_steps))
+
+    got = worker_shares()
     assert [len(ids) for ids in got] == shares
     assert [i for ids in got for i in ids] == list(range(n_paths))
     for name, value in (("parent_process", object), ("get_all_start_methods", list)):
         with monkeypatch.context() as patch:
             patch.setattr(multiprocessing, name, value)
-            assert sde_engine._worker_shares(n_paths, n_steps) == [range(n_paths)]
+            assert worker_shares() == [range(n_paths)]
 
 
 @pytest.mark.parametrize(
@@ -732,6 +738,29 @@ def test_first_failing_share_is_raised(monkeypatch, force_workers, poison, start
         assert all_joined()
 
 
+@pytest.mark.parametrize("workers", [2, 3])
+def test_run_shares_returns_large_replies_in_share_order(workers, starts, all_joined):
+    """Each of 2 or 3 forked workers returns a 2 MiB array, more than a
+    pipe buffer holds, and a later share finishes first (its worker then
+    waits to send): the results come back in share order and every
+    worker is joined.  A pass that hangs ends the test run after 60 s."""
+    size = 2**18  # float64 values: 2 MiB
+
+    def run(share: range) -> np.ndarray:
+        time.sleep(0.1 * (workers - share.start))
+        return np.arange(share.start * size, share.stop * size, dtype=float)
+
+    faulthandler.dump_traceback_later(60, exit=True)
+    try:
+        got = sde_engine._run_shares(run, sde_engine._split(workers, workers))
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+    assert [part.nbytes for part in got] == [8 * size] * workers
+    assert np.array_equal(np.concatenate(got), np.arange(workers * size, dtype=float))
+    assert len(starts) == workers
+    assert all_joined()
+
+
 def test_worker_that_dies_is_reported(affine, monkeypatch, force_workers, starts, all_joined):
     """A worker that exits without a reply (here the second, as if killed)
     raises RuntimeError naming its share and exit code once both workers
@@ -743,9 +772,9 @@ def test_worker_that_dies_is_reported(affine, monkeypatch, force_workers, starts
     em_loop, noise_blocks = sde_engine._em_loop, malliavin._noise_blocks
 
     def dying_share(*args):
-        if args[5].start >= 25:
+        if args[9] >= 25:  # the path id of the share's first column
             os._exit(7)
-        em_loop(*args)
+        return em_loop(*args)
 
     def dying_regime(*args, point, **kwargs):
         if point == 2:
