@@ -10,6 +10,12 @@ and verifies quantitative Wasserstein convergence and tangent-process
 (Malliavin derivative) moment inequalities by Monte Carlo.
 """
 
+import time as _time
+
+#: When this package began to import: the run manifest's ``setup_s`` counts
+#: from here to the start of :func:`fastslow.cli.main`.
+_IMPORT_STARTED = _time.monotonic()
+
 from fastslow.coefficients import (
     CoefficientSet,
     AssumptionReport,

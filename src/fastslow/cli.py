@@ -434,7 +434,9 @@ def _config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def _write_manifest(out_dir, command, config, seed, t0, children_at_start, exit_code) -> None:
+def _write_manifest(
+    out_dir, command, config, seed, setup_s, t0, children_at_start, exit_code
+) -> None:
     payload = {
         "command": command,
         "config_hash": _config_hash(config),
@@ -445,6 +447,7 @@ def _write_manifest(out_dir, command, config, seed, t0, children_at_start, exit_
             "scipy": scipy.__version__,
             "fastslow": fastslow.__version__,
         },
+        "setup_s": setup_s,
         "wall_time_s": time.monotonic() - t0,
         "peak_rss_mb": _peak_rss_mb(children_at_start),
         "exit_code": exit_code,
@@ -720,6 +723,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # From the first line of the package import; in a process that calls
+    # main more than once, this includes whatever ran before this call.
+    setup_s = time.monotonic() - fastslow._IMPORT_STARTED
     children_at_start = (_peak_rss_mb() or {}).get("workers")  # the reading as it stands
     parser = _build_parser()
     try:
@@ -762,7 +768,9 @@ def main(argv=None) -> int:
         return EXIT_ASSERTION
 
     try:
-        _write_manifest(out_dir, args.command, config, seed, t0, children_at_start, code)
+        _write_manifest(
+            out_dir, args.command, config, seed, setup_s, t0, children_at_start, code
+        )
     except OSError as exc:
         print(f"fastslow: cannot write manifest: {exc}", file=sys.stderr)
         return EXIT_IO

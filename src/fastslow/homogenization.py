@@ -31,19 +31,24 @@ Gaussian with variance
 
 Everything here is tabulated on an x-grid with a per-x truncated y-window
 and interpolated with natural cubic splines in both variables.
+
+The natural spline, the bracketed root (Brent's method) and the cumulative
+trapezoid rule are small private ports of scipy's ``CubicSpline(...,
+bc_type="natural")``, ``brentq`` and ``cumulative_trapezoid``.  Each repeats
+scipy's operations in scipy's order, so every value keeps its bits, while
+importing this module loads no scipy beyond ``scipy.linalg``.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline, PPoly
-from scipy.optimize import brentq
+from scipy.linalg import solve_banded
 
 from fastslow.coefficients import CoefficientSet
 from fastslow.sde_engine import time_grid
@@ -105,6 +110,139 @@ class BoundaryQualityWarning(UserWarning):
     """The corrector was extended by its nearest value where the density underflowed."""
 
 
+class _Spline:
+    """Piecewise polynomial on the breaks ``x``; ``c[k, i]`` multiplies
+    (t - x[i])**(K - 1 - k) on interval i, highest power first, as in
+    scipy's ``PPoly``.  Values may carry trailing axes (``c`` is then
+    (K, n - 1, ...)).
+    """
+
+    def __init__(self, x: np.ndarray, c: np.ndarray):
+        self.x = x
+        self.c = c
+
+    def __call__(self, t):
+        """Values at ``t``, computed as ``PPoly.__call__`` computes them:
+        interval i with x[i] <= t < x[i + 1] (the first or last interval
+        outside the breaks, as it extrapolates), then the sum over
+        ascending powers of c * s**k with s = t - x[i], added left to
+        right.  NaN gives NaN; a scalar gives a 0-d array.  Like scipy's
+        loop, it warns of no overflow or invalid operation."""
+        t = np.asarray(t, dtype=float)
+        i = np.clip(np.searchsorted(self.x, t, side="right") - 1, 0, len(self.x) - 2)
+        s = (t - self.x[i]).reshape(t.shape + (1,) * (self.c.ndim - 2))
+        total, power = 0.0, 1.0
+        with np.errstate(all="ignore"):
+            for coef in self.c[::-1]:
+                total = total + coef[i] * power
+                power = power * s
+        return np.asarray(total)
+
+    def derivative(self) -> "_Spline":
+        k = len(self.c) - 1
+        factor = np.arange(k, 0, -1.0).reshape((k,) + (1,) * (self.c.ndim - 1))
+        return _Spline(self.x, self.c[:-1] * factor)
+
+
+def _natural_spline(x, y) -> _Spline:
+    """The cubic spline through (x, y) with zero second derivative at both
+    ends, built as ``CubicSpline(x, y, bc_type="natural")`` builds it: the
+    slopes s solve the same tridiagonal system by the same LAPACK call,
+    then the Hermite coefficients follow from (y, s).  ``y`` may carry
+    trailing axes."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    dx = np.diff(x)
+    if len(x) < 2 or not (np.all(dx > 0) and np.all(np.isfinite(y))):
+        raise ValueError("a spline needs two or more increasing breaks and finite values")
+    n = len(x)
+    dxr = dx.reshape((n - 1,) + (1,) * (y.ndim - 1))
+    slope = np.diff(y, axis=0) / dxr
+    A = np.zeros((3, n))  # banded: upper, main and lower diagonal
+    A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    A[0, 2:] = dx[:-1]
+    A[-1, :-2] = dx[1:]
+    b = np.empty_like(y)
+    b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+    zero = 0.0  # the natural end condition, in scipy's form (it fixes the sign of a zero)
+    A[1, 0] = 2 * dx[0]
+    A[0, 1] = dx[0]
+    b[0] = -0.5 * zero * dx[0] ** 2 + 3 * (y[1] - y[0])
+    A[1, -1] = 2 * dx[-1]
+    A[-1, -2] = dx[-1]
+    b[-1] = 0.5 * zero * dx[-1] ** 2 + 3 * (y[-1] - y[-2])
+    s = solve_banded(
+        (1, 1), A, b.reshape(n, -1), overwrite_ab=True, overwrite_b=True, check_finite=False
+    ).reshape(y.shape)
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    return _Spline(x, np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1])))
+
+
+def _brentq(f, a: float, b: float, xtol: float = 2e-12, maxiter: int = 100) -> float:
+    """A root of f in [a, b] by Brent's method, step for step as scipy's
+    ``brentq`` takes it (rtol = 4 eps): the same points are evaluated, in
+    the same order, so the root keeps its bits.
+
+    Raises ValueError on a NaN value or a bracket whose ends have the same
+    sign, and RuntimeError after ``maxiter`` iterations without
+    convergence, as scipy does.
+    """
+    rtol = 4 * float(np.finfo(float).eps)
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):  # keep the best point in xcur
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                q = dblk * dpre * (fblk - fpre)
+                # In C a zero q gives an infinite or NaN step, which the test
+                # below rejects; Python would raise.
+                stry = -fcur * (fblk * dblk - fpre * dpre) / q if q else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def _cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over x from x[0]; the operations of
+    scipy's ``cumulative_trapezoid(y, x, initial=0.0)``."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
 @dataclass(frozen=True)
 class LimitTrajectory:
     """Limit ODE orbit Xbar on its time grid, and the variance profile.
@@ -141,17 +279,15 @@ class HomogenizedModel:
     model_name: str
     warnings: tuple[str, ...] = ()
     model_expressions: Mapping[str, str] | None = None
-    _c_bar_spline: CubicSpline = field(init=False, repr=False, compare=False)
-    _c_bar_prime: CubicSpline = field(init=False, repr=False, compare=False)
-    _q_bar_spline: CubicSpline = field(init=False, repr=False, compare=False)
+    _c_bar_spline: _Spline = field(init=False, repr=False, compare=False)
+    _c_bar_prime: _Spline = field(init=False, repr=False, compare=False)
+    _q_bar_spline: _Spline = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        cb = CubicSpline(self.x_grid, self.c_bar, bc_type="natural")
+        cb = _natural_spline(self.x_grid, self.c_bar)
         object.__setattr__(self, "_c_bar_spline", cb)
         object.__setattr__(self, "_c_bar_prime", cb.derivative())
-        object.__setattr__(
-            self, "_q_bar_spline", CubicSpline(self.x_grid, self.q_bar, bc_type="natural")
-        )
+        object.__setattr__(self, "_q_bar_spline", _natural_spline(self.x_grid, self.q_bar))
 
     # -- evaluation ----------------------------------------------------
     def c_bar_at(self, x):
@@ -170,13 +306,11 @@ class HomogenizedModel:
         x = float(x)
         vals = np.array(
             [
-                CubicSpline(y_row, row, bc_type="natural")(
-                    np.clip(y, y_row[0], y_row[-1])
-                )
+                _natural_spline(y_row, row)(np.clip(y, y_row[0], y_row[-1]))
                 for y_row, row in zip(self.y_grid, table)
             ]
         )
-        return CubicSpline(self.x_grid, vals, bc_type="natural")(x)
+        return _natural_spline(self.x_grid, vals)(x)
 
     def phi_at(self, x, y):
         """Corrector phi(x, y) (y clamped to the row windows)."""
@@ -187,12 +321,12 @@ class HomogenizedModel:
         return self._rows_at(self.dy_phi, x, y)
 
 
-def _scalar_interp(interp: PPoly):
+def _scalar_interp(interp: _Spline):
     """A float -> float function equal to ``float(interp(x))`` for a
-    piecewise polynomial (a :class:`CubicSpline` or its derivative).
+    one-dimensional spline or its derivative.
 
-    It repeats, on Python floats, what ``PPoly.__call__`` computes for
-    one point: the interval i with breaks[i] <= x < breaks[i + 1] (the
+    It repeats, on Python floats, what :meth:`_Spline.__call__` computes
+    for one point: the interval i with breaks[i] <= x < breaks[i + 1] (the
     first or last interval outside the breaks, as it extrapolates) and
     the sum over ascending powers of coefficient * s**k, with s = x -
     breaks[i] and s**k formed by repeated products, added left to right.
@@ -239,7 +373,7 @@ def default_y_window(model: CoefficientSet, x: float) -> tuple[float, float]:
     # crosses downward there.
     mid = 0.5 * (lo + hi)
     k = flips[np.argmin(np.abs(ys[flips] - mid))]
-    y_star = brentq(lambda u: float(model.f(x, u)), ys[k], ys[k + 1], xtol=1e-12)
+    y_star = _brentq(lambda u: float(model.f(x, u)), ys[k], ys[k + 1], xtol=1e-12)
     d2f = float(model.d2_f(x, y_star))
     tau2 = float(model.tau(x, y_star)) ** 2
     if d2f >= 0:
@@ -266,7 +400,7 @@ def _raw_density(model: CoefficientSet, x: float, y: np.ndarray) -> np.ndarray:
     xa = np.full_like(y, float(x))
     tau2 = np.asarray(model.tau(xa, y), float) ** 2
     ratio = 2.0 * np.asarray(model.f(xa, y), float) / tau2
-    expo = cumulative_trapezoid(ratio, y, initial=0.0)
+    expo = _cumulative_trapezoid(ratio, y)
     expo -= expo.max()
     return np.exp(expo) / tau2
 
@@ -346,7 +480,7 @@ def solve_poisson(
         c_bar = averaged_drift(model, x, y_grid, density)
     c = np.asarray(model.c(xa, y_grid), float)
     tau2 = np.asarray(model.tau(xa, y_grid), float) ** 2
-    flux = cumulative_trapezoid((c - c_bar) * density, y_grid, initial=0.0)
+    flux = _cumulative_trapezoid((c - c_bar) * density, y_grid)
     good = density > DENSITY_FLOOR * density.max()
     dy_phi = np.empty_like(flux)
     dy_phi[good] = 2.0 * flux[good] / (tau2[good] * density[good])
@@ -359,7 +493,7 @@ def solve_poisson(
             BoundaryQualityWarning,
             stacklevel=2,
         )
-    phi = cumulative_trapezoid(dy_phi, y_grid, initial=0.0)
+    phi = _cumulative_trapezoid(dy_phi, y_grid)
     phi = phi - np.trapezoid(phi * density, y_grid)
     return phi, dy_phi
 

@@ -38,6 +38,7 @@ as the stream key of a bundle redraws it bit for bit.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 import mmap
 import os
@@ -215,7 +216,12 @@ def _run_shares(run, shares: Sequence[range], unit: str = "paths") -> list:
 
 def _share_worker(run, share: range, send) -> None:
     """The body of one worker of :func:`_run_shares`: run the share and
-    send back (None, its result), or (the exception it raised, None)."""
+    send back (None, its result), or (the exception it raised, None).
+
+    It first moves every object it inherited out of the collector's
+    reach: a full collection would otherwise visit each of them and so
+    copy every page that holds one."""
+    gc.freeze()
     try:
         reply = None, run(share)
     except BaseException as exc:  # reported to the parent, which re-raises it

@@ -589,6 +589,7 @@ def test_bound_eval_frozen_value_and_manifest(tmp_path):
     assert len(manifest["config_hash"]) == 64
     assert set(manifest["versions"]) == {"python", "numpy", "scipy", "fastslow"}
     assert manifest["wall_time_s"] >= 0.0
+    assert manifest["setup_s"] >= 0.0
 
 
 def test_bound_eval_sweep_table_and_default_output_dir(tmp_path, monkeypatch):
@@ -817,8 +818,10 @@ def test_clt_verify_manifest_counts_the_workers(tmp_path, monkeypatch):
     )
     assert run.returncode == EXIT_PASS
     assert _read_bytes(new_out, "clt_verify.json") == _read_bytes(serial_out, "clt_verify.json")
-    peak = _read_json(new_out, "run_manifest.json")["peak_rss_mb"]
-    assert peak["process"] > 0 and peak["workers"] > 0
+    manifest = _read_json(new_out, "run_manifest.json")
+    assert manifest["peak_rss_mb"]["process"] > 0 and manifest["peak_rss_mb"]["workers"] > 0
+    # A new interpreter imports the package, so set-up takes measurable time.
+    assert manifest["setup_s"] > 0.0
 
 
 def test_bound_eval_manifest_reads_no_workers(tmp_path):

@@ -1,9 +1,11 @@
 """Stationary density, averaging, corrector, and the limit ODE/variance."""
 
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from fastslow.coefficients import get_model, model_from_expressions
 from fastslow.homogenization import (
@@ -136,13 +138,13 @@ def test_build_homogenized_fits_only_the_averaged_splines(affine, monkeypatch):
     import fastslow.homogenization as hom_mod
 
     fitted = []
+    fit = hom_mod._natural_spline
 
-    class CountingSpline(hom_mod.CubicSpline):
-        def __init__(self, x, y, *args, **kwargs):
-            fitted.append(len(x))
-            super().__init__(x, y, *args, **kwargs)
+    def counting_fit(x, y):
+        fitted.append(len(x))
+        return fit(x, y)
 
-    monkeypatch.setattr(hom_mod, "CubicSpline", CountingSpline)
+    monkeypatch.setattr(hom_mod, "_natural_spline", counting_fit)
     hom = build_homogenized(affine, (-3, 3), 13, 2048, gamma=1.0)
     assert fitted == [13, 13]
     assert hom.phi_at(0.25, 0.75) == pytest.approx(0.25 - 0.75, abs=1e-4)
@@ -245,8 +247,8 @@ def test_csv_outputs(tmp_path, affine):
 
 @pytest.mark.parametrize("name", ["affine-oracle", "bounded-coupled"])
 def test_limit_ode_scalar_spline_is_bit_identical(name, monkeypatch):
-    """limit_ode evaluates c_bar and c_bar' on scalars without the array
-    call of CubicSpline, and its trajectory is bit for bit the one the
+    """limit_ode evaluates c_bar and c_bar' on scalars without the
+    spline's array call, and its trajectory is bit for bit the one the
     spline calls give, on the grid and step the sweeps use.  Each scalar
     value equals the spline's at its breaks, beside them, between them
     and outside them."""
@@ -306,3 +308,156 @@ def test_limit_ode_matches_two_state_array_rk4(name):
     for x0 in (0.0, 0.4, -2.5):
         traj = limit_ode(hom, x0, 1.0, LIMIT_ODE_DT)
         assert np.array_equal(traj.x_bar, _array_rk4_x_bar(hom, x0, 1.0, LIMIT_ODE_DT))
+
+
+# -- the in-repo ports of scipy's spline, brentq and cumulative trapezoid --
+# Each must reproduce scipy bit for bit, so that no tabulated value, limit
+# orbit or artifact moves with them.
+
+_finite = st.floats(-1e3, 1e3, allow_subnormal=False)
+
+
+def _same_bits(got, want) -> bool:
+    """Same shape and values, NaN where NaN, and zeros of the same sign
+    (repr, and so every CSV artifact, tells -0.0 from 0.0)."""
+    got, want = np.asarray(got), np.asarray(want)
+    return (
+        got.shape == want.shape
+        and np.array_equal(got, want, equal_nan=True)
+        and np.array_equal(np.signbit(got) & ~np.isnan(got), np.signbit(want) & ~np.isnan(want))
+    )
+
+
+@st.composite
+def _spline_data(draw):
+    n = draw(st.integers(2, 12))
+    x0 = draw(st.floats(-5.0, 5.0))
+    steps = draw(st.lists(st.floats(1e-3, 3.0), min_size=n - 1, max_size=n - 1))
+    x = x0 + np.concatenate(([0.0], np.cumsum(steps)))
+    columns = draw(st.sampled_from([None, 3]))
+    size = n if columns is None else n * columns
+    y = np.array(draw(st.lists(_finite, min_size=size, max_size=size)))
+    return x, (y if columns is None else y.reshape(n, columns))
+
+
+def _probe_points(x):
+    mids = 0.5 * (x[:-1] + x[1:])
+    return np.concatenate(
+        [x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf), mids,
+         [x[0] - 1.5, x[-1] + 1.5, np.nan]]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_spline_data())
+def test_natural_spline_equals_scipy_bit_for_bit(data):
+    """The natural spline and its derivative equal scipy's CubicSpline
+    (bc_type="natural") and its derivative at the breaks, beside them,
+    between them, outside them and at NaN, on 1-D and 2-D values, and at
+    a scalar, which gives a 0-d array (a row for 2-D values)."""
+    from scipy.interpolate import CubicSpline
+
+    import fastslow.homogenization as hom_mod
+
+    x, y = data
+    ours = hom_mod._natural_spline(x, y)
+    ref = CubicSpline(x, y, bc_type="natural")
+    t = _probe_points(x)
+    for got, want in ((ours, ref), (ours.derivative(), ref.derivative())):
+        assert _same_bits(got(t), want(t))
+        for point in (float(t[-4]), float(x[1])):
+            assert isinstance(got(point), np.ndarray)
+            assert _same_bits(got(point), want(point))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+    st.floats(-3.0, 3.0),
+    st.floats(0.01, 4.0),
+    st.floats(0.0, 1.0),
+    st.sampled_from([2e-12, 1e-12, 1e-8, 1e-4, 1e-2]),
+    st.sampled_from([1.0, 1e-200, 1e200]),
+)
+# A bracket where only the "- delta" of the short-step test picks the step.
+@example([-2.79, 0.59, 1.1, 0.37], 0.19, 2.39, 0.13, 1e-2, 1.0)
+def test_brentq_equals_scipy_bit_for_bit(coef, lo, width, at, xtol, scale):
+    """The ported brentq evaluates f as often as scipy's and returns the
+    same root bit for bit, or raises scipy's error for a bracket whose
+    ends share a sign.  f vanishes inside the bracket, at lo + at * width;
+    the ends share a sign only where that zero is even.  Scaled to tiny or
+    huge values, the steps' products underflow or overflow as in C."""
+    from scipy.optimize import brentq
+
+    import fastslow.homogenization as hom_mod
+
+    def g(u):
+        return float(np.polyval(coef, u) + coef[0] * math.sin(3.0 * u))
+
+    hi = lo + width
+    level = g(lo + at * width)
+    calls = []
+
+    def f(u):
+        return scale * (g(u) - level)
+
+    def counted(u):
+        calls.append(u)
+        return f(u)
+
+    try:
+        root, info = brentq(f, lo, hi, xtol=xtol, full_output=True)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            hom_mod._brentq(f, lo, hi, xtol=xtol)
+        return
+    assert _same_bits(hom_mod._brentq(counted, lo, hi, xtol=xtol), root)
+    assert len(calls) == info.function_calls
+
+
+def test_brentq_edge_cases_match_scipy():
+    """A NaN value, a bracket whose ends share a sign and no convergence
+    within the iteration cap raise the errors scipy's brentq raises.  Ends
+    whose product underflows to -0.0 still bracket the root: the sign test
+    reads signs, not the product."""
+    from scipy.optimize import brentq
+
+    import fastslow.homogenization as hom_mod
+
+    cases = [
+        (lambda u: math.nan, {}),
+        (lambda u: u - 0.5 if u < 0.9 else math.nan, {}),
+        (lambda u: 1.0 + u * u, {}),
+        (lambda u: u**3 - 0.3, {"maxiter": 1}),
+        (lambda u: 1e-200 * (u**3 - 0.3), {}),
+    ]
+    for f, kwargs in cases:
+        calls = []
+
+        def counted(u):
+            calls.append(u)
+            return f(u)
+
+        try:
+            root, info = brentq(f, 0.0, 1.0, full_output=True, **kwargs)
+        except (ValueError, RuntimeError) as want:
+            with pytest.raises(type(want)) as got:
+                hom_mod._brentq(f, 0.0, 1.0, **kwargs)
+            assert str(got.value) == str(want)
+        else:
+            assert _same_bits(hom_mod._brentq(counted, 0.0, 1.0, **kwargs), root)
+            assert len(calls) == info.function_calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.floats(1e-3, 3.0), _finite), min_size=1, max_size=40))
+def test_cumulative_trapezoid_equals_scipy_bit_for_bit(steps):
+    from scipy.integrate import cumulative_trapezoid
+
+    import fastslow.homogenization as hom_mod
+
+    x = np.cumsum([0.0] + [dx for dx, _ in steps])
+    y = np.array([0.5] + [v for _, v in steps])
+    assert _same_bits(
+        hom_mod._cumulative_trapezoid(y, x), cumulative_trapezoid(y, x, initial=0.0)
+    )

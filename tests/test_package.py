@@ -27,3 +27,23 @@ def test_every_export_resolves(module):
 def test_every_module_is_listed():
     found = {info.name for info in pkgutil.iter_modules(fastslow.__path__)}
     assert found == set(MODULES)
+
+
+def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
+    """A fresh interpreter that imports the CLI loads none of the scipy
+    subpackages that hold a spline, a root bracket or a cumulative
+    trapezoid, nor the heavy ones those import in turn."""
+    import subprocess
+    import sys
+
+    probe = (
+        "import sys\n"
+        "import fastslow.cli\n"
+        "heavy = ('interpolate', 'optimize', 'integrate', 'sparse', 'spatial')\n"
+        "print(' '.join(f'scipy.{m}' for m in heavy if f'scipy.{m}' in sys.modules))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == []

@@ -761,6 +761,23 @@ def test_run_shares_returns_large_replies_in_share_order(workers, starts, all_jo
     assert all_joined()
 
 
+def test_workers_keep_inherited_objects_out_of_collections(starts, all_joined):
+    """Each forked worker runs its share with everything it inherited
+    frozen, so none of its garbage collections visits (and so copies the
+    pages of) the objects of this process; this process stays unfrozen."""
+    inherited = [object() for _ in range(1000)]
+    assert gc.get_freeze_count() == 0
+
+    def run(share: range) -> int:
+        return gc.get_freeze_count()
+
+    frozen = sde_engine._run_shares(run, sde_engine._split(2, 2))
+    assert all(count >= len(inherited) for count in frozen)
+    assert gc.get_freeze_count() == 0
+    assert len(starts) == 2
+    assert all_joined()
+
+
 def test_worker_that_dies_is_reported(affine, monkeypatch, force_workers, starts, all_joined):
     """A worker that exits without a reply (here the second, as if killed)
     raises RuntimeError naming its share and exit code once both workers
