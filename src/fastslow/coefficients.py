@@ -262,6 +262,13 @@ class CoefficientSet:
         """
         return self.table.evaluate(x, y, keys)
 
+    def compile(self, *key_tuples: tuple[str, ...]) -> None:
+        """Compile now the kernels that :meth:`evaluate` runs for each of
+        ``key_tuples``, so that processes forked after this call inherit
+        them instead of each compiling its own."""
+        for keys in key_tuples:
+            self.table._kernel(tuple(keys))
+
 
 @dataclass(frozen=True)
 class AssumptionReport:

@@ -32,11 +32,12 @@ Gaussian with variance
 Everything here is tabulated on an x-grid with a per-x truncated y-window
 and interpolated with natural cubic splines in both variables.
 
-The natural spline, the bracketed root (Brent's method) and the cumulative
-trapezoid rule are small private ports of scipy's ``CubicSpline(...,
-bc_type="natural")``, ``brentq`` and ``cumulative_trapezoid``.  Each repeats
-scipy's operations in scipy's order, so every value keeps its bits, while
-importing this module loads no scipy beyond ``scipy.linalg``.
+The natural spline with its tridiagonal solve, the bracketed root (Brent's
+method) and the cumulative trapezoid rule are small private ports of scipy's
+``CubicSpline(..., bc_type="natural")``, of the LAPACK ``dgtsv`` that its
+``solve_banded`` runs, of ``brentq`` and of ``cumulative_trapezoid``.  Each
+repeats the original's operations in its order, so every value keeps its
+bits, while importing this module loads no scipy at all.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from fastslow.coefficients import CoefficientSet
 from fastslow.sde_engine import time_grid
@@ -147,8 +147,9 @@ class _Spline:
 def _natural_spline(x, y) -> _Spline:
     """The cubic spline through (x, y) with zero second derivative at both
     ends, built as ``CubicSpline(x, y, bc_type="natural")`` builds it: the
-    slopes s solve the same tridiagonal system by the same LAPACK call,
-    then the Hermite coefficients follow from (y, s).  ``y`` may carry
+    slopes s solve the same tridiagonal system by a port of the LAPACK
+    routine it calls (:func:`_solve_tridiagonal`), then the Hermite
+    coefficients follow from (y, s).  ``y`` may carry
     trailing axes."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -171,11 +172,53 @@ def _natural_spline(x, y) -> _Spline:
     A[1, -1] = 2 * dx[-1]
     A[-1, -2] = dx[-1]
     b[-1] = 0.5 * zero * dx[-1] ** 2 + 3 * (y[-1] - y[-2])
-    s = solve_banded(
-        (1, 1), A, b.reshape(n, -1), overwrite_ab=True, overwrite_b=True, check_finite=False
-    ).reshape(y.shape)
+    s = _solve_tridiagonal(A, b)
     t = (s[:-1] + s[1:] - 2 * slope) / dxr
     return _Spline(x, np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1])))
+
+
+def _solve_tridiagonal(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The solution of the tridiagonal system held in ``ab`` in the banded
+    form of scipy's ``solve_banded((1, 1), ab, b)``: upper, main and lower
+    diagonal in rows 0, 1 and 2, with ab[0, 0] and ab[2, -1] unused.
+    ``b`` is (n, ...) with n >= 2; the result has its shape.
+
+    It repeats, step for step, LAPACK's ``dgtsv``, which ``solve_banded``
+    calls for this band: Gaussian elimination with partial pivoting that
+    swaps rows i and i + 1 where |d[i]| < |dl[i]|, then back substitution,
+    one right-hand-side column after another.  The loop runs on Python
+    floats, IEEE doubles with no fused multiply-add, so every value keeps
+    its bits, zeros their sign.  A zero pivot raises LinAlgError, as
+    ``solve_banded`` does.
+    """
+    du, d, dl = ab[0, 1:].tolist(), ab[1].tolist(), ab[2, :-1].tolist()
+    n = len(d)
+    cols = b.reshape(n, -1).T.tolist()
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            if d[i] == 0.0:
+                raise np.linalg.LinAlgError("singular matrix")
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            dl[i] = 0.0
+            for col in cols:
+                col[i + 1] = col[i + 1] - fact * col[i]
+        else:  # swap rows i and i + 1
+            fact = d[i] / dl[i]
+            d[i], d[i + 1], du[i] = dl[i], du[i] - fact * d[i + 1], d[i + 1]
+            if i < n - 2:  # the second superdiagonal, kept in dl
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            for col in cols:
+                col[i], col[i + 1] = col[i + 1], col[i] - fact * col[i + 1]
+    if d[n - 1] == 0.0:
+        raise np.linalg.LinAlgError("singular matrix")
+    for col in cols:
+        col[n - 1] = col[n - 1] / d[n - 1]
+        col[n - 2] = (col[n - 2] - du[n - 2] * col[n - 1]) / d[n - 2]
+        for i in range(n - 3, -1, -1):
+            col[i] = (col[i] - du[i] * col[i + 1] - dl[i] * col[i + 2]) / d[i]
+    return np.array(cols).T.reshape(b.shape)
 
 
 def _brentq(f, a: float, b: float, xtol: float = 2e-12, maxiter: int = 100) -> float:

@@ -85,6 +85,7 @@ from fastslow.sde_engine import (
     PathBundle,
     ScaleRegime,
     _check_stability,
+    _EM_KEYS,
     _em_states,
     _joined_paths,
     _noise_blocks,
@@ -1058,6 +1059,7 @@ def _sweep_passes(
             ))
         return out
 
+    model.compile(_EM_KEYS, COEFFICIENT_KEYS)  # before the fork, as in simulate_paths
     parts = _run_shares(run, shares, "regimes" if whole else "paths")
     if whole:
         return [result for part in parts for result in part]

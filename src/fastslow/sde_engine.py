@@ -877,6 +877,7 @@ def simulate_paths(
         )
 
     shares = _split(n_paths, _workers(n_paths * n_steps))
+    model.compile(_EM_KEYS)  # before the fork, so no worker compiles it again
     captures, X, Y = _joined_paths(_run_shares(run, shares))
 
     return PathBundle(

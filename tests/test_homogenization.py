@@ -310,7 +310,7 @@ def test_limit_ode_matches_two_state_array_rk4(name):
         assert np.array_equal(traj.x_bar, _array_rk4_x_bar(hom, x0, 1.0, LIMIT_ODE_DT))
 
 
-# -- the in-repo ports of scipy's spline, brentq and cumulative trapezoid --
+# -- the in-repo ports of scipy's spline, banded solve, brentq and cumulative trapezoid --
 # Each must reproduce scipy bit for bit, so that no tabulated value, limit
 # orbit or artifact moves with them.
 
@@ -368,6 +368,50 @@ def test_natural_spline_equals_scipy_bit_for_bit(data):
         for point in (float(t[-4]), float(x[1])):
             assert isinstance(got(point), np.ndarray)
             assert _same_bits(got(point), want(point))
+
+
+@st.composite
+def _banded_system(draw):
+    n = draw(st.sampled_from([2, 3]) | st.integers(4, 12))
+    ab = np.array(draw(st.lists(_finite, min_size=3 * n, max_size=3 * n))).reshape(3, n)
+    # A small main diagonal makes |d[i]| < |dl[i]|, where dgtsv swaps rows.
+    ab[1] *= draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    columns = draw(st.sampled_from([None, 1, 3]))
+    size = n if columns is None else n * columns
+    zeros = st.sampled_from([0.0, -0.0])
+    b = np.array(draw(st.lists(_finite | zeros, min_size=size, max_size=size)))
+    return ab, (b if columns is None else b.reshape(n, columns))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_banded_system())
+# Rows swapped at every step, with zero right-hand sides of both signs.
+@example((np.array([[0.0, 2.0], [1e-3, 1.0], [3.0, 0.0]]), np.array([-0.0, 0.0])))
+@example((
+    np.array([[0.0, 1.5, -2.0], [0.25, -1e-3, 4.0], [-3.0, 2.0, 0.0]]),
+    np.array([[0.0, -0.0, 1.0], [-0.0, 0.0, -2.0], [0.0, 0.0, 0.5]]),
+))
+# Singular: a zero first column, and a last pivot that cancels.
+@example((np.array([[0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [0.0, 1.0, 0.0]]), np.ones(3)))
+@example((np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 0.0]]), np.ones(2)))
+def test_solve_tridiagonal_equals_scipy_bit_for_bit(system):
+    """The ported dgtsv solve equals ``solve_banded((1, 1), ...)`` bit for
+    bit, zeros with their sign, for n = 2, 3 and more, one or three
+    right-hand sides, bands that swap rows or do not, and right-hand
+    sides with zeros; where scipy finds the band singular it raises
+    scipy's LinAlgError with scipy's message."""
+    from scipy.linalg import solve_banded
+
+    import fastslow.homogenization as hom_mod
+
+    ab, b = system
+    try:
+        want = solve_banded((1, 1), ab, b, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        with pytest.raises(np.linalg.LinAlgError, match=str(exc)):
+            hom_mod._solve_tridiagonal(ab, b)
+        return
+    assert _same_bits(hom_mod._solve_tridiagonal(ab, b), want)
 
 
 @settings(max_examples=200, deadline=None)

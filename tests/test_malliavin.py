@@ -1081,6 +1081,19 @@ def test_sweeps_on_workers_equal_the_run_in_process(
     assert all_joined()
 
 
+def test_forked_sweep_compiles_its_kernels_in_the_parent(force_workers, starts, all_joined):
+    """Before a moment sweep forks, this process compiles the 4-key EM
+    kernel and the 24-key kernel that its passes run, so the workers
+    inherit them rather than each compiling and discarding its own."""
+    model = model_from_expressions("fresh", "-x + 0.5*cos(y)", "1", "-y", "sqrt(2)")
+    regimes = [ScaleRegime(0.1, 0.1, 1.0, 0.3), ScaleRegime(0.05, 0.05, 1.0, 0.3)]
+    force_workers(2)
+    moment_sweep(model, regimes, 1, 20, seed=5, k_hat=1.0)
+    assert len(starts) == 2
+    assert all_joined()
+    assert {EM_KEYS, COEFFICIENT_KEYS} <= set(model.table._kernels)
+
+
 _POISONED = ("poisoned", "y - 2*x", "1", "x - y")
 
 

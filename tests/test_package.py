@@ -30,20 +30,22 @@ def test_every_module_is_listed():
 
 
 def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
-    """A fresh interpreter that imports the CLI loads none of the scipy
-    subpackages that hold a spline, a root bracket or a cumulative
-    trapezoid, nor the heavy ones those import in turn."""
+    """A fresh interpreter that imports the CLI, or the bare package as the
+    benchmark's child does, loads none of the scipy subpackages that hold
+    a spline, a root bracket, a cumulative trapezoid or a banded solve,
+    nor the heavy ones those import in turn."""
     import subprocess
     import sys
 
-    probe = (
-        "import sys\n"
-        "import fastslow.cli\n"
-        "heavy = ('interpolate', 'optimize', 'integrate', 'sparse', 'spatial')\n"
-        "print(' '.join(f'scipy.{m}' for m in heavy if f'scipy.{m}' in sys.modules))\n"
-    )
-    run = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
-    )
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == []
+    for module in ("fastslow.cli", "fastslow"):
+        probe = (
+            "import sys\n"
+            f"import {module}\n"
+            "heavy = ('interpolate', 'optimize', 'integrate', 'sparse', 'spatial', 'linalg')\n"
+            "print(' '.join(f'scipy.{m}' for m in heavy if f'scipy.{m}' in sys.modules))\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == [], module

@@ -778,6 +778,18 @@ def test_workers_keep_inherited_objects_out_of_collections(starts, all_joined):
     assert all_joined()
 
 
+def test_forked_pass_compiles_its_kernel_in_the_parent(force_workers, starts, all_joined):
+    """Before simulate_paths forks, this process compiles the 4-key EM
+    kernel, so the workers inherit it rather than each compiling its own."""
+    model = model_from_expressions("fresh", "-x + 0.5*cos(y)", "1", "-y", "sqrt(2)")
+    regime = ScaleRegime(0.05, 0.05, 1.0, 0.06)
+    force_workers(2)
+    simulate_paths(model, regime, 0.4, 0.3, regime.eta / 20, 10, 5)
+    assert len(starts) == 2
+    assert all_joined()
+    assert list(model.table._kernels) == [sde_engine._EM_KEYS]
+
+
 def test_worker_that_dies_is_reported(affine, monkeypatch, force_workers, starts, all_joined):
     """A worker that exits without a reply (here the second, as if killed)
     raises RuntimeError naming its share and exit code once both workers
