@@ -13,8 +13,11 @@ configs leave the assumption grid, the bootstrap count and the decay
 separations at their defaults, so the defaults are compared too.
 ``malliavin-sweep start`` starts the sweep from x0 = 0.4, y0 = 0.3, and
 ``malliavin-sweep fine`` and ``clt-verify fine`` step at eta/40, so the
-start and the step fraction read from ``grid`` are compared as well.  Every
-config but ``rate-sweep grouped`` draws its noise in one 32 MiB block;
+start and the step fraction read from ``grid`` are compared as well.
+``homogenize default`` runs at the command's own grid, 41 x-nodes of
+8192 y-nodes, so both CSVs are compared at full size (about 4 s per
+tree).  Every config but ``rate-sweep grouped`` draws its noise in one
+32 MiB block;
 that one's finest point simulates 6000 paths of 500 steps, which
 ``simulate_paths`` runs as two path groups.  The script reports and does not gate: it
 exits 0 whatever it finds.
@@ -38,6 +41,7 @@ CONFIGS = {
         "regime": REGIME,
         "grid": {"x_range": [-2.0, 2.0], "nx": 9, "ny": 1024},
     },
+    "homogenize default": {"model": "bounded-coupled", "regime": REGIME},
     "clt-verify": {
         "model": "bounded-coupled",
         "regime": REGIME,

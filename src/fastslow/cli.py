@@ -13,13 +13,15 @@ functions of (config, seed); files are written atomically (temp file
 then rename).
 
 Exit codes: 0 pass, 2 assertion failure, 3 warnings only, 64 usage
-error, 74 I/O error.
+error, 70 internal software error (a worker process died before it
+reported, or a root search did not converge), 74 I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -44,12 +46,7 @@ from fastslow.coefficients import (
     get_model,
     model_from_expressions,
 )
-from fastslow.homogenization import (
-    BoundaryQualityWarning,
-    build_homogenized,
-    write_detail_csv,
-    write_summary_csv,
-)
+from fastslow.homogenization import BoundaryQualityWarning, build_homogenized
 from fastslow.malliavin import (
     DECAY_SEPARATIONS,
     check_decay_settings,
@@ -72,6 +69,7 @@ EXIT_PASS = 0
 EXIT_ASSERTION = 2
 EXIT_WARNINGS = 3
 EXIT_USAGE = 64
+EXIT_SOFTWARE = 70
 EXIT_IO = 74
 
 #: The sections a command reads whole: each key with its default (None:
@@ -393,26 +391,20 @@ def _norm_dict(value):
 # -- atomic output helpers --------------------------------------------
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    def write(tmp: str) -> None:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-    _atomic_file(write, path)
-
-
 def _write_json(path: str, payload) -> None:
-    _atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_file(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def _write_csv_rows(path: str, header: str, rows) -> None:
-    lines = [header]
-    lines.extend(",".join(repr(float(v)) for v in row) for row in rows)
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+    """A CSV of ``header`` and one line per row, each value written as
+    ``repr(float(v))``; the rows are written as they come, so none is
+    held beyond its own line."""
+    lines = (",".join(repr(float(v)) for v in row) + "\n" for row in rows)
+    _atomic_file(path, itertools.chain([header + "\n"], lines))
 
 
-def _atomic_file(write_fn, path: str) -> None:
-    """Run a path-taking writer against a temp file, then rename.
+def _atomic_file(path: str, pieces) -> None:
+    """Write the strings ``pieces`` in turn to a temp file, then rename.
 
     The file's directory is created here, at the first write, so a run
     that fails before writing leaves no directory behind."""
@@ -421,7 +413,8 @@ def _atomic_file(write_fn, path: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     os.close(fd)
     try:
-        write_fn(tmp)
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -501,13 +494,19 @@ def cmd_homogenize(config: ExperimentConfig, s: dict, out_dir, seed) -> int:
     model = config.coefficient_set()
     gamma = s["regimes"][0].gamma if s["regimes"] else math.inf
     hom = _homogenized(s, model, gamma)
-    _atomic_file(
-        lambda p: write_detail_csv(hom, p),
+    _write_csv_rows(
         os.path.join(out_dir, "homogenized_detail.csv"),
+        "x,y,m,phi,dy_phi",
+        (
+            (x, *node)
+            for x, *rows in zip(hom.x_grid, hom.y_grid, hom.density, hom.phi, hom.dy_phi)
+            for node in zip(*rows)
+        ),
     )
-    _atomic_file(
-        lambda p: write_summary_csv(hom, p),
+    _write_csv_rows(
         os.path.join(out_dir, "homogenized_summary.csv"),
+        "x,c_bar,q_bar",
+        zip(hom.x_grid, hom.c_bar, hom.q_bar),
     )
     _write_json(
         os.path.join(out_dir, "homogenize.json"),
@@ -766,6 +765,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError, KeyError) as exc:
         print(f"fastslow: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
+    except RuntimeError as exc:
+        print(f"fastslow: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_SOFTWARE
 
     try:
         _write_manifest(

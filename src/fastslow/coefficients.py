@@ -159,9 +159,10 @@ class CoefficientTable:
     step pays one Python call per step.  A kernel evaluates each function
     application of the tuple once and prints every key as it prints
     alone, so each value is bit-equal to its expression lambdified alone,
-    whatever tuple it is asked with.  Concurrent first uses of one key
-    tuple may both compile; the kernels are equal, so the cache stays
-    safe to share across worker threads.
+    whatever tuple it is asked with.  The library starts no threads: its
+    workers are forked processes, and each inherits the kernels compiled
+    before the fork (:meth:`CoefficientSet.compile`); a kernel that a
+    worker compiles itself stays in that worker's copy of the cache.
     """
 
     def __init__(self, expressions: Mapping[str, sp.Expr]):
@@ -224,8 +225,8 @@ class CoefficientSet:
     scalars or numpy arrays and broadcasts; it is a one-key view of
     ``table``.  Hot loops call :meth:`evaluate` instead, which reads
     ``table`` directly, so replacing a named field changes that view
-    only.  Instances are immutable and safe to share across worker
-    threads.
+    only.  Instances are immutable; forked workers inherit them, with
+    the kernels that :meth:`compile` built before the fork.
     """
 
     name: str

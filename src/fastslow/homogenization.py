@@ -70,8 +70,6 @@ __all__ = [
     "limit_ode",
     "limit_variance",
     "attach_variance",
-    "write_detail_csv",
-    "write_summary_csv",
 ]
 
 #: Boundary density above this fraction of the peak means the window is
@@ -740,39 +738,3 @@ def limit_variance(hom: HomogenizedModel, traj: LimitTrajectory, t: float) -> fl
     prof = traj.sigma2 if traj.sigma2 is not None else _variance_profile(hom, traj)
     return float(np.interp(t, traj.t_grid, prof))
 
-
-def _format(v: float) -> str:
-    return repr(float(v))
-
-
-def write_detail_csv(hom: HomogenizedModel, path) -> None:
-    """Dump (x, y, m, phi, dy_phi) rows for every tabulated node."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,y,m,phi,dy_phi\n")
-        for i, x in enumerate(hom.x_grid):
-            for j in range(hom.y_grid.shape[1]):
-                fh.write(
-                    ",".join(
-                        [
-                            _format(x),
-                            _format(hom.y_grid[i, j]),
-                            _format(hom.density[i, j]),
-                            _format(hom.phi[i, j]),
-                            _format(hom.dy_phi[i, j]),
-                        ]
-                    )
-                    + "\n"
-                )
-
-
-def write_summary_csv(hom: HomogenizedModel, path) -> None:
-    """Dump the per-x summary (x, c_bar, q_bar)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("x,c_bar,q_bar\n")
-        for i, x in enumerate(hom.x_grid):
-            fh.write(
-                ",".join(
-                    [_format(x), _format(hom.c_bar[i]), _format(hom.q_bar[i])]
-                )
-                + "\n"
-            )

@@ -48,13 +48,14 @@ that a caller reads: it holds O((n_tangents + n_cells) n_paths) values.
 Both lists are sorted by start, so the started rows are a prefix, and
 each tangent and each cell is stepped only from its own start.  The
 pass always draws its noise from the streams, so no noise is stored:
-the moment sweeps feed it the streams of their own points, and
-:func:`first_order_tangents` (which asks for both channels at every r
-of its grid), :func:`second_order_tangents` (which asks for every cell
-of its combos x pairs product) and :func:`q_decomposition` redraw the
-streams of a :class:`~fastslow.sde_engine.PathBundle` and replay its
-path from its initial state, and the first and the last also read the
-first-order state at every step.
+the moment sweeps feed it the streams of their own points, and every
+function of a :class:`~fastslow.sde_engine.PathBundle` replays the
+bundle through it (:func:`_bundle_pass`), from its initial state on the
+noise redrawn from its streams, so none reads a stored path:
+:func:`first_order_tangents` asks for both channels at every r of its
+grid, :func:`second_order_tangents` for every cell of its combos x pairs
+product, and :func:`z_process` and :func:`q_decomposition` for the W2
+tangent at r; all but the second also read the pass at every step.
 
 The module also evaluates the Monte Carlo moment-inequality suite
 (scaling of tangent moments in eps and eta), the H-norm and
@@ -138,6 +139,9 @@ BOUND_IDS = (
 )
 #: The second-order bounds at a separated pair (r1, r2).
 _MIXED_BOUNDS = ("d2x_w1w2", "d2x_w2w2")
+#: The first-order perturbation times of :func:`moment_sweep`, as
+#: fractions of the horizon.
+_R_SELECTION = (0.25, 0.5, 0.75)
 #: Default separations of :func:`decay_check`, in units of eta.
 DECAY_SEPARATIONS = (1.0, 3.0, 10.0)
 #: :func:`quadruple_quadrature` stops at this relative change or beyond
@@ -149,6 +153,11 @@ _QUADRATURE_MAX_K = 6.0
 
 #: Every channel pair (j1, j2), 0 = W1 and 1 = W2, in row-major order.
 _ALL_COMBOS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+#: The rows of one tangent pass (:func:`_tangent_pass`), first- and
+#: second-order.
+_FIRST_ROWS = ("final_dx", "final_dy", "sup_abs_dx", "sup_abs_dy")
+_SECOND_ROWS = ("final_d2x", "final_d2y", "sup_abs_d2x", "sup_abs_d2y")
 
 #: Soft cap on tangent series allocations (bytes).
 _SERIES_BYTE_CAP = 2 * 1024**3
@@ -257,17 +266,6 @@ def full_pair_grid(r_indices: Sequence[int]) -> np.ndarray:
     """All (r1, r2) pairs of an r-grid in row-major order."""
     r = _step_indices(r_indices)
     return np.array([(a, b) for a in r for b in r], dtype=int)
-
-
-def _bundle_noise(bundle: PathBundle):
-    """The noise blocks of a bundle's paths, redrawn from its streams
-    (master_seed, paths, point, j, channel): bit for bit the increments
-    :func:`~fastslow.sde_engine.simulate_paths` drew, in whatever block
-    or group shape.  Each block is a reused buffer of at most 32 MiB."""
-    return _noise_blocks(
-        bundle.master_seed, range(bundle.n_paths), bundle.n_steps, bundle.dt,
-        point=bundle.point,
-    )
 
 
 def _step_indices(values) -> np.ndarray:
@@ -461,17 +459,6 @@ def _index_array(rows, width: int, what: str) -> np.ndarray:
     return _step_indices(arr).reshape(-1, width)
 
 
-@dataclass(frozen=True)
-class _TangentRows:
-    """First-order finals and running sups of one tangent pass, one
-    (n_paths,) row per requested tangent (j, r), in request order."""
-
-    final_dx: np.ndarray
-    final_dy: np.ndarray
-    sup_abs_dx: np.ndarray
-    sup_abs_dy: np.ndarray
-
-
 def _tangent_pass(
     model: CoefficientSet,
     regime: ScaleRegime,
@@ -485,13 +472,13 @@ def _tangent_pass(
     cells: Sequence[tuple[int, int, int, int]] | None = None,
     record=None,
     first_column: int = 0,
-) -> tuple[_TangentRows, dict[str, np.ndarray] | None]:
+) -> dict[str, np.ndarray]:
     """First- and second-order tangents in one forward pass over noise.
 
     ``noise`` yields (dW1, dW2) blocks of shape (b, n_paths) that cover
     steps 0..n_steps-1 in order: the blocks of
     :func:`~fastslow.sde_engine._noise_blocks`, of a sweep's own streams
-    or of a bundle's (:func:`_bundle_noise`).  The pass runs
+    or of a bundle's (:func:`_bundle_pass`).  The pass runs
     :func:`~fastslow.sde_engine._em_states` from (x0, y0) over them, so
     the same increments drive the base path and its tangents, and the
     tangent steps read the 24 coefficient keys that each Euler-Maruyama
@@ -518,12 +505,13 @@ def _tangent_pass(
     the horizon k = n_steps ``w2`` is None, and so is ``values`` unless
     a tangent or cell factor starts there.
 
-    Returns the finals and sups of ``tangents`` in their order and
-    (None without ``cells``) the (n_cells, n_paths) arrays
-    ``final_d2x``, ``final_d2y``, ``sup_abs_d2x`` and ``sup_abs_d2y`` by
-    name, in the order of ``cells``.  Beyond one noise block it keeps
-    O((n_tangents + n_cells) n_paths) state, so its memory does not grow
-    with n_steps.  An Euler-Maruyama error names a path by its column plus
+    Returns one dict of named rows: the (n_tangents, n_paths) arrays
+    ``final_dx``, ``final_dy``, ``sup_abs_dx`` and ``sup_abs_dy``, in the
+    order of ``tangents``, and, given ``cells``, the (n_cells, n_paths)
+    arrays ``final_d2x``, ``final_d2y``, ``sup_abs_d2x`` and
+    ``sup_abs_d2y``, in the order of ``cells``.  Beyond one noise block
+    it keeps O((n_tangents + n_cells) n_paths) state, so its memory does
+    not grow with n_steps.  An Euler-Maruyama error names a path by its column plus
     ``first_column``, the path id of the first column of ``noise``.
     """
     cell_arr = _index_array(() if cells is None else cells, 4, "cell")
@@ -596,17 +584,32 @@ def _tangent_pass(
             _second_step(p, d2x[:n2], d2y[:n2], factors, w1, w2, s, k, cell_list)
         _first_step(first_partials(values), dx[:n1], dy[:n1], w1, w2, s, k, held)
 
-    first = _TangentRows(
-        *(a[asked_rows] for a in (dx, dy, sup_dx, sup_dy))
+    rows = dict(zip(_FIRST_ROWS, (a[asked_rows] for a in (dx, dy, sup_dx, sup_dy))))
+    if cells is not None:
+        rows.update(zip(_SECOND_ROWS, (a[unsort] for a in (d2x, d2y, sup_x, sup_y))))
+    return rows
+
+
+def _bundle_pass(
+    model: CoefficientSet,
+    bundle: PathBundle,
+    tangents: Sequence[tuple[int, int]],
+    cells: Sequence[tuple[int, int, int, int]] | None = None,
+    record=None,
+) -> dict[str, np.ndarray]:
+    """:func:`_tangent_pass` along a bundle's paths: from its x0, y0, on
+    the noise redrawn from its streams (master_seed, paths, point, j,
+    channel), bit for bit the increments
+    :func:`~fastslow.sde_engine.simulate_paths` drew.  It reads no stored
+    path, so a bundle that keeps none gives the same values."""
+    noise = _noise_blocks(
+        bundle.master_seed, range(bundle.n_paths), bundle.n_steps, bundle.dt,
+        point=bundle.point,
     )
-    if cells is None:
-        return first, None
-    return first, {
-        "final_d2x": d2x[unsort],
-        "final_d2y": d2y[unsort],
-        "sup_abs_d2x": sup_x[unsort],
-        "sup_abs_d2y": sup_y[unsort],
-    }
+    return _tangent_pass(
+        model, bundle.regime, bundle.dt, bundle.n_steps, bundle.x0, bundle.y0,
+        noise, bundle.n_paths, tangents, cells, record,
+    )
 
 
 def first_order_tangents(
@@ -617,10 +620,9 @@ def first_order_tangents(
 ) -> FirstOrderTangents:
     """Integrate both-channel first-order tangents along every path.
 
-    Runs the tangent pass of the moment sweeps over the bundle's noise,
-    redrawn from its streams (:func:`_bundle_noise`), from its x0, y0,
-    asking for both channels at every r; the pass replays the
-    Euler-Maruyama step, so it reads no stored path.
+    Replays the bundle through the tangent pass of the moment sweeps
+    (:func:`_bundle_pass`), asking for both channels at every r; the
+    pass replays the Euler-Maruyama step, so it reads no stored path.
     The perturbation at step index r injects the initial data
     (sqrt(eps) sigma, 0) on channel W1 and (0, tau/sqrt(eta)) on channel
     W2; states are zero before r.
@@ -646,23 +648,17 @@ def first_order_tangents(
             DX[:, :, k] = dx.reshape(shape)
             DY[:, :, k] = dy.reshape(shape)
 
-    rows, _ = _tangent_pass(
-        model, bundle.regime, bundle.dt, bundle.n_steps, bundle.x0, bundle.y0,
-        _bundle_noise(bundle), bundle.n_paths,
-        [(j, r) for j in (0, 1) for r in r_idx.tolist()],
-        record=record,
+    rows = _bundle_pass(
+        model, bundle, [(j, r) for j in (0, 1) for r in r_idx.tolist()], record=record
     )
     return FirstOrderTangents(
         r_indices=r_idx,
         r_values=r_idx * bundle.dt,
         regime=bundle.regime,
         dt=bundle.dt,
-        final_dx=rows.final_dx.reshape(shape),
-        final_dy=rows.final_dy.reshape(shape),
-        sup_abs_dx=rows.sup_abs_dx.reshape(shape),
-        sup_abs_dy=rows.sup_abs_dy.reshape(shape),
         DX=DX,
         DY=DY,
+        **{name: value.reshape(shape) for name, value in rows.items()},
     )
 
 
@@ -674,8 +670,8 @@ def second_order_tangents(
 ) -> SecondOrderTangents:
     """Integrate second-order tangents for the given (r1, r2) pairs.
 
-    Runs the tangent pass of the moment sweeps over the bundle's noise,
-    redrawn from its streams, from its x0, y0, asking for every cell
+    Replays the bundle through the tangent pass of the moment sweeps
+    (:func:`_bundle_pass`), asking for every cell
     (j1, j2, r1, r2) of the ``combos`` x ``pairs`` product (each r in
     [0, n_steps]; ValueError naming the first outside); the first-order
     factors (j1, r1) and (j2, r2) of the cells advance alongside.  Each
@@ -696,10 +692,7 @@ def second_order_tangents(
     """
     pair_arr = _step_indices(pairs).reshape(-1, 2)
     cells = [(a, b, *q) for a, b in combos for q in pair_arr.tolist()]
-    _, second = _tangent_pass(
-        model, bundle.regime, bundle.dt, bundle.n_steps, bundle.x0, bundle.y0,
-        _bundle_noise(bundle), bundle.n_paths, (), cells,
-    )
+    rows = _bundle_pass(model, bundle, (), cells)
     shape = (len(combos), len(pair_arr), bundle.n_paths)
     return SecondOrderTangents(
         combos=tuple((int(a), int(b)) for a, b in combos),
@@ -707,7 +700,7 @@ def second_order_tangents(
         pair_values=pair_arr * bundle.dt,
         regime=bundle.regime,
         dt=bundle.dt,
-        **{name: value.reshape(shape) for name, value in second.items()},
+        **{name: rows[name].reshape(shape) for name in _SECOND_ROWS},
     )
 
 
@@ -720,30 +713,35 @@ def z_process(model: CoefficientSet, bundle: PathBundle, r_index: int) -> np.nda
         (1/eta) int d2_f ds + (1/sqrt(eta)) int d2_tau dW^2
         - (1/(2 eta)) int d2_tau^2 ds
 
-    cumulated along the stored path and the W2 noise redrawn from the
-    bundle's streams.  Always positive.  ValueError when the bundle
-    stores no full paths.
+    cumulated step by step from r, as :func:`q_decomposition` cumulates
+    its recursion: a ``record`` hook of the bundle's replay
+    (:func:`_bundle_pass`) reads d2_f and d2_tau from the coefficient
+    values the pass evaluates at each state, and the W2 increments of
+    each step.  It reads no stored path.  Always positive.
     """
-    if bundle.X is None:
-        raise ValueError("bundle must store full paths for the z-process")
     (r,) = _r_grid(bundle.n_steps, [r_index])
     eta = bundle.regime.eta
-    n_t = bundle.n_steps + 1
-    out = np.ones((n_t, bundle.n_paths))
+    out = np.ones((bundle.n_steps + 1, bundle.n_paths))
     if r == bundle.n_steps:
         return out
-    d2f, d2t = model.evaluate(bundle.X[r:-1], bundle.Y[r:-1], ("d2_f", "d2_tau"))
-    # The blocks are reused buffers, so each is copied before joining.
-    w2 = np.concatenate([block.copy() for _, block in _bundle_noise(bundle)])
-    incr = (
-        d2f * (bundle.dt / eta)
-        + d2t * (w2[r:] / math.sqrt(eta))
-        - d2t**2 * (bundle.dt / (2.0 * eta))
-    )
-    log_z = np.cumsum(incr, axis=0)
-    if not np.all(np.isfinite(log_z)):
-        raise TangentBlowUpError("z-process log overflowed; check dissipativity")
-    out[r + 1 :] = np.exp(log_z)
+    log_z = None
+
+    def record(k, dx, dy, values, w2):
+        nonlocal log_z
+        if k == bundle.n_steps:
+            return
+        _, d2f, _, d2t = _fast_partials(values)
+        incr = (
+            d2f * (bundle.dt / eta)
+            + d2t * (w2 / math.sqrt(eta))
+            - d2t**2 * (bundle.dt / (2.0 * eta))
+        )
+        log_z = incr if log_z is None else log_z + incr
+        if not np.all(np.isfinite(log_z)):
+            raise TangentBlowUpError("z-process log overflowed; check dissipativity")
+        out[k + 1] = np.exp(log_z)
+
+    _bundle_pass(model, bundle, [(1, r)], record=record)
     return out
 
 
@@ -756,9 +754,9 @@ def q_decomposition(
     of the discretized homogeneous fast tangent recursion (so the
     decomposition telescopes exactly in discrete time); Q2 solves the
     affine recursion forced by D^{W2}X.  Both advance step by step with
-    the first-order tangent pass over the bundle's noise, redrawn from
-    its streams, which keeps no tangent series, on the coefficient
-    values it evaluates at each state (one kernel call per step).
+    the bundle's replay (:func:`_bundle_pass`), which keeps no tangent
+    series, on the coefficient values it evaluates at each state (one
+    kernel call per step).
     Verifies Q1 + Q2 against the directly integrated D^{W2}Y and raises
     :class:`DecompositionError` if the reconstruction residual exceeds
     1e-6 * (1 + max |D|).
@@ -797,10 +795,7 @@ def q_decomposition(
         q1[k + 1] = zm * (tau_r / eta_root)
         q2[k + 1] = q2_state
 
-    _tangent_pass(
-        model, bundle.regime, dt, bundle.n_steps, bundle.x0, bundle.y0,
-        _bundle_noise(bundle), bundle.n_paths, [(1, r)], record=record,
-    )
+    _bundle_pass(model, bundle, [(1, r)], record=record)
     tol = 1e-6 * (1.0 + d_max)
     if resid > tol:
         raise DecompositionError(
@@ -965,15 +960,15 @@ def _mean_se(per_path: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
-def _require_values(name: str, values, upper: float = math.inf) -> list[float]:
+def _require_values(name: str, values) -> list[float]:
     """``values`` as floats; ValueError naming ``name`` when there is none
-    or naming the first that is not a finite number in [0, upper]."""
+    or naming the first that is not a finite number in [0, inf]."""
     out = [float(v) for v in values]
     if not out:
         raise ValueError(f"{name} must not be empty")
     for v in out:
-        if not (0.0 <= v <= upper and math.isfinite(v)):
-            raise ValueError(f"{name} value {v} is not a finite number in [0, {upper:g}]")
+        if not 0.0 <= v < math.inf:
+            raise ValueError(f"{name} value {v} is not a finite number in [0, inf]")
     return out
 
 
@@ -1019,7 +1014,7 @@ def _sweep_passes(
     seed,
     x0: float,
     y0: float,
-) -> list[tuple[_TangentRows, dict[str, np.ndarray] | None]]:
+) -> list[dict[str, np.ndarray]]:
     """What :func:`_tangent_pass` returns for each pass of a sweep, over
     paths 0..n_paths-1 started at (x0, y0), in the order of ``passes``.
 
@@ -1071,7 +1066,6 @@ def moment_sweep(
     regimes: Sequence[ScaleRegime],
     p: int,
     n_paths: int,
-    r_selection: Sequence[float] = (0.25, 0.5, 0.75),
     seed=0,
     x0: float = 0.0,
     y0: float = 0.0,
@@ -1081,11 +1075,10 @@ def moment_sweep(
 ) -> dict[str, MomentReport]:
     """Monte Carlo moment suite for the six tangent bounds.
 
-    ``r_selection`` gives the first-order perturbation times as
-    fractions of the horizon, each in [0, 1].  For each regime (ordered
-    by decreasing epsilon) computes:
+    For each regime (ordered by decreasing epsilon) computes:
 
-    - ``dw1_x_sup`` / ``dw2_x_sup``: mean over the r-selection of
+    - ``dw1_x_sup`` / ``dw2_x_sup``: mean over the first-order
+      perturbation times T/4, T/2 and 3T/4 (:data:`_R_SELECTION`) of
       E sup_t |D_r^{Wj} X_t|^{2p} (sup over the stored grid);
     - ``dw2_y_final``: E |D_{T/2}^{W2} Y_T|^{2p};
     - ``d2x_w1w1``: E |D2_{r,r}^{W1,W1} X_T|^{2p} at r = T/2;
@@ -1102,17 +1095,17 @@ def moment_sweep(
     ``ASSUMPTION_GRID`` (ValueError when it fails).  Each regime steps
     at ``dt_eta_fraction`` of its eta (default 1/20, the stability
     guard); a larger fraction raises
-    :class:`~fastslow.sde_engine.StabilityError` before any work, as do
-    an empty ``r_selection``, a fraction outside [0, 1] and a negative
-    or non-finite ``pair_sep_etas`` (ValueError naming the value).
+    :class:`~fastslow.sde_engine.StabilityError` before any work, as does
+    a negative or non-finite ``pair_sep_etas`` (ValueError naming the
+    value).
 
     Each regime runs one tangent pass that advances the base path and
     only the tangents the bounds read, each from its own start: the
-    first-order tangents of both channels at every r of the selection
-    and of W2 at T/2, the factors of the second-order cells, and the
-    three cells, (W1, W1) at (T/2, T/2) and (W1, W2), (W2, W2) at
-    (T/2, r2); no path, increment or tangent series is kept.  A pass
-    holds O((2 n_sel + 5) n_paths) tangent state, one noise block of at
+    first-order tangents of both channels at T/4, T/2 and 3T/4, the
+    factors of the second-order cells, and the three cells, (W1, W1) at
+    (T/2, T/2) and (W1, W2), (W2, W2) at (T/2, r2); no path, increment
+    or tangent series is kept.  A pass holds at most 7 first-order and
+    3 second-order tangent rows of n_paths values, one noise block of at
     most 32 MiB and a draw buffer of at most 512 streams.  A sweep of at
     least 1M path-steps in all runs on forked workers, one per CPU
     (:func:`_sweep_passes`): each worker runs a contiguous range of whole
@@ -1134,7 +1127,6 @@ def moment_sweep(
         raise ValueError("regimes must be ordered by strictly decreasing epsilon")
     if p not in (1, 2):
         raise ValueError(f"moment order p must be 1 or 2 (got {p})")
-    fractions = _require_values("r_selection", r_selection, 1.0)
     _require_values("pair_sep_etas", [pair_sep_etas])
     steps = [dt_eta_fraction * r.eta for r in regimes]
     for step, regime in zip(steps, regimes):
@@ -1152,7 +1144,7 @@ def moment_sweep(
     passes, picks = [], []
     for i_reg, (regime, step) in enumerate(zip(regimes, steps)):
         n_steps, dt_eff = time_grid(regime.T, step)
-        r_sel = sorted({int(round(f * n_steps)) for f in fractions})
+        r_sel = sorted({int(round(f * n_steps)) for f in _R_SELECTION})
         r_mid = int(round(0.5 * n_steps))
         sep_steps = int(round(pair_sep_etas * regime.eta / dt_eff))
         r_lo = max(0, r_mid - sep_steps)
@@ -1167,13 +1159,14 @@ def moment_sweep(
 
     per_regime: list[dict] = []
     results = _sweep_passes(model, passes, n_paths, seed, x0, y0)
-    for q, (n_sel, r_mid, r_lo), (first, second) in zip(passes, picks, results):
+    for q, (n_sel, r_mid, r_lo), rows in zip(passes, picks, results):
         regime, dt_eff = q.regime, q.dt
-        d2x_w1w1, d2x_w1w2, d2x_w2w2 = second["final_d2x"]
+        d2x_w1w1, d2x_w1w2, d2x_w2w2 = rows["final_d2x"]
+        sup_abs_dx = rows["sup_abs_dx"]
         per_path = {
-            "dw1_x_sup": np.mean(first.sup_abs_dx[:n_sel] ** (2 * p), axis=0),
-            "dw2_x_sup": np.mean(first.sup_abs_dx[n_sel : 2 * n_sel] ** (2 * p), axis=0),
-            "dw2_y_final": np.abs(first.final_dy[2 * n_sel]) ** (2 * p),
+            "dw1_x_sup": np.mean(sup_abs_dx[:n_sel] ** (2 * p), axis=0),
+            "dw2_x_sup": np.mean(sup_abs_dx[n_sel : 2 * n_sel] ** (2 * p), axis=0),
+            "dw2_y_final": np.abs(rows["final_dy"][2 * n_sel]) ** (2 * p),
             "d2x_w1w1": np.abs(d2x_w1w1) ** (2 * p),
             "d2x_w1w2": np.abs(d2x_w1w2) ** (2 * p),
             "d2x_w2w2": np.abs(d2x_w2w2) ** (2 * p),
@@ -1327,11 +1320,8 @@ def decay_check(
     one_pass = _SweepPass(
         regime, n_steps, dt_eff, PURPOSE_DECAY_CHECK, 0, tangents, cells
     )
-    [(first, second)] = _sweep_passes(model, [one_pass], n_paths, seed, x0, y0)
-    if second is None:
-        per_sep = list(np.abs(first.final_dy))
-    else:
-        per_sep = list(np.abs(second["final_d2x"]))
+    [rows] = _sweep_passes(model, [one_pass], n_paths, seed, x0, y0)
+    per_sep = list(np.abs(rows["final_dy" if cells is None else "final_d2x"]))
     means, ses = zip(*(_mean_se(v ** (2 * p)) for v in per_sep))
     monotone = all(
         means[i + 1] <= means[i] + 2.0 * (ses[i] + ses[i + 1])

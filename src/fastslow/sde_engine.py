@@ -37,7 +37,6 @@ as the stream key of a bundle redraws it bit for bit.
 
 from __future__ import annotations
 
-import dataclasses
 import gc
 import math
 import mmap
@@ -233,8 +232,8 @@ def _share_worker(run, share: range, send) -> None:
 def _joined_paths(parts: Sequence):
     """The results of consecutive shares of path ids as one, in share
     order: the only one as it is, else their arrays joined along the last
-    (path) axis within the tuples, lists, dicts and dataclasses that hold
-    them; None stays None."""
+    (path) axis within the tuples, lists and dicts that hold them; None
+    stays None."""
     head = parts[0]
     if len(parts) == 1 or head is None:
         return head
@@ -242,8 +241,6 @@ def _joined_paths(parts: Sequence):
         return np.concatenate(parts, axis=-1)
     if isinstance(head, dict):
         return {k: _joined_paths([p[k] for p in parts]) for k in head}
-    if dataclasses.is_dataclass(head):
-        return type(head)(**_joined_paths([vars(p) for p in parts]))
     return type(head)(map(_joined_paths, zip(*parts)))
 
 

@@ -12,10 +12,12 @@ import os
 import pytest
 
 import fastslow.cli as cli_mod
+import fastslow.sde_engine as sde_engine
 from fastslow.cli import (
     EXIT_ASSERTION,
     EXIT_IO,
     EXIT_PASS,
+    EXIT_SOFTWARE,
     EXIT_USAGE,
     EXIT_WARNINGS,
     ConfigError,
@@ -686,6 +688,38 @@ def test_homogenize_affine_artifacts(tmp_path):
     assert (out / "run_manifest.json").exists()
 
 
+def test_homogenize_csvs_hold_every_node_of_the_model(tmp_path):
+    """Each line of both homogenize CSVs is the repr of the floats that
+    build_homogenized gives on the same grid: x-major, then y, in the
+    detail file, one line per x in the summary, each file ending in one
+    newline."""
+    out = tmp_path / "out"
+    cfg = _write_config(
+        tmp_path,
+        {
+            "model": "bounded-coupled",
+            "regime": {"epsilon": 0.05, "eta": 0.05, "gamma": 1.0, "T": 0.2},
+            "grid": {"nx": 3, "ny": 256, "x_range": [-1.0, 1.0]},
+            "io": {"output_dir": str(out)},
+        },
+    )
+    assert main(["homogenize", "--config", cfg]) == EXIT_PASS
+    hom = build_homogenized(get_model("bounded-coupled"), (-1.0, 1.0), 3, 256, 1.0)
+    nodes = [a.tolist() for a in (hom.y_grid, hom.density, hom.phi, hom.dy_phi)]
+    detail = ["x,y,m,phi,dy_phi"] + [
+        ",".join(repr(v) for v in (x, *(a[i][j] for a in nodes)))
+        for i, x in enumerate(hom.x_grid.tolist())
+        for j in range(256)
+    ]
+    summary = ["x,c_bar,q_bar"] + [
+        f"{x!r},{c!r},{q!r}"
+        for x, c, q in zip(hom.x_grid.tolist(), hom.c_bar.tolist(), hom.q_bar.tolist())
+    ]
+    assert len(detail) == 1 + 3 * 256 and len(summary) == 1 + 3
+    for name, lines in (("homogenized_detail.csv", detail), ("homogenized_summary.csv", summary)):
+        assert _read_bytes(out, name).decode("utf-8") == "\n".join(lines) + "\n", name
+
+
 def test_homogenize_custom_expressions(tmp_path):
     out = tmp_path / "out"
     cfg = _write_config(
@@ -735,6 +769,28 @@ def _clt_config(tmp_path, out_name, seed=3, fraction=0.05):
         },
         name=f"{out_name}.json",
     )
+
+
+def test_dead_worker_is_a_software_error(tmp_path, capsys, monkeypatch, force_workers):
+    """A forked worker that exits before it reports ends the run with exit
+    70 (EX_SOFTWARE) and a one-line message naming its share and exit
+    code, not a traceback, and writes no manifest."""
+    force_workers(2)
+    share_worker = sde_engine._share_worker
+
+    def dying(run, share, send):
+        if share.start > 0:
+            os._exit(9)
+        share_worker(run, share, send)
+
+    monkeypatch.setattr(sde_engine, "_share_worker", dying)
+    out, cfg = _clt_config(tmp_path, "clt-dead")
+    assert main(["clt-verify", "--config", cfg]) == EXIT_SOFTWARE
+    assert capsys.readouterr().err == (
+        "fastslow: RuntimeError: the worker of paths 100..199 exited with code 9 "
+        "before it reported\n"
+    )
+    assert not (out / "run_manifest.json").exists()
 
 
 def test_clt_verify_artifacts(tmp_path):

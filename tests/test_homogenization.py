@@ -22,8 +22,6 @@ from fastslow.homogenization import (
     local_q,
     poisson_residual,
     solve_poisson,
-    write_detail_csv,
-    write_summary_csv,
 )
 from fastslow.sde_engine import time_grid
 
@@ -227,22 +225,6 @@ def test_limit_variance_range_check(affine):
     traj = attach_variance(hom, limit_ode(hom, 0.0, 1.0, 1e-3))
     with pytest.raises(ValueError):
         limit_variance(hom, traj, 1.5)
-
-
-def test_csv_outputs(tmp_path, affine):
-    hom = build_homogenized(affine, (-1, 1), 3, 256, gamma=1.0)
-    detail = tmp_path / "detail.csv"
-    summary = tmp_path / "summary.csv"
-    write_detail_csv(hom, detail)
-    write_summary_csv(hom, summary)
-    dlines = detail.read_text().splitlines()
-    slines = summary.read_text().splitlines()
-    assert dlines[0] == "x,y,m,phi,dy_phi"
-    assert slines[0] == "x,c_bar,q_bar"
-    assert len(dlines) == 1 + 3 * 256
-    assert len(slines) == 1 + 3
-    x, c_bar, q_bar = map(float, slines[1].split(","))
-    assert c_bar == pytest.approx(-x, abs=1e-8)
 
 
 @pytest.mark.parametrize("name", ["affine-oracle", "bounded-coupled"])

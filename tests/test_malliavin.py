@@ -4,7 +4,6 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,6 +51,9 @@ from fastslow.sde_engine import (
 )
 
 ALL_COMBOS = ((0, 0), (0, 1), (1, 0), (1, 1))
+#: The rows of a tangent pass, first- and second-order.
+FIRST_ROWS = ("final_dx", "final_dy", "sup_abs_dx", "sup_abs_dy")
+SECOND_ROWS = ("final_d2x", "final_d2y", "sup_abs_d2x", "sup_abs_d2y")
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +248,55 @@ def test_z_process_bounded_is_deterministic(bounded, bounded_bundle):
     expect = np.exp(-gaps / eta)[:, None]
     assert np.max(np.abs(z - expect)) < 1e-12
     assert np.all(z == z[:, :1])
+
+
+def _stored_path_z(model, bundle, r):
+    """The z-process by the stored-path formula: the log increments of all
+    steps from r at once, on the stored rows X[r:-1], Y[r:-1] and the W2
+    increments drawn for the bundle, cumulated with np.cumsum."""
+    out = np.ones((bundle.n_steps + 1, bundle.n_paths))
+    if r == bundle.n_steps:
+        return out
+    eta = bundle.regime.eta
+    d2f, d2t = model.evaluate(bundle.X[r:-1], bundle.Y[r:-1], ("d2_f", "d2_tau"))
+    _, w2 = draw_increments(bundle.master_seed, range(bundle.n_paths), bundle.n_steps, bundle.dt)
+    incr = (
+        d2f * (bundle.dt / eta)
+        + d2t * (w2[r:] / math.sqrt(eta))
+        - d2t**2 * (bundle.dt / (2.0 * eta))
+    )
+    out[r + 1 :] = np.exp(np.cumsum(incr, axis=0))
+    return out
+
+
+@pytest.mark.parametrize("fixture", ["bounded", "trig"])
+def test_z_process_matches_the_stored_path_formula(fixture, request):
+    """The z-process cumulated along the bundle's replay equals, bit for
+    bit, the formula evaluated on the stored path, from r = 0, an inner
+    r, T/2 and the horizon.  On trig, d2_tau varies with the state, so
+    the W2 term moves every path differently."""
+    model = request.getfixturevalue(fixture)
+    regime = ScaleRegime(0.05, 0.05, 1.0, 0.15)
+    bundle = simulate_paths(model, regime, 0.4, 0.3, regime.eta / 20, 5, 9)
+    n = bundle.n_steps
+    for r in (0, 7, n // 2, n):
+        z = z_process(model, bundle, r)
+        assert np.array_equal(z, _stored_path_z(model, bundle, r)), r
+        assert np.all(z[: r + 1] == 1.0) and np.all(z > 0.0), r
+    z = z_process(model, bundle, 0)
+    assert np.all(z == z[:, :1]) == (fixture == "bounded")
+
+
+def test_z_process_replays_a_bundle_without_paths(trig):
+    """A bundle that keeps no path gives the z-process of the stored
+    bundle of the same seed, bit for bit."""
+    regime = ScaleRegime(0.05, 0.05, 1.0, 0.15)
+    shared = (trig, regime, 0.4, 0.3, regime.eta / 20, 5, 9)
+    light = simulate_paths(*shared, store_paths=False)
+    stored = simulate_paths(*shared)
+    assert light.X is None and light.Y is None
+    for r in (0, 7, light.n_steps // 2):
+        assert np.array_equal(z_process(trig, light, r), z_process(trig, stored, r)), r
 
 
 def test_q_decomposition_affine_closed_form(affine, affine_bundle):
@@ -453,15 +504,6 @@ def test_moment_sweep_affine_structure(affine):
 # -- one tangent pass, over live or stored noise ------------------------
 
 
-def _bundle_pass(model, bundle, tangents, cells=None):
-    """The tangent pass over a bundle's noise, redrawn from its streams,
-    from its initial state, as the bundle functions run it."""
-    return malliavin_mod._tangent_pass(
-        model, bundle.regime, bundle.dt, bundle.n_steps, bundle.x0, bundle.y0,
-        malliavin_mod._bundle_noise(bundle), bundle.n_paths, tangents, cells,
-    )
-
-
 @pytest.mark.parametrize(
     "r_indices, pairs, combos",
     [
@@ -485,26 +527,27 @@ def test_tangent_pass_matches_recorders_bitwise(bounded, r_indices, pairs, combo
     noise = _noise_blocks(4 + (1 << 32), range(6), n_steps, dt)
     tangents = [(j, r) for j in (0, 1) for r in r_indices]
     cells = None if pairs is None else [(a, b, *q) for a, b in combos for q in pairs]
-    first, second = malliavin_mod._tangent_pass(
+    rows = malliavin_mod._tangent_pass(
         bounded, regime, dt, n_steps, 0.4, 0.3, noise, 6, tangents, cells
     )
     bundle = simulate_paths(bounded, regime, 0.4, 0.3, dt, 6, 4 + (1 << 32))
     ref_first = first_order_tangents(bounded, bundle, r_indices)
     assert ref_first.r_indices.tolist() == r_indices
-    for name in ("final_dx", "final_dy", "sup_abs_dx", "sup_abs_dy"):
-        got = getattr(first, name).reshape(2, len(r_indices), 6)
+    for name in FIRST_ROWS:
+        got = rows[name].reshape(2, len(r_indices), 6)
         assert np.array_equal(got, getattr(ref_first, name)), name
     if pairs is None:
-        assert second is None
+        assert list(rows) == list(FIRST_ROWS)
         return
     ref_second = second_order_tangents(bounded, bundle, pairs, combos)
     assert ref_second.combos == combos
     assert ref_second.pair_indices.tolist() == [list(q) for q in pairs]
-    assert np.any(second["final_d2x"] != 0.0)
-    for name in ("final_d2x", "final_d2y", "sup_abs_d2x", "sup_abs_d2y"):
-        assert second[name].shape == (len(cells), 6), name
+    assert np.any(rows["final_d2x"] != 0.0)
+    assert list(rows) == [*FIRST_ROWS, *SECOND_ROWS]
+    for name in SECOND_ROWS:
+        assert rows[name].shape == (len(cells), 6), name
         expect = getattr(ref_second, name).reshape(len(cells), 6)
-        assert np.array_equal(second[name], expect), name
+        assert np.array_equal(rows[name], expect), name
 
 
 def _split_pass(tangent_pass, noise_blocks, sizes):
@@ -526,13 +569,7 @@ def _split_pass(tangent_pass, noise_blocks, sizes):
             )
             for lo, hi in zip(edges, edges[1:])
         ]
-        firsts, seconds = zip(*parts)
-        names = ("final_dx", "final_dy", "sup_abs_dx", "sup_abs_dy")
-        joined = {n: np.concatenate([getattr(f, n) for f in firsts], -1) for n in names}
-        first = replace(firsts[0], **joined)
-        if seconds[0] is None:
-            return first, None
-        return first, {n: np.concatenate([s[n] for s in seconds], -1) for n in seconds[0]}
+        return {n: np.concatenate([p[n] for p in parts], -1) for n in parts[0]}
 
     return run
 
@@ -717,22 +754,21 @@ def test_cell_list_that_is_not_a_product(bounded, bounded_bundle):
         (0, 1, 30, 12),
     ]
     _, _, ref = _scalar_tangents(bounded, bounded_bundle, [0, 12, 30, n], cells)
-    stored_first, stored = _bundle_pass(bounded, bounded_bundle, (), cells)
-    names = ("final_d2x", "final_d2y", "sup_abs_d2x", "sup_abs_d2y")
-    for name, expect in zip(names, ref):
+    stored = malliavin_mod._bundle_pass(bounded, bounded_bundle, (), cells)
+    for name, expect in zip(SECOND_ROWS, ref):
         assert stored[name].shape == (len(cells), bounded_bundle.n_paths)
         np.testing.assert_allclose(stored[name], expect, rtol=1e-12, atol=0, err_msg=name)
         assert np.array_equal(stored[name][0], stored[name][-1]), name
     assert np.all(np.any(ref[:2] != 0.0, axis=(0, 2)))  # every cell moves
 
     noise = _noise_blocks(42, range(bounded_bundle.n_paths), n, bounded_bundle.dt)
-    live_first, live = malliavin_mod._tangent_pass(
+    live = malliavin_mod._tangent_pass(
         bounded, bounded_bundle.regime, bounded_bundle.dt, n, 0.1, -0.2, noise,
         bounded_bundle.n_paths, (), cells,
     )
-    for name in names:
+    assert list(live) == list(stored)
+    for name in stored:
         assert np.array_equal(live[name], stored[name]), name
-    assert np.array_equal(live_first.final_dx, stored_first.final_dx)
 
 
 def test_bundle_functions_read_only_the_increments(bounded, bounded_bundle):
@@ -769,12 +805,12 @@ def test_bundle_tangents_replay_the_bundle_point(bounded):
     r_grid = [0, 12, 30]
     got = first_order_tangents(bounded, at_3, r_grid, store_series=False)
     noise = _noise_blocks(11, range(5), at_3.n_steps, at_3.dt, point=3)
-    rows, _ = malliavin_mod._tangent_pass(
+    rows = malliavin_mod._tangent_pass(
         bounded, regime, at_3.dt, at_3.n_steps, 0.4, 0.3, noise, 5,
         [(j, r) for j in (0, 1) for r in r_grid],
     )
-    for name in ("final_dx", "final_dy", "sup_abs_dx", "sup_abs_dy"):
-        ref = getattr(rows, name).reshape(2, len(r_grid), 5)
+    for name in FIRST_ROWS:
+        ref = rows[name].reshape(2, len(r_grid), 5)
         assert np.array_equal(getattr(got, name), ref), name
     other = first_order_tangents(bounded, at_0, r_grid, store_series=False)
     assert not np.array_equal(got.final_dx, other.final_dx)
@@ -869,7 +905,7 @@ def test_tangent_subset_equals_full_grid_and_starts_late(bounded, bounded_bundle
     full = [(j, r) for j in (0, 1) for r in (0, 12, 30, n)]
     subset = [(1, 30), (0, 12), (1, n), (1, 30)]
     cells = [(0, 1, n, 0), (0, 1, 30, 12)]
-    ref, ref_second = _bundle_pass(bounded, bounded_bundle, full, cells)
+    ref = malliavin_mod._bundle_pass(bounded, bounded_bundle, full, cells)
 
     steps = []
     first_step, second_step = malliavin_mod._first_step, malliavin_mod._second_step
@@ -884,14 +920,14 @@ def test_tangent_subset_equals_full_grid_and_starts_late(bounded, bounded_bundle
 
     monkeypatch.setattr(malliavin_mod, "_first_step", spy_first)
     monkeypatch.setattr(malliavin_mod, "_second_step", spy_second)
-    got, second = _bundle_pass(bounded, bounded_bundle, subset, cells)
+    got = malliavin_mod._bundle_pass(bounded, bounded_bundle, subset, cells)
     rows = [full.index(t) for t in subset]
-    for name in ("final_dx", "final_dy", "sup_abs_dx", "sup_abs_dy"):
-        assert getattr(got, name).shape == (len(subset), bounded_bundle.n_paths)
-        assert np.array_equal(getattr(got, name), getattr(ref, name)[rows]), name
-    for name in ref_second:
-        assert np.array_equal(second[name], ref_second[name]), name
-    assert np.all(np.any((second["final_d2x"] != 0.0) | (second["final_d2y"] != 0.0), axis=1))
+    for name in FIRST_ROWS:
+        assert got[name].shape == (len(subset), bounded_bundle.n_paths)
+        assert np.array_equal(got[name], ref[name][rows]), name
+    for name in SECOND_ROWS:
+        assert np.array_equal(got[name], ref[name]), name
+    assert np.all(np.any((got["final_d2x"] != 0.0) | (got["final_d2y"] != 0.0), axis=1))
 
     # Held: (W2, 0); (W1, 12), (W2, 12); (W1, 30), (W2, 30); (W1, n), (W2, n).
     started = [1 if k < 12 else 3 if k < 30 else 5 for k in range(n)]
@@ -1204,16 +1240,15 @@ def test_partial_vanishing_at_some_states_is_kept(monkeypatch, unfolded):
 
     monkeypatch.setattr(malliavin_mod, "_first_step", spy_first)
     monkeypatch.setattr(malliavin_mod, "_second_step", spy_second)
-    got = _bundle_pass(model, bundle, tangents, cells)
+    got = malliavin_mod._bundle_pass(model, bundle, tangents, cells)
     for name in ("first", "second"):
         value, k = read[name]
         assert k == 0 and isinstance(value, np.ndarray) and np.all(value == 0.0), name
     unfolded()
-    ref = _bundle_pass(model, bundle, tangents, cells)
-    for name in ("final_dx", "final_dy", "sup_abs_dx", "sup_abs_dy"):
-        assert np.array_equal(getattr(got[0], name), getattr(ref[0], name)), name
-    for name in ref[1]:
-        assert np.array_equal(got[1][name], ref[1][name]), name
+    ref = malliavin_mod._bundle_pass(model, bundle, tangents, cells)
+    assert list(got) == list(ref)
+    for name in ref:
+        assert np.array_equal(got[name], ref[name]), name
 
 
 @pytest.mark.parametrize("fixture", ["bounded", "trig"])
@@ -1370,10 +1405,6 @@ def test_sweeps_reject_nonpositive_sizes_first(affine, monkeypatch, sizes, messa
 @pytest.mark.parametrize(
     "bound_id, name, value, message",
     [
-        (None, "r_selection", (), "must not be empty"),
-        (None, "r_selection", (0.5, 1.5), "value 1.5 is not a finite number in [0, 1]"),
-        (None, "r_selection", (-0.25,), "value -0.25 is not"),
-        (None, "r_selection", (math.nan,), "value nan is not"),
         (None, "pair_sep_etas", -1.0, "value -1.0 is not a finite number in [0, inf]"),
         (None, "pair_sep_etas", math.nan, "value nan is not"),
         (None, "pair_sep_etas", math.inf, "value inf is not"),
@@ -1389,7 +1420,7 @@ def test_sweeps_reject_nonpositive_sizes_first(affine, monkeypatch, sizes, messa
 def test_sweeps_reject_bad_arguments_before_any_draw(
     affine, monkeypatch, bound_id, name, value, message
 ):
-    """Bad perturbation times and separations raise a ValueError naming
+    """Bad pair and decay separations raise a ValueError naming
     the argument and the value, before any assumption check or draw
     (``bound_id`` None calls moment_sweep, else decay_check)."""
 

@@ -464,9 +464,15 @@ def test_path_groups_match_one_block(
             else:
                 assert getattr(bundle, name) is None, name
         if redraw:
-            from fastslow.malliavin import _bundle_noise
+            import fastslow.malliavin as malliavin
 
-            blocks = [(w1.copy(), w2.copy()) for w1, w2 in _bundle_noise(bundle)]
+            blocks = []
+
+            def replay(model, regime, dt, n_steps, x0, y0, noise, *args):
+                blocks.extend((w1.copy(), w2.copy()) for w1, w2 in noise)
+
+            monkeypatch.setattr(malliavin, "_tangent_pass", replay)
+            malliavin._bundle_pass(bounded, bundle, [(0, 0)])
             assert np.array_equal(np.concatenate([w1 for w1, _ in blocks]), dW1)
             assert np.array_equal(np.concatenate([w2 for _, w2 in blocks]), dW2)
         if not marks:
