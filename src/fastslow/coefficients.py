@@ -145,8 +145,10 @@ def _compile_kernel(exprs) -> Callable:
     lines = [f"    {name} = {text}\n" for text, name in printer.calls.items()]
     returned = "".join(value + ", " for value in values)
     source = "def kernel(x, y):\n" + "".join(lines) + f"    return ({returned})\n"
-    namespace: dict = {}
-    exec("from numpy import *", namespace)  # the names lambdify's numpy code uses
+    # Only the numpy names the printer wrote (``tanh``, ``pi``, ...), as
+    # lambdify imports them: a star import of numpy would load numpy.f2py
+    # and numpy.testing, which numpy.__all__ names.
+    namespace = {name: getattr(np, name) for name in printer.module_imports["numpy"]}
     exec(source, namespace)
     return namespace["kernel"]
 

@@ -21,12 +21,18 @@ envelope plus that floor, the constant anchored at the coarsest point.
 
 The estimator is built once per sample as a table (:class:`_W1Table`):
 the sorted sample, the rank of each original index, the Gaussian CDF
-antiderivative G on the sorted sample and the Gaussian quantiles at the
-plateau levels k/n.  :func:`w1_vs_gaussian` evaluates it on the sample
-itself, and every bootstrap resample is its sorted ranks in the same
-table, so a resample makes no float sort, no ndtri call and evaluates G
-only where a quantile falls strictly inside its interval.  The result is
-bit-equal to sorting the resampled values and integrating afresh.
+antiderivative G on the sorted sample, and the Gaussian quantiles at the
+plateau levels k/n with G at each.  :func:`w1_vs_gaussian` evaluates it
+on the sample itself, and every bootstrap resample is its sorted ranks in
+the same table.  A quantile that falls strictly inside its interval is
+where the CDFs cross, so a resample takes G there from the table too: it
+makes no float sort and evaluates neither the Gaussian CDF nor its
+quantile.  The result is bit-equal to sorting the resampled values and
+integrating afresh.
+
+The Gaussian CDF and quantile are bit-exact ports of Cephes' ``ndtr``
+and ``ndtri``, the routines scipy.special runs, so the estimator does not
+load scipy.special; :func:`w1_floor` alone loads it, on its first call.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import gammaln, ndtr, ndtri, xlog1py, xlogy
+import scipy  # w1_floor reads scipy.special, loaded on that first access
 
 from fastslow.coefficients import CoefficientSet
 from fastslow.homogenization import (
@@ -166,22 +172,207 @@ class RateFit:
 _Z_UNDERFLOW = 40.0
 
 
+# The standard normal CDF and quantile are ports of Cephes' ``ndtr`` and
+# ``ndtri`` (S. L. Moshier, *Methods and Programs for Mathematical
+# Functions*, 1989), the routines that scipy.special.ndtr and ndtri run, so
+# that the estimator does not load scipy.special.  They take Cephes' steps
+# in its order.  The Horner steps of ``polevl`` run as numpy elementwise
+# operations, plain IEEE arithmetic with no fused multiply-add.  Where
+# Cephes calls the C library's exp or log, the ports call math.exp or
+# math.log once per element, since numpy's own exp and log differ from
+# the C library's in the last bit on a few percent of inputs.  So every
+# value, and the sign of every zero, is scipy's.  Each table holds its
+# polynomial's coefficients from the highest power down; a denominator
+# table starts with the leading 1 that Cephes' ``p1evl`` implies, which
+# gives the same bits, since 1 * x is x.
+
+_SQRT1_2 = 0.70710678118654752440
+_MAXLOG = 7.09782712893383996843e2  # log of the largest double
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_SQRT_2PI = 2.50662827463100050242
+
+# erf on |x| <= 1: x T(x^2) / U(x^2).
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2,
+    4.59432382970980127987e3, 2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+# erfc on 1 <= x < 8: exp(-x^2) P(x) / Q(x); from 8 on, R and S.
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+# ndtri for exp(-2) < y <= 1 - exp(-2): with c = y - 1/2,
+# (c + c c^2 P0(c^2) / Q0(c^2)) sqrt(2 pi).
+_NDTRI_P0 = (
+    -5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+    1.39312609387279679503e1, -1.23916583867381258016e0,
+)
+_NDTRI_Q0 = (
+    1.0, 1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+    -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+    1.59056225126211695515e1, -1.18331621121330003142e0,
+)
+# ndtri in the tails, with t = sqrt(-2 log y) and r = 1/t:
+# t - log(t)/t - r P(r)/Q(r), by P1/Q1 for t < 8 and by P2/Q2 beyond.
+_NDTRI_P1 = (
+    4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+    4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+    -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4,
+)
+_NDTRI_Q1 = (
+    1.0, 1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+    1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+    -3.80806407691578277194e-2, -9.33259480895457427372e-4,
+)
+_NDTRI_P2 = (
+    3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+    1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+    3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9,
+)
+_NDTRI_Q2 = (
+    1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+    2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+    2.89247864745380683936e-6, 6.79019408009981274425e-9,
+)
+
+
+def _polevl(x, coef):
+    """Cephes' ``polevl``: the polynomial ``coef`` at x by Horner's steps,
+    on a float or elementwise on an array."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _libm(f, x: np.ndarray) -> np.ndarray:
+    """``f`` (math.exp or math.log) at each element of the 1-d ``x``."""
+    return np.fromiter(map(f, x.tolist()), dtype=float, count=x.size)
+
+
+def _erf_central(x):
+    """Cephes' erf for |x| <= 1, on a float or an array."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+
+
+def _erfc_tail(x: float) -> float:
+    """Cephes' erfc for x >= 1: 0 once -x^2 < -MAXLOG, before any
+    polynomial can overflow."""
+    z = -x * x
+    if z < -_MAXLOG:
+        return 0.0
+    p, q = (_ERFC_P, _ERFC_Q) if x < 8.0 else (_ERFC_R, _ERFC_S)
+    return math.exp(z) * _polevl(x, p) / _polevl(x, q)
+
+
+def _erfc_tail_array(x: np.ndarray) -> np.ndarray:
+    """:func:`_erfc_tail` at each element of the 1-d ``x``."""
+    y = np.zeros_like(x)
+    with np.errstate(over="ignore"):  # -inf is below -MAXLOG as it should be
+        z = -x * x
+    live = ~(z < -_MAXLOG)
+    x, z = x[live], z[live]
+    near = x < 8.0
+    p = np.where(near, _polevl(x, _ERFC_P), _polevl(x, _ERFC_R))
+    q = np.where(near, _polevl(x, _ERFC_Q), _polevl(x, _ERFC_S))
+    y[live] = _libm(math.exp, z) * p / q
+    return y
+
+
+def _ndtr(a):
+    """Standard normal CDF, bit for bit scipy.special.ndtr: with
+    x = a sqrt(1/2), 1/2 + erf(x)/2 where |x| < 1, else erfc(|x|)/2,
+    mirrored for x > 0.  NaN gives NaN.  A 0-d ``a`` gives a float,
+    computed on Python floats with no array built."""
+    if np.ndim(a) == 0:
+        x = float(a) * _SQRT1_2
+        if math.isnan(x):
+            return math.nan
+        if abs(x) < 1.0:
+            return 0.5 + 0.5 * _erf_central(x)
+        y = 0.5 * _erfc_tail(abs(x))
+        return 1.0 - y if x > 0 else y
+    x = np.asarray(a, dtype=float) * _SQRT1_2
+    z = np.abs(x)
+    y = np.empty_like(x)
+    central = z < 1.0
+    y[central] = 0.5 + 0.5 * _erf_central(x[central])
+    tail = ~central
+    half = 0.5 * _erfc_tail_array(z[tail])
+    y[tail] = np.where(x[tail] > 0, 1.0 - half, half)
+    y[np.isnan(x)] = np.nan
+    return y
+
+
+def _ndtri(y0):
+    """Standard normal quantile, bit for bit scipy.special.ndtri.  Central
+    on exp(-2) < y0 <= 1 - exp(-2); in the tails y = min(y0, 1 - y0)
+    splits at t = sqrt(-2 log y) = 8.  0 and 1 give -inf and inf, levels
+    outside [0, 1] NaN, and NaN runs through the tail's arithmetic as in
+    Cephes.  A 0-d ``y0`` gives a float."""
+    y0 = np.asarray(y0, dtype=float)
+    x = np.full_like(y0, np.nan)
+    x[y0 == 0.0] = -np.inf
+    x[y0 == 1.0] = np.inf
+    valid = ~((y0 <= 0.0) | (y0 >= 1.0))
+    flip = y0 > 1.0 - _EXP_M2
+    y = np.where(flip, 1.0 - y0, y0)
+    central = valid & (y > _EXP_M2)
+    c = y[central] - 0.5
+    c2 = c * c
+    x[central] = (c + c * (c2 * _polevl(c2, _NDTRI_P0) / _polevl(c2, _NDTRI_Q0))) * _SQRT_2PI
+    tail = valid & ~central
+    t = np.sqrt(-2.0 * _libm(math.log, y[tail]))
+    t0 = t - _libm(math.log, t) / t
+    r = 1.0 / t
+    t1 = np.where(
+        t < 8.0,
+        r * _polevl(r, _NDTRI_P1) / _polevl(r, _NDTRI_Q1),
+        r * _polevl(r, _NDTRI_P2) / _polevl(r, _NDTRI_Q2),
+    )
+    t = t0 - t1
+    x[tail] = np.where(flip[tail], t, -t)
+    return float(x) if x.ndim == 0 else x
+
+
 def _gaussian_cdf_antiderivative(x: np.ndarray, mu: float, sigma: float) -> np.ndarray:
     """Antiderivative of the N(mu, sigma^2) CDF vanishing at -infinity."""
     z = (x - mu) / sigma
     zc = np.clip(z, -_Z_UNDERFLOW, _Z_UNDERFLOW)
-    return (x - mu) * ndtr(z) + sigma * np.exp(-0.5 * zc**2) / math.sqrt(2.0 * math.pi)
+    return (x - mu) * _ndtr(z) + sigma * np.exp(-0.5 * zc**2) / math.sqrt(2.0 * math.pi)
 
 
 class _W1Table:
     """Exact W1 against N(mu, sigma2) of one sample and its resamples.
 
     Holds the sorted sample ``xs``, the rank of each original index in
-    it (``xs[rank[i]] == samples[i]``), ``G`` on ``xs`` and the Gaussian
-    ``quantile`` mu + sigma ndtri(k/n) at each plateau level k/n.  A
-    resample drawing original indices ``idx`` has the sorted values
-    ``xs[j]`` with ``j = sort(rank[idx])``.  Where a quantile is clipped
-    to an interval end, G of the crossing is that end's gathered G.
+    it (``xs[rank[i]] == samples[i]``), ``G`` on ``xs``, the Gaussian
+    ``quantile`` mu + sigma ndtri(k/n) at each plateau level k/n and
+    ``G_quantile``, G at each quantile.  A resample drawing original
+    indices ``idx`` has the sorted values ``xs[j]`` with
+    ``j = sort(rank[idx])``.  Where a quantile is clipped to an interval
+    end, G of the crossing is that end's gathered G; where it falls
+    strictly inside, the crossing is the quantile and G of it is
+    ``G_quantile``'s.
     """
 
     def __init__(self, samples, mu: float, sigma2: float):
@@ -202,8 +393,9 @@ class _W1Table:
             return
         self.sigma = sigma = math.sqrt(sigma2)
         self.q = np.arange(1, n) / n  # plateau levels of F_n between order stats
-        self.quantile = mu + sigma * ndtri(self.q)
+        self.quantile = mu + sigma * _ndtri(self.q)
         self.G = self._G(self.xs)
+        self.G_quantile = self._G(self.quantile)
 
     def _G(self, x):
         return _gaussian_cdf_antiderivative(x, self.mu, self.sigma)
@@ -222,7 +414,7 @@ class _W1Table:
         crossing = np.clip(quantile, a, b)
         inside = (quantile > a) & (quantile < b)
         g_crossing = np.where(quantile <= a, ga, gb)
-        g_crossing[inside] = self._G(crossing[inside])
+        g_crossing[inside] = self.G_quantile[inside]
         middle = np.sum(self.q * (2.0 * crossing - a - b) + ga + gb - 2.0 * g_crossing)
 
         left_tail = self._G(v[0])  # integral of F below the smallest sample
@@ -230,7 +422,7 @@ class _W1Table:
         z_hi_c = min(max(z_hi, -_Z_UNDERFLOW), _Z_UNDERFLOW)
         right_tail = sigma * (
             np.exp(-0.5 * z_hi_c**2) / math.sqrt(2.0 * math.pi)
-            - z_hi * (1.0 - ndtr(z_hi))
+            - z_hi * (1.0 - _ndtr(z_hi))
         )
         return float(middle + left_tail + right_tail)
 
@@ -262,7 +454,7 @@ def w1_between_gaussians(mu1: float, sigma1: float, mu2: float, sigma2: float) -
         return abs(d)
     ratio = d / s
     return s * math.sqrt(2.0 / math.pi) * math.exp(-0.5 * ratio**2) + d * (
-        1.0 - 2.0 * ndtr(-ratio)
+        1.0 - 2.0 * _ndtr(-ratio)
     )
 
 
@@ -273,20 +465,22 @@ def w1_floor(n: int, sigma2: float) -> float:
     whose mean absolute deviation is 2 k (1 - p) P(B = k) with
     k = floor(n p) + 1 (de Moivre); the trapezoid rule integrates it
     over z.  ValueError for an ``n`` that is not an integer >= 1 or a
-    negative ``sigma2``.
+    negative ``sigma2``.  The first call loads scipy.special, for
+    ``gammaln``, ``xlogy`` and ``xlog1py``.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be an integer >= 1 (got {n!r})")
     if not sigma2 >= 0:
         raise ValueError(f"variance must be nonnegative (got {sigma2})")
+    special = scipy.special
     z = np.linspace(-9.0, 9.0, _FLOOR_NODES)
-    p = ndtr(z)
+    p = _ndtr(z)
     k = np.floor(n * p) + 1.0
     inside = k <= n
     k = np.minimum(k, n)
     log_pmf = (
-        gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
-        + xlogy(k, p) + xlog1py(n - k, -p)
+        special.gammaln(n + 1.0) - special.gammaln(k + 1.0) - special.gammaln(n - k + 1.0)
+        + special.xlogy(k, p) + special.xlog1py(n - k, -p)
     )
     mad = np.where(inside, 2.0 * k * (1.0 - p) * np.exp(log_pmf), 0.0)
     return math.sqrt(sigma2) * float(np.trapezoid(mad, z)) / n
@@ -305,10 +499,11 @@ def bootstrap_w1(
     Resamples the empirical measure with replacement from the stream
     (seed, bootstrap, 0, 0, bootstrap channel), so path simulation and
     resampling never share a stream; ``seed`` may also be the
-    ``numpy.random.Generator`` to resample from.  The sample is sorted, and G
-    and the plateau quantiles are evaluated, once; each resample is its
-    sorted ranks in that table (see :class:`_W1Table`), so it costs an
-    integer sort and a few gathers and gives the same W1 as sorting the
+    ``numpy.random.Generator`` to resample from.  The sample is sorted,
+    and the plateau quantiles and G at the sample and at the quantiles are
+    evaluated, once; each resample is its sorted ranks in that table (see
+    :class:`_W1Table`) and takes G at the quantiles from it, so it costs
+    an integer sort and a few gathers and gives the same W1 as sorting the
     resampled values.
 
     Raises ValueError for an ``n_boot`` that is not an integer >= 1, a
@@ -324,7 +519,7 @@ def bootstrap_w1(
     )
     stats = np.empty(n_boot)
     for i in range(n_boot):
-        idx = rng.choice(n, size=n, replace=True)
+        idx = rng.integers(0, n, size=n)  # the draw of choice(n, size=n)
         stats[i] = table.w1(np.sort(table.rank[idx]))
     alpha = 100.0 * (1.0 - level) / 2.0
     lo, hi = np.percentile(stats, [alpha, 100.0 - alpha])

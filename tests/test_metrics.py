@@ -270,6 +270,97 @@ def test_bootstrap_resamples_bit_equal_one_by_one():
         assert table.w1(j) == w1_vs_gaussian_old(xs[idx], mu, sigma2)
 
 
+# -- the Cephes ports of ndtr and ndtri, against scipy ------------------
+
+
+def _bits(values) -> list:
+    """The IEEE bit patterns of ``values``: equal lists are bit-equal,
+    the sign of zero and NaN's payload included."""
+    return np.asarray(values, dtype=float).view(np.uint64).ravel().tolist()
+
+
+def _around(center: float, ulps: int = 4, width: float = 1e-9) -> list[float]:
+    """The floats within ``ulps`` of ``center`` and a grid of +-``width``."""
+    below = above = center
+    near = [center]
+    for _ in range(ulps):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        near += [float(below), float(above)]
+    return near + np.linspace(center - width, center + width, 41).tolist()
+
+
+def _ndtr_cases() -> np.ndarray:
+    """Signed zeros, infinities and NaN; a = x sqrt(2) for x = a sqrt(1/2)
+    on both sides of sqrt(1/2) and 1, where erf and erfc meet, and of 8,
+    where erfc changes its polynomials; erfc's underflow near a = -37.7;
+    and |a| = 1e92, where the polynomials overflow past that underflow."""
+    a = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e92, -1e92, 1e300, -1e300]
+    for x in (math.sqrt(0.5), 1.0, 8.0):
+        for side in (1.0, -1.0):
+            a += _around(side * x * math.sqrt(2.0))
+    a += np.linspace(-37.8, -37.5, 601).tolist() + _around(-37.67)
+    return np.array(a)
+
+
+def test_ndtr_port_bit_equal_to_scipy_at_its_branch_edges():
+    a = _ndtr_cases()
+    assert _bits(metrics_mod._ndtr(a)) == _bits(ndtr(a))
+    assert _bits(metrics_mod._ndtr(a.reshape(1, -1))) == _bits(ndtr(a))
+    assert _bits([metrics_mod._ndtr(v) for v in a.tolist()]) == _bits(ndtr(a))
+    assert _bits([metrics_mod._ndtr(v) for v in a]) == _bits(ndtr(a))  # numpy scalars
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=40))
+def test_ndtr_port_bit_equal_to_scipy(values):
+    a = np.array(values)
+    assert _bits(metrics_mod._ndtr(a)) == _bits(ndtr(a))
+    assert _bits([metrics_mod._ndtr(v) for v in values]) == _bits(ndtr(a))
+
+
+def _ndtri_cases() -> np.ndarray:
+    """0, 1, e^-2 and 1 - e^-2, where the central branch meets the tails,
+    1e-300, every k/n for n in {2, 3, 10 000}, and levels outside [0, 1]."""
+    e2 = math.exp(-2.0)
+    y = [0.0, 1.0, e2, 1.0 - e2, 1e-300, 5e-324, -0.0, -0.5, 1.5, math.inf, math.nan]
+    y += _around(e2, width=1e-12) + _around(1.0 - e2, width=1e-12)
+    for n in (2, 3, 10_000):
+        y += (np.arange(n + 1) / n).tolist()
+    return np.array(y)
+
+
+def test_ndtri_port_bit_equal_to_scipy_at_its_branch_edges():
+    y = _ndtri_cases()
+    assert _bits(metrics_mod._ndtri(y)) == _bits(ndtri(y))
+    assert _bits([metrics_mod._ndtri(v) for v in y[:100].tolist()]) == _bits(ndtri(y[:100]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.floats(0.0, 1.0) | st.floats(1e-320, 1e-14) | st.floats(allow_nan=True),
+        min_size=1,
+        max_size=40,
+    )
+)
+def test_ndtri_port_bit_equal_to_scipy(values):
+    y = np.array(values)
+    assert _bits(metrics_mod._ndtri(y)) == _bits(ndtri(y))
+    assert _bits([metrics_mod._ndtri(v) for v in values]) == _bits(ndtri(y))
+
+
+@pytest.mark.parametrize("case", ["normal", "far_tail", "n17", "tie_rich"])
+def test_table_G_at_quantiles_is_G_of_each_quantile(case):
+    """A resample reads G at an inside crossing from ``G_quantile``; that is
+    G evaluated at the quantiles it picks, bit for bit."""
+    xs, mu, sigma2 = _reference_cases()[case]
+    table = metrics_mod._W1Table(xs, mu, sigma2)
+    rng = np.random.default_rng(6)
+    for _ in range(10):
+        m = rng.random(table.quantile.size) < rng.random()
+        assert _bits(table.G_quantile[m]) == _bits(table._G(table.quantile[m]))
+
+
 def test_bootstrap_w1_rejects_bad_samples():
     with pytest.raises(ValueError, match="at least two"):
         bootstrap_w1([1.0], 0.0, 1.0, seed=0, n_boot=10)

@@ -29,23 +29,62 @@ def test_every_module_is_listed():
     assert found == set(MODULES)
 
 
-def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
-    """A fresh interpreter that imports the CLI, or the bare package as the
-    benchmark's child does, loads none of the scipy subpackages that hold
-    a spline, a root bracket, a cumulative trapezoid or a banded solve,
-    nor the heavy ones those import in turn."""
+def _fresh_interpreter(probe: str) -> str:
+    """stdout of ``probe`` run by a new interpreter (a nonzero exit fails)."""
     import subprocess
     import sys
 
+    run = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+#: Modules a fresh import must not load: the scipy subpackages that hold a
+#: spline, a root bracket, a cumulative trapezoid, a banded solve or the
+#: Gaussian CDF, the heavy ones those import in turn, and the numpy
+#: subpackages that a star import of numpy loads.
+_HEAVY = tuple(
+    f"scipy.{m}"
+    for m in ("interpolate", "optimize", "integrate", "sparse", "spatial", "linalg", "special")
+) + ("numpy.f2py", "numpy.testing")
+
+
+def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
+    """A fresh interpreter that imports the CLI, or the bare package as the
+    benchmark's child does, loads none of :data:`_HEAVY`, but does load
+    the bare scipy package, whose version the benchmark's child reads."""
     for module in ("fastslow.cli", "fastslow"):
         probe = (
             "import sys\n"
             f"import {module}\n"
-            "heavy = ('interpolate', 'optimize', 'integrate', 'sparse', 'spatial', 'linalg')\n"
-            "print(' '.join(f'scipy.{m}' for m in heavy if f'scipy.{m}' in sys.modules))\n"
+            f"print(' '.join(m for m in {_HEAVY!r} if m in sys.modules))\n"
+            "print('scipy' in sys.modules)\n"
         )
-        run = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
-        )
-        assert run.returncode == 0, run.stderr
-        assert run.stdout.split() == [], module
+        heavy, scipy_loaded = _fresh_interpreter(probe).splitlines()
+        assert heavy.split() == [], module
+        assert scipy_loaded == "True", module
+
+
+def test_runs_leave_scipy_special_to_the_rate_floor():
+    """A CLT check, with its W1 estimates and bootstrap, and a moment sweep,
+    which compiles coefficient kernels, load none of :data:`_HEAVY`; the
+    Monte Carlo floor of a rate sweep then loads scipy.special."""
+    probe = (
+        "import sys\n"
+        "from fastslow.coefficients import get_model\n"
+        "from fastslow.malliavin import moment_sweep\n"
+        "from fastslow.metrics import clt_verify, w1_floor\n"
+        "from fastslow.sde_engine import ScaleRegime\n"
+        "regime = ScaleRegime(0.04, 0.04, 1.0, 0.4)\n"
+        "clt_verify(get_model('affine-oracle'), regime, 0.0, 0.0, 0.002, 300, n_boot=50)\n"
+        "regimes = [ScaleRegime(0.1, 0.1, 1.0, 0.5), ScaleRegime(0.05, 0.05, 1.0, 0.5)]\n"
+        "moment_sweep(get_model('bounded-coupled'), regimes, 1, 50, seed=3)\n"
+        f"print(' '.join(m for m in {_HEAVY!r} if m in sys.modules))\n"
+        "w1_floor(300, 1.0)\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    heavy, special_loaded = _fresh_interpreter(probe).splitlines()
+    assert heavy.split() == []
+    assert special_loaded == "True"
