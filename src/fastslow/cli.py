@@ -628,7 +628,7 @@ def cmd_rate_sweep(config: ExperimentConfig, s: dict, out_dir, seed) -> int:
         {
             "x0": s["x0"],
             "y0": s["y0"],
-            "n_paths": s["n_paths"],
+            "n_paths": int(s["n_paths"]),
             "dt_eta_fraction": float(s["dt_eta_fraction"]),
             "n_boot": int(s["bootstrap"]),
             "hom": hom,

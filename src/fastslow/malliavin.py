@@ -51,7 +51,7 @@ pass always draws its noise from the streams, so no noise is stored:
 the moment sweeps feed it the streams of their own points, and every
 function of a :class:`~fastslow.sde_engine.PathBundle` replays the
 bundle through it (:func:`_bundle_pass`), from its initial state on the
-noise redrawn from its streams, so none reads a stored path:
+noise redrawn from its streams:
 :func:`first_order_tangents` asks for both channels at every r of its
 grid, :func:`second_order_tangents` for every cell of its combos x pairs
 product, and :func:`z_process` and :func:`q_decomposition` for the W2
@@ -600,8 +600,7 @@ def _bundle_pass(
     """:func:`_tangent_pass` along a bundle's paths: from its x0, y0, on
     the noise redrawn from its streams (master_seed, paths, point, j,
     channel), bit for bit the increments
-    :func:`~fastslow.sde_engine.simulate_paths` drew.  It reads no stored
-    path, so a bundle that keeps none gives the same values."""
+    :func:`~fastslow.sde_engine.simulate_paths` drew."""
     noise = _noise_blocks(
         bundle.master_seed, range(bundle.n_paths), bundle.n_steps, bundle.dt,
         point=bundle.point,
@@ -621,8 +620,7 @@ def first_order_tangents(
     """Integrate both-channel first-order tangents along every path.
 
     Replays the bundle through the tangent pass of the moment sweeps
-    (:func:`_bundle_pass`), asking for both channels at every r; the
-    pass replays the Euler-Maruyama step, so it reads no stored path.
+    (:func:`_bundle_pass`), asking for both channels at every r.
     The perturbation at step index r injects the initial data
     (sqrt(eps) sigma, 0) on channel W1 and (0, tau/sqrt(eta)) on channel
     W2; states are zero before r.
@@ -717,7 +715,7 @@ def z_process(model: CoefficientSet, bundle: PathBundle, r_index: int) -> np.nda
     its recursion: a ``record`` hook of the bundle's replay
     (:func:`_bundle_pass`) reads d2_f and d2_tau from the coefficient
     values the pass evaluates at each state, and the W2 increments of
-    each step.  It reads no stored path.  Always positive.
+    each step.  Always positive.
     """
     (r,) = _r_grid(bundle.n_steps, [r_index])
     eta = bundle.regime.eta

@@ -60,6 +60,7 @@ from fastslow.sde_engine import (
     ScaleRegime,
     _check_stability,
     _grid_index,
+    _require_positive,
     _run_shares,
     _split,
     _stream,
@@ -468,8 +469,7 @@ def w1_floor(n: int, sigma2: float) -> float:
     negative ``sigma2``.  The first call loads scipy.special, for
     ``gammaln``, ``xlogy`` and ``xlog1py``.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be an integer >= 1 (got {n!r})")
+    _require_positive(n=n)
     if not sigma2 >= 0:
         raise ValueError(f"variance must be nonnegative (got {sigma2})")
     special = scipy.special
@@ -509,7 +509,7 @@ def bootstrap_w1(
     Raises ValueError for an ``n_boot`` that is not an integer >= 1, a
     ``level`` outside (0, 1), or samples :func:`w1_vs_gaussian` rejects.
     """
-    _check_n_boot(n_boot)
+    _require_positive(n_boot=n_boot)
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1) (got {level!r})")
     table = _W1Table(samples, mu, sigma2)
@@ -526,9 +526,12 @@ def bootstrap_w1(
     return float(lo), float(hi)
 
 
-def _check_n_boot(n_boot) -> None:
-    if isinstance(n_boot, bool) or not isinstance(n_boot, (int, np.integer)) or n_boot < 1:
-        raise ValueError(f"n_boot must be an integer >= 1 (got {n_boot!r})")
+def _check_n_paths(n_paths) -> None:
+    """ValueError naming ``n_paths`` unless it is an integer >= 2, the
+    fewest samples a W1 estimate takes."""
+    _require_positive(n_paths=n_paths)
+    if n_paths < 2:
+        raise ValueError(f"n_paths must be >= 2 for a W1 estimate (got {n_paths})")
 
 
 def default_checkpoints(T: float) -> tuple[float, float, float]:
@@ -560,18 +563,19 @@ def clt_verify(
     on :data:`HOM_GRID`.  A ``dt`` above eta/20 raises
     :class:`~fastslow.sde_engine.StabilityError` before any
     homogenization work.  Checkpoints must sit on the simulation grid
-    and default to {T/4, T/2, T}.  An ``n_boot`` that is not an integer
-    >= 1 raises ValueError before any other work.
+    and default to {T/4, T/2, T}.  An ``n_paths`` that is not an integer
+    >= 2 and an ``n_boot`` that is not an integer >= 1 raise ValueError
+    before any other work.
     """
-    _check_n_boot(n_boot)
+    _check_n_paths(n_paths)
+    _require_positive(n_boot=n_boot)
     if checkpoints is None:
         checkpoints = default_checkpoints(regime.T)
     times, capture = _checkpoint_steps(regime, dt, checkpoints)
     hom = _matching_hom(model, regime.gamma, hom)
     trajectory = attach_variance(hom, limit_ode(hom, x0, regime.T, LIMIT_ODE_DT))
     bundle = simulate_paths(
-        model, regime, x0, y0, dt, n_paths, seed, store_paths=False,
-        capture_indices=capture,
+        model, regime, x0, y0, dt, n_paths, seed, capture_indices=capture
     )
     return _clt_reports(bundle, times, trajectory, n_boot)
 
@@ -726,8 +730,9 @@ def rate_sweep(
     ``hom`` (checked as in :func:`clt_verify`), after every point's step
     has passed the eta/20 guard
     (:class:`~fastslow.sde_engine.StabilityError` otherwise).  An
-    ``n_boot`` that is not an integer >= 1 raises ValueError before any
-    homogenization or simulation.  Sweep point i draws from the streams
+    ``n_boot`` that is not an integer >= 1 and an ``n_paths`` that is
+    not an integer >= 2 raise ValueError before any homogenization or
+    simulation.  Sweep point i draws from the streams
     of point i + 1, so no point shares a stream with :func:`clt_verify`
     under the same seed.
 
@@ -759,10 +764,11 @@ def rate_sweep(
 
     cfg = dict(clt_config)
     n_boot = cfg.pop("n_boot", N_BOOTSTRAP)
-    _check_n_boot(n_boot)
+    _require_positive(n_boot=n_boot)
     x0 = float(cfg.pop("x0", 0.0))
     y0 = float(cfg.pop("y0", 0.0))
-    n_paths = int(cfg.pop("n_paths", 10_000))
+    n_paths = cfg.pop("n_paths", 10_000)
+    _check_n_paths(n_paths)
     dt_eta_fraction = float(cfg.pop("dt_eta_fraction", STABILITY_FRACTION))
     hom = cfg.pop("hom", None)
     if cfg:
@@ -779,7 +785,7 @@ def rate_sweep(
     bundles = [
         simulate_paths(
             model, r, x0, y0, dt_eta_fraction * r.eta, n_paths, seed,
-            store_paths=False, capture_indices=capture, _point=i + 1,
+            capture_indices=capture, _point=i + 1,
         )
         for i, (r, (_, capture)) in enumerate(zip(regimes, grids))
     ]

@@ -31,8 +31,8 @@ One recursion, :func:`_em_states`, advances the state over the blocks
 and yields each step's state with its increments and, from the step its
 consumer first reads them, the values of all 24 coefficient keys: one
 kernel call per step, of the 4 EM keys before that step and of all 24
-from it.  Paths are stored only when asked for; noise is never stored,
-as the stream key of a bundle redraws it bit for bit.
+from it.  A bundle keeps the states of the steps asked for alone; noise
+is never stored, as the stream key of a bundle redraws it bit for bit.
 """
 
 from __future__ import annotations
@@ -232,10 +232,9 @@ def _share_worker(run, share: range, send) -> None:
 def _joined_paths(parts: Sequence):
     """The results of consecutive shares of path ids as one, in share
     order: the only one as it is, else their arrays joined along the last
-    (path) axis within the tuples, lists and dicts that hold them; None
-    stays None."""
+    (path) axis within the tuples, lists and dicts that hold them."""
     head = parts[0]
-    if len(parts) == 1 or head is None:
+    if len(parts) == 1:
         return head
     if isinstance(head, np.ndarray):
         return np.concatenate(parts, axis=-1)
@@ -253,7 +252,7 @@ class BlowUpError(FloatingPointError):
 
 
 class AlignmentError(ValueError):
-    """A requested time does not sit on the stored grids."""
+    """A requested time is off the grids, or a step was not captured."""
 
 
 @dataclass(frozen=True)
@@ -307,13 +306,12 @@ class ScaleRegime:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Simulated paths plus the key of the noise that generated them.
+    """Simulated states plus the key of the noise that generated them.
 
-    ``X``/``Y`` have shape (n_steps + 1, n_paths) when stored.
-    ``captures`` holds {step index: (X_row, Y_row)} snapshots for
-    memory-light runs that skip full storage.  The noise is not stored:
-    path j drew it from the streams (master_seed, paths, point, j,
-    channel), which :func:`_noise_blocks` redraws bit for bit.
+    ``captures`` holds {step index: (X_row, Y_row)} for each requested
+    step, in ascending order ({} when none was requested).  The noise is
+    not stored: path j drew it from the streams (master_seed, paths,
+    point, j, channel), which :func:`_noise_blocks` redraws bit for bit.
     Immutable once assembled.
     """
 
@@ -324,9 +322,7 @@ class PathBundle:
     master_seed: int
     n_paths: int
     n_steps: int
-    X: np.ndarray | None
-    Y: np.ndarray | None
-    captures: Mapping[int, tuple[np.ndarray, np.ndarray]] | None = None
+    captures: Mapping[int, tuple[np.ndarray, np.ndarray]]
     point: int = 0
 
     @property
@@ -334,12 +330,10 @@ class PathBundle:
         return np.arange(self.n_steps + 1) * self.dt
 
     def state_at(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(X, Y) rows at step index k, from full storage or captures."""
-        if self.X is not None:
-            return self.X[k], self.Y[k]
-        if self.captures is not None and k in self.captures:
-            return self.captures[k]
-        raise AlignmentError(f"step {k} was not stored or captured")
+        """(X, Y) rows at step k; :class:`AlignmentError` if not captured."""
+        if k not in self.captures:
+            raise AlignmentError(f"step {k} was not captured")
+        return self.captures[k]
 
 
 @dataclass(frozen=True)
@@ -377,8 +371,11 @@ def _check_stability(dt: float, eta: float) -> None:
 
 
 def _require_positive(**sizes) -> None:
-    """Raise ValueError naming the first size below 1."""
+    """Raise ValueError naming the first size that is not an int >= 1 (a
+    numpy integer is one; a bool or a float such as 2.0 is not)."""
     for name, value in sizes.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer >= 1 (got {value!r})")
         if value < 1:
             raise ValueError(f"{name} must be >= 1 (got {value})")
 
@@ -698,23 +695,18 @@ def _em_loop(
     y0: float,
     groups,
     n_paths: int,
-    n_steps: int,
     wanted: Sequence[int],
-    store_paths: bool,
     first_column: int = 0,
 ):
-    """(captures, X, Y) of :func:`_em_states` run over n_paths paths of
-    n_steps steps, one group of columns after another.
+    """The captures of :func:`_em_states` run over n_paths paths, one
+    group of columns after another: {k: (x_row, y_row)} for each step k
+    of ``wanted``.
 
     ``groups`` yields (columns, blocks): a range of the columns and the
-    noise blocks of its paths.  ``captures`` holds the (x_row, y_row) of
-    each step of ``wanted``; X and Y hold every state row when
-    ``store_paths``, else they are None.  Errors name a path by its
-    column plus ``first_column``, the path id of the first column.
+    noise blocks of its paths.  Errors name a path by its column plus
+    ``first_column``, the path id of the first column.
     """
     captures = {k: (np.empty(n_paths), np.empty(n_paths)) for k in wanted}
-    X = np.empty((n_steps + 1, n_paths)) if store_paths else None
-    Y = np.empty((n_steps + 1, n_paths)) if store_paths else None
     for columns, blocks in groups:
         cols = slice(columns.start, columns.stop)
         states = _em_states(
@@ -722,13 +714,10 @@ def _em_loop(
             keys_from=math.inf, first_column=first_column + columns.start,
         )
         for k, x, y, _, _, _ in states:
-            if store_paths:
-                X[k, cols] = x
-                Y[k, cols] = y
             if k in captures:
                 captures[k][0][cols] = x
                 captures[k][1][cols] = y
-    return captures, X, Y
+    return captures
 
 
 def simulate_with_increments(
@@ -739,13 +728,11 @@ def simulate_with_increments(
     dt: float,
     dW1: np.ndarray,
     dW2: np.ndarray,
-    store_paths: bool = True,
     capture_indices: Iterable[int] = (),
-):
+) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Run the Euler-Maruyama recursion on externally supplied noise.
 
-    Returns (X, Y, captures): full (n_steps+1, n_paths) arrays when
-    ``store_paths`` (else None) and a dict of requested snapshots.
+    Returns the captures {k: (X_row, Y_row)} of ``capture_indices``.
     Raises :class:`BlowUpError` (naming the step) on non-finite states
     and :class:`~fastslow.coefficients.ModelEvaluationError` (naming the
     step, the path column and |tau|) where |tau| < TAU_MIN; a constant
@@ -753,11 +740,10 @@ def simulate_with_increments(
     :func:`simulate_paths` as one block.
     """
     n_steps, n_paths = dW1.shape
-    captures, X, Y = _em_loop(
+    return _em_loop(
         model, _StepScales.of(regime, dt), x0, y0, [(range(n_paths), [(dW1, dW2)])],
-        n_paths, n_steps, _capture_steps(capture_indices, n_steps), store_paths,
+        n_paths, _capture_steps(capture_indices, n_steps),
     )
-    return X, Y, captures
 
 
 def _em_step(
@@ -813,7 +799,6 @@ def simulate_paths(
     dt: float,
     n_paths: int,
     master_seed,
-    store_paths: bool = True,
     capture_indices: Iterable[int] = (),
     *,
     _point: int = 0,
@@ -827,25 +812,23 @@ def simulate_paths(
         otherwise).  The realized step divides T exactly; see
         :func:`time_grid`.
     n_paths : int
-        Number of Monte Carlo paths (>= 1), with path ids 0..n_paths-1.
+        Number of Monte Carlo paths, an integer >= 1; path ids 0..n_paths-1.
     master_seed : int
         Root of the noise streams (purpose paths, point ``_point``, which
         only :func:`fastslow.metrics.rate_sweep` sets): a non-negative
         int, else ValueError before any draw (:func:`_seed_words`).  The
         bundle keeps the seed and the point, not the noise.
-    store_paths : bool
-        Full (n_steps+1, n_paths) state storage, 16 bytes per path-step.
-        Disable it and use ``capture_indices`` for memory-light large
-        runs: peak memory is then O(n_paths * block).
     capture_indices : iterable of int
-        Step indices whose state rows are snapshotted regardless of
-        ``store_paths``.
+        Step indices whose state rows the bundle keeps as its
+        ``captures`` (none by default), 16 bytes per path and step.  No
+        other state is kept, so peak memory is O(n_paths * block) plus
+        the captures, not O(n_paths * n_steps).
 
     The path ids are split into contiguous shares of near-equal size, one
     per :func:`_workers` of the call's n_paths x n_steps path-steps, which
     run at once in forked workers (:func:`_run_shares`; one share runs in
-    process).  Each share returns its own captures and stored rows, which
-    this process joins in path order (one share's are kept as they are).
+    process).  Each share returns its own captures, which this process
+    joins in path order (one share's are kept as they are).
     Within a share, the Euler-Maruyama loop runs over the groups of
     :func:`_path_groups`, one after another.  A group that is not the
     whole share draws its noise in one block of at most
@@ -868,14 +851,11 @@ def simulate_paths(
             ))
             for group in _path_groups(len(share), n_steps)
         )
-        return _em_loop(
-            model, scales, x0, y0, groups, len(share), n_steps, wanted, store_paths,
-            share.start,
-        )
+        return _em_loop(model, scales, x0, y0, groups, len(share), wanted, share.start)
 
     shares = _split(n_paths, _workers(n_paths * n_steps))
     model.compile(_EM_KEYS)  # before the fork, so no worker compiles it again
-    captures, X, Y = _joined_paths(_run_shares(run, shares))
+    captures = _joined_paths(_run_shares(run, shares))
 
     return PathBundle(
         regime=regime,
@@ -885,9 +865,7 @@ def simulate_paths(
         master_seed=int(master_seed),
         n_paths=n_paths,
         n_steps=n_steps,
-        X=X,
-        Y=Y,
-        captures=captures or None,
+        captures=captures,
         point=_point,
     )
 

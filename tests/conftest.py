@@ -8,7 +8,7 @@ import pytest
 
 import fastslow.sde_engine as sde_engine
 from fastslow.coefficients import get_model, model_from_expressions
-from fastslow.sde_engine import ScaleRegime, simulate_paths
+from fastslow.sde_engine import ScaleRegime, simulate_paths, time_grid
 
 
 @pytest.fixture(scope="session")
@@ -40,9 +40,12 @@ def affine_regime():
 
 @pytest.fixture(scope="session")
 def affine_bundle(affine, affine_regime):
-    """Small fully stored bundle shared by tangent/engine tests."""
+    """Small bundle shared by tangent/engine tests, captured at every step
+    of its time grid."""
+    dt = affine_regime.eta / 20.0
+    n_steps, _ = time_grid(affine_regime.T, dt)
     return simulate_paths(
-        affine, affine_regime, 0.0, 0.0, affine_regime.eta / 20.0, 8, 12345
+        affine, affine_regime, 0.0, 0.0, dt, 8, 12345, capture_indices=range(n_steps + 1)
     )
 
 

@@ -33,6 +33,7 @@ from fastslow.sde_engine import (
     ScaleRegime,
     _noise_blocks,
     simulate_paths,
+    time_grid,
 )
 
 
@@ -156,12 +157,13 @@ def test_every_key_tuple_is_bit_equal_to_each_key_alone(name, request):
 
 def test_tangents_evaluate_once_per_step(bounded, monkeypatch):
     """Exactly one kernel call per state a pass reads, none through the
-    one-key views, and every state the pass evaluates is the stored row
-    bit for bit: the bundle functions replay the stored increments, with
-    the 4 EM keys before the first perturbation step and all 24 keys
-    from it, up to the horizon where a tangent starts there and before
-    it otherwise, whether or not a recorder reads the series; on live
-    noise drawn from the bundle's streams the pass makes the same calls.
+    one-key views, and every state the pass evaluates is the row the
+    bundle captured, bit for bit: the bundle functions replay the
+    bundle's increments, with the 4 EM keys before the first
+    perturbation step and all 24 keys from it, up to the horizon where a
+    tangent starts there and before it otherwise, whether or not a
+    recorder reads the series; on live noise drawn from the bundle's
+    streams the pass makes the same calls.
     simulate_paths keeps one call of the 4 EM keys per step."""
     regime = ScaleRegime(epsilon=0.05, eta=0.05, gamma=1.0, T=0.2)
     calls = []
@@ -176,11 +178,15 @@ def test_tangents_evaluate_once_per_step(bounded, monkeypatch):
         first_at and of all 24 keys from it."""
         expect = [_EM_KEYS] * first_at + [COEFFICIENT_KEYS] * (stop - first_at)
         assert [k for k, _ in calls] == expect
-        assert all(np.array_equal(x, bundle.X[k]) for (_, x), k in zip(calls, range(stop)))
+        assert all(
+            np.array_equal(x, bundle.state_at(k)[0]) for (_, x), k in zip(calls, range(stop))
+        )
         calls.clear()
 
     monkeypatch.setattr(CoefficientTable, "evaluate", counting)
-    bundle = simulate_paths(bounded, regime, 0.4, 0.3, regime.eta / 20, 3, 5)
+    dt = regime.eta / 20
+    every_step = range(time_grid(regime.T, dt)[0] + 1)
+    bundle = simulate_paths(bounded, regime, 0.4, 0.3, dt, 3, 5, capture_indices=every_step)
     n = bundle.n_steps
     assert_calls(n, n)
     first_order_tangents(bounded, bundle, [0, 10, 20, 40])

@@ -56,10 +56,26 @@ FIRST_ROWS = ("final_dx", "final_dy", "sup_abs_dx", "sup_abs_dy")
 SECOND_ROWS = ("final_d2x", "final_d2y", "sup_abs_d2x", "sup_abs_d2y")
 
 
+def _every_step(regime, dt):
+    """The capture indices of every step of the grid of ``regime`` at ``dt``."""
+    return range(time_grid(regime.T, dt)[0] + 1)
+
+
+def _paths(bundle):
+    """(X, Y), each of shape (n_steps + 1, n_paths), of a bundle captured
+    at every step."""
+    X, Y = zip(*(bundle.state_at(k) for k in range(bundle.n_steps + 1)))
+    return np.array(X), np.array(Y)
+
+
 @pytest.fixture(scope="module")
 def bounded_bundle(bounded):
+    """A bundle captured at every step, which the scalar reference reads."""
     regime = ScaleRegime(epsilon=0.05, eta=0.05, gamma=1.0, T=0.5)
-    return simulate_paths(bounded, regime, 0.1, -0.2, regime.eta / 20, 4, 42)
+    dt = regime.eta / 20
+    return simulate_paths(
+        bounded, regime, 0.1, -0.2, dt, 4, 42, capture_indices=_every_step(regime, dt)
+    )
 
 
 # -- grids -------------------------------------------------------------
@@ -252,13 +268,14 @@ def test_z_process_bounded_is_deterministic(bounded, bounded_bundle):
 
 def _stored_path_z(model, bundle, r):
     """The z-process by the stored-path formula: the log increments of all
-    steps from r at once, on the stored rows X[r:-1], Y[r:-1] and the W2
-    increments drawn for the bundle, cumulated with np.cumsum."""
+    steps from r at once, on the captured rows X[r:-1], Y[r:-1] and the
+    W2 increments drawn for the bundle, cumulated with np.cumsum."""
     out = np.ones((bundle.n_steps + 1, bundle.n_paths))
     if r == bundle.n_steps:
         return out
     eta = bundle.regime.eta
-    d2f, d2t = model.evaluate(bundle.X[r:-1], bundle.Y[r:-1], ("d2_f", "d2_tau"))
+    X, Y = _paths(bundle)
+    d2f, d2t = model.evaluate(X[r:-1], Y[r:-1], ("d2_f", "d2_tau"))
     _, w2 = draw_increments(bundle.master_seed, range(bundle.n_paths), bundle.n_steps, bundle.dt)
     incr = (
         d2f * (bundle.dt / eta)
@@ -272,12 +289,15 @@ def _stored_path_z(model, bundle, r):
 @pytest.mark.parametrize("fixture", ["bounded", "trig"])
 def test_z_process_matches_the_stored_path_formula(fixture, request):
     """The z-process cumulated along the bundle's replay equals, bit for
-    bit, the formula evaluated on the stored path, from r = 0, an inner
-    r, T/2 and the horizon.  On trig, d2_tau varies with the state, so
-    the W2 term moves every path differently."""
+    bit, the formula evaluated on the path captured at every step, from
+    r = 0, an inner r, T/2 and the horizon.  On trig, d2_tau varies with
+    the state, so the W2 term moves every path differently."""
     model = request.getfixturevalue(fixture)
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.15)
-    bundle = simulate_paths(model, regime, 0.4, 0.3, regime.eta / 20, 5, 9)
+    dt = regime.eta / 20
+    bundle = simulate_paths(
+        model, regime, 0.4, 0.3, dt, 5, 9, capture_indices=_every_step(regime, dt)
+    )
     n = bundle.n_steps
     for r in (0, 7, n // 2, n):
         z = z_process(model, bundle, r)
@@ -288,13 +308,13 @@ def test_z_process_matches_the_stored_path_formula(fixture, request):
 
 
 def test_z_process_replays_a_bundle_without_paths(trig):
-    """A bundle that keeps no path gives the z-process of the stored
-    bundle of the same seed, bit for bit."""
+    """A bundle that captures no step gives the z-process of the bundle
+    of the same seed captured at every step, bit for bit."""
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.15)
     shared = (trig, regime, 0.4, 0.3, regime.eta / 20, 5, 9)
-    light = simulate_paths(*shared, store_paths=False)
-    stored = simulate_paths(*shared)
-    assert light.X is None and light.Y is None
+    light = simulate_paths(*shared)
+    stored = simulate_paths(*shared, capture_indices=_every_step(regime, shared[4]))
+    assert light.captures == {}
     for r in (0, 7, light.n_steps // 2):
         assert np.array_equal(z_process(trig, light, r), z_process(trig, stored, r)), r
 
@@ -633,9 +653,10 @@ def _scalar_tangents(model, bundle, r_grid, cells):
     """Literal per-path reference for both tangent orders.
 
     Follows the recursions of the module docstring step by step in
-    Python floats, with the one-key coefficient views.  The first-order
-    series is stored, and the second-order initial data of each cell
-    (j1, j2, r1, r2) read it at r1 and r2.  Returns the first-order
+    Python floats, with the one-key coefficient views, along the path of
+    a bundle captured at every step.  The first-order series is stored,
+    and the second-order initial data of each cell (j1, j2, r1, r2) read
+    it at r1 and r2.  Returns the first-order
     (DX, DY) series, shape (2, n_r, n_t, n_paths), and the second-order
     (final D2X, final D2Y, sup |D2X|, sup |D2Y|), each (n_cells, n_paths).
     """
@@ -648,8 +669,9 @@ def _scalar_tangents(model, bundle, r_grid, cells):
     DY = np.zeros((2, len(r_grid), n_t, n_paths))
     second = np.zeros((4, len(cells), n_paths))
     dW1, dW2 = draw_increments(bundle.master_seed, range(n_paths), n, dt)
+    paths = _paths(bundle)
     for p in range(n_paths):
-        X, Y = bundle.X[:, p].tolist(), bundle.Y[:, p].tolist()
+        X, Y = (rows[:, p].tolist() for rows in paths)
         W1, W2 = dW1[:, p].tolist(), dW2[:, p].tolist()
         for i, r in enumerate(r_grid):
             for j in (0, 1):
@@ -773,12 +795,14 @@ def test_cell_list_that_is_not_a_product(bounded, bounded_bundle):
 
 def test_bundle_functions_read_only_the_increments(bounded, bounded_bundle):
     """The bundle functions replay the increments, redrawn from the
-    bundle's streams, from its initial state: a bundle that keeps no
-    paths gives the same tangents and Q1, Q2 bit for bit."""
+    bundle's streams, from its initial state: a bundle that captures no
+    step gives the tangents and Q1, Q2 of one captured at every step,
+    bit for bit."""
     regime = bounded_bundle.regime
     shared = (bounded, regime, 0.1, -0.2, regime.eta / 20, 4, 42)
-    light = simulate_paths(*shared, store_paths=False)
-    assert light.X is None and light.Y is None
+    light = simulate_paths(*shared)
+    assert light.captures == {}
+    assert len(bounded_bundle.captures) == bounded_bundle.n_steps + 1
     n = bounded_bundle.n_steps
     r_grid, pairs = [0, 12, 30, n], [(30, 12), (12, 30), (0, n)]
     got, ref = (first_order_tangents(bounded, b, r_grid) for b in (light, bounded_bundle))
@@ -799,8 +823,8 @@ def test_bundle_tangents_replay_the_bundle_point(bounded):
     and differ from those of the point-0 bundle of the same seed."""
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.15)
     shared = (bounded, regime, 0.4, 0.3, regime.eta / 20, 5, 11)
-    at_3 = simulate_paths(*shared, store_paths=False, _point=3)
-    at_0 = simulate_paths(*shared, store_paths=False)
+    at_3 = simulate_paths(*shared, _point=3)
+    at_0 = simulate_paths(*shared)
     assert (at_3.point, at_0.point) == (3, 0)
     r_grid = [0, 12, 30]
     got = first_order_tangents(bounded, at_3, r_grid, store_series=False)
@@ -1256,24 +1280,26 @@ def test_q_decomposition_evaluates_once_per_read_row(fixture, request, monkeypat
     """q_decomposition reads tau at r and the fast partials from the
     pass's values.  Replaying the bundle's increments, the pass makes one
     kernel call per state, of the 4 EM keys before r and of all 24 keys
-    from r up to the horizon, which costs none, each on the stored row
+    from r up to the horizon, which costs none, each on the captured row
     bit for bit; and Q1,
     Q2 equal, bit for bit, the recursion run on its own kernel calls
     over the stored first-order series."""
     model = request.getfixturevalue(fixture)
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.15)
-    bundle = simulate_paths(model, regime, 0.4, 0.3, regime.eta / 20, 5, 8)
+    dt = regime.eta / 20
+    bundle = simulate_paths(
+        model, regime, 0.4, 0.3, dt, 5, 8, capture_indices=_every_step(regime, dt)
+    )
     n, r, dt, eta_root = bundle.n_steps, 12, bundle.dt, math.sqrt(regime.eta)
+    X, Y = _paths(bundle)
     dxw2 = first_order_tangents(model, bundle, [r]).DX[1, 0]
     _, dW2 = draw_increments(bundle.master_seed, range(5), n, dt)
-    (tau_r,) = model.evaluate(bundle.X[r], bundle.Y[r], ("tau",))
+    (tau_r,) = model.evaluate(X[r], Y[r], ("tau",))
     q1, q2 = np.zeros((2, n + 1, 5))
     q1[r] = tau_r / eta_root
     zm, q2_state = np.ones(5), np.zeros(5)
     for k in range(r, n):
-        d1f, d2f, d1t, d2t = model.evaluate(
-            bundle.X[k], bundle.Y[k], ("d1_f", "d2_f", "d1_tau", "d2_tau")
-        )
+        d1f, d2f, d1t, d2t = model.evaluate(X[k], Y[k], ("d1_f", "d2_f", "d1_tau", "d2_tau"))
         a = 1.0 + d2f * (dt / regime.eta) + d2t * (dW2[k] / eta_root)
         g = d1f * dxw2[k] * (dt / regime.eta) + d1t * dxw2[k] * (dW2[k] / eta_root)
         zm = a * zm
@@ -1291,7 +1317,7 @@ def test_q_decomposition_evaluates_once_per_read_row(fixture, request, monkeypat
     monkeypatch.setattr(CoefficientTable, "evaluate", counting)
     got1, got2 = q_decomposition(model, bundle, r)
     assert [keys for keys, _ in calls] == [EM_KEYS] * r + [COEFFICIENT_KEYS] * (n - r)
-    assert all(np.array_equal(x, bundle.X[k]) for (_, x), k in zip(calls, range(n + 1)))
+    assert all(np.array_equal(x, X[k]) for (_, x), k in zip(calls, range(n + 1)))
     assert np.array_equal(got1, q1) and np.array_equal(got2, q2)
 
 
@@ -1386,6 +1412,8 @@ def test_sweeps_reject_step_above_stability_guard(affine, monkeypatch):
     "sizes, message",
     [
         (dict(n_paths=0), "n_paths must be >= 1 (got 0)"),
+        (dict(n_paths=2.5), "n_paths must be an integer >= 1 (got 2.5)"),
+        (dict(n_paths=True), "n_paths must be an integer >= 1 (got True)"),
     ],
 )
 def test_sweeps_reject_nonpositive_sizes_first(affine, monkeypatch, sizes, message):

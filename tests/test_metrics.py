@@ -388,7 +388,7 @@ def test_bootstrap_w1_accepts_numpy_integer_n_boot():
 
 
 def _not_reached(*args, **kwargs):
-    raise AssertionError("work started before n_boot was checked")
+    raise AssertionError("work started before the arguments were checked")
 
 
 def test_clt_verify_checks_n_boot_before_any_work(affine, monkeypatch):
@@ -404,6 +404,31 @@ def test_rate_sweep_checks_n_boot_before_any_work(affine, monkeypatch):
     monkeypatch.setattr(metrics_mod, "simulate_paths", _not_reached)
     with pytest.raises(ValueError, match="n_boot"):
         rate_sweep(affine, (0.16, 0.08, 0.04), "equal", {"n_boot": 0}, T=0.2)
+
+
+@pytest.mark.parametrize(
+    "n_paths, message",
+    [
+        (1, "n_paths must be >= 2 for a W1 estimate (got 1)"),
+        (0, "n_paths must be >= 1 (got 0)"),
+        (2.5, "n_paths must be an integer >= 1 (got 2.5)"),
+        (30.9, "n_paths must be an integer >= 1 (got 30.9)"),
+        (True, "n_paths must be an integer >= 1 (got True)"),
+    ],
+)
+def test_path_counts_are_checked_before_any_work(affine, monkeypatch, n_paths, message):
+    """clt_verify and rate_sweep take an integer n_paths >= 2, the fewest
+    samples a W1 estimate takes, and raise ValueError naming it before
+    any homogenization or simulation: rate_sweep does not truncate 30.9
+    to 30 paths, nor does either run one path for True."""
+    monkeypatch.setattr(metrics_mod, "build_homogenized", _not_reached)
+    monkeypatch.setattr(metrics_mod, "simulate_paths", _not_reached)
+    regime = ScaleRegime(0.05, 0.05, 1.0, 0.1)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        clt_verify(affine, regime, 0.0, 0.0, 0.0025, n_paths, n_boot=10)
+    config = {"n_paths": n_paths, "n_boot": 10}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rate_sweep(affine, (0.16, 0.08, 0.04), "equal", config, T=0.2)
 
 
 # -- theoretical envelope ----------------------------------------------
@@ -696,7 +721,7 @@ def test_rate_sweep_integrates_the_limit_once_and_matches_clt_verify(
         times, capture = metrics_mod._checkpoint_steps(regime, e / 20, (T,))
         trajectory = attach_variance(affine_hom, real(affine_hom, 0.0, T, LIMIT_ODE_DT))
         bundle = simulate_paths(
-            affine, regime, 0.0, 0.0, e / 20, 40, seed, store_paths=False,
+            affine, regime, 0.0, 0.0, e / 20, 40, seed,
             capture_indices=capture, _point=i + 1,
         )
         (alone,) = metrics_mod._clt_reports(bundle, times, trajectory, n_boot=10)
@@ -710,7 +735,7 @@ def test_rate_sweep_integrates_the_limit_once_and_matches_clt_verify(
         n_boot=10, hom=affine_hom,
     ) == metrics_mod._clt_reports(
         simulate_paths(
-            affine, regime, 0.0, 0.0, eps[0] / 20, 40, seed, store_paths=False,
+            affine, regime, 0.0, 0.0, eps[0] / 20, 40, seed,
             capture_indices=capture,
         ),
         times,

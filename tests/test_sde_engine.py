@@ -79,16 +79,34 @@ def test_simulate_rejects_unstable_dt(affine, affine_regime):
 # -- determinism -------------------------------------------------------
 
 
+def _every_step(regime, dt):
+    """The capture indices of every step of the grid of ``regime`` at ``dt``."""
+    return range(time_grid(regime.T, dt)[0] + 1)
+
+
+def _assert_equal_captures(got, ref):
+    """Two capture dicts hold the same steps, in the same order, and the
+    same rows bit for bit."""
+    assert list(got) == list(ref)
+    for k in ref:
+        for name, row, expect in zip("XY", got[k], ref[k]):
+            assert np.array_equal(row, expect), (k, name)
+
+
 def _small_bundle(model, seed=7, n_paths=6):
+    """A bundle of 250 steps captured at every step."""
     regime = ScaleRegime(epsilon=0.04, eta=0.02, gamma=math.sqrt(2.0), T=0.25)
-    return simulate_paths(model, regime, 0.3, -0.2, regime.eta / 20, n_paths, seed)
+    dt = regime.eta / 20
+    return simulate_paths(
+        model, regime, 0.3, -0.2, dt, n_paths, seed, capture_indices=_every_step(regime, dt)
+    )
 
 
 def test_same_seed_is_bitwise_identical(affine):
     a = _small_bundle(affine)
     b = _small_bundle(affine)
-    for name in ("X", "Y"):
-        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert len(a.captures) == a.n_steps + 1
+    _assert_equal_captures(a.captures, b.captures)
 
 
 def test_chunking_does_not_change_results(affine):
@@ -96,14 +114,15 @@ def test_chunking_does_not_change_results(affine):
     two paths of a six-path bundle are a two-path bundle."""
     whole = _small_bundle(affine)
     part = _small_bundle(affine, n_paths=2)
-    for name in ("X", "Y"):
-        assert np.array_equal(getattr(whole, name)[:, :2], getattr(part, name)), name
+    _assert_equal_captures(
+        {k: (x[:2], y[:2]) for k, (x, y) in whole.captures.items()}, part.captures
+    )
 
 
 def test_different_seeds_differ(affine):
     a = _small_bundle(affine, seed=7)
     b = _small_bundle(affine, seed=8)
-    assert not np.array_equal(a.X, b.X)
+    assert not np.array_equal(a.state_at(a.n_steps)[0], b.state_at(b.n_steps)[0])
 
 
 def test_channel_streams_are_independent():
@@ -117,6 +136,9 @@ def test_channel_streams_are_independent():
     "kwargs, message",
     [
         (dict(n_paths=0), "n_paths must be >= 1 (got 0)"),
+        (dict(n_paths=2.5), "n_paths must be an integer >= 1 (got 2.5)"),
+        (dict(n_paths=4.0), "n_paths must be an integer >= 1 (got 4.0)"),
+        (dict(n_paths=True), "n_paths must be an integer >= 1 (got True)"),
     ],
 )
 def test_simulate_rejects_nonpositive_sizes(affine, affine_regime, kwargs, message):
@@ -314,8 +336,9 @@ def test_key_serves_only_a_philox_key():
 def test_blocked_noise_matches_one_block(bounded, monkeypatch, batch, block):
     """simulate_paths, drawing its noise in blocks of ``block`` steps and
     row batches of ``batch`` streams (None: the default, one batch),
-    stores and captures exactly what draw_increments +
-    simulate_with_increments give on the same noise in one block.  Six
+    captures exactly what draw_increments + simulate_with_increments
+    give on the same noise in one block, at a few steps and at every
+    step.  Six
     paths of 24 steps run as one group at every block length, so blocks
     of 5 and 1 steps keep every stream open from block to block."""
     n_paths, seed, marks = 6, 3 + (1 << 32), (0, 5, 23, 24)
@@ -330,22 +353,15 @@ def test_blocked_noise_matches_one_block(bounded, monkeypatch, batch, block):
     blocks = sde_engine._noise_blocks(seed, range(n_paths), n_steps, dt)
     assert sum(1 for _ in blocks) == math.ceil(n_steps / min(block, n_steps))
 
-    kwargs = dict(capture_indices=marks)
-    full = simulate_paths(bounded, regime, 0.4, 0.3, dt, n_paths, seed, **kwargs)
-    light = simulate_paths(
-        bounded, regime, 0.4, 0.3, dt, n_paths, seed,
-        store_paths=False, **kwargs,
-    )
-    X, Y, caps = simulate_with_increments(
-        bounded, regime, 0.4, 0.3, dt, dW1, dW2, capture_indices=marks
-    )
-    for name, ref in (("X", X), ("Y", Y)):
-        assert np.array_equal(getattr(full, name), ref), name
-    assert light.X is None and light.Y is None
-    for k in marks:
-        for bundle in (full, light):
-            assert np.array_equal(bundle.captures[k][0], caps[k][0])
-            assert np.array_equal(bundle.captures[k][1], caps[k][1])
+    for steps in (marks, range(n_steps + 1)):
+        bundle = simulate_paths(
+            bounded, regime, 0.4, 0.3, dt, n_paths, seed, capture_indices=steps
+        )
+        caps = simulate_with_increments(
+            bounded, regime, 0.4, 0.3, dt, dW1, dW2, capture_indices=steps
+        )
+        assert list(caps) == list(steps)
+        _assert_equal_captures(bundle.captures, caps)
 
 
 @pytest.mark.parametrize(
@@ -418,22 +434,23 @@ def test_worker_shares_rule(monkeypatch, n_paths, n_steps, cpus, shares):
     ],
 )
 @pytest.mark.parametrize(
-    "store_paths, redraw, marks",
+    "every_step, redraw, marks",
     [
-        (True, True, (0, 5, 23, 24)),  # full storage and captures
+        (True, True, (0, 5, 23, 24)),  # every step captured
         (True, False, ()),
-        (False, False, (0, 5, 23, 24)),  # captures only
-        (False, False, ()),  # both off
+        (False, False, (0, 5, 23, 24)),  # a few steps captured
+        (False, False, ()),  # none captured
     ],
 )
 def test_path_groups_match_one_block(
     bounded, monkeypatch, force_workers, starts, all_joined,
-    block_paths, groups, store_paths, redraw, marks,
+    block_paths, groups, every_step, redraw, marks,
 ):
     """simulate_paths at a block budget that holds the whole draw of
-    ``block_paths`` paths stores and captures exactly what draw_increments
-    + simulate_with_increments give on the noise of all 100 paths drawn
-    in one block, whether the budget splits the pass into path groups or
+    ``block_paths`` paths captures exactly what draw_increments +
+    simulate_with_increments give on the noise of all 100 paths drawn
+    in one block, at ``marks`` or, with ``every_step``, at every step,
+    whether the budget splits the pass into path groups or
     leaves it on time blocks, and whether it runs in process or on two
     forked workers, whose shares of 50 paths each run their own groups
     (at 17 paths a block, 3 groups where the serial pass is on time
@@ -445,24 +462,21 @@ def test_path_groups_match_one_block(
     n_steps, dt = time_grid(regime.T, regime.eta / 20)
     assert n_steps == 24
     dW1, dW2 = draw_increments(seed, range(n_paths), n_steps, dt)
-    X, Y, caps = simulate_with_increments(
-        bounded, regime, 0.4, 0.3, dt, dW1, dW2, capture_indices=marks
+    steps = range(n_steps + 1) if every_step else marks
+    caps = simulate_with_increments(
+        bounded, regime, 0.4, 0.3, dt, dW1, dW2, capture_indices=steps
     )
     monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * n_steps * block_paths)
     assert [len(ids) for ids in sde_engine._path_groups(n_paths, n_steps)] == groups
     for workers in (1, 2):
         force_workers(workers)
         bundle = simulate_paths(
-            bounded, regime, 0.4, 0.3, dt, n_paths, seed,
-            store_paths=store_paths, capture_indices=marks,
+            bounded, regime, 0.4, 0.3, dt, n_paths, seed, capture_indices=steps
         )
         assert len(starts) == (0 if workers == 1 else 2)
         assert all_joined()
-        for name, ref in (("X", X), ("Y", Y)):
-            if store_paths:
-                assert np.array_equal(getattr(bundle, name), ref), (workers, name)
-            else:
-                assert getattr(bundle, name) is None, name
+        assert list(bundle.captures) == list(steps)
+        _assert_equal_captures(bundle.captures, caps)
         if redraw:
             import fastslow.malliavin as malliavin
 
@@ -475,13 +489,6 @@ def test_path_groups_match_one_block(
             malliavin._bundle_pass(bounded, bundle, [(0, 0)])
             assert np.array_equal(np.concatenate([w1 for w1, _ in blocks]), dW1)
             assert np.array_equal(np.concatenate([w2 for _, w2 in blocks]), dW2)
-        if not marks:
-            assert bundle.captures is None
-            continue
-        assert list(bundle.captures) == list(marks)
-        for k in marks:
-            assert np.array_equal(bundle.captures[k][0], caps[k][0]), (workers, k)
-            assert np.array_equal(bundle.captures[k][1], caps[k][1]), (workers, k)
 
 
 def test_grouped_pass_keeps_no_stream_open(affine, monkeypatch):
@@ -498,11 +505,11 @@ def test_grouped_pass_keeps_no_stream_open(affine, monkeypatch):
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.06)
     monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * 24 * 20)
     monkeypatch.setattr(sde_engine.np.random, "Philox", counting)
-    simulate_paths(affine, regime, 0.0, 0.0, regime.eta / 20, 100, 3, store_paths=False)
+    simulate_paths(affine, regime, 0.0, 0.0, regime.eta / 20, 100, 3)
     assert len(built) == 2 * 5
     built.clear()
     monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * 24 * 17)
-    simulate_paths(affine, regime, 0.0, 0.0, regime.eta / 20, 100, 3, store_paths=False)
+    simulate_paths(affine, regime, 0.0, 0.0, regime.eta / 20, 100, 3)
     assert len(built) == 2 * 100
 
 
@@ -523,9 +530,10 @@ def _traced_peak(run) -> int:
 
 
 def test_memory_does_not_grow_with_steps(affine, monkeypatch):
-    """Peak memory of a light simulation and of the fused tangent pass
-    stays flat when n_steps grows 8x at a fixed path count, within each
-    way simulate_paths draws: on time blocks with every stream open (100
+    """Peak memory of a simulation with its default arguments, which
+    captures no step, and of the fused tangent pass stays flat when
+    n_steps grows 8x at a fixed path count, within each way
+    simulate_paths draws: on time blocks with every stream open (100
     paths, 64 and 512 steps, 30-step blocks) and in path groups drawn in
     one block each (2000 paths, 20 and 160 steps, 2 and 10 groups).  The
     two ways hold different objects (open streams against one re-keyed
@@ -554,21 +562,16 @@ def test_memory_does_not_grow_with_steps(affine, monkeypatch):
         assert time_grid(out.T, dt) == (n_steps, dt)
         return out
 
-    def light_simulation(n_paths, block):
+    def simulation(n_paths, block):
         def run(n_steps):
             monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * n_paths * block)
-            simulate_paths(
-                affine, regime(n_steps), 0.0, 0.0, dt, n_paths, 1,
-                store_paths=False, capture_indices=[n_steps],
-            )
+            simulate_paths(affine, regime(n_steps), 0.0, 0.0, dt, n_paths, 1)
         return run
 
     def bundle_tangents(n_steps):
-        # A light bundle keeps no noise: its tangents redraw it in blocks.
+        # A bundle keeps no noise: its tangents redraw it in blocks.
         monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * 100 * 30)
-        bundle = simulate_paths(
-            affine, regime(n_steps), 0.0, 0.0, dt, 100, 1, store_paths=False
-        )
+        bundle = simulate_paths(affine, regime(n_steps), 0.0, 0.0, dt, 100, 1)
         first_order_tangents(affine, bundle, [n_steps // 4, n_steps // 2], False)
 
     def tangent_pass(n_steps):
@@ -610,7 +613,7 @@ def test_memory_does_not_grow_with_steps(affine, monkeypatch):
         monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * n_paths * block)
         return [len(ids) for ids in sde_engine._path_groups(n_paths, n_steps)]
 
-    time_blocks, path_groups = light_simulation(100, 30), light_simulation(2000, 16)
+    time_blocks, path_groups = simulation(100, 30), simulation(2000, 16)
     assert groups(100, 30, 64) == groups(100, 30, 512) == [100]
     assert groups(2000, 16, 20) == [1000] * 2
     assert groups(2000, 16, 160) == [200] * 10
@@ -661,8 +664,9 @@ def test_affine_step_matches_linear_recursion(affine):
             x + (y - 2.0 * x) * dt + math.sqrt(eps) * dW1[k],
             y + (x - y) * dt / eta + math.sqrt(2.0) * dW2[k] / math.sqrt(eta),
         )
-    assert np.allclose(x, bundle.X[-1], rtol=0, atol=1e-13)
-    assert np.allclose(y, bundle.Y[-1], rtol=0, atol=1e-13)
+    x_final, y_final = bundle.state_at(bundle.n_steps)
+    assert np.allclose(x, x_final, rtol=0, atol=1e-13)
+    assert np.allclose(y, y_final, rtol=0, atol=1e-13)
 
 
 def test_self_difference_shrinks_with_dt(affine):
@@ -676,10 +680,11 @@ def test_self_difference_shrinks_with_dt(affine):
         """level = 1, 2, 4: coarsen fine increments by summing blocks."""
         coarse1 = w1.reshape(n_fine // level, level, -1).sum(axis=1)
         coarse2 = w2.reshape(n_fine // level, level, -1).sum(axis=1)
-        X, _, _ = simulate_with_increments(
-            affine, regime, 0.5, 0.0, dt_fine * level, coarse1, coarse2
+        n = n_fine // level
+        caps = simulate_with_increments(
+            affine, regime, 0.5, 0.0, dt_fine * level, coarse1, coarse2, capture_indices=[n]
         )
-        return X[-1]
+        return caps[n][0]
 
     x4, x2, x1 = final_x(4), final_x(2), final_x(1)
     err_coarse = np.mean(np.abs(x4 - x2))
@@ -807,7 +812,7 @@ def test_worker_that_dies_is_reported(affine, monkeypatch, force_workers, starts
     em_loop, noise_blocks = sde_engine._em_loop, malliavin._noise_blocks
 
     def dying_share(*args):
-        if args[9] >= 25:  # the path id of the share's first column
+        if args[7] >= 25:  # the path id of the share's first column
             os._exit(7)
         return em_loop(*args)
 
@@ -838,11 +843,16 @@ def test_no_worker_without_fork_or_a_second_cpu(
     force_workers(1 if patch == "one CPU" else 2)
     if patch == "no fork":
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-    bundle = simulate_paths(affine, regime, 0.0, 0.0, regime.eta / 20, 50, 1)
+    every_step = _every_step(regime, regime.eta / 20)
+    bundle = simulate_paths(
+        affine, regime, 0.0, 0.0, regime.eta / 20, 50, 1, capture_indices=every_step
+    )
     assert starts == []
     dW1, dW2 = draw_increments(1, range(50), 24, bundle.dt)
-    X, _, _ = simulate_with_increments(affine, regime, 0.0, 0.0, bundle.dt, dW1, dW2)
-    assert np.array_equal(bundle.X, X)
+    caps = simulate_with_increments(
+        affine, regime, 0.0, 0.0, bundle.dt, dW1, dW2, capture_indices=every_step
+    )
+    _assert_equal_captures(bundle.captures, caps)
 
 
 def test_degenerate_tau_names_step_column_and_value():
@@ -857,33 +867,35 @@ def test_degenerate_tau_names_step_column_and_value():
         simulate_paths(tiny, regime, 0.0, 0.0, 0.005, 2, 1)
 
 
-# -- captures and memory-light mode ------------------------------------
+# -- captures ----------------------------------------------------------
 
 
 def test_captures_match_full_storage(affine):
+    """A bundle asked for unsorted and repeated steps captures exactly
+    those steps, sorted and each once, and its rows are those that
+    simulate_with_increments captures at every step on the draw_increments
+    noise of the bundle's streams.  A bundle asked for no step captures
+    {}.  state_at of a step that was not captured raises AlignmentError
+    naming the step."""
     regime = ScaleRegime(epsilon=0.04, eta=0.02, gamma=math.sqrt(2.0), T=0.25)
-    marks = (0, 50, 250)
-    full = simulate_paths(
-        affine, regime, 0.3, -0.2, regime.eta / 20, 6, 7, capture_indices=marks
+    dt = regime.eta / 20
+    n_steps, dt_eff = time_grid(regime.T, dt)
+    dW1, dW2 = draw_increments(7, range(6), n_steps, dt_eff)
+    full = simulate_with_increments(
+        affine, regime, 0.3, -0.2, dt_eff, dW1, dW2, capture_indices=range(n_steps + 1)
     )
-    light = simulate_paths(
-        affine,
-        regime,
-        0.3,
-        -0.2,
-        regime.eta / 20,
-        6,
-        7,
-        store_paths=False,
-        capture_indices=marks,
+    assert list(full) == list(range(n_steps + 1))
+    bundle = simulate_paths(
+        affine, regime, 0.3, -0.2, dt, 6, 7, capture_indices=(250, 0, 50, 0, 250)
     )
-    assert light.X is None and light.Y is None
-    for k in marks:
-        lx, ly = light.state_at(k)
-        assert np.array_equal(lx, full.X[k])
-        assert np.array_equal(ly, full.Y[k])
-    with pytest.raises(AlignmentError):
-        light.state_at(17)
+    assert list(bundle.captures) == [0, 50, 250]
+    _assert_equal_captures(bundle.captures, {k: full[k] for k in (0, 50, 250)})
+    with pytest.raises(AlignmentError, match="step 17 was not captured"):
+        bundle.state_at(17)
+    bare = simulate_paths(affine, regime, 0.3, -0.2, dt, 6, 7)
+    assert bare.captures == {}
+    with pytest.raises(AlignmentError, match="step 0 was not captured"):
+        bare.state_at(0)
 
 
 def test_capture_index_out_of_range(affine, affine_regime):
