@@ -485,6 +485,15 @@ def cmd_check_assumptions(config: ExperimentConfig, s: dict, out_dir, seed) -> i
     return EXIT_PASS if all_pass else EXIT_ASSERTION
 
 
+def _w1_paths(s: dict) -> int:
+    """``grid.n_paths`` of a W1 command; ConfigError below 2, the fewest
+    samples a W1 estimate takes, before the command builds anything."""
+    n_paths = int(s["n_paths"])
+    if n_paths < 2:
+        raise ConfigError(f"grid.n_paths must be >= 2 for a W1 estimate (got {n_paths})")
+    return n_paths
+
+
 def _homogenized(s: dict, model: CoefficientSet, gamma):
     """Homogenized model on the command's ``grid.x_range``, ``nx`` and ``ny``."""
     return build_homogenized(model, tuple(s["x_range"]), int(s["nx"]), int(s["ny"]), gamma)
@@ -537,6 +546,7 @@ def _regime_diagnostics(regime: ScaleRegime) -> dict:
 def cmd_clt_verify(config: ExperimentConfig, s: dict, out_dir, seed) -> int:
     model = config.coefficient_set()
     regime = s["regimes"][0]
+    n_paths = _w1_paths(s)
     hom = _homogenized(s, model, regime.gamma)
     reports = clt_verify(
         model,
@@ -544,7 +554,7 @@ def cmd_clt_verify(config: ExperimentConfig, s: dict, out_dir, seed) -> int:
         x0=float(s["x0"]),
         y0=float(s["y0"]),
         dt=regime.eta * float(s["dt_eta_fraction"]),
-        n_paths=int(s["n_paths"]),
+        n_paths=n_paths,
         checkpoints=s["checkpoints"],
         seed=seed,
         n_boot=int(s["bootstrap"]),
@@ -620,6 +630,7 @@ def cmd_rate_sweep(config: ExperimentConfig, s: dict, out_dir, seed) -> int:
     epsilons, gamma, T = s["epsilons"], s["gamma"], s["T"]
     if len(epsilons) < 3:
         raise ConfigError(f"rate-sweep needs at least three sweep.epsilons (got {epsilons})")
+    n_paths = _w1_paths(s)
     hom = _homogenized(s, model, gamma)
     fit = rate_sweep(
         model,
@@ -628,7 +639,7 @@ def cmd_rate_sweep(config: ExperimentConfig, s: dict, out_dir, seed) -> int:
         {
             "x0": s["x0"],
             "y0": s["y0"],
-            "n_paths": int(s["n_paths"]),
+            "n_paths": n_paths,
             "dt_eta_fraction": float(s["dt_eta_fraction"]),
             "n_boot": int(s["bootstrap"]),
             "hom": hom,

@@ -257,9 +257,15 @@ class SecondOrderTangents:
     sup_abs_d2y: np.ndarray
 
 
+def _sorted_distinct(steps: np.ndarray) -> np.ndarray:
+    """``np.unique(steps)`` of a 1-d int array, without the numpy.ma
+    import that np.unique makes."""
+    return np.array(sorted(set(steps.tolist())), dtype=int)
+
+
 def default_r_grid(n_steps: int, n_r: int = 16) -> np.ndarray:
     """n_r equispaced step indices spanning [0, T] (first..last step)."""
-    return np.unique(np.round(np.linspace(0, n_steps, n_r)).astype(int))
+    return _sorted_distinct(np.round(np.linspace(0, n_steps, n_r)).astype(int))
 
 
 def full_pair_grid(r_indices: Sequence[int]) -> np.ndarray:
@@ -287,7 +293,7 @@ def _r_grid(n_steps: int, r_indices: Sequence[int]) -> np.ndarray:
     Raises ValueError when there is none, or naming the first step that
     is not an integer or lies outside [0, n_steps].
     """
-    r_idx = np.unique(_step_indices(r_indices))
+    r_idx = _sorted_distinct(_step_indices(r_indices))
     if len(r_idx) == 0:
         raise ValueError("need at least one perturbation index")
     outside = r_idx[(r_idx < 0) | (r_idx > n_steps)]

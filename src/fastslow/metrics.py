@@ -30,9 +30,10 @@ makes no float sort and evaluates neither the Gaussian CDF nor its
 quantile.  The result is bit-equal to sorting the resampled values and
 integrating afresh.
 
-The Gaussian CDF and quantile are bit-exact ports of Cephes' ``ndtr``
-and ``ndtri``, the routines scipy.special runs, so the estimator does not
-load scipy.special; :func:`w1_floor` alone loads it, on its first call.
+The Gaussian CDF and quantile, and the log-gamma and log1p of
+:func:`w1_floor`, are bit-exact ports of Cephes' ``ndtr``, ``ndtri``,
+``lgam`` and ``log1p``, the routines scipy.special runs, so no function
+here loads scipy.special.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-import scipy  # w1_floor reads scipy.special, loaded on that first access
+import scipy  # unused here; `import fastslow` loads it for perfbench's version read
 
 from fastslow.coefficients import CoefficientSet
 from fastslow.homogenization import (
@@ -173,11 +174,12 @@ class RateFit:
 _Z_UNDERFLOW = 40.0
 
 
-# The standard normal CDF and quantile are ports of Cephes' ``ndtr`` and
-# ``ndtri`` (S. L. Moshier, *Methods and Programs for Mathematical
-# Functions*, 1989), the routines that scipy.special.ndtr and ndtri run, so
-# that the estimator does not load scipy.special.  They take Cephes' steps
-# in its order.  The Horner steps of ``polevl`` run as numpy elementwise
+# The standard normal CDF and quantile, log-gamma and log1p are ports of
+# Cephes' ``ndtr``, ``ndtri``, ``lgam`` and ``log1p`` (S. L. Moshier,
+# *Methods and Programs for Mathematical Functions*, 1989), the routines
+# that scipy.special.ndtr, ndtri, gammaln and log1p run, so that no
+# function here loads scipy.special.  They take Cephes' steps in its
+# order.  The Horner steps of ``polevl`` run as numpy elementwise
 # operations, plain IEEE arithmetic with no fused multiply-add.  Where
 # Cephes calls the C library's exp or log, the ports call math.exp or
 # math.log once per element, since numpy's own exp and log differ from
@@ -253,6 +255,35 @@ _NDTRI_Q2 = (
     2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
     2.89247864745380683936e-6, 6.79019408009981274425e-9,
 )
+# lgam on 2 <= u < 3, with x = u - 2: x B(x) / C(x).
+_LGAM_B = (
+    -1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
+    -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5,
+)
+_LGAM_C = (
+    1.0, -3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
+    -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6,
+)
+# lgam from 13 to 1000: Stirling's series A(1/x^2) / x; from 1000 on its
+# first three terms, and beyond 1e8 none.
+_LGAM_A = (
+    8.11614167470508450300e-4, -5.95061904284301438324e-4, 7.93650340457716943945e-4,
+    -2.77777777730099687205e-3, 8.33333333333331927722e-2,
+)
+_LGAM_A_FAR = (7.9365079365079365079365e-4, -2.7777777777777777777778e-3, 0.0833333333333333333333)
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+_MAXLGM = 2.556348e305  # lgam overflows above
+# log1p on 1/sqrt(2) <= 1 + x <= sqrt(2): x - x^2/2 + x^3 P(x) / Q(x).
+_LOG1P_P = (
+    4.5270000862445199635215e-5, 4.9854102823193375972212e-1, 6.5787325942061044846969e0,
+    2.9911919328553073277375e1, 6.0949667980987787057556e1, 5.7112963590585538103336e1,
+    2.0039553499201281259648e1,
+)
+_LOG1P_Q = (
+    1.0, 1.5062909083469192043167e1, 8.3047565967967209469434e1, 2.2176239823732856465394e2,
+    3.0909872225312059774938e2, 2.1642788614495947685003e2, 6.0118660497603843919306e1,
+)
+_SQRT2 = 1.41421356237309504880
 
 
 def _polevl(x, coef):
@@ -353,6 +384,65 @@ def _ndtri(y0):
     t = t0 - t1
     x[tail] = np.where(flip[tail], t, -t)
     return float(x) if x.ndim == 0 else x
+
+
+def _gammaln(x):
+    """log Gamma(x) for x > 0, bit for bit scipy.special.gammaln (Cephes'
+    ``lgam``).  Below 13, u = x + p is stepped by whole p into [2, 3),
+    z the product of the factors that takes, and the value is log(z) at
+    u = 2, else log(z) + w B(w)/C(w) at w = x + (p - 2).  From 13 on it
+    is Stirling's series, inf above MAXLGM.  A 0-d ``x`` gives a float;
+    otherwise ``x`` is 1-d."""
+    x0 = np.asarray(x, dtype=float)
+    x = np.atleast_1d(x0)
+    y = np.full_like(x, np.inf)
+    small = x < 13.0
+    xs = x[small]
+    u, p, z = xs.copy(), np.zeros_like(xs), np.ones_like(xs)
+    while (down := u >= 3.0).any():
+        p[down] -= 1.0
+        u[down] = xs[down] + p[down]
+        z[down] *= u[down]
+    while (up := u < 2.0).any():
+        z[up] /= u[up]
+        p[up] += 1.0
+        u[up] = xs[up] + p[up]
+    w = xs + (p - 2.0)
+    log_z = _libm(math.log, z)
+    y[small] = np.where(u == 2.0, log_z, log_z + w * _polevl(w, _LGAM_B) / _polevl(w, _LGAM_C))
+    stirling = ~small & ~(x > _MAXLGM)  # NaN falls here and stays NaN
+    xl = x[stirling]
+    q = (xl - 0.5) * _libm(math.log, xl) - xl + _LS2PI
+    series = xl <= 1e8
+    xm = xl[series]
+    r = 1.0 / (xm * xm)
+    q[series] += np.where(xm < 1000.0, _polevl(r, _LGAM_A), _polevl(r, _LGAM_A_FAR)) / xm
+    y[stirling] = q
+    return float(y[0]) if x0.ndim == 0 else y
+
+
+def _log1p(x: np.ndarray) -> np.ndarray:
+    """log(1 + x) at each element of the 1-d ``x`` > -1, bit for bit
+    scipy.special.log1p (Cephes' ``log1p``): the C library's log of
+    1 + x outside [1/sqrt(2), sqrt(2)], x - x^2/2 + x^3 P(x)/Q(x)
+    inside."""
+    z = 1.0 + x
+    outer = (z < _SQRT1_2) | (z > _SQRT2)
+    y = np.empty_like(x)
+    y[outer] = _libm(math.log, z[outer])
+    v = x[~outer]
+    v2 = v * v
+    y[~outer] = v + (-0.5 * v2 + v * (v2 * _polevl(v, _LOG1P_P) / _polevl(v, _LOG1P_Q)))
+    return y
+
+
+def _xlog1py(a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """a log(1 + y) elementwise, 0 where a == 0 (so y may be -1 there),
+    bit for bit scipy.special.xlog1py on finite arguments."""
+    out = np.zeros_like(y)
+    live = a != 0
+    out[live] = a[live] * _log1p(y[live])
+    return out
 
 
 def _gaussian_cdf_antiderivative(x: np.ndarray, mu: float, sigma: float) -> np.ndarray:
@@ -466,21 +556,23 @@ def w1_floor(n: int, sigma2: float) -> float:
     whose mean absolute deviation is 2 k (1 - p) P(B = k) with
     k = floor(n p) + 1 (de Moivre); the trapezoid rule integrates it
     over z.  ValueError for an ``n`` that is not an integer >= 1 or a
-    negative ``sigma2``.  The first call loads scipy.special, for
-    ``gammaln``, ``xlogy`` and ``xlog1py``.
+    negative ``sigma2``.  The log-pmf takes the ports :func:`_gammaln`
+    and :func:`_xlog1py`, so the floor is bit for bit the one that
+    scipy.special's ``gammaln``, ``xlogy`` and ``xlog1py`` give, and
+    loads no scipy submodule.  Where p rounds to 1, k = n and the
+    xlog1py term is 0.
     """
     _require_positive(n=n)
     if not sigma2 >= 0:
         raise ValueError(f"variance must be nonnegative (got {sigma2})")
-    special = scipy.special
     z = np.linspace(-9.0, 9.0, _FLOOR_NODES)
     p = _ndtr(z)
     k = np.floor(n * p) + 1.0
     inside = k <= n
     k = np.minimum(k, n)
     log_pmf = (
-        special.gammaln(n + 1.0) - special.gammaln(k + 1.0) - special.gammaln(n - k + 1.0)
-        + special.xlogy(k, p) + special.xlog1py(n - k, -p)
+        _gammaln(n + 1.0) - _gammaln(k + 1.0) - _gammaln(n - k + 1.0)
+        + k * _libm(math.log, p) + _xlog1py(n - k, -p)
     )
     mad = np.where(inside, 2.0 * k * (1.0 - p) * np.exp(log_pmf), 0.0)
     return math.sqrt(sigma2) * float(np.trapezoid(mad, z)) / n
@@ -522,8 +614,28 @@ def bootstrap_w1(
         idx = rng.integers(0, n, size=n)  # the draw of choice(n, size=n)
         stats[i] = table.w1(np.sort(table.rank[idx]))
     alpha = 100.0 * (1.0 - level) / 2.0
-    lo, hi = np.percentile(stats, [alpha, 100.0 - alpha])
+    lo, hi = _percentiles(stats, [alpha, 100.0 - alpha])
     return float(lo), float(hi)
+
+
+def _percentiles(values: np.ndarray, percents) -> np.ndarray:
+    """``np.percentile(values, percents)`` of the 1-d ``values``, bit for
+    bit, by its default linear method: order statistics i = floor(v) and
+    i + 1 (both the last at v >= n - 1) of the virtual index
+    v = (n - 1) q, q = percents / 100, weighted by g = v - i as numpy's
+    ``_lerp`` weights them.  np.percentile's ``np.unique`` call imports
+    numpy.ma; np.partition does not."""
+    n = values.size
+    v = (n - 1) * np.true_divide(percents, 100)
+    i = np.floor(v)
+    j = i + 1
+    top = v >= n - 1
+    i[top] = j[top] = -1
+    g = v - i
+    i, j = i.astype(np.intp), j.astype(np.intp)
+    part = np.partition(values, np.concatenate((i, j)))
+    a, b = part[i], part[j]
+    return np.where(g >= 0.5, b - (b - a) * (1 - g), a + (b - a) * g)
 
 
 def _check_n_paths(n_paths) -> None:

@@ -637,8 +637,14 @@ def draw_increments(
 
 def _capture_steps(capture_indices: Iterable[int], n_steps: int) -> list[int]:
     """The requested snapshot steps in ascending order, each once; raises
-    :class:`AlignmentError` off [0, n_steps]."""
-    wanted = sorted({int(k) for k in capture_indices})
+    :class:`AlignmentError` naming an index that is not an integer (a
+    numpy integer is one; a bool or a float such as 2.0 is not) or lies
+    off [0, n_steps]."""
+    given = list(capture_indices)
+    for k in given:
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise AlignmentError(f"capture index {k!r} is not an integer step")
+    wanted = sorted({int(k) for k in given})
     for k in wanted:
         if not 0 <= k <= n_steps:
             raise AlignmentError(f"capture index {k} outside [0, {n_steps}]")

@@ -1283,6 +1283,41 @@ def test_rate_sweep_needs_three_points_before_any_work(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("clt-verify", {"regime": {"epsilon": 0.1, "eta": 0.1, "T": 0.3}}),
+        ("rate-sweep", {"sweep": {"epsilons": [0.16, 0.08, 0.04], "T": 0.3}}),
+    ],
+)
+def test_w1_commands_reject_one_path_before_any_work(
+    tmp_path, capsys, monkeypatch, command, section
+):
+    """clt-verify and rate-sweep with grid.n_paths 1, too few for a W1
+    estimate, are a usage error (exit 64) raised before the
+    homogenization, with no data artifact; the count itself is valid, as
+    malliavin-sweep takes it."""
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("homogenization started before n_paths was checked")
+
+    monkeypatch.setattr(cli_mod, "build_homogenized", not_reached)
+    out = tmp_path / "out"
+    cfg = _write_config(
+        tmp_path,
+        {
+            "model": "affine-oracle",
+            **section,
+            "grid": {"n_paths": 1},
+            "io": {"output_dir": str(out)},
+        },
+    )
+    assert main([command, "--config", cfg]) == EXIT_USAGE
+    message = "grid.n_paths must be >= 2 for a W1 estimate (got 1)"
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_rate_sweep_requires_sweep_section(tmp_path):
     out = tmp_path / "out"
     cfg = _write_config(

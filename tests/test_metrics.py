@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import ndtr, ndtri
+from scipy.special import gammaln, log1p, ndtr, ndtri, xlog1py, xlogy
 
 import fastslow.metrics as metrics_mod
 import fastslow.sde_engine as sde_engine
@@ -347,6 +347,80 @@ def test_ndtri_port_bit_equal_to_scipy(values):
     y = np.array(values)
     assert _bits(metrics_mod._ndtri(y)) == _bits(ndtri(y))
     assert _bits([metrics_mod._ndtri(v) for v in values]) == _bits(ndtri(y))
+
+
+# -- the Cephes ports of lgam and log1p, and the floor on them ---------
+
+
+def test_gammaln_port_bit_equal_to_scipy():
+    """Every integer from 1 to 20001, the arguments of the floor up to
+    n = 2 10^4; reals in (0, 13), stepped into [2, 3) by the recurrence,
+    and around 2 and 3; and Stirling's series on both sides of 13, of
+    1000, where it keeps three terms, and of 1e8, beyond which it keeps
+    none, up to MAXLGM, where it overflows to inf."""
+    rng = np.random.default_rng(31)
+    x = np.concatenate((
+        np.arange(1.0, 20002.0),
+        rng.uniform(1e-9, 13.0, 20_000),
+        np.exp(rng.uniform(math.log(13.0), math.log(1e300), 20_000)),
+        _around(2.0), _around(3.0), _around(13.0), _around(1000.0), _around(1e8, width=1e-3),
+        [1e-300, 2.556348e305, 2.556349e305, math.inf, math.nan],
+    ))
+    assert _bits(metrics_mod._gammaln(x)) == _bits(gammaln(x))
+    assert _bits([metrics_mod._gammaln(v) for v in (1.0, 5.5, 12.5, 13.0, 2e4 + 1)]) == _bits(
+        gammaln([1.0, 5.5, 12.5, 13.0, 2e4 + 1])
+    )
+
+
+def test_log1p_ports_bit_equal_to_scipy_on_the_floor_range():
+    """log1p and xlog1py on [-1, 0], the floor's -p, with the edges of
+    log1p's polynomial, 1 + y = 1/sqrt(2), and xlog1py's 0 at a == 0,
+    where y = -1 (p rounded to 1) has no logarithm."""
+    rng = np.random.default_rng(32)
+    edge = math.sqrt(0.5) - 1.0
+    y = np.concatenate((-rng.random(100_000), _around(edge), [0.0, -0.0, -1e-300, -1.0 + 2**-53]))
+    assert _bits(metrics_mod._log1p(y)) == _bits(log1p(y))
+    a = rng.integers(0, 5, y.size).astype(float)
+    a, y = np.append(a, [0.0, 0.0]), np.append(y, [-1.0, 0.0])
+    assert _bits(metrics_mod._xlog1py(a, y)) == _bits(xlog1py(a, y))
+
+
+def _scipy_floor(n: int, sigma2: float) -> float:
+    """:func:`w1_floor`'s formula on scipy.special's gammaln, xlogy and
+    xlog1py."""
+    z = np.linspace(-9.0, 9.0, metrics_mod._FLOOR_NODES)
+    p = ndtr(z)
+    k = np.floor(n * p) + 1.0
+    inside = k <= n
+    k = np.minimum(k, n)
+    log_pmf = (
+        gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
+        + xlogy(k, p) + xlog1py(n - k, -p)
+    )
+    mad = np.where(inside, 2.0 * k * (1.0 - p) * np.exp(log_pmf), 0.0)
+    return math.sqrt(sigma2) * float(np.trapezoid(mad, z)) / n
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 13, 999, 1000, 1001, 10**4, 2 * 10**4])
+def test_w1_floor_bit_equal_to_scipy_formula(n):
+    """Around the lgam branches at 13 and 1000, the floor on the ports is
+    bit for bit the floor on scipy.special."""
+    assert _bits([w1_floor(n, 1.7)]) == _bits([_scipy_floor(n, 1.7)])
+
+
+def test_percentiles_bit_equal_to_numpy():
+    """The CI ends of :func:`bootstrap_w1` from np.partition and numpy's
+    interpolation equal np.percentile's for n from 1 to 1000 at five
+    levels, on continuous values and on tie-rich ones."""
+    rng = np.random.default_rng(33)
+    for n in range(1, 1001):
+        values = rng.exponential(size=n) if n % 2 else rng.integers(0, 4, n) * 0.5
+        for level in (0.5, 0.8, 0.9, 0.95, 0.99):
+            alpha = 100.0 * (1.0 - level) / 2.0
+            ends = [alpha, 100.0 - alpha]
+            assert _bits(metrics_mod._percentiles(values, ends)) == _bits(
+                np.percentile(values, ends)
+            ), (n, level)
 
 
 @pytest.mark.parametrize("case", ["normal", "far_tail", "n17", "tie_rich"])

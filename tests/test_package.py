@@ -43,12 +43,13 @@ def _fresh_interpreter(probe: str) -> str:
 
 #: Modules a fresh import must not load: the scipy subpackages that hold a
 #: spline, a root bracket, a cumulative trapezoid, a banded solve or the
-#: Gaussian CDF, the heavy ones those import in turn, and the numpy
-#: subpackages that a star import of numpy loads.
+#: special functions, the heavy ones those import in turn, the numpy
+#: subpackages that a star import of numpy loads, and the numpy.ma that
+#: np.unique, and so np.percentile, imports.
 _HEAVY = tuple(
     f"scipy.{m}"
     for m in ("interpolate", "optimize", "integrate", "sparse", "spatial", "linalg", "special")
-) + ("numpy.f2py", "numpy.testing")
+) + ("numpy.f2py", "numpy.testing", "numpy.ma")
 
 
 def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
@@ -67,24 +68,25 @@ def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
         assert scipy_loaded == "True", module
 
 
-def test_runs_leave_scipy_special_to_the_rate_floor():
-    """A CLT check, with its W1 estimates and bootstrap, and a moment sweep,
-    which compiles coefficient kernels, load none of :data:`_HEAVY`; the
-    Monte Carlo floor of a rate sweep then loads scipy.special."""
+def test_runs_load_no_heavy_module():
+    """A CLT check, with its W1 estimates and bootstrap, a moment sweep,
+    which compiles coefficient kernels, and a rate sweep, with the Monte
+    Carlo floor of each point, load none of :data:`_HEAVY`."""
     probe = (
         "import sys\n"
         "from fastslow.coefficients import get_model\n"
+        "from fastslow.homogenization import build_homogenized\n"
         "from fastslow.malliavin import moment_sweep\n"
-        "from fastslow.metrics import clt_verify, w1_floor\n"
+        "from fastslow.metrics import clt_verify, rate_sweep\n"
         "from fastslow.sde_engine import ScaleRegime\n"
+        "affine = get_model('affine-oracle')\n"
+        "hom = build_homogenized(affine, (-3.0, 3.0), 9, 512, 1.0)\n"
         "regime = ScaleRegime(0.04, 0.04, 1.0, 0.4)\n"
-        "clt_verify(get_model('affine-oracle'), regime, 0.0, 0.0, 0.002, 300, n_boot=50)\n"
+        "clt_verify(affine, regime, 0.0, 0.0, 0.002, 300, n_boot=50, hom=hom)\n"
         "regimes = [ScaleRegime(0.1, 0.1, 1.0, 0.5), ScaleRegime(0.05, 0.05, 1.0, 0.5)]\n"
         "moment_sweep(get_model('bounded-coupled'), regimes, 1, 50, seed=3)\n"
+        "clt = {'n_paths': 300, 'n_boot': 20, 'hom': hom}\n"
+        "rate_sweep(affine, [0.16, 0.08, 0.04], 'equal', clt, T=0.3)\n"
         f"print(' '.join(m for m in {_HEAVY!r} if m in sys.modules))\n"
-        "w1_floor(300, 1.0)\n"
-        "print('scipy.special' in sys.modules)\n"
     )
-    heavy, special_loaded = _fresh_interpreter(probe).splitlines()
-    assert heavy.split() == []
-    assert special_loaded == "True"
+    assert _fresh_interpreter(probe).split() == []

@@ -912,6 +912,19 @@ def test_capture_index_out_of_range(affine, affine_regime):
         )
 
 
+@pytest.mark.parametrize("bad", [5.7, 2.0, np.float64(3.0), True])
+def test_capture_index_must_be_an_integer(affine, bad):
+    """A capture index that is not an integer step (a fraction, a float
+    such as 2.0, a bool) raises AlignmentError naming it, where int()
+    once truncated [5.7, 2.2] to steps 2 and 5; a numpy integer is a
+    step."""
+    regime = ScaleRegime(0.05, 0.05, 1.0, 0.06)
+    run = (affine, regime, 0.0, 0.0, 0.0025, 4, 1)
+    with pytest.raises(AlignmentError, match=re.escape(f"capture index {bad!r} is not an integer")):
+        simulate_paths(*run, capture_indices=[2, bad])
+    assert list(simulate_paths(*run, capture_indices=[np.int64(5), 2]).captures) == [2, 5]
+
+
 # -- fluctuation sampling ----------------------------------------------
 
 
