@@ -506,7 +506,8 @@ def solve_poisson(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve the cell problem for the corrector on one row.
 
-    Integrates the centred drift against the density, divides by
+    Integrates the centred drift against the density, from the left end
+    up to the density's mode and from the right end beyond it, divides by
     (tau^2/2) m to get d_y phi, cumulates to phi, and centres phi so
     that int phi m dy = 0.  Where the density underflows (below
     ``DENSITY_FLOOR`` of the peak) the ratio is extended by its nearest
@@ -521,7 +522,13 @@ def solve_poisson(
         c_bar = averaged_drift(model, x, y_grid, density)
     c = np.asarray(model.c(xa, y_grid), float)
     tau2 = np.asarray(model.tau(xa, y_grid), float) ** 2
-    flux = _cumulative_trapezoid((c - c_bar) * density, y_grid)
+    # The flux vanishes at both ends.  Right of the mode it is -int_y^end:
+    # cumulated from the left end, it would be a round-off remainder there,
+    # divided below by a vanishing density.
+    source = (c - c_bar) * density
+    from_left = _cumulative_trapezoid(source, y_grid)
+    from_right = _cumulative_trapezoid(source[::-1], y_grid[::-1])[::-1]
+    flux = np.where(np.arange(len(y_grid)) <= np.argmax(density), from_left, from_right)
     good = density > DENSITY_FLOOR * density.max()
     dy_phi = np.empty_like(flux)
     dy_phi[good] = 2.0 * flux[good] / (tau2[good] * density[good])
@@ -654,8 +661,8 @@ def _corrector_failure(
     if tail.any():
         msg += (
             f"; the density underflows on {int(tail.sum())} nodes of the {side} "
-            "tail of the y-window, where d_y phi = 2 flux / (tau^2 m) divides a "
-            "round-off flux by a vanishing density"
+            "tail of the y-window, where d_y phi = 2 flux / (tau^2 m) divides "
+            "by a vanishing density"
         )
     return msg
 

@@ -188,10 +188,7 @@ def _zero_partials(model: CoefficientSet) -> frozenset[str]:
     float 0.0 at every state.  A partial that vanishes only at some
     states is not among them."""
     expressions = model.table.expressions
-    return frozenset(
-        key for key in _PARTIAL_KEYS
-        if expressions[key].is_Number and expressions[key].is_zero
-    )
+    return frozenset(key for key in _PARTIAL_KEYS if expressions[key].is_zero)
 
 
 _alpha_partials = _picker(_ALPHA_KEYS)
@@ -276,14 +273,14 @@ def full_pair_grid(r_indices: Sequence[int]) -> np.ndarray:
 
 def _step_indices(values) -> np.ndarray:
     """``values`` as a flat int array; ValueError naming the first one
-    that is not integral (a cast would truncate 10.7 to step 10)."""
-    arr = np.asarray(values).ravel()
-    if arr.dtype.kind in "iu":
-        return arr.astype(int)
-    flat = arr.astype(float)
-    bad = ~(np.isfinite(flat) & (flat == np.round(flat)))
-    if bad.any():
-        raise ValueError(f"r-index {flat[bad][0]} is not an integer")
+    that is not an integer (a numpy integer is one; a bool or a float
+    such as 2.0 is not, as in ``sde_engine._capture_steps``)."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values.ravel().astype(int)
+    flat = np.asarray(values, dtype=object).ravel()
+    for k in flat:
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+            raise ValueError(f"r-index {k} is not an integer")
     return flat.astype(int)
 
 
@@ -462,7 +459,7 @@ def _index_array(rows, width: int, what: str) -> np.ndarray:
         raise ValueError(
             f"{what} {tuple(arr[bad][0].tolist())} has a channel other than 0 or 1"
         )
-    return _step_indices(arr).reshape(-1, width)
+    return _step_indices(rows).reshape(-1, width)
 
 
 def _tangent_pass(

@@ -2,17 +2,27 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from sympy.parsing.sympy_parser import convert_xor, parse_expr, standard_transformations
 
 from fastslow.coefficients import (
     COEFFICIENT_KEYS,
     CoefficientTable,
     ExpressionError,
     ModelEvaluationError,
+    _Add,
+    _Call,
+    _Mul,
+    _Num,
+    _Pi,
+    _Pow,
+    _Printer,
+    _Sym,
     builtin_model_names,
     check_assumptions,
     eval_all,
@@ -88,20 +98,230 @@ def test_constant_coefficient_broadcasts(affine):
         assert type(getattr(affine, key)(0.3, -0.2)) is float
 
 
+_X, _Y = sp.symbols("x y", real=True)
+_SYMPY_NAMES = {
+    "x": _X,
+    "y": _Y,
+    "sin": sp.sin,
+    "cos": sp.cos,
+    "tanh": sp.tanh,
+    "exp": sp.exp,
+    "sqrt": sp.sqrt,
+    "pi": sp.pi,
+}
+
+
+def _sympy_keys(texts) -> dict:
+    """The coefficient keys of ``texts`` (coefficient name -> expression
+    string) as sympy parses and differentiates them: the oracle of the
+    in-repo parser and differentiator."""
+    keys = {}
+    for func, text in texts.items():
+        e = parse_expr(
+            text,
+            local_dict=_SYMPY_NAMES,
+            transformations=standard_transformations + (convert_xor,),
+        )
+        keys.update(
+            {
+                func: e,
+                "d1_" + func: sp.diff(e, _X),
+                "d2_" + func: sp.diff(e, _Y),
+                "d11_" + func: sp.diff(e, _X, 2),
+                "d12_" + func: sp.diff(e, _X, _Y),
+                "d22_" + func: sp.diff(e, _Y, 2),
+            }
+        )
+    return keys
+
+
 @pytest.mark.parametrize("name", ["affine-oracle", "bounded-coupled", "trig"])
 def test_evaluate_matches_each_expression(name, request):
-    """Every fused-kernel value equals its own expression, lambdified
-    alone, to 1e-14 relative error."""
+    """Every fused-kernel value equals sympy's derivative of the model's
+    expression strings, lambdified alone, to 1e-14 relative error."""
     model = request.getfixturevalue("trig") if name == "trig" else get_model(name)
     X, Y = np.meshgrid(np.linspace(-1.37, 1.61, 5), np.linspace(-1.23, 1.89, 4))
-    x, y = sp.symbols("x y", real=True)
+    oracle = _sympy_keys(model.expressions)
     values = model.evaluate(X, Y, COEFFICIENT_KEYS)
     for key, value in zip(COEFFICIENT_KEYS, values):
-        single = sp.lambdify((x, y), model.table.expressions[key], modules="numpy")
+        single = sp.lambdify((_X, _Y), oracle[key], modules="numpy")
         ref = np.broadcast_to(single(X, Y), X.shape)
         np.testing.assert_allclose(
             np.broadcast_to(value, X.shape), ref, rtol=1e-14, atol=0, err_msg=key
         )
+
+
+#: The text of each key of the two built-ins, printed in table order by
+#: one printer, and the function applications it names.  These texts
+#: decide the kernels' arithmetic, and so the bits of every result.
+_BUILTIN_TEXTS = {
+    "affine-oracle": (
+        ["-2*x + y", "-2", "1", "0", "0", "0"]
+        + ["1", "0", "0", "0", "0", "0"]
+        + ["x - y", "1", "-1", "0", "0", "0"]
+        + ["sqrt(2)", "0", "0", "0", "0", "0"],
+        {},
+    ),
+    "bounded-coupled": (
+        [
+            "-0.5*_call0 + _call1",
+            "0.5*_call0**2 - 0.5",
+            "1 - _call1**2",
+            "-1.0*(_call0**2 - 1)*_call0",
+            "0",
+            "2*(_call1**2 - 1)*_call1",
+            "0.1*_call2*_call3 + 1",
+            "-0.1*_call4*_call3",
+            "-0.1*_call5*_call2",
+            "-0.1*_call2*_call3",
+            "0.1*_call4*_call5",
+            "-0.1*_call2*_call3",
+            "-y + 0.5*_call0",
+            "0.5 - 0.5*_call0**2",
+            "-1",
+            "1.0*(_call0**2 - 1)*_call0",
+            "0",
+            "0",
+        ]
+        + ["sqrt(2)", "0", "0", "0", "0", "0"],
+        {
+            "tanh(x)": "_call0",
+            "tanh(y)": "_call1",
+            "cos(x)": "_call2",
+            "cos(y)": "_call3",
+            "sin(x)": "_call4",
+            "sin(y)": "_call5",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILTIN_TEXTS))
+def test_builtin_kernel_texts_are_pinned(name):
+    """The built-ins print the texts their kernels have always run."""
+    texts, calls = _BUILTIN_TEXTS[name]
+    model = get_model(name)
+    printer = _Printer()
+    assert [printer.doprint(model.table.expressions[k]) for k in COEFFICIENT_KEYS] == texts
+    assert printer.calls == calls
+
+
+_EPS = np.finfo(float).eps
+#: Each function of a tree and its derivative, as numpy evaluates them.
+_FUNCTIONS = {
+    "sin": (np.sin, np.cos),
+    "cos": (np.cos, lambda u: -np.sin(u)),
+    "tanh": (np.tanh, lambda u: 1.0 - np.tanh(u) ** 2),
+    "exp": (np.exp, np.exp),
+    "log": (np.log, lambda u: 1.0 / u),
+}
+
+
+def _rounding_bound(e, x, y) -> tuple[float, float]:
+    """(value, bound) of the tree ``e`` at (x, y): bound * eps bounds,
+    to first order, the rounding error of the kernel that computes it.
+    Each operation and function adds up to a few ulps of its result, and
+    an operand's error propagates through the operation's derivative."""
+    if isinstance(e, _Num):
+        v = np.float64(float(e.value))
+        return v, abs(v)
+    if isinstance(e, _Sym):
+        return np.float64(x if e.name == "x" else y), 0.0
+    if isinstance(e, _Pi):
+        return np.float64(np.pi), np.pi
+    if isinstance(e, _Call):
+        u, err = _rounding_bound(e.arg, x, y)
+        f, df = _FUNCTIONS[e.func]
+        v = f(u)
+        return v, abs(df(u)) * err + 4 * abs(v)
+    if isinstance(e, _Pow):
+        (b, err_b), (p, err_p) = _rounding_bound(e.base, x, y), _rounding_bound(e.exp, x, y)
+        v = b**p
+        return v, abs(p * b ** (p - 1)) * err_b + abs(v * np.log(abs(b))) * err_p + 4 * abs(v)
+    parts = [e.coeff, *e.factors] if isinstance(e, _Mul) else [*e.terms, e.const]
+    values, errs = zip(*(_rounding_bound(part, x, y) for part in parts))
+    n = len(parts)
+    if isinstance(e, _Add):
+        return sum(values), sum(errs) + n * sum(map(abs, values))
+    v = math.prod(values)
+    spread = sum(
+        err * math.prod(abs(w) for j, w in enumerate(values) if j != i)
+        for i, err in enumerate(errs)
+    )
+    return v, spread + n * abs(v)
+
+
+_POINTS = ((0.37, -0.81), (1.13, 0.29), (-0.66, 1.41), (-1.27, -0.52))
+
+
+def _grammar_texts():
+    """Expression strings over the whole grammar: numbers, x, y, pi, the
+    four operators, ^ and ** with constant exponents and with exponents
+    that depend on x and y, unary minus, and the five functions."""
+    leaves = st.sampled_from(["x", "y", "pi", "2", "3", "0.5", "1.25", "0.1"])
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+                lambda t: f"({t[0]} {t[1]} {t[2]})"
+            ),
+            st.tuples(inner, st.sampled_from(["2", "3", "-1", "-2", "0.5", "(1/3)"])).map(
+                lambda t: f"({t[0]})^{t[1]}"
+            ),
+            st.tuples(inner, inner).map(lambda t: f"(1.5 + tanh({t[0]}))**({t[1]})"),
+            st.tuples(st.sampled_from(["sin", "cos", "tanh", "exp", "sqrt"]), inner).map(
+                lambda t: f"{t[0]}({t[1]})"
+            ),
+            inner.map(lambda t: f"-{t}"),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(text=_grammar_texts())
+@example(text="2^3^2*x - x**-1 + +y - --x")
+@example(text="1e-3*x + .5*y + 5.*x*y + pi*x/y")
+@example(text="sqrt(x^2 + 1) + sqrt(4)*x + sqrt(8)*y + 0^0 + (-2)^3*y^0.5")
+@example(text="x^y + 2^x + exp(x)^2*exp(-x) + tanh(x/2)^(1/3)")
+@example(text="(-2)^(1/3) + x")
+def test_partials_match_sympy_over_the_grammar(text):
+    """Every text of the grammar builds, and each of its six keys agrees
+    with sympy's ``lambdify(diff(parse_expr(text)))``, evaluated at 30
+    digits, to within the kernel's own rounding bound at every point
+    where both are real and finite.  sympy's value is the exact one, so
+    a wrong derivative rule, a dropped term or a misplaced parenthesis
+    fails by far more than a few ulps of that bound."""
+    oracle = _sympy_keys({"c": text})
+    try:
+        model = model_from_expressions("grammar", text, "1", "-y", "1")
+    except ExpressionError:
+        # Only a division by an exact zero, which sympy makes zoo, and a
+        # constant that is not real fail to build.
+        assert any(
+            a.is_number and (a.has(sp.nan) or a.is_extended_real is False)
+            for a in sp.preorder_traversal(oracle["c"])
+        ), text
+        return
+    keys = [k for k in COEFFICIENT_KEYS if k.endswith("_c") or k == "c"]
+    with np.errstate(all="ignore"), mpmath.workdps(30):
+        for key in keys:
+            try:
+                exact = sp.lambdify((_X, _Y), oracle[key], modules="mpmath")
+            except Exception:  # a function mpmath lacks, such as DiracDelta
+                continue
+            for x, y in _POINTS:
+                try:
+                    ref = complex(exact(mpmath.mpf(x), mpmath.mpf(y)))
+                except (TypeError, ValueError, ZeroDivisionError, NameError):
+                    continue
+                if ref.imag or not math.isfinite(ref.real):
+                    continue
+                _, bound = _rounding_bound(model.table.expressions[key], x, y)
+                if not np.isfinite(bound):
+                    continue
+                (value,) = model.evaluate(x, y, (key,))
+                assert abs(value - ref.real) <= _EPS * bound, (text, key, x, y, value, ref)
 
 
 def test_evaluate_broadcasts_mixed_shapes_and_keeps_constants_scalar(bounded):
@@ -137,17 +357,13 @@ _LIBRARY_TUPLES = (
 @pytest.mark.parametrize("name", ["affine-oracle", "bounded-coupled", "trig"])
 def test_every_key_tuple_is_bit_equal_to_each_key_alone(name, request):
     """Each value of every key tuple the library evaluates is bit-equal
-    to its expression lambdified alone: a key's value does not depend on
-    the keys evaluated with it."""
+    to the value of the key's own one-key kernel: a key's value does not
+    depend on the keys evaluated with it."""
     model = request.getfixturevalue("trig") if name == "trig" else get_model(name)
     rng = np.random.default_rng(3)
     X, Y = rng.uniform(-2.5, 2.5, size=(2, 40, 50))
-    x, y = sp.symbols("x y", real=True)
     alone = {
-        key: np.broadcast_to(
-            sp.lambdify((x, y), model.table.expressions[key], modules="numpy")(X, Y),
-            X.shape,
-        )
+        key: np.broadcast_to(model.evaluate(X, Y, (key,))[0], X.shape)
         for key in COEFFICIENT_KEYS
     }
     for keys in _LIBRARY_TUPLES:
@@ -219,10 +435,12 @@ def test_eval_all_rejects_degenerate_tau():
 
 
 def test_expression_guard_rejects_bad_tokens():
-    # Names outside the grammar: sympy would take them from its namespace
-    # or make them undefined functions that fail only when evaluated.
+    # Names outside the grammar, rejected before parsing.
     names = ("foo(x)", "erf(x)", "log(x)", "Abs(x)", "I*x", "E*x")
-    for bad in ("__import__('os')", "x; y", "lambda x: x", "z + 1", "x!", *names):
+    # Syntax outside the grammar, a division by an exact zero and a
+    # constant that is not real.
+    syntax = ("x//y", "sin(x)(y)", "sin", "sin(x y)", "1/0", "x*(y - y)^-1", "(-2.0)^0.5")
+    for bad in ("__import__('os')", "x; y", "lambda x: x", "z + 1", "x!", *names, *syntax):
         with pytest.raises(ExpressionError):
             model_from_expressions("bad", bad, "1", "-y", "1")
 

@@ -166,15 +166,27 @@ def test_build_homogenized_error_names_x_node():
 
 
 def test_build_homogenized_names_non_finite_corrector():
-    """A quintic fast drift underflows the density on the right tail of the
-    window, where d_y phi divides round-off flux by ~0: the failure names
-    the x-node and that cause instead of failing inside the spline fit."""
-    model = model_from_expressions("custom", "-x + 0.5*sin(y)", "1", "x - y - y^5", "1")
+    """A slow drift exp(y^3) outgrows the Gaussian fast density, so d_y phi
+    and q_bar overflow: the failure names the x-node and where |d_y phi|
+    peaks instead of failing inside the spline fit."""
+    model = model_from_expressions("custom", "exp(y^3)", "1", "-y", "sqrt(2)")
     with np.errstate(all="ignore"), pytest.raises(NonFiniteCorrectorError) as info:
         build_homogenized(model, (-1, 1), 5, 2048, 1.0)
     message = str(info.value)
-    assert message.startswith("x-node 1 (x=-0.5): the corrector is not finite")
-    assert "density underflows on 206 nodes of the right tail" in message
+    assert message.startswith("x-node 0 (x=-1): the corrector is not finite")
+    assert "|d_y phi| peaks at 1.21e+220 (y=7.984) and q_bar = inf" in message
+
+
+def test_quintic_corrector_is_finite_and_converges_in_ny():
+    """A quintic fast drift underflows the density on the right tail of
+    the window.  The flux is cumulated from the right end there, so d_y phi
+    divides a tail integral, not a round-off remainder, by the vanishing
+    density, and q_bar agrees between ny = 2048 and 8192."""
+    model = model_from_expressions("quintic", "-x + 0.5*sin(y)", "1", "x - y - y^5", "1")
+    coarse, fine = (build_homogenized(model, (-1, 0), 3, ny, gamma=1) for ny in (2048, 8192))
+    assert np.all(np.isfinite(coarse.dy_phi)) and np.all(np.isfinite(fine.dy_phi))
+    np.testing.assert_allclose(coarse.q_bar, fine.q_bar, rtol=0, atol=1e-5)
+    np.testing.assert_allclose(fine.q_bar, [1.037038, 1.060821, 1.073256], atol=1e-5)
 
 
 def test_limit_ode_affine_orbit(affine):

@@ -182,17 +182,35 @@ def test_first_order_validation(affine, affine_bundle):
 def test_fractional_r_index_is_rejected(affine, affine_bundle, call):
     with pytest.raises(ValueError, match=re.escape("r-index 10.7 is not an integer")):
         call(affine, affine_bundle, [4, 10.7])
-    # integral values of any numeric type are accepted as steps
-    for r in (10, 10.0, np.int64(10)):
+    # Python and numpy integers are steps; a float or a bool is not, even
+    # an integral one, as for the capture indices of simulate_paths
+    for r in (10, np.int64(10), np.uint8(10)):
         call(affine, affine_bundle, [4, r])
+    for r in (10.0, np.float64(10.0), True, np.True_):
+        with pytest.raises(ValueError, match=re.escape(f"r-index {r} is not an integer")):
+            call(affine, affine_bundle, [4, r])
 
 
 def test_integral_r_indices_keep_their_values(affine, affine_bundle):
-    first = first_order_tangents(affine, affine_bundle, [np.int64(10), 4.0], False)
+    first = first_order_tangents(affine, affine_bundle, [np.int64(10), 4], False)
     assert first.r_indices.tolist() == [4, 10]
     assert np.array_equal(
-        z_process(affine, affine_bundle, 10.0), z_process(affine, affine_bundle, 10)
+        z_process(affine, affine_bundle, np.int64(10)), z_process(affine, affine_bundle, 10)
     )
+
+
+def test_step_indices_take_the_capture_rule():
+    """Every element is checked, integer arrays pass whole, and a float
+    array names its first element."""
+    r_grid = malliavin_mod._r_grid
+    assert r_grid(10, np.array([5, 2, 5])).tolist() == [2, 5]
+    assert r_grid(10, [(2, np.int32(5))]).tolist() == [2, 5]
+    for bad, name in (([2.0, 5.0], "2.0"), (np.array([2.0, 5.0]), "2.0"), ([2, False], "False")):
+        with pytest.raises(ValueError, match=re.escape(f"r-index {name} is not an integer")):
+            r_grid(10, bad)
+    # a cell's steps are checked before the rows become one array
+    with pytest.raises(ValueError, match=re.escape("r-index 10.0 is not an integer")):
+        malliavin_mod._index_array([(0, 1, 4, 10.0)], 4, "cell")
 
 
 def test_tangent_blow_up_names_channel():

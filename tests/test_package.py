@@ -90,3 +90,30 @@ def test_runs_load_no_heavy_module():
         f"print(' '.join(m for m in {_HEAVY!r} if m in sys.modules))\n"
     )
     assert _fresh_interpreter(probe).split() == []
+
+
+def test_building_models_runs_no_sympy():
+    """Building both built-ins and a custom model, compiling their kernels
+    and evaluating them loads no sympy module beyond those that
+    ``import fastslow`` loaded, and sympy itself stays loaded, since the
+    benchmark's child reads its version."""
+    probe = (
+        "import sys\n"
+        "import fastslow\n"
+        "from fastslow.coefficients import COEFFICIENT_KEYS, get_model, model_from_expressions\n"
+        "from fastslow.sde_engine import _EM_KEYS\n"
+        "before = set(sys.modules)\n"
+        "models = [get_model('affine-oracle'), get_model('bounded-coupled'),\n"
+        "          model_from_expressions('custom', 'sin(x)*y^2 - exp(-x/2)',\n"
+        "                                 '1 + 0.5*cos(x*y)', 'tanh(x) - y^3', 'sqrt(2 + sin(y))')]\n"
+        "for model in models:\n"
+        "    model.compile(COEFFICIENT_KEYS, _EM_KEYS)\n"
+        "    model.evaluate(0.3, -0.2, COEFFICIENT_KEYS)\n"
+        "    model.evaluate(0.3, -0.2, _EM_KEYS)\n"
+        "added = sorted(m for m in set(sys.modules) - before if m.split('.')[0] == 'sympy')\n"
+        "print(' '.join(added))\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    added, sympy_loaded = _fresh_interpreter(probe).split("\n")[:2]
+    assert added.split() == []
+    assert sympy_loaded == "True"
