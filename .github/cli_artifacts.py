@@ -14,6 +14,8 @@ separations at their defaults, so the defaults are compared too.
 ``malliavin-sweep start`` starts the sweep from x0 = 0.4, y0 = 0.3, and
 ``malliavin-sweep fine`` and ``clt-verify fine`` step at eta/40, so the
 start and the step fraction read from ``grid`` are compared as well.
+``malliavin-sweep orders`` asks for p = 1 and 2, so the moments of
+several orders, finished from one pass per regime, are compared too.
 ``homogenize default`` runs at the command's own grid, 41 x-nodes of
 8192 y-nodes, so both CSVs are compared at full size (about 4 s per
 tree).  Every config but ``rate-sweep grouped`` draws its noise in one
@@ -66,6 +68,13 @@ CONFIGS = {
         "sweep": {"epsilons": [0.1, 0.05], "gamma": 1.0, "T": 1.0},
         "grid": {"n_paths": 100, "x0": 0.4, "y0": 0.3},
         "analysis": {"p": [1]},
+        "io": {"master_seed": 4},
+    },
+    "malliavin-sweep orders": {
+        "model": "bounded-coupled",
+        "sweep": {"epsilons": [0.1, 0.05], "gamma": 1.0, "T": 1.0},
+        "grid": {"n_paths": 100},
+        "analysis": {"p": [1, 2]},
         "io": {"master_seed": 4},
     },
     "malliavin-sweep fine": {

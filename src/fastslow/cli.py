@@ -49,9 +49,9 @@ from fastslow.coefficients import (
 from fastslow.homogenization import BoundaryQualityWarning, build_homogenized
 from fastslow.malliavin import (
     DECAY_SEPARATIONS,
+    _decay_reports,
+    _moment_reports,
     check_decay_settings,
-    decay_check,
-    moment_sweep,
 )
 from fastslow.metrics import (
     HOM_GRID,
@@ -602,8 +602,10 @@ def cmd_malliavin_sweep(config: ExperimentConfig, s: dict, out_dir, seed) -> int
     separations, decay_bounds = config.decay_settings(regimes[-1])
     any_warn = False
     all_pass = True
+    # One moment pass per regime serves every order, one decay pass every bound.
+    by_order = _moment_reports(model, regimes, orders, n_paths, seed=seed, **start)
     for p in orders:
-        reports = moment_sweep(model, regimes, p, n_paths, seed=seed, **start)
+        reports = by_order[p]
         _write_json(
             os.path.join(out_dir, f"moments_p{p}.json"),
             {bid: rep.to_dict() for bid, rep in reports.items()},
@@ -611,15 +613,15 @@ def cmd_malliavin_sweep(config: ExperimentConfig, s: dict, out_dir, seed) -> int
         all_pass = all_pass and all(rep.passes for rep in reports.values())
         any_warn = any_warn or any(rep.warnings for rep in reports.values())
     if decay_bounds:
-        payload = {}
-        for bid in decay_bounds:
-            rep = decay_check(
-                model, regimes[-1], bid, orders[0], n_paths, seed,
-                separations_eta=separations, **start,
-            )
-            payload[bid] = rep.to_dict()
-            all_pass = all_pass and rep.monotone_within_noise
-        _write_json(os.path.join(out_dir, "decay.json"), payload)
+        decays = _decay_reports(
+            model, regimes[-1], decay_bounds, orders[0], n_paths, seed,
+            separations_eta=separations, **start,
+        )
+        _write_json(
+            os.path.join(out_dir, "decay.json"),
+            {bid: rep.to_dict() for bid, rep in decays.items()},
+        )
+        all_pass = all_pass and all(rep.monotone_within_noise for rep in decays.values())
     if not all_pass:
         return EXIT_ASSERTION
     return EXIT_WARNINGS if any_warn else EXIT_PASS

@@ -522,6 +522,54 @@ def _compile_kernel(exprs) -> Callable:
     return namespace["kernel"]
 
 
+def _constant_parts(e: _Expr, out: list) -> bool:
+    """Whether ``e`` reads neither x nor y.  When it reads one, each of
+    its largest subtrees that reads neither and is not a number or pi is
+    appended to ``out``."""
+    if isinstance(e, _Sym):
+        return False
+    if isinstance(e, (_Num, _Pi)):
+        return True
+    if isinstance(e, _Call):
+        children = (e.arg,)
+    elif isinstance(e, _Pow):
+        children = (e.base, e.exp)
+    else:
+        children = e.factors if isinstance(e, _Mul) else e.terms
+    constant = [_constant_parts(child, out) for child in children]
+    if all(constant):
+        return True
+    out.extend(
+        child for child, c in zip(children, constant) if c and not isinstance(child, (_Num, _Pi))
+    )
+    return False
+
+
+def _check_constants(trees) -> None:
+    """ExpressionError naming the first constant subtree of ``trees``
+    (one that reads neither x nor y and is not a number) whose kernel
+    value is not real: a complex number, as ``(-pi)**0.5`` gives, or NaN,
+    as ``sqrt(-pi)`` gives.  Such a constant does not fold at parse, and
+    a kernel would otherwise return it, or drop its imaginary part."""
+    parts: list[_Expr] = []
+    for tree in trees:
+        if _constant_parts(tree, parts) and not isinstance(tree, (_Num, _Pi)):
+            parts.append(tree)
+    if not parts:
+        return
+    parts = list(dict.fromkeys(parts))
+    with np.errstate(all="ignore"):
+        values = _compile_kernel(parts)(0.0, 0.0)
+    for part, value in zip(parts, values):
+        if np.iscomplexobj(value) or np.isnan(value):
+            printer = _Printer()
+            text = printer.doprint(part)
+            # Later calls may name earlier ones, so they are put back first.
+            for call, name in reversed(printer.calls.items()):
+                text = text.replace(name, call)
+            raise ExpressionError(f"the constant {text} is not real (it evaluates to {value})")
+
+
 class CoefficientTable:
     """The symbolic table of a model's 24 coefficient expressions.
 
@@ -765,16 +813,16 @@ def model_from_expressions(
         try:
             expr = _parse_expression(text)
             d1, d2 = _diff(expr, "x"), _diff(expr, "y")
-            exprs.update(
-                {
-                    func: expr,
-                    "d1_" + func: d1,
-                    "d2_" + func: d2,
-                    "d11_" + func: _diff(d1, "x"),
-                    "d12_" + func: _diff(d1, "y"),
-                    "d22_" + func: _diff(d2, "y"),
-                }
-            )
+            trees = {
+                func: expr,
+                "d1_" + func: d1,
+                "d2_" + func: d2,
+                "d11_" + func: _diff(d1, "x"),
+                "d12_" + func: _diff(d1, "y"),
+                "d22_" + func: _diff(d2, "y"),
+            }
+            _check_constants(trees.values())
+            exprs.update(trees)
         except (ExpressionError, ArithmeticError, RecursionError) as exc:
             raise ExpressionError(f"coefficient {func!r}: {exc}") from exc
     table = CoefficientTable(exprs)

@@ -1015,9 +1015,11 @@ def _sweep_passes(
     seed,
     x0: float,
     y0: float,
-) -> list[dict[str, np.ndarray]]:
-    """What :func:`_tangent_pass` returns for each pass of a sweep, over
-    paths 0..n_paths-1 started at (x0, y0), in the order of ``passes``.
+    finish,
+) -> list:
+    """``finish(i, rows)`` for each pass i of a sweep, in the order of
+    ``passes``, where ``rows`` is what :func:`_tangent_pass` returns for
+    pass i over paths 0..n_paths-1 started at (x0, y0).
 
     The call runs on the :func:`~fastslow.sde_engine._workers` that its
     n_paths x (sum of n_steps) path-steps take, through
@@ -1029,11 +1031,15 @@ def _sweep_passes(
     worker runs every pass over a contiguous share of the path ids.  In
     process (one worker) that is every pass over all paths.  A path
     draws its noise from its own streams, so neither split moves a
-    value.  Each worker returns its passes' results, which this process
-    concatenates in pass order, or joins along the path axis in path
-    order.  The error of the first failing range of passes or share of
-    paths is raised, so with whole passes an earlier pass fails before a
-    later one, as in process; an Euler-Maruyama error names the path id.
+    value.  ``finish`` runs where a pass's rows are whole: a worker of
+    whole passes finishes each itself and returns only what ``finish``
+    keeps, which this process concatenates in pass order; a worker of a
+    share of paths returns its share's rows, which this process joins
+    along the path axis in path order and then finishes.  Either way
+    ``finish`` reads the same full-path arrays, so no value moves.  The
+    error of the first failing range of passes or share of paths is
+    raised, so with whole passes an earlier pass fails before a later
+    one, as in process; an Euler-Maruyama error names the path id.
     """
     workers = _workers(n_paths * sum(q.n_steps for q in passes))
     whole = len(passes) >= workers
@@ -1049,17 +1055,18 @@ def _sweep_passes(
             noise = _noise_blocks(
                 seed, ids, q.n_steps, q.dt, purpose=q.purpose, point=q.point
             )
-            out.append(_tangent_pass(
+            rows = _tangent_pass(
                 model, q.regime, q.dt, q.n_steps, x0, y0, noise, len(ids),
                 q.tangents, q.cells, first_column=ids.start,
-            ))
+            )
+            out.append(finish(i, rows) if whole else rows)
         return out
 
     model.compile(_EM_KEYS, COEFFICIENT_KEYS)  # before the fork, as in simulate_paths
     parts = _run_shares(run, shares, "regimes" if whole else "paths")
     if whole:
         return [result for part in parts for result in part]
-    return _joined_paths(parts)
+    return [finish(i, rows) for i, rows in enumerate(_joined_paths(parts))]
 
 
 def moment_sweep(
@@ -1110,37 +1117,64 @@ def moment_sweep(
     most 32 MiB and a draw buffer of at most 512 streams.  A sweep of at
     least 1M path-steps in all runs on forked workers, one per CPU
     (:func:`_sweep_passes`): each worker runs a contiguous range of whole
-    regimes, the ranges balanced by their summed steps, or, with more
-    workers than regimes, every regime on a contiguous share of the
-    paths, and returns its tangent finals and sups.  Regime i draws path
-    j's noise from the streams (seed, moment sweep, i + 1, j, channel),
-    so a path's values do not depend on which paths share its pass or
-    its worker.  The tangent pass is the one
-    :func:`first_order_tangents` and :func:`second_order_tangents` run
-    over a bundle's streams, so they give the same values on the same
-    paths.
+    regimes, the ranges balanced by their summed steps, and returns each
+    regime's moments (mean and standard error per bound), or, with more
+    workers than regimes, runs every regime on a contiguous share of the
+    paths and returns its share's rows.  Regime i draws path j's noise
+    from the streams (seed, moment sweep, i + 1, j, channel), so a
+    path's values do not depend on which paths share its pass or its
+    worker.  The tangent pass is the one :func:`first_order_tangents`
+    and :func:`second_order_tangents` run over a bundle's streams, so
+    they give the same values on the same paths.  :func:`_moment_reports`
+    serves several orders p from the same passes.
     """
+    return _moment_reports(
+        model, regimes, [p], n_paths, seed, x0, y0, dt_eta_fraction, pair_sep_etas, k_hat
+    )[p]
+
+
+def _moment_reports(
+    model: CoefficientSet,
+    regimes: Sequence[ScaleRegime],
+    orders: Sequence[int],
+    n_paths: int,
+    seed=0,
+    x0: float = 0.0,
+    y0: float = 0.0,
+    dt_eta_fraction: float = STABILITY_FRACTION,
+    pair_sep_etas: float = 3.0,
+    k_hat: float | None = None,
+) -> dict[int, dict[str, MomentReport]]:
+    """:func:`moment_sweep` at each moment order p of ``orders``, as
+    {p: its reports}, from one tangent pass per regime: the pass's rows
+    do not depend on p, so each is finished into the moments of every
+    order at once.  Every order is checked, and without ``k_hat`` its
+    :func:`~fastslow.coefficients.check_assumptions` run, before any
+    pass."""
     _require_positive(n_paths=n_paths)
     if len(regimes) < 1:
         raise ValueError("need at least one regime")
     eps_list = [r.epsilon for r in regimes]
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("regimes must be ordered by strictly decreasing epsilon")
-    if p not in (1, 2):
-        raise ValueError(f"moment order p must be 1 or 2 (got {p})")
+    for p in orders:
+        if p not in (1, 2):
+            raise ValueError(f"moment order p must be 1 or 2 (got {p})")
     _require_values("pair_sep_etas", [pair_sep_etas])
     steps = [dt_eta_fraction * r.eta for r in regimes]
     for step, regime in zip(steps, regimes):
         _check_stability(step, regime.eta)
-    if k_hat is None:
-        box, nodes = ASSUMPTION_GRID
-        rep = check_assumptions(model, box, box, nodes, nodes, p)
-        if not rep.passes:
-            raise ValueError(
-                f"model {model.name!r} fails the dissipativity margin at "
-                f"p={p} (K_hat={rep.K_hat:.4g}); envelopes are undefined"
-            )
-        k_hat = rep.K_hat
+    k_hats = dict.fromkeys(orders, k_hat)
+    box, nodes = ASSUMPTION_GRID
+    for p in orders:
+        if k_hat is None:
+            rep = check_assumptions(model, box, box, nodes, nodes, p)
+            if not rep.passes:
+                raise ValueError(
+                    f"model {model.name!r} fails the dissipativity margin at "
+                    f"p={p} (K_hat={rep.K_hat:.4g}); envelopes are undefined"
+                )
+            k_hats[p] = rep.K_hat
 
     passes, picks = [], []
     for i_reg, (regime, step) in enumerate(zip(regimes, steps)):
@@ -1158,72 +1192,53 @@ def moment_sweep(
         )
         picks.append((len(r_sel), r_mid, r_lo))
 
-    per_regime: list[dict] = []
-    results = _sweep_passes(model, passes, n_paths, seed, x0, y0)
-    for q, (n_sel, r_mid, r_lo), rows in zip(passes, picks, results):
-        regime, dt_eff = q.regime, q.dt
-        d2x_w1w1, d2x_w1w2, d2x_w2w2 = rows["final_d2x"]
+    def finish(i: int, rows: dict[str, np.ndarray]) -> dict[int, dict]:
+        """{p: {bound_id: (mean, stderr)}} of regime i's rows."""
+        n_sel = picks[i][0]
         sup_abs_dx = rows["sup_abs_dx"]
-        per_path = {
-            "dw1_x_sup": np.mean(sup_abs_dx[:n_sel] ** (2 * p), axis=0),
-            "dw2_x_sup": np.mean(sup_abs_dx[n_sel : 2 * n_sel] ** (2 * p), axis=0),
-            "dw2_y_final": np.abs(rows["final_dy"][2 * n_sel]) ** (2 * p),
-            "d2x_w1w1": np.abs(d2x_w1w1) ** (2 * p),
-            "d2x_w1w2": np.abs(d2x_w1w2) ** (2 * p),
-            "d2x_w2w2": np.abs(d2x_w2w2) ** (2 * p),
+        finals = {
+            "dw2_y_final": np.abs(rows["final_dy"][2 * n_sel]),
+            **dict(zip(("d2x_w1w1", "d2x_w1w2", "d2x_w2w2"), np.abs(rows["final_d2x"]))),
         }
-        sep = (r_mid - r_lo) * dt_eff
-        env = _moment_envelopes(
-            p, regime.epsilon, regime.eta, k_hat, regime.T, r_mid * dt_eff, sep
-        )
-        per_regime.append(
-            {
-                "regime": regime,
-                "moments": {k: _mean_se(v) for k, v in per_path.items()},
-                "env": env,
-                "separation": {
-                    "separation_requested": pair_sep_etas * regime.eta,
-                    "separation_realized": sep,
-                },
+        return {
+            p: {
+                "dw1_x_sup": _mean_se(np.mean(sup_abs_dx[:n_sel] ** (2 * p), axis=0)),
+                "dw2_x_sup": _mean_se(
+                    np.mean(sup_abs_dx[n_sel : 2 * n_sel] ** (2 * p), axis=0)
+                ),
+                **{bound_id: _mean_se(v ** (2 * p)) for bound_id, v in finals.items()},
             }
-        )
+            for p in orders
+        }
 
-    reports: dict[str, MomentReport] = {}
-    for bound_id in BOUND_IDS:
-        points = []
-        warnings: list[str] = []
-        c_fit = 0.0
-        for i, entry in enumerate(per_regime):
-            mean, se = entry["moments"][bound_id]
-            envelope = entry["env"][bound_id]
+    moments = _sweep_passes(model, passes, n_paths, seed, x0, y0, finish)
+    by_order: dict[int, dict[str, MomentReport]] = {p: {} for p in orders}
+    for p, bound_id in itertools.product(orders, BOUND_IDS):
+        points, warnings, c_fit = [], [], 0.0
+        for i, (q, (_, r_mid, r_lo), finished) in enumerate(zip(passes, picks, moments)):
+            regime, sep = q.regime, (r_mid - r_lo) * q.dt
+            mean, se = finished[p][bound_id]
+            envelope = _moment_envelopes(
+                p, regime.epsilon, regime.eta, k_hats[p], regime.T, r_mid * q.dt, sep
+            )[bound_id]
             if i == 0:
                 c_fit = mean / envelope if envelope > 0 else 0.0
-            ok = mean <= c_fit * envelope * (1.0 + 1e-12)
             if mean > 0 and se > 0.3 * mean:
                 warnings.append(
-                    f"point {i} (eps={entry['regime'].epsilon:g}): "
+                    f"point {i} (eps={regime.epsilon:g}): "
                     f"stderr {se:.2e} exceeds 30% of mean {mean:.2e}"
                 )
+            separation = (pair_sep_etas * regime.eta, sep) if bound_id in _MIXED_BOUNDS else ()
             points.append(
                 MomentPoint(
-                    epsilon=entry["regime"].epsilon,
-                    eta=entry["regime"].eta,
-                    empirical=mean,
-                    envelope=envelope,
-                    stderr=se,
-                    passes=ok,
-                    **(entry["separation"] if bound_id in _MIXED_BOUNDS else {}),
+                    regime.epsilon, regime.eta, mean, envelope, se,
+                    mean <= c_fit * envelope * (1.0 + 1e-12), *separation,
                 )
             )
-        reports[bound_id] = MomentReport(
-            bound_id=bound_id,
-            p=p,
-            points=tuple(points),
-            C_fit=c_fit,
-            passes=all(q.passes for q in points),
-            warnings=tuple(warnings),
+        by_order[p][bound_id] = MomentReport(
+            bound_id, p, tuple(points), c_fit, all(q.passes for q in points), tuple(warnings)
         )
-    return reports
+    return by_order
 
 
 def _decay_steps(
@@ -1303,41 +1318,80 @@ def decay_check(
     j1 = W1 for ``d2x_w1w2`` and W2 for ``d2x_w2w2``, and its two
     factors.  A pass of at least 1M path-steps is split into contiguous
     shares of the path ids, one per CPU, that run at once on forked
-    workers, each returning its paths' finals (:func:`_sweep_passes`).
-    Path j draws its noise from the streams (seed, decay check, 0, j,
-    channel), which no moment sweep point shares.
+    workers, each returning its paths' rows, which this process joins
+    and reduces (:func:`_sweep_passes`).  Path j draws its noise from
+    the streams (seed, decay check, 0, j, channel), which no moment
+    sweep point shares.  :func:`_decay_reports` checks several bounds
+    in one pass.
     """
+    return _decay_reports(
+        model, regime, [bound_id], p, n_paths, seed, separations_eta, x0, y0,
+        dt_eta_fraction,
+    )[bound_id]
+
+
+def _decay_reports(
+    model: CoefficientSet,
+    regime: ScaleRegime,
+    bound_ids: Sequence[str],
+    p: int,
+    n_paths: int,
+    seed,
+    separations_eta: Sequence[float] = DECAY_SEPARATIONS,
+    x0: float = 0.0,
+    y0: float = 0.0,
+    dt_eta_fraction: float = STABILITY_FRACTION,
+) -> dict[str, DecayReport]:
+    """:func:`decay_check` of each bound of ``bound_ids``, as {bound_id:
+    its report}, from one tangent pass that holds the union of the
+    bounds' tangents and cells.  Each row is stepped alone on the same
+    noise, so each report equals the bound's own check."""
     _require_positive(n_paths=n_paths)
-    seps = check_decay_settings([bound_id], separations_eta)
-    n_steps, dt_eff, r_top, r_list = _decay_steps(regime, bound_id, seps, dt_eta_fraction)
-    if bound_id == "dw2_y_final":
-        tangents = [(1, r) for r in r_list]
-        cells = None
-    else:
-        tangents = []
-        j1 = 0 if bound_id == "d2x_w1w2" else 1
-        cells = [(j1, 1, r_top, r2) for r2 in r_list]
+    bound_ids = list(dict.fromkeys(bound_ids))  # a config may name a bound twice
+    seps = check_decay_settings(bound_ids, separations_eta)
+    tangents: list[tuple[int, int]] = []
+    cells: list[tuple[int, int, int, int]] = []
+    picks = {}  # bound_id: (the rows it reads, their slice)
+    # n_steps and dt_eff depend on the regime alone; r_top on the bound.
+    for bound_id in bound_ids:
+        n_steps, dt_eff, r_top, r_list = _decay_steps(regime, bound_id, seps, dt_eta_fraction)
+        if bound_id == "dw2_y_final":
+            picks[bound_id] = "final_dy", slice(len(tangents), len(tangents) + len(seps))
+            tangents += [(1, r) for r in r_list]
+        else:
+            j1 = 0 if bound_id == "d2x_w1w2" else 1
+            picks[bound_id] = "final_d2x", slice(len(cells), len(cells) + len(seps))
+            cells += [(j1, 1, r_top, r2) for r2 in r_list]
+
+    def finish(i: int, rows: dict[str, np.ndarray]) -> dict[str, list]:
+        """{bound_id: [(mean, stderr) per separation]} of the pass's rows."""
+        return {
+            bound_id: [_mean_se(v ** (2 * p)) for v in np.abs(rows[key][at])]
+            for bound_id, (key, at) in picks.items()
+        }
 
     one_pass = _SweepPass(
-        regime, n_steps, dt_eff, PURPOSE_DECAY_CHECK, 0, tangents, cells
+        regime, n_steps, dt_eff, PURPOSE_DECAY_CHECK, 0, tangents, cells or None
     )
-    [rows] = _sweep_passes(model, [one_pass], n_paths, seed, x0, y0)
-    per_sep = list(np.abs(rows["final_dy" if cells is None else "final_d2x"]))
-    means, ses = zip(*(_mean_se(v ** (2 * p)) for v in per_sep))
-    monotone = all(
-        means[i + 1] <= means[i] + 2.0 * (ses[i] + ses[i + 1])
-        for i in range(len(means) - 1)
-    )
-    return DecayReport(
-        bound_id=bound_id,
-        p=p,
-        epsilon=regime.epsilon,
-        eta=regime.eta,
-        separations=tuple(seps),
-        empirical=means,
-        stderr=ses,
-        monotone_within_noise=monotone,
-    )
+    [moments] = _sweep_passes(model, [one_pass], n_paths, seed, x0, y0, finish)
+    reports = {}
+    for bound_id, per_sep in moments.items():
+        means, ses = zip(*per_sep)
+        monotone = all(
+            means[i + 1] <= means[i] + 2.0 * (ses[i] + ses[i + 1])
+            for i in range(len(means) - 1)
+        )
+        reports[bound_id] = DecayReport(
+            bound_id=bound_id,
+            p=p,
+            epsilon=regime.epsilon,
+            eta=regime.eta,
+            separations=tuple(seps),
+            empirical=means,
+            stderr=ses,
+            monotone_within_noise=monotone,
+        )
+    return reports
 
 
 # -- quadruple time-decay integral ------------------------------------

@@ -12,6 +12,7 @@ import os
 import pytest
 
 import fastslow.cli as cli_mod
+import fastslow.malliavin as malliavin_mod
 import fastslow.sde_engine as sde_engine
 from fastslow.cli import (
     EXIT_ASSERTION,
@@ -1090,6 +1091,50 @@ def test_malliavin_sweep_reads_the_grid_start(tmp_path):
         model, regimes[-1], "d2x_w1w2", 1, 20, 2, separations_eta=(1.0, 2.0), x0=0.4, y0=0.3
     )
     assert _read_bytes(out, "decay.json") == written({"d2x_w1w2": decay.to_dict()})
+
+
+def test_malliavin_sweep_runs_one_pass_for_all_orders_and_bounds(tmp_path, monkeypatch):
+    """malliavin-sweep at p = 1 and 2 with both default decay bounds calls
+    _sweep_passes twice, once for the moment sweep of every order and
+    once for the decay check of every bound, and writes what moment_sweep
+    at each order and decay_check of each bound report."""
+    calls = []
+    sweep_passes = malliavin_mod._sweep_passes
+
+    def counting(*args):
+        calls.append(len(args[1]))
+        return sweep_passes(*args)
+
+    monkeypatch.setattr(malliavin_mod, "_sweep_passes", counting)
+    out = tmp_path / "out"
+    sweep = {"epsilons": [0.1, 0.05], "gamma": 1.0, "T": 0.25}
+    cfg = _write_config(
+        tmp_path,
+        {
+            "model": "bounded-coupled",
+            "sweep": sweep,
+            "grid": {"n_paths": 20},
+            "analysis": {"p": [1, 2], "decay_separations": [1.0, 2.0]},
+            "io": {"output_dir": str(out), "master_seed": 2},
+        },
+    )
+    main(["malliavin-sweep", "--config", cfg])
+    assert calls == [2, 1]
+
+    def written(payload):
+        return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+    model = get_model("bounded-coupled")
+    regimes = [ScaleRegime(e, e, 1.0, 0.25) for e in sweep["epsilons"]]
+    for p in (1, 2):
+        reports = moment_sweep(model, regimes, p, 20, seed=2)
+        moments = {bid: rep.to_dict() for bid, rep in reports.items()}
+        assert _read_bytes(out, f"moments_p{p}.json") == written(moments)
+    decay = {
+        bid: decay_check(model, regimes[-1], bid, 1, 20, 2, separations_eta=(1.0, 2.0)).to_dict()
+        for bid in ("d2x_w1w2", "d2x_w2w2")
+    }
+    assert _read_bytes(out, "decay.json") == written(decay)
 
 
 def test_malliavin_sweep_reads_the_step_fraction(tmp_path):

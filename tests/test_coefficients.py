@@ -1,6 +1,7 @@
 """Coefficient parsing, evaluation, partials, and structural constants."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -442,6 +443,15 @@ def test_expression_guard_rejects_bad_tokens():
     syntax = ("x//y", "sin(x)(y)", "sin", "sin(x y)", "1/0", "x*(y - y)^-1", "(-2.0)^0.5")
     for bad in ("__import__('os')", "x; y", "lambda x: x", "z + 1", "x!", *names, *syntax):
         with pytest.raises(ExpressionError):
+            model_from_expressions("bad", bad, "1", "-y", "1")
+    # A constant that does not fold is checked at build and named: a
+    # complex power, a NaN square root and a NaN log in a derivative.
+    for bad, constant in [
+        ("(-pi)^0.5 + x", "(-pi)**0.5"),
+        ("sqrt(-pi)*x", "sqrt(-pi)"),
+        ("(-pi)^x", "log(-pi)"),
+    ]:
+        with pytest.raises(ExpressionError, match=re.escape(f"the constant {constant} is not real")):
             model_from_expressions("bad", bad, "1", "-y", "1")
 
 

@@ -1172,6 +1172,100 @@ def test_forked_sweep_compiles_its_kernels_in_the_parent(force_workers, starts, 
     assert {EM_KEYS, COEFFICIENT_KEYS} <= set(model.table._kernels)
 
 
+def _leaves(obj) -> list:
+    """The values held in nested dicts, lists and tuples."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [leaf for item in obj for leaf in _leaves(item)]
+    return [obj]
+
+
+def test_workers_reply_with_moments_or_with_their_share_of_rows(
+    bounded, monkeypatch, starts, all_joined
+):
+    """With ``_workers`` forced to 2, the moment sweep of two regimes runs
+    whole regimes: each worker finishes its regime and replies with its
+    means and standard errors, Python floats only.  The moment sweep of
+    one regime and each decay check run on two shares of 15 paths: each
+    worker replies with its share's rows, which this process joins and
+    then finishes.  Every report equals the in-process one exactly."""
+    regimes = [ScaleRegime(0.1, 0.1, 1.0, 0.3), ScaleRegime(0.05, 0.05, 1.0, 0.3)]
+
+    def run_all():
+        sweeps = _sweeps(bounded, 2)
+        one_regime = moment_sweep(
+            bounded, regimes[1:], 2, 30, seed=5, x0=0.4, y0=0.3, k_hat=1.0
+        )
+        return sweeps, {b: r.to_dict() for b, r in one_regime.items()}
+
+    in_process = run_all()
+    assert starts == []
+    replies = []
+    run_shares = malliavin_mod._run_shares
+
+    def spy(run, shares, unit="paths"):
+        parts = run_shares(run, shares, unit)
+        replies.append((unit, parts))
+        return parts
+
+    monkeypatch.setattr(malliavin_mod, "_workers", lambda path_steps: 2)
+    monkeypatch.setattr(malliavin_mod, "_run_shares", spy)
+    assert run_all() == in_process
+    assert len(starts) == 2 * 5
+    assert all_joined()
+    assert [unit for unit, _ in replies] == ["regimes", "paths", "paths", "paths", "paths"]
+    whole = _leaves(replies[0][1])
+    assert len(whole) == 2 * len(BOUND_IDS) * 2  # (mean, stderr) per regime and bound
+    assert all(type(v) is float for v in whole)
+    for _, parts in replies[1:]:
+        rows = _leaves(parts)
+        assert rows and all(isinstance(v, np.ndarray) and v.shape[-1] == 15 for v in rows)
+
+
+def test_one_pass_serves_every_order_and_every_bound(bounded, monkeypatch):
+    """``_moment_reports`` at p = 1 and 2 equals ``moment_sweep`` at each
+    order, and ``_decay_reports`` of the three decay bounds equals each
+    bound's ``decay_check``, field for field.  The two helpers run one
+    ``_sweep_passes`` call each, and check_assumptions still runs once
+    per order."""
+    calls, checked = [], []
+    sweep_passes, check = malliavin_mod._sweep_passes, malliavin_mod.check_assumptions
+
+    def counting(model, passes, *args):
+        calls.append(len(passes))
+        return sweep_passes(model, passes, *args)
+
+    def checking(model, *args):
+        checked.append(args[-1])
+        return check(model, *args)
+
+    monkeypatch.setattr(malliavin_mod, "_sweep_passes", counting)
+    monkeypatch.setattr(malliavin_mod, "check_assumptions", checking)
+    regimes = [ScaleRegime(0.1, 0.1, 1.0, 0.3), ScaleRegime(0.05, 0.05, 1.0, 0.3)]
+    start = dict(x0=0.4, y0=0.3)
+    bounds = ["d2x_w1w2", "d2x_w2w2", "dw2_y_final"]
+    seps = (0.0, 0.5, 2.0)
+    by_order = malliavin_mod._moment_reports(
+        bounded, regimes, [1, 2], 30, seed=5, pair_sep_etas=2.0, **start
+    )
+    decays = malliavin_mod._decay_reports(
+        bounded, regimes[-1], bounds, 2, 30, 6, separations_eta=seps, **start
+    )
+    assert calls == [2, 1]
+    assert checked == [1, 2]
+    for p in (1, 2):
+        assert by_order[p] == moment_sweep(
+            bounded, regimes, p, 30, seed=5, pair_sep_etas=2.0, **start
+        )
+    assert list(decays) == bounds
+    for bound_id in bounds:
+        assert decays[bound_id] == decay_check(
+            bounded, regimes[-1], bound_id, 2, 30, 6, separations_eta=seps, **start
+        )
+    assert len(calls) == 2 + 2 + 3
+
+
 _POISONED = ("poisoned", "y - 2*x", "1", "x - y")
 
 

@@ -132,6 +132,17 @@ def test_w1_floor_closed_forms_and_scaling():
     )
 
 
+@pytest.mark.parametrize(
+    "n, pinned",
+    [(2, "0x1.a82949e66adccp-1"), (300, "0x1.2e9819d963a60p-4"), (10_000, "0x1.a5bcbd291af48p-7")],
+)
+def test_w1_floor_bits_are_pinned(n, pinned):
+    """The floor keeps its bits when the log-gammas are taken once per
+    run of equal k: the values are those of evaluating them at every
+    node."""
+    assert w1_floor(n, 1.0).hex() == pinned
+
+
 def test_w1_floor_is_the_mean_of_the_estimator():
     rng = np.random.default_rng(11)
     reads = [w1_vs_gaussian(rng.normal(0.5, 2.0, 20), 0.5, 4.0) for _ in range(4000)]
