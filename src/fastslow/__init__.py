@@ -39,14 +39,7 @@ from fastslow.sde_engine import (
     limit_gaussian_samples,
     simulate_paths,
 )
-from fastslow.malliavin import (
-    first_order_tangents,
-    moment_sweep,
-    q_decomposition,
-    quadruple_integral_check,
-    second_order_tangents,
-    z_process,
-)
+from fastslow.malliavin import moment_sweep
 from fastslow.metrics import (
     RateFit,
     WassersteinReport,
@@ -57,6 +50,25 @@ from fastslow.metrics import (
 )
 
 __version__ = "0.1.0"
+
+#: Names of :mod:`fastslow.oracles`, which tests and studies call and no
+#: run does: the module loads on the first lookup of one of them.
+_ORACLES = (
+    "first_order_tangents",
+    "q_decomposition",
+    "quadruple_integral_check",
+    "second_order_tangents",
+    "z_process",
+)
+
+
+def __getattr__(name: str):
+    if name in _ORACLES:
+        from fastslow import oracles
+
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CoefficientSet",

@@ -26,12 +26,11 @@ from fastslow.homogenization import (
     poisson_residual,
     solve_poisson,
 )
-from fastslow.malliavin import (
-    decay_check,
+from fastslow.malliavin import decay_check, moment_sweep
+from fastslow.oracles import (
     default_r_grid,
     first_order_tangents,
     full_pair_grid,
-    moment_sweep,
     quadruple_analytic,
     quadruple_brute_force,
     quadruple_envelope,

@@ -36,9 +36,8 @@ from fastslow.malliavin import (
     _FIRST_KEYS,
     _PARTIAL_KEYS,
     _tangent_pass,
-    first_order_tangents,
-    second_order_tangents,
 )
+from fastslow.oracles import first_order_tangents, second_order_tangents
 from fastslow.sde_engine import (
     _EM_KEYS,
     ScaleRegime,

@@ -11,6 +11,7 @@ from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
 import fastslow.malliavin as malliavin_mod
+import fastslow.oracles as oracles_mod
 from fastslow.coefficients import (
     COEFFICIENT_KEYS,
     CoefficientTable,
@@ -19,15 +20,17 @@ from fastslow.coefficients import (
 )
 from fastslow.malliavin import (
     BOUND_IDS,
-    SecondOrderTangents,
     TangentBlowUpError,
-    contraction_norm_second,
     decay_check,
+    moment_sweep,
+)
+from fastslow.oracles import (
+    SecondOrderTangents,
+    contraction_norm_second,
     default_r_grid,
     first_order_tangents,
     full_pair_grid,
     hnorm_first,
-    moment_sweep,
     q_decomposition,
     quadruple_analytic,
     quadruple_brute_force,
@@ -337,6 +340,56 @@ def test_z_process_replays_a_bundle_without_paths(trig):
         assert np.array_equal(z_process(trig, light, r), z_process(trig, stored, r)), r
 
 
+@pytest.mark.parametrize("fixture", ["bounded", "trig"])
+def test_z_process_steps_no_tangent(fixture, request, monkeypatch):
+    """The z-process reads only the base path's coefficient values and W2
+    increments: its replay starts the record hook at r with no tangent
+    asked for, so no first-order row is held or stepped.  Its output
+    equals, bit for bit, that of a replay that also advances the W2
+    tangent at r, which steps one row from r to the horizon."""
+    model = request.getfixturevalue(fixture)
+    regime = ScaleRegime(0.05, 0.05, 1.0, 0.15)
+    bundle = simulate_paths(model, regime, 0.4, 0.3, regime.eta / 20, 5, 9)
+    stepped = []
+    first_step = malliavin_mod._first_step
+
+    def spy_first(d, dx, *args):
+        stepped.append(dx.shape[0])
+        return first_step(d, dx, *args)
+
+    monkeypatch.setattr(malliavin_mod, "_first_step", spy_first)
+    r, n = 7, bundle.n_steps
+    got = {at: z_process(model, bundle, at) for at in (0, r, n // 2)}
+    assert stepped == []
+
+    bundle_pass = oracles_mod._bundle_pass
+
+    def with_w2_tangent(model, bundle, tangents, cells=None, record=None, record_from=None):
+        return bundle_pass(model, bundle, [(1, record_from)], cells, record)
+
+    monkeypatch.setattr(oracles_mod, "_bundle_pass", with_w2_tangent)
+    assert np.array_equal(z_process(model, bundle, r), got[r])
+    assert stepped == [1] * (n - r)
+    for at in (0, n // 2):
+        assert np.array_equal(z_process(model, bundle, at), got[at]), at
+
+
+def test_record_hook_needs_a_step_in_range(bounded, bounded_bundle):
+    """A pass with no tangent and no cell needs ``record_from``, a step in
+    [0, n_steps], and says so before any noise is read."""
+
+    def no_noise():
+        raise AssertionError("a noise block was read")
+        yield
+
+    b = bounded_bundle
+    args = (bounded, b.regime, b.dt, b.n_steps, 0.1, -0.2, no_noise(), b.n_paths, ())
+    with pytest.raises(ValueError, match="need at least one perturbation index"):
+        malliavin_mod._tangent_pass(*args, record=lambda *a: None)
+    with pytest.raises(ValueError, match=rf"r-index {b.n_steps + 1} outside"):
+        malliavin_mod._tangent_pass(*args, record=lambda *a: None, record_from=b.n_steps + 1)
+
+
 def test_q_decomposition_affine_closed_form(affine, affine_bundle):
     eta = affine_bundle.regime.eta
     dt = affine_bundle.dt
@@ -357,7 +410,7 @@ def test_q_decomposition_affine_closed_form(affine, affine_bundle):
 
 
 def _synthetic_first(final_dx, r_values, dt):
-    from fastslow.malliavin import FirstOrderTangents
+    from fastslow.oracles import FirstOrderTangents
 
     n_r = final_dx.shape[1]
     return FirstOrderTangents(
@@ -794,7 +847,7 @@ def test_cell_list_that_is_not_a_product(bounded, bounded_bundle):
         (0, 1, 30, 12),
     ]
     _, _, ref = _scalar_tangents(bounded, bounded_bundle, [0, 12, 30, n], cells)
-    stored = malliavin_mod._bundle_pass(bounded, bounded_bundle, (), cells)
+    stored = oracles_mod._bundle_pass(bounded, bounded_bundle, (), cells)
     for name, expect in zip(SECOND_ROWS, ref):
         assert stored[name].shape == (len(cells), bounded_bundle.n_paths)
         np.testing.assert_allclose(stored[name], expect, rtol=1e-12, atol=0, err_msg=name)
@@ -947,7 +1000,7 @@ def test_tangent_subset_equals_full_grid_and_starts_late(bounded, bounded_bundle
     full = [(j, r) for j in (0, 1) for r in (0, 12, 30, n)]
     subset = [(1, 30), (0, 12), (1, n), (1, 30)]
     cells = [(0, 1, n, 0), (0, 1, 30, 12)]
-    ref = malliavin_mod._bundle_pass(bounded, bounded_bundle, full, cells)
+    ref = oracles_mod._bundle_pass(bounded, bounded_bundle, full, cells)
 
     steps = []
     first_step, second_step = malliavin_mod._first_step, malliavin_mod._second_step
@@ -962,7 +1015,7 @@ def test_tangent_subset_equals_full_grid_and_starts_late(bounded, bounded_bundle
 
     monkeypatch.setattr(malliavin_mod, "_first_step", spy_first)
     monkeypatch.setattr(malliavin_mod, "_second_step", spy_second)
-    got = malliavin_mod._bundle_pass(bounded, bounded_bundle, subset, cells)
+    got = oracles_mod._bundle_pass(bounded, bounded_bundle, subset, cells)
     rows = [full.index(t) for t in subset]
     for name in FIRST_ROWS:
         assert got[name].shape == (len(subset), bounded_bundle.n_paths)
@@ -1223,6 +1276,47 @@ def test_workers_reply_with_moments_or_with_their_share_of_rows(
         assert rows and all(isinstance(v, np.ndarray) and v.shape[-1] == 15 for v in rows)
 
 
+def test_workers_of_a_path_share_reply_with_the_rows_finish_reads(
+    bounded, monkeypatch, starts, all_joined
+):
+    """A pass split by paths replies with only the row kinds that its
+    sweep's finish reads: a moment sweep of one regime with sup_abs_dx,
+    final_dy and final_d2x, a decay check of a mixed bound with final_d2x,
+    of dw2_y_final with final_dy and of both with both.  The reports are
+    the in-process ones."""
+    regime = ScaleRegime(0.05, 0.05, 1.0, 0.3)
+    decay = dict(separations_eta=(0.5, 2.0), x0=0.4, y0=0.3)
+
+    def run_all():
+        moments = moment_sweep(bounded, [regime], 1, 30, seed=5, k_hat=1.0)
+        decays = [
+            malliavin_mod._decay_reports(bounded, regime, bounds, 1, 30, 6, **decay)
+            for bounds in (["d2x_w1w2"], ["dw2_y_final"], ["dw2_y_final", "d2x_w2w2"])
+        ]
+        return moments, decays
+
+    in_process = run_all()
+    replies = []
+    run_shares = malliavin_mod._run_shares
+
+    def spy(run, shares, unit="paths"):
+        parts = run_shares(run, shares, unit)
+        replies.append([sorted(rows) for part in parts for rows in part])
+        return parts
+
+    monkeypatch.setattr(malliavin_mod, "_workers", lambda path_steps: 2)
+    monkeypatch.setattr(malliavin_mod, "_run_shares", spy)
+    assert run_all() == in_process
+    assert len(starts) == 2 * 4
+    assert all_joined()
+    assert replies == [
+        [["final_d2x", "final_dy", "sup_abs_dx"]] * 2,
+        [["final_d2x"]] * 2,
+        [["final_dy"]] * 2,
+        [["final_d2x", "final_dy"]] * 2,
+    ]
+
+
 def test_one_pass_serves_every_order_and_every_bound(bounded, monkeypatch):
     """``_moment_reports`` at p = 1 and 2 equals ``moment_sweep`` at each
     order, and ``_decay_reports`` of the three decay bounds equals each
@@ -1376,12 +1470,12 @@ def test_partial_vanishing_at_some_states_is_kept(monkeypatch, unfolded):
 
     monkeypatch.setattr(malliavin_mod, "_first_step", spy_first)
     monkeypatch.setattr(malliavin_mod, "_second_step", spy_second)
-    got = malliavin_mod._bundle_pass(model, bundle, tangents, cells)
+    got = oracles_mod._bundle_pass(model, bundle, tangents, cells)
     for name in ("first", "second"):
         value, k = read[name]
         assert k == 0 and isinstance(value, np.ndarray) and np.all(value == 0.0), name
     unfolded()
-    ref = malliavin_mod._bundle_pass(model, bundle, tangents, cells)
+    ref = oracles_mod._bundle_pass(model, bundle, tangents, cells)
     assert list(got) == list(ref)
     for name in ref:
         assert np.array_equal(got[name], ref[name]), name

@@ -12,6 +12,7 @@ MODULES = (
     "homogenization",
     "sde_engine",
     "malliavin",
+    "oracles",
     "metrics",
     "cli",
 )
@@ -68,28 +69,50 @@ def test_cli_import_leaves_heavy_scipy_subpackages_unloaded():
         assert scipy_loaded == "True", module
 
 
+#: Small runs of the CLI's pipelines: a CLT check, with its W1 estimates
+#: and bootstrap, a moment sweep, which compiles coefficient kernels, and
+#: a rate sweep, with the Monte Carlo floor of each point.
+_RUNS = (
+    "from fastslow.coefficients import get_model\n"
+    "from fastslow.homogenization import build_homogenized\n"
+    "from fastslow.malliavin import moment_sweep\n"
+    "from fastslow.metrics import clt_verify, rate_sweep\n"
+    "from fastslow.sde_engine import ScaleRegime\n"
+    "affine = get_model('affine-oracle')\n"
+    "hom = build_homogenized(affine, (-3.0, 3.0), 9, 512, 1.0)\n"
+    "regime = ScaleRegime(0.04, 0.04, 1.0, 0.4)\n"
+    "clt_verify(affine, regime, 0.0, 0.0, 0.002, 300, n_boot=50, hom=hom)\n"
+    "regimes = [ScaleRegime(0.1, 0.1, 1.0, 0.5), ScaleRegime(0.05, 0.05, 1.0, 0.5)]\n"
+    "moment_sweep(get_model('bounded-coupled'), regimes, 1, 50, seed=3)\n"
+    "clt = {'n_paths': 300, 'n_boot': 20, 'hom': hom}\n"
+    "rate_sweep(affine, [0.16, 0.08, 0.04], 'equal', clt, T=0.3)\n"
+)
+
+
 def test_runs_load_no_heavy_module():
-    """A CLT check, with its W1 estimates and bootstrap, a moment sweep,
-    which compiles coefficient kernels, and a rate sweep, with the Monte
-    Carlo floor of each point, load none of :data:`_HEAVY`."""
+    """The runs of :data:`_RUNS` load none of :data:`_HEAVY`."""
     probe = (
         "import sys\n"
-        "from fastslow.coefficients import get_model\n"
-        "from fastslow.homogenization import build_homogenized\n"
-        "from fastslow.malliavin import moment_sweep\n"
-        "from fastslow.metrics import clt_verify, rate_sweep\n"
-        "from fastslow.sde_engine import ScaleRegime\n"
-        "affine = get_model('affine-oracle')\n"
-        "hom = build_homogenized(affine, (-3.0, 3.0), 9, 512, 1.0)\n"
-        "regime = ScaleRegime(0.04, 0.04, 1.0, 0.4)\n"
-        "clt_verify(affine, regime, 0.0, 0.0, 0.002, 300, n_boot=50, hom=hom)\n"
-        "regimes = [ScaleRegime(0.1, 0.1, 1.0, 0.5), ScaleRegime(0.05, 0.05, 1.0, 0.5)]\n"
-        "moment_sweep(get_model('bounded-coupled'), regimes, 1, 50, seed=3)\n"
-        "clt = {'n_paths': 300, 'n_boot': 20, 'hom': hom}\n"
-        "rate_sweep(affine, [0.16, 0.08, 0.04], 'equal', clt, T=0.3)\n"
-        f"print(' '.join(m for m in {_HEAVY!r} if m in sys.modules))\n"
+        + _RUNS
+        + f"print(' '.join(m for m in {_HEAVY!r} if m in sys.modules))\n"
     )
     assert _fresh_interpreter(probe).split() == []
+
+
+def test_runs_never_load_the_oracles():
+    """The CLI, the runs of :data:`_RUNS` and a decay check never load
+    ``fastslow.oracles``: only tests and studies call the paper's oracles,
+    and a run that compiled the module would pay for it in peak memory."""
+    probe = (
+        "import sys\n"
+        "import fastslow.cli\n"
+        + _RUNS
+        + "from fastslow.malliavin import decay_check\n"
+        "decay_check(get_model('bounded-coupled'), regimes[-1], 'd2x_w1w2', 1, 50, 3,\n"
+        "            separations_eta=(0.5, 2.0))\n"
+        "print('fastslow.oracles' in sys.modules)\n"
+    )
+    assert _fresh_interpreter(probe).split() == ["False"]
 
 
 def test_building_models_runs_no_sympy():

@@ -478,15 +478,15 @@ def test_path_groups_match_one_block(
         assert list(bundle.captures) == list(steps)
         _assert_equal_captures(bundle.captures, caps)
         if redraw:
-            import fastslow.malliavin as malliavin
+            import fastslow.oracles as oracles
 
             blocks = []
 
-            def replay(model, regime, dt, n_steps, x0, y0, noise, *args):
+            def replay(model, regime, dt, n_steps, x0, y0, noise, *args, **kwargs):
                 blocks.extend((w1.copy(), w2.copy()) for w1, w2 in noise)
 
-            monkeypatch.setattr(malliavin, "_tangent_pass", replay)
-            malliavin._bundle_pass(bounded, bundle, [(0, 0)])
+            monkeypatch.setattr(oracles, "_tangent_pass", replay)
+            oracles._bundle_pass(bounded, bundle, [(0, 0)])
             assert np.array_equal(np.concatenate([w1 for w1, _ in blocks]), dW1)
             assert np.array_equal(np.concatenate([w2 for _, w2 in blocks]), dW2)
 
@@ -553,7 +553,8 @@ def test_memory_does_not_grow_with_steps(affine, monkeypatch):
     largest group's two channel blocks, within the block budget, and its
     draw buffer.  Nor may the path-major draw buffer grow when the path
     count grows from 600 to 2000."""
-    from fastslow.malliavin import _tangent_pass, first_order_tangents
+    from fastslow.malliavin import _tangent_pass
+    from fastslow.oracles import first_order_tangents
 
     dt = 1.0 / 4096
 
