@@ -382,7 +382,6 @@ def _tangent_pass(
     cells: Sequence[tuple[int, int, int, int]] | None = None,
     record=None,
     first_column: int = 0,
-    record_from: int | None = None,
 ) -> dict[str, np.ndarray]:
     """First- and second-order tangents in one forward pass over noise.
 
@@ -412,12 +411,9 @@ def _tangent_pass(
     and each is stepped only from there.  ``record(k, dx, dy, values,
     w2)``, when given, sees the first-order values of ``tangents``,
     (n_tangents, n_paths) each, the 24 key values of the state and the
-    W2 increments (n_paths,) of step k at every k from the first start;
-    at the horizon k = n_steps ``w2`` is None, and so is ``values``
-    unless a tangent or cell factor starts there.  ``record_from``, a
-    step in [0, n_steps], starts the pass there when no row starts
-    earlier: a hook that reads only the base path and its increments
-    asks for no tangent, and no first-order row is held or stepped.
+    W2 increments (n_paths,) of step k at every k from the first r; at
+    the horizon k = n_steps ``w2`` is None, and so is ``values`` unless
+    a tangent or cell factor starts there.
 
     Returns one dict of named rows: the (n_tangents, n_paths) arrays
     ``final_dx``, ``final_dy``, ``sup_abs_dx`` and ``sup_abs_dy``, in the
@@ -431,8 +427,7 @@ def _tangent_pass(
     cell_arr = _index_array(() if cells is None else cells, 4, "cell")
     asked = _index_array(tangents, 2, "tangent")
     wanted = np.concatenate([asked, cell_arr[:, [0, 2]], cell_arr[:, [1, 3]]])
-    starts_at = wanted[:, 1].tolist() + ([] if record_from is None else [record_from])
-    first_at = int(_r_grid(n_steps, starts_at)[0])
+    _r_grid(n_steps, wanted[:, 1])
     held = sorted(set(map(tuple, wanted.tolist())), key=lambda t: (t[1], t[0]))
     row = {t: i for i, t in enumerate(held)}
     asked_rows = [row[t] for t in map(tuple, asked.tolist())]
@@ -454,6 +449,7 @@ def _tangent_pass(
     d2x, d2y, sup_x, sup_y = (np.zeros((len(cell_list), n_paths)) for _ in range(4))
     alpha: dict[int, tuple] = {}
     n1 = n2 = 0  # started tangents and cells
+    first_at = held[0][1]
     zero = _zero_partials(model)
     first_partials = _picker(_FIRST_KEYS, zero)
     all_partials = _picker(_PARTIAL_KEYS, zero)
@@ -496,8 +492,7 @@ def _tangent_pass(
             factors = (dx[r_1], dy[r_1], dx[r_2], dy[r_2])
             p = all_partials(values)
             _second_step(p, d2x[:n2], d2y[:n2], factors, w1, w2, s, k, cell_list)
-        if n1:
-            _first_step(first_partials(values), dx[:n1], dy[:n1], w1, w2, s, k, held)
+        _first_step(first_partials(values), dx[:n1], dy[:n1], w1, w2, s, k, held)
 
     rows = dict(zip(_FIRST_ROWS, (a[asked_rows] for a in (dx, dy, sup_dx, sup_dy))))
     if cells is not None:

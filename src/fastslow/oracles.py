@@ -9,12 +9,14 @@ Along a :class:`~fastslow.sde_engine.PathBundle`:
   fast tangent flow, and :func:`q_decomposition`, the split
   D^{W2}Y = Q1 + Q2 with Q1 = Z * tau(X_r, Y_r)/sqrt(eta).
 
-Each replays the bundle through the tangent pass of the moment sweeps,
-:func:`fastslow.malliavin._tangent_pass` (:func:`_bundle_pass`), from
-its initial state on the noise redrawn from its streams, so none needs a
-captured state or stored noise.  The first two ask for their full grids;
-the last two read the pass at every step from r through its ``record``
-hook, and only :func:`q_decomposition` asks for the W2 tangent at r.
+Each replays the bundle from its initial state on the noise redrawn
+from its streams, so none needs a captured state or stored noise.  The
+first two ask the tangent pass of the moment sweeps,
+:func:`fastslow.malliavin._tangent_pass` (:func:`_bundle_pass`), for
+their full grids; :func:`q_decomposition` reads that pass at every step
+from r through its ``record`` hook, with the W2 tangent at r, and
+:func:`z_process`, which reads only the base path, runs the bundle's
+Euler-Maruyama recursion alone.
 
 On the final-time kernels: the H-norm :func:`hnorm_first` and the
 contraction norm :func:`contraction_norm_second`, trapezoid rules over
@@ -45,7 +47,13 @@ from fastslow.malliavin import (
     _step_indices,
     _tangent_pass,
 )
-from fastslow.sde_engine import PathBundle, ScaleRegime, _noise_blocks
+from fastslow.sde_engine import (
+    PathBundle,
+    ScaleRegime,
+    _em_states,
+    _noise_blocks,
+    _StepScales,
+)
 
 __all__ = [
     "FirstOrderTangents",
@@ -164,19 +172,22 @@ def _bundle_pass(
     tangents: Sequence[tuple[int, int]],
     cells: Sequence[tuple[int, int, int, int]] | None = None,
     record=None,
-    record_from: int | None = None,
 ) -> dict[str, np.ndarray]:
-    """:func:`~fastslow.malliavin._tangent_pass` along a bundle's paths:
-    from its x0, y0, on the noise redrawn from its streams (master_seed,
-    paths, point, j, channel), bit for bit the increments
-    :func:`~fastslow.sde_engine.simulate_paths` drew."""
-    noise = _noise_blocks(
-        bundle.master_seed, range(bundle.n_paths), bundle.n_steps, bundle.dt,
-        point=bundle.point,
-    )
+    """:func:`~fastslow.malliavin._tangent_pass` along a bundle's paths,
+    from its x0, y0, on :func:`_bundle_noise`."""
     return _tangent_pass(
         model, bundle.regime, bundle.dt, bundle.n_steps, bundle.x0, bundle.y0,
-        noise, bundle.n_paths, tangents, cells, record, record_from=record_from,
+        _bundle_noise(bundle), bundle.n_paths, tangents, cells, record,
+    )
+
+
+def _bundle_noise(bundle: PathBundle):
+    """The noise blocks redrawn from a bundle's streams (master_seed,
+    paths, point, j, channel), bit for bit the increments
+    :func:`~fastslow.sde_engine.simulate_paths` drew."""
+    return _noise_blocks(
+        bundle.master_seed, range(bundle.n_paths), bundle.n_steps, bundle.dt,
+        point=bundle.point,
     )
 
 
@@ -281,22 +292,28 @@ def z_process(model: CoefficientSet, bundle: PathBundle, r_index: int) -> np.nda
         - (1/(2 eta)) int d2_tau^2 ds
 
     cumulated step by step from r, as :func:`q_decomposition` cumulates
-    its recursion: a ``record`` hook of the bundle's replay
-    (:func:`_bundle_pass`), started at r with no tangent asked for,
-    reads d2_f and d2_tau from the coefficient values the pass evaluates
-    at each state, and the W2 increments of each step.  Always positive.
+    its recursion.  It reads only the base path, so it replays the
+    bundle's Euler-Maruyama recursion
+    (:func:`~fastslow.sde_engine._em_states` on :func:`_bundle_noise`)
+    with no tangent: d2_f and d2_tau come from the coefficient values
+    evaluated at each state from r on, with the W2 increments of each
+    step.  Always positive.
     """
     (r,) = _r_grid(bundle.n_steps, [r_index])
     eta = bundle.regime.eta
     out = np.ones((bundle.n_steps + 1, bundle.n_paths))
     if r == bundle.n_steps:
         return out
+    states = _em_states(
+        model, _StepScales.of(bundle.regime, bundle.dt), bundle.x0, bundle.y0,
+        bundle.n_paths, _bundle_noise(bundle), keys_from=r,
+    )
     log_z = None
-
-    def record(k, dx, dy, values, w2):
-        nonlocal log_z
-        if k == bundle.n_steps:
-            return
+    for k, _, _, _, w2, values in states:
+        if k < r:
+            continue
+        if w2 is None:
+            break
         _, d2f, _, d2t = _fast_partials(values)
         incr = (
             d2f * (bundle.dt / eta)
@@ -307,8 +324,6 @@ def z_process(model: CoefficientSet, bundle: PathBundle, r_index: int) -> np.nda
         if not np.all(np.isfinite(log_z)):
             raise TangentBlowUpError("z-process log overflowed; check dissipativity")
         out[k + 1] = np.exp(log_z)
-
-    _bundle_pass(model, bundle, (), record=record, record_from=int(r))
     return out
 
 

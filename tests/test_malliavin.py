@@ -343,10 +343,9 @@ def test_z_process_replays_a_bundle_without_paths(trig):
 @pytest.mark.parametrize("fixture", ["bounded", "trig"])
 def test_z_process_steps_no_tangent(fixture, request, monkeypatch):
     """The z-process reads only the base path's coefficient values and W2
-    increments: its replay starts the record hook at r with no tangent
-    asked for, so no first-order row is held or stepped.  Its output
-    equals, bit for bit, that of a replay that also advances the W2
-    tangent at r, which steps one row from r to the horizon."""
+    increments, so it runs no tangent pass and steps no first-order row.
+    Its output equals, bit for bit, the log cumulated by a ``record``
+    hook of the bundle's replay that also advances the W2 tangent at r."""
     model = request.getfixturevalue(fixture)
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.15)
     bundle = simulate_paths(model, regime, 0.4, 0.3, regime.eta / 20, 5, 9)
@@ -358,36 +357,26 @@ def test_z_process_steps_no_tangent(fixture, request, monkeypatch):
         return first_step(d, dx, *args)
 
     monkeypatch.setattr(malliavin_mod, "_first_step", spy_first)
-    r, n = 7, bundle.n_steps
-    got = {at: z_process(model, bundle, at) for at in (0, r, n // 2)}
-    assert stepped == []
+    n, eta, dt = bundle.n_steps, regime.eta, bundle.dt
+    for r in (0, 7, n // 2):
+        got = z_process(model, bundle, r)
+        assert stepped == []
+        ref = np.ones_like(got)
+        log_z = np.zeros(bundle.n_paths)
 
-    bundle_pass = oracles_mod._bundle_pass
+        def record(k, dx, dy, values, w2):
+            nonlocal log_z
+            if k < n:
+                _, d2f, _, d2t = oracles_mod._fast_partials(values)
+                log_z = log_z + (
+                    d2f * (dt / eta) + d2t * (w2 / math.sqrt(eta)) - d2t**2 * (dt / (2.0 * eta))
+                )
+                ref[k + 1] = np.exp(log_z)
 
-    def with_w2_tangent(model, bundle, tangents, cells=None, record=None, record_from=None):
-        return bundle_pass(model, bundle, [(1, record_from)], cells, record)
-
-    monkeypatch.setattr(oracles_mod, "_bundle_pass", with_w2_tangent)
-    assert np.array_equal(z_process(model, bundle, r), got[r])
-    assert stepped == [1] * (n - r)
-    for at in (0, n // 2):
-        assert np.array_equal(z_process(model, bundle, at), got[at]), at
-
-
-def test_record_hook_needs_a_step_in_range(bounded, bounded_bundle):
-    """A pass with no tangent and no cell needs ``record_from``, a step in
-    [0, n_steps], and says so before any noise is read."""
-
-    def no_noise():
-        raise AssertionError("a noise block was read")
-        yield
-
-    b = bounded_bundle
-    args = (bounded, b.regime, b.dt, b.n_steps, 0.1, -0.2, no_noise(), b.n_paths, ())
-    with pytest.raises(ValueError, match="need at least one perturbation index"):
-        malliavin_mod._tangent_pass(*args, record=lambda *a: None)
-    with pytest.raises(ValueError, match=rf"r-index {b.n_steps + 1} outside"):
-        malliavin_mod._tangent_pass(*args, record=lambda *a: None, record_from=b.n_steps + 1)
+        oracles_mod._bundle_pass(model, bundle, [(1, r)], record=record)
+        assert stepped == [1] * (n - r)
+        assert np.array_equal(got, ref), r
+        stepped.clear()
 
 
 def test_q_decomposition_affine_closed_form(affine, affine_bundle):
@@ -1123,21 +1112,33 @@ def _unfolded_second_step(p, d2x, d2y, factors, w1, w2, s, k, cells):
 def unfolded(monkeypatch):
     """``unfolded()`` puts the sweep pass in its reference form: every
     Euler-Maruyama step evaluates all 24 keys, both tangent steps run
-    every term, and the noise comes in 3 blocks from streams kept open."""
+    every term, and the noise comes in 3 blocks from streams kept open,
+    for the sweeps and for :func:`fastslow.oracles._bundle_pass`.  It
+    returns a list that gets, for each noise stream drawn, the number of
+    blocks it yielded."""
     em_states, noise_blocks = malliavin_mod._em_states, malliavin_mod._noise_blocks
+    drawn = []
 
     def all_keys_from_step_0(*args, keys_from, **kwargs):
         return em_states(*args, keys_from=0, **kwargs)
 
+    def counted(blocks):
+        drawn.append(0)
+        for block in blocks:
+            drawn[-1] += 1
+            yield block
+
     def three_blocks(seed, path_ids, n_steps, dt, **kwargs):
-        return noise_blocks(seed, path_ids, n_steps, dt, -(-n_steps // 3), **kwargs)
+        return counted(noise_blocks(seed, path_ids, n_steps, dt, -(-n_steps // 3), **kwargs))
 
     def apply():
         monkeypatch.setattr(malliavin_mod, "_em_states", all_keys_from_step_0)
         monkeypatch.setattr(malliavin_mod, "_noise_blocks", three_blocks)
+        monkeypatch.setattr(oracles_mod, "_noise_blocks", three_blocks)
         monkeypatch.setattr(malliavin_mod, "_zero_partials", lambda model: frozenset())
         monkeypatch.setattr(malliavin_mod, "_first_step", _unfolded_first_step)
         monkeypatch.setattr(malliavin_mod, "_second_step", _unfolded_second_step)
+        return drawn
 
     return apply
 
@@ -1474,8 +1475,9 @@ def test_partial_vanishing_at_some_states_is_kept(monkeypatch, unfolded):
     for name in ("first", "second"):
         value, k = read[name]
         assert k == 0 and isinstance(value, np.ndarray) and np.all(value == 0.0), name
-    unfolded()
+    drawn = unfolded()
     ref = oracles_mod._bundle_pass(model, bundle, tangents, cells)
+    assert drawn == [3]
     assert list(got) == list(ref)
     for name in ref:
         assert np.array_equal(got[name], ref[name]), name

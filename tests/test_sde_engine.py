@@ -482,7 +482,7 @@ def test_path_groups_match_one_block(
 
             blocks = []
 
-            def replay(model, regime, dt, n_steps, x0, y0, noise, *args, **kwargs):
+            def replay(model, regime, dt, n_steps, x0, y0, noise, *args):
                 blocks.extend((w1.copy(), w2.copy()) for w1, w2 in noise)
 
             monkeypatch.setattr(oracles, "_tangent_pass", replay)
