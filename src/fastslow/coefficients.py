@@ -912,6 +912,12 @@ def eval_all(model: CoefficientSet, x: float, y: float) -> dict[str, float]:
     return out
 
 
+def _is_int(value) -> bool:
+    """The package's one integer rule for steps and counts: an int or a
+    numpy integer is one; a bool or a float such as 2.0 is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_assumptions(
     model: CoefficientSet,
     x_range: tuple[float, float],

@@ -82,18 +82,18 @@ from fastslow.sde_engine import (
     PURPOSE_MOMENT_SWEEP,
     STABILITY_FRACTION,
     ScaleRegime,
-    _check_stability,
     _EM_KEYS,
     _em_states,
+    _grid,
     _joined_paths,
     _noise_blocks,
     _require_positive,
     _run_shares,
     _split,
+    _steps,
     _StepScales,
     _workers,
     simulate_paths,  # noqa: F401  (perfbench's tracer wraps it here)
-    time_grid,
 )
 
 __all__ = [
@@ -181,37 +181,13 @@ class TangentBlowUpError(FloatingPointError):
     """A tangent trajectory became non-finite."""
 
 
-def _sorted_distinct(steps: np.ndarray) -> np.ndarray:
-    """``np.unique(steps)`` of a 1-d int array, without the numpy.ma
-    import that np.unique makes."""
-    return np.array(sorted(set(steps.tolist())), dtype=int)
-
-
-def _step_indices(values) -> np.ndarray:
-    """``values`` as a flat int array; ValueError naming the first one
-    that is not an integer (a numpy integer is one; a bool or a float
-    such as 2.0 is not, as in ``sde_engine._capture_steps``)."""
-    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
-        return values.ravel().astype(int)
-    flat = np.asarray(values, dtype=object).ravel()
-    for k in flat:
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-            raise ValueError(f"r-index {k} is not an integer")
-    return flat.astype(int)
-
-
 def _r_grid(n_steps: int, r_indices: Sequence[int]) -> np.ndarray:
-    """Sorted distinct perturbation steps of ``r_indices``.
-
-    Raises ValueError when there is none, or naming the first step that
-    is not an integer or lies outside [0, n_steps].
-    """
-    r_idx = _sorted_distinct(_step_indices(r_indices))
+    """The perturbation steps of ``r_indices`` as an int array, by
+    :func:`~fastslow.sde_engine._steps`; ValueError also when there is
+    none."""
+    r_idx = np.array(_steps(r_indices, n_steps, "r-index"), dtype=int)
     if len(r_idx) == 0:
         raise ValueError("need at least one perturbation index")
-    outside = r_idx[(r_idx < 0) | (r_idx > n_steps)]
-    if len(outside):
-        raise ValueError(f"r-index {outside[0]} outside [0, {n_steps}]")
     return r_idx
 
 
@@ -359,14 +335,17 @@ def _index_array(rows, width: int, what: str) -> np.ndarray:
     """``rows`` as an (n, width) int array whose first width // 2 columns
     are channels and the rest steps: a tangent (j, r) or a cell (j1, j2,
     r1, r2).  Before any cast, ValueError names the first ``what`` whose
-    channel is not 0 (W1) or 1 (W2) or whose step is not an integer."""
+    channel is not 0 (W1) or 1 (W2), then the first entry that is not an
+    integer (:func:`~fastslow.sde_engine._steps`); the caller checks the
+    steps' range."""
     arr = np.asarray(rows).reshape(-1, width)
     bad = ~np.isin(arr[:, : width // 2], (0, 1)).all(axis=1)
     if bad.any():
         raise ValueError(
             f"{what} {tuple(arr[bad][0].tolist())} has a channel other than 0 or 1"
         )
-    return _step_indices(rows).reshape(-1, width)
+    _steps(rows, math.inf, "r-index")
+    return arr.astype(int)
 
 
 def _tangent_pass(
@@ -804,9 +783,7 @@ def _moment_reports(
         if p not in (1, 2):
             raise ValueError(f"moment order p must be 1 or 2 (got {p})")
     _require_values("pair_sep_etas", [pair_sep_etas])
-    steps = [dt_eta_fraction * r.eta for r in regimes]
-    for step, regime in zip(steps, regimes):
-        _check_stability(step, regime.eta)
+    grids = [_grid(r, dt_eta_fraction * r.eta) for r in regimes]
     k_hats = dict.fromkeys(orders, k_hat)
     box, nodes = ASSUMPTION_GRID
     for p in orders:
@@ -820,8 +797,7 @@ def _moment_reports(
             k_hats[p] = rep.K_hat
 
     passes, picks = [], []
-    for i_reg, (regime, step) in enumerate(zip(regimes, steps)):
-        n_steps, dt_eff = time_grid(regime.T, step)
+    for i_reg, (regime, (n_steps, dt_eff)) in enumerate(zip(regimes, grids)):
         r_sel = sorted({int(round(f * n_steps)) for f in _R_SELECTION})
         r_mid = int(round(0.5 * n_steps))
         sep_steps = int(round(pair_sep_etas * regime.eta / dt_eff))
@@ -896,9 +872,7 @@ def _decay_steps(
     the step ``dt_eta_fraction`` * eta: r_top is the step of r1 = T/2 or
     of the horizon, r_list those of the separations before it.
     ValueError names a separation that reaches before t = 0."""
-    step = dt_eta_fraction * regime.eta
-    _check_stability(step, regime.eta)
-    n_steps, dt_eff = time_grid(regime.T, step)
+    n_steps, dt_eff = _grid(regime, dt_eta_fraction * regime.eta)
     if bound_id == "dw2_y_final":
         r_top, top = n_steps, "the horizon"
     else:

@@ -59,7 +59,7 @@ from fastslow.sde_engine import (
     STABILITY_FRACTION,
     PathBundle,
     ScaleRegime,
-    _check_stability,
+    _grid,
     _grid_index,
     _require_positive,
     _run_shares,
@@ -68,7 +68,6 @@ from fastslow.sde_engine import (
     _workers,
     fluctuation_samples,
     simulate_paths,
-    time_grid,
 )
 
 __all__ = [
@@ -711,8 +710,7 @@ def _checkpoint_steps(
     for t in times:
         if not 0.0 < t <= T + 1e-12:
             raise ValueError(f"checkpoint {t} outside (0, {T}]")
-    _check_stability(dt, regime.eta)
-    n_steps, dt_eff = time_grid(T, dt)
+    n_steps, dt_eff = _grid(regime, dt)
     return times, [_grid_index(t, dt_eff, n_steps, "path") for t in times]
 
 

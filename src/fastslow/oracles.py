@@ -43,8 +43,6 @@ from fastslow.malliavin import (
     TangentBlowUpError,
     _picker,
     _r_grid,
-    _sorted_distinct,
-    _step_indices,
     _tangent_pass,
 )
 from fastslow.sde_engine import (
@@ -52,6 +50,7 @@ from fastslow.sde_engine import (
     ScaleRegime,
     _em_states,
     _noise_blocks,
+    _steps,
     _StepScales,
 )
 
@@ -148,12 +147,16 @@ class SecondOrderTangents:
 
 def default_r_grid(n_steps: int, n_r: int = 16) -> np.ndarray:
     """n_r equispaced step indices spanning [0, T] (first..last step)."""
-    return _sorted_distinct(np.round(np.linspace(0, n_steps, n_r)).astype(int))
+    r = np.round(np.linspace(0, n_steps, n_r)).astype(int)
+    return np.array(_steps(r, n_steps, "r-index"), dtype=int)
 
 
 def full_pair_grid(r_indices: Sequence[int]) -> np.ndarray:
-    """All (r1, r2) pairs of an r-grid in row-major order."""
-    r = _step_indices(r_indices)
+    """All (r1, r2) pairs of an r-grid in row-major order; ValueError
+    names the first r that is not an integer
+    (:func:`~fastslow.sde_engine._steps`)."""
+    _steps(r_indices, math.inf, "r-index")
+    r = np.asarray(r_indices).ravel().astype(int)
     return np.array([(a, b) for a in r for b in r], dtype=int)
 
 
@@ -250,8 +253,9 @@ def second_order_tangents(
 
     Replays the bundle through the tangent pass of the moment sweeps
     (:func:`_bundle_pass`), asking for every cell
-    (j1, j2, r1, r2) of the ``combos`` x ``pairs`` product (each r in
-    [0, n_steps]; ValueError naming the first outside); the first-order
+    (j1, j2, r1, r2) of the ``combos`` x ``pairs`` product (each r an
+    integer in [0, n_steps]; ValueError naming the first that is not,
+    :func:`~fastslow.sde_engine._steps`); the first-order
     factors (j1, r1) and (j2, r2) of the cells advance alongside.  Each
     channel combo (j1, j2) is integrated independently (so swap symmetry
     is a real check, not imposed).  The state is zero before
@@ -268,7 +272,8 @@ def second_order_tangents(
     other than 0 (W1) or 1 (W2) raises ValueError naming its cell
     (j1, j2, r1, r2) before any step.
     """
-    pair_arr = _step_indices(pairs).reshape(-1, 2)
+    _steps(pairs, bundle.n_steps, "r-index")
+    pair_arr = np.asarray(pairs).reshape(-1, 2).astype(int)
     cells = [(a, b, *q) for a, b in combos for q in pair_arr.tolist()]
     rows = _bundle_pass(model, bundle, (), cells)
     shape = (len(combos), len(pair_arr), bundle.n_paths)

@@ -11,7 +11,12 @@ are advanced with the explicit scheme
     Y_{k+1} = Y_k + (f/eta) dt + (tau/sqrt(eta)) dW2_k
 
 under the stability guard dt <= eta/20 (twenty steps per fast
-relaxation time).  Every random number comes from a counter-based
+relaxation time).  One rule lays the time grid: :func:`_grid` applies
+the guard, then :func:`time_grid`, for every simulation, sweep and set
+of checkpoints.  One rule takes the steps asked of a grid, capture
+indices and perturbation steps alike: :func:`_steps` keeps each once, in
+ascending order, and names the first that is not an integer or lies off
+it.  Every random number comes from a counter-based
 Philox stream keyed by ``SeedSequence(seed, spawn_key=(purpose,
 point, path_id, channel))``, the seed a non-negative int: what draws
 it, the sweep point (0 for a run of one point, i + 1 for sweep point
@@ -52,6 +57,7 @@ from fastslow.coefficients import (
     TAU_MIN,
     CoefficientSet,
     ModelEvaluationError,
+    _is_int,
 )
 
 if TYPE_CHECKING:
@@ -360,21 +366,42 @@ class FluctuationSample:
     limit_var: float
 
 
-def _check_stability(dt: float, eta: float) -> None:
-    """Raise :class:`StabilityError` when dt exceeds the eta/20 guard."""
-    guard = eta * STABILITY_FRACTION
+def _grid(regime: ScaleRegime, dt: float) -> tuple[int, float]:
+    """:func:`time_grid` of the horizon at step dt, the grid of every
+    simulation, sweep and checkpoint; first :class:`StabilityError` when
+    dt exceeds the eta/20 guard."""
+    guard = regime.eta * STABILITY_FRACTION
     if dt > guard * (1.0 + 1e-12):
         raise StabilityError(
             f"dt={dt:g} exceeds the stability guard eta/20={guard:g} "
-            f"(eta={eta:g}); reduce dt or increase eta"
+            f"(eta={regime.eta:g}); reduce dt or increase eta"
         )
+    return time_grid(regime.T, dt)
+
+
+def _steps(values, n_steps: float, what: str, error: type[Exception] = ValueError) -> list[int]:
+    """The distinct steps of ``values``, any nesting of integers, in
+    ascending order.  Raises ``error`` naming the first ``what`` that is
+    not an integer (:func:`~fastslow.coefficients._is_int`), then the
+    smallest that lies off [0, n_steps]."""
+    if not isinstance(values, np.ndarray):
+        values = np.asarray(list(values), dtype=object)
+    given = values.ravel().tolist()
+    for k in given:
+        if not _is_int(k):
+            raise error(f"{what} {k} is not an integer")
+    steps = sorted({int(k) for k in given})
+    for k in steps:
+        if not 0 <= k <= n_steps:
+            raise error(f"{what} {k} outside [0, {n_steps}]")
+    return steps
 
 
 def _require_positive(**sizes) -> None:
-    """Raise ValueError naming the first size that is not an int >= 1 (a
-    numpy integer is one; a bool or a float such as 2.0 is not)."""
+    """Raise ValueError naming the first size that is not an integer
+    (:func:`~fastslow.coefficients._is_int`) >= 1."""
     for name, value in sizes.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if not _is_int(value):
             raise ValueError(f"{name} must be an integer >= 1 (got {value!r})")
         if value < 1:
             raise ValueError(f"{name} must be >= 1 (got {value})")
@@ -410,11 +437,7 @@ def _seed_words(master_seed) -> list[int]:
     pool size, the words of two ints below 2**128 differ, so distinct
     seeds key distinct streams.
     """
-    if (
-        isinstance(master_seed, bool)
-        or not isinstance(master_seed, (int, np.integer))
-        or master_seed < 0
-    ):
+    if not _is_int(master_seed) or master_seed < 0:
         raise ValueError(f"a seed must be a non-negative int (got {master_seed!r})")
     v = int(master_seed)
     words = [v & _MASK32]
@@ -635,22 +658,6 @@ def draw_increments(
     return next(blocks, (empty, empty))
 
 
-def _capture_steps(capture_indices: Iterable[int], n_steps: int) -> list[int]:
-    """The requested snapshot steps in ascending order, each once; raises
-    :class:`AlignmentError` naming an index that is not an integer (a
-    numpy integer is one; a bool or a float such as 2.0 is not) or lies
-    off [0, n_steps]."""
-    given = list(capture_indices)
-    for k in given:
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-            raise AlignmentError(f"capture index {k!r} is not an integer step")
-    wanted = sorted({int(k) for k in given})
-    for k in wanted:
-        if not 0 <= k <= n_steps:
-            raise AlignmentError(f"capture index {k} outside [0, {n_steps}]")
-    return wanted
-
-
 def _em_states(
     model: CoefficientSet,
     scales: _StepScales,
@@ -748,7 +755,7 @@ def simulate_with_increments(
     n_steps, n_paths = dW1.shape
     return _em_loop(
         model, _StepScales.of(regime, dt), x0, y0, [(range(n_paths), [(dW1, dW2)])],
-        n_paths, _capture_steps(capture_indices, n_steps),
+        n_paths, _steps(capture_indices, n_steps, "capture index", AlignmentError),
     )
 
 
@@ -845,9 +852,8 @@ def simulate_paths(
     is reported before one at an earlier step of a later one.
     """
     _require_positive(n_paths=n_paths)
-    _check_stability(dt, regime.eta)
-    n_steps, dt_eff = time_grid(regime.T, dt)
-    wanted = _capture_steps(capture_indices, n_steps)
+    n_steps, dt_eff = _grid(regime, dt)
+    wanted = _steps(capture_indices, n_steps, "capture index", AlignmentError)
     scales = _StepScales.of(regime, dt_eff)
 
     def run(share: range):

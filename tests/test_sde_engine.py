@@ -921,7 +921,7 @@ def test_capture_index_must_be_an_integer(affine, bad):
     step."""
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.06)
     run = (affine, regime, 0.0, 0.0, 0.0025, 4, 1)
-    with pytest.raises(AlignmentError, match=re.escape(f"capture index {bad!r} is not an integer")):
+    with pytest.raises(AlignmentError, match=re.escape(f"capture index {bad} is not an integer")):
         simulate_paths(*run, capture_indices=[2, bad])
     assert list(simulate_paths(*run, capture_indices=[np.int64(5), 2]).captures) == [2, 5]
 
