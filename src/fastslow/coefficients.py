@@ -918,6 +918,16 @@ def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def _require_positive(**sizes) -> None:
+    """Raise ValueError naming the first size that is not an integer
+    (:func:`_is_int`) >= 1."""
+    for name, value in sizes.items():
+        if not _is_int(value):
+            raise ValueError(f"{name} must be an integer >= 1 (got {value!r})")
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1 (got {value})")
+
+
 def check_assumptions(
     model: CoefficientSet,
     x_range: tuple[float, float],
@@ -933,19 +943,19 @@ def check_assumptions(
     x_range, y_range : (lo, hi)
         Evaluation box; must be non-empty.
     nx, ny : int
-        Grid resolution per axis, at least 2.
+        Grid resolution per axis, integers of at least 2.
     p : int
-        Moment order; the constants weight derivatives by powers of 2p.
+        Moment order, an integer >= 1; the constants weight derivatives
+        by powers of 2p.
 
     Returns
     -------
     AssumptionReport
         ``passes`` is true iff the dissipativity margin K_hat > 0.
     """
+    _require_positive(nx=nx, ny=ny, p=p)
     if nx < 2 or ny < 2:
         raise ValueError(f"grid must have nx, ny >= 2 (got {nx}, {ny})")
-    if p < 1 or int(p) != p:
-        raise ValueError(f"moment order p must be an integer >= 1 (got {p})")
     if not (x_range[0] < x_range[1]) or not (y_range[0] < y_range[1]):
         raise ValueError(
             f"empty evaluation range x={tuple(x_range)}, y={tuple(y_range)}"

@@ -50,7 +50,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from fastslow.coefficients import CoefficientSet
+from fastslow.coefficients import CoefficientSet, _require_positive
 from fastslow.sde_engine import time_grid
 
 __all__ = [
@@ -459,7 +459,7 @@ def invariant_density(
     y_window : (lo, hi)
         Truncation window; the implied grid is ``np.linspace(lo, hi, ny)``.
     ny : int
-        Number of nodes, at least 64.
+        Number of nodes, an integer of at least 64.
 
     Returns
     -------
@@ -472,6 +472,7 @@ def invariant_density(
         If the boundary density exceeds ``BOUNDARY_MASS_TOL`` of the
         peak (the window clips real mass; widen it).
     """
+    _require_positive(ny=ny)
     if ny < 64:
         raise ValueError(f"ny must be at least 64 (got {ny})")
     lo, hi = float(y_window[0]), float(y_window[1])
@@ -596,11 +597,17 @@ def build_homogenized(
     Per x-node: choose a y-window, compute the stationary density, the
     averaged drift, the corrector and its derivative, the local
     effective diffusion and its average.  Errors at a node are re-raised
-    naming the offending x.
+    naming the offending x.  Before the first node, ValueError names an
+    ``nx`` or ``ny`` that is not an integer, an ``nx`` below 2 and an
+    ``x_range`` that is not finite with lo < hi.
     """
+    _require_positive(nx=nx, ny=ny)
     if nx < 2:
         raise ValueError(f"nx must be at least 2 (got {nx})")
-    xs = np.linspace(x_range[0], x_range[1], nx)
+    lo, hi = x_range[0], x_range[1]
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"x_range must be finite with lo < hi (got {tuple(x_range)})")
+    xs = np.linspace(lo, hi, nx)
     y_rows = np.empty((nx, ny))
     dens = np.empty((nx, ny))
     phi = np.empty((nx, ny))

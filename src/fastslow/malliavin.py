@@ -75,6 +75,7 @@ from fastslow.coefficients import (
     ASSUMPTION_GRID,
     COEFFICIENT_KEYS,
     CoefficientSet,
+    _require_positive,
     check_assumptions,
 )
 from fastslow.sde_engine import (
@@ -87,7 +88,6 @@ from fastslow.sde_engine import (
     _grid,
     _joined_paths,
     _noise_blocks,
-    _require_positive,
     _run_shares,
     _split,
     _steps,
@@ -717,10 +717,12 @@ def moment_sweep(
       both the requested separation pair_sep_etas * eta and the
       realized one.
 
-    The envelope constant ``C_fit`` is anchored at the first regime; a
-    Monte Carlo standard error above 30% of the mean attaches an
-    under-sampled warning (never a failure).  ``k_hat`` defaults to the
-    ``K_hat`` of :func:`~fastslow.coefficients.check_assumptions` on
+    The moment order ``p`` is the integer 1 or 2 (ValueError naming it
+    otherwise).  The envelope constant ``C_fit`` is anchored at the
+    first regime; a Monte Carlo standard error above 30% of the mean
+    attaches an under-sampled warning (never a failure).  ``k_hat``
+    defaults to the ``K_hat`` of
+    :func:`~fastslow.coefficients.check_assumptions` on
     ``ASSUMPTION_GRID`` (ValueError when it fails).  Each regime steps
     at ``dt_eta_fraction`` of its eta (default 1/20, the stability
     guard); a larger fraction raises
@@ -780,7 +782,8 @@ def _moment_reports(
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("regimes must be ordered by strictly decreasing epsilon")
     for p in orders:
-        if p not in (1, 2):
+        _require_positive(p=p)
+        if p > 2:
             raise ValueError(f"moment order p must be 1 or 2 (got {p})")
     _require_values("pair_sep_etas", [pair_sep_etas])
     grids = [_grid(r, dt_eta_fraction * r.eta) for r in regimes]
@@ -923,7 +926,8 @@ def decay_check(
     r1 = T/2 and r2 = r1 - sep;  for ``dw2_y_final``:
     E|D_r^{W2} Y_T|^{2p} with r = T - sep.  Separations are given in
     units of eta and checked by :func:`check_decay_settings` and
-    :func:`_decay_steps` before any work.
+    :func:`_decay_steps` before any work, as are ``p`` and ``n_paths``,
+    integers >= 1 (ValueError naming them).
     All separations share the same simulated paths, so the comparison
     is low-noise; monotone_within_noise allows each consecutive increase
     up to twice the summed standard errors.  The step is
@@ -965,7 +969,7 @@ def _decay_reports(
     its report}, from one tangent pass that holds the union of the
     bounds' tangents and cells.  Each row is stepped alone on the same
     noise, so each report equals the bound's own check."""
-    _require_positive(n_paths=n_paths)
+    _require_positive(n_paths=n_paths, p=p)
     bound_ids = list(dict.fromkeys(bound_ids))  # a config may name a bound twice
     seps = check_decay_settings(bound_ids, separations_eta)
     tangents: list[tuple[int, int]] = []

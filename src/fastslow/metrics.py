@@ -45,7 +45,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 import scipy  # unused here; `import fastslow` loads it for perfbench's version read
 
-from fastslow.coefficients import CoefficientSet
+from fastslow.coefficients import CoefficientSet, _require_positive
 from fastslow.homogenization import (
     HomogenizedModel,
     LimitTrajectory,
@@ -61,7 +61,6 @@ from fastslow.sde_engine import (
     ScaleRegime,
     _grid,
     _grid_index,
-    _require_positive,
     _run_shares,
     _split,
     _stream,

@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from fastslow.coefficients import CoefficientSet
+from fastslow.coefficients import CoefficientSet, _require_positive
 from fastslow.malliavin import (
     _SECOND_ROWS,
     TangentBlowUpError,
@@ -146,7 +146,9 @@ class SecondOrderTangents:
 
 
 def default_r_grid(n_steps: int, n_r: int = 16) -> np.ndarray:
-    """n_r equispaced step indices spanning [0, T] (first..last step)."""
+    """n_r equispaced step indices spanning [0, T] (first..last step);
+    ValueError names an n_steps or n_r that is not an integer >= 1."""
+    _require_positive(n_steps=n_steps, n_r=n_r)
     r = np.round(np.linspace(0, n_steps, n_r)).astype(int)
     return np.array(_steps(r, n_steps, "r-index"), dtype=int)
 

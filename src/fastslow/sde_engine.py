@@ -58,6 +58,7 @@ from fastslow.coefficients import (
     CoefficientSet,
     ModelEvaluationError,
     _is_int,
+    _require_positive,
 )
 
 if TYPE_CHECKING:
@@ -380,10 +381,11 @@ def _grid(regime: ScaleRegime, dt: float) -> tuple[int, float]:
 
 
 def _steps(values, n_steps: float, what: str, error: type[Exception] = ValueError) -> list[int]:
-    """The distinct steps of ``values``, any nesting of integers, in
-    ascending order.  Raises ``error`` naming the first ``what`` that is
-    not an integer (:func:`~fastslow.coefficients._is_int`), then the
-    smallest that lies off [0, n_steps]."""
+    """The distinct steps of ``values``, an array or an iterable of
+    integers or of equal-length rows of them, in ascending order.
+    Raises ``error`` naming the first ``what`` that is not an integer
+    (:func:`~fastslow.coefficients._is_int`), then the smallest that
+    lies off [0, n_steps]."""
     if not isinstance(values, np.ndarray):
         values = np.asarray(list(values), dtype=object)
     given = values.ravel().tolist()
@@ -395,16 +397,6 @@ def _steps(values, n_steps: float, what: str, error: type[Exception] = ValueErro
         if not 0 <= k <= n_steps:
             raise error(f"{what} {k} outside [0, {n_steps}]")
     return steps
-
-
-def _require_positive(**sizes) -> None:
-    """Raise ValueError naming the first size that is not an integer
-    (:func:`~fastslow.coefficients._is_int`) >= 1."""
-    for name, value in sizes.items():
-        if not _is_int(value):
-            raise ValueError(f"{name} must be an integer >= 1 (got {value!r})")
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1 (got {value})")
 
 
 def time_grid(T: float, dt: float) -> tuple[int, float]:
@@ -833,7 +825,9 @@ def simulate_paths(
         bundle keeps the seed and the point, not the noise.
     capture_indices : iterable of int
         Step indices whose state rows the bundle keeps as its
-        ``captures`` (none by default), 16 bytes per path and step.  No
+        ``captures`` (none by default), 16 bytes per path and step;
+        AlignmentError names the first that is not an integer or lies
+        off [0, n_steps] (:func:`_steps`).  No
         other state is kept, so peak memory is O(n_paths * block) plus
         the captures, not O(n_paths * n_steps).
 
@@ -921,9 +915,11 @@ def fluctuation_samples(
 
 
 def limit_gaussian_samples(sigma2_t: float, n: int, seed) -> np.ndarray:
-    """n i.i.d. N(0, sigma2_t) draws from the named limit-sampling stream."""
+    """n i.i.d. N(0, sigma2_t) draws from the named limit-sampling
+    stream; ValueError names an n that is not an integer >= 1."""
+    _require_positive(n=n)
     if sigma2_t < 0:
         raise ValueError(f"variance must be nonnegative (got {sigma2_t})")
     rng = _stream(seed, PURPOSE_LIMIT_SAMPLE, 0, 0, CHANNEL_GAUSS_LIMIT)
-    return rng.normal(0.0, math.sqrt(sigma2_t), int(n))
+    return rng.normal(0.0, math.sqrt(sigma2_t), n)
 

@@ -515,6 +515,18 @@ def test_check_assumptions_failing_model_names_point():
     assert -1 <= x <= 1 and -1 <= y <= 1
 
 
+@pytest.mark.parametrize("bad", [True, 2.0, 5.5])
+@pytest.mark.parametrize("name", ["nx", "ny", "p"])
+def test_check_assumptions_takes_integer_sizes_and_orders(affine, name, bad):
+    """nx, ny and p take the count rule: a bool, an integral float or a
+    fraction raises ValueError naming the argument, where a float size
+    once reached np.linspace as a bare TypeError and p=2.0 or p=True
+    passed."""
+    args = dict(nx=5, ny=5, p=1) | {name: bad}
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= 1 (got {bad!r})")):
+        check_assumptions(affine, (-1, 1), (-1, 1), **args)
+
+
 def test_check_assumptions_validates_arguments(affine):
     with pytest.raises(ValueError):
         check_assumptions(affine, (-1, 1), (-1, 1), 1, 5, 1)

@@ -68,6 +68,39 @@ def test_invariant_density_validates_arguments(affine):
         invariant_density(affine, 0.0, (3.0, -3.0), 256)
 
 
+@pytest.mark.parametrize("bad", [True, 128.0, 100.5])
+def test_grid_sizes_must_be_integers(affine, bad):
+    """nx and ny of build_homogenized and ny of invariant_density take
+    the count rule: a bool, an integral float or a fraction raises
+    ValueError naming the argument, where np.linspace or np.empty raised
+    a bare TypeError on a float and a bool passed as a size."""
+    for name in ("nx", "ny"):
+        sizes = dict(nx=3, ny=256) | {name: bad}
+        message = f"{name} must be an integer >= 1 (got {bad!r})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_homogenized(affine, (-1.0, 1.0), **sizes)
+    with pytest.raises(ValueError, match=re.escape(f"ny must be an integer >= 1 (got {bad!r})")):
+        invariant_density(affine, 0.0, (-10.0, 10.0), bad)
+
+
+@pytest.mark.parametrize(
+    "x_range", [(1.0, -1.0), (0.5, 0.5), (-1.0, math.nan), (-math.inf, 1.0)]
+)
+def test_build_homogenized_checks_x_range_before_any_node(affine, monkeypatch, x_range):
+    """A reversed, empty or non-finite x_range raises ValueError naming
+    it before the first node, where the spline once failed after every
+    node with a message that named no argument."""
+    import fastslow.homogenization as hom_mod
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a node ran before x_range was checked")
+
+    monkeypatch.setattr(hom_mod, "default_y_window", not_reached)
+    message = f"x_range must be finite with lo < hi (got {x_range})"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_homogenized(affine, x_range, 3, 256)
+
+
 def test_averaged_drift_affine(affine):
     for x in (-2.0, 0.0, 1.5):
         y, dens = _affine_row(affine, x)

@@ -93,6 +93,16 @@ def test_default_r_grid_and_pair_grid():
     assert pairs.tolist() == [[0, 0], [0, 5], [5, 0], [5, 5]]
 
 
+@pytest.mark.parametrize("bad", [True, 4.0, 2.5])
+def test_default_r_grid_takes_counts(bad):
+    """n_steps and n_r take the count rule: a float reached np.linspace
+    as a bare TypeError, and n_r = True gave the grid [0]."""
+    for name in ("n_steps", "n_r"):
+        args = dict(n_steps=100, n_r=4) | {name: bad}
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer >= 1 (got {bad!r})")):
+            default_r_grid(**args)
+
+
 # -- first-order tangents ----------------------------------------------
 
 
@@ -1622,6 +1632,9 @@ def test_sweeps_reject_step_above_stability_guard(affine, monkeypatch):
         (dict(n_paths=0), "n_paths must be >= 1 (got 0)"),
         (dict(n_paths=2.5), "n_paths must be an integer >= 1 (got 2.5)"),
         (dict(n_paths=True), "n_paths must be an integer >= 1 (got True)"),
+        (dict(p=True), "p must be an integer >= 1 (got True)"),
+        (dict(p=2.0), "p must be an integer >= 1 (got 2.0)"),
+        (dict(p=1.5), "p must be an integer >= 1 (got 1.5)"),
     ],
 )
 def test_sweeps_reject_nonpositive_sizes_first(affine, monkeypatch, sizes, message):
@@ -1631,11 +1644,11 @@ def test_sweeps_reject_nonpositive_sizes_first(affine, monkeypatch, sizes, messa
     monkeypatch.setattr(malliavin_mod, "check_assumptions", not_reached)
     monkeypatch.setattr(malliavin_mod, "_noise_blocks", not_reached)
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.1)
-    args = dict(n_paths=10) | sizes
+    args = dict(n_paths=10, p=1) | sizes
     with pytest.raises(ValueError, match=re.escape(message)):
-        moment_sweep(affine, [regime], 1, **args)
+        moment_sweep(affine, [regime], **args)
     with pytest.raises(ValueError, match=re.escape(message)):
-        decay_check(affine, regime, "dw2_y_final", 1, seed=0, **args)
+        decay_check(affine, regime, "dw2_y_final", seed=0, **args)
 
 
 @pytest.mark.parametrize(

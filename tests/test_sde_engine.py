@@ -913,7 +913,7 @@ def test_capture_index_out_of_range(affine, affine_regime):
         )
 
 
-@pytest.mark.parametrize("bad", [5.7, 2.0, np.float64(3.0), True])
+@pytest.mark.parametrize("bad", [5.7, 2.0, np.float64(3.0), True, np.True_])
 def test_capture_index_must_be_an_integer(affine, bad):
     """A capture index that is not an integer step (a fraction, a float
     such as 2.0, a bool) raises AlignmentError naming it, where int()
@@ -976,6 +976,14 @@ def test_limit_gaussian_samples_moments_and_determinism():
     assert limit_gaussian_samples(0.0, 5, 0) == pytest.approx([0.0] * 5)
     with pytest.raises(ValueError):
         limit_gaussian_samples(-1.0, 5, 0)
+
+
+@pytest.mark.parametrize("bad", [True, 5.0, 2.5, 0])
+def test_limit_gaussian_samples_take_a_count(bad):
+    """n takes the count rule, where int(n) once drew 2 samples for
+    n = 2.5 and 1 for n = True."""
+    with pytest.raises(ValueError, match=r"^n must be (an integer )?>= 1 \(got "):
+        limit_gaussian_samples(1.0, bad, 0)
 
 
 def test_bundle_time_grid(affine_bundle):
