@@ -149,8 +149,7 @@ def default_r_grid(n_steps: int, n_r: int = 16) -> np.ndarray:
     """n_r equispaced step indices spanning [0, T] (first..last step);
     ValueError names an n_steps or n_r that is not an integer >= 1."""
     _require_positive(n_steps=n_steps, n_r=n_r)
-    r = np.round(np.linspace(0, n_steps, n_r)).astype(int)
-    return np.array(_steps(r, n_steps, "r-index"), dtype=int)
+    return _r_grid(n_steps, np.round(np.linspace(0, n_steps, n_r)).astype(int))
 
 
 def full_pair_grid(r_indices: Sequence[int]) -> np.ndarray:
