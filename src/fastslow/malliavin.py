@@ -725,7 +725,7 @@ def moment_sweep(
     :func:`~fastslow.coefficients.check_assumptions` on
     ``ASSUMPTION_GRID`` (ValueError when it fails).  Each regime steps
     at ``dt_eta_fraction`` of its eta (default 1/20, the stability
-    guard); a larger fraction raises
+    guard); a larger fraction, or one that is not positive, raises
     :class:`~fastslow.sde_engine.StabilityError` before any work, as does
     a negative or non-finite ``pair_sep_etas`` (ValueError naming the
     value).
@@ -932,7 +932,8 @@ def decay_check(
     is low-noise; monotone_within_noise allows each consecutive increase
     up to twice the summed standard errors.  The step is
     ``dt_eta_fraction`` of eta (default 1/20, the stability guard); a
-    larger fraction raises :class:`~fastslow.sde_engine.StabilityError`.
+    larger fraction, or one that is not positive, raises
+    :class:`~fastslow.sde_engine.StabilityError`.
     Like :func:`moment_sweep`, one tangent pass advances the base path
     and only the tangents the bound reads, each from its own start, and
     keeps no series: ``dw2_y_final`` the W2 tangent at each r, the mixed

@@ -674,9 +674,9 @@ def clt_verify(
 
     ``hom`` must be built for ``model`` (same name and expressions) at
     ``regime.gamma`` (ValueError otherwise); when omitted, one is built
-    on :data:`HOM_GRID`.  A ``dt`` above eta/20 raises
-    :class:`~fastslow.sde_engine.StabilityError` before any
-    homogenization work.  Checkpoints must sit on the simulation grid
+    on :data:`HOM_GRID`.  A ``dt`` that is not positive or lies above
+    eta/20 raises :class:`~fastslow.sde_engine.StabilityError` before
+    any homogenization work.  Checkpoints must sit on the simulation grid
     and default to {T/4, T/2, T}.  An ``n_paths`` that is not an integer
     >= 2 and an ``n_boot`` that is not an integer >= 1 raise ValueError
     before any other work.
@@ -700,9 +700,9 @@ def _checkpoint_steps(
     """Checkpoint times and their step indices on the simulation grid.
 
     Raises ValueError for a time outside (0, T],
-    :class:`~fastslow.sde_engine.StabilityError` for a step above eta/20
-    and :class:`~fastslow.sde_engine.AlignmentError` for a time off the
-    grid.
+    :class:`~fastslow.sde_engine.StabilityError` for a step that is not
+    positive or lies above eta/20 and
+    :class:`~fastslow.sde_engine.AlignmentError` for a time off the grid.
     """
     T = regime.T
     times = [float(t) for t in checkpoints]

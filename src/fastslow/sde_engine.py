@@ -12,19 +12,20 @@ are advanced with the explicit scheme
 
 under the stability guard dt <= eta/20 (twenty steps per fast
 relaxation time).  One rule lays the time grid: :func:`_grid` applies
-the guard, then :func:`time_grid`, for every simulation, sweep and set
-of checkpoints.  One rule takes the steps asked of a grid, capture
-indices and perturbation steps alike: :func:`_steps` keeps each once, in
-ascending order, and names the first that is not an integer or lies off
-it.  Every random number comes from a counter-based
-Philox stream keyed by ``SeedSequence(seed, spawn_key=(purpose,
-point, path_id, channel))``, the seed a non-negative int: what draws
-it, the sweep point (0 for a run of one point, i + 1 for sweep point
-i), the global path id and the noise channel.  The spawn key always
-has four words, so the streams of one seed are distinct by
-construction, and a path's noise does not
-depend on the paths drawn with it.  The keys of many paths come from
-one vectorized pass of numpy's SeedSequence hash.  Noise is drawn in
+the guard to a positive step, then :func:`time_grid`, for every
+simulation, sweep and set of checkpoints.  One rule takes the steps
+asked of a grid, capture indices and perturbation steps alike:
+:func:`_steps` keeps each once, in ascending order, and names the first
+that is not an integer or lies off it.  Every random number comes from
+a counter-based Philox stream (Salmon et al., SC11): every stream of a
+run has the key ``SeedSequence(seed).generate_state(2, uint64)``, the
+seed a non-negative int, and starts at the counter
+(0, 0, path_id | channel << 32, purpose | point << 32), its stream id:
+what draws it, the sweep point (0 for a run of one point, i + 1 for
+sweep point i), the global path id and the noise channel.  Philox
+carries from the low counter words, so two streams of one run meet only
+after 2**128 blocks: they are distinct by construction, and a path's
+noise does not depend on the paths drawn with it.  Noise is drawn in
 blocks of a fixed byte budget, so peak memory grows with the block, not
 with n_steps.  A simulation whose draw exceeds one block either runs
 in time blocks, continuing every stream from block to block, or in
@@ -37,7 +38,7 @@ and yields each step's state with its increments and, from the step its
 consumer first reads them, the values of all 24 coefficient keys: one
 kernel call per step, of the 4 EM keys before that step and of all 24
 from it.  A bundle keeps the states of the steps asked for alone; noise
-is never stored, as the stream key of a bundle redraws it bit for bit.
+is never stored, as the seed and point of a bundle redraw it bit for bit.
 """
 
 from __future__ import annotations
@@ -79,13 +80,13 @@ __all__ = [
     "time_grid",
 ]
 
-#: Stream channel tags, the last word of a stream's spawn key.
+#: Stream channel tags, the high half of a stream's third counter word.
 CHANNEL_W1 = 0
 CHANNEL_W2 = 1
 CHANNEL_GAUSS_LIMIT = 2
 CHANNEL_BOOTSTRAP = 3
 
-#: Stream purposes, the first word of a stream's spawn key.
+#: Stream purposes, the low half of a stream's fourth counter word.
 PURPOSE_PATHS = 0
 PURPOSE_MOMENT_SWEEP = 1
 PURPOSE_DECAY_CHECK = 2
@@ -251,7 +252,8 @@ def _joined_paths(parts: Sequence):
 
 
 class StabilityError(ValueError):
-    """The requested step exceeds the eta/20 stability guard."""
+    """The requested step is not positive or exceeds the eta/20 stability
+    guard."""
 
 
 class BlowUpError(FloatingPointError):
@@ -313,12 +315,14 @@ class ScaleRegime:
 
 @dataclass(frozen=True)
 class PathBundle:
-    """Simulated states plus the key of the noise that generated them.
+    """Simulated states plus the seed and point of the noise that
+    generated them.
 
     ``captures`` holds {step index: (X_row, Y_row)} for each requested
     step, in ascending order ({} when none was requested).  The noise is
-    not stored: path j drew it from the streams (master_seed, paths,
-    point, j, channel), which :func:`_noise_blocks` redraws bit for bit.
+    not stored: path j drew it under the run key of master_seed from
+    the streams (paths, point, j, channel), which :func:`_noise_blocks`
+    redraws bit for bit.
     Immutable once assembled.
     """
 
@@ -370,7 +374,10 @@ class FluctuationSample:
 def _grid(regime: ScaleRegime, dt: float) -> tuple[int, float]:
     """:func:`time_grid` of the horizon at step dt, the grid of every
     simulation, sweep and checkpoint; first :class:`StabilityError` when
-    dt exceeds the eta/20 guard."""
+    dt is not positive (zero, negative or NaN) or exceeds the eta/20
+    guard."""
+    if not dt > 0:
+        raise StabilityError(f"dt must be positive (got {dt})")
     guard = regime.eta * STABILITY_FRACTION
     if dt > guard * (1.0 + 1e-12):
         raise StabilityError(
@@ -409,97 +416,54 @@ def time_grid(T: float, dt: float) -> tuple[int, float]:
     return n_steps, T / n_steps
 
 
-#: Constants of numpy's SeedSequence hash (a pool of 4 uint32 words),
-#: which :func:`_philox_keys` reproduces.
-_MASK32 = 0xFFFFFFFF
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = np.uint32(16)
+#: The largest word of a stream id: 2**32 - 1.
+_WORD = 0xFFFFFFFF
 
 
-def _seed_words(master_seed) -> list[int]:
-    """The uint32 entropy words of a non-negative int seed.
+def _run_key(master_seed) -> np.ndarray:
+    """The Philox key of every stream of a run:
+    ``SeedSequence(master_seed).generate_state(2, np.uint64)``.
 
-    The int contributes its little-endian 32-bit words (0 gives one
-    word), as numpy's SeedSequence reads it; numpy integers are
-    accepted.  Anything else, such as a tuple, a float, a bool or a
-    negative int, raises ValueError naming it.  Padded with zeros to the
-    pool size, the words of two ints below 2**128 differ, so distinct
-    seeds key distinct streams.
+    The seed must be a non-negative int (numpy integers included);
+    anything else, such as a tuple, a float, a bool or a negative int,
+    raises ValueError naming it.
     """
     if not _is_int(master_seed) or master_seed < 0:
         raise ValueError(f"a seed must be a non-negative int (got {master_seed!r})")
-    v = int(master_seed)
-    words = [v & _MASK32]
-    while v > _MASK32:
-        v >>= 32
-        words.append(v & _MASK32)
-    return words
+    return np.random.SeedSequence(int(master_seed)).generate_state(2, np.uint64)
 
 
-def _philox_keys(master_seed, purpose, point, path_ids, channel) -> np.ndarray:
-    """Philox keys of the streams (master_seed, purpose, point, path_id,
-    channel), shape (m, 2).
+def _counters(purpose: int, point: int, path_ids: Sequence[int], channel: int):
+    """The start counters of the streams (purpose, point, path_id,
+    channel), one per path id in order: (0, 0, path_id | channel << 32,
+    purpose | point << 32).
 
-    Row j equals ``SeedSequence(seed words, spawn_key=(purpose, point,
-    path_ids[j], channel)).generate_state(2, np.uint64)`` bit for bit:
-    as numpy does once a spawn key is given, the seed words are padded
-    with zeros to the pool size and the spawn words follow, and the
-    SeedSequence mix runs as wrapping uint32 arithmetic on columns, one
-    row per path.  The hash constants depend only on the number of
-    words, which is the same for every row, so one pass serves all
-    paths.  Path ids must lie in [0, 2**32), so each is one word
-    (ValueError otherwise).
+    Philox carries from the low words, so a stream reaches its high
+    words only after 2**128 blocks: distinct stream ids start distinct
+    counters, and their streams never meet.  The counters are one 4-word
+    array, rewritten before each is handed out, so a counter is valid
+    until the next is taken.  Path ids, a point or a purpose outside
+    [0, 2**32) raise ValueError at the call, before any is handed out.
     """
     ids = np.asarray(path_ids).reshape(-1)
-    m = len(ids)
-    if m and (ids.min() < 0 or ids.max() > _MASK32):
-        bad = [int(i) for i in ids if not 0 <= i <= _MASK32][:3]
+    if len(ids) and (ids.min() < 0 or ids.max() > _WORD):
+        bad = [int(i) for i in ids if not 0 <= i <= _WORD][:3]
         raise ValueError(f"path ids must lie in [0, 2**32) (got {bad})")
-    seed_words = _seed_words(master_seed)
-    seed_words += [0] * (_POOL_SIZE - len(seed_words))
-    words = [np.full(m, w, np.uint32) for w in (*seed_words, purpose, point)]
-    words += [ids.astype(np.uint32), np.full(m, int(channel), np.uint32)]
+    for name, word in (("point", point), ("purpose", purpose)):
+        if not 0 <= word <= _WORD:
+            raise ValueError(f"a stream {name} must lie in [0, 2**32) (got {word})")
+    counter = np.array([0, 0, 0, purpose | point << 32], np.uint64)
+    high = channel << 32
 
-    hash_const = _INIT_A
+    def start(path_id):
+        counter[2] = int(path_id) | high
+        return counter
 
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> _XSHIFT)
-
-    def mix(x, y):
-        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return result ^ (result >> _XSHIFT)
-
-    pool = [hashmix(word) for word in words[:_POOL_SIZE]]  # the padded seed words
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    hash_const = _INIT_B
-    state = []
-    for word in pool:
-        value = word ^ np.uint32(hash_const)
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = value * np.uint32(hash_const)
-        state.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
-    keys = np.empty((m, 2), np.uint64)
-    keys[:, 0] = state[0] | (state[1] << np.uint64(32))
-    keys[:, 1] = state[2] | (state[3] << np.uint64(32))
-    return keys
+    return map(start, path_ids)
 
 
 class _Key(np.random.bit_generator.ISeedSequence):
-    """A seed sequence that hands Philox one precomputed key."""
+    """A seed sequence that hands Philox the run key (:func:`_run_key`)."""
 
     def __init__(self, key: np.ndarray):
         self.key = key
@@ -510,26 +474,28 @@ class _Key(np.random.bit_generator.ISeedSequence):
         return self.key
 
 
-def _generator(key: np.ndarray) -> np.random.Generator:
-    """The counter-based generator of one precomputed Philox key."""
-    return np.random.Generator(np.random.Philox(_Key(key)))
+def _generator(key: np.ndarray, counter: np.ndarray) -> np.random.Generator:
+    """The generator of the stream that starts at ``counter`` under the
+    run key ``key``: the numbers of ``Philox(key=key, counter=counter)``,
+    built in less time."""
+    return np.random.Generator(np.random.Philox(_Key(key), counter=counter))
 
 
-def _rekeyed(keys: np.ndarray):
-    """One generator per key of ``keys`` (shape (m, 2)): the generator of
-    a single Philox whose state is set, before each is handed out, to
-    that key with a zero counter and an empty buffer, as a fresh
-    ``Philox`` holds it.  So each draws the numbers of
-    :func:`_generator` of its key, valid until the next is taken; setting
-    a state costs less than building a generator."""
-    bit_generator = np.random.Philox(_Key(np.zeros(2, np.uint64)))
+def _restarted(key: np.ndarray, counters):
+    """One generator per counter of ``counters``: the generator of a
+    single Philox whose state is set, before each is handed out, to the
+    run key ``key`` with that counter and an empty buffer, as a fresh
+    ``Philox`` holds it.  So each draws the numbers of :func:`_generator`
+    of its counter, valid until the next is taken; setting a state costs
+    less than building a generator."""
+    bit_generator = np.random.Philox(_Key(key))
     generator = np.random.Generator(bit_generator)
-    zero = np.zeros(4, np.uint64)
-    for key in keys:
+    empty = np.zeros(4, np.uint64)
+    for counter in counters:
         bit_generator.state = {
             "bit_generator": "Philox",
-            "state": {"counter": zero, "key": key},
-            "buffer": zero,
+            "state": {"counter": counter, "key": key},
+            "buffer": empty,
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
@@ -539,7 +505,7 @@ def _rekeyed(keys: np.ndarray):
 
 def _stream(master_seed, purpose, point, path_id, channel) -> np.random.Generator:
     """The generator of one (master_seed, purpose, point, path_id, channel) stream."""
-    return _generator(_philox_keys(master_seed, purpose, point, (path_id,), channel)[0])
+    return _generator(_run_key(master_seed), next(_counters(purpose, point, (path_id,), channel)))
 
 
 def _mapped_array(rows: int, cols: int) -> np.ndarray:
@@ -576,17 +542,17 @@ def _noise_blocks(
 ):
     """Brownian increments of m paths, drawn in blocks of whole steps.
 
-    Derives the keys of the 2 m streams (master_seed, purpose, point,
-    path_id, channel) in one pass per channel and yields (dW1, dW2)
+    Takes the run key of master_seed and the start counters of the 2 m
+    streams (purpose, point, path_id, channel) and yields (dW1, dW2)
     blocks of shape (b, m), one column per path id, that cover steps
     0..n_steps-1 in order.  When the draw spans several blocks, each
     stream is opened once and stays open from block to block; when it
-    fits in one block, each channel re-keys one generator per stream
-    (:func:`_rekeyed`), which draws the same numbers and keeps no stream
-    open: :func:`simulate_paths` draws a grouped pass this way, one
-    group of paths at a time (:func:`_path_groups`).  Path ids outside
-    [0, 2**32) and a seed that is not a non-negative int raise
-    ValueError before any draw.
+    fits in one block, each channel sets one generator to each stream's
+    counter in turn (:func:`_restarted`), which draws the same numbers and
+    keeps no stream open: :func:`simulate_paths` draws a grouped pass
+    this way, one group of paths at a time (:func:`_path_groups`).  Path
+    ids or a point outside [0, 2**32) and a seed that is not a
+    non-negative int raise ValueError before any draw.
     A block holds ``block_steps`` steps (default: as many as fit in
     :data:`_NOISE_BLOCK_BYTES`, at least one) or the remainder.  Philox
     streams are counter-based, so a stream drawn in blocks gives the
@@ -597,24 +563,23 @@ def _noise_blocks(
     yielded arrays are reused: a block is valid until the next one is
     drawn.
     """
-    keys = [
-        _philox_keys(master_seed, purpose, point, path_ids, ch)
-        for ch in (CHANNEL_W1, CHANNEL_W2)
-    ]
-    m = len(keys[0])
+    key = _run_key(master_seed)
+    counters = [_counters(purpose, point, path_ids, ch) for ch in (CHANNEL_W1, CHANNEL_W2)]
+    m = len(path_ids)
     if block_steps is None:
         block_steps = _NOISE_BLOCK_BYTES // (16 * max(1, m))
     size = max(1, min(block_steps, n_steps))
     if size < n_steps:
-        # Later blocks continue the streams, so they stay open.  Re-keying
-        # one generator instead would need a state read and a state set
-        # per stream and block, which costs more than opening it once.
-        streams = [list(map(_generator, k)) for k in keys]
+        # Later blocks continue the streams, so they stay open.  Setting
+        # the state of one generator instead would need a state read and
+        # a state set per stream and block, which costs more than opening
+        # it once.
+        streams = [[_generator(key, c) for c in cs] for cs in counters]
     else:
         # A single block draws each stream whole before the next, so one
-        # generator per channel, re-keyed per stream, serves them all and
-        # no stream object outlives its draw.
-        streams = [_rekeyed(k) for k in keys]
+        # generator per channel, set to each stream's counter in turn,
+        # serves them all and no stream object outlives its draw.
+        streams = [_restarted(key, cs) for cs in counters]
     raw = _mapped_array(min(m, _DRAW_BATCH), size)
     out = (_mapped_array(size, m), _mapped_array(size, m))
     scale = math.sqrt(dt)
@@ -813,7 +778,7 @@ def simulate_paths(
     Parameters
     ----------
     dt : float
-        Requested step; must satisfy dt <= eta/20 (StabilityError
+        Requested step; must satisfy 0 < dt <= eta/20 (StabilityError
         otherwise).  The realized step divides T exactly; see
         :func:`time_grid`.
     n_paths : int
@@ -821,7 +786,7 @@ def simulate_paths(
     master_seed : int
         Root of the noise streams (purpose paths, point ``_point``, which
         only :func:`fastslow.metrics.rate_sweep` sets): a non-negative
-        int, else ValueError before any draw (:func:`_seed_words`).  The
+        int, else ValueError before any draw (:func:`_run_key`).  The
         bundle keeps the seed and the point, not the noise.
     capture_indices : iterable of int
         Step indices whose state rows the bundle keeps as its

@@ -50,21 +50,22 @@ def affine_bundle(affine, affine_regime):
 
 
 @pytest.fixture
-def stream_keys(monkeypatch):
-    """``stream_keys(call)`` runs ``call()`` and returns the set of the
-    Philox keys of every stream it opened."""
-    real = sde_engine._philox_keys
+def stream_ids(monkeypatch):
+    """``stream_ids(call)`` runs ``call()`` and returns the set of the
+    stream ids, the two high start-counter words, of every stream it
+    opened."""
+    real = sde_engine._counters
 
     def run(call):
         seen = set()
 
         def recording(*args):
-            keys = real(*args)
-            seen.update(map(tuple, keys.tolist()))
-            return keys
+            for counter in real(*args):
+                seen.add(tuple(counter[2:].tolist()))
+                yield counter
 
         with monkeypatch.context() as patch:
-            patch.setattr(sde_engine, "_philox_keys", recording)
+            patch.setattr(sde_engine, "_counters", recording)
             call()
         return seen
 

@@ -706,12 +706,12 @@ def test_wide_pass_equals_per_chunk_passes(bounded, monkeypatch):
     assert passes == [50, 50, 30] * 5
 
 
-def test_moment_sweep_and_decay_check_share_no_stream(affine, stream_keys):
+def test_moment_sweep_and_decay_check_share_no_stream(affine, stream_ids):
     """Under the one seed the CLI gives both, the moment sweep's points
     and the decay check open disjoint sets of streams."""
     regimes = [ScaleRegime(0.1, 0.1, 1.0, 0.2), ScaleRegime(0.05, 0.05, 1.0, 0.2)]
-    moments = stream_keys(lambda: moment_sweep(affine, regimes, 1, 5, seed=4, k_hat=1.0))
-    decays = stream_keys(
+    moments = stream_ids(lambda: moment_sweep(affine, regimes, 1, 5, seed=4, k_hat=1.0))
+    decays = stream_ids(
         lambda: decay_check(affine, regimes[-1], "d2x_w1w2", 1, 5, 4, separations_eta=(1.0,))
     )
     assert len(moments) == len(regimes) * 2 * 5
@@ -1542,10 +1542,10 @@ def test_q_decomposition_evaluates_once_per_read_row(fixture, request, monkeypat
 #: sha256 of the sweep reports and the recorder finals on a polynomial
 #: model (only +, -, * and squares, so no libm call enters the digest).
 GOLDEN = {
-    "moments": "246caeae6f7570b1ed6afc37a28cab920ba31f4c7aaaee875283977682f623a3",
-    "decays": "44614bfa07eee23a6c0a757eeb8b1a367e7951b846e97dc38388cf32bfc03eb1",
-    "first": "677125b0c9e57cecefb57b1c93c69a682704522b9d4c24fc53c62a3d70f6999a",
-    "second": "584400f348f52c6b83227807f4779e2a686facfabf21af4724617e4c37e95775",
+    "moments": "2d0b52c6558a793964fe1dca4f5954aba649b465f6459cd00b75d9fdb32a362e",
+    "decays": "9e16a7163a579b68221c11acfdeb1cf45a747426c345622a38d1758116e4185a",
+    "first": "08af726f2f22b837f7554cdaf47758bb2aad144e1e9b72c573fe75c1fa1cad09",
+    "second": "0e0cacf9419fc8f5cb81fc07b858ce2786ce3a725e34937046c44fc35615fa97",
 }
 
 

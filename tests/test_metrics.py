@@ -829,18 +829,18 @@ def test_rate_sweep_integrates_the_limit_once_and_matches_clt_verify(
     )
 
 
-def test_clt_verify_and_rate_sweep_share_no_stream(affine, affine_hom, stream_keys):
+def test_clt_verify_and_rate_sweep_share_no_stream(affine, affine_hom, stream_ids):
     """Under one seed, clt_verify at the coarsest rate-sweep regime and the
     rate sweep open disjoint sets of streams (paths and bootstrap); the
     old rule gave clt_verify and sweep point 0 the same path-0 W1 stream."""
     eps, T, seed = (0.16, 0.08, 0.04), 0.2, 5
-    clt = stream_keys(
+    clt = stream_ids(
         lambda: clt_verify(
             affine, ScaleRegime(eps[0], eps[0], 1.0, T), 0.0, 0.0, eps[0] / 20, 6,
             checkpoints=(T / 2, T), seed=seed, n_boot=3, hom=affine_hom,
         )
     )
-    rate = stream_keys(
+    rate = stream_ids(
         lambda: rate_sweep(
             affine, eps, "equal", {"n_paths": 6, "n_boot": 3, "hom": affine_hom},
             T=T, seed=seed,

@@ -34,7 +34,7 @@ from fastslow.sde_engine import (
     simulate_with_increments,
     time_grid,
 )
-from fastslow.sde_engine import _Key, _philox_keys
+from fastslow.sde_engine import _Key, _counters, _run_key, _stream
 
 
 # -- regime bookkeeping ------------------------------------------------
@@ -74,6 +74,20 @@ def test_simulate_rejects_unstable_dt(affine, affine_regime):
         simulate_paths(
             affine, affine_regime, 0.0, 0.0, affine_regime.eta / 10, 2, 0
         )
+
+
+@pytest.mark.parametrize("dt", [-0.001, 0.0, math.nan])
+def test_a_step_that_is_not_positive_raises_stability_error(affine, affine_regime, dt):
+    """A negative, zero or NaN step is named before any draw, whether a
+    simulation is given it or a moment sweep steps at that fraction of
+    eta, rather than running one step of T, dividing by zero or failing
+    to round NaN."""
+    from fastslow.malliavin import moment_sweep
+
+    with pytest.raises(StabilityError, match=re.escape(f"dt must be positive (got {dt})")):
+        simulate_paths(affine, affine_regime, 0.0, 0.0, dt, 2, 0)
+    with pytest.raises(StabilityError, match=r"dt must be positive \(got "):
+        moment_sweep(affine, [affine_regime], 1, 2, dt_eta_fraction=dt, k_hat=1.0)
 
 
 # -- determinism -------------------------------------------------------
@@ -150,9 +164,14 @@ def test_simulate_rejects_nonpositive_sizes(affine, affine_regime, kwargs, messa
 # -- noise blocks --------------------------------------------------------
 
 
-def _seed_sequence_stream(entropy, spawn_key):
-    seq = np.random.SeedSequence(entropy, spawn_key=spawn_key)
-    return np.random.Generator(np.random.Philox(seq))
+def _reference_stream(entropy, purpose, point, pid, channel):
+    """The stream (purpose, point, pid, channel) of a seed, built with
+    numpy's public constructors alone: the seed's SeedSequence state as
+    the key and the stream id in the two high counter words."""
+    key = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
+    # uint64 words: numpy would read a list with a word above 2**63 as floats
+    counter = np.array([0, 0, pid | channel << 32, purpose | point << 32], np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
 
 
 def test_draw_increments_match_one_normal_draw_per_stream():
@@ -161,7 +180,7 @@ def test_draw_increments_match_one_normal_draw_per_stream():
     assert dW1.shape == dW2.shape == (n_steps, len(ids))
     for j, pid in enumerate(ids):
         for dw, channel in ((dW1, CHANNEL_W1), (dW2, CHANNEL_W2)):
-            ref = _seed_sequence_stream(8 + (2 << 32), (PURPOSE_PATHS, 0, pid, channel)).normal(
+            ref = _reference_stream(8 + (2 << 32), PURPOSE_PATHS, 0, pid, channel).normal(
                 0.0, math.sqrt(dt), n_steps
             )
             assert np.array_equal(dw[:, j], ref)
@@ -171,7 +190,7 @@ def test_draw_increments_golden_digest():
     # Any change to how the streams are keyed or drawn moves this digest.
     dW1, dW2 = draw_increments(8 + (2 << 32), range(5), 7, 1e-3)
     digest = hashlib.sha256(dW1.tobytes() + dW2.tobytes()).hexdigest()
-    assert digest == "15d209a395f74b0541ef6434a41140261e8ee5191fd54cbe3d28619416b6343f"
+    assert digest == "7f1a15e037d1bd34ce310436ad812d25b12632be22dff2bcf19edde68bfe7aa6"
 
 
 @pytest.mark.parametrize("block", [1, 5, 24, 40])
@@ -198,9 +217,9 @@ def test_noise_blocks_join_stream_groups(block, monkeypatch):
 @pytest.mark.parametrize("block", [24, 5])
 def test_single_block_rekeys_one_generator_per_channel(block, monkeypatch):
     """A draw that fits in one block builds one Philox per channel and
-    re-keys it for each stream; a draw over several blocks opens one
+    sets its counter for each stream; a draw over several blocks opens one
     generator per stream and keeps it.  Both give, column for column,
-    the numbers of the SeedSequence stream of each (path, channel)."""
+    the numbers of numpy's public Philox for each (path, channel)."""
     ids, n_steps, dt = [9, 0, 4, 2**32 - 1, 7], 24, 1e-3
     built = []
     philox = np.random.Philox
@@ -218,7 +237,7 @@ def test_single_block_rekeys_one_generator_per_channel(block, monkeypatch):
     monkeypatch.undo()
     for dw, channel in ((np.concatenate(rows1), CHANNEL_W1), (np.concatenate(rows2), CHANNEL_W2)):
         for j, pid in enumerate(ids):
-            ref = _seed_sequence_stream(8 + (2 << 32), (PURPOSE_PATHS, 0, pid, channel))
+            ref = _reference_stream(8 + (2 << 32), PURPOSE_PATHS, 0, pid, channel)
             assert np.array_equal(dw[:, j], ref.normal(0.0, math.sqrt(dt), n_steps)), (channel, j)
 
 
@@ -238,60 +257,57 @@ def test_noise_without_private_maps(monkeypatch):
 )
 @pytest.mark.parametrize("channel", [0, 1, 2, 3])
 def test_philox_keys_equal_seed_sequence_state(seed, channel):
-    """The keys of an int seed equal SeedSequence's state bit for bit.  A
-    tuple of 32-bit words stands for the int with those little-endian
-    words (() for 0), which SeedSequence reads as the same entropy, so
-    ints of one to four words are checked against their words."""
+    """The run key of an int seed equals SeedSequence's state bit for
+    bit, and every stream of the seed draws what numpy's public Philox
+    draws from that key and the stream's counter.  A tuple of 32-bit
+    words stands for the int with those little-endian words (() for 0),
+    which SeedSequence reads as the same entropy, so ints of one to four
+    words are checked against their words."""
     entropy = seed
     if isinstance(seed, tuple):
         seed = sum(word << (32 * i) for i, word in enumerate(seed))
-    ids = [0, 1, 5, 123456789, 2**32 - 1]
+    key = _run_key(seed)
+    assert key.dtype == np.uint64
+    assert np.array_equal(key, np.random.SeedSequence(entropy).generate_state(2, np.uint64))
     for purpose, point in ((0, 0), (4, 7), (1, 2**32 - 1)):
-        keys = _philox_keys(seed, purpose, point, ids, channel)
-        assert keys.shape == (len(ids), 2) and keys.dtype == np.uint64
-        for key, pid in zip(keys, ids):
-            ref = np.random.SeedSequence(
-                entropy, spawn_key=(purpose, point, pid, channel)
-            ).generate_state(2, np.uint64)
-            assert np.array_equal(key, ref)
+        for pid in (0, 1, 5, 123456789, 2**32 - 1):
+            got = _stream(seed, purpose, point, pid, channel).standard_normal(5)
+            ref = _reference_stream(entropy, purpose, point, pid, channel)
+            assert np.array_equal(got, ref.standard_normal(5)), (purpose, point, pid)
 
 
 def test_distinct_int_seeds_key_distinct_streams():
-    """Ints below 2**128 pad to distinct word pools, so seeds that share
-    their low word, or whose words differ only by position, key distinct
-    streams; numpy integers key the streams of their value."""
+    """Seeds that share their low word, or whose words differ only by
+    position, give distinct run keys; numpy integers give the key of
+    their value."""
     seeds = [0, 77, 2**32 + 77, 77 << 32, 2**64 + 77, 2**96 + 77, 2**128 - 1]
-    keys = {tuple(_philox_keys(s, PURPOSE_PATHS, 0, [0], 0)[0]) for s in seeds}
+    keys = {tuple(_run_key(s).tolist()) for s in seeds}
     assert len(keys) == len(seeds)
     for s in (np.int64(77), np.uint32(77), np.uint64(2**32 + 77)):
-        assert np.array_equal(
-            _philox_keys(s, PURPOSE_PATHS, 0, [0, 3], 1),
-            _philox_keys(int(s), PURPOSE_PATHS, 0, [0, 3], 1),
-        )
+        assert np.array_equal(_run_key(s), _run_key(int(s)))
 
 
-def test_spawn_keys_are_length_sensitive():
-    """Spawn keys that differ only by a trailing zero or by length give
-    different streams; so the (purpose, point, path, channel) keys of
-    one seed are pairwise distinct."""
-
-    def state(entropy, spawn_key=()):
-        seq = np.random.SeedSequence(entropy, spawn_key=spawn_key)
-        return tuple(seq.generate_state(2, np.uint64).tolist())
-
-    spawn_keys = [(0,), (0, 0), (0, 0, 0), (0, 0, 0, 0), (0, 1), (0, 1, 0), (1,)]
-    assert len({state(77, k) for k in spawn_keys}) == len(spawn_keys)
-    # Under the earlier rule (77, path 0, W1) and (77, 0) + (path 0, W1)
-    # were one stream; now every word of the key counts.
-    grid = [
-        (purpose, point, pid, channel)
-        for purpose in range(5)
-        for point in range(3)
-        for pid in range(3)
-        for channel in range(4)
+def test_stream_ids_give_distinct_counters():
+    """Every (purpose, point, path id, channel) of one seed, the extremes
+    2**32 - 1 included, starts a counter of its own, (0, 0, path_id |
+    channel << 32, purpose | point << 32), and a stream that has drawn
+    has left its two high words, its stream id, as they were."""
+    words = (0, 1, 2, 2**32 - 1)
+    grid = [(a, b, c, d) for a in words for b in words for c in words for d in words]
+    starts = set()
+    for purpose, point, pid, channel in grid:
+        (counter,) = _counters(purpose, point, [pid], channel)
+        high = (pid | channel << 32, purpose | point << 32)
+        assert counter.tolist() == [0, 0, *high]
+        starts.add(tuple(counter.tolist()))
+        rng = _stream(77, purpose, point, pid, channel)
+        rng.standard_normal(1001)
+        assert rng.bit_generator.state["state"]["counter"][2:].tolist() == list(high)
+    assert len(starts) == len(grid)
+    # One counter array serves every stream of a call, rewritten in turn.
+    assert [c.tolist()[2] for c in _counters(4, 2, range(3), 1)] == [
+        pid | 1 << 32 for pid in range(3)
     ]
-    keys = {tuple(_philox_keys(77, *key[:2], [key[2]], key[3])[0]) for key in grid}
-    assert len(keys) == len(grid)
 
 
 @pytest.mark.parametrize(
@@ -316,8 +332,21 @@ def test_invalid_stream_keys_raise_before_any_draw(seed, ids, message, monkeypat
         draw_increments(seed, ids, 4, 1e-3)
 
 
+def test_stream_words_outside_32_bits_raise_before_any_draw(monkeypatch):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a stream was opened")
+
+    monkeypatch.setattr(sde_engine.np.random, "Philox", no_draw)
+    for kwargs, message in (
+        (dict(point=2**32), r"a stream point must lie in \[0, 2\*\*32\) \(got 4294967296\)"),
+        (dict(purpose=-1), r"a stream purpose must lie in \[0, 2\*\*32\) \(got -1\)"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            next(sde_engine._noise_blocks(3, [0], 4, 1e-3, **kwargs))
+
+
 def test_key_serves_only_a_philox_key():
-    key = _philox_keys(7, PURPOSE_PATHS, 0, [0], 0)[0]
+    key = _run_key(7)
     assert _Key(key).generate_state(2, np.uint64) is key
     with pytest.raises(ValueError, match="2 uint64 words"):
         _Key(key).generate_state(4, np.uint32)
@@ -493,7 +522,7 @@ def test_path_groups_match_one_block(
 
 def test_grouped_pass_keeps_no_stream_open(affine, monkeypatch):
     """A pass run in path groups builds one Philox per channel and group
-    and re-keys it for each stream, where time blocks would open one
+    and sets its counter for each stream, where time blocks would open one
     generator per stream and keep it."""
     built = []
     philox = np.random.Philox
@@ -536,14 +565,16 @@ def test_memory_does_not_grow_with_steps(affine, monkeypatch):
     simulate_paths draws: on time blocks with every stream open (100
     paths, 64 and 512 steps, 30-step blocks) and in path groups drawn in
     one block each (2000 paths, 20 and 160 steps, 2 and 10 groups).  The
-    two ways hold different objects (open streams against one re-keyed
+    two ways hold different objects (open streams against one restarted
     generator per channel), so each is compared with itself.
 
     A tuple freed after a resize enters the interpreter's free list, which
     keeps up to 2000 per size and which tracemalloc counts as live, so
     the first 2000-odd steps of a process grow the traced memory whatever
-    the code does: an untraced 4096-step tangent pass and an untraced
-    4096-step simulation on time blocks fill those lists first.  A full
+    the code does: an untraced 4096-step tangent pass, an untraced
+    4096-step simulation on time blocks and one untraced bundle's
+    tangents fill those lists and warm the tangent path first, so the
+    test does not depend on the tests run before it in the process.  A full
     collection empties them again, so the collector stays off from the
     warm-up to the last measurement.  The noise block buffers live in
     anonymous maps, which tracemalloc does not see, so the peak of the
@@ -622,6 +653,7 @@ def test_memory_does_not_grow_with_steps(affine, monkeypatch):
     try:
         tangent_pass(4096)
         time_blocks(4096)
+        bundle_tangents(64)
         cases = (
             (time_blocks, (512, 64)), (tangent_pass, (512, 64)),
             (bundle_tangents, (512, 64)), (path_groups, (160, 20)),
