@@ -18,11 +18,16 @@ start and the step fraction read from ``grid`` are compared as well.
 several orders, finished from one pass per regime, are compared too.
 ``homogenize default`` runs at the command's own grid, 41 x-nodes of
 8192 y-nodes, so both CSVs are compared at full size (about 4 s per
-tree).  Every config but ``rate-sweep grouped`` draws its noise in one
-32 MiB block;
-that one's finest point simulates 6000 paths of 500 steps, which
-``simulate_paths`` runs as two path groups.  The script reports and does not gate: it
-exits 0 whatever it finds.
+tree).  A rate sweep draws the noise of its finest point once and steps
+its coarser points on sums of it.  ``rate-sweep`` steps 75, 75 and 150
+times, where its points' own grids have 38, 75 and 150 steps, and
+``rate-sweep nonnested`` 167, 334 and 334 times (own: 100, 200 and 334),
+so the nesting rule of the grids is compared too.  Every config but
+``rate-sweep grouped`` draws its noise in one 32 MiB block; that one's
+pass draws 6000 paths of 500 finest steps with two coarse levels (125,
+250 and 500 steps), which runs in groups of paths: two per worker on two
+CPUs, three in process.  The script reports and does not gate: it exits
+0 whatever it finds.
 """
 
 from __future__ import annotations
@@ -89,6 +94,12 @@ CONFIGS = {
         "sweep": {"epsilons": [0.16, 0.08, 0.04], "gamma": 1.0, "T": 0.3},
         "grid": {"n_paths": 200, "nx": 17, "ny": 2048},
         "io": {"master_seed": 6},
+    },
+    "rate-sweep nonnested": {
+        "model": "affine-oracle",
+        "sweep": {"epsilons": [0.1, 0.05, 0.03], "gamma": 1.0, "T": 0.5},
+        "grid": {"n_paths": 300, "nx": 17, "ny": 2048},
+        "io": {"master_seed": 8},
     },
     "rate-sweep grouped": {
         "model": "affine-oracle",

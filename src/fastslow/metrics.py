@@ -48,7 +48,6 @@ import scipy  # unused here; `import fastslow` loads it for perfbench's version 
 from fastslow.coefficients import CoefficientSet, _require_positive
 from fastslow.homogenization import (
     HomogenizedModel,
-    LimitTrajectory,
     attach_variance,
     build_homogenized,
     limit_ode,
@@ -57,10 +56,13 @@ from fastslow.sde_engine import (
     CHANNEL_BOOTSTRAP,
     PURPOSE_BOOTSTRAP,
     STABILITY_FRACTION,
-    PathBundle,
+    FluctuationSample,
     ScaleRegime,
+    _final_states,
+    _fluctuations,
     _grid,
     _grid_index,
+    _nested_grids,
     _run_shares,
     _split,
     _stream,
@@ -691,7 +693,8 @@ def clt_verify(
     bundle = simulate_paths(
         model, regime, x0, y0, dt, n_paths, seed, capture_indices=capture
     )
-    return _clt_reports(bundle, times, trajectory, n_boot)
+    samples = [fluctuation_samples(bundle, trajectory, t) for t in times]
+    return _clt_reports(samples, seed, 0, n_boot)
 
 
 def _checkpoint_steps(
@@ -734,25 +737,19 @@ def _matching_hom(
 
 
 def _clt_reports(
-    bundle: PathBundle,
-    times: Sequence[float],
-    trajectory: LimitTrajectory,
-    n_boot: int = N_BOOTSTRAP,
+    samples: Sequence[FluctuationSample], seed, point: int, n_boot: int = N_BOOTSTRAP
 ) -> list[WassersteinReport]:
-    """W1 of the captured states of ``bundle`` against the limit
-    ``trajectory`` at each time, the i-th bootstrapped from the stream
-    (bundle seed, bootstrap, bundle point, i, bootstrap channel)."""
+    """W1 of each fluctuation sample against its limit Gaussian, the
+    i-th bootstrapped from the stream (seed, bootstrap, ``point``, i,
+    bootstrap channel)."""
     reports = []
-    for i, t in enumerate(times):
-        sample = fluctuation_samples(bundle, trajectory, t)
+    for i, sample in enumerate(samples):
         w1 = w1_vs_gaussian(sample.theta, sample.limit_mean, sample.limit_var)
-        rng = _stream(
-            bundle.master_seed, PURPOSE_BOOTSTRAP, bundle.point, i, CHANNEL_BOOTSTRAP
-        )
+        rng = _stream(seed, PURPOSE_BOOTSTRAP, point, i, CHANNEL_BOOTSTRAP)
         ci = bootstrap_w1(sample.theta, sample.limit_mean, sample.limit_var, rng, n_boot)
         reports.append(
             WassersteinReport(
-                t=t,
+                t=sample.t,
                 n=len(sample.theta),
                 w1=w1,
                 bootstrap_ci=ci,
@@ -826,12 +823,13 @@ def rate_sweep(
 ) -> RateFit:
     """W1 rate regression across an (eps, eta) sweep.
 
-    Runs :func:`clt_verify` at the final-time checkpoint for each sweep
-    point (eps decreasing, eta from ``eta_rule``; the string "equal"
-    means eta = eps), regresses log w1 on log eps by ordinary least
-    squares, and bounds each point by the theoretical envelope with
-    C1 = C2 plus the point's Monte Carlo floor (:func:`w1_floor`), the
-    constant anchored so the bound meets the coarsest point.  The floor
+    Reports the W1 and bootstrap of :func:`clt_verify` at the horizon T
+    for each sweep point (eps decreasing, eta from ``eta_rule``; the
+    string "equal" means eta = eps), regresses log w1 on log eps by
+    ordinary least squares, and bounds each point by the theoretical
+    envelope with C1 = C2 plus the point's Monte Carlo floor
+    (:func:`w1_floor`), the constant anchored so the bound meets the
+    coarsest point.  The floor
     does not shrink with eps, so it is added rather than scaled with the
     envelope; where it exceeds the coarsest w1 the constant is 0.
     ``clt_config`` supplies
@@ -845,20 +843,33 @@ def rate_sweep(
     (:class:`~fastslow.sde_engine.StabilityError` otherwise).  An
     ``n_boot`` that is not an integer >= 1 and an ``n_paths`` that is
     not an integer >= 2 raise ValueError before any homogenization or
-    simulation.  Sweep point i draws from the streams
-    of point i + 1, so no point shares a stream with :func:`clt_verify`
-    under the same seed.
+    simulation.
 
-    The points are simulated one after another, each on every CPU that
-    :func:`~fastslow.sde_engine.simulate_paths` takes.  Their W1 and
-    bootstrap, serial work on one point's sample, then run side by side
-    through :func:`~fastslow.sde_engine._run_shares`, on the
+    The points are simulated together, in one forward pass that draws
+    the Brownian increments of the finest point (the one with the
+    smallest requested step) once, from the streams of its own point
+    i + 1; every coarser point steps on sums of 2**k consecutive finest
+    increments, a common-random-numbers coupling across the sweep
+    (:func:`~fastslow.sde_engine._final_states`).  Each point steps on
+    the coarsest grid of the finest point's n_f / 2**k steps that is no
+    coarser than the grid its own step lays
+    (:func:`~fastslow.sde_engine._nested_grids`): the grids of a list
+    whose steps halve, so eta/20 gives 125, 250, 500 and 1000 steps at
+    eps = eta = 0.16 to 0.02 and T = 1, are the points' own; on another
+    list a coarse point may step finer than it asked.  The finest
+    point's report is that of :func:`clt_verify`'s pipeline on its own
+    streams.  Point i bootstraps from the stream of point i + 1, so no
+    point shares a stream with :func:`clt_verify` under the same seed.
+    A blow-up raises the error of the point that fails first in time,
+    ties going to the lower point.
+
+    The points' W1 and bootstrap, serial work on one point's sample,
+    then run side by side through
+    :func:`~fastslow.sde_engine._run_shares`, on the
     :func:`~fastslow.sde_engine._workers` that the sweep's n_paths x (sum
     of n_steps) path-steps take, one per point at most, each over a
-    contiguous range of points, and returns the points' reports.
-    A point's result depends on its own streams alone, so no split moves
-    a value, and the error of the earliest failing point is raised, as
-    in process.
+    contiguous range of points, and returns the points' reports; no
+    split moves a value.
 
     A point whose bootstrap CI extends outside [w1/3, 3 w1] is flagged
     as noisy, not failed.
@@ -890,23 +901,22 @@ def rate_sweep(
         ScaleRegime(epsilon=eps, eta=float(eta_of(eps)), gamma=gamma, T=T)
         for eps in eps_list
     ]
-    grids = [_checkpoint_steps(r, dt_eta_fraction * r.eta, (T,)) for r in regimes]
+    grids, finest = _nested_grids(regimes, [dt_eta_fraction * r.eta for r in regimes])
     hom = _matching_hom(model, gamma, hom)
     # Every point shares x0, T and hom, so one limit trajectory serves all.
     trajectory = attach_variance(hom, limit_ode(hom, x0, T, LIMIT_ODE_DT))
 
-    bundles = [
-        simulate_paths(
-            model, r, x0, y0, dt_eta_fraction * r.eta, n_paths, seed,
-            capture_indices=capture, _point=i + 1,
-        )
-        for i, (r, (_, capture)) in enumerate(zip(regimes, grids))
-    ]
-    path_steps = n_paths * sum(b.n_steps for b in bundles)
-    shares = _split(len(bundles), _workers(path_steps))
+    rows = _final_states(model, regimes, grids, x0, y0, n_paths, seed, finest + 1)
+    path_steps = n_paths * sum(n for n, _ in grids)
+    shares = _split(len(rows), _workers(path_steps))
 
     def run(share: range) -> list[WassersteinReport]:
-        return [_clt_reports(bundles[i], grids[i][0], trajectory, n_boot)[0] for i in share]
+        return [
+            _clt_reports(
+                [_fluctuations(rows[i], regimes[i].epsilon, trajectory, T)], seed, i + 1, n_boot
+            )[0]
+            for i in share
+        ]
 
     reports = [rep for part in _run_shares(run, shares, "sweep points") for rep in part]
     points = [(r.epsilon, r.eta, rep.w1) for r, rep in zip(regimes, reports)]

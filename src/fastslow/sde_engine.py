@@ -33,12 +33,21 @@ groups of paths, each drawn whole in one block before the next group
 starts; :func:`_path_groups` chooses, and neither choice moves a value.
 Nor does running a large simulation on one forked worker per CPU, each
 on a contiguous share of the path ids (:func:`_run_shares`).
-One recursion, :func:`_em_states`, advances the state over the blocks
-and yields each step's state with its increments and, from the step its
-consumer first reads them, the values of all 24 coefficient keys: one
-kernel call per step, of the 4 EM keys before that step and of all 24
-from it.  A bundle keeps the states of the steps asked for alone; noise
-is never stored, as the seed and point of a bundle redraw it bit for bit.
+One forward pass, :func:`_pass`, runs every simulation: it draws the
+increments of a finest grid once and runs one or more chains over them,
+a chain of level q stepping on sums of 2**q consecutive finest
+increments (:func:`_coarsened`, the pair sums of the level below), so
+the points of a rate sweep share one Brownian path (common random
+numbers; Glasserman 2004, sec. 4.1; Giles 2008).  :func:`_nested_grids`
+lays their grids through :func:`_grid`, and a bundle of
+:func:`simulate_paths` is the one-chain case.  The coarse levels count
+against the block's byte budget.  One recursion, :func:`_em_states`,
+advances the state over the blocks and yields each step's state with
+its increments and, from the step its consumer first reads them, the
+values of all 24 coefficient keys: one kernel call per step, of the 4
+EM keys before that step and of all 24 from it.  A bundle keeps the
+states of the steps asked for alone; noise is never stored, as the seed
+and point of a bundle redraw it bit for bit.
 """
 
 from __future__ import annotations
@@ -100,8 +109,9 @@ STABILITY_FRACTION = 1.0 / 20.0
 #: Coefficients the Euler-Maruyama step evaluates, in one kernel call.
 _EM_KEYS = ("c", "sigma", "f", "tau")
 
-#: Bytes of one noise block of both channels (16 bytes per path-step):
-#: a block of m paths holds max(1, _NOISE_BLOCK_BYTES // (16 m)) steps.
+#: Bytes of one noise block of both channels (16 bytes per path-step),
+#: its coarse levels included: a block of m paths with no coarse level
+#: holds max(1, _NOISE_BLOCK_BYTES // (16 m)) steps (:func:`_block_steps`).
 #: The block length changes no result, only peak memory and the number
 #: of draw calls.
 _NOISE_BLOCK_BYTES = 32 * 1024**2
@@ -117,19 +127,35 @@ def _split(n: int, parts: int) -> list[range]:
     return [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
-def _path_groups(n_paths: int, n_steps: int) -> list[range]:
-    """The path ids of :func:`simulate_paths`, as the groups it runs one
-    after another.
+def _level_rows(n_steps: int, depth: int) -> int:
+    """Rows of noise that n_steps finest steps fill with their ``depth``
+    coarsenings (:func:`_coarsened`): n_steps (2 - 2**-depth), for an
+    n_steps that 2**depth divides."""
+    return (n_steps >> depth) * ((2 << depth) - 1)
 
-    A group of at most _NOISE_BLOCK_BYTES // (16 n_steps) paths draws its
-    whole noise in one block, with no stream left open.  Each group pays
+
+def _block_steps(m: int, depth: int) -> int:
+    """Finest steps of a noise block of m paths whose levels 0..depth all
+    fit in _NOISE_BLOCK_BYTES: the largest multiple of 2**depth that
+    fits, at least 2**depth."""
+    per_path = 16 * max(1, m) * _level_rows(1 << depth, depth)
+    return max(1, _NOISE_BLOCK_BYTES // per_path) << depth
+
+
+def _path_groups(n_paths: int, n_steps: int, depth: int = 0) -> list[range]:
+    """The path ids of a pass of n_steps finest steps with ``depth``
+    coarsenings (:func:`_pass`), as the groups it runs one after another.
+
+    A group of at most _NOISE_BLOCK_BYTES // (16 r) paths, r =
+    :func:`_level_rows` of the pass, draws its whole noise with every
+    level in one block, with no stream left open.  Each group pays
     the per-step cost of the Euler-Maruyama loop again, so the paths are
     split into n_groups such groups of near-equal size only when
     (n_groups - 1) * n_steps <= n_paths: the extra steps are then no more
     than one per path.  Otherwise one group holds every path and draws in
     time blocks (one block when the whole draw fits).
     """
-    per_block = max(1, _NOISE_BLOCK_BYTES // (16 * n_steps))
+    per_block = max(1, _NOISE_BLOCK_BYTES // (16 * _level_rows(n_steps, depth)))
     n_groups = -(-n_paths // per_block)
     if (n_groups - 1) * n_steps > n_paths:
         n_groups = 1
@@ -549,8 +575,10 @@ def _noise_blocks(
     stream is opened once and stays open from block to block; when it
     fits in one block, each channel sets one generator to each stream's
     counter in turn (:func:`_restarted`), which draws the same numbers and
-    keeps no stream open: :func:`simulate_paths` draws a grouped pass
-    this way, one group of paths at a time (:func:`_path_groups`).  Path
+    keeps no stream open: :func:`_pass` draws a grouped pass this way,
+    one group of paths at a time (:func:`_path_groups`).  A rate sweep
+    draws the streams of its finest point alone, and its coarser points
+    step on sums of these increments (:func:`_coarsened`).  Path
     ids or a point outside [0, 2**32) and a seed that is not a
     non-negative int raise ValueError before any draw.
     A block holds ``block_steps`` steps (default: as many as fit in
@@ -615,6 +643,28 @@ def draw_increments(
     return next(blocks, (empty, empty))
 
 
+def _coarsened(blocks, depth: int):
+    """Each (dW1, dW2) block of ``blocks`` with its ``depth``
+    coarsenings, as the list of levels 0..depth: level 0 is the block,
+    and level q + 1 holds the pair sums a[0::2] + a[1::2] of level q's
+    increments, the Brownian increments of steps twice as long.  A
+    block's length must be a multiple of 2**depth.  The coarse levels are
+    written into buffers of the first block's size, reused, so every
+    level is valid until the next block is drawn, as the block is."""
+    buffers = []
+    for block in blocks:
+        levels = [block]
+        for q in range(depth):
+            rows = len(levels[q][0]) // 2
+            if len(buffers) == q:
+                buffers.append([_mapped_array(rows, a.shape[1]) for a in block])
+            levels.append(tuple(
+                np.add(a[0::2], a[1::2], out=out[:rows])
+                for a, out in zip(levels[q], buffers[q])
+            ))
+        yield levels
+
+
 def _em_states(
     model: CoefficientSet,
     scales: _StepScales,
@@ -624,27 +674,30 @@ def _em_states(
     blocks,
     keys_from: float,
     first_column: int = 0,
+    first_step: int = 0,
 ):
     """The Euler-Maruyama recursion of n_paths paths over noise blocks.
 
-    ``blocks`` yields (dW1, dW2) arrays of shape (b, n_paths) covering
-    the steps in order.  Yields (k, x, y, dw1, dw2, values) for every
-    step k: the state at k, the increments that advance it and, from
+    The state (x0, y0), floats or rows of n_paths, is that of step
+    ``first_step``, and ``blocks`` yields (dW1, dW2) arrays of shape (b,
+    n_paths) covering the steps from it in order.  Yields (k, x, y, dw1,
+    dw2, values) for every step k: the state at k, the increments that
+    advance it and, from
     step ``keys_from`` on, the values of all 24 coefficient keys at the
     state, which the tangent pass reads.  Each step makes one kernel
     call: of the 4 EM keys before ``keys_from``, where it yields None
     for the values, and of all 24 keys from it (``math.inf``: never).
     A key's value does not depend on the tuple it is evaluated with, so
-    the switch moves no state.  Last comes (n_steps, x, y, None, None,
-    None), as no step follows.  The yielded rows are valid until the
-    next item is drawn; the states are never written in place.  Errors
-    name a path by its column plus ``first_column``, the column of the
-    first path in the caller's arrays.
+    the switch moves no state.  Last comes (k, x, y, None, None, None) of
+    the step after the last block, as no step follows.  The yielded rows
+    are valid until the next item is drawn; the states are never written
+    in place.  Errors name a path by its column plus ``first_column``,
+    the column of the first path in the caller's arrays.
     """
     em_values = itemgetter(*(COEFFICIENT_KEYS.index(key) for key in _EM_KEYS))
-    x = np.full(n_paths, float(x0))
-    y = np.full(n_paths, float(y0))
-    k = 0
+    x = np.full(n_paths, x0, dtype=float)
+    y = np.full(n_paths, y0, dtype=float)
+    k = first_step
     for w1, w2 in blocks:
         for dw1, dw2 in zip(w1, w2):
             if k < keys_from:
@@ -660,33 +713,52 @@ def _em_states(
 
 def _em_loop(
     model: CoefficientSet,
-    scales: _StepScales,
+    chains: Sequence[tuple],
     x0: float,
     y0: float,
     groups,
     n_paths: int,
-    wanted: Sequence[int],
     first_column: int = 0,
-):
-    """The captures of :func:`_em_states` run over n_paths paths, one
-    group of columns after another: {k: (x_row, y_row)} for each step k
-    of ``wanted``.
+) -> list[dict[int, tuple[np.ndarray, np.ndarray]]]:
+    """The captures of every chain of ``chains`` run over n_paths paths,
+    one group of columns after another: per chain, {k: (x_row, y_row)}
+    for each step k it wants.  A chain is (scales, level, wanted steps):
+    the step scales of its regime, and its level, as each of its steps
+    takes the increments of 2**level finest steps.
 
     ``groups`` yields (columns, blocks): a range of the columns and the
-    noise blocks of its paths.  Errors name a path by its column plus
-    ``first_column``, the path id of the first column.
+    :func:`_coarsened` noise blocks of its paths.  Every chain starts at
+    (x0, y0) and runs through a block, by :func:`_em_states` on its
+    level, before the next block is drawn.  When chains fail in a block,
+    the error of the one that fails at the earliest time, the end of its
+    failing step, is raised once the block is done, ties going to the
+    lower chain, so the block length does not move which error is
+    raised.  Errors name a path by its column plus ``first_column``, the
+    path id of the first column.
     """
-    captures = {k: (np.empty(n_paths), np.empty(n_paths)) for k in wanted}
+    captures = [{k: (np.empty(n_paths), np.empty(n_paths)) for k in w} for _, _, w in chains]
     for columns, blocks in groups:
         cols = slice(columns.start, columns.stop)
-        states = _em_states(
-            model, scales, x0, y0, len(columns), blocks,
-            keys_from=math.inf, first_column=first_column + columns.start,
-        )
-        for k, x, y, _, _, _ in states:
-            if k in captures:
-                captures[k][0][cols] = x
-                captures[k][1][cols] = y
+        starts = [(0, x0, y0)] * len(chains)
+        for levels in blocks:
+            failures = []
+            for i, ((scales, level, _), (k, x, y)) in enumerate(zip(chains, starts)):
+                states = _em_states(
+                    model, scales, x, y, len(columns), levels[level : level + 1],
+                    keys_from=math.inf, first_column=first_column + columns.start, first_step=k,
+                )
+                k -= 1  # the last step yielded with its increments
+                try:
+                    for k, x, y, _, _, _ in states:
+                        if k in captures[i]:
+                            captures[i][k][0][cols] = x
+                            captures[i][k][1][cols] = y
+                except Exception as exc:
+                    failures.append(((k + 1) << level, i, exc))
+                starts[i] = k, x, y
+            if failures:
+                raise min(failures, key=itemgetter(0, 1))[2]
+        levels = None  # views of the group's noise maps: free them before the next draw
     return captures
 
 
@@ -710,10 +782,9 @@ def simulate_with_increments(
     :func:`simulate_paths` as one block.
     """
     n_steps, n_paths = dW1.shape
-    return _em_loop(
-        model, _StepScales.of(regime, dt), x0, y0, [(range(n_paths), [(dW1, dW2)])],
-        n_paths, _steps(capture_indices, n_steps, "capture index", AlignmentError),
-    )
+    wanted = _steps(capture_indices, n_steps, "capture index", AlignmentError)
+    chain = _StepScales.of(regime, dt), 0, wanted
+    return _em_loop(model, [chain], x0, y0, [(range(n_paths), [[(dW1, dW2)]])], n_paths)[0]
 
 
 def _em_step(
@@ -784,10 +855,11 @@ def simulate_paths(
     n_paths : int
         Number of Monte Carlo paths, an integer >= 1; path ids 0..n_paths-1.
     master_seed : int
-        Root of the noise streams (purpose paths, point ``_point``, which
-        only :func:`fastslow.metrics.rate_sweep` sets): a non-negative
-        int, else ValueError before any draw (:func:`_run_key`).  The
-        bundle keeps the seed and the point, not the noise.
+        Root of the noise streams (purpose paths, point ``_point``, 0
+        unless a caller replays the streams of a sweep point): a
+        non-negative int, else ValueError before any draw
+        (:func:`_run_key`).  The bundle keeps the seed and the point,
+        not the noise.
     capture_indices : iterable of int
         Step indices whose state rows the bundle keeps as its
         ``captures`` (none by default), 16 bytes per path and step;
@@ -796,37 +868,16 @@ def simulate_paths(
         other state is kept, so peak memory is O(n_paths * block) plus
         the captures, not O(n_paths * n_steps).
 
-    The path ids are split into contiguous shares of near-equal size, one
-    per :func:`_workers` of the call's n_paths x n_steps path-steps, which
-    run at once in forked workers (:func:`_run_shares`; one share runs in
-    process).  Each share returns its own captures, which this process
-    joins in path order (one share's are kept as they are).
-    Within a share, the Euler-Maruyama loop runs over the groups of
-    :func:`_path_groups`, one after another.  A group that is not the
-    whole share draws its noise in one block of at most
-    ``_NOISE_BLOCK_BYTES`` and keeps no stream open; one group of the
-    whole share draws in time blocks.  Path ids key the streams, so
-    neither split moves a value.  A path that blows up is named by its
-    path id; with several groups or shares, a failure in an earlier one
-    is reported before one at an earlier step of a later one.
+    The bundle is the one-chain case of :func:`_pass`, which runs it on
+    the streams of its point.  A path that blows up is named by its path
+    id; with several groups or shares, a failure in an earlier one is
+    reported before one at an earlier step of a later one.
     """
     _require_positive(n_paths=n_paths)
     n_steps, dt_eff = _grid(regime, dt)
     wanted = _steps(capture_indices, n_steps, "capture index", AlignmentError)
-    scales = _StepScales.of(regime, dt_eff)
-
-    def run(share: range):
-        groups = (
-            (group, _noise_blocks(
-                master_seed, share[group.start : group.stop], n_steps, dt_eff, point=_point
-            ))
-            for group in _path_groups(len(share), n_steps)
-        )
-        return _em_loop(model, scales, x0, y0, groups, len(share), wanted, share.start)
-
-    shares = _split(n_paths, _workers(n_paths * n_steps))
-    model.compile(_EM_KEYS)  # before the fork, so no worker compiles it again
-    captures = _joined_paths(_run_shares(run, shares))
+    chain = _StepScales.of(regime, dt_eff), 0, wanted
+    (captures,) = _pass(model, [chain], x0, y0, n_steps, dt_eff, n_paths, master_seed, _point)
 
     return PathBundle(
         regime=regime,
@@ -839,6 +890,114 @@ def simulate_paths(
         captures=captures,
         point=_point,
     )
+
+
+def _pass(
+    model: CoefficientSet,
+    chains: Sequence[tuple],
+    x0: float,
+    y0: float,
+    n_steps: int,
+    dt: float,
+    n_paths: int,
+    master_seed,
+    point: int,
+    reply=None,
+) -> list:
+    """The one forward pass of every simulation: ``chains`` run from (x0,
+    y0) over n_paths paths, on the Brownian increments of n_steps finest
+    steps of dt drawn from the streams (paths, ``point``, path id,
+    channel).  A chain of level q takes n_steps / 2**q steps, each on the
+    sum of 2**q finest increments (:func:`_coarsened`), so 2**q must
+    divide n_steps.  Returns the chains' captures (:func:`_em_loop`), or
+    what ``reply`` makes of them, with its arrays joined in path order.
+
+    The path ids are split into contiguous shares of near-equal size, one
+    per :func:`_workers` of the chains' n_paths x (sum of their steps)
+    path-steps, which run at once in forked workers (:func:`_run_shares`;
+    one share runs in process); ``reply`` runs in the worker, so a
+    worker sends back no more than it returns.  Within a share, the
+    chains run over the groups of :func:`_path_groups`, one after
+    another.  A group that is not the whole share draws its noise with
+    every level in one block of at most ``_NOISE_BLOCK_BYTES`` and keeps
+    no stream open; one group of the whole share draws in time blocks of
+    :func:`_block_steps`.  Path ids key the streams, so neither split
+    moves a value, and every chain sees its noise whole, whatever the
+    block length.
+    """
+    depth = max(level for _, level, _ in chains)
+
+    def run(share: range):
+        groups = (
+            (group, _coarsened(_noise_blocks(
+                master_seed, share[group.start : group.stop], n_steps, dt,
+                _block_steps(len(group), depth), point=point,
+            ), depth))
+            for group in _path_groups(len(share), n_steps, depth)
+        )
+        captures = _em_loop(model, chains, x0, y0, groups, len(share), share.start)
+        return captures if reply is None else reply(captures)
+
+    path_steps = n_paths * sum(n_steps >> level for _, level, _ in chains)
+    shares = _split(n_paths, _workers(path_steps))
+    model.compile(_EM_KEYS)  # before the fork, so no worker compiles it again
+    return _joined_paths(_run_shares(run, shares))
+
+
+def _nested_grids(
+    regimes: Sequence[ScaleRegime], dts: Sequence[float]
+) -> tuple[list[tuple[int, float]], int]:
+    """The grids (n_steps, dt_eff) of one nested pass over sweep points
+    that share a horizon, at their requested steps ``dts``, and the index
+    of the finest point, the first with the smallest step.
+
+    Every point's step goes through :func:`_grid` first, in order, so the
+    first that is not positive or exceeds its eta/20 guard raises
+    :class:`StabilityError`.  The finest point keeps its own grid of n_f
+    steps.  Every other point takes the coarsest grid of n_f / 2**k steps
+    (2**k dividing n_f) with at least the steps of its own grid: its step
+    is then no longer than it asked, so it passes its guard, and each of
+    its increments is a sum of 2**k finest ones.  A list whose steps
+    halve keeps every point's own grid; on another, a coarse point may
+    step finer than it asked.
+    """
+    own = [_grid(regime, dt)[0] for regime, dt in zip(regimes, dts)]
+    finest = min(range(len(dts)), key=dts.__getitem__)
+    n_f = own[finest]
+    grids = []
+    for regime, n in zip(regimes, own):
+        m = n_f
+        while m % 2 == 0 and m // 2 >= n:
+            m //= 2
+        grids.append((m, regime.T / m))
+    return grids, finest
+
+
+def _final_states(
+    model: CoefficientSet,
+    regimes: Sequence[ScaleRegime],
+    grids: Sequence[tuple[int, float]],
+    x0: float,
+    y0: float,
+    n_paths: int,
+    master_seed,
+    point: int,
+) -> list[np.ndarray]:
+    """The X rows at the horizon of one chain per regime, each on its
+    grid of :func:`_nested_grids`, in one :func:`_pass` on the streams of
+    ``point`` drawn on the finest grid.  Workers send back these rows
+    alone.  A chain that blows up raises as :func:`_em_loop` orders it:
+    the earliest failure in time, ties going to the lower regime."""
+    n_f, dt_f = max(grids)
+    chains = [
+        (_StepScales.of(regime, dt), (n_f // n).bit_length() - 1, (n,))
+        for regime, (n, dt) in zip(regimes, grids)
+    ]
+
+    def finals(captures):
+        return [c[n][0] for c, (n, _) in zip(captures, grids)]
+
+    return _pass(model, chains, x0, y0, n_f, dt_f, n_paths, master_seed, point, finals)
 
 
 def _grid_index(t: float, dt: float, n_max: int, what: str) -> int:
@@ -861,10 +1020,17 @@ def fluctuation_samples(
     :func:`fastslow.homogenization.attach_variance`).
     """
     k = _grid_index(t, bundle.dt, bundle.n_steps, "path")
+    return _fluctuations(bundle.state_at(k)[0], bundle.regime.epsilon, trajectory, t)
+
+
+def _fluctuations(
+    x_row: np.ndarray, epsilon: float, trajectory: LimitTrajectory, t: float
+) -> FluctuationSample:
+    """:func:`fluctuation_samples` of ``x_row``, the X states at time t
+    of paths simulated at ``epsilon``."""
     traj_dt = float(trajectory.t_grid[1] - trajectory.t_grid[0])
     j = _grid_index(t, traj_dt, len(trajectory.t_grid) - 1, "trajectory")
-    x_row, _ = bundle.state_at(k)
-    theta = (x_row - trajectory.x_bar[j]) / math.sqrt(bundle.regime.epsilon)
+    theta = (x_row - trajectory.x_bar[j]) / math.sqrt(epsilon)
     if not np.all(np.isfinite(theta)):
         raise BlowUpError(f"non-finite fluctuation samples at t={t}")
     if trajectory.sigma2 is None:

@@ -1278,21 +1278,21 @@ def test_rate_sweep_artifacts(tmp_path):
 def test_rate_sweep_on_workers_writes_the_serial_artifacts(
     tmp_path, force_workers, starts, all_joined
 ):
-    """With its simulations and its points' statistics forced onto two
-    forked workers each, rate-sweep writes the data artifacts of the
-    serial run byte for byte.  The workers return their results, so
+    """With its one simulation pass and its points' statistics forced
+    onto two forked workers each, rate-sweep writes the data artifacts of
+    the serial run byte for byte.  The workers return their results, so
     nothing an earlier run left in memory reaches the artifacts."""
     out, cfg = _rate_config(tmp_path, "rate-workers", seed=7)
     force_workers(2)
     code = main(["rate-sweep", "--config", cfg])
     assert code in (EXIT_PASS, EXIT_WARNINGS)
-    assert len(starts) == 3 * 2 + 2  # 3 points' simulations, then statistics
+    assert len(starts) == 2 + 2  # the points' one pass, then statistics
     assert all_joined()
 
     serial_out, serial_cfg = _rate_config(tmp_path, "rate-serial", seed=7)
     force_workers(1)
     assert main(["rate-sweep", "--config", serial_cfg]) == code
-    assert len(starts) == 3 * 2 + 2
+    assert len(starts) == 2 + 2
     for name in ("rate_sweep.json", "rate_points.csv"):
         assert _read_bytes(out, name) == _read_bytes(serial_out, name), name
 

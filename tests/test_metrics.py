@@ -30,11 +30,15 @@ from fastslow.homogenization import attach_variance, build_homogenized
 from fastslow.sde_engine import (
     CHANNEL_BOOTSTRAP,
     PURPOSE_BOOTSTRAP,
+    STABILITY_FRACTION,
     BlowUpError,
+    FluctuationSample,
     ScaleRegime,
     StabilityError,
     _stream,
+    fluctuation_samples,
     simulate_paths,
+    simulate_with_increments,
 )
 
 # -- exact W1 against a Gaussian ---------------------------------------
@@ -486,7 +490,7 @@ def test_clt_verify_checks_n_boot_before_any_work(affine, monkeypatch):
 
 def test_rate_sweep_checks_n_boot_before_any_work(affine, monkeypatch):
     monkeypatch.setattr(metrics_mod, "build_homogenized", _not_reached)
-    monkeypatch.setattr(metrics_mod, "simulate_paths", _not_reached)
+    monkeypatch.setattr(metrics_mod, "_final_states", _not_reached)
     with pytest.raises(ValueError, match="n_boot"):
         rate_sweep(affine, (0.16, 0.08, 0.04), "equal", {"n_boot": 0}, T=0.2)
 
@@ -508,6 +512,7 @@ def test_path_counts_are_checked_before_any_work(affine, monkeypatch, n_paths, m
     to 30 paths, nor does either run one path for True."""
     monkeypatch.setattr(metrics_mod, "build_homogenized", _not_reached)
     monkeypatch.setattr(metrics_mod, "simulate_paths", _not_reached)
+    monkeypatch.setattr(metrics_mod, "_final_states", _not_reached)
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.1)
     with pytest.raises(ValueError, match=re.escape(message)):
         clt_verify(affine, regime, 0.0, 0.0, 0.0025, n_paths, n_boot=10)
@@ -668,13 +673,16 @@ def test_default_checkpoints():
 # -- rate sweep --------------------------------------------------------
 
 
-def _stub_clt(w1_of_eps, ci_of_w1):
-    def fake(bundle, times, trajectory, n_boot):
-        w1 = w1_of_eps(bundle.regime.epsilon)
+def _stub_clt(eps, w1_of_eps, ci_of_w1):
+    """A ``_clt_reports`` whose sweep point i (stream point i + 1) of the
+    sweep over ``eps`` reports w1_of_eps(eps[i])."""
+
+    def fake(samples, seed, point, n_boot):
+        w1 = w1_of_eps(eps[point - 1])
         return [
             WassersteinReport(
-                t=times[0],
-                n=bundle.n_paths,
+                t=samples[0].t,
+                n=len(samples[0].theta),
                 w1=w1,
                 bootstrap_ci=ci_of_w1(w1),
                 mean_gap=0.0,
@@ -687,12 +695,11 @@ def _stub_clt(w1_of_eps, ci_of_w1):
 
 
 def test_rate_sweep_recovers_synthetic_slope(affine, monkeypatch):
+    eps = (0.16, 0.08, 0.04, 0.02)
     monkeypatch.setattr(
-        metrics_mod, "_clt_reports", _stub_clt(lambda e: e**0.25, lambda w: (0.9 * w, 1.1 * w))
+        metrics_mod, "_clt_reports", _stub_clt(eps, lambda e: e**0.25, lambda w: (0.9 * w, 1.1 * w))
     )
-    fit = rate_sweep(
-        affine, (0.16, 0.08, 0.04, 0.02), "equal", {"n_paths": 10}, K=1.0
-    )
+    fit = rate_sweep(affine, eps, "equal", {"n_paths": 10}, K=1.0)
     assert fit.slope == pytest.approx(0.25, abs=1e-12)
     assert fit.intercept == pytest.approx(0.0, abs=1e-12)
     assert fit.r_squared == pytest.approx(1.0)
@@ -714,7 +721,7 @@ def test_rate_sweep_bound_is_envelope_plus_floor(affine, monkeypatch):
     raw = [theoretical_bound(ScaleRegime(e, e, 1.0, 1.0), 1.0, 0.1) for e in eps]
     floor = w1_floor(10, 1.0)
     monkeypatch.setattr(
-        metrics_mod, "_clt_reports", _stub_clt(lambda e: 1.0, lambda w: (0.9 * w, 1.1 * w))
+        metrics_mod, "_clt_reports", _stub_clt(eps, lambda e: 1.0, lambda w: (0.9 * w, 1.1 * w))
     )
     fit = rate_sweep(affine, eps, "equal", {"n_paths": 10}, K=1.0)
     assert fit.floor_values == (floor,) * 3
@@ -724,7 +731,7 @@ def test_rate_sweep_bound_is_envelope_plus_floor(affine, monkeypatch):
     assert all(b < 1.0 for b in fit.bound_values[1:])
 
     monkeypatch.setattr(
-        metrics_mod, "_clt_reports", _stub_clt(lambda e: 0.1, lambda w: (0.9 * w, 1.1 * w))
+        metrics_mod, "_clt_reports", _stub_clt(eps, lambda e: 0.1, lambda w: (0.9 * w, 1.1 * w))
     )
     fit = rate_sweep(affine, eps, "equal", {"n_paths": 10}, K=1.0)
     assert fit.c_fit == 0.0
@@ -732,12 +739,11 @@ def test_rate_sweep_bound_is_envelope_plus_floor(affine, monkeypatch):
 
 
 def test_rate_sweep_flags_noisy_points_and_eta_rule(affine, monkeypatch):
+    eps = (0.16, 0.08, 0.04)
     monkeypatch.setattr(
-        metrics_mod, "_clt_reports", _stub_clt(lambda e: e**0.5, lambda w: (w / 5.0, 1.1 * w))
+        metrics_mod, "_clt_reports", _stub_clt(eps, lambda e: e**0.5, lambda w: (w / 5.0, 1.1 * w))
     )
-    fit = rate_sweep(
-        affine, (0.16, 0.08, 0.04), lambda e: e * e, {"n_paths": 10}, K=1.0
-    )
+    fit = rate_sweep(affine, eps, lambda e: e * e, {"n_paths": 10}, K=1.0)
     assert fit.noisy_points == (0, 1, 2)
     assert [p[1] for p in fit.points] == pytest.approx([e * e for e, _, _ in fit.points])
 
@@ -782,13 +788,25 @@ def test_rate_sweep_homogenizes_once_per_sweep(affine, affine_hom, monkeypatch):
     assert len(calls) == 1
 
 
+def _pair_sums(dw: np.ndarray, times: int) -> np.ndarray:
+    """``dw`` summed over consecutive pairs of steps ``times`` times."""
+    for _ in range(times):
+        dw = dw[0::2] + dw[1::2]
+    return dw
+
+
 def test_rate_sweep_integrates_the_limit_once_and_matches_clt_verify(
     affine, affine_hom, monkeypatch
 ):
     """Every sweep point shares x0, T and hom, so one limit trajectory
     serves them all, and each point reports exactly what clt_verify's
-    pipeline does on a limit integrated for that point alone, at the
-    point's own streams (point i + 1)."""
+    pipeline does on a limit integrated for that point alone.  The finest
+    point runs on its own streams (point 3), as simulate_paths runs them;
+    each coarser point steps on pair sums of the finest point's
+    increments, on the coarsest grid of the finest that is no coarser
+    than its own, and bootstraps from the streams of its own point.  At
+    T = 0.2 the own grids halve (25/50/100 steps); at T = 0.3 they do not
+    (38/75/150), and the coarsest point steps on 75."""
     calls = []
     real = metrics_mod.limit_ode
 
@@ -797,42 +815,61 @@ def test_rate_sweep_integrates_the_limit_once_and_matches_clt_verify(
         return real(*args)
 
     monkeypatch.setattr(metrics_mod, "limit_ode", counting)
-    eps, T, seed = (0.16, 0.08, 0.04), 0.2, 9
-    config = {"n_paths": 40, "n_boot": 10, "hom": affine_hom}
-    fit = rate_sweep(affine, eps, "equal", config, T=T, seed=seed)
-    assert len(calls) == 1
-    for i, e in enumerate(eps):
-        regime = ScaleRegime(e, e, 1.0, T)
-        times, capture = metrics_mod._checkpoint_steps(regime, e / 20, (T,))
+    eps, seed, n_paths = (0.16, 0.08, 0.04), 9, 40
+    config = {"n_paths": n_paths, "n_boot": 10, "hom": affine_hom}
+    for T, steps in ((0.2, [25, 50, 100]), (0.3, [75, 75, 150])):
+        calls.clear()
+        fit = rate_sweep(affine, eps, "equal", config, T=T, seed=seed)
+        assert len(calls) == 1
         trajectory = attach_variance(affine_hom, real(affine_hom, 0.0, T, LIMIT_ODE_DT))
+        assert trajectory.t_grid[-1] == pytest.approx(T)
+
+        finest = ScaleRegime(eps[-1], eps[-1], 1.0, T)
+        n_f = steps[-1]
         bundle = simulate_paths(
-            affine, regime, 0.0, 0.0, e / 20, 40, seed,
-            capture_indices=capture, _point=i + 1,
+            affine, finest, 0.0, 0.0, eps[-1] / 20, n_paths, seed,
+            capture_indices=[n_f], _point=len(eps),
         )
-        (alone,) = metrics_mod._clt_reports(bundle, times, trajectory, n_boot=10)
-        assert fit.reports[i] == alone
+        assert bundle.n_steps == n_f
+        (alone,) = metrics_mod._clt_reports(
+            [fluctuation_samples(bundle, trajectory, T)], seed, len(eps), n_boot=10
+        )
+        assert fit.reports[-1] == alone
+
+        dW1, dW2 = next(sde_engine._noise_blocks(
+            seed, range(n_paths), n_f, bundle.dt, n_f, point=len(eps)
+        ))
+        for i, (e, n) in enumerate(zip(eps[:-1], steps)):
+            regime = ScaleRegime(e, e, 1.0, T)
+            times = (n_f // n).bit_length() - 1
+            caps = simulate_with_increments(
+                affine, regime, 0.0, 0.0, T / n,
+                _pair_sums(dW1, times), _pair_sums(dW2, times), [n],
+            )
+            theta = (caps[n][0] - trajectory.x_bar[-1]) / math.sqrt(e)
+            sample = FluctuationSample(T, theta, 0.0, float(trajectory.sigma2[-1]))
+            (alone,) = metrics_mod._clt_reports([sample], seed, i + 1, n_boot=10)
+            assert fit.reports[i] == alone, (T, i)
     # clt_verify runs the same pipeline on the streams of point 0.
     regime = ScaleRegime(eps[0], eps[0], 1.0, T)
     times, capture = metrics_mod._checkpoint_steps(regime, eps[0] / 20, (T,))
-    trajectory = attach_variance(affine_hom, real(affine_hom, 0.0, T, LIMIT_ODE_DT))
+    bundle = simulate_paths(
+        affine, regime, 0.0, 0.0, eps[0] / 20, n_paths, seed, capture_indices=capture
+    )
     assert clt_verify(
-        affine, regime, 0.0, 0.0, eps[0] / 20, 40, checkpoints=(T,), seed=seed,
+        affine, regime, 0.0, 0.0, eps[0] / 20, n_paths, checkpoints=(T,), seed=seed,
         n_boot=10, hom=affine_hom,
     ) == metrics_mod._clt_reports(
-        simulate_paths(
-            affine, regime, 0.0, 0.0, eps[0] / 20, 40, seed,
-            capture_indices=capture,
-        ),
-        times,
-        trajectory,
-        n_boot=10,
+        [fluctuation_samples(bundle, trajectory, t) for t in times], seed, 0, n_boot=10
     )
 
 
 def test_clt_verify_and_rate_sweep_share_no_stream(affine, affine_hom, stream_ids):
     """Under one seed, clt_verify at the coarsest rate-sweep regime and the
     rate sweep open disjoint sets of streams (paths and bootstrap); the
-    old rule gave clt_verify and sweep point 0 the same path-0 W1 stream."""
+    old rule gave clt_verify and sweep point 0 the same path-0 W1 stream.
+    The sweep draws the paths of its finest point alone, once, and one
+    bootstrap stream per point."""
     eps, T, seed = (0.16, 0.08, 0.04), 0.2, 5
     clt = stream_ids(
         lambda: clt_verify(
@@ -847,7 +884,8 @@ def test_clt_verify_and_rate_sweep_share_no_stream(affine, affine_hom, stream_id
         )
     )
     assert len(clt) == 2 * 6 + 2
-    assert len(rate) == len(eps) * (2 * 6 + 1)
+    assert len(rate) == 2 * 6 + len(eps)
+    assert {word >> 32 for _, word in rate} == {1, 2, 3}  # the points
     assert not clt & rate
 
 
@@ -866,39 +904,88 @@ def test_rate_sweep_on_workers_equals_the_run_in_process(
     affine, affine_hom, force_workers, starts, all_joined, workers
 ):
     """The fit and every point's report, simulation, W1 and bootstrap, are
-    the same floats on forked workers as in process.  Each of the 4
-    points' simulations starts ``workers`` workers, then the points' W1
-    and bootstraps run on 2, as {0, 1} and {2, 3}; none is left.  The
+    the same floats on forked workers as in process.  The one pass of
+    all 4 points starts ``workers`` workers, then the points' W1 and
+    bootstraps run on 2, as {0, 1} and {2, 3}; none is left.  The
     workers return their results, so neither run reads what the other
     left in memory, whichever runs first."""
     force_workers(workers)
     fit = _worker_sweep(affine, affine_hom)
-    assert len(starts) == len(_WORKER_SWEEP) * workers + 2
+    assert len(starts) == workers + 2
     assert all_joined()
     force_workers(1)
     in_process = _worker_sweep(affine, affine_hom)
-    assert len(starts) == len(_WORKER_SWEEP) * workers + 2
+    assert len(starts) == workers + 2
     assert fit.to_dict() == in_process.to_dict()
     assert fit.reports == in_process.reports
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_rate_sweep_raises_the_first_failing_point(
-    affine, affine_hom, force_workers, poison, starts, all_joined, workers
+    affine, affine_hom, monkeypatch, force_workers, poison, starts, all_joined, workers
 ):
-    """When sweep points 0 and 3 both blow up, point 0's error is raised
-    although point 3 fails at an earlier step, in process and on 2
-    workers: the points are simulated in order, so point 3 never starts.
-    No worker is left."""
-    poison(sde_engine, {3: (0, 20, math.inf)}, point=1)
-    poison(sde_engine, {17: (0, 0, math.inf)}, point=4)
+    """A blow-up in the sweep's one pass raises the error of the earliest
+    failing time, ties going to the lower point, in process and on 2
+    workers (both poisoned paths lie in the first share), in one noise
+    block and in blocks of 8 finest steps (one step of point 0).  The
+    points step on the finest point's streams (point 4), so a poisoned
+    finest increment reaches every point.  No worker is left.
+
+    First path 3 is poisoned at finest step 20: the finest point fails
+    first, at its step 21, and point 0 at its step 3 (time 24).  Then path
+    17 is poisoned too, at finest step 7 of the other channel: every
+    point fails at time 8 (finest step 8, point 0's step 1), and the
+    lowest point's error is raised."""
+    stages = (
+        ({3: (0, 20, math.inf)}, r"at step 21 \(path column 3\)"),
+        ({17: (1, 7, -math.inf)}, r"at step 1 \(path column 17\)"),
+    )
+    # 40 paths, 4 levels: 16 bytes x 40 paths x 15 rows per 8 finest steps
+    one_block, small = sde_engine._NOISE_BLOCK_BYTES, 16 * 40 * 15
     force_workers(workers)
-    with np.errstate(invalid="ignore"), pytest.raises(
-        BlowUpError, match=r"at step 21 \(path column 3\)"
-    ):
-        _worker_sweep(affine, affine_hom)
-    assert len(starts) == (0 if workers == 1 else workers)
+    for poisoned, raised in stages:
+        poison(sde_engine, poisoned, point=4)  # on top of the stages before
+        for size in (one_block, small):
+            monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", size)
+            assert (sde_engine._block_steps(40, 3) == 8) == (size == small)
+            with np.errstate(invalid="ignore"), pytest.raises(BlowUpError, match=raised):
+                _worker_sweep(affine, affine_hom)
+    assert len(starts) == (0 if workers == 1 else 4 * workers)
     assert all_joined()
+
+
+def test_nested_grids_keep_the_dyadic_grids():
+    """On the benchmark list, whose steps halve, every point keeps the
+    grid _grid lays at its own step, bit for bit."""
+    regimes = [ScaleRegime(e, e, 1.0, 1.0) for e in (0.16, 0.08, 0.04, 0.02)]
+    dts = [r.eta * STABILITY_FRACTION for r in regimes]
+    grids, finest = sde_engine._nested_grids(regimes, dts)
+    assert finest == 3
+    assert [n for n, _ in grids] == [125, 250, 500, 1000]
+    assert grids == [sde_engine._grid(r, dt) for r, dt in zip(regimes, dts)]
+
+
+@pytest.mark.parametrize(
+    "eps, T, steps",
+    [((0.1, 0.05, 0.03), 1.0, [667] * 3), ((0.16, 0.08, 0.04), 0.3, [75, 75, 150])],
+)
+def test_nested_grids_on_a_list_that_is_not_dyadic(eps, T, steps):
+    """Every point takes the coarsest grid of n_f / 2**k steps that is no
+    coarser than its own: its step divides the finest grid into a power
+    of two and passes its own guard at the step it asked for."""
+    regimes = [ScaleRegime(e, e, 1.0, T) for e in eps]
+    dts = [r.eta / 20 for r in regimes]
+    grids, finest = sde_engine._nested_grids(regimes, dts)
+    assert finest == len(eps) - 1
+    assert [n for n, _ in grids] == steps
+    n_f = grids[finest][0]
+    for regime, dt, (n, dt_eff) in zip(regimes, dts, grids):
+        own, _ = sde_engine._grid(regime, dt)
+        ratio = n_f // n
+        assert n * ratio == n_f and ratio & (ratio - 1) == 0
+        assert dt_eff == T / n <= dt
+        assert sde_engine._grid(regime, dt_eff) == (n, dt_eff)
+        assert n >= own and (n % 2 or n // 2 < own)
 
 
 def test_rate_sweep_checks_every_step_before_homogenizing(affine, monkeypatch):
@@ -933,7 +1020,7 @@ def test_rate_sweep_rejects_unknown_config_keys_before_homogenizing(
         return build_homogenized(*args, **kwargs)
 
     monkeypatch.setattr(metrics_mod, "build_homogenized", counting)
-    monkeypatch.setattr(metrics_mod, "simulate_paths", _not_reached)
+    monkeypatch.setattr(metrics_mod, "_final_states", _not_reached)
     with pytest.raises(ValueError, match=re.escape(f"unknown clt_config keys: {named}")):
         rate_sweep(affine, (0.16, 0.08, 0.04), "equal", {"n_boot": 10, **extra}, T=0.2)
     assert len(calls) == 0

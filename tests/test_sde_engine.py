@@ -630,7 +630,8 @@ def test_memory_does_not_grow_with_steps(affine, monkeypatch):
         out = real_mapped_array(rows, cols)
         held[0] += 8 * rows * cols
         held[1] = max(held[1], held[0])
-        weakref.finalize(out, release, 8 * rows * cols)
+        # A view of ``out`` keeps its base, not ``out``, alive: watch the base.
+        weakref.finalize(out if out.base is None else out.base, release, 8 * rows * cols)
         return out
 
     monkeypatch.setattr(sde_engine, "_mapped_array", recording_mapped_array)
@@ -678,6 +679,57 @@ def test_memory_does_not_grow_with_steps(affine, monkeypatch):
         return held[1] - 2 * 8 * n_paths * 32  # less the two channel blocks
 
     assert draw_buffer(600) == draw_buffer(2000) == 8 * sde_engine._DRAW_BATCH * 32
+
+
+@pytest.mark.parametrize(
+    "n_paths, budget_paths, steps, groups",
+    [(100, None, (256, 2048), [100]), (2000, 1000, (16, 128), [1000, 1000])],
+)
+def test_nested_pass_noise_stays_within_the_block(
+    affine, monkeypatch, n_paths, budget_paths, steps, groups
+):
+    """The coarse levels of a pass count against the block budget: a pass
+    of four levels holds, at its peak, its levels within
+    _NOISE_BLOCK_BYTES plus its draw buffer: on time blocks of 32 finest
+    steps (100 paths), as many bytes at 2048 finest steps as at 256, and
+    in two path groups drawn whole (2000 paths of 16 and 128 steps), one
+    group's.  The maps are watched through their bases, which views of a
+    block keep alive."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    held = [0, 0]
+    real_mapped_array = sde_engine._mapped_array
+
+    def release(nbytes):
+        held[0] -= nbytes
+
+    def recording_mapped_array(rows, cols):
+        out = real_mapped_array(rows, cols)
+        held[0] += 8 * rows * cols
+        held[1] = max(held[1], held[0])
+        weakref.finalize(out if out.base is None else out.base, release, 8 * rows * cols)
+        return out
+
+    monkeypatch.setattr(sde_engine, "_mapped_array", recording_mapped_array)
+    regime = ScaleRegime(0.05, 0.05, 1.0, 1.0)
+    peaks = []
+    for n_steps in steps:
+        rows = sde_engine._level_rows(n_steps if budget_paths else 32, 3)
+        budget = 16 * rows * (budget_paths or n_paths)
+        monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", budget)
+        if budget_paths is None:
+            assert sde_engine._block_steps(n_paths, 3) == 32
+        assert [len(g) for g in sde_engine._path_groups(n_paths, n_steps, 3)] == groups
+        chains = [
+            (sde_engine._StepScales.of(regime, 1.0 / (n_steps >> q)), q, ()) for q in range(4)
+        ]
+        held[1] = 0
+        sde_engine._pass(affine, chains, 0.0, 0.0, n_steps, 1.0 / n_steps, n_paths, 1, 0)
+        assert held[0] == 0
+        block_steps = n_steps if budget_paths else 32
+        draw = 8 * min(groups[0], sde_engine._DRAW_BATCH) * block_steps
+        assert held[1] == budget + draw, (n_steps, held[1], budget, draw)
+        peaks.append(held[1])
+    assert budget_paths or peaks[0] == peaks[1]
 
 
 # -- scheme correctness ------------------------------------------------
@@ -845,7 +897,7 @@ def test_worker_that_dies_is_reported(affine, monkeypatch, force_workers, starts
     em_loop, noise_blocks = sde_engine._em_loop, malliavin._noise_blocks
 
     def dying_share(*args):
-        if args[7] >= 25:  # the path id of the share's first column
+        if args[6] >= 25:  # the path id of the share's first column
             os._exit(7)
         return em_loop(*args)
 
