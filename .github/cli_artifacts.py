@@ -23,11 +23,16 @@ its coarser points on sums of it.  ``rate-sweep`` steps 75, 75 and 150
 times, where its points' own grids have 38, 75 and 150 steps, and
 ``rate-sweep nonnested`` 167, 334 and 334 times (own: 100, 200 and 334),
 so the nesting rule of the grids is compared too.  Every config but
-``rate-sweep grouped`` draws its noise in one 32 MiB block; that one's
-pass draws 6000 paths of 500 finest steps with two coarse levels (125,
-250 and 500 steps), which runs in groups of paths: two per worker on two
-CPUs, three in process.  The script reports and does not gate: it exits
-0 whatever it finds.
+``rate-sweep grouped`` and ``malliavin-sweep grouped`` draws its noise
+in one 32 MiB block.  ``rate-sweep grouped``'s pass draws 6000 paths of
+500 finest steps with two coarse levels (125, 250 and 500 steps), which
+runs in groups of paths: two per worker on two CPUs, three in process.
+``malliavin-sweep grouped`` runs 3000 paths at eps = 0.05, 0.025 and
+0.0125 (200, 400 and 800 steps at T = 0.5): the tangent pass of its
+800-step regime draws more than one block, so it runs in two groups of
+paths, on the worker of its whole regime on two CPUs and in process on
+one, as does its decay check in process.  The script reports and does
+not gate: it exits 0 whatever it finds.
 """
 
 from __future__ import annotations
@@ -86,6 +91,13 @@ CONFIGS = {
         "model": "bounded-coupled",
         "sweep": {"epsilons": [0.1, 0.05], "gamma": 1.0, "T": 1.0},
         "grid": {"n_paths": 100, "dt_eta_fraction": 0.025},
+        "analysis": {"p": [1]},
+        "io": {"master_seed": 4},
+    },
+    "malliavin-sweep grouped": {
+        "model": "bounded-coupled",
+        "sweep": {"epsilons": [0.05, 0.025, 0.0125], "gamma": 1.0, "T": 0.5},
+        "grid": {"n_paths": 3000},
         "analysis": {"p": [1]},
         "io": {"master_seed": 4},
     },

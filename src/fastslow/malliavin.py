@@ -47,9 +47,11 @@ cells (j1, j2, r1, r2), one D2_{r1,r2} per channel pair and time pair
 that a caller reads: it holds O((n_tangents + n_cells) n_paths) values.
 Both lists are sorted by start, so the started rows are a prefix, and
 each tangent and each cell is stepped only from its own start.  The
-pass always draws its noise from the streams, so no noise is stored:
-the moment sweeps feed it the streams of their own points, and the
-oracles of :mod:`fastslow.oracles` replay a
+pass always runs on noise drawn from the streams, so no noise is
+stored.  The sweeps run it as the group runner of the one forward pass,
+:func:`~fastslow.sde_engine._pass`, which draws the streams of their
+own points, groups and shares the paths and joins the rows in path
+order; the oracles of :mod:`fastslow.oracles` replay a
 :class:`~fastslow.sde_engine.PathBundle` through it on the noise
 redrawn from the bundle's streams.
 
@@ -75,6 +77,7 @@ from fastslow.coefficients import (
     ASSUMPTION_GRID,
     COEFFICIENT_KEYS,
     CoefficientSet,
+    _is_int,
     _require_positive,
     check_assumptions,
 )
@@ -86,10 +89,8 @@ from fastslow.sde_engine import (
     _EM_KEYS,
     _em_states,
     _grid,
-    _joined_paths,
-    _noise_blocks,
+    _pass,
     _run_shares,
-    _split,
     _steps,
     _StepScales,
     _workers,
@@ -334,17 +335,19 @@ def _second_step(p, d2x, d2y, factors, w1, w2, s: _StepScales, k, cells):
 def _index_array(rows, width: int, what: str) -> np.ndarray:
     """``rows`` as an (n, width) int array whose first width // 2 columns
     are channels and the rest steps: a tangent (j, r) or a cell (j1, j2,
-    r1, r2).  Before any cast, ValueError names the first ``what`` whose
-    channel is not 0 (W1) or 1 (W2), then the first entry that is not an
-    integer (:func:`~fastslow.sde_engine._steps`); the caller checks the
-    steps' range."""
-    arr = np.asarray(rows).reshape(-1, width)
-    bad = ~np.isin(arr[:, : width // 2], (0, 1)).all(axis=1)
-    if bad.any():
-        raise ValueError(
-            f"{what} {tuple(arr[bad][0].tolist())} has a channel other than 0 or 1"
-        )
-    _steps(rows, math.inf, "r-index")
+    r1, r2).  Before any cast, ValueError names the first ``what`` with
+    a channel that is not the integer (:func:`~fastslow.coefficients._is_int`)
+    0 (W1) or 1 (W2), and that channel, then the first step that is not
+    an integer (:func:`~fastslow.sde_engine._steps`); the caller checks
+    the steps' range."""
+    if not isinstance(rows, np.ndarray):
+        rows = np.asarray(list(rows), dtype=object)
+    arr = rows.reshape(-1, width)
+    for row in arr.tolist():
+        for j in row[: width // 2]:
+            if not (_is_int(j) and j in (0, 1)):
+                raise ValueError(f"{what} {tuple(row)} has a channel other than 0 or 1: {j}")
+    _steps(arr[:, width // 2 :], math.inf, "r-index")
     return arr.astype(int)
 
 
@@ -365,9 +368,10 @@ def _tangent_pass(
     """First- and second-order tangents in one forward pass over noise.
 
     ``noise`` yields (dW1, dW2) blocks of shape (b, n_paths) that cover
-    steps 0..n_steps-1 in order: the blocks of
-    :func:`~fastslow.sde_engine._noise_blocks`, of a sweep's own streams
-    or of a bundle's (:func:`fastslow.oracles._bundle_pass`).  The pass runs
+    steps 0..n_steps-1 in order: the blocks that
+    :func:`~fastslow.sde_engine._pass` draws of a group of a sweep's paths
+    from their own streams, or those of a bundle's
+    (:func:`fastslow.oracles._bundle_pass`).  The pass runs
     :func:`~fastslow.sde_engine._em_states` from (x0, y0) over them, so
     the same increments drive the base path and its tangents, and the
     tangent steps read the 24 coefficient keys that each Euler-Maruyama
@@ -592,14 +596,13 @@ def _require_values(name: str, values) -> list[float]:
 @dataclass(frozen=True)
 class _SweepPass:
     """One tangent pass of a sweep: its regime on ``n_steps`` steps of
-    ``dt``, its streams (seed, ``purpose``, ``point``, path id, channel),
-    the tangents and cells that its bounds read and the names of the
-    rows of :func:`_tangent_pass` that its sweep's ``finish`` reads."""
+    ``dt``, the ``point`` of its streams, the tangents and cells that its
+    bounds read and the names of the rows of :func:`_tangent_pass` that
+    its sweep's ``finish`` reads."""
 
     regime: ScaleRegime
     n_steps: int
     dt: float
-    purpose: int
     point: int
     tangents: list[tuple[int, int]]
     cells: list[tuple[int, int, int, int]] | None
@@ -631,6 +634,7 @@ def _sweep_passes(
     passes: Sequence[_SweepPass],
     n_paths: int,
     seed,
+    purpose: int,
     x0: float,
     y0: float,
     finish,
@@ -638,56 +642,54 @@ def _sweep_passes(
     """``finish(i, rows)`` for each pass i of a sweep, in the order of
     ``passes``, where ``rows`` holds the rows named in the pass's
     ``reads`` of what :func:`_tangent_pass` returns for pass i over paths
-    0..n_paths-1 started at (x0, y0).
+    0..n_paths-1 started at (x0, y0), on the streams (seed, ``purpose``,
+    its point, path id, channel).
 
-    The call runs on the :func:`~fastslow.sde_engine._workers` that its
-    n_paths x (sum of n_steps) path-steps take, through
-    :func:`~fastslow.sde_engine._run_shares`, so it forks at most once.
+    Each pass is a leg of :func:`~fastslow.sde_engine._pass`, whose group
+    runner is :func:`_tangent_pass` on the group's noise, keeping the
+    rows of ``reads``; the one pass draws, groups and joins them.  The
+    call runs on the :func:`~fastslow.sde_engine._workers` that its
+    n_paths x (sum of n_steps) path-steps take, so it forks at most once.
     With at least as many passes as workers, each worker runs a
     contiguous range of whole passes over all paths, the ranges balanced
-    by their summed n_steps: each step of a pass costs a fixed overhead
-    that a split of its paths would not divide.  With fewer passes, each
-    worker runs every pass over a contiguous share of the path ids.  In
-    process (one worker) that is every pass over all paths.  A path
-    draws its noise from its own streams, so neither split moves a
-    value.  ``finish`` runs where a pass's rows are whole: a worker of
-    whole passes finishes each itself and returns only what ``finish``
-    keeps, which this process concatenates in pass order; a worker of a
-    share of paths returns its share's rows, only those of ``reads``,
-    which this process joins along the path axis in path order and then
-    finishes.  Either way ``finish`` reads the same full-path arrays, so
-    no value moves.  The error of the first failing range of passes or
-    share of paths is raised, so with whole passes an earlier pass fails
-    before a later one, as in process; an Euler-Maruyama error names the
-    path id.
+    by their summed n_steps (:func:`_balanced_ranges`), through
+    :func:`~fastslow.sde_engine._run_shares`: each step of a pass costs a
+    fixed overhead that a split of its paths would not divide.  Such a
+    worker finishes each pass itself and returns only what ``finish``
+    keeps, which this process concatenates in pass order.  With fewer
+    passes, the one pass of every pass runs on shares of the path ids,
+    whose workers return their rows of ``reads`` for this process to
+    finish.  In process (one worker) that is every pass over all paths.
+    A path draws its noise from its own streams, so no split moves a
+    value, and ``finish`` reads the same full-path arrays either way.
+    The error of the first failing range of passes or share of paths is
+    raised, so with whole passes an earlier pass fails before a later
+    one, as in process; an Euler-Maruyama error names the path id.
     """
-    workers = _workers(n_paths * sum(q.n_steps for q in passes))
-    whole = len(passes) >= workers
-    if whole:
-        shares = _balanced_ranges([q.n_steps for q in passes], workers)
-    else:
-        shares = _split(n_paths, workers)
+
+    def leg(q: _SweepPass) -> tuple:
+        def read_rows(noise, m: int, first_path_id: int) -> dict[str, np.ndarray]:
+            rows = _tangent_pass(
+                model, q.regime, q.dt, q.n_steps, x0, y0, noise, m, q.tangents, q.cells,
+                first_column=first_path_id,
+            )
+            return {name: rows[name] for name in q.reads}
+
+        return q.n_steps, q.dt, 0, q.point, read_rows
+
+    legs = [leg(q) for q in passes]
+    path_steps = n_paths * sum(q.n_steps for q in passes)
 
     def run(share: range) -> list:
-        out = []
-        for i in share if whole else range(len(passes)):
-            q, ids = passes[i], range(n_paths) if whole else share
-            noise = _noise_blocks(
-                seed, ids, q.n_steps, q.dt, purpose=q.purpose, point=q.point
-            )
-            rows = _tangent_pass(
-                model, q.regime, q.dt, q.n_steps, x0, y0, noise, len(ids),
-                q.tangents, q.cells, first_column=ids.start,
-            )
-            rows = {name: rows[name] for name in q.reads}
-            out.append(finish(i, rows) if whole else rows)
-        return out
+        rows = _pass(legs[share.start : share.stop], n_paths, seed, purpose, path_steps)
+        return [finish(i, r) for i, r in zip(share, rows)]
 
+    workers = _workers(path_steps)
     model.compile(_EM_KEYS, COEFFICIENT_KEYS)  # before the fork, as in simulate_paths
-    parts = _run_shares(run, shares, "regimes" if whole else "paths")
-    if whole:
-        return [result for part in parts for result in part]
-    return [finish(i, rows) for i, rows in enumerate(_joined_paths(parts))]
+    if len(passes) < workers:
+        return run(range(len(passes)))
+    shares = _balanced_ranges([q.n_steps for q in passes], workers)
+    return [result for part in _run_shares(run, shares, "regimes") for result in part]
 
 
 def moment_sweep(
@@ -737,14 +739,19 @@ def moment_sweep(
     (T/2, T/2) and (W1, W2), (W2, W2) at (T/2, r2); no path, increment
     or tangent series is kept.  A pass holds at most 7 first-order and
     3 second-order tangent rows of n_paths values, one noise block of at
-    most 32 MiB and a draw buffer of at most 512 streams.  A sweep of at
-    least 1M path-steps in all runs on forked workers, one per CPU
-    (:func:`_sweep_passes`): each worker runs a contiguous range of whole
-    regimes, the ranges balanced by their summed steps, and returns each
-    regime's moments (mean and standard error per bound), or, with more
-    workers than regimes, runs every regime on a contiguous share of the
-    paths and returns its share's rows of the three kinds the moments
-    read.  Regime i draws path j's noise from the streams (seed, moment
+    most 32 MiB and a draw buffer of at most 512 streams.  Each regime's
+    pass runs through :func:`~fastslow.sde_engine._pass`: one whose draw
+    exceeds one block runs in the groups of paths of
+    :func:`~fastslow.sde_engine._path_groups`, each drawn whole in one
+    block with no stream left open, where that rule allows it, and in
+    time blocks otherwise.  A sweep of at least 1M path-steps in all runs
+    on forked workers, one per CPU (:func:`_sweep_passes`): each worker
+    runs a contiguous range of whole regimes, the ranges balanced by
+    their summed steps, and returns each regime's moments (mean and
+    standard error per bound), or, with more workers than regimes, runs
+    every regime on a contiguous share of the paths and returns its
+    share's rows of the three kinds the moments read.  Regime i draws
+    path j's noise from the streams (seed, moment
     sweep, i + 1, j, channel), so a path's values do not depend on which
     paths share its pass or its worker.  The tangent pass is the one
     that :func:`fastslow.oracles.first_order_tangents` and
@@ -809,8 +816,8 @@ def _moment_reports(
         tangents = [(j, r) for j in (0, 1) for r in r_sel] + [(1, r_mid)]
         passes.append(
             _SweepPass(
-                regime, n_steps, dt_eff, PURPOSE_MOMENT_SWEEP, i_reg + 1,
-                tangents, cells, ("sup_abs_dx", "final_dy", "final_d2x"),
+                regime, n_steps, dt_eff, i_reg + 1, tangents, cells,
+                ("sup_abs_dx", "final_dy", "final_d2x"),
             )
         )
         picks.append((len(r_sel), r_mid, r_lo))
@@ -834,7 +841,7 @@ def _moment_reports(
             for p in orders
         }
 
-    moments = _sweep_passes(model, passes, n_paths, seed, x0, y0, finish)
+    moments = _sweep_passes(model, passes, n_paths, seed, PURPOSE_MOMENT_SWEEP, x0, y0, finish)
     by_order: dict[int, dict[str, MomentReport]] = {p: {} for p in orders}
     for p, bound_id in itertools.product(orders, BOUND_IDS):
         points, warnings, c_fit = [], [], 0.0
@@ -939,11 +946,14 @@ def decay_check(
     keeps no series: ``dw2_y_final`` the W2 tangent at each r, the mixed
     bounds one second-order cell (j1, W2, r1, r2) per separation, with
     j1 = W1 for ``d2x_w1w2`` and W2 for ``d2x_w2w2``, and its two
-    factors.  A pass of at least 1M path-steps is split into contiguous
-    shares of the path ids, one per CPU, that run at once on forked
-    workers, each returning its paths' rows of the one or two kinds the
-    bounds read, which this process joins and reduces
-    (:func:`_sweep_passes`).  Path j draws its noise from the streams
+    factors.  The pass runs through :func:`~fastslow.sde_engine._pass`
+    (:func:`_sweep_passes`): one of at least 1M path-steps is split into
+    contiguous shares of the path ids, one per CPU, that run at once on
+    forked workers, each returning its paths' rows of the one or two
+    kinds the bounds read, which this process joins and reduces; a share
+    whose draw exceeds one block runs in groups of paths, each drawn
+    whole in one block, where :func:`~fastslow.sde_engine._path_groups`
+    allows it.  Path j draws its noise from the streams
     (seed, decay check, 0, j, channel), which no moment sweep point
     shares.  :func:`_decay_reports` checks several bounds
     in one pass.
@@ -995,10 +1005,12 @@ def _decay_reports(
         }
 
     one_pass = _SweepPass(
-        regime, n_steps, dt_eff, PURPOSE_DECAY_CHECK, 0, tangents, cells or None,
+        regime, n_steps, dt_eff, 0, tangents, cells or None,
         tuple(dict.fromkeys(key for key, _ in picks.values())),
     )
-    [moments] = _sweep_passes(model, [one_pass], n_paths, seed, x0, y0, finish)
+    [moments] = _sweep_passes(
+        model, [one_pass], n_paths, seed, PURPOSE_DECAY_CHECK, x0, y0, finish
+    )
     reports = {}
     for bound_id, per_sep in moments.items():
         means, ses = zip(*per_sep)

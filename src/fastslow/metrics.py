@@ -702,13 +702,15 @@ def _checkpoint_steps(
 ) -> tuple[list[float], list[int]]:
     """Checkpoint times and their step indices on the simulation grid.
 
-    Raises ValueError for a time outside (0, T],
+    Raises ValueError for no time or a time outside (0, T],
     :class:`~fastslow.sde_engine.StabilityError` for a step that is not
     positive or lies above eta/20 and
     :class:`~fastslow.sde_engine.AlignmentError` for a time off the grid.
     """
     T = regime.T
     times = [float(t) for t in checkpoints]
+    if not times:
+        raise ValueError("checkpoints must not be empty")
     for t in times:
         if not 0.0 < t <= T + 1e-12:
             raise ValueError(f"checkpoint {t} outside (0, {T}]")

@@ -25,29 +25,35 @@ what draws it, the sweep point (0 for a run of one point, i + 1 for
 sweep point i), the global path id and the noise channel.  Philox
 carries from the low counter words, so two streams of one run meet only
 after 2**128 blocks: they are distinct by construction, and a path's
-noise does not depend on the paths drawn with it.  Noise is drawn in
-blocks of a fixed byte budget, so peak memory grows with the block, not
-with n_steps.  A simulation whose draw exceeds one block either runs
-in time blocks, continuing every stream from block to block, or in
-groups of paths, each drawn whole in one block before the next group
-starts; :func:`_path_groups` chooses, and neither choice moves a value.
-Nor does running a large simulation on one forked worker per CPU, each
-on a contiguous share of the path ids (:func:`_run_shares`).
-One forward pass, :func:`_pass`, runs every simulation: it draws the
-increments of a finest grid once and runs one or more chains over them,
-a chain of level q stepping on sums of 2**q consecutive finest
-increments (:func:`_coarsened`, the pair sums of the level below), so
-the points of a rate sweep share one Brownian path (common random
-numbers; Glasserman 2004, sec. 4.1; Giles 2008).  :func:`_nested_grids`
-lays their grids through :func:`_grid`, and a bundle of
-:func:`simulate_paths` is the one-chain case.  The coarse levels count
-against the block's byte budget.  One recursion, :func:`_em_states`,
-advances the state over the blocks and yields each step's state with
-its increments and, from the step its consumer first reads them, the
-values of all 24 coefficient keys: one kernel call per step, of the 4
-EM keys before that step and of all 24 from it.  A bundle keeps the
-states of the steps asked for alone; noise is never stored, as the seed
-and point of a bundle redraw it bit for bit.
+noise does not depend on the paths drawn with it.
+
+One forward pass, :func:`_pass`, draws the noise of every simulation
+and of both Malliavin sweeps, and the callers hand it only a group
+runner, which runs on the noise of a group of paths.  It splits a large
+call into contiguous shares of the path ids, one per CPU, which run on
+forked workers (:func:`_run_shares`), and each share into the groups of
+:func:`_path_groups`; it joins the groups' and shares' results in path
+order.  Noise is drawn in blocks of a fixed byte budget, so peak memory
+grows with the block, not with n_steps: a group that is not the whole
+share draws its noise whole in one block before the next group starts,
+and one group of the whole share runs in time blocks, continuing every
+stream from block to block.  No split moves a value.  The runner of a
+simulation, :func:`_em_loop`, runs one or more chains over the
+increments of a finest grid, a chain of level q stepping on sums of
+2**q consecutive finest increments (:func:`_coarsened`, the pair sums
+of the level below), so the points of a rate sweep share one Brownian
+path (common random numbers; Glasserman 2004, sec. 4.1; Giles 2008).
+:func:`_nested_grids` lays their grids through :func:`_grid`, and a
+bundle of :func:`simulate_paths` is the one-chain case.  The coarse
+levels count against the block's byte budget.  The runner of a sweep
+is the tangent pass of :mod:`fastslow.malliavin`.  One recursion,
+:func:`_em_states`, under both runners, advances the state over the
+blocks and yields each step's state with its increments and, from the
+step its consumer first reads them, the values of all 24 coefficient
+keys: one kernel call per step, of the 4 EM keys before that step and
+of all 24 from it.  A bundle keeps the states of the steps asked for
+alone; noise is never stored, as the seed and point of a bundle redraw
+it bit for bit.
 """
 
 from __future__ import annotations
@@ -57,6 +63,7 @@ import math
 import mmap
 import os
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -149,7 +156,7 @@ def _path_groups(n_paths: int, n_steps: int, depth: int = 0) -> list[range]:
     A group of at most _NOISE_BLOCK_BYTES // (16 r) paths, r =
     :func:`_level_rows` of the pass, draws its whole noise with every
     level in one block, with no stream left open.  Each group pays
-    the per-step cost of the Euler-Maruyama loop again, so the paths are
+    the per-step cost of its runner's loop again, so the paths are
     split into n_groups such groups of near-equal size only when
     (n_groups - 1) * n_steps <= n_paths: the extra steps are then no more
     than one per path.  Otherwise one group holds every path and draws in
@@ -264,9 +271,9 @@ def _share_worker(run, share: range, send) -> None:
 
 
 def _joined_paths(parts: Sequence):
-    """The results of consecutive shares of path ids as one, in share
-    order: the only one as it is, else their arrays joined along the last
-    (path) axis within the tuples, lists and dicts that hold them."""
+    """The results of consecutive shares or groups of path ids as one, in
+    path order: the only one as it is, else their arrays joined along the
+    last (path) axis within the tuples, lists and dicts that hold them."""
     head = parts[0]
     if len(parts) == 1:
         return head
@@ -716,49 +723,47 @@ def _em_loop(
     chains: Sequence[tuple],
     x0: float,
     y0: float,
-    groups,
+    blocks,
     n_paths: int,
     first_column: int = 0,
 ) -> list[dict[int, tuple[np.ndarray, np.ndarray]]]:
-    """The captures of every chain of ``chains`` run over n_paths paths,
-    one group of columns after another: per chain, {k: (x_row, y_row)}
-    for each step k it wants.  A chain is (scales, level, wanted steps):
-    the step scales of its regime, and its level, as each of its steps
-    takes the increments of 2**level finest steps.
+    """The captures of every chain of ``chains`` run from (x0, y0) over
+    n_paths paths: per chain, {k: (x_row, y_row)} for each step k it
+    wants, the rows :func:`_em_states` yields.  A chain is (scales,
+    level, wanted steps): the step scales of its regime, and its level,
+    as each of its steps takes the increments of 2**level finest steps.
 
-    ``groups`` yields (columns, blocks): a range of the columns and the
-    :func:`_coarsened` noise blocks of its paths.  Every chain starts at
-    (x0, y0) and runs through a block, by :func:`_em_states` on its
-    level, before the next block is drawn.  When chains fail in a block,
-    the error of the one that fails at the earliest time, the end of its
-    failing step, is raised once the block is done, ties going to the
-    lower chain, so the block length does not move which error is
+    ``blocks`` yields the (dW1, dW2) noise blocks of shape (b, n_paths)
+    of the finest steps in order.  Every chain runs through a block, by
+    :func:`_em_states` on its level of the block's :func:`_coarsened`
+    levels, before the next block is drawn.  When chains fail in a
+    block, the error of the one that fails at the earliest time, the end
+    of its failing step, is raised once the block is done, ties going to
+    the lower chain, so the block length does not move which error is
     raised.  Errors name a path by its column plus ``first_column``, the
     path id of the first column.
     """
-    captures = [{k: (np.empty(n_paths), np.empty(n_paths)) for k in w} for _, _, w in chains]
-    for columns, blocks in groups:
-        cols = slice(columns.start, columns.stop)
-        starts = [(0, x0, y0)] * len(chains)
-        for levels in blocks:
-            failures = []
-            for i, ((scales, level, _), (k, x, y)) in enumerate(zip(chains, starts)):
-                states = _em_states(
-                    model, scales, x, y, len(columns), levels[level : level + 1],
-                    keys_from=math.inf, first_column=first_column + columns.start, first_step=k,
-                )
-                k -= 1  # the last step yielded with its increments
-                try:
-                    for k, x, y, _, _, _ in states:
-                        if k in captures[i]:
-                            captures[i][k][0][cols] = x
-                            captures[i][k][1][cols] = y
-                except Exception as exc:
-                    failures.append(((k + 1) << level, i, exc))
-                starts[i] = k, x, y
-            if failures:
-                raise min(failures, key=itemgetter(0, 1))[2]
-        levels = None  # views of the group's noise maps: free them before the next draw
+    depth = max(level for _, level, _ in chains)
+    wanted = [set(w) for _, _, w in chains]
+    captures: list[dict] = [{} for _ in chains]
+    starts = [(0, x0, y0)] * len(chains)
+    for levels in _coarsened(blocks, depth):
+        failures = []
+        for i, ((scales, level, _), (k, x, y)) in enumerate(zip(chains, starts)):
+            states = _em_states(
+                model, scales, x, y, n_paths, levels[level : level + 1],
+                keys_from=math.inf, first_column=first_column, first_step=k,
+            )
+            k -= 1  # the last step yielded with its increments
+            try:
+                for k, x, y, _, _, _ in states:
+                    if k in wanted[i]:
+                        captures[i][k] = x, y
+            except Exception as exc:
+                failures.append(((k + 1) << level, i, exc))
+            starts[i] = k, x, y
+        if failures:
+            raise min(failures, key=itemgetter(0, 1))[2]
     return captures
 
 
@@ -784,7 +789,7 @@ def simulate_with_increments(
     n_steps, n_paths = dW1.shape
     wanted = _steps(capture_indices, n_steps, "capture index", AlignmentError)
     chain = _StepScales.of(regime, dt), 0, wanted
-    return _em_loop(model, [chain], x0, y0, [(range(n_paths), [[(dW1, dW2)]])], n_paths)[0]
+    return _em_loop(model, [chain], x0, y0, [(dW1, dW2)], n_paths)[0]
 
 
 def _em_step(
@@ -876,8 +881,10 @@ def simulate_paths(
     _require_positive(n_paths=n_paths)
     n_steps, dt_eff = _grid(regime, dt)
     wanted = _steps(capture_indices, n_steps, "capture index", AlignmentError)
-    chain = _StepScales.of(regime, dt_eff), 0, wanted
-    (captures,) = _pass(model, [chain], x0, y0, n_steps, dt_eff, n_paths, master_seed, _point)
+    chains = [(_StepScales.of(regime, dt_eff), 0, wanted)]
+    model.compile(_EM_KEYS)  # before the fork, so no worker compiles it again
+    leg = n_steps, dt_eff, 0, _point, partial(_em_loop, model, chains, x0, y0)
+    [[captures]] = _pass([leg], n_paths, master_seed, PURPOSE_PATHS, n_paths * n_steps)
 
     return PathBundle(
         regime=regime,
@@ -893,55 +900,53 @@ def simulate_paths(
 
 
 def _pass(
-    model: CoefficientSet,
-    chains: Sequence[tuple],
-    x0: float,
-    y0: float,
-    n_steps: int,
-    dt: float,
-    n_paths: int,
-    master_seed,
-    point: int,
-    reply=None,
+    legs: Sequence[tuple], n_paths: int, master_seed, purpose: int, path_steps: int
 ) -> list:
-    """The one forward pass of every simulation: ``chains`` run from (x0,
-    y0) over n_paths paths, on the Brownian increments of n_steps finest
-    steps of dt drawn from the streams (paths, ``point``, path id,
-    channel).  A chain of level q takes n_steps / 2**q steps, each on the
-    sum of 2**q finest increments (:func:`_coarsened`), so 2**q must
-    divide n_steps.  Returns the chains' captures (:func:`_em_loop`), or
-    what ``reply`` makes of them, with its arrays joined in path order.
+    """The one forward pass of every simulation and sweep: for each leg
+    (n_steps, dt, depth, point, run) of ``legs``, what ``run(blocks, m,
+    first_path_id)`` returns over paths 0..n_paths-1, with its arrays
+    joined in path order (:func:`_joined_paths`), in the order of
+    ``legs``.
+
+    ``run`` is a leg's group runner: it takes the (dW1, dW2) blocks, of
+    shape (b, m), of n_steps steps of dt drawn from the streams
+    (``purpose``, point, path id, channel) of m consecutive path ids from
+    first_path_id on, and returns what a worker sends back of them: the
+    captures of :func:`_em_loop` or a reduction of them, or the rows of a
+    tangent pass.  Its blocks hold a whole number of 2**depth steps, so a
+    runner may step coarse chains on their :func:`_coarsened` pair sums.
 
     The path ids are split into contiguous shares of near-equal size, one
-    per :func:`_workers` of the chains' n_paths x (sum of their steps)
-    path-steps, which run at once in forked workers (:func:`_run_shares`;
-    one share runs in process); ``reply`` runs in the worker, so a
-    worker sends back no more than it returns.  Within a share, the
-    chains run over the groups of :func:`_path_groups`, one after
-    another.  A group that is not the whole share draws its noise with
-    every level in one block of at most ``_NOISE_BLOCK_BYTES`` and keeps
-    no stream open; one group of the whole share draws in time blocks of
-    :func:`_block_steps`.  Path ids key the streams, so neither split
-    moves a value, and every chain sees its noise whole, whatever the
-    block length.
+    per :func:`_workers` of ``path_steps``, which run at once in forked
+    workers (:func:`_run_shares`; one share runs in process, and so does
+    a pass started in a worker).  A share runs the legs one after
+    another, each over the groups of :func:`_path_groups` of its
+    n_steps and depth, one after another.  A group that is not the whole
+    share draws its noise with every level in one block of at most
+    ``_NOISE_BLOCK_BYTES`` and keeps no stream open; one group of the
+    whole share draws in time blocks of :func:`_block_steps`.  Path ids
+    key the streams, so neither split moves a value, and every runner
+    sees its noise whole, whatever the block length.  The error of the
+    first failing share is raised, and within a share that of the first
+    failing leg and group.
     """
-    depth = max(level for _, level, _ in chains)
 
-    def run(share: range):
-        groups = (
-            (group, _coarsened(_noise_blocks(
-                master_seed, share[group.start : group.stop], n_steps, dt,
-                _block_steps(len(group), depth), point=point,
-            ), depth))
-            for group in _path_groups(len(share), n_steps, depth)
-        )
-        captures = _em_loop(model, chains, x0, y0, groups, len(share), share.start)
-        return captures if reply is None else reply(captures)
+    def run_share(share: range) -> list:
+        results = []
+        for n_steps, dt, depth, point, run in legs:
+            parts = []
+            for group in _path_groups(len(share), n_steps, depth):
+                ids = share[group.start : group.stop]
+                # Handed over, not held here: a group's noise maps are
+                # freed before the next group draws.
+                parts.append(run(_noise_blocks(
+                    master_seed, ids, n_steps, dt, _block_steps(len(ids), depth),
+                    purpose=purpose, point=point,
+                ), len(ids), ids.start))
+            results.append(_joined_paths(parts))
+        return results
 
-    path_steps = n_paths * sum(n_steps >> level for _, level, _ in chains)
-    shares = _split(n_paths, _workers(path_steps))
-    model.compile(_EM_KEYS)  # before the fork, so no worker compiles it again
-    return _joined_paths(_run_shares(run, shares))
+    return _joined_paths(_run_shares(run_share, _split(n_paths, _workers(path_steps))))
 
 
 def _nested_grids(
@@ -993,11 +998,17 @@ def _final_states(
         (_StepScales.of(regime, dt), (n_f // n).bit_length() - 1, (n,))
         for regime, (n, dt) in zip(regimes, grids)
     ]
+    depth = max(level for _, level, _ in chains)
 
-    def finals(captures):
+    def finals(noise, m: int, first_path_id: int) -> list[np.ndarray]:
+        captures = _em_loop(model, chains, x0, y0, noise, m, first_path_id)
         return [c[n][0] for c, (n, _) in zip(captures, grids)]
 
-    return _pass(model, chains, x0, y0, n_f, dt_f, n_paths, master_seed, point, finals)
+    model.compile(_EM_KEYS)  # before the fork, so no worker compiles it again
+    leg = n_f, dt_f, depth, point, finals
+    path_steps = n_paths * sum(n for n, _ in grids)
+    [rows] = _pass([leg], n_paths, master_seed, PURPOSE_PATHS, path_steps)
+    return rows
 
 
 def _grid_index(t: float, dt: float, n_max: int, what: str) -> int:

@@ -12,6 +12,7 @@ from scipy.linalg import expm
 
 import fastslow.malliavin as malliavin_mod
 import fastslow.oracles as oracles_mod
+import fastslow.sde_engine as sde_engine
 from fastslow.coefficients import (
     COEFFICIENT_KEYS,
     CoefficientTable,
@@ -672,7 +673,7 @@ def test_wide_pass_equals_per_chunk_passes(bounded, monkeypatch):
     all paths at once."""
     regimes = [ScaleRegime(0.1, 0.1, 1.0, 0.3), ScaleRegime(0.05, 0.05, 1.0, 0.3)]
     passes = []
-    tangent_pass, noise_blocks = malliavin_mod._tangent_pass, malliavin_mod._noise_blocks
+    tangent_pass, noise_blocks = malliavin_mod._tangent_pass, sde_engine._noise_blocks
 
     def counted(model, regime, dt, n_steps, x0, y0, noise, n_paths, *args, **kwargs):
         passes.append(n_paths)
@@ -697,7 +698,7 @@ def test_wide_pass_equals_per_chunk_passes(bounded, monkeypatch):
     assert passes == [130] * 5  # one pass per regime and per decay check
     passes.clear()
     monkeypatch.setattr(
-        malliavin_mod, "_noise_blocks", lambda seed, ids, n_steps, dt, **kw: (seed, ids, kw)
+        sde_engine, "_noise_blocks", lambda seed, ids, n_steps, dt, *args, **kw: (seed, ids, kw)
     )
     monkeypatch.setattr(
         malliavin_mod, "_tangent_pass", _split_pass(counted, noise_blocks, (50, 50, 30))
@@ -910,24 +911,30 @@ def test_bundle_tangents_replay_the_bundle_point(bounded):
     assert not np.array_equal(got.final_dx, other.final_dx)
 
 
-@pytest.mark.parametrize("combo", [(-1, 0), (0.5, 0), (2, 0)])
+@pytest.mark.parametrize("combo", [(-1, 0), (0.5, 0), (2, 0), (0.0, 1), (True, 0)])
 def test_channels_other_than_0_or_1_are_rejected(bounded, bounded_bundle, combo):
     """A channel must be the integer 0 (W1) or 1 (W2): neither labelled
-    nor truncated nor left to an IndexError, and rejected before any
-    noise block is read."""
+    nor truncated nor left to an IndexError, nor, when it is a float or a
+    bool equal to 0 or 1, reported as an r-index; the error names the
+    cell or tangent and the channel, before any noise block is read."""
 
     def no_noise():
         raise AssertionError("a noise block was read")
         yield
 
-    with pytest.raises(ValueError, match=r"cell \(.*\) has a channel other than 0 or 1"):
-        second_order_tangents(bounded, bounded_bundle, [(12, 30)], combos=(combo,))
-    with pytest.raises(ValueError, match="has a channel other than 0 or 1"):
+    def tangent_pass(tangents, cells):
         malliavin_mod._tangent_pass(
             bounded, bounded_bundle.regime, bounded_bundle.dt, bounded_bundle.n_steps,
-            0.1, -0.2, no_noise(), bounded_bundle.n_paths, (),
-            [(0, 1, 30, 12), (*combo, 30, 30)],
+            0.1, -0.2, no_noise(), bounded_bundle.n_paths, tangents, cells,
         )
+
+    channel = re.escape(f"has a channel other than 0 or 1: {combo[0]}")
+    with pytest.raises(ValueError, match=r"cell \(.*\) " + channel):
+        second_order_tangents(bounded, bounded_bundle, [(12, 30)], combos=(combo,))
+    with pytest.raises(ValueError, match=r"cell \(.*\) " + channel):
+        tangent_pass((), [(0, 1, 30, 12), (*combo, 30, 30)])
+    with pytest.raises(ValueError, match=re.escape(f"tangent ({combo[0]}, 3) ") + channel):
+        tangent_pass([(0, 3), (combo[0], 3)], None)
 
 
 def test_sweeps_request_only_the_cells_they_read(bounded, monkeypatch):
@@ -1126,7 +1133,7 @@ def unfolded(monkeypatch):
     for the sweeps and for :func:`fastslow.oracles._bundle_pass`.  It
     returns a list that gets, for each noise stream drawn, the number of
     blocks it yielded."""
-    em_states, noise_blocks = malliavin_mod._em_states, malliavin_mod._noise_blocks
+    em_states, noise_blocks = malliavin_mod._em_states, sde_engine._noise_blocks
     drawn = []
 
     def all_keys_from_step_0(*args, keys_from, **kwargs):
@@ -1138,12 +1145,12 @@ def unfolded(monkeypatch):
             drawn[-1] += 1
             yield block
 
-    def three_blocks(seed, path_ids, n_steps, dt, **kwargs):
+    def three_blocks(seed, path_ids, n_steps, dt, block_steps=None, **kwargs):
         return counted(noise_blocks(seed, path_ids, n_steps, dt, -(-n_steps // 3), **kwargs))
 
     def apply():
         monkeypatch.setattr(malliavin_mod, "_em_states", all_keys_from_step_0)
-        monkeypatch.setattr(malliavin_mod, "_noise_blocks", three_blocks)
+        monkeypatch.setattr(sde_engine, "_noise_blocks", three_blocks)
         monkeypatch.setattr(oracles_mod, "_noise_blocks", three_blocks)
         monkeypatch.setattr(malliavin_mod, "_zero_partials", lambda model: frozenset())
         monkeypatch.setattr(malliavin_mod, "_first_step", _unfolded_first_step)
@@ -1153,16 +1160,16 @@ def unfolded(monkeypatch):
     return apply
 
 
-def _sweeps(model, p=1):
-    """The moment sweep and the three decay checks at moment order ``p``,
-    as reported."""
+def _sweeps(model, p=1, n_paths=30):
+    """The moment sweep of two regimes (60 and 120 steps) and the three
+    decay checks (120 steps) at moment order ``p``, as reported."""
     regimes = [ScaleRegime(0.1, 0.1, 1.0, 0.3), ScaleRegime(0.05, 0.05, 1.0, 0.3)]
     reports = moment_sweep(
-        model, regimes, p, 30, seed=5, x0=0.4, y0=0.3, pair_sep_etas=2.0, k_hat=1.0,
+        model, regimes, p, n_paths, seed=5, x0=0.4, y0=0.3, pair_sep_etas=2.0, k_hat=1.0,
     )
     decays = [
         decay_check(
-            model, regimes[-1], bound_id, p, 30, 6,
+            model, regimes[-1], bound_id, p, n_paths, 6,
             separations_eta=(0.5, 1.0, 2.0), x0=0.4, y0=0.3,
         )
         for bound_id in ("d2x_w1w2", "d2x_w2w2", "dw2_y_final")
@@ -1183,6 +1190,38 @@ def test_sweeps_equal_the_unfolded_reference(fixture, request, unfolded):
     fast = _sweeps(model)
     unfolded()
     assert _sweeps(model) == fast
+
+
+def test_sweep_passes_beyond_one_block_run_in_path_groups(bounded, monkeypatch):
+    """At a block budget that holds 65 paths of 120 steps, the 120-step
+    passes of 130 paths (the moment sweep's second regime and each decay
+    check) run in the two path groups of ``_path_groups``, and the
+    60-step pass in one group of every path.  Each group draws its whole
+    noise in one block and keeps no stream open: one Philox per channel
+    and group.  The reports equal those of the default budget, where
+    every pass is one block, bit for bit."""
+    one_block = _sweeps(bounded, n_paths=130)
+    draws, built = [], []
+    noise_blocks, philox = sde_engine._noise_blocks, np.random.Philox
+
+    def recording(seed, path_ids, n_steps, dt, block_steps=None, **kwargs):
+        draws.append((n_steps, path_ids, block_steps))
+        return noise_blocks(seed, path_ids, n_steps, dt, block_steps, **kwargs)
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(sde_engine, "_NOISE_BLOCK_BYTES", 16 * 120 * 65)
+    monkeypatch.setattr(sde_engine, "_noise_blocks", recording)
+    monkeypatch.setattr(sde_engine.np.random, "Philox", counting)
+    assert sde_engine._path_groups(130, 120) == [range(0, 65), range(65, 130)]
+    assert sde_engine._path_groups(130, 60) == [range(130)]
+    assert _sweeps(bounded, n_paths=130) == one_block
+    groups = [(60, range(130))] + [(120, range(0, 65)), (120, range(65, 130))] * 4
+    assert [(n_steps, ids) for n_steps, ids, _ in draws] == groups
+    assert all(block_steps >= n_steps for n_steps, _, block_steps in draws)
+    assert len(built) == 2 * len(groups)
 
 
 @pytest.mark.parametrize(
@@ -1246,7 +1285,7 @@ def _leaves(obj) -> list:
 
 
 def test_workers_reply_with_moments_or_with_their_share_of_rows(
-    bounded, monkeypatch, starts, all_joined
+    bounded, monkeypatch, force_workers, starts, all_joined
 ):
     """With ``_workers`` forced to 2, the moment sweep of two regimes runs
     whole regimes: each worker finishes its regime and replies with its
@@ -1266,15 +1305,16 @@ def test_workers_reply_with_moments_or_with_their_share_of_rows(
     in_process = run_all()
     assert starts == []
     replies = []
-    run_shares = malliavin_mod._run_shares
+    run_shares = sde_engine._run_shares
 
     def spy(run, shares, unit="paths"):
         parts = run_shares(run, shares, unit)
         replies.append((unit, parts))
         return parts
 
-    monkeypatch.setattr(malliavin_mod, "_workers", lambda path_steps: 2)
+    force_workers(2)
     monkeypatch.setattr(malliavin_mod, "_run_shares", spy)
+    monkeypatch.setattr(sde_engine, "_run_shares", spy)
     assert run_all() == in_process
     assert len(starts) == 2 * 5
     assert all_joined()
@@ -1288,7 +1328,7 @@ def test_workers_reply_with_moments_or_with_their_share_of_rows(
 
 
 def test_workers_of_a_path_share_reply_with_the_rows_finish_reads(
-    bounded, monkeypatch, starts, all_joined
+    bounded, monkeypatch, force_workers, starts, all_joined
 ):
     """A pass split by paths replies with only the row kinds that its
     sweep's finish reads: a moment sweep of one regime with sup_abs_dx,
@@ -1308,15 +1348,16 @@ def test_workers_of_a_path_share_reply_with_the_rows_finish_reads(
 
     in_process = run_all()
     replies = []
-    run_shares = malliavin_mod._run_shares
+    run_shares = sde_engine._run_shares
 
     def spy(run, shares, unit="paths"):
         parts = run_shares(run, shares, unit)
         replies.append([sorted(rows) for part in parts for rows in part])
         return parts
 
-    monkeypatch.setattr(malliavin_mod, "_workers", lambda path_steps: 2)
+    force_workers(2)
     monkeypatch.setattr(malliavin_mod, "_run_shares", spy)
+    monkeypatch.setattr(sde_engine, "_run_shares", spy)
     assert run_all() == in_process
     assert len(starts) == 2 * 4
     assert all_joined()
@@ -1382,8 +1423,8 @@ def test_first_failing_regime_is_raised(force_workers, poison, starts, all_joine
     regime 0 fails in the first share of paths and path 17 of regime 1
     in the second.  No worker is left."""
     model = model_from_expressions(*_POISONED, "sqrt(2)")
-    poison(malliavin_mod, {3: (0, 40, math.inf)}, point=1)
-    poison(malliavin_mod, {17: (0, 0, math.inf)}, point=2)
+    poison(sde_engine, {3: (0, 40, math.inf)}, point=1)
+    poison(sde_engine, {17: (0, 0, math.inf)}, point=2)
     regimes = [ScaleRegime(0.1, 0.1, 1.0, 0.3), ScaleRegime(0.05, 0.05, 1.0, 0.3)]
     force_workers(workers)
     with pytest.raises(BlowUpError, match=r"at step 41 \(path column 3\)"):
@@ -1412,7 +1453,7 @@ def test_decay_check_names_the_global_path_in_a_later_share(
     start at step 20, so the error comes from the Euler-Maruyama step."""
     model = model_from_expressions(*_POISONED, tau)
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.3)
-    poison(malliavin_mod, {37: (channel, 0, value)})
+    poison(sde_engine, {37: (channel, 0, value)})
     for workers in (1, 2):
         force_workers(workers)
         with np.errstate(invalid="ignore"), pytest.raises(error, match=message):
@@ -1617,7 +1658,7 @@ def test_sweeps_reject_step_above_stability_guard(affine, monkeypatch):
         raise AssertionError("work started before the step was checked")
 
     monkeypatch.setattr(malliavin_mod, "check_assumptions", not_reached)
-    monkeypatch.setattr(malliavin_mod, "_noise_blocks", not_reached)
+    monkeypatch.setattr(sde_engine, "_noise_blocks", not_reached)
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.1)
     message = re.escape("dt=0.05 exceeds the stability guard eta/20=0.0025")
     with pytest.raises(StabilityError, match=message):
@@ -1642,7 +1683,7 @@ def test_sweeps_reject_nonpositive_sizes_first(affine, monkeypatch, sizes, messa
         raise AssertionError("work started before the sizes were checked")
 
     monkeypatch.setattr(malliavin_mod, "check_assumptions", not_reached)
-    monkeypatch.setattr(malliavin_mod, "_noise_blocks", not_reached)
+    monkeypatch.setattr(sde_engine, "_noise_blocks", not_reached)
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.1)
     args = dict(n_paths=10, p=1) | sizes
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -1677,7 +1718,7 @@ def test_sweeps_reject_bad_arguments_before_any_draw(
         raise AssertionError("work started before the arguments were checked")
 
     monkeypatch.setattr(malliavin_mod, "check_assumptions", not_reached)
-    monkeypatch.setattr(malliavin_mod, "_noise_blocks", not_reached)
+    monkeypatch.setattr(sde_engine, "_noise_blocks", not_reached)
     regime = ScaleRegime(0.05, 0.05, 1.0, 0.2)
     with pytest.raises(ValueError, match=re.escape(f"{name} {message}")):
         if bound_id is None:

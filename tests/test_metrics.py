@@ -614,12 +614,22 @@ def test_clt_verify_affine_smoke(affine):
     assert [r.bootstrap_ci for r in again] == [r.bootstrap_ci for r in reports]
 
 
-def test_clt_verify_rejects_bad_checkpoints(affine):
+def test_clt_verify_rejects_bad_checkpoints(affine, monkeypatch):
     regime = ScaleRegime(0.04, 0.04, 1.0, 0.4)
     with pytest.raises(ValueError):
         clt_verify(affine, regime, 0.0, 0.0, 0.002, 10, checkpoints=(0.0,))
     with pytest.raises(ValueError):
         clt_verify(affine, regime, 0.0, 0.0, 0.002, 10, checkpoints=(0.9,))
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("work started before the checkpoints were checked")
+
+    # No checkpoint: an error before any homogenization or simulation,
+    # not an empty list of reports.
+    monkeypatch.setattr(metrics_mod, "build_homogenized", not_reached)
+    monkeypatch.setattr(metrics_mod, "simulate_paths", not_reached)
+    with pytest.raises(ValueError, match="checkpoints must not be empty"):
+        clt_verify(affine, regime, 0.0, 0.0, 0.002, 10, checkpoints=())
 
 
 def test_clt_verify_checks_step_before_homogenizing(affine, monkeypatch):

@@ -1,6 +1,7 @@
 """Tests for the slow-fast Euler-Maruyama engine and its noise plumbing."""
 
 import faulthandler
+import functools
 import gc
 import hashlib
 import math
@@ -723,7 +724,9 @@ def test_nested_pass_noise_stays_within_the_block(
             (sde_engine._StepScales.of(regime, 1.0 / (n_steps >> q)), q, ()) for q in range(4)
         ]
         held[1] = 0
-        sde_engine._pass(affine, chains, 0.0, 0.0, n_steps, 1.0 / n_steps, n_paths, 1, 0)
+        run = functools.partial(sde_engine._em_loop, affine, chains, 0.0, 0.0)
+        leg = n_steps, 1.0 / n_steps, 3, 0, run
+        sde_engine._pass([leg], n_paths, 1, sde_engine.PURPOSE_PATHS, n_paths * n_steps)
         assert held[0] == 0
         block_steps = n_steps if budget_paths else 32
         draw = 8 * min(groups[0], sde_engine._DRAW_BATCH) * block_steps
@@ -894,7 +897,7 @@ def test_worker_that_dies_is_reported(affine, monkeypatch, force_workers, starts
     import fastslow.malliavin as malliavin
 
     regime = ScaleRegime(epsilon=0.05, eta=0.05, gamma=1.0, T=0.06)
-    em_loop, noise_blocks = sde_engine._em_loop, malliavin._noise_blocks
+    em_loop, noise_blocks = sde_engine._em_loop, sde_engine._noise_blocks
 
     def dying_share(*args):
         if args[6] >= 25:  # the path id of the share's first column
@@ -907,7 +910,7 @@ def test_worker_that_dies_is_reported(affine, monkeypatch, force_workers, starts
         return noise_blocks(*args, point=point, **kwargs)
 
     monkeypatch.setattr(sde_engine, "_em_loop", dying_share)
-    monkeypatch.setattr(malliavin, "_noise_blocks", dying_regime)
+    monkeypatch.setattr(sde_engine, "_noise_blocks", dying_regime)
     force_workers(2)
     with pytest.raises(RuntimeError, match=r"paths 25\.\.49 exited with code 7"):
         simulate_paths(affine, regime, 0.0, 0.0, regime.eta / 20, 50, 1)
